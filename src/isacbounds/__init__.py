@@ -32,10 +32,8 @@ from .model import (
 )
 from .signals import mean_jacobian, mean_vector, phase_sequence
 from .fim import (
-    ClosedFormBlocks,
     FdSteps,
     LabeledMatrix,
-    closed_form_blocks,
     observation_fim_analytic,
     observation_fim_numeric,
 )
@@ -74,7 +72,7 @@ __all__ = [
     "amp_for_snr", "check_regulatory", "effective_bandwidth", "received_snr",
     "sample_pulse",
     "mean_jacobian", "mean_vector", "phase_sequence",
-    "ClosedFormBlocks", "FdSteps", "LabeledMatrix", "closed_form_blocks",
+    "FdSteps", "LabeledMatrix",
     "observation_fim_analytic", "observation_fim_numeric",
     "StructMatrix", "differential_maps", "e_vector", "h_matrix", "jacobian",
     "CoupledParametersError", "CrlbReport", "SingularityReport",

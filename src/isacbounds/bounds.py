@@ -25,7 +25,6 @@ demodulation tractable -- and the result is collapsed onto theta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +34,15 @@ from .model import (
     ConfigError,
     Decoupling,
     ModulationConfig,
-    ParamLayout,
     ScenarioConfig,
     Scheme,
     SPEED_OF_LIGHT,
+    eta_layout_for,
     theta_layout_for,
     validate_modulation,
 )
 from .fim import (
-    ClosedFormBlocks,
     LabeledMatrix,
-    closed_form_blocks,
     coeff_a_range,
     coeff_b_full,
     observation_fim_analytic,
@@ -404,7 +401,7 @@ def assemble_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig,
     """
     validate_modulation(scenario, modulation)
     if i_eta is None:
-        eta_size = len(observation_layout_names(scenario, modulation))
+        eta_size = eta_layout_for(scenario, modulation).size
         if check is None:
             check = eta_size <= PRODUCT_CHECK_MAX_ETA
         if not check:
@@ -421,12 +418,6 @@ def assemble_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig,
             )
         return product
     return _product_theta(scenario, modulation, i_eta, sfd_weight)
-
-
-def observation_layout_names(scenario: ScenarioConfig, modulation: ModulationConfig) -> tuple[str, ...]:
-    from .model import eta_layout_for
-
-    return eta_layout_for(scenario, modulation).names
 
 
 def _product_theta(scenario: ScenarioConfig, modulation: ModulationConfig,

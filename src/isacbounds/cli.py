@@ -290,7 +290,7 @@ def cmd_sweep(args) -> int:
         modulation=build_modulation(cfg),
         sfd_weight=parse_quantity(cfg["modulation"]["sfd_weight"]),
     )
-    table = run_sweep(spec, workers=args.workers)
+    table = run_sweep(spec)
     path = _out_dir(args) / f"sweep_{spec.axis}.csv"
     table.to_csv(path)
     print(f"wrote {path} ({len(table.rows)} rows)")
@@ -368,8 +368,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                      help="override a config entry (repeatable)")
     sub.add_argument("--out", help="output directory for CSV files")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="parallel workers for sweep evaluation")
     sub.add_argument("--tol", type=float, default=0.02,
                      help="relative tolerance where one applies (validate)")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,19 +228,13 @@ def _describe_singularity(report) -> str:
     return "; ".join(parts) or f"rank {report.rank} of {report.size}"
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
+def run_sweep(spec: SweepSpec) -> ResultTable:
     """Evaluate the sweep, one row per axis value, in axis order.
 
     Rows that fail (singular configurations, leakage, ...) carry NaN outputs
     and the error message in the last column; the sweep always completes.
     """
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if workers == 1:
-        rows = [_eval_point(spec, v) for v in spec.values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _eval_point(spec, v), spec.values))
+    rows = [_eval_point(spec, v) for v in spec.values]
     sc, mod = spec.scenario, spec.modulation
     provenance = {
         "generator": f"isacbounds {_pkg_version}",

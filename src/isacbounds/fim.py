@@ -27,7 +27,7 @@ and ``coeff_b`` sums its square over a PRI index range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,36 +133,6 @@ def coeff_b_range(t_f: float, start: int, count: int) -> float:
 # =========================================================================
 
 
-@dataclass(frozen=True)
-class ClosedFormBlocks:
-    """Per-path observation information over a PRI index range.
-
-    Attributes
-    ----------
-    lambda_tau : ndarray (L,)
-        Arrival-time information summed over the range, 1/s**2.
-    lambda_phi : ndarray (L,)
-        Phase information of a single PRI (dimensionless).
-    lambda_alpha : ndarray (L,)
-        Amplitude information summed over the range.
-    lambda_tau_alpha : ndarray (L,)
-        Arrival-time / amplitude cross information; identically zero for the
-        symmetric pulse, kept explicit because the assembly consumes it.
-    coeff_a, coeff_b : float
-        Phase-ramp coefficient sums over the same range.
-    n_pri : int
-        Number of PRIs in the range.
-    """
-
-    lambda_tau: np.ndarray
-    lambda_phi: np.ndarray
-    lambda_alpha: np.ndarray
-    lambda_tau_alpha: np.ndarray
-    coeff_a: float
-    coeff_b: float
-    n_pri: int
-
-
 def per_pri_information(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lambda_tau, lambda_phi, lambda_alpha) of a single PRI, per path."""
     bw2 = (2.0 * math.pi * effective_bandwidth(scenario.pulse)) ** 2
@@ -170,22 +140,6 @@ def per_pri_information(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarra
     amps = np.array([p.amp for p in scenario.paths])
     base = scenario.t_f * scenario.f_s * snr
     return bw2 * base, base, base / amps ** 2
-
-
-def closed_form_blocks(scenario: ScenarioConfig, kappas) -> ClosedFormBlocks:
-    """Closed-form observation information over the PRI index range ``kappas``."""
-    kappas = list(kappas)
-    l_tau, l_phi, l_alpha = per_pri_information(scenario)
-    m = len(kappas)
-    return ClosedFormBlocks(
-        lambda_tau=m * l_tau,
-        lambda_phi=l_phi,
-        lambda_alpha=m * l_alpha,
-        lambda_tau_alpha=np.zeros(scenario.n_paths),
-        coeff_a=coeff_a(scenario.t_f, kappas),
-        coeff_b=coeff_b(scenario.t_f, kappas),
-        n_pri=m,
-    )
 
 
 # =========================================================================

@@ -37,6 +37,7 @@ from .model import (
     ParamLayout,
     ScenarioConfig,
     Scheme,
+    _layout,
     eta_layout,
     theta_layout,
 )
@@ -154,49 +155,32 @@ def jacobian_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> Stru
 # =========================================================================
 
 
+def _interleaved_layout(first: str, n_paths: int, n_f: int) -> ParamLayout:
+    """[first_0, t_0, first_1, t_1, ...], then per-PRI phases and amplitudes."""
+    paths = range(1, n_paths + 1)
+
+    def entries(block: str) -> tuple[str, list[str]]:
+        return block, [f"{block}_{l}" for l in paths]
+
+    blocks = [entries(f"{prefix}_{k}") for k in range(n_f) for prefix in (first, "t")]
+    blocks += [entries(f"phi_{k}") for k in range(n_f)]
+    blocks.append(entries("amp"))
+    layout = _layout(blocks)
+    layout.block_bounds["phi"] = (layout.block("phi_0")[0], layout.block(f"phi_{n_f - 1}")[1])
+    return layout
+
+
 def eta_ext_layout(n_paths: int, n_f: int) -> ParamLayout:
     """Expanded differential observation list: the reference arrival time is
     duplicated once per data PRI, interleaved as [ref_0, t_0, ref_1, t_1, ...],
     followed by the per-PRI phases and the amplitudes."""
-    paths = range(1, n_paths + 1)
-    names: list[str] = []
-    bounds: dict[str, tuple[int, int]] = {}
-
-    def push(block: str, entries: list[str]) -> None:
-        lo = len(names)
-        names.extend(entries)
-        bounds[block] = (lo, len(names))
-
-    for k in range(n_f):
-        push(f"ref_{k}", [f"ref_{k}_{l}" for l in paths])
-        push(f"t_{k}", [f"t_{k}_{l}" for l in paths])
-    for k in range(n_f):
-        push(f"phi_{k}", [f"phi_{k}_{l}" for l in paths])
-    push("amp", [f"amp_{l}" for l in paths])
-    bounds["phi"] = (bounds["phi_0"][0], bounds[f"phi_{n_f - 1}"][1])
-    return ParamLayout(tuple(names), bounds)
+    return _interleaved_layout("ref", n_paths, n_f)
 
 
 def diffseq_layout(n_paths: int, n_f: int) -> ParamLayout:
     """Difference-sequence vector: [delta_0, t_0, delta_1, t_1, ...] with
     delta_k = t_k - t_ref, then per-PRI phases and amplitudes."""
-    paths = range(1, n_paths + 1)
-    names: list[str] = []
-    bounds: dict[str, tuple[int, int]] = {}
-
-    def push(block: str, entries: list[str]) -> None:
-        lo = len(names)
-        names.extend(entries)
-        bounds[block] = (lo, len(names))
-
-    for k in range(n_f):
-        push(f"delta_{k}", [f"delta_{k}_{l}" for l in paths])
-        push(f"t_{k}", [f"t_{k}_{l}" for l in paths])
-    for k in range(n_f):
-        push(f"phi_{k}", [f"phi_{k}_{l}" for l in paths])
-    push("amp", [f"amp_{l}" for l in paths])
-    bounds["phi"] = (bounds["phi_0"][0], bounds[f"phi_{n_f - 1}"][1])
-    return ParamLayout(tuple(names), bounds)
+    return _interleaved_layout("delta", n_paths, n_f)
 
 
 def sfd_expansion(n_paths: int, n_f: int) -> StructMatrix:

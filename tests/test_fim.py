@@ -26,7 +26,6 @@ from isacbounds.model import (
 from isacbounds.fim import (
     FdSteps,
     LabeledMatrix,
-    closed_form_blocks,
     coeff_a,
     coeff_a_full,
     coeff_a_range,
@@ -85,21 +84,6 @@ def test_per_pri_information_anchors():
     assert 8 * lam_tau[0] == pytest.approx(1e23, rel=1e-9)
     assert lam_phi[0] == pytest.approx(1000.0, rel=1e-9)
     assert lam_amp[0] == pytest.approx(lam_phi[0] / sc.paths[0].amp ** 2, rel=1e-12)
-
-
-def test_closed_form_blocks_relations():
-    sc = reference_scenario(n_f=4, n_paths=2)
-    blocks = closed_form_blocks(sc, range(4))
-    assert blocks.n_pri == 4
-    np.testing.assert_allclose(blocks.lambda_tau_alpha, 0.0, atol=0)
-    # lambda_tau/lambda_alpha aggregate the PRI range; lambda_phi is per PRI
-    np.testing.assert_allclose(
-        blocks.lambda_alpha * np.array([p.amp ** 2 for p in sc.paths]),
-        blocks.n_pri * blocks.lambda_phi, rtol=1e-12)
-    lam_tau, _, _ = per_pri_information(sc)
-    np.testing.assert_allclose(blocks.lambda_tau, 4 * lam_tau, rtol=1e-12)
-    assert blocks.coeff_a == pytest.approx(coeff_a_full(sc.t_f, 4), rel=1e-12)
-    assert blocks.coeff_b == pytest.approx(coeff_b_full(sc.t_f, 4), rel=1e-12)
 
 
 def test_information_scales_with_snr_not_for_amp_rows():

@@ -115,6 +115,18 @@ def test_sample_pulse_edge_behaviour():
         sample_pulse(sc.pulse, sc.t_f - 5 * ALPHA, sc)
 
 
+def test_pulse_samplers_take_an_array_of_centers():
+    sc = _scenario()
+    taus = np.array([[20e-9, 45.5e-9, 70e-9], [0.0, 33e-9, 90e-9]])
+    for sampler in (sample_pulse, pulse_time_derivative):
+        got = sampler(sc.pulse, taus, sc)
+        assert got.shape == taus.shape + (sc.n_s,)
+        want = np.array([[sampler(sc.pulse, t, sc) for t in row] for row in taus])
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(LeakageError):
+        sample_pulse(sc.pulse, [20e-9, sc.t_f - 5 * ALPHA], sc)
+
+
 def test_pulse_time_derivative_matches_finite_difference():
     sc = _scenario()
     tau, h = 20e-9, 1e-14
@@ -170,10 +182,24 @@ def test_scenario_rejects_bad_geometry():
 @pytest.mark.parametrize("field,value", [
     ("sigma2", 0.0), ("sigma2", -1.0), ("t_f", 0.0), ("f_s", -1.0),
     ("n_f", 0), ("f_c", -1.0),
+    ("f_c", math.inf), ("t_f", math.inf), ("f_s", math.inf), ("sigma2", math.inf),
 ])
 def test_scenario_rejects_bad_scalars(field, value):
     with pytest.raises(ConfigError):
         _scenario(**{field: value})
+
+
+@pytest.mark.parametrize("record,kwargs", [
+    (PathState, dict(tau_l0=20e-9, f_dl=math.nan)),
+    (PathState, dict(tau_l0=20e-9, f_dl=math.inf)),
+    (PathState, dict(tau_l0=20e-9, amp=math.inf)),
+    (PulseShape, dict(e_tb=math.inf)),
+    (ModulationConfig, dict(scheme=Scheme.BPSK, xi_bpsk=math.nan)),
+    (ModulationConfig, dict(scheme=Scheme.BPSK, xi_bpsk=math.inf)),
+], ids=lambda v: getattr(v, "__name__", None) or "-".join(f"{k}={x}" for k, x in v.items()))
+def test_records_reject_non_finite_inputs(record, kwargs):
+    with pytest.raises(ConfigError, match="finite"):
+        record(**kwargs)
 
 
 def test_scenario_reports_sizes():

@@ -11,6 +11,7 @@ import pytest
 from isacbounds.model import (
     ConfigError,
     Decoupling,
+    LeakageError,
     ModulationConfig,
     Scheme,
     eta_layout_for,
@@ -133,6 +134,30 @@ def test_differential_reference_slot():
     assert np.argmax(np.abs(mu[1])) > np.argmax(np.abs(mu[0]))
 
 
+@pytest.mark.parametrize("kind", ["ppm-raw", "bpsk-pilot", "ppm-diff"])
+def test_mean_vector_mixed_word_is_explicit_path_sum(kind):
+    n_f = 4
+    sc = reference_scenario(n_f=n_f, n_paths=3, dopplers=(100.0, -250.0, 40.0))
+    mod = make_modulation(kind, n_f)
+    bits = np.array([0, 1, 0, 1])
+    bits[:mod.p_pilots] = 0  # pilot PRIs are unmodulated
+    mu = mean_vector(sc, mod, bits=bits).reshape(n_slots(sc, mod), sc.n_s)
+    want = np.zeros_like(mu)
+    offset = 1 if mod.decoupling == Decoupling.DIFFERENTIAL else 0
+    for l, p in enumerate(sc.paths):
+        if offset:
+            want[0] += p.amp * np.exp(-1j * TWO_PI * sc.f_c * p.tau_l0) \
+                * sample_pulse(sc.pulse, p.tau_l0, sc)
+        for k in range(n_f):
+            tau, phi = p.tau_l0, TWO_PI * (p.f_dl * k * sc.t_f - sc.f_c * p.tau_l0)
+            if mod.scheme == Scheme.PPM:
+                tau += mod.xi_ppm * bits[k]
+            else:
+                phi -= mod.xi_bpsk * bits[k]
+            want[k + offset] += p.amp * np.exp(1j * phi) * sample_pulse(sc.pulse, tau, sc)
+    np.testing.assert_allclose(mu, want, rtol=1e-12, atol=1e-15)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_mean_from_eta_at_operating_point(kind):
     n_f = 2
@@ -175,3 +200,17 @@ def test_eta_point_contents_pilot_ppm():
     np.testing.assert_allclose(eta[lay.block_slice("tau_d")], taus + 2e-9, rtol=1e-15)
     amps = np.array([p.amp for p in sc.paths])
     np.testing.assert_allclose(eta[lay.block_slice("amp_p")], amps, rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_mean_from_eta_rejects_delay_past_the_pri(kind):
+    n_f = 2
+    sc = reference_scenario(n_f=n_f, n_paths=2)
+    mod = make_modulation(kind, n_f)
+    lay = eta_layout_for(sc, mod)
+    delay = next(i for i, name in enumerate(lay.names) if name.startswith(("tau", "t_")))
+    for value in (sc.t_f - 5 * sc.pulse.alpha, -1e-12):
+        eta = eta_point(sc, mod)
+        eta[delay] = value
+        with pytest.raises(LeakageError):
+            mean_from_eta(sc, mod, eta)
