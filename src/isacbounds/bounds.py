@@ -7,25 +7,30 @@ The pipeline is
       -> EFIM(block) = A - B^T C^{-1} B (Schur complement onto a target block)
       -> CRLB(block) = tr(EFIM^{-1})    (and c**2 * CRLB(tau1) for ranging).
 
-Every I_theta is assembled twice -- once as the matrix product above and once
+Every I_theta is assembled twice -- once as the product above and once
 directly from the closed-form block expressions -- and the two are required
-to agree to 1e-10 relative.  The Schur elimination uses a Cholesky
-factorization of the nuisance block; if that block is singular (which is the
-defining symptom of sensing/data coupling in the undecoupled PPM and BPSK
-frames) a :class:`CoupledParametersError` is raised naming the offending
-columns, rather than silently pseudo-inverting.
+to agree entry-wise to 1e-10 of the geometric mean of their diagonal entries.
+The Schur elimination uses a Cholesky factorization of the nuisance block; if
+that block is singular (which is the defining symptom of sensing/data
+coupling in the undecoupled PPM and BPSK frames) a
+:class:`CoupledParametersError` is raised naming the offending columns,
+rather than silently pseudo-inverting.
 
 Differential frames run through :func:`differential_pipeline`: the reference
 arrival time is duplicated per data PRI, rotated to the difference sequence
 [t^k - t^ref, t^k] by the square +-1-banded transform, the cross-PRI
 difference correlations (which all equal the reference-pulse information) are
 zeroed -- the independence approximation that makes per-PRI differential
-demodulation tractable -- and the result is collapsed onto theta.
+demodulation tractable -- and the result is collapsed onto theta.  After the
+cut every PRI contributes the same (delta_k, t_k) block, so the product is a
+sum of per-PRI blocks plus the Doppler-ramp weights; the dense matrices of
+the chain are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -37,7 +42,7 @@ from .model import (
     ScenarioConfig,
     Scheme,
     SPEED_OF_LIGHT,
-    eta_layout_for,
+    eta_size,
     theta_layout_for,
     validate_modulation,
 )
@@ -47,21 +52,24 @@ from .fim import (
     coeff_b_full,
     observation_fim_analytic,
     per_pri_information,
+    require_sfd_weight,
 )
 from .jacobians import (
     differential_maps,
     e_vector,
     h_matrix,
     jacobian_for,
+    ramp_slope,
     sfd_expansion,
 )
 
 RANK_RTOL = 1e-10
 ASSEMBLY_RTOL = 1e-10
 
-#: above this eta size the product-path cross-check is skipped and the
-#: closed-form assembly (verified against the product at smaller sizes and
-#: against the numeric probe by the validation suite) is returned directly
+#: above this eta size a non-differential frame skips the dense product and
+#: returns the closed-form assembly (verified against the product at smaller
+#: sizes and against the numeric probe by the validation suite); differential
+#: frames are checked at every size
 PRODUCT_CHECK_MAX_ETA = 3000
 
 
@@ -325,15 +333,58 @@ def closed_form_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig
 # =========================================================================
 
 
-@dataclass
 class DifferentialResult:
-    """Intermediate and final matrices of the differential-frame pipeline."""
+    """I_theta of a differential frame and the dense chain behind it.
 
-    i_eta: LabeledMatrix          # physical observation FIM
-    i_ext: LabeledMatrix          # reference duplicated per data PRI
-    i_diffseq_raw: LabeledMatrix  # difference sequence, correlations intact
-    i_diffseq: LabeledMatrix      # after zeroing cross-PRI difference blocks
-    i_theta: LabeledMatrix
+    ``i_theta`` is the product of the chain.  The intermediate matrices --
+    the physical observation FIM ``i_eta``, the reference duplicated per data
+    PRI ``i_ext``, the difference sequence with its correlations intact
+    ``i_diffseq_raw`` and after the cross-PRI cut ``i_diffseq`` -- are built
+    densely the first time they are read.
+    """
+
+    def __init__(self, scenario: ScenarioConfig, modulation: ModulationConfig,
+                 sfd_weight: float = 1.0, i_eta: LabeledMatrix | None = None,
+                 i_theta: LabeledMatrix | None = None):
+        self.scenario = scenario
+        self.modulation = modulation
+        self.sfd_weight = sfd_weight
+        # given values shadow the cached properties below
+        if i_eta is not None:
+            self.i_eta = i_eta
+        if i_theta is not None:
+            self.i_theta = i_theta
+
+    @cached_property
+    def i_eta(self) -> LabeledMatrix:
+        return observation_fim_analytic(self.scenario, self.modulation,
+                                        sfd_weight=self.sfd_weight)
+
+    @cached_property
+    def _maps(self):
+        L, n_f = self.scenario.n_paths, self.scenario.n_f
+        return (sfd_expansion(L, n_f), *differential_maps(L, n_f, self.scenario.t_f))
+
+    @cached_property
+    def i_ext(self) -> LabeledMatrix:
+        G = self._maps[0]
+        if tuple(G.col_layout.names) != tuple(self.i_eta.layout.names):
+            raise ConfigError("observation FIM layout does not match the differential maps")
+        return LabeledMatrix(G.data @ self.i_eta.data @ G.data.T, G.row_layout)
+
+    @cached_property
+    def i_diffseq_raw(self) -> LabeledMatrix:
+        P = self._maps[1]
+        return LabeledMatrix(P.data.T @ self.i_ext.data @ P.data, P.col_layout)
+
+    @cached_property
+    def i_diffseq(self) -> LabeledMatrix:
+        return zero_reference_cross(self.i_diffseq_raw)
+
+    @cached_property
+    def i_theta(self) -> LabeledMatrix:
+        J = self._maps[2]
+        return LabeledMatrix(J.data.T @ self.i_diffseq.data @ J.data, J.col_layout)
 
 
 def zero_reference_cross(i_diffseq: LabeledMatrix) -> LabeledMatrix:
@@ -353,30 +404,54 @@ def zero_reference_cross(i_diffseq: LabeledMatrix) -> LabeledMatrix:
     return LabeledMatrix(data, layout)
 
 
+def _differential_theta(scenario: ScenarioConfig, modulation: ModulationConfig,
+                        sfd_weight: float) -> LabeledMatrix:
+    """J^T I_diffseq J summed per PRI, without the dense chain.
+
+    After the cut, PRI k contributes the (delta_k, t_k) block
+    B = [[(w+1) Lam_tau, Lam_tau], [Lam_tau, Lam_tau]] through the delay rows
+    J_k = [[0 | E], [H | E]], its phases Lam_phi through the Doppler ramp
+    slope_k H, and the amplitudes n_f Lam_alpha once.
+    """
+    L, n_f = scenario.n_paths, scenario.n_f
+    l_tau, l_phi, l_alpha = per_pri_information(scenario)
+    lam = np.diag(l_tau)
+    B = np.block([[(sfd_weight + 1.0) * lam, lam], [lam, lam]])
+    H, E = h_matrix(L), e_vector(L)
+    J_k = np.block([[np.zeros((L, L)), E], [H, E]])  # the same for every PRI
+    ramp = float(np.sum(ramp_slope(np.arange(n_f), scenario.t_f) ** 2))
+
+    layout = theta_layout_for(scenario, modulation)
+    M = np.zeros((layout.size, layout.size))
+    delay, doppler, amp = (layout.block_slice(b) for b in ("delay", "doppler", "amp"))
+    M[delay, delay] = n_f * (J_k.T @ B @ J_k)
+    M[doppler, doppler] = ramp * _congruence(H, l_phi, H)
+    M[amp, amp] = np.diag(n_f * l_alpha)
+    return LabeledMatrix(M, layout)
+
+
 def differential_pipeline(scenario: ScenarioConfig, modulation: ModulationConfig,
                           sfd_weight: float = 1.0,
                           i_eta: LabeledMatrix | None = None) -> DifferentialResult:
-    """Full differential-frame chain from I_eta to I_theta.
+    """Differential-frame chain from I_eta to I_theta.
 
-    ``i_eta`` may be supplied externally (e.g. the numeric probe); by default
-    the closed-form observation FIM is used with the reference arrival-time
-    information scaled by ``sfd_weight``.
+    By default I_eta is the closed-form observation FIM with the reference
+    arrival-time information scaled by ``sfd_weight``, and I_theta is summed
+    from the per-PRI blocks in O(n_f + L^3).  An externally supplied ``i_eta``
+    (e.g. the numeric probe) runs through the explicit dense chain
+    (:func:`~isacbounds.jacobians.sfd_expansion`,
+    :func:`~isacbounds.jacobians.differential_maps`,
+    :func:`zero_reference_cross`) instead.
     """
     if modulation.decoupling != Decoupling.DIFFERENTIAL:
         raise ConfigError("differential_pipeline requires differential decoupling")
+    require_sfd_weight(sfd_weight)
     if i_eta is None:
-        i_eta = observation_fim_analytic(scenario, modulation, sfd_weight=sfd_weight)
-    L, n_f = scenario.n_paths, scenario.n_f
-    G = sfd_expansion(L, n_f)
-    if tuple(G.col_layout.names) != tuple(i_eta.layout.names):
-        raise ConfigError("observation FIM layout does not match the differential maps")
-    P, J = differential_maps(L, n_f, scenario.t_f)
-
-    i_ext = LabeledMatrix(G.data @ i_eta.data @ G.data.T, G.row_layout)
-    raw = LabeledMatrix(P.data.T @ i_ext.data @ P.data, P.col_layout)
-    cut = zero_reference_cross(raw)
-    i_theta = LabeledMatrix(J.data.T @ cut.data @ J.data, J.col_layout)
-    return DifferentialResult(i_eta, i_ext, raw, cut, i_theta)
+        i_theta = _differential_theta(scenario, modulation, sfd_weight)
+        return DifferentialResult(scenario, modulation, sfd_weight, i_theta=i_theta)
+    res = DifferentialResult(scenario, modulation, sfd_weight, i_eta=i_eta)
+    res.i_theta  # run the chain now, so a layout mismatch raises here
+    return res
 
 
 # =========================================================================
@@ -384,46 +459,62 @@ def differential_pipeline(scenario: ScenarioConfig, modulation: ModulationConfig
 # =========================================================================
 
 
+def _check_agreement(product: LabeledMatrix, closed: LabeledMatrix) -> None:
+    """Raise unless |P_ij - C_ij| <= ASSEMBLY_RTOL sqrt(C_ii C_jj) everywhere.
+
+    On this equilibrated scale every block counts alike (delay entries are
+    ~23 orders of magnitude above Doppler ones); where a diagonal entry of C
+    is 0 the match must be exact.
+    """
+    d = np.sqrt(np.diag(closed.data))
+    scale = np.outer(d, d)
+    diff = np.abs(product.data - closed.data)
+    bad = ~(diff <= ASSEMBLY_RTOL * scale)  # NaN counts as a mismatch
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        names = closed.layout.names
+        raise RuntimeError(
+            "matrix-product and closed-form I_theta disagree at "
+            f"({names[i]}, {names[j]}): |diff| = {diff[i, j]:.3e}, "
+            f"sqrt(C_ii C_jj) = {scale[i, j]:.3e}"
+        )
+
+
 def assemble_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig,
                        sfd_weight: float = 1.0,
-                       i_eta: LabeledMatrix | None = None,
-                       check: bool | None = None) -> LabeledMatrix:
+                       i_eta: LabeledMatrix | None = None) -> LabeledMatrix:
     """I_theta for any scenario/modulation pair.
 
-    The matrix-product path (J^T I_eta J, or the differential pipeline) is
-    authoritative; unless disabled it is compared entry-wise against the
-    closed-form assembly at 1e-10 relative and a mismatch raises.  For very
-    large frames (eta larger than ``PRODUCT_CHECK_MAX_ETA``) the closed-form
-    assembly is returned directly.
+    The product path (J^T I_eta J, or the differential pipeline) is
+    authoritative; it is compared entry-wise against the closed-form
+    assembly on the equilibrated scale at 1e-10 and a mismatch raises.
+    Differential frames are checked at every size; for other frames with
+    eta larger than ``PRODUCT_CHECK_MAX_ETA`` the closed-form assembly is
+    returned directly.
 
     ``i_eta`` substitutes an externally computed observation FIM (the numeric
     probe) into the product path; no closed-form comparison is done then.
     """
     validate_modulation(scenario, modulation)
-    if i_eta is None:
-        eta_size = eta_layout_for(scenario, modulation).size
-        if check is None:
-            check = eta_size <= PRODUCT_CHECK_MAX_ETA
-        if not check:
-            return closed_form_theta_fim(scenario, modulation, sfd_weight)
-        i_eta_mat = observation_fim_analytic(scenario, modulation, sfd_weight=sfd_weight)
-        product = _product_theta(scenario, modulation, i_eta_mat, sfd_weight)
-        closed = closed_form_theta_fim(scenario, modulation, sfd_weight)
-        scale = max(1.0, float(np.max(np.abs(closed.data))))
-        diff = float(np.max(np.abs(product.data - closed.data)))
-        if diff > ASSEMBLY_RTOL * scale:
-            raise RuntimeError(
-                "matrix-product and closed-form I_theta disagree "
-                f"(max |diff| = {diff:.3e}, scale = {scale:.3e})"
-            )
-        return product
-    return _product_theta(scenario, modulation, i_eta, sfd_weight)
+    require_sfd_weight(sfd_weight)
+    differential = modulation.decoupling == Decoupling.DIFFERENTIAL
+    if i_eta is not None:
+        if differential:
+            return differential_pipeline(scenario, modulation, sfd_weight, i_eta).i_theta
+        return _jacobian_product(scenario, modulation, i_eta)
+    if differential:
+        product = differential_pipeline(scenario, modulation, sfd_weight).i_theta
+    elif eta_size(scenario, modulation) <= PRODUCT_CHECK_MAX_ETA:
+        i_eta = observation_fim_analytic(scenario, modulation, sfd_weight=sfd_weight)
+        product = _jacobian_product(scenario, modulation, i_eta)
+    else:
+        return closed_form_theta_fim(scenario, modulation, sfd_weight)
+    _check_agreement(product, closed_form_theta_fim(scenario, modulation, sfd_weight))
+    return product
 
 
-def _product_theta(scenario: ScenarioConfig, modulation: ModulationConfig,
-                   i_eta: LabeledMatrix, sfd_weight: float) -> LabeledMatrix:
-    if modulation.decoupling == Decoupling.DIFFERENTIAL:
-        return differential_pipeline(scenario, modulation, sfd_weight, i_eta).i_theta
+def _jacobian_product(scenario: ScenarioConfig, modulation: ModulationConfig,
+                      i_eta: LabeledMatrix) -> LabeledMatrix:
     J = jacobian_for(scenario, modulation)
     if tuple(J.row_layout.names) != tuple(i_eta.layout.names):
         raise ConfigError("observation FIM layout does not match the Jacobian rows")

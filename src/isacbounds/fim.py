@@ -142,6 +142,12 @@ def per_pri_information(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarra
     return bw2 * base, base, base / amps ** 2
 
 
+def require_sfd_weight(sfd_weight: float) -> None:
+    """Raise ConfigError unless the differential reference weight is finite and > 0."""
+    if not (math.isfinite(sfd_weight) and sfd_weight > 0.0):
+        raise ConfigError(f"sfd_weight must be finite and > 0, got {sfd_weight}")
+
+
 # =========================================================================
 # Analytic observation FIM
 # =========================================================================
@@ -165,8 +171,7 @@ def observation_fim_analytic(scenario: ScenarioConfig, modulation: ModulationCon
             "closed-form I_eta requires paths separated by >= "
             f"{2 * SUPPORT_SIGMAS} alpha; use the numeric probe otherwise"
         )
-    if not sfd_weight > 0.0:
-        raise ConfigError(f"sfd_weight must be > 0, got {sfd_weight}")
+    require_sfd_weight(sfd_weight)
 
     layout = eta_layout_for(scenario, modulation)
     l_tau, l_phi, l_alpha = per_pri_information(scenario)

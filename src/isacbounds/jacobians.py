@@ -80,8 +80,8 @@ def e_vector(n_paths: int) -> np.ndarray:
     return np.ones((n_paths, 1))
 
 
-def ramp_slope(kappa: int, t_f: float) -> float:
-    """Phase-ramp slope 2 pi kappa t_f of PRI ``kappa``."""
+def ramp_slope(kappa: int | np.ndarray, t_f: float) -> float | np.ndarray:
+    """Phase-ramp slope 2 pi kappa t_f of PRI ``kappa`` (elementwise on an array)."""
     return 2.0 * math.pi * kappa * t_f
 
 

@@ -434,6 +434,18 @@ def eta_layout_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> Pa
                       scenario.n_f, modulation.p_pilots, modulation.d_data)
 
 
+def eta_size(scenario: ScenarioConfig, modulation: ModulationConfig) -> int:
+    """Length of :func:`eta_layout_for`, without building the layout."""
+    validate_modulation(scenario, modulation)
+    if modulation.scheme != Scheme.SENSING and modulation.decoupling == Decoupling.PILOT:
+        blocks = 4 + modulation.p_pilots + modulation.d_data
+    elif modulation.scheme == Scheme.PPM and modulation.decoupling == Decoupling.DIFFERENTIAL:
+        blocks = 2 + 2 * scenario.n_f
+    else:
+        blocks = 2 + scenario.n_f
+    return blocks * scenario.n_paths
+
+
 # =========================================================================
 # Pulse-level operations
 # =========================================================================
@@ -467,8 +479,8 @@ def sample_pulse(shape: PulseShape, tau: float | np.ndarray,
     half = SUPPORT_SIGMAS * shape.alpha
     # Python-float comparisons: a call checks only a handful of centers
     for center in centers.ravel().tolist():
-        if center < 0.0:
-            raise LeakageError(f"pulse center tau = {center} s is negative")
+        if not center >= 0.0:  # also catches NaN
+            raise LeakageError(f"pulse center tau = {center} s is not >= 0")
         if center + half >= scenario.t_f:
             raise LeakageError(
                 f"pulse center tau = {center} s leaks past the PRI boundary "

@@ -21,10 +21,17 @@ from isacbounds.model import (
     Scheme,
     theta_layout,
 )
-from isacbounds.fim import observation_fim_numeric, per_pri_information
+from isacbounds import bounds
+from isacbounds.fim import (
+    LabeledMatrix,
+    observation_fim_analytic,
+    observation_fim_numeric,
+    per_pri_information,
+)
 from isacbounds.jacobians import e_vector, h_matrix
 from isacbounds.bounds import (
     CoupledParametersError,
+    DifferentialResult,
     assemble_theta_fim,
     closed_form_theta_fim,
     comm_efim_ppm,
@@ -45,6 +52,15 @@ from conftest import ALL_KINDS, make_modulation, sym_eigs
 def lam_per_pri(sc):
     lt, _, _ = per_pri_information(sc)
     return lt
+
+
+def equilibrated_deviation(test, ref):
+    """max |T_ij - R_ij| / sqrt(R_ii R_jj); entries with a zero scale must match exactly."""
+    d = np.sqrt(np.diag(ref))
+    scale = np.outer(d, d)
+    diff = np.abs(test - ref)
+    assert np.all(diff[scale == 0.0] == 0.0)
+    return float(np.max(diff[scale > 0.0] / scale[scale > 0.0]))
 
 
 # ------------------------------------------------------------ Schur complement
@@ -196,6 +212,60 @@ def test_numeric_chain_matches_closed_form(kind):
     fim = assemble_theta_fim(sc, mod, i_eta=num)
     closed = closed_form_theta_fim(sc, mod)
     assert fim_deviation(fim.data, closed.data) < 1e-4
+
+
+@pytest.mark.parametrize("kind,n_f", [("sensing", 8), ("bpsk-pilot", 8),
+                                      ("ppm-diff", 8), ("ppm-diff", 2048)])
+@pytest.mark.parametrize("block", ("delay", "doppler", "amp"))
+def test_crosscheck_sees_every_block(monkeypatch, kind, n_f, block):
+    # delay entries are ~23 orders of magnitude above the others; a gate on
+    # the largest entry would let a wrong Doppler or amplitude block through
+    real = bounds.closed_form_theta_fim
+
+    def skewed(*args, **kwargs):
+        out = real(*args, **kwargs)
+        data = out.data.copy()
+        sl = out.layout.block_slice(block)
+        data[sl, sl] *= 1.0 + 1e-6
+        return LabeledMatrix(data, out.layout)
+
+    monkeypatch.setattr(bounds, "closed_form_theta_fim", skewed)
+    with pytest.raises(RuntimeError, match="disagree"):
+        assemble_theta_fim(reference_scenario(n_f=n_f), make_modulation(kind, n_f))
+
+
+@pytest.mark.parametrize("n_paths", (1, 2, 3))
+def test_structured_differential_matches_dense_chain(n_paths):
+    for n_f in (1, 2, 4, 8, 64):
+        sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+        mod = make_modulation("ppm-diff", n_f)
+        for w in (0.5, 1.0, 4.0):
+            fast = differential_pipeline(sc, mod, sfd_weight=w).i_theta
+            i_eta = observation_fim_analytic(sc, mod, sfd_weight=w)
+            dense = DifferentialResult(sc, mod, w, i_eta=i_eta).i_theta
+            assert fast.layout.names == dense.layout.names
+            assert equilibrated_deviation(fast.data, dense.data) < 1e-12, (n_f, w)
+
+
+def test_differential_pipeline_builds_dense_chain_only_on_request():
+    n_f = 100_000
+    sc = reference_scenario(n_f=n_f)
+    mod = make_modulation("ppm-diff", n_f)
+    res = differential_pipeline(sc, mod)
+    assert not {"i_eta", "i_ext", "i_diffseq_raw", "i_diffseq"} & set(vars(res))
+    closed = closed_form_theta_fim(sc, mod)
+    assert equilibrated_deviation(res.i_theta.data, closed.data) < 1e-12
+
+
+@pytest.mark.parametrize("n_f", (8, 2048))
+@pytest.mark.parametrize("weight", (-1.0, 0.0, float("nan"), float("inf")))
+def test_sfd_weight_checked_at_every_frame_length(n_f, weight):
+    sc = reference_scenario(n_f=n_f)
+    mod = make_modulation("ppm-diff", n_f)
+    with pytest.raises(ConfigError, match="sfd_weight"):
+        crlb_report(sc, mod, sfd_weight=weight)
+    with pytest.raises(ConfigError, match="sfd_weight"):
+        differential_pipeline(sc, mod, sfd_weight=weight)
 
 
 # ----------------------------------------------------------- exact equalities

@@ -122,6 +122,18 @@ def test_exit_codes_for_config_errors():
 
 # --------------------------------------------------------------- sweep verb
 
+@pytest.mark.parametrize("n_f", ("8", "2048"))
+@pytest.mark.parametrize("weight", ("-1", "0"))
+def test_bounds_rejects_bad_sfd_weight(n_f, weight, capsys):
+    code = cli.main(["bounds", "--set", f"scenario.n_f={n_f}",
+                     "--set", "modulation.scheme=ppm",
+                     "--set", "modulation.decoupling=differential",
+                     "--set", f"modulation.d_data={n_f}",
+                     "--set", f"modulation.sfd_weight={weight}"])
+    assert code == 2
+    assert "sfd_weight" in capsys.readouterr().err
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     code = cli.main(["sweep", "--out", str(tmp_path),
                      "--set", "modulation.scheme=ppm",

@@ -26,6 +26,8 @@ from isacbounds.model import (
     data_pri_count,
     effective_bandwidth,
     eta_layout,
+    eta_layout_for,
+    eta_size,
     pulse_time_derivative,
     received_snr,
     sample_pulse,
@@ -34,6 +36,8 @@ from isacbounds.model import (
     validate_modulation,
 )
 from isacbounds.experiments import reference_scenario
+
+from conftest import ALL_KINDS, make_modulation
 
 ALPHA = 0.2e-9
 
@@ -113,6 +117,11 @@ def test_sample_pulse_edge_behaviour():
         sample_pulse(sc.pulse, -1e-12, sc)
     with pytest.raises(LeakageError):
         sample_pulse(sc.pulse, sc.t_f - 5 * ALPHA, sc)
+    for sampler in (sample_pulse, pulse_time_derivative):
+        with pytest.raises(LeakageError):
+            sampler(sc.pulse, float("nan"), sc)
+        with pytest.raises(LeakageError):
+            sampler(sc.pulse, [20e-9, float("nan")], sc)
 
 
 def test_pulse_samplers_take_an_array_of_centers():
@@ -298,6 +307,15 @@ def test_eta_layout_structures():
     assert lay.block_bounds["t_ref"] == (0, 2)
     assert lay.block_size("t_abs") == 2 * 3
     assert lay.size == 2 + 6 + 6 + 2
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_eta_size_matches_layout(kind):
+    for n_f in (2, 7, 8):
+        for n_paths in (1, 3):
+            sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+            mod = make_modulation(kind, n_f)
+            assert eta_size(sc, mod) == eta_layout_for(sc, mod).size
 
 
 # ------------------------------------------------------------------ regulatory
