@@ -30,7 +30,7 @@ from .model import (
     received_snr,
     sample_pulse,
 )
-from .signals import mean_jacobian, mean_vector, phase_sequence
+from .signals import mean_jacobian, mean_vector
 from .fim import (
     FdSteps,
     LabeledMatrix,
@@ -46,6 +46,7 @@ from .bounds import (
     comm_efim_ppm,
     crlb,
     crlb_report,
+    differential_chain,
     differential_pipeline,
     efim,
     range_crlb,
@@ -71,13 +72,13 @@ __all__ = [
     "PathState", "PulseShape", "RegulatoryReport", "ScenarioConfig", "Scheme",
     "amp_for_snr", "check_regulatory", "effective_bandwidth", "received_snr",
     "sample_pulse",
-    "mean_jacobian", "mean_vector", "phase_sequence",
+    "mean_jacobian", "mean_vector",
     "FdSteps", "LabeledMatrix",
     "observation_fim_analytic", "observation_fim_numeric",
     "StructMatrix", "differential_maps", "e_vector", "h_matrix", "jacobian",
     "CoupledParametersError", "CrlbReport", "SingularityReport",
     "assemble_theta_fim", "comm_efim_ppm", "crlb", "crlb_report",
-    "differential_pipeline", "efim", "range_crlb", "singularity_report",
+    "differential_chain", "differential_pipeline", "efim", "range_crlb", "singularity_report",
     "CrossoverResult", "ResultTable", "SweepSpec", "data_rate", "find_crossover",
     "pareto_table", "reference_scenario", "run_sweep", "validate_suite",
     "with_frame", "with_snr",

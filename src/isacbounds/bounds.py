@@ -7,30 +7,34 @@ The pipeline is
       -> EFIM(block) = A - B^T C^{-1} B (Schur complement onto a target block)
       -> CRLB(block) = tr(EFIM^{-1})    (and c**2 * CRLB(tau1) for ranging).
 
-Every I_theta is assembled twice -- once as the product above and once
-directly from the closed-form block expressions -- and the two are required
-to agree entry-wise to 1e-10 of the geometric mean of their diagonal entries.
+:func:`assemble_theta_fim` has one route per frame kind.  Differential frames
+run through :func:`differential_pipeline`; other frames form the product
+J^T I_eta J while eta has at most ``PRODUCT_CHECK_MAX_ETA`` entries.  Either
+product is required to agree with :func:`closed_form_theta_fim`, built
+directly from the closed-form block expressions, entry-wise to 1e-10 of the
+geometric mean of their diagonal entries.  Larger non-differential frames
+return the closed form without a product.
+
 The Schur elimination uses a Cholesky factorization of the nuisance block; if
 that block is singular (which is the defining symptom of sensing/data
 coupling in the undecoupled PPM and BPSK frames) a
 :class:`CoupledParametersError` is raised naming the offending columns,
 rather than silently pseudo-inverting.
 
-Differential frames run through :func:`differential_pipeline`: the reference
-arrival time is duplicated per data PRI, rotated to the difference sequence
-[t^k - t^ref, t^k] by the square +-1-banded transform, the cross-PRI
-difference correlations (which all equal the reference-pulse information) are
-zeroed -- the independence approximation that makes per-PRI differential
-demodulation tractable -- and the result is collapsed onto theta.  After the
-cut every PRI contributes the same (delta_k, t_k) block, so the product is a
-sum of per-PRI blocks plus the Doppler-ramp weights; the dense matrices of
-the chain are built only when a caller reads them.
+A differential frame duplicates the reference arrival time per data PRI,
+rotates it to the difference sequence [t^k - t^ref, t^k] by the square
++-1-banded transform, zeroes the cross-PRI difference correlations (which all
+equal the reference-pulse information) -- the independence approximation
+that makes per-PRI differential demodulation tractable -- and collapses the
+result onto theta.  After the cut every PRI contributes the same
+(delta_k, t_k) block, so :func:`differential_pipeline` sums per-PRI blocks
+plus the Doppler-ramp weights; :func:`differential_chain` forms the dense
+matrices of that chain from a given I_eta, as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -222,7 +226,8 @@ def efim(fim: LabeledMatrix, target: str) -> np.ndarray:
     diag = np.diag(fim.data)[lo:hi]
     if np.any(diag <= 0.0):
         raise CoupledParametersError(f"block {target!r} carries no information")
-    scaled = E / np.sqrt(np.outer(diag, diag))
+    root = np.sqrt(diag)  # outer(diag, diag) itself overflows past ~1e154
+    scaled = E / np.outer(root, root)
     min_eig = float(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0])
     if min_eig <= EFIM_FLOOR:
         raise CoupledParametersError(
@@ -263,128 +268,59 @@ def closed_form_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig
                           sfd_weight: float = 1.0) -> LabeledMatrix:
     """I_theta assembled directly from the closed-form block expressions.
 
-    The delay part is a congruence of the arrival-time information with the
-    [H | E] structure of the scheme; the Doppler part carries the phase-ramp
-    coefficient sums; the symmetric pulse zeroes every delay/phase/amplitude
-    cross block, so those are simply absent.
+    Every frame kind carries the path delays, the Doppler phase ramp and the
+    amplitudes of its n_f PRIs.  PPM adds the data shift dtau_q, a common
+    offset of the d data pulses (of every pulse against its own copy of the
+    reference in a differential frame); BPSK adds the data phase phi_bpsk.
+    The symmetric pulse zeroes every delay/phase/amplitude cross block, so
+    those are simply absent.
     """
     validate_modulation(scenario, modulation)
     layout = theta_layout_for(scenario, modulation)
-    L = scenario.n_paths
+    L, n_f, t_f = scenario.n_paths, scenario.n_f, scenario.t_f
     H = h_matrix(L)
     E = e_vector(L)
     l_tau1, l_phi1, l_alpha1 = per_pri_information(scenario)
-    n_f = scenario.n_f
-    t_f = scenario.t_f
     M = np.zeros((layout.size, layout.size))
 
-    def put(row: str, col: str, block: np.ndarray) -> None:
-        r, c = layout.block_slice(row), layout.block_slice(col)
-        M[r, c] = block
-        if row != col:
-            M[c, r] = np.asarray(block).T
+    def put(rows: slice, cols: slice, block: np.ndarray) -> None:
+        M[rows, cols] = block
+        if rows != cols:
+            M[cols, rows] = block.T
+
+    lo = layout.block("delay")[0]
+    tau = slice(lo, lo + L)  # tau1 and dtau: the delay block without dtau_q
+    doppler, amp = layout.block_slice("doppler"), layout.block_slice("amp")
+    put(tau, tau, n_f * _congruence(H, l_tau1, H))
+    put(doppler, doppler, coeff_b_full(t_f, n_f) * _congruence(H, l_phi1, H))
+    put(amp, amp, np.diag(n_f * l_alpha1))
 
     scheme, dec = modulation.scheme, modulation.decoupling
-    if scheme == Scheme.PPM and dec == Decoupling.DIFFERENTIAL:
-        put("delay", "delay", np.block([
-            [n_f * _congruence(H, l_tau1, H), 2.0 * n_f * _congruence(H, l_tau1, E)],
-            [2.0 * n_f * _congruence(E, l_tau1, H), (sfd_weight + 4.0) * n_f * _congruence(E, l_tau1, E)],
-        ]))
-        put("doppler", "doppler", coeff_b_full(t_f, n_f) * _congruence(H, l_phi1, H))
-        put("amp", "amp", np.diag(n_f * l_alpha1))
-    elif scheme == Scheme.PPM:
-        if dec == Decoupling.PILOT:
-            p, d = modulation.p_pilots, modulation.d_data
+    if scheme == Scheme.PPM:
+        if dec == Decoupling.DIFFERENTIAL:
+            cross, own = 2.0 * n_f, (sfd_weight + 4.0) * n_f
         else:
-            p, d = 0, n_f
-        total = p + d
-        put("delay", "delay", np.block([
-            [total * _congruence(H, l_tau1, H), d * _congruence(H, l_tau1, E)],
-            [d * _congruence(E, l_tau1, H), d * _congruence(E, l_tau1, E)],
-        ]))
-        put("doppler", "doppler", coeff_b_full(t_f, total) * _congruence(H, l_phi1, H))
-        put("amp", "amp", np.diag(total * l_alpha1))
+            cross = own = modulation.d_data if dec == Decoupling.PILOT else n_f
+        q = layout.block_slice("dtau_q")
+        put(tau, q, cross * _congruence(H, l_tau1, E))
+        put(q, q, own * _congruence(E, l_tau1, E))
     elif scheme == Scheme.BPSK:
         if dec == Decoupling.PILOT:
-            p, d = modulation.p_pilots, modulation.d_data
-        else:
-            p, d = 0, n_f
-        total = p + d
-        put("delay", "delay", total * _congruence(H, l_tau1, H))
-        put("doppler", "doppler", coeff_b_full(t_f, total) * _congruence(H, l_phi1, H))
-        if dec == Decoupling.PILOT:
             # raw data phase: unit ramp on the D data PRIs
-            put("doppler", "phi_bpsk", coeff_a_range(t_f, p, d) * _congruence(H, l_phi1, E))
-            put("phi_bpsk", "phi_bpsk", d * _congruence(E, l_phi1, E))
+            p, d = modulation.p_pilots, modulation.d_data
+            cross, own = coeff_a_range(t_f, p, d), d
         else:
             # Doppler-equivalent data phase: shares the quadratic ramp sum
-            put("doppler", "phi_bpsk", coeff_b_full(t_f, total) * _congruence(H, l_phi1, E))
-            put("phi_bpsk", "phi_bpsk", coeff_b_full(t_f, total) * _congruence(E, l_phi1, E))
-        put("amp", "amp", np.diag(total * l_alpha1))
-    else:  # sensing-only
-        put("delay", "delay", n_f * _congruence(H, l_tau1, H))
-        put("doppler", "doppler", coeff_b_full(t_f, n_f) * _congruence(H, l_phi1, H))
-        put("amp", "amp", np.diag(n_f * l_alpha1))
+            cross = own = coeff_b_full(t_f, n_f)
+        b = layout.block_slice("phi_bpsk")
+        put(doppler, b, cross * _congruence(H, l_phi1, E))
+        put(b, b, own * _congruence(E, l_phi1, E))
     return LabeledMatrix(M, layout)
 
 
 # =========================================================================
 # Differential pipeline
 # =========================================================================
-
-
-class DifferentialResult:
-    """I_theta of a differential frame and the dense chain behind it.
-
-    ``i_theta`` is the product of the chain.  The intermediate matrices --
-    the physical observation FIM ``i_eta``, the reference duplicated per data
-    PRI ``i_ext``, the difference sequence with its correlations intact
-    ``i_diffseq_raw`` and after the cross-PRI cut ``i_diffseq`` -- are built
-    densely the first time they are read.
-    """
-
-    def __init__(self, scenario: ScenarioConfig, modulation: ModulationConfig,
-                 sfd_weight: float = 1.0, i_eta: LabeledMatrix | None = None,
-                 i_theta: LabeledMatrix | None = None):
-        self.scenario = scenario
-        self.modulation = modulation
-        self.sfd_weight = sfd_weight
-        # given values shadow the cached properties below
-        if i_eta is not None:
-            self.i_eta = i_eta
-        if i_theta is not None:
-            self.i_theta = i_theta
-
-    @cached_property
-    def i_eta(self) -> LabeledMatrix:
-        return observation_fim_analytic(self.scenario, self.modulation,
-                                        sfd_weight=self.sfd_weight)
-
-    @cached_property
-    def _maps(self):
-        L, n_f = self.scenario.n_paths, self.scenario.n_f
-        return (sfd_expansion(L, n_f), *differential_maps(L, n_f, self.scenario.t_f))
-
-    @cached_property
-    def i_ext(self) -> LabeledMatrix:
-        G = self._maps[0]
-        if tuple(G.col_layout.names) != tuple(self.i_eta.layout.names):
-            raise ConfigError("observation FIM layout does not match the differential maps")
-        return LabeledMatrix(G.data @ self.i_eta.data @ G.data.T, G.row_layout)
-
-    @cached_property
-    def i_diffseq_raw(self) -> LabeledMatrix:
-        P = self._maps[1]
-        return LabeledMatrix(P.data.T @ self.i_ext.data @ P.data, P.col_layout)
-
-    @cached_property
-    def i_diffseq(self) -> LabeledMatrix:
-        return zero_reference_cross(self.i_diffseq_raw)
-
-    @cached_property
-    def i_theta(self) -> LabeledMatrix:
-        J = self._maps[2]
-        return LabeledMatrix(J.data.T @ self.i_diffseq.data @ J.data, J.col_layout)
 
 
 def zero_reference_cross(i_diffseq: LabeledMatrix) -> LabeledMatrix:
@@ -404,15 +340,20 @@ def zero_reference_cross(i_diffseq: LabeledMatrix) -> LabeledMatrix:
     return LabeledMatrix(data, layout)
 
 
-def _differential_theta(scenario: ScenarioConfig, modulation: ModulationConfig,
-                        sfd_weight: float) -> LabeledMatrix:
-    """J^T I_diffseq J summed per PRI, without the dense chain.
+def differential_pipeline(scenario: ScenarioConfig, modulation: ModulationConfig,
+                          sfd_weight: float = 1.0) -> LabeledMatrix:
+    """I_theta of a differential frame, J^T I_diffseq J summed per PRI.
 
+    The reference arrival-time information is scaled by ``sfd_weight``.
     After the cut, PRI k contributes the (delta_k, t_k) block
     B = [[(w+1) Lam_tau, Lam_tau], [Lam_tau, Lam_tau]] through the delay rows
     J_k = [[0 | E], [H | E]], its phases Lam_phi through the Doppler ramp
-    slope_k H, and the amplitudes n_f Lam_alpha once.
+    slope_k H, and the amplitudes n_f Lam_alpha once: O(n_f + L^3), with no
+    matrix of the dense chain (:func:`differential_chain`).
     """
+    if modulation.decoupling != Decoupling.DIFFERENTIAL:
+        raise ConfigError("differential_pipeline requires differential decoupling")
+    require_sfd_weight(sfd_weight)
     L, n_f = scenario.n_paths, scenario.n_f
     l_tau, l_phi, l_alpha = per_pri_information(scenario)
     lam = np.diag(l_tau)
@@ -430,28 +371,41 @@ def _differential_theta(scenario: ScenarioConfig, modulation: ModulationConfig,
     return LabeledMatrix(M, layout)
 
 
-def differential_pipeline(scenario: ScenarioConfig, modulation: ModulationConfig,
-                          sfd_weight: float = 1.0,
-                          i_eta: LabeledMatrix | None = None) -> DifferentialResult:
-    """Differential-frame chain from I_eta to I_theta.
+@dataclass(frozen=True)
+class DifferentialChain:
+    """The dense matrices of the differential chain, in order.
 
-    By default I_eta is the closed-form observation FIM with the reference
-    arrival-time information scaled by ``sfd_weight``, and I_theta is summed
-    from the per-PRI blocks in O(n_f + L^3).  An externally supplied ``i_eta``
-    (e.g. the numeric probe) runs through the explicit dense chain
-    (:func:`~isacbounds.jacobians.sfd_expansion`,
-    :func:`~isacbounds.jacobians.differential_maps`,
-    :func:`zero_reference_cross`) instead.
+    ``i_ext`` is I_eta with the reference duplicated per data PRI,
+    ``i_diffseq_raw`` the difference sequence with its correlations intact,
+    ``i_diffseq`` the same after the cross-PRI cut, and ``i_theta`` its
+    collapse onto theta.
     """
-    if modulation.decoupling != Decoupling.DIFFERENTIAL:
-        raise ConfigError("differential_pipeline requires differential decoupling")
-    require_sfd_weight(sfd_weight)
-    if i_eta is None:
-        i_theta = _differential_theta(scenario, modulation, sfd_weight)
-        return DifferentialResult(scenario, modulation, sfd_weight, i_theta=i_theta)
-    res = DifferentialResult(scenario, modulation, sfd_weight, i_eta=i_eta)
-    res.i_theta  # run the chain now, so a layout mismatch raises here
-    return res
+
+    i_ext: LabeledMatrix
+    i_diffseq_raw: LabeledMatrix
+    i_diffseq: LabeledMatrix
+    i_theta: LabeledMatrix
+
+
+def differential_chain(scenario: ScenarioConfig, i_eta: LabeledMatrix) -> DifferentialChain:
+    """Run a differential-frame I_eta through the explicit dense chain.
+
+    The reference for :func:`differential_pipeline`, and the route for an
+    I_eta that is not the closed form (e.g. the numeric probe):
+    :func:`~isacbounds.jacobians.sfd_expansion`,
+    :func:`~isacbounds.jacobians.differential_maps` and
+    :func:`zero_reference_cross`, as O((n_f L)^3) dense products.
+    """
+    L, n_f = scenario.n_paths, scenario.n_f
+    G = sfd_expansion(L, n_f)
+    P, J = differential_maps(L, n_f, scenario.t_f)
+    if tuple(G.col_layout.names) != tuple(i_eta.layout.names):
+        raise ConfigError("observation FIM layout does not match the differential maps")
+    i_ext = LabeledMatrix(G.data @ i_eta.data @ G.data.T, G.row_layout)
+    raw = LabeledMatrix(P.data.T @ i_ext.data @ P.data, P.col_layout)
+    cut = zero_reference_cross(raw)
+    return DifferentialChain(i_ext, raw, cut,
+                             LabeledMatrix(J.data.T @ cut.data @ J.data, J.col_layout))
 
 
 # =========================================================================
@@ -481,44 +435,27 @@ def _check_agreement(product: LabeledMatrix, closed: LabeledMatrix) -> None:
 
 
 def assemble_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig,
-                       sfd_weight: float = 1.0,
-                       i_eta: LabeledMatrix | None = None) -> LabeledMatrix:
+                       sfd_weight: float = 1.0) -> LabeledMatrix:
     """I_theta for any scenario/modulation pair.
 
-    The product path (J^T I_eta J, or the differential pipeline) is
-    authoritative; it is compared entry-wise against the closed-form
-    assembly on the equilibrated scale at 1e-10 and a mismatch raises.
-    Differential frames are checked at every size; for other frames with
-    eta larger than ``PRODUCT_CHECK_MAX_ETA`` the closed-form assembly is
-    returned directly.
-
-    ``i_eta`` substitutes an externally computed observation FIM (the numeric
-    probe) into the product path; no closed-form comparison is done then.
+    Differential frames take :func:`differential_pipeline`; other frames
+    with at most ``PRODUCT_CHECK_MAX_ETA`` eta entries take J^T I_eta J.
+    That product is returned after an entry-wise comparison with
+    :func:`closed_form_theta_fim` on the equilibrated scale at 1e-10, and a
+    mismatch raises.  Larger non-differential frames return the closed form.
     """
     validate_modulation(scenario, modulation)
     require_sfd_weight(sfd_weight)
-    differential = modulation.decoupling == Decoupling.DIFFERENTIAL
-    if i_eta is not None:
-        if differential:
-            return differential_pipeline(scenario, modulation, sfd_weight, i_eta).i_theta
-        return _jacobian_product(scenario, modulation, i_eta)
-    if differential:
-        product = differential_pipeline(scenario, modulation, sfd_weight).i_theta
+    if modulation.decoupling == Decoupling.DIFFERENTIAL:
+        product = differential_pipeline(scenario, modulation, sfd_weight)
     elif eta_size(scenario, modulation) <= PRODUCT_CHECK_MAX_ETA:
-        i_eta = observation_fim_analytic(scenario, modulation, sfd_weight=sfd_weight)
-        product = _jacobian_product(scenario, modulation, i_eta)
+        i_eta = observation_fim_analytic(scenario, modulation)
+        J = jacobian_for(scenario, modulation)
+        product = LabeledMatrix(J.data.T @ i_eta.data @ J.data, J.col_layout)
     else:
         return closed_form_theta_fim(scenario, modulation, sfd_weight)
     _check_agreement(product, closed_form_theta_fim(scenario, modulation, sfd_weight))
     return product
-
-
-def _jacobian_product(scenario: ScenarioConfig, modulation: ModulationConfig,
-                      i_eta: LabeledMatrix) -> LabeledMatrix:
-    J = jacobian_for(scenario, modulation)
-    if tuple(J.row_layout.names) != tuple(i_eta.layout.names):
-        raise ConfigError("observation FIM layout does not match the Jacobian rows")
-    return LabeledMatrix(J.data.T @ i_eta.data @ J.data, J.col_layout)
 
 
 # =========================================================================

@@ -363,15 +363,6 @@ def cmd_validate(args) -> int:
 # =========================================================================
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI file with [scenario]/[modulation]/[sweep]")
-    sub.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
-                     help="override a config entry (repeatable)")
-    sub.add_argument("--out", help="output directory for CSV files")
-    sub.add_argument("--tol", type=float, default=0.02,
-                     help="relative tolerance where one applies (validate)")
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isacbounds",
@@ -379,17 +370,25 @@ def make_parser() -> argparse.ArgumentParser:
                     "joint sensing and communication frames",
     )
     parser.add_argument("--version", action="version", version=f"isacbounds {__version__}")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="INI file with [scenario]/[modulation]/[sweep]")
+    config.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                        help="override a config entry (repeatable)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output directory for CSV files")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=0.02,
+                     help="relative tolerance of the oracle checks")
     subs = parser.add_subparsers(dest="verb", required=True)
-    for name, fn, doc in (
-        ("bounds", cmd_bounds, "CRLB and coupling report for one configuration"),
-        ("sweep", cmd_sweep, "sweep one axis and write a CSV bound table"),
-        ("crossover", cmd_crossover, "pilot vs differential ranging crossover"),
-        ("pareto", cmd_pareto, "rate / ranging frontier over the pilot split"),
-        ("validate", cmd_validate, "run the built-in oracle checks"),
+    # each verb takes only the options it reads
+    for name, fn, doc, parents in (
+        ("bounds", cmd_bounds, "CRLB and coupling report for one configuration", [config]),
+        ("sweep", cmd_sweep, "sweep one axis and write a CSV bound table", [config, out]),
+        ("crossover", cmd_crossover, "pilot vs differential ranging crossover", [config, out]),
+        ("pareto", cmd_pareto, "rate / ranging frontier over the pilot split", [config, out]),
+        ("validate", cmd_validate, "run the built-in oracle checks", [tol]),
     ):
-        sub = subs.add_parser(name, help=doc)
-        _add_common(sub)
-        sub.set_defaults(fn=fn)
+        subs.add_parser(name, help=doc, parents=parents).set_defaults(fn=fn)
     return parser
 
 

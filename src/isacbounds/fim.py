@@ -108,11 +108,6 @@ def coeff_b(t_f: float, kappas) -> float:
     return float(np.sum((2.0 * math.pi * k * t_f) ** 2))
 
 
-def coeff_a_full(t_f: float, n_f: int) -> float:
-    """coeff_a over kappa = 0 .. n_f-1 in closed form: pi t_f n (n - 1)."""
-    return math.pi * t_f * n_f * (n_f - 1)
-
-
 def coeff_b_full(t_f: float, n_f: int) -> float:
     """coeff_b over kappa = 0 .. n_f-1: (2 pi t_f)**2 n (n-1) (2n-1) / 6."""
     return (2.0 * math.pi * t_f) ** 2 * n_f * (n_f - 1) * (2 * n_f - 1) / 6.0
@@ -123,23 +118,29 @@ def coeff_a_range(t_f: float, start: int, count: int) -> float:
     return math.pi * t_f * count * (2 * start + count - 1)
 
 
-def coeff_b_range(t_f: float, start: int, count: int) -> float:
-    """coeff_b over kappa = start .. start+count-1 (difference of full sums)."""
-    return coeff_b_full(t_f, start + count) - coeff_b_full(t_f, start)
-
-
 # =========================================================================
 # Closed-form per-path information
 # =========================================================================
 
 
 def per_pri_information(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda_tau, lambda_phi, lambda_alpha) of a single PRI, per path."""
+    """(lambda_tau, lambda_phi, lambda_alpha) of a single PRI, per path.
+
+    Raises ConfigError unless every value is finite and > 0: an amplitude
+    whose square over- or underflows has no usable information.
+    """
     bw2 = (2.0 * math.pi * effective_bandwidth(scenario.pulse)) ** 2
     snr = np.array([received_snr(scenario, p) for p in scenario.paths])
     amps = np.array([p.amp for p in scenario.paths])
-    base = scenario.t_f * scenario.f_s * snr
-    return bw2 * base, base, base / amps ** 2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        base = scenario.t_f * scenario.f_s * snr
+        lams = bw2 * base, base, base / (amps * amps)
+    if not all(np.all(np.isfinite(v) & (v > 0.0)) for v in lams):
+        raise ConfigError(
+            f"per-PRI information is not finite and positive at per-pulse SNR "
+            f"{snr.tolist()}; the path amplitudes are out of range"
+        )
+    return lams
 
 
 def require_sfd_weight(sfd_weight: float) -> None:
@@ -261,7 +262,10 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
         cols[:, i] = (mean_from_eta(scenario, modulation, up, layout)
                       - mean_from_eta(scenario, modulation, dn, layout)) / (2.0 * h)
 
-    M = (cols.conj().T @ cols).real / scenario.sigma2
+    # Re(cols^H cols) as one real product over the interleaved (re, im) columns
+    flat = cols.view(np.float64)
+    gram = flat.T @ flat
+    M = (gram[0::2, 0::2] + gram[1::2, 1::2]) / scenario.sigma2
     M = 0.5 * (M + M.T)
     if np.any(np.diag(M) <= 0.0):
         bad = [layout.names[i] for i in np.flatnonzero(np.diag(M) <= 0.0)]

@@ -283,15 +283,6 @@ def validate_modulation(scenario: ScenarioConfig, modulation: ModulationConfig) 
             )
 
 
-def data_pri_count(scenario: ScenarioConfig, modulation: ModulationConfig) -> int:
-    """Number of PRIs that carry data under this modulation."""
-    if modulation.scheme == Scheme.SENSING:
-        return 0
-    if modulation.decoupling == Decoupling.PILOT:
-        return modulation.d_data
-    return scenario.n_f
-
-
 # =========================================================================
 # Parameter layouts
 # =========================================================================
@@ -331,16 +322,13 @@ class ParamLayout:
         return hi - lo
 
 
-def _layout(blocks: list[tuple[str, list[str]]],
-            extra_bounds: dict[str, tuple[int, int]] | None = None) -> ParamLayout:
+def _layout(blocks: list[tuple[str, list[str]]]) -> ParamLayout:
     names: list[str] = []
     bounds: dict[str, tuple[int, int]] = {}
     for block_name, entry_names in blocks:
         lo = len(names)
         names.extend(entry_names)
         bounds[block_name] = (lo, len(names))
-    if extra_bounds:
-        bounds.update(extra_bounds)
     return ParamLayout(tuple(names), bounds)
 
 
@@ -525,7 +513,7 @@ def received_snr(scenario: ScenarioConfig, path: PathState) -> float:
     """
     w = sample_pulse(scenario.pulse, path.tau_l0, scenario)
     energy = float(np.dot(w, w)) / scenario.f_s
-    return path.amp ** 2 * energy / (scenario.t_f * scenario.sigma2)
+    return path.amp * path.amp * energy / (scenario.t_f * scenario.sigma2)
 
 
 def amp_for_snr(snr: float, t_f: float, sigma2: float) -> float:

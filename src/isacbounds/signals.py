@@ -97,12 +97,6 @@ def phase_values(scenario: ScenarioConfig, modulation: ModulationConfig,
     return phi
 
 
-def phase_sequence(scenario: ScenarioConfig, modulation: ModulationConfig,
-                   bits: np.ndarray | None = None) -> np.ndarray:
-    """Complex carrier rotations exp(j phi_l^kappa), shape (n_f, L)."""
-    return np.exp(1j * phase_values(scenario, modulation, bits))
-
-
 def pri_delays(scenario: ScenarioConfig, modulation: ModulationConfig,
                bits: np.ndarray | None = None) -> np.ndarray:
     """Pulse position of each path in each PRI, shape (n_f, L).

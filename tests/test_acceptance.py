@@ -26,7 +26,7 @@ from isacbounds.bounds import (
     assemble_theta_fim,
     closed_form_theta_fim,
     crlb_report,
-    differential_pipeline,
+    differential_chain,
     efim,
 )
 from isacbounds.experiments import (
@@ -258,7 +258,7 @@ def test_criterion_7_differential_noise_doubling():
     """
     with criterion(7, "differential noise doubling"):
         sc = reference_scenario(n_f=4, n_paths=2)
-        res = differential_pipeline(sc, make_modulation("ppm-diff", 4))
+        res = differential_chain(sc, observation_fim_analytic(sc, make_modulation("ppm-diff", 4)))
         lam = per_pri_information(sc)[0]
         for k in range(4):
             dd = np.diag(res.i_diffseq_raw.block(f"delta_{k}", f"delta_{k}"))

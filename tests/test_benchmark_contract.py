@@ -52,7 +52,7 @@ TRACED_CALLS = ([(n_f, kind) for n_f in (8, 2048)
                 + [(499, "ppm-diff")])
 
 # Tracer.install patches the package for good, so the traced calls run in a
-# fresh interpreter; it prints what the frame_grid contract needs.
+# fresh interpreter (see _run_traced); it prints what the frame_grid contract needs.
 TRACED_SCRIPT = """
 import json, sys
 import numpy as np
@@ -76,16 +76,57 @@ print(json.dumps({"unexercised": tracer.unexercised("frame_grid"), "children": c
 """
 
 
-def test_traced_frame_grid_contract():
+def _run_traced(script: str, *args: str) -> dict:
+    """Run ``script`` in a fresh interpreter; return its last stdout line as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", TRACED_SCRIPT, json.dumps(TRACED_CALLS)],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_traced_frame_grid_contract():
+    out = _run_traced(TRACED_SCRIPT, json.dumps(TRACED_CALLS))
     assert out["unexercised"] == []
     assert len(out["children"]) == len(TRACED_CALLS)
     for (n_f, kind), children in zip(TRACED_CALLS, out["children"]):
         if kind == "ppm-diff":
             assert {"bounds.differential_pipeline", "bounds.closed_form_theta_fim"} <= set(children), n_f
+
+
+# The oracle workload bypasses assembly: it drives the sampled model, both
+# observation FIMs and the validation suite, directly and through the CLI.
+ORACLE_SCRIPT = """
+import contextlib, io, json
+import isacbounds as ib
+from isacbounds import cli
+from tracer import Tracer
+import workloads as w
+
+tracer = Tracer()
+tracer.install(ib)
+n_paths, n_f, kind = w.ORACLE_GRID[1]
+sc = w.scenario(w.REFERENCE, n_f, n_paths, w.ORACLE_RATES[0][0])
+mod = w.modulation(kind, n_f)
+tracer.active = True
+ib.mean_vector(sc, mod)
+ib.mean_jacobian(sc, mod)
+ib.observation_fim_analytic(sc, mod)
+ib.observation_fim_numeric(sc, mod)
+ib.validate_suite()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["validate"])
+tracer.active = False
+metrics, _ = tracer.metrics(1)
+print(json.dumps({"unexercised": tracer.unexercised("oracle"), "validate": code,
+                  "crosscheck_ratio": metrics["bounds.crosscheck_ratio"]}))
+"""
+
+
+def test_traced_oracle_contract():
+    out = _run_traced(ORACLE_SCRIPT)
+    assert out["unexercised"] == []
+    assert out["validate"] == 0
+    assert out["crosscheck_ratio"] == 1.0

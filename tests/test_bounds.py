@@ -10,6 +10,8 @@ information of one path):
   differential, L=3, weight 1     EFIM(tau1) = (3/7) * N_f * lam
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,15 +30,15 @@ from isacbounds.fim import (
     observation_fim_numeric,
     per_pri_information,
 )
-from isacbounds.jacobians import e_vector, h_matrix
+from isacbounds.jacobians import e_vector, h_matrix, jacobian_for
 from isacbounds.bounds import (
     CoupledParametersError,
-    DifferentialResult,
     assemble_theta_fim,
     closed_form_theta_fim,
     comm_efim_ppm,
     crlb,
     crlb_report,
+    differential_chain,
     differential_pipeline,
     efim,
     range_crlb,
@@ -209,9 +211,14 @@ def test_numeric_chain_matches_closed_form(kind):
     sc = reference_scenario(n_f=2, n_paths=1)
     mod = make_modulation(kind, 2)
     num = observation_fim_numeric(sc, mod)
-    fim = assemble_theta_fim(sc, mod, i_eta=num)
+    if kind == "ppm-diff":
+        fim = differential_chain(sc, num).i_theta.data
+    else:
+        J = jacobian_for(sc, mod)
+        assert J.row_layout.names == num.layout.names
+        fim = J.data.T @ num.data @ J.data
     closed = closed_form_theta_fim(sc, mod)
-    assert fim_deviation(fim.data, closed.data) < 1e-4
+    assert fim_deviation(fim, closed.data) < 1e-4
 
 
 @pytest.mark.parametrize("kind,n_f", [("sensing", 8), ("bpsk-pilot", 8),
@@ -240,21 +247,28 @@ def test_structured_differential_matches_dense_chain(n_paths):
         sc = reference_scenario(n_f=n_f, n_paths=n_paths)
         mod = make_modulation("ppm-diff", n_f)
         for w in (0.5, 1.0, 4.0):
-            fast = differential_pipeline(sc, mod, sfd_weight=w).i_theta
+            fast = differential_pipeline(sc, mod, sfd_weight=w)
             i_eta = observation_fim_analytic(sc, mod, sfd_weight=w)
-            dense = DifferentialResult(sc, mod, w, i_eta=i_eta).i_theta
+            dense = differential_chain(sc, i_eta).i_theta
             assert fast.layout.names == dense.layout.names
             assert equilibrated_deviation(fast.data, dense.data) < 1e-12, (n_f, w)
+
+
+def test_differential_chain_rejects_a_foreign_layout():
+    sc = reference_scenario(n_f=4, n_paths=2)
+    for mod, sc_eta in ((make_modulation("ppm-pilot", 4), sc),
+                        (make_modulation("ppm-diff", 2), reference_scenario(n_f=2, n_paths=2))):
+        with pytest.raises(ConfigError, match="layout"):
+            differential_chain(sc, observation_fim_analytic(sc_eta, mod))
 
 
 def test_differential_pipeline_builds_dense_chain_only_on_request():
     n_f = 100_000
     sc = reference_scenario(n_f=n_f)
     mod = make_modulation("ppm-diff", n_f)
-    res = differential_pipeline(sc, mod)
-    assert not {"i_eta", "i_ext", "i_diffseq_raw", "i_diffseq"} & set(vars(res))
+    fim = differential_pipeline(sc, mod)
     closed = closed_form_theta_fim(sc, mod)
-    assert equilibrated_deviation(res.i_theta.data, closed.data) < 1e-12
+    assert equilibrated_deviation(fim.data, closed.data) < 1e-12
 
 
 @pytest.mark.parametrize("n_f", (8, 2048))
@@ -266,6 +280,31 @@ def test_sfd_weight_checked_at_every_frame_length(n_f, weight):
         crlb_report(sc, mod, sfd_weight=weight)
     with pytest.raises(ConfigError, match="sfd_weight"):
         differential_pipeline(sc, mod, sfd_weight=weight)
+
+
+def _with_amp(sc, amp):
+    return dataclasses.replace(sc, paths=tuple(dataclasses.replace(p, amp=amp)
+                                               for p in sc.paths))
+
+
+@pytest.mark.parametrize("amp", (1e200, 1e145, 1e-200))
+@pytest.mark.parametrize("kind", ("sensing", "ppm-diff"))
+def test_extreme_amplitude_rejected(amp, kind):
+    # amp**2 overflows (1e200), lambda_tau overflows (1e145) or the SNR
+    # underflows to 0, leaving lambda_alpha = 0/0 (1e-200)
+    sc = _with_amp(reference_scenario(n_paths=1), amp)
+    with pytest.raises(ConfigError, match="per-PRI information"):
+        per_pri_information(sc)
+    with pytest.raises(ConfigError, match="per-PRI information"):
+        crlb_report(sc, make_modulation(kind, sc.n_f))
+
+
+def test_huge_information_keeps_its_crlb():
+    # lambda_tau ~ 1e167: the outer product of the EFIM diagonal overflows
+    sc = _with_amp(reference_scenario(n_paths=1), 1e70)
+    rep = crlb_report(sc, ModulationConfig(Scheme.SENSING))
+    assert not rep.singular
+    assert rep.crlb["tau1"] == pytest.approx(1.0 / (sc.n_f * lam_per_pri(sc)[0]), rel=1e-12)
 
 
 # ----------------------------------------------------------- exact equalities
@@ -359,7 +398,7 @@ def test_pilot_without_data_reports_dead_offset_column():
 def test_differential_doubling_and_reference_cross():
     sc = reference_scenario(n_f=4, n_paths=2)
     mod = make_modulation("ppm-diff", 4)
-    res = differential_pipeline(sc, mod)
+    res = differential_chain(sc, observation_fim_analytic(sc, mod))
     lam = lam_per_pri(sc)
     lam_ref = lam  # sfd_weight = 1: one pulse's worth
     for k in range(4):
@@ -379,7 +418,7 @@ def test_differential_doubling_and_reference_cross():
 
 def test_zero_reference_cross_touches_only_cross_terms():
     sc = reference_scenario(n_f=3, n_paths=1)
-    res = differential_pipeline(sc, make_modulation("ppm-diff", 3))
+    res = differential_chain(sc, observation_fim_analytic(sc, make_modulation("ppm-diff", 3)))
     raw, cut = res.i_diffseq_raw.data, res.i_diffseq.data
     changed = np.argwhere(raw != cut)
     lay = res.i_diffseq.layout
@@ -396,17 +435,17 @@ def test_zero_reference_cross_touches_only_cross_terms():
 
 def test_differential_theta_blocks_closed_form():
     sc = reference_scenario(n_f=4, n_paths=3)
-    res = differential_pipeline(sc, make_modulation("ppm-diff", 4))
+    fim = differential_pipeline(sc, make_modulation("ppm-diff", 4))
     lam = np.diag(lam_per_pri(sc))
     H, E = h_matrix(3), e_vector(3)
     n_f = 4
-    np.testing.assert_allclose(res.i_theta.block("tau1", "tau1"),
+    np.testing.assert_allclose(fim.block("tau1", "tau1"),
                                (n_f * H.T @ lam @ H)[:1, :1], rtol=1e-12)
-    tt = res.i_theta.data[:3, :3]
+    tt = fim.data[:3, :3]
     np.testing.assert_allclose(tt, n_f * H.T @ lam @ H, rtol=1e-12)
-    np.testing.assert_allclose(res.i_theta.block("dtau_q", "dtau_q"),
+    np.testing.assert_allclose(fim.block("dtau_q", "dtau_q"),
                                5.0 * n_f * E.T @ lam @ E, rtol=1e-12)
-    tq = res.i_theta.data[:3, 3:4]
+    tq = fim.data[:3, 3:4]
     np.testing.assert_allclose(tq, 2.0 * n_f * H.T @ lam @ E, rtol=1e-12)
 
 

@@ -120,6 +120,27 @@ def test_exit_codes_for_config_errors():
     assert cli.main(["bounds", "--set", "modulation.scheme=chirp"]) == 2
 
 
+def test_bounds_rejects_out_of_range_amplitude(capsys):
+    code = cli.main(["bounds", "--set", "scenario.delays=20ns",
+                     "--set", "scenario.amps=1e200"])
+    assert code == 2
+    assert "per-PRI information" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", (["bounds", "--out", "unused"],
+                                  ["bounds", "--tol", "5"],
+                                  ["validate", "--set", "scenario.n_f=4"],
+                                  ["validate", "--out", "unused"],
+                                  ["sweep", "--tol", "5"]))
+def test_verbs_refuse_options_they_do_not_read(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------- sweep verb
 
 @pytest.mark.parametrize("n_f", ("8", "2048"))

@@ -27,11 +27,9 @@ from isacbounds.fim import (
     FdSteps,
     LabeledMatrix,
     coeff_a,
-    coeff_a_full,
     coeff_a_range,
     coeff_b,
     coeff_b_full,
-    coeff_b_range,
     observation_fim_analytic,
     observation_fim_numeric,
     per_pri_information,
@@ -47,7 +45,6 @@ from conftest import ALL_KINDS, make_modulation, sym_eigs
 @settings(max_examples=60, deadline=None)
 def test_coeff_full_closed_forms(n, t_f):
     ks = range(n)
-    assert coeff_a_full(t_f, n) == pytest.approx(coeff_a(t_f, ks), rel=1e-12, abs=1e-30)
     assert coeff_b_full(t_f, n) == pytest.approx(coeff_b(t_f, ks), rel=1e-12, abs=1e-40)
 
 
@@ -58,15 +55,11 @@ def test_coeff_range_closed_forms(start, count):
     ks = range(start, start + count)
     assert coeff_a_range(t_f, start, count) == pytest.approx(
         coeff_a(t_f, ks), rel=1e-12, abs=1e-30)
-    assert coeff_b_range(t_f, start, count) == pytest.approx(
-        coeff_b(t_f, ks), rel=1e-12, abs=1e-40)
 
 
 def test_coeff_anchor_values():
     # sum over kappa of (2 pi kappa T_f)^2, 2048 PRIs of 100 ns
     assert coeff_b_full(1e-7, 2048) == pytest.approx(1.1295622957189463e-3, rel=1e-12)
-    assert coeff_a_full(1e-7, 8) == pytest.approx(2 * np.pi * 1e-7 * 28, rel=1e-12)
-    assert coeff_a_full(1e-7, 1) == 0.0
     assert coeff_b_full(1e-7, 1) == 0.0
 
 

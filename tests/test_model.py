@@ -23,7 +23,6 @@ from isacbounds.model import (
     Scheme,
     amp_for_snr,
     check_regulatory,
-    data_pri_count,
     effective_bandwidth,
     eta_layout,
     eta_layout_for,
@@ -257,15 +256,6 @@ def test_validate_modulation_ppm_leakage():
     validate_modulation(sc, ModulationConfig(Scheme.BPSK, d_data=2))
     with pytest.raises(LeakageError):
         validate_modulation(sc, ModulationConfig(Scheme.PPM, xi_ppm=2e-9, d_data=2))
-
-
-def test_data_pri_count():
-    sc = _scenario(n_f=8)
-    assert data_pri_count(sc, ModulationConfig(Scheme.SENSING)) == 0
-    assert data_pri_count(sc, ModulationConfig(Scheme.PPM, Decoupling.PILOT,
-                                               p_pilots=3, d_data=5)) == 5
-    assert data_pri_count(sc, ModulationConfig(Scheme.BPSK, d_data=8)) == 8
-    assert data_pri_count(sc, ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL)) == 8
 
 
 # --------------------------------------------------------------------- layouts
