@@ -24,6 +24,7 @@ from .model import (
     RegulatoryReport,
     ScenarioConfig,
     Scheme,
+    UndersampledPulseError,
     amp_for_snr,
     check_regulatory,
     effective_bandwidth,
@@ -37,7 +38,7 @@ from .fim import (
     observation_fim_analytic,
     observation_fim_numeric,
 )
-from .jacobians import StructMatrix, differential_maps, e_vector, h_matrix, jacobian
+from .jacobians import StructMatrix, differential_maps, e_vector, h_matrix
 from .bounds import (
     CoupledParametersError,
     CrlbReport,
@@ -70,12 +71,13 @@ __all__ = [
     "__version__",
     "ConfigError", "Decoupling", "LeakageError", "ModulationConfig", "ParamLayout",
     "PathState", "PulseShape", "RegulatoryReport", "ScenarioConfig", "Scheme",
+    "UndersampledPulseError",
     "amp_for_snr", "check_regulatory", "effective_bandwidth", "received_snr",
     "sample_pulse",
     "mean_jacobian", "mean_vector",
     "FdSteps", "LabeledMatrix",
     "observation_fim_analytic", "observation_fim_numeric",
-    "StructMatrix", "differential_maps", "e_vector", "h_matrix", "jacobian",
+    "StructMatrix", "differential_maps", "e_vector", "h_matrix",
     "CoupledParametersError", "CrlbReport", "SingularityReport",
     "assemble_theta_fim", "comm_efim_ppm", "crlb", "crlb_report",
     "differential_chain", "differential_pipeline", "efim", "range_crlb", "singularity_report",

@@ -112,7 +112,8 @@ def _equilibrate(data: np.ndarray) -> np.ndarray:
     """
     d = np.diag(data).copy()
     s = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 1.0)
-    return data * np.outer(s, s)
+    # one root per side: outer(s, s) = 1/d overflows for subnormal d
+    return data * s[:, None] * s[None, :]
 
 
 def singularity_report(mat: LabeledMatrix | np.ndarray,
@@ -315,6 +316,16 @@ def closed_form_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig
         b = layout.block_slice("phi_bpsk")
         put(doppler, b, cross * _congruence(H, l_phi1, E))
         put(b, b, own * _congruence(E, l_phi1, E))
+    # exact zeros are structurally dead columns (Doppler at n_f = 1); a
+    # subnormal diagonal has lost its precision and would break the checks
+    diag = np.diag(M)
+    subnormal = np.flatnonzero((diag > 0.0) & (diag < np.finfo(float).tiny))
+    if subnormal.size:
+        name = layout.names[subnormal[0]]
+        raise ConfigError(
+            f"I_theta[{name}, {name}] = {diag[subnormal[0]]:.3e} is subnormal; "
+            "the information is too small to represent (raise the path amplitudes)"
+        )
     return LabeledMatrix(M, layout)
 
 

@@ -12,8 +12,10 @@ Configuration comes from an INI file with [scenario], [modulation] and
 [sweep] sections; every key can be overridden with ``--set section.key=value``.
 Values accept unit suffixes (``t_f = 100ns``, ``f_s = 10GHz``, ``e_tb = 3.7pJ``).
 
-Exit codes: 0 success, 2 configuration error, 3 the requested configuration
-has a singular information matrix (sensing/data coupling without decoupling).
+Exit codes: 0 success, 1 a failed ``validate`` check, 2 configuration (or
+i/o) error, 3 the requested configuration has a singular information matrix
+(sensing/data coupling without decoupling), 4 internal error (any other
+exception, printed as ``internal error: <Type>: <message>`` and its traceback).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import configparser
 import math
 import re
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -52,6 +55,7 @@ from .experiments import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
+EXIT_INTERNAL = 4
 
 # =========================================================================
 # Quantity parsing
@@ -402,6 +406,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # a defect, not a bad input: keep its traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

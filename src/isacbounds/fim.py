@@ -7,16 +7,16 @@ information matrix of the real parameter vector eta is
     I_eta[i, j] = Re{ (d mu / d eta_i)^H (d mu / d eta_j) } / sigma2.
 
 Because the pulses of different PRIs occupy disjoint slots, and pulses of
-different paths are kept at least 12 alpha apart, I_eta is block diagonal in
-the :func:`isacbounds.model.eta_layout_for` blocks, with closed-form diagonal
-values per path:
+different paths are kept at least 12 alpha apart, I_eta is diagonal.  Each
+pulse of path l adds one pulse's worth per (slot, path) value
 
-    lambda_tau   = (2 pi B)**2 * M * t_f * f_s * SNR_l      (arrival times)
-    lambda_phi   =              t_f * f_s * SNR_l            (per-PRI phase)
-    lambda_alpha =          M * t_f * f_s * SNR_l / amp**2   (amplitudes)
+    lambda_tau   = (2 pi B)**2 * t_f * f_s * SNR_l      (arrival time)
+    lambda_phi   =              t_f * f_s * SNR_l       (carrier phase)
+    lambda_alpha =              t_f * f_s * SNR_l / amp**2   (amplitude)
 
-where B is the effective bandwidth, M the number of PRIs the parameter
-touches, and SNR_l the per-pulse received SNR of the path.  The symmetric
+to the eta entry that the per-slot map of :mod:`isacbounds.signals` names
+for it, so an entry touched by M pulses carries M lambda.  B is the effective
+bandwidth and SNR_l the per-pulse received SNR of the path.  The symmetric
 pulse makes the arrival-time / amplitude cross information exactly zero.
 
 Frame-phase ramp coefficients used by the physical-parameter assembly
@@ -33,18 +33,16 @@ import numpy as np
 
 from .model import (
     ConfigError,
-    Decoupling,
     ModulationConfig,
     ParamLayout,
-    ScenarioConfig,
-    Scheme,
     SUPPORT_SIGMAS,
+    ScenarioConfig,
+    UndersampledPulseError,
     effective_bandwidth,
     eta_layout_for,
-    received_snr,
-    validate_modulation,
+    sample_pulse,
 )
-from .signals import eta_point, mean_from_eta, n_slots
+from .signals import _AMP, _TAU, _slot_model, eta_point, mean_from_eta, n_slots
 
 # numeric-probe guard rails: beyond this the finite-difference sweep is too
 # slow to be useful and the closed forms are the intended path
@@ -123,21 +121,55 @@ def coeff_a_range(t_f: float, start: int, count: int) -> float:
 # =========================================================================
 
 
+#: largest relative error of the sampled pulse energy sum(w**2)/f_s (against
+#: 1) and derivative energy sum(w'**2)/f_s (against (2 pi B)**2) at which the
+#: closed forms are used
+SAMPLING_RTOL = 1e-2
+
+
 def per_pri_information(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lambda_tau, lambda_phi, lambda_alpha) of a single PRI, per path.
 
-    Raises ConfigError unless every value is finite and > 0: an amplitude
-    whose square over- or underflows has no usable information.
+    Raises UndersampledPulseError when, for any path, the sampled pulse
+    energy or derivative energy misses its closed form by more than
+    ``SAMPLING_RTOL``: the closed forms then overstate the information.
+    Raises ConfigError unless every value is finite and at least the
+    smallest normal float: an amplitude whose square over- or underflows has
+    no usable information.
     """
-    bw2 = (2.0 * math.pi * effective_bandwidth(scenario.pulse)) ** 2
-    snr = np.array([received_snr(scenario, p) for p in scenario.paths])
+    pulse, f_s = scenario.pulse, scenario.f_s
+    half = SUPPORT_SIGMAS * pulse.alpha
+    energy = np.empty(scenario.n_paths)
+    slope_energy = np.empty(scenario.n_paths)  # alpha**4 sum(w'**2) / f_s
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # one path at a time: a (L, n_s) sampling is slower at 10^4 samples
+        for l, path in enumerate(scenario.paths):
+            w = sample_pulse(pulse, path.tau_l0, scenario)
+            energy[l] = np.dot(w, w) / f_s  # as received_snr forms it
+            # w' = -(t - tau) / alpha**2 * w, summed over the +-6 alpha support
+            lo = max(0, math.ceil((path.tau_l0 - half) * f_s))
+            hi = min(scenario.n_s, math.floor((path.tau_l0 + half) * f_s) + 1)
+            uw = (np.arange(lo, hi) / f_s - path.tau_l0) * w[lo:hi]
+            slope_energy[l] = np.dot(uw, uw) / f_s
+        # (2 pi B)**2 = 1 / (2 alpha**2) for the Gaussian pulse
+        error = np.maximum(np.abs(energy - 1.0),
+                           np.abs(2.0 * slope_energy / pulse.alpha ** 2 - 1.0))
+    if not np.all(error <= SAMPLING_RTOL):  # NaN counts as a failure
+        raise UndersampledPulseError(
+            f"the sampled pulse and derivative energies miss their closed forms by "
+            f"up to {np.max(error):.3g} (tolerance {SAMPLING_RTOL:g}) at "
+            f"alpha * f_s = {pulse.alpha * f_s:.3g}; raise f_s or widen the pulse"
+        )
+    bw2 = (2.0 * math.pi * effective_bandwidth(pulse)) ** 2
     amps = np.array([p.amp for p in scenario.paths])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        base = scenario.t_f * scenario.f_s * snr
+        snr = amps * amps * energy / (scenario.t_f * scenario.sigma2)
+        base = scenario.t_f * f_s * snr
         lams = bw2 * base, base, base / (amps * amps)
-    if not all(np.all(np.isfinite(v) & (v > 0.0)) for v in lams):
+    tiny = np.finfo(float).tiny
+    if not all(np.all(np.isfinite(v) & (v >= tiny)) for v in lams):
         raise ConfigError(
-            f"per-PRI information is not finite and positive at per-pulse SNR "
+            f"per-PRI information is not finite and normal at per-pulse SNR "
             f"{snr.tolist()}; the path amplitudes are out of range"
         )
     return lams
@@ -158,47 +190,26 @@ def observation_fim_analytic(scenario: ScenarioConfig, modulation: ModulationCon
                              sfd_weight: float = 1.0) -> LabeledMatrix:
     """Closed-form I_eta for the given scenario/modulation pair.
 
-    ``sfd_weight`` scales the arrival-time information of the differential
-    reference pulse relative to a single data pulse (1.0 = one pulse's worth).
-
-    The matrix is exactly block diagonal; this relies on the path-separation
-    invariant (>= 12 alpha), which is re-checked here.
+    Every (slot, path) pulse gives one pulse's lambda to the eta entry that
+    the per-slot map of :mod:`isacbounds.signals` names for its delay, phase
+    and amplitude.  ``sfd_weight`` scales the arrival-time information of the
+    differential reference pulse relative to a single data pulse (1.0 = one
+    pulse's worth).  Slots are disjoint and paths are >= 12 alpha apart (a
+    ScenarioConfig invariant), so the matrix is exactly diagonal.
     """
-    validate_modulation(scenario, modulation)
-    half = SUPPORT_SIGMAS * scenario.pulse.alpha
-    taus = [p.tau_l0 for p in scenario.paths]
-    if any(t2 - t1 < 2 * half for t1, t2 in zip(taus, taus[1:])):
-        raise ConfigError(
-            "closed-form I_eta requires paths separated by >= "
-            f"{2 * SUPPORT_SIGMAS} alpha; use the numeric probe otherwise"
-        )
     require_sfd_weight(sfd_weight)
-
     layout = eta_layout_for(scenario, modulation)
-    l_tau, l_phi, l_alpha = per_pri_information(scenario)
-    M = np.zeros((layout.size, layout.size))
-
-    def put(name: str, values: np.ndarray) -> None:
-        lo, hi = layout.block(name)
-        M[range(lo, hi), range(lo, hi)] = values
-
-    if modulation.decoupling == Decoupling.PILOT and modulation.scheme != Scheme.SENSING:
-        p, d = modulation.p_pilots, modulation.d_data
-        put("tau_p", p * l_tau)
-        put("tau_d", d * l_tau)
-        put("amp_p", p * l_alpha)
-        put("amp_d", d * l_alpha)
-    elif modulation.decoupling == Decoupling.DIFFERENTIAL:
-        put("t_ref", sfd_weight * l_tau)
-        for k in range(scenario.n_f):
-            put(f"t_{k}", l_tau)
-        put("amp", scenario.n_f * l_alpha)
-    else:
-        put("tau", scenario.n_f * l_tau)
-        put("amp", scenario.n_f * l_alpha)
-    for k in range(scenario.n_f):
-        put(f"phi_{k}", l_phi)
-    return LabeledMatrix(M, layout)
+    size, _, index = _slot_model(scenario, modulation)
+    lam = np.empty(index.shape)
+    lam[:] = np.array(per_pri_information(scenario))[:, None, :]
+    lam[_TAU, :index.shape[1] - scenario.n_f] *= sfd_weight  # reference slot
+    # every pulse of an entry carries the same lambda: write it once and
+    # count the pulses, so n_f * lambda is formed exactly as a product
+    known = index >= 0
+    diag = np.zeros(size)
+    diag[index[known]] = lam[known]
+    diag *= np.bincount(index[known], minlength=size)
+    return LabeledMatrix(np.diag(diag), layout)
 
 
 # =========================================================================
@@ -218,25 +229,16 @@ class FdSteps:
 DEFAULT_FD = FdSteps()
 
 
-def _fd_step(name: str, value: float, steps: FdSteps) -> float:
-    if name.startswith(("tau", "t_")):
-        return steps.delay
-    if name.startswith("phi"):
-        return steps.phase
-    if name.startswith("amp"):
-        return steps.amp_rel * abs(value)
-    raise ConfigError(f"no finite-difference step rule for parameter {name!r}")
-
-
 def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConfig,
                             steps: FdSteps = DEFAULT_FD) -> LabeledMatrix:
     """I_eta via central differences of the mean vector.
 
     Independent of the closed forms (the mean is re-evaluated at shifted
-    parameter values); used to cross-check the analytic path.  Guarded to
-    ``MAX_FD_PARAMS`` parameters and ``MAX_FD_SAMPLES`` stacked samples.
+    parameter values); used to cross-check the analytic path.  Each entry's
+    step follows its kind (delay, phase or amplitude) in the per-slot map.
+    Guarded to ``MAX_FD_PARAMS`` parameters and ``MAX_FD_SAMPLES`` stacked
+    samples.
     """
-    validate_modulation(scenario, modulation)
     layout = eta_layout_for(scenario, modulation)
     if layout.size > MAX_FD_PARAMS:
         raise ConfigError(
@@ -249,18 +251,23 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
             f"numeric probe limited to {MAX_FD_SAMPLES} samples, frame has {total}"
         )
 
+    size, _, index = _slot_model(scenario, modulation)
+    known = index >= 0
+    kind = np.empty(size, dtype=np.intp)
+    kind[index[known]] = np.nonzero(known)[0]
     eta0 = eta_point(scenario, modulation)
-    cols = np.zeros((total, layout.size), dtype=complex)
+    h = np.array([steps.delay, steps.phase, steps.amp_rel])[kind]
+    h[kind == _AMP] *= np.abs(eta0[kind == _AMP])  # relative amplitude steps
+    cols = np.zeros((total, size), dtype=complex)
     for i, name in enumerate(layout.names):
-        h = _fd_step(name, eta0[i], steps)
-        if not h > 0.0:
+        if not h[i] > 0.0:
             raise ConfigError(f"finite-difference step for {name!r} is not positive")
         up = eta0.copy()
         dn = eta0.copy()
-        up[i] += h
-        dn[i] -= h
-        cols[:, i] = (mean_from_eta(scenario, modulation, up, layout)
-                      - mean_from_eta(scenario, modulation, dn, layout)) / (2.0 * h)
+        up[i] += h[i]
+        dn[i] -= h[i]
+        cols[:, i] = (mean_from_eta(scenario, modulation, up)
+                      - mean_from_eta(scenario, modulation, dn)) / (2.0 * h[i])
 
     # Re(cols^H cols) as one real product over the interleaved (re, im) columns
     flat = cols.view(np.float64)

@@ -7,7 +7,10 @@ matrix is the congruence
 
     I_theta = J^T I_eta J,        J = d eta / d theta.
 
-J is assembled from two primitives:
+:func:`jacobian_for` reads J off the per-slot map of :mod:`isacbounds.signals`,
+which names the eta entry behind every pulse's delay, phase and amplitude; the
+pilot/differential/unsplit split is decided there, not here.  Each slot's
+derivatives are built from two primitives:
 
   * ``H`` (L x L): first column all ones, remaining columns the unit vectors
     of paths 2..L -- it maps [tau1, dtau_2..L] to the absolute per-path values;
@@ -39,8 +42,11 @@ from .model import (
     Scheme,
     _layout,
     eta_layout,
+    eta_layout_for,
     theta_layout,
+    theta_layout_for,
 )
+from .signals import _AMP, _PHI, _TAU, _slot_model, bound_bits
 
 
 @dataclass
@@ -91,63 +97,48 @@ def l_kappa(n_paths: int, kappa: int, t_f: float) -> np.ndarray:
 
 
 # =========================================================================
-# Scheme Jacobians (eta rows x theta columns)
+# Jacobian (eta rows x theta columns)
 # =========================================================================
 
 
-def jacobian(scheme: Scheme, decoupling: Decoupling, n_paths: int, n_f: int,
-             p_pilots: int = 0, d_data: int = 0, t_f: float = 100e-9) -> StructMatrix:
-    """d eta / d theta for the non-differential configurations.
-
-    Rows follow :func:`isacbounds.model.eta_layout`, columns
-    :func:`isacbounds.model.theta_layout`.  Differential frames are handled by
-    :func:`differential_maps` instead.
-    """
-    if decoupling == Decoupling.DIFFERENTIAL:
-        raise ConfigError("use differential_maps() for differential frames")
-    rows = eta_layout(scheme, decoupling, n_paths, n_f, p_pilots, d_data)
-    cols = theta_layout(scheme, n_paths)
-    L = n_paths
-    H = h_matrix(L)
-    E = e_vector(L)
-    J = np.zeros((rows.size, cols.size))
-
-    def put(row_name: str, col_name: str, block: np.ndarray) -> None:
-        J[rows.block_slice(row_name), cols.block_slice(col_name)] = block
-
-    pilot_split = scheme != Scheme.SENSING and decoupling == Decoupling.PILOT
-    if pilot_split:
-        put("tau_p", "delay", np.hstack([H, np.zeros((L, 1))]) if scheme == Scheme.PPM else H)
-        if scheme == Scheme.PPM:
-            put("tau_d", "delay", np.hstack([H, E]))
-        else:
-            put("tau_d", "delay", H)
-        put("amp_p", "amp", np.eye(L))
-        put("amp_d", "amp", np.eye(L))
-    else:
-        if scheme == Scheme.PPM:
-            put("tau", "delay", np.hstack([H, E]))
-        else:
-            put("tau", "delay", H)
-        put("amp", "amp", np.eye(L))
-
-    for k in range(n_f):
-        put(f"phi_{k}", "doppler", l_kappa(L, k, t_f))
-        if scheme == Scheme.BPSK:
-            if pilot_split:
-                # raw data phase: unit sensitivity on data PRIs only
-                if k >= p_pilots:
-                    put(f"phi_{k}", "phi_bpsk", E)
-            else:
-                # Doppler-equivalent data phase: ramp-slope sensitivity
-                put(f"phi_{k}", "phi_bpsk", ramp_slope(k, t_f) * E)
-    return StructMatrix(J, rows, cols)
-
-
 def jacobian_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> StructMatrix:
-    return jacobian(modulation.scheme, modulation.decoupling, scenario.n_paths,
-                    scenario.n_f, modulation.p_pilots, modulation.d_data,
-                    scenario.t_f)
+    """d eta / d theta, read off the per-slot map of :mod:`isacbounds.signals`.
+
+    Rows follow :func:`isacbounds.model.eta_layout_for`, columns
+    :func:`isacbounds.model.theta_layout_for`.  Each (slot, path) delay moves
+    with H (plus the data bit through dtau_q), each phase with the ramp slope
+    times H (plus the data bit through phi_bpsk: raw on pilot splits, riding
+    the ramp otherwise) and each amplitude with I; those derivatives are
+    written into the eta rows the map names.  For a differential frame this
+    is the plain chain rule; its I_theta follows :func:`differential_maps`.
+    """
+    rows = eta_layout_for(scenario, modulation)
+    cols = theta_layout_for(scenario, modulation)
+    size, _, index = _slot_model(scenario, modulation)
+    L, n_f = scenario.n_paths, scenario.n_f
+    ref = index.shape[1] - n_f  # the differential reference slot, if any
+    bits = np.zeros(index.shape[1])
+    bits[ref:] = bound_bits(scenario, modulation)
+    slope = np.zeros(index.shape[1])
+    slope[ref:] = ramp_slope(np.arange(n_f), scenario.t_f)
+    H = h_matrix(L)
+
+    # derivative of every slot value, in the (3, slots, L) order of the map
+    D = np.zeros(index.shape + (cols.size,))
+    lo = cols.block("delay")[0]
+    D[_TAU, :, :, lo:lo + L] = H
+    D[_PHI, :, :, cols.block_slice("doppler")] = slope[:, None, None] * H
+    D[_AMP, :, :, cols.block_slice("amp")] = np.eye(L)
+    if modulation.scheme == Scheme.PPM:
+        D[_TAU, :, :, cols.block_slice("dtau_q")] = bits[:, None, None]
+    elif modulation.scheme == Scheme.BPSK:
+        data_phase = bits if modulation.p_pilots else slope * bits
+        D[_PHI, :, :, cols.block_slice("phi_bpsk")] = data_phase[:, None, None]
+
+    known = index >= 0
+    J = np.zeros((size, cols.size))
+    J[index[known]] = D[known]
+    return StructMatrix(J, rows, cols)
 
 
 # =========================================================================

@@ -54,6 +54,10 @@ class LeakageError(ConfigError):
     """A pulse support (delay +- 6 alpha, plus modulation shift) exits its PRI."""
 
 
+class UndersampledPulseError(ConfigError):
+    """The sample grid is too coarse for the pulse; the closed forms do not hold."""
+
+
 def _require_finite(record: str, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):

@@ -125,6 +125,8 @@ def n_slots(scenario: ScenarioConfig, modulation: ModulationConfig) -> int:
 # Every term of the stacked mean is amp * exp(j phi) * w(t - tau) for one
 # (slot, path) pair.  The model is a (3, n_slots, L) table of those values
 # plus an index map of the same shape naming the eta entry that sets each one.
+# The closed-form I_eta, the Jacobian d eta / d theta and the numeric probe's
+# step sizes (:mod:`isacbounds.fim`, :mod:`isacbounds.jacobians`) read the map.
 _TAU, _PHI, _AMP = range(3)
 
 
@@ -246,11 +248,10 @@ def eta_point(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.ndar
 
 
 def mean_from_eta(scenario: ScenarioConfig, modulation: ModulationConfig,
-                  eta: np.ndarray, layout: ParamLayout | None = None) -> np.ndarray:
+                  eta: np.ndarray) -> np.ndarray:
     """Mean vector as a function of eta (used by the finite-difference probe).
 
-    ``eta`` follows :func:`isacbounds.model.eta_layout_for`; a caller that
-    already holds that layout may pass it, but it is not needed.
+    ``eta`` follows :func:`isacbounds.model.eta_layout_for`.
     ``mean_from_eta(scenario, modulation, eta_point(...))`` equals
     ``mean_vector(scenario, modulation)`` at the all-ones data word.
     """

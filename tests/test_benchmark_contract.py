@@ -44,12 +44,13 @@ def test_traced_names_are_public_functions_of_their_modules():
     assert missing == []
 
 
-#: frame_grid shapes: every kind at a small and a large frame, plus the
-#: differential frame at the old 499/500 check boundary
-TRACED_CALLS = ([(n_f, kind) for n_f in (8, 2048)
-                 for kind in ("sensing", "ppm-pilot", "bpsk-pilot", "ppm-raw", "bpsk-raw",
-                              "ppm-diff")]
-                + [(499, "ppm-diff")])
+NON_DIFFERENTIAL = ("sensing", "ppm-pilot", "bpsk-pilot", "ppm-raw", "bpsk-raw")
+
+#: frame_grid shapes: every kind at a small and a large frame, the
+#: differential frame at the old 499/500 check boundary, and every
+#: non-differential kind at n_f = 64, whose Jacobian must cost what n_f = 8 does
+TRACED_CALLS = ([(n_f, kind) for n_f in (8, 2048) for kind in (*NON_DIFFERENTIAL, "ppm-diff")]
+                + [(499, "ppm-diff")] + [(64, kind) for kind in NON_DIFFERENTIAL])
 
 # Tracer.install patches the package for good, so the traced calls run in a
 # fresh interpreter (see _run_traced); it prints what the frame_grid contract needs.
@@ -70,9 +71,16 @@ tracer.active = False
 key = np.frombuffer(tracer.key, dtype=np.int64)
 parent = np.frombuffer(tracer.parent, dtype=np.int64)
 names = [tracer.keys[k] for k in key]
-children = [sorted({names[j] for j in np.flatnonzero(parent == i)})
-            for i, name in enumerate(names) if name == "bounds.assemble_theta_fim"]
-print(json.dumps({"unexercised": tracer.unexercised("frame_grid"), "children": children}))
+assembles = [i for i, name in enumerate(names) if name == "bounds.assemble_theta_fim"]
+children = [sorted({names[j] for j in np.flatnonzero(parent == i)}) for i in assembles]
+# the assembly each span runs under (spans are numbered in start order)
+owner = []
+for i, p in enumerate(parent):
+    owner.append(i if names[i] == "bounds.assemble_theta_fim" else owner[p] if p >= 0 else -1)
+jacobians = [sum(1 for j, o in enumerate(owner) if o == i and names[j].startswith("jacobians."))
+             for i in assembles]
+print(json.dumps({"unexercised": tracer.unexercised("frame_grid"), "children": children,
+                  "jacobians": jacobians}))
 """
 
 
@@ -94,6 +102,10 @@ def test_traced_frame_grid_contract():
     for (n_f, kind), children in zip(TRACED_CALLS, out["children"]):
         if kind == "ppm-diff":
             assert {"bounds.differential_pipeline", "bounds.closed_form_theta_fim"} <= set(children), n_f
+    # the Jacobian is read off the per-slot map, not built PRI by PRI
+    jacobian_spans = dict(zip(TRACED_CALLS, out["jacobians"]))
+    for kind in NON_DIFFERENTIAL:
+        assert jacobian_spans[(64, kind)] == jacobian_spans[(8, kind)] > 0, kind
 
 
 # The oracle workload bypasses assembly: it drives the sampled model, both

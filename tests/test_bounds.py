@@ -14,6 +14,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacbounds.model import (
     ConfigError,
@@ -21,6 +23,7 @@ from isacbounds.model import (
     ModulationConfig,
     SPEED_OF_LIGHT,
     Scheme,
+    UndersampledPulseError,
     theta_layout,
 )
 from isacbounds import bounds
@@ -120,6 +123,15 @@ def test_singularity_report_zero_column():
     assert rep.singular
     assert rep.rank == 2
     assert rep.zero_columns == ("v",)
+
+
+def test_singularity_report_subnormal_diagonal():
+    # 1 / d = 1e320 overflows; scaling by one root per side does not
+    with np.errstate(all="raise"):
+        rep = singularity_report(np.diag([1e-320, 1e-320]), labels=("u", "v"))
+    assert not rep.singular
+    assert rep.rank == 2
+    assert rep.coupled_columns == ()
 
 
 def test_singularity_report_survives_mixed_scales():
@@ -287,16 +299,39 @@ def _with_amp(sc, amp):
                                                for p in sc.paths))
 
 
-@pytest.mark.parametrize("amp", (1e200, 1e145, 1e-200))
+@pytest.mark.parametrize("amp", (1e200, 1e145, 1e-200, 1e-160, 1e-155))
 @pytest.mark.parametrize("kind", ("sensing", "ppm-diff"))
 def test_extreme_amplitude_rejected(amp, kind):
-    # amp**2 overflows (1e200), lambda_tau overflows (1e145) or the SNR
-    # underflows to 0, leaving lambda_alpha = 0/0 (1e-200)
+    # amp**2 overflows (1e200), lambda_tau overflows (1e145), the SNR
+    # underflows to 0, leaving lambda_alpha = 0/0 (1e-200), or lambda_phi is
+    # subnormal (1e-160).  At 1e-155 every lambda is normal, but the n_f = 8
+    # Doppler diagonal of I_theta is subnormal.
     sc = _with_amp(reference_scenario(n_paths=1), amp)
+    mod = make_modulation(kind, sc.n_f)
+    if amp == 1e-155:
+        assert all(np.all(v >= np.finfo(float).tiny) for v in per_pri_information(sc))
+        with pytest.raises(ConfigError, match=r"\[fd1, fd1\] .* subnormal"):
+            crlb_report(sc, mod)
+        return
     with pytest.raises(ConfigError, match="per-PRI information"):
         per_pri_information(sc)
     with pytest.raises(ConfigError, match="per-PRI information"):
-        crlb_report(sc, make_modulation(kind, sc.n_f))
+        crlb_report(sc, mod)
+
+
+@pytest.mark.parametrize("f_s,accepted", ((2.5e9, False), (5e9, True)),
+                         ids=("alpha_fs_0.5", "alpha_fs_1"))
+def test_undersampled_pulse_rejected(f_s, accepted):
+    # alpha = 0.2 ns: alpha * f_s = 0.5 misses sum(w'^2)/f_s by 67 %; at 1 the
+    # error is 0.2 %
+    sc = reference_scenario(f_s=f_s)
+    if accepted:
+        per_pri_information(sc)
+        return
+    with pytest.raises(UndersampledPulseError, match=r"alpha \* f_s = 0\.5"):
+        per_pri_information(sc)
+    with pytest.raises(UndersampledPulseError):
+        crlb_report(sc, ModulationConfig(Scheme.SENSING))
 
 
 def test_huge_information_keeps_its_crlb():
@@ -491,3 +526,32 @@ def test_crlb_report_fields(ref8):
         SPEED_OF_LIGHT ** 2 * rep.crlb["tau1"], rel=1e-12)
     rep_b = crlb_report(ref8, make_modulation("bpsk-pilot", 8))
     assert set(rep_b.crlb) == {"tau1", "phi_bpsk", "fd1", "amp"}
+
+
+@given(kind=st.sampled_from(ALL_KINDS), n_f=st.sampled_from((2, 8)),
+       snr_db=st.floats(-10.0, 20.0), shift=st.floats(-18e-9, 30e-9),
+       f_c=st.floats(1e9, 10e9),
+       dopplers=st.lists(st.floats(-5e3, 5e3), min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_crlb_report_invariants(kind, n_f, snr_db, shift, f_c, dopplers):
+    # delay, Doppler and data-parameter CRLBs scale as 1/SNR; the amplitude
+    # CRLB and the rank structure stay put; none of them depends on a common
+    # delay shift inside the PRI, on f_c or on the path Dopplers
+    mod = make_modulation(kind, n_f)
+    ref = crlb_report(reference_scenario(n_f=n_f), mod)  # 0 dB, no shift
+    sc = reference_scenario(n_f=n_f, snr_db=snr_db, dopplers=tuple(dopplers))
+    sc = dataclasses.replace(sc, f_c=f_c, paths=tuple(
+        dataclasses.replace(p, tau_l0=p.tau_l0 + shift) for p in sc.paths))
+    rep = crlb_report(sc, mod)
+    for field in ("size", "singular", "rank", "coupled_columns", "zero_columns"):
+        assert getattr(rep, field) == getattr(ref, field), field
+    assert rep.crlb.keys() == ref.crlb.keys()
+    snr = 10.0 ** (snr_db / 10.0)
+    for name, want in ref.crlb.items():
+        got = rep.crlb[name]
+        if want is None:
+            assert got is None, name
+        elif name == "amp":
+            assert got == pytest.approx(want, rel=1e-9)
+        else:
+            assert got * snr == pytest.approx(want, rel=1e-9), name

@@ -2,11 +2,13 @@
 
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from isacbounds.model import ConfigError
-from isacbounds import cli
+from isacbounds import bounds, cli
+from isacbounds.fim import LabeledMatrix
 
 
 # ------------------------------------------------------------------ parsing
@@ -125,6 +127,45 @@ def test_bounds_rejects_out_of_range_amplitude(capsys):
                      "--set", "scenario.amps=1e200"])
     assert code == 2
     assert "per-PRI information" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amp,frame", (("1e-160", []),
+                                       ("1e-160", ["--set", "modulation.scheme=ppm",
+                                                   "--set", "modulation.decoupling=differential"]),
+                                       ("1e-155", [])),
+                         ids=("sensing-1e-160", "ppm-diff-1e-160", "sensing-1e-155"))
+def test_bounds_rejects_subnormal_information(amp, frame, capsys):
+    # the cross-check, the equilibration and the Schur step all lose their
+    # meaning on subnormal entries: refuse before any of them runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["bounds", "--set", "scenario.delays=20ns",
+                         "--set", f"scenario.amps={amp}", *frame])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("alpha", ("0.05ns", "1e-30", "1e-200"))
+def test_bounds_rejects_undersampled_pulse(alpha, capsys):
+    code = cli.main(["bounds", "--set", f"scenario.alpha={alpha}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "alpha * f_s" in err
+    assert "amplitude" not in err
+
+
+def test_unexpected_exception_exits_4(monkeypatch, capsys):
+    real = bounds.closed_form_theta_fim
+
+    def skewed(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return LabeledMatrix(out.data * (1.0 + 1e-6), out.layout)
+
+    monkeypatch.setattr(bounds, "closed_form_theta_fim", skewed)
+    assert cli.main(["bounds"]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: ")
+    assert "(tau1, tau1)" in err
 
 
 @pytest.mark.parametrize("argv", (["bounds", "--out", "unused"],

@@ -6,6 +6,8 @@ The frozen anchors here were computed once from the closed forms and pinned:
   * quadratic ramp coefficient over 2048 PRIs of 100ns: 1.1295622957189463e-3 s^2
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,30 @@ def test_analytic_fim_block_structure_sensing():
                                sc.n_f * lam_tau, rtol=1e-12)
     np.testing.assert_allclose(np.diag(I.block("phi_0", "phi_0")), lam_phi,
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_analytic_fim_diagonal_by_block(kind):
+    # per block: the number of pulses that carry the entry times one pulse's
+    # lambda (the differential reference counts sfd_weight pulses)
+    n_f, w = 6, 2.5
+    sc = reference_scenario(n_f=n_f, n_paths=3)
+    mod = make_modulation(kind, n_f)
+    if "pilot" in kind:
+        mod = dataclasses.replace(mod, p_pilots=2, d_data=4)
+    lt, lp, la = per_pri_information(sc)
+    want = {f"phi_{k}": lp for k in range(n_f)}
+    if mod.decoupling == Decoupling.PILOT:
+        want.update(tau_p=2 * lt, tau_d=4 * lt, amp_p=2 * la, amp_d=4 * la)
+    elif mod.decoupling == Decoupling.DIFFERENTIAL:
+        want.update({f"t_{k}": lt for k in range(n_f)}, t_ref=w * lt, amp=n_f * la)
+    else:
+        want.update(tau=n_f * lt, amp=n_f * la)
+    I = observation_fim_analytic(sc, mod, sfd_weight=w)
+    assert sum(I.layout.block_size(name) for name in want) == I.size
+    for name, values in want.items():
+        np.testing.assert_array_equal(np.diag(I.block(name, name)), values, err_msg=name)
+    np.testing.assert_array_equal(I.data, np.diag(np.diag(I.data)))
 
 
 def test_analytic_fim_frame_additivity():

@@ -20,7 +20,6 @@ from isacbounds.jacobians import (
     e_vector,
     eta_ext_layout,
     h_matrix,
-    jacobian,
     jacobian_for,
     l_kappa,
     ramp_slope,
@@ -29,6 +28,13 @@ from isacbounds.jacobians import (
 from isacbounds.experiments import reference_scenario
 
 T_F = 1e-7
+
+
+def frame_jacobian(scheme, dec, n_paths, n_f, p_pilots=0, d_data=0):
+    """jacobian_for on the reference scenario (PRI T_F) with the given frame."""
+    sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+    assert sc.t_f == T_F
+    return jacobian_for(sc, ModulationConfig(scheme, dec, p_pilots=p_pilots, d_data=d_data))
 
 
 def test_h_matrix_values():
@@ -65,13 +71,13 @@ def _entry_alphabet(data, n_f, t_f):
     (Scheme.BPSK, Decoupling.PILOT, 2, 2),
 ])
 def test_jacobian_entry_alphabet(scheme, dec, p, d):
-    J = jacobian(scheme, dec, 2, 4, p_pilots=p, d_data=d, t_f=T_F)
+    J = frame_jacobian(scheme, dec, 2, 4, p_pilots=p, d_data=d)
     assert _entry_alphabet(J.data, 4, T_F)
 
 
 def test_jacobian_sensing_blocks():
     L, n_f = 3, 2
-    J = jacobian(Scheme.SENSING, Decoupling.NONE, L, n_f, t_f=T_F)
+    J = frame_jacobian(Scheme.SENSING, Decoupling.NONE, L, n_f)
     assert J.row_layout.size == L + n_f * L + L
     assert J.col_layout.names == theta_layout(Scheme.SENSING, L).names
     np.testing.assert_array_equal(J.block("tau", "delay"), h_matrix(L))
@@ -86,11 +92,10 @@ def test_jacobian_sensing_blocks():
 
 def test_jacobian_ppm_delay_columns():
     L, n_f = 2, 4
-    J = jacobian(Scheme.PPM, Decoupling.NONE, L, n_f, d_data=n_f, t_f=T_F)
+    J = frame_jacobian(Scheme.PPM, Decoupling.NONE, L, n_f, d_data=n_f)
     want = np.hstack([h_matrix(L), e_vector(L)])
     np.testing.assert_array_equal(J.block("tau", "delay"), want)
-    Jp = jacobian(Scheme.PPM, Decoupling.PILOT, L, n_f, p_pilots=2, d_data=2,
-                  t_f=T_F)
+    Jp = frame_jacobian(Scheme.PPM, Decoupling.PILOT, L, n_f, p_pilots=2, d_data=2)
     # pilot PRIs see no PPM shift: separate arrival rows per segment
     np.testing.assert_array_equal(
         Jp.block("tau_p", "delay"),
@@ -101,14 +106,13 @@ def test_jacobian_ppm_delay_columns():
 def test_jacobian_bpsk_phase_offset_column():
     L, n_f = 2, 4
     # undecoupled: the offset column rides the PRI ramp, same as Doppler
-    J = jacobian(Scheme.BPSK, Decoupling.NONE, L, n_f, d_data=n_f, t_f=T_F)
+    J = frame_jacobian(Scheme.BPSK, Decoupling.NONE, L, n_f, d_data=n_f)
     for k in range(n_f):
         np.testing.assert_allclose(
             J.block(f"phi_{k}", "phi_bpsk"),
             ramp_slope(k, T_F) * e_vector(L), rtol=1e-15)
     # pilot-decoupled: data PRIs carry unit sensitivity, pilots none
-    Jp = jacobian(Scheme.BPSK, Decoupling.PILOT, L, n_f, p_pilots=2, d_data=2,
-                  t_f=T_F)
+    Jp = frame_jacobian(Scheme.BPSK, Decoupling.PILOT, L, n_f, p_pilots=2, d_data=2)
     for k in range(2):
         assert np.all(Jp.block(f"phi_{k}", "phi_bpsk") == 0.0)
     for k in range(2, 4):
@@ -124,10 +128,23 @@ def test_jacobian_for_matches_plain():
     sc = reference_scenario(n_f=4, n_paths=2)
     mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=2, d_data=2)
     a = jacobian_for(sc, mod)
-    b = jacobian(Scheme.PPM, Decoupling.PILOT, 2, 4, p_pilots=2, d_data=2,
-                 t_f=sc.t_f)
-    np.testing.assert_array_equal(a.data, b.data)
     assert a.row_layout.names == eta_layout_for(sc, mod).names
+
+
+def test_jacobian_differential_delay_rows():
+    # the reference pulse carries no data shift; every data PRI carries it
+    L, n_f = 2, 3
+    sc = reference_scenario(n_f=n_f, n_paths=L)
+    J = jacobian_for(sc, ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL))
+    np.testing.assert_array_equal(J.block("t_ref", "delay"),
+                                  np.hstack([h_matrix(L), np.zeros((L, 1))]))
+    for k in range(n_f):
+        np.testing.assert_array_equal(J.block(f"t_{k}", "delay"),
+                                      np.hstack([h_matrix(L), e_vector(L)]))
+        np.testing.assert_allclose(J.block(f"phi_{k}", "doppler"),
+                                   l_kappa(L, k, T_F), rtol=1e-15)
+    np.testing.assert_array_equal(J.block("amp", "amp"), np.eye(L))
+    assert _entry_alphabet(J.data, n_f, T_F)
 
 
 # ------------------------------------------------------------- differential
