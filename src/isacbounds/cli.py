@@ -274,9 +274,24 @@ def cmd_bounds(args) -> int:
         print(f"root doppler crlb: {math.sqrt(fd):.6e} Hz")
     print(f"data rate: {data_rate(scenario, modulation):.6e} bit/s")
     if report.singular:
-        print("configuration is SINGULAR: pick a pilot or differential decoupling")
+        print(f"configuration is SINGULAR: {_singular_advice(report, scenario.n_f)}")
         return EXIT_SINGULAR
     return EXIT_OK
+
+
+def _singular_advice(report, n_f: int) -> str:
+    """What a singular frame lacks, by frame kind.
+
+    Raw PPM/BPSK frames need a decoupling.  Sensing and decoupled frames take
+    none, so they are told which columns are dead or coupled instead.
+    """
+    if report.scheme != Scheme.SENSING.value and report.decoupling == Decoupling.NONE.value:
+        advice = "pick a pilot or differential decoupling"
+    else:
+        lost = [*report.zero_columns, *(f"{a} ~ {b}" for a, b in report.coupled_columns)]
+        advice = (f"this {report.scheme} frame cannot resolve "
+                  f"{', '.join(lost) or f'rank {report.rank} of {report.size}'}")
+    return advice + ("; Doppler needs n_f >= 2" if n_f < 2 else "")
 
 
 def cmd_sweep(args) -> int:

@@ -234,8 +234,12 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     """I_eta via central differences of the mean vector.
 
     Independent of the closed forms (the mean is re-evaluated at shifted
-    parameter values); used to cross-check the analytic path.  Each entry's
-    step follows its kind (delay, phase or amplitude) in the per-slot map.
+    parameter values); used to cross-check the analytic path.  The per-slot
+    map of :mod:`isacbounds.signals` gives each entry's step (by its kind:
+    delay, phase or amplitude) and the slots it drives.  Only those slots are
+    re-evaluated: the others cancel exactly in the difference.  Slots occupy
+    disjoint samples, so I_eta is the sum over slots of the Gram block
+    Re(B_s^H B_s) / sigma2 of the columns B_s of the entries slot s touches.
     Guarded to ``MAX_FD_PARAMS`` parameters and ``MAX_FD_SAMPLES`` stacked
     samples.
     """
@@ -253,12 +257,15 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
 
     size, _, index = _slot_model(scenario, modulation)
     known = index >= 0
+    which, slot, _ = np.nonzero(known)
     kind = np.empty(size, dtype=np.intp)
-    kind[index[known]] = np.nonzero(known)[0]
+    kind[index[known]] = which
+    drives = np.zeros((size, index.shape[1]), dtype=bool)  # entry -> its slots
+    drives[index[known], slot] = True
     eta0 = eta_point(scenario, modulation)
     h = np.array([steps.delay, steps.phase, steps.amp_rel])[kind]
     h[kind == _AMP] *= np.abs(eta0[kind == _AMP])  # relative amplitude steps
-    cols = np.zeros((total, size), dtype=complex)
+    pieces = []  # entry i's column, one row of n_s samples per slot it drives
     for i, name in enumerate(layout.names):
         if not h[i] > 0.0:
             raise ConfigError(f"finite-difference step for {name!r} is not positive")
@@ -266,13 +273,19 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
         dn = eta0.copy()
         up[i] += h[i]
         dn[i] -= h[i]
-        cols[:, i] = (mean_from_eta(scenario, modulation, up)
-                      - mean_from_eta(scenario, modulation, dn)) / (2.0 * h[i])
+        slots = np.flatnonzero(drives[i])
+        diff = (mean_from_eta(scenario, modulation, up, slots)
+                - mean_from_eta(scenario, modulation, dn, slots)) / (2.0 * h[i])
+        pieces.append(diff.reshape(slots.size, scenario.n_s))
 
-    # Re(cols^H cols) as one real product over the interleaved (re, im) columns
-    flat = cols.view(np.float64)
-    gram = flat.T @ flat
-    M = (gram[0::2, 0::2] + gram[1::2, 1::2]) / scenario.sigma2
+    # Re(B_s^H B_s) as one real product over the interleaved (re, im) samples
+    row = np.cumsum(drives, axis=1) - 1  # row of slot s in pieces[i]
+    M = np.zeros((size, size))
+    for s in range(index.shape[1]):
+        entries = np.flatnonzero(drives[:, s])
+        flat = np.stack([pieces[i][row[i, s]] for i in entries]).view(np.float64)
+        M[np.ix_(entries, entries)] += flat @ flat.T
+    M /= scenario.sigma2
     M = 0.5 * (M + M.T)
     if np.any(np.diag(M) <= 0.0):
         bad = [layout.names[i] for i in np.flatnonzero(np.diag(M) <= 0.0)]

@@ -22,6 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,6 +38,10 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 #: Gaussian tail is below 2e-8 of the peak, so clipping there is harmless for
 #: every tolerance used in this package.
 SUPPORT_SIGMAS = 6.0
+
+#: Half-width, in units of alpha, beyond which the sampled Gaussian is an
+#: exact zero: exp(-40**2 / 2) underflows to 0.0 in float64.
+UNDERFLOW_SIGMAS = 40.0
 
 #: UWB regulatory energy budget: at most 37 nJ transmitted per 1 ms window.
 REG_ENERGY_LIMIT_J = 37e-9
@@ -466,6 +471,12 @@ def sample_pulse(shape: PulseShape, tau: float | np.ndarray,
         Real pulse samples, one row per center.  The unit-energy property
         ``sum(w**2) / f_s ~= 1`` holds whenever the +-6 alpha support lies
         fully inside the PRI.
+
+    The Gaussian is evaluated only on the samples within ``UNDERFLOW_SIGMAS``
+    alpha of each center, plus one sample either side; every other sample is
+    an exact zero, which is what the formula gives there in float64.  Each
+    sample is therefore bit-identical to evaluating the formula on the whole
+    grid.
     """
     centers = np.asarray(tau, dtype=float)
     half = SUPPORT_SIGMAS * shape.alpha
@@ -478,9 +489,26 @@ def sample_pulse(shape: PulseShape, tau: float | np.ndarray,
                 f"pulse center tau = {center} s leaks past the PRI boundary "
                 f"{scenario.t_f} s (support +-{SUPPORT_SIGMAS} alpha)"
             )
-    t = time_grid(scenario) - centers[..., None]
+    n_s, f_s = scenario.n_s, scenario.f_s
+    flat = centers.reshape(-1)
+    two_a2 = 2.0 * shape.alpha ** 2
+    # one index window of a common width per center; a window that runs off
+    # the grid slides back inside it (the extra samples are computed exactly)
+    span = UNDERFLOW_SIGMAS * shape.alpha
+    firsts = [math.ceil((center - span) * f_s) - 1 for center in flat.tolist()]
+    width = n_s
+    if two_a2 >= sys.float_info.min:  # else t * t / two_a2 can be 0 / 0 anywhere
+        width = min(n_s, max((math.floor((center + span) * f_s) + 2 - first
+                              for center, first in zip(flat.tolist(), firsts)),
+                             default=0))
+    firsts = [min(max(first, 0), n_s - width) for first in firsts]
+    t = (np.array(firsts, dtype=np.intp)[:, None] + np.arange(width)) / f_s - flat[:, None]
     c = (shape.alpha * math.sqrt(math.pi)) ** -0.5
-    return c * np.exp(-(t * t) / (2.0 * shape.alpha ** 2))
+    values = c * np.exp(-(t * t) / two_a2)
+    w = np.zeros((flat.size, n_s))
+    for row, first, value in zip(w, firsts, values):
+        row[first:first + width] = value
+    return w.reshape(centers.shape + (n_s,))
 
 
 def pulse_time_derivative(shape: PulseShape, tau: float | np.ndarray,

@@ -125,8 +125,9 @@ def n_slots(scenario: ScenarioConfig, modulation: ModulationConfig) -> int:
 # Every term of the stacked mean is amp * exp(j phi) * w(t - tau) for one
 # (slot, path) pair.  The model is a (3, n_slots, L) table of those values
 # plus an index map of the same shape naming the eta entry that sets each one.
-# The closed-form I_eta, the Jacobian d eta / d theta and the numeric probe's
-# step sizes (:mod:`isacbounds.fim`, :mod:`isacbounds.jacobians`) read the map.
+# The closed-form I_eta, the Jacobian d eta / d theta and the numeric probe
+# (:mod:`isacbounds.fim`, :mod:`isacbounds.jacobians`) read the map: the probe
+# takes each entry's step size from it and the slots that entry drives.
 _TAU, _PHI, _AMP = range(3)
 
 
@@ -248,18 +249,36 @@ def eta_point(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.ndar
 
 
 def mean_from_eta(scenario: ScenarioConfig, modulation: ModulationConfig,
-                  eta: np.ndarray) -> np.ndarray:
+                  eta: np.ndarray, slots=None) -> np.ndarray:
     """Mean vector as a function of eta (used by the finite-difference probe).
 
     ``eta`` follows :func:`isacbounds.model.eta_layout_for`.
     ``mean_from_eta(scenario, modulation, eta_point(...))`` equals
     ``mean_vector(scenario, modulation)`` at the all-ones data word.
+    ``slots`` lists the slots to evaluate (all by default); the result stacks
+    them in that order, n_s samples each, and equals the matching rows of the
+    whole-frame mean exactly.
     """
     size, table, index = _slot_model(scenario, modulation)
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (size,):
         raise ConfigError(f"eta must have shape ({size},), got {eta.shape}")
-    return _evaluate(scenario, np.where(index >= 0, eta[index], table))
+    slots = _check_slots(slots, index.shape[1])
+    index = index[:, slots]
+    return _evaluate(scenario, np.where(index >= 0, eta[index], table[:, slots]))
+
+
+def _check_slots(slots, count: int) -> np.ndarray:
+    """``slots`` as an index array; ConfigError unless integers in [0, count)."""
+    if slots is None:
+        return np.arange(count)
+    picked = np.asarray(slots)
+    if (picked.ndim != 1 or picked.dtype.kind not in "iu"
+            or np.any(picked < 0) or np.any(picked >= count)):
+        raise ConfigError(
+            f"slots must be a sequence of integers in [0, {count}), got {slots!r}"
+        )
+    return picked
 
 
 def mean_jacobian(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.ndarray:

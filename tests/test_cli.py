@@ -86,7 +86,16 @@ def test_bounds_singular_configuration_exits_3(capsys):
     assert code == 3
     out = capsys.readouterr().out
     assert "coupled columns: tau1 ~ dtau_q" in out
-    assert "SINGULAR" in out
+    assert "SINGULAR: pick a pilot or differential decoupling\n" in out
+
+
+def test_bounds_singular_sensing_frame_names_dead_columns(capsys):
+    # a sensing frame takes no decoupling: say what it cannot resolve
+    assert cli.main(["bounds", "--set", "scenario.n_f=1"]) == 3
+    out = capsys.readouterr().out
+    assert ("configuration is SINGULAR: this sensing frame cannot resolve "
+            "fd1, dfd_2, dfd_3; Doppler needs n_f >= 2\n") in out
+    assert "decoupling" not in out.splitlines()[-1]
 
 
 def test_bounds_pilot_configuration(capsys):

@@ -1,9 +1,12 @@
 """Reference scenario, sweeps, the pilot-vs-differential crossover, pareto."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacbounds.model import (
     ConfigError,
@@ -12,7 +15,9 @@ from isacbounds.model import (
     Scheme,
     received_snr,
 )
+from isacbounds.bounds import comm_efim_ppm, crlb_report
 from isacbounds.experiments import (
+    SWEEP_AXES,
     CrossoverResult,
     SweepSpec,
     data_rate,
@@ -26,7 +31,7 @@ from isacbounds.experiments import (
     with_snr,
 )
 
-from conftest import make_modulation
+from conftest import ALL_KINDS, make_modulation
 
 
 def test_reference_scenario_values():
@@ -118,6 +123,80 @@ def test_sweep_records_errors_and_completes():
     for row in tab.rows:
         assert math.isnan(row[1])
         assert row[-1] != ""
+
+
+def _sweep_point(axis, value, sc, mod):
+    """The (scenario, modulation) a sweep row stands for, built by hand: the
+    n_f axis keeps the pilot share, d_data grows the frame after the pilots,
+    pilot_ratio re-splits a fixed frame."""
+    pilot = mod.decoupling == Decoupling.PILOT
+    if axis == "snr_db":
+        return with_snr(sc, value), mod
+    if axis == "pilot_ratio":
+        if not pilot:
+            raise ConfigError("no pilots to re-split")
+        p = round(value * sc.n_f)
+        return sc, dataclasses.replace(mod, p_pilots=p, d_data=sc.n_f - p)
+    n = int(value)
+    if axis == "n_f":
+        if pilot:
+            p = round(n * mod.p_pilots / (mod.p_pilots + mod.d_data))
+            return with_frame(sc, n), dataclasses.replace(mod, p_pilots=p, d_data=n - p)
+        if mod.scheme == Scheme.SENSING:
+            return with_frame(sc, n), mod
+        return with_frame(sc, n), dataclasses.replace(mod, d_data=n)
+    if mod.scheme == Scheme.SENSING:
+        raise ConfigError("no data PRIs to sweep")
+    frame = mod.p_pilots + n if pilot else n
+    return with_frame(sc, frame), dataclasses.replace(mod, d_data=n)
+
+
+_AXIS_VALUES = {
+    "snr_db": st.floats(-10.0, 30.0),
+    "n_f": st.integers(0, 24).map(float),
+    "d_data": st.integers(0, 20).map(float),
+    "pilot_ratio": st.floats(0.0, 1.0),
+}
+
+
+@given(kind=st.sampled_from(ALL_KINDS), axis=st.sampled_from(SWEEP_AXES), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_sweep_row_equals_its_single_point_report(kind, axis, data):
+    values = data.draw(st.lists(_AXIS_VALUES[axis], min_size=1, max_size=3), label="values")
+    sc, mod = reference_scenario(n_f=6, n_paths=2), make_modulation(kind, 6)
+    outputs = ("root_range_crlb_m", "root_doppler_crlb_hz", "rate_bps")
+    if kind == "ppm-pilot":
+        outputs += ("comm_efim",)
+    table = run_sweep(SweepSpec(axis=axis, values=tuple(values), outputs=outputs,
+                                scenario=sc, modulation=mod))
+    assert [row[0] for row in table.rows] == values
+    for value, row in zip(values, table.rows):
+        got = dict(zip(outputs, row[1:-1]))
+        try:
+            point = _sweep_point(axis, value, sc, mod)
+            rep = crlb_report(*point)
+        except ConfigError:
+            assert row[-1] and all(math.isnan(v) for v in got.values()), row
+            continue
+        fd = rep.crlb.get("fd1")
+        want = {
+            "root_range_crlb_m": math.nan if rep.range_crlb_m2 is None
+            else math.sqrt(rep.range_crlb_m2),
+            "root_doppler_crlb_hz": math.nan if fd is None else math.sqrt(fd),
+            "rate_bps": data_rate(*point),
+        }
+        if "comm_efim" in outputs:
+            try:
+                want["comm_efim"] = comm_efim_ppm(*point)
+            except ConfigError:
+                want["comm_efim"] = math.nan
+        for name, v in want.items():
+            if math.isnan(v):
+                assert math.isnan(got[name]) and row[-1], (name, row)
+            else:
+                assert got[name] == pytest.approx(v, rel=1e-12), (name, row)
+        if rep.singular:
+            assert row[-1], row
 
 
 def test_sweep_spec_validation():

@@ -25,7 +25,9 @@ from isacbounds.model import (
     eta_layout_for,
     received_snr,
 )
+from isacbounds import signals
 from isacbounds.fim import (
+    DEFAULT_FD,
     FdSteps,
     LabeledMatrix,
     coeff_a,
@@ -37,6 +39,7 @@ from isacbounds.fim import (
     per_pri_information,
 )
 from isacbounds.experiments import fim_deviation, reference_scenario, with_snr
+from isacbounds.signals import _slot_model, eta_point, mean_from_eta
 
 from conftest import ALL_KINDS, make_modulation, sym_eigs
 
@@ -176,6 +179,63 @@ def test_numeric_fim_matches_analytic(kind):
     num = observation_fim_numeric(sc, mod)
     assert num.layout.names == ana.layout.names
     assert fim_deviation(num.data, ana.data) < 1e-4
+
+
+def _whole_frame_probe(sc, mod, steps=DEFAULT_FD):
+    # central differences of the whole stacked frame, steps chosen by entry
+    # name, then one dense Gram over every column
+    lay = eta_layout_for(sc, mod)
+    eta = eta_point(sc, mod)
+    cols = []
+    for i, name in enumerate(lay.names):
+        if name.startswith(("tau", "t_")):
+            h = steps.delay
+        elif name.startswith("phi"):
+            h = steps.phase
+        else:
+            h = steps.amp_rel * abs(eta[i])
+        up, dn = eta.copy(), eta.copy()
+        up[i] += h
+        dn[i] -= h
+        cols.append((mean_from_eta(sc, mod, up) - mean_from_eta(sc, mod, dn)) / (2.0 * h))
+    B = np.stack(cols, axis=1)
+    return (B.conj().T @ B).real / sc.sigma2
+
+
+@pytest.mark.parametrize("f_s", [10e9, 100e9])
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_numeric_fim_equals_whole_frame_probe(kind, n_paths, f_s):
+    # the slot-local probe differs from the whole-frame one only in the
+    # summation order of its Gram
+    n_f = 3
+    sc = dataclasses.replace(reference_scenario(n_f=n_f, n_paths=n_paths), f_s=f_s)
+    mod = make_modulation(kind, n_f)
+    got = observation_fim_numeric(sc, mod).data
+    want = _whole_frame_probe(sc, mod)
+    d = np.sqrt(np.diag(want))
+    assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-13
+
+
+def test_numeric_fim_samples_only_the_slots_each_entry_drives(monkeypatch):
+    # each entry re-evaluates the slots the per-slot map says it drives (one
+    # sample_pulse call per slot, up and down), not the whole frame
+    n_f = 8
+    sc = reference_scenario(n_f=n_f, n_paths=3)
+    mod = make_modulation("bpsk-pilot", n_f)
+    size, _, index = _slot_model(sc, mod)
+    want = 2 * sum(int(np.any(index == i, axis=(0, 2)).sum()) for i in range(size))
+    assert (want, 2 * size * n_f) == (144, 576)
+    calls = []
+    sample = signals.sample_pulse
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(signals, "sample_pulse", counted)
+    observation_fim_numeric(sc, mod)
+    assert len(calls) == want
 
 
 def test_numeric_fim_positive_semidefinite():

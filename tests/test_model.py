@@ -19,6 +19,7 @@ from isacbounds.model import (
     ModulationConfig,
     PathState,
     PulseShape,
+    SUPPORT_SIGMAS,
     ScenarioConfig,
     Scheme,
     amp_for_snr,
@@ -133,6 +134,64 @@ def test_pulse_samplers_take_an_array_of_centers():
         np.testing.assert_array_equal(got, want)
     with pytest.raises(LeakageError):
         sample_pulse(sc.pulse, [20e-9, sc.t_f - 5 * ALPHA], sc)
+
+
+def _full_grid_pulse(shape, tau, sc):
+    # the pulse formula evaluated on every sample of the PRI grid
+    t = time_grid(sc) - np.asarray(tau, dtype=float)[..., None]
+    c = (shape.alpha * math.sqrt(math.pi)) ** -0.5
+    return c * np.exp(-(t * t) / (2.0 * shape.alpha ** 2))
+
+
+def _last_center(sc):
+    # largest center whose +-6 alpha support stays inside the PRI
+    half = SUPPORT_SIGMAS * sc.pulse.alpha
+    tau = sc.t_f - half
+    while tau + half >= sc.t_f:
+        tau = np.nextafter(tau, 0.0)
+    return float(tau)
+
+
+@pytest.mark.parametrize("f_s", [7.77e9, 10e9, 100e9])
+def test_sample_pulse_is_bit_identical_to_the_full_grid_formula(f_s):
+    # only samples near the center are computed; the rest must be the exact
+    # zeros the formula underflows to
+    sc = _scenario(f_s=f_s)
+    rng = np.random.default_rng(int(f_s) % 1000)
+    taus = rng.uniform(0.0, _last_center(sc), 200)
+    for tau in [*taus, 0.0, _last_center(sc)]:
+        np.testing.assert_array_equal(sample_pulse(sc.pulse, tau, sc),
+                                      _full_grid_pulse(sc.pulse, tau, sc), err_msg=tau)
+    batch = taus[:12].reshape(4, 3)
+    got = sample_pulse(sc.pulse, batch, sc)
+    assert got.shape == (4, 3, sc.n_s)
+    np.testing.assert_array_equal(got, _full_grid_pulse(sc.pulse, batch, sc))
+
+
+def test_sample_pulse_one_sample_window():
+    # alpha * f_s = 1e-20: a center on a grid point leaves one nonzero sample,
+    # which the window's padding must still cover: (k / f_s) * f_s rounds
+    # above k for some grid points (k = 21 at 10 GHz) and below it for others
+    # (k = 43)
+    sc = _scenario()
+    pulse = PulseShape(alpha=1e-20 / sc.f_s)
+    for k in range(sc.n_s):
+        tau = k / sc.f_s
+        want = _full_grid_pulse(pulse, tau, sc)
+        assert np.count_nonzero(want) == 1
+        np.testing.assert_array_equal(sample_pulse(pulse, tau, sc), want, err_msg=k)
+
+
+def test_sample_pulse_underflowing_width_uses_the_whole_grid():
+    # 2 alpha**2 underflows to 0 and so does t * t on a 1e-170 s grid: the
+    # formula gives 0 / 0 = NaN on every sample, and so must the sampler
+    sc = _scenario(t_f=1e-167, f_s=1e170, paths=(PathState(5e-168),),
+                   pulse=PulseShape(alpha=1e-200))
+    with np.errstate(invalid="ignore"):
+        want = _full_grid_pulse(sc.pulse, 5e-168, sc)
+        got = sample_pulse(sc.pulse, 5e-168, sc)
+    assert np.all(np.isnan(want))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_pulse_time_derivative_matches_finite_difference():

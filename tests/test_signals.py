@@ -214,3 +214,20 @@ def test_mean_from_eta_rejects_delay_past_the_pri(kind):
         eta[delay] = value
         with pytest.raises(LeakageError):
             mean_from_eta(sc, mod, eta)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_mean_from_eta_slots_are_rows_of_the_whole_frame(kind):
+    n_f = 3
+    sc = reference_scenario(n_f=n_f, n_paths=2, dopplers=(100.0, -50.0))
+    mod = make_modulation(kind, n_f)
+    eta = eta_point(sc, mod)
+    whole = mean_from_eta(sc, mod, eta).reshape(-1, sc.n_s)
+    last = whole.shape[0] - 1
+    for slots in ([0], [last, 0], [1, 1], range(last + 1), np.array([last], dtype=np.uint8),
+                  np.array([], dtype=int)):
+        got = mean_from_eta(sc, mod, eta, slots)
+        np.testing.assert_array_equal(got, whole[list(slots)].ravel(), err_msg=str(slots))
+    for bad in ([last + 1], [-1], [0.0], [True], "0", [[0]], 0):
+        with pytest.raises(ConfigError):
+            mean_from_eta(sc, mod, eta, bad)
