@@ -33,6 +33,7 @@ from .model import (
 )
 from .signals import mean_jacobian, mean_vector
 from .fim import (
+    DiagonalMatrix,
     FdSteps,
     LabeledMatrix,
     observation_fim_analytic,
@@ -75,7 +76,7 @@ __all__ = [
     "amp_for_snr", "check_regulatory", "effective_bandwidth", "received_snr",
     "sample_pulse",
     "mean_jacobian", "mean_vector",
-    "FdSteps", "LabeledMatrix",
+    "DiagonalMatrix", "FdSteps", "LabeledMatrix",
     "observation_fim_analytic", "observation_fim_numeric",
     "StructMatrix", "differential_maps", "e_vector", "h_matrix",
     "CoupledParametersError", "CrlbReport", "SingularityReport",

@@ -2,18 +2,20 @@
 
 The pipeline is
 
-    I_eta  (observation FIM, :mod:`isacbounds.fim`)
+    I_eta  (observation FIM, :mod:`isacbounds.fim`; diagonal, diag(lambda))
       -> I_theta = J^T I_eta J          (structural Jacobians)
       -> EFIM(block) = A - B^T C^{-1} B (Schur complement onto a target block)
       -> CRLB(block) = tr(EFIM^{-1})    (and c**2 * CRLB(tau1) for ranging).
 
 :func:`assemble_theta_fim` has one route per frame kind.  Differential frames
 run through :func:`differential_pipeline`; other frames form the product
-J^T I_eta J while eta has at most ``PRODUCT_CHECK_MAX_ETA`` entries.  Either
-product is required to agree with :func:`closed_form_theta_fim`, built
-directly from the closed-form block expressions, entry-wise to 1e-10 of the
-geometric mean of their diagonal entries.  Larger non-differential frames
-return the closed form without a product.
+J^T diag(lambda) J from the diagonal of I_eta, in O(n_eta n_theta^2) and with
+no n_eta x n_eta matrix, while eta has at most ``PRODUCT_CHECK_MAX_ETA``
+entries.  Either product is required to agree with
+:func:`closed_form_theta_fim`, built directly from the closed-form block
+expressions, entry-wise to 1e-10 of the geometric mean of their diagonal
+entries.  Larger non-differential frames return the closed form without a
+product.
 
 The Schur elimination uses a Cholesky factorization of the nuisance block; if
 that block is singular (which is the defining symptom of sensing/data
@@ -51,7 +53,9 @@ from .model import (
     validate_modulation,
 )
 from .fim import (
+    DiagonalMatrix,
     LabeledMatrix,
+    _require_finite,
     coeff_a_range,
     coeff_b_full,
     observation_fim_analytic,
@@ -116,7 +120,7 @@ def _equilibrate(data: np.ndarray) -> np.ndarray:
     return data * s[:, None] * s[None, :]
 
 
-def singularity_report(mat: LabeledMatrix | np.ndarray,
+def singularity_report(mat: LabeledMatrix | DiagonalMatrix | np.ndarray,
                        labels: tuple[str, ...] | None = None,
                        tol: float = RANK_RTOL) -> SingularityReport:
     """SVD-based rank report with duplicate/zero column identification.
@@ -125,15 +129,17 @@ def singularity_report(mat: LabeledMatrix | np.ndarray,
     values above ``tol`` times the largest one.  Column pairs of the scaled
     matrix whose difference is below ``tol`` relative to their size are
     reported as coupled (these are the structurally indistinguishable
-    parameter directions); all-zero columns are listed separately.
+    parameter directions); all-zero columns are listed separately.  A NaN or
+    +-inf entry raises ConfigError.
     """
-    if isinstance(mat, LabeledMatrix):
+    if isinstance(mat, (LabeledMatrix, DiagonalMatrix)):
         data = mat.data
         labels = mat.layout.names
     else:
         data = np.asarray(mat)
         if labels is None:
             labels = tuple(f"col_{i}" for i in range(data.shape[1]))
+    _require_finite(data, labels)
     n = data.shape[1]
     scaled = _equilibrate(data)
     s = np.linalg.svd(scaled, compute_uv=False)
@@ -304,7 +310,8 @@ def closed_form_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig
             cross = own = modulation.d_data if dec == Decoupling.PILOT else n_f
         q = layout.block_slice("dtau_q")
         put(tau, q, cross * _congruence(H, l_tau1, E))
-        put(q, q, own * _congruence(E, l_tau1, E))
+        with np.errstate(over="ignore"):  # LabeledMatrix refuses an overflowed weight
+            put(q, q, own * _congruence(E, l_tau1, E))
     elif scheme == Scheme.BPSK:
         if dec == Decoupling.PILOT:
             # raw data phase: unit ramp on the D data PRIs
@@ -368,7 +375,6 @@ def differential_pipeline(scenario: ScenarioConfig, modulation: ModulationConfig
     L, n_f = scenario.n_paths, scenario.n_f
     l_tau, l_phi, l_alpha = per_pri_information(scenario)
     lam = np.diag(l_tau)
-    B = np.block([[(sfd_weight + 1.0) * lam, lam], [lam, lam]])
     H, E = h_matrix(L), e_vector(L)
     J_k = np.block([[np.zeros((L, L)), E], [H, E]])  # the same for every PRI
     ramp = float(np.sum(ramp_slope(np.arange(n_f), scenario.t_f) ** 2))
@@ -376,7 +382,9 @@ def differential_pipeline(scenario: ScenarioConfig, modulation: ModulationConfig
     layout = theta_layout_for(scenario, modulation)
     M = np.zeros((layout.size, layout.size))
     delay, doppler, amp = (layout.block_slice(b) for b in ("delay", "doppler", "amp"))
-    M[delay, delay] = n_f * (J_k.T @ B @ J_k)
+    with np.errstate(over="ignore", invalid="ignore"):  # LabeledMatrix refuses inf/NaN
+        B = np.block([[(sfd_weight + 1.0) * lam, lam], [lam, lam]])
+        M[delay, delay] = n_f * (J_k.T @ B @ J_k)
     M[doppler, doppler] = ramp * _congruence(H, l_phi, H)
     M[amp, amp] = np.diag(n_f * l_alpha)
     return LabeledMatrix(M, layout)
@@ -398,7 +406,8 @@ class DifferentialChain:
     i_theta: LabeledMatrix
 
 
-def differential_chain(scenario: ScenarioConfig, i_eta: LabeledMatrix) -> DifferentialChain:
+def differential_chain(scenario: ScenarioConfig,
+                       i_eta: LabeledMatrix | DiagonalMatrix) -> DifferentialChain:
     """Run a differential-frame I_eta through the explicit dense chain.
 
     The reference for :func:`differential_pipeline`, and the route for an
@@ -450,7 +459,8 @@ def assemble_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig,
     """I_theta for any scenario/modulation pair.
 
     Differential frames take :func:`differential_pipeline`; other frames
-    with at most ``PRODUCT_CHECK_MAX_ETA`` eta entries take J^T I_eta J.
+    with at most ``PRODUCT_CHECK_MAX_ETA`` eta entries take J^T diag(lambda) J,
+    with lambda the diagonal of I_eta (its dense form is never built).
     That product is returned after an entry-wise comparison with
     :func:`closed_form_theta_fim` on the equilibrated scale at 1e-10, and a
     mismatch raises.  Larger non-differential frames return the closed form.
@@ -462,7 +472,7 @@ def assemble_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig,
     elif eta_size(scenario, modulation) <= PRODUCT_CHECK_MAX_ETA:
         i_eta = observation_fim_analytic(scenario, modulation)
         J = jacobian_for(scenario, modulation)
-        product = LabeledMatrix(J.data.T @ i_eta.data @ J.data, J.col_layout)
+        product = LabeledMatrix(_congruence(J.data, i_eta.diag, J.data), J.col_layout)
     else:
         return closed_form_theta_fim(scenario, modulation, sfd_weight)
     _check_agreement(product, closed_form_theta_fim(scenario, modulation, sfd_weight))

@@ -18,6 +18,8 @@ to the eta entry that the per-slot map of :mod:`isacbounds.signals` names
 for it, so an entry touched by M pulses carries M lambda.  B is the effective
 bandwidth and SNR_l the per-pulse received SNR of the path.  The symmetric
 pulse makes the arrival-time / amplitude cross information exactly zero.
+:func:`observation_fim_analytic` therefore returns I_eta as its diagonal, a
+:class:`DiagonalMatrix`, whose dense form is built only on request.
 
 Frame-phase ramp coefficients used by the physical-parameter assembly
 (:mod:`isacbounds.bounds`) also live here: ``coeff_a`` sums ``2 pi kappa t_f``
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +60,19 @@ SYMMETRY_RTOL = 1e-10
 # =========================================================================
 
 
+def _require_finite(values: np.ndarray, labels) -> None:
+    """Raise ConfigError naming the first NaN or +-inf entry of a square
+    matrix (2-D ``values``) or of a diagonal (1-D ``values``)."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        at = tuple(np.argwhere(bad)[0])
+        i, j = at if len(at) == 2 else at * 2
+        raise ConfigError(
+            f"information entry ({labels[i]}, {labels[j]}) is {values[at]}; "
+            "the configuration overflows float64"
+        )
+
+
 @dataclass
 class LabeledMatrix:
     """Square matrix addressed by the named blocks of a ParamLayout."""
@@ -70,6 +86,7 @@ class LabeledMatrix:
             raise ConfigError(
                 f"matrix shape {self.data.shape} does not match layout size {n}"
             )
+        _require_finite(self.data, self.layout.names)
         scale = float(np.max(np.abs(self.data))) or 1.0
         skew = float(np.max(np.abs(self.data - self.data.T)))
         if skew > SYMMETRY_RTOL * scale:
@@ -87,6 +104,44 @@ class LabeledMatrix:
         r = self.layout.block_slice(row_name)
         c = self.layout.block_slice(col_name if col_name is not None else row_name)
         return self.data[r, c]
+
+
+@dataclass
+class DiagonalMatrix:
+    """Diagonal square matrix addressed by the named blocks of a ParamLayout.
+
+    Only the diagonal is stored.  ``data``, the dense matrix, is built on
+    first access and cached; a diagonal matrix is symmetric by construction,
+    so only the shape and finiteness of ``diag`` are checked.
+    """
+
+    diag: np.ndarray
+    layout: ParamLayout
+
+    def __post_init__(self):
+        n = self.layout.size
+        if self.diag.shape != (n,):
+            raise ConfigError(
+                f"diagonal shape {self.diag.shape} does not match layout size {n}"
+            )
+        _require_finite(self.diag, self.layout.names)
+
+    @property
+    def size(self) -> int:
+        return self.layout.size
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        return np.diag(self.diag)
+
+    def block(self, row_name: str, col_name: str | None = None) -> np.ndarray:
+        """The (row_name, col_name) block as a new array; col defaults to row."""
+        r = self.layout.block_slice(row_name)
+        c = self.layout.block_slice(col_name if col_name is not None else row_name)
+        out = np.zeros((r.stop - r.start, c.stop - c.start))
+        k = np.arange(max(r.start, c.start), min(r.stop, c.stop))
+        out[k - r.start, k - c.start] = self.diag[k]
+        return out
 
 
 # =========================================================================
@@ -187,29 +242,33 @@ def require_sfd_weight(sfd_weight: float) -> None:
 
 
 def observation_fim_analytic(scenario: ScenarioConfig, modulation: ModulationConfig,
-                             sfd_weight: float = 1.0) -> LabeledMatrix:
-    """Closed-form I_eta for the given scenario/modulation pair.
+                             sfd_weight: float = 1.0) -> DiagonalMatrix:
+    """Closed-form I_eta for the given scenario/modulation pair, as its diagonal.
 
     Every (slot, path) pulse gives one pulse's lambda to the eta entry that
     the per-slot map of :mod:`isacbounds.signals` names for its delay, phase
     and amplitude.  ``sfd_weight`` scales the arrival-time information of the
     differential reference pulse relative to a single data pulse (1.0 = one
     pulse's worth).  Slots are disjoint and paths are >= 12 alpha apart (a
-    ScenarioConfig invariant), so the matrix is exactly diagonal.
+    ScenarioConfig invariant), so the matrix is exactly diagonal: it is
+    returned as a :class:`DiagonalMatrix`, and its dense n_eta x n_eta form
+    is built only when ``.data`` is read.  A weight that overflows the
+    reference information raises ConfigError.
     """
     require_sfd_weight(sfd_weight)
     layout = eta_layout_for(scenario, modulation)
     size, _, index = _slot_model(scenario, modulation)
     lam = np.empty(index.shape)
     lam[:] = np.array(per_pri_information(scenario))[:, None, :]
-    lam[_TAU, :index.shape[1] - scenario.n_f] *= sfd_weight  # reference slot
-    # every pulse of an entry carries the same lambda: write it once and
-    # count the pulses, so n_f * lambda is formed exactly as a product
     known = index >= 0
     diag = np.zeros(size)
-    diag[index[known]] = lam[known]
-    diag *= np.bincount(index[known], minlength=size)
-    return LabeledMatrix(np.diag(diag), layout)
+    with np.errstate(over="ignore"):  # DiagonalMatrix refuses an inf entry
+        lam[_TAU, :index.shape[1] - scenario.n_f] *= sfd_weight  # reference slot
+        # every pulse of an entry carries the same lambda: write it once and
+        # count the pulses, so n_f * lambda is formed exactly as a product
+        diag[index[known]] = lam[known]
+        diag *= np.bincount(index[known], minlength=size)
+    return DiagonalMatrix(diag, layout)
 
 
 # =========================================================================

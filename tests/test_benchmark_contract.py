@@ -102,6 +102,10 @@ def test_traced_frame_grid_contract():
     for (n_f, kind), children in zip(TRACED_CALLS, out["children"]):
         if kind == "ppm-diff":
             assert {"bounds.differential_pipeline", "bounds.closed_form_theta_fim"} <= set(children), n_f
+        elif n_f <= 64:
+            # the product route reads the diagonal I_eta from the function
+            # whose span the frame_grid contract requires
+            assert "fim.observation_fim_analytic" in children, (n_f, kind)
     # the Jacobian is read off the per-slot map, not built PRI by PRI
     jacobian_spans = dict(zip(TRACED_CALLS, out["jacobians"]))
     for kind in NON_DIFFERENTIAL:

@@ -11,6 +11,7 @@ information of one path):
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,14 @@ def test_singularity_report_subnormal_diagonal():
     assert rep.coupled_columns == ()
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_singularity_report_refuses_non_finite_entries(bad):
+    M = np.eye(3)
+    M[2, 1] = bad
+    with pytest.raises(ConfigError, match=rf"\(w, v\) is {bad}"):
+        singularity_report(M, labels=("u", "v", "w"))
+
+
 def test_singularity_report_survives_mixed_scales():
     # delay information sits ~23 decades above Doppler information; the rank
     # decision has to hold up under that
@@ -216,6 +225,52 @@ def test_closed_form_theta_fim_consistent_with_product(kind):
     assert fim_deviation(fim.data, closed.data) < 1e-10
     eigs = sym_eigs(fim.data)
     assert eigs.min() >= -1e-8 * eigs.max()
+
+
+NON_DIFFERENTIAL = ("sensing", "ppm-pilot", "bpsk-pilot", "ppm-raw", "bpsk-raw")
+
+
+@pytest.mark.parametrize("n_paths", (1, 2, 3))
+@pytest.mark.parametrize("kind", NON_DIFFERENTIAL)
+def test_product_route_equals_dense_triple_product(kind, n_paths):
+    # J^T diag(lambda) J against the dense J^T I_eta J it replaces
+    for n_f in (1, 8, 64, 499):
+        sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+        if "pilot" in kind and n_f == 1:
+            mod = ModulationConfig(kind.split("-")[0], Decoupling.PILOT, p_pilots=1, d_data=0)
+        else:
+            mod = make_modulation(kind, n_f)
+        I = observation_fim_analytic(sc, mod)
+        assert np.array_equal(I.data, np.diag(I.diag)), n_f
+        J = jacobian_for(sc, mod).data
+        fim = assemble_theta_fim(sc, mod)
+        assert equilibrated_deviation(fim.data, J.T @ I.data @ J) <= 1e-13, n_f
+
+
+@pytest.mark.parametrize("kind", ("ppm-pilot", "sensing"))
+def test_product_route_never_builds_dense_i_eta(monkeypatch, kind):
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append(observation_fim_analytic(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(bounds, "observation_fim_analytic", capture)
+    n_f = 499
+    assemble_theta_fim(reference_scenario(n_f=n_f), make_modulation(kind, n_f))
+    assert len(seen) == 1
+    assert "data" not in seen[0].__dict__
+
+
+def test_overflowing_sfd_weight_is_a_config_error():
+    sc = reference_scenario(n_f=8)
+    mod = make_modulation("ppm-diff", 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route, entry in ((differential_pipeline, r"\(tau1, tau1\) is nan"),
+                             (closed_form_theta_fim, r"\(dtau_q, dtau_q\) is inf")):
+            with pytest.raises(ConfigError, match=entry):
+                route(sc, mod, sfd_weight=1e300)
 
 
 @pytest.mark.parametrize("kind", ("sensing", "ppm-pilot", "ppm-diff"))

@@ -205,6 +205,18 @@ def test_bounds_rejects_bad_sfd_weight(n_f, weight, capsys):
     assert "sfd_weight" in capsys.readouterr().err
 
 
+def test_bounds_rejects_overflowing_sfd_weight(capsys):
+    # a finite weight whose reference information overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["bounds", "--set", "modulation.scheme=ppm",
+                         "--set", "modulation.decoupling=differential",
+                         "--set", "modulation.sfd_weight=1e300"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: information entry (tau1, tau1) is ")
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     code = cli.main(["sweep", "--out", str(tmp_path),
                      "--set", "modulation.scheme=ppm",

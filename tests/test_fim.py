@@ -7,6 +7,7 @@ The frozen anchors here were computed once from the closed forms and pinned:
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from isacbounds.model import (
 from isacbounds import signals
 from isacbounds.fim import (
     DEFAULT_FD,
+    DiagonalMatrix,
     FdSteps,
     LabeledMatrix,
     coeff_a,
@@ -168,6 +170,15 @@ def test_sfd_weight_scales_reference_rows():
                                I1.block("t_0", "t_0"), rtol=1e-12)
 
 
+def test_overflowing_sfd_weight_is_a_config_error():
+    sc = reference_scenario(n_f=2, n_paths=1)
+    mod = ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"\(t_ref_1, t_ref_1\) is inf"):
+            observation_fim_analytic(sc, mod, sfd_weight=1e300)
+
+
 # -------------------------------------------------------- numeric cross-check
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -287,3 +298,39 @@ def test_labeled_matrix_block_accessor():
     sl = lay.block_slice("tau")
     np.testing.assert_array_equal(I.block("tau", "tau"), I.data[sl, sl])
     assert I.size == lay.size
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_labeled_matrices_refuse_non_finite_entries(bad):
+    lay = eta_layout_for(reference_scenario(n_f=2, n_paths=1), ModulationConfig(Scheme.SENSING))
+    names = lay.names
+    M = np.eye(lay.size)
+    M[1, 2] = M[2, 1] = bad  # a NaN skew compares False against any tolerance
+    with pytest.raises(ConfigError, match=rf"\({names[1]}, {names[2]}\) is {bad}"):
+        LabeledMatrix(M, lay)
+    d = np.ones(lay.size)
+    d[2] = bad
+    with pytest.raises(ConfigError, match=rf"\({names[2]}, {names[2]}\) is {bad}"):
+        DiagonalMatrix(d, lay)
+
+
+def test_diagonal_matrix_validation():
+    lay = eta_layout_for(reference_scenario(n_f=2, n_paths=1), ModulationConfig(Scheme.SENSING))
+    for shape in ((lay.size + 1,), (lay.size, lay.size), ()):
+        with pytest.raises(ConfigError, match="diagonal shape"):
+            DiagonalMatrix(np.ones(shape), lay)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_diagonal_matrix_blocks_and_dense_form(kind):
+    sc = reference_scenario(n_f=4, n_paths=2)
+    I = observation_fim_analytic(sc, make_modulation(kind, 4))
+    assert isinstance(I, DiagonalMatrix)
+    assert "data" not in I.__dict__  # the dense form waits for a request
+    dense = I.data
+    assert I.data is dense  # and is then built once
+    np.testing.assert_array_equal(dense, np.diag(I.diag))
+    for a in I.layout.block_bounds:
+        for b in I.layout.block_bounds:
+            ra, rb = I.layout.block_slice(a), I.layout.block_slice(b)
+            np.testing.assert_array_equal(I.block(a, b), dense[ra, rb], err_msg=f"{a}, {b}")
