@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import (
     ConfigError,
@@ -62,14 +61,7 @@ from .fim import (
     per_pri_information,
     require_sfd_weight,
 )
-from .jacobians import (
-    differential_maps,
-    e_vector,
-    h_matrix,
-    jacobian_for,
-    ramp_slope,
-    sfd_expansion,
-)
+from .jacobians import differential_maps, e_vector, h_matrix, jacobian_for, ramp_slope
 
 RANK_RTOL = 1e-10
 ASSEMBLY_RTOL = 1e-10
@@ -197,16 +189,17 @@ def schur_complement(M: np.ndarray, keep: np.ndarray, elim: np.ndarray,
         ) from None
 
     try:
-        cf = cho_factor(C, lower=True)
+        low = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         _raise_singular()
     # an exactly dependent direction can survive the factorization on a
     # roundoff-sized pivot; the squared pivot over the diagonal entry is the
     # scale-free leftover of that direction, so gate it explicitly
-    pivot_ratio = np.diag(cf[0]) ** 2 / np.diag(C)
+    pivot_ratio = np.diag(low) ** 2 / np.diag(C)
     if np.any(pivot_ratio <= RANK_RTOL):
         _raise_singular()
-    return A - B.T @ cho_solve(cf, B)
+    Y = np.linalg.solve(low, B)  # B^T C^{-1} B = Y^T Y with C = low low^T
+    return A - Y.T @ Y
 
 
 #: scaled EFIM eigenvalues at or below this are treated as annihilated: the
@@ -411,14 +404,15 @@ def differential_chain(scenario: ScenarioConfig,
     """Run a differential-frame I_eta through the explicit dense chain.
 
     The reference for :func:`differential_pipeline`, and the route for an
-    I_eta that is not the closed form (e.g. the numeric probe):
-    :func:`~isacbounds.jacobians.sfd_expansion`,
+    I_eta that is not the closed form (e.g. the numeric probe): the maps of
     :func:`~isacbounds.jacobians.differential_maps` and
-    :func:`zero_reference_cross`, as O((n_f L)^3) dense products.
+    :func:`zero_reference_cross`, as O((n_f L)^3) dense products.  Its
+    theta side is :func:`~isacbounds.jacobians.jacobian_for`'s J of the
+    differential PPM frame, validated at the default ``xi_ppm`` (J does not
+    depend on it), so a scenario whose paths leave no room for that shift
+    raises LeakageError here.
     """
-    L, n_f = scenario.n_paths, scenario.n_f
-    G = sfd_expansion(L, n_f)
-    P, J = differential_maps(L, n_f, scenario.t_f)
+    G, P, J = differential_maps(scenario)
     if tuple(G.col_layout.names) != tuple(i_eta.layout.names):
         raise ConfigError("observation FIM layout does not match the differential maps")
     i_ext = LabeledMatrix(G.data @ i_eta.data @ G.data.T, G.row_layout)

@@ -21,9 +21,9 @@ pulse makes the arrival-time / amplitude cross information exactly zero.
 :func:`observation_fim_analytic` therefore returns I_eta as its diagonal, a
 :class:`DiagonalMatrix`, whose dense form is built only on request.
 
-Frame-phase ramp coefficients used by the physical-parameter assembly
-(:mod:`isacbounds.bounds`) also live here: ``coeff_a`` sums ``2 pi kappa t_f``
-and ``coeff_b`` sums its square over a PRI index range.
+The closed-form ramp sums of the assembly (:mod:`isacbounds.bounds`) also
+live here: :func:`coeff_b_full` sums ``(2 pi kappa t_f)**2`` over the frame
+and :func:`coeff_a_range` sums ``2 pi kappa t_f`` over a PRI range.
 """
 
 from __future__ import annotations
@@ -149,25 +149,13 @@ class DiagonalMatrix:
 # =========================================================================
 
 
-def coeff_a(t_f: float, kappas) -> float:
-    """Sum of the per-PRI phase-ramp slopes 2 pi kappa t_f over a PRI range."""
-    k = np.asarray(list(kappas), dtype=float)
-    return float(np.sum(2.0 * math.pi * k * t_f))
-
-
-def coeff_b(t_f: float, kappas) -> float:
-    """Sum of the squared phase-ramp slopes (2 pi kappa t_f)**2 over a range."""
-    k = np.asarray(list(kappas), dtype=float)
-    return float(np.sum((2.0 * math.pi * k * t_f) ** 2))
-
-
 def coeff_b_full(t_f: float, n_f: int) -> float:
-    """coeff_b over kappa = 0 .. n_f-1: (2 pi t_f)**2 n (n-1) (2n-1) / 6."""
+    """Sum of (2 pi kappa t_f)**2 over kappa < n_f: (2 pi t_f)**2 n (n-1) (2n-1) / 6."""
     return (2.0 * math.pi * t_f) ** 2 * n_f * (n_f - 1) * (2 * n_f - 1) / 6.0
 
 
 def coeff_a_range(t_f: float, start: int, count: int) -> float:
-    """coeff_a over kappa = start .. start+count-1: pi t_f count (2 start + count - 1)."""
+    """Slope sum over kappa = start .. start+count-1: pi t_f count (2 start + count - 1)."""
     return math.pi * t_f * count * (2 * start + count - 1)
 
 

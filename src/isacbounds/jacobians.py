@@ -16,14 +16,16 @@ derivatives are built from two primitives:
     of paths 2..L -- it maps [tau1, dtau_2..L] to the absolute per-path values;
   * ``E`` (L x 1): all ones -- it maps a shift common to every path.
 
-Per-PRI phase rows use the ramp slope 2 pi kappa t_f (``L_kappa = 2 pi kappa
-t_f H``), since both Doppler and the Doppler-equivalent data phase enter the
-PRI-``kappa`` phase through that factor.
+Per-PRI phase rows carry the ramp slope 2 pi kappa t_f times H, since both
+Doppler and the Doppler-equivalent data phase enter the PRI-``kappa`` phase
+through that factor.
 
-Differential frames need two extra maps (see :func:`differential_maps`): the
-observation list is first expanded so that the reference arrival time appears
-once per data PRI (``sfd_expansion``), then rotated to the difference
-sequence [t^k - t^ref, t^k] by the square, +-1-banded ``P_diff``.
+A differential frame is a reparameterization of the same eta: duplicate the
+reference arrival time once per data PRI, rotate to the difference sequence
+[t^k - t^ref, t^k], collapse onto theta.  :func:`differential_maps` builds
+those maps by index arithmetic and takes the theta side from
+:func:`jacobian_for`, so the chain rule through them needs no second,
+hand-placed Jacobian.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ from .model import (
     ScenarioConfig,
     Scheme,
     _layout,
-    eta_layout,
     eta_layout_for,
-    theta_layout,
     theta_layout_for,
 )
 from .signals import _AMP, _PHI, _TAU, _slot_model, bound_bits
@@ -91,11 +91,6 @@ def ramp_slope(kappa: int | np.ndarray, t_f: float) -> float | np.ndarray:
     return 2.0 * math.pi * kappa * t_f
 
 
-def l_kappa(n_paths: int, kappa: int, t_f: float) -> np.ndarray:
-    """L_kappa = 2 pi kappa t_f * H (per-PRI phase rows of the Jacobian)."""
-    return ramp_slope(kappa, t_f) * h_matrix(n_paths)
-
-
 # =========================================================================
 # Jacobian (eta rows x theta columns)
 # =========================================================================
@@ -110,7 +105,8 @@ def jacobian_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> Stru
     times H (plus the data bit through phi_bpsk: raw on pilot splits, riding
     the ramp otherwise) and each amplitude with I; those derivatives are
     written into the eta rows the map names.  For a differential frame this
-    is the plain chain rule; its I_theta follows :func:`differential_maps`.
+    is the plain chain rule, which :func:`differential_maps` carries on to
+    the difference sequence.
     """
     rows = eta_layout_for(scenario, modulation)
     cols = theta_layout_for(scenario, modulation)
@@ -161,73 +157,38 @@ def _interleaved_layout(first: str, n_paths: int, n_f: int) -> ParamLayout:
     return layout
 
 
-def eta_ext_layout(n_paths: int, n_f: int) -> ParamLayout:
-    """Expanded differential observation list: the reference arrival time is
-    duplicated once per data PRI, interleaved as [ref_0, t_0, ref_1, t_1, ...],
-    followed by the per-PRI phases and the amplitudes."""
-    return _interleaved_layout("ref", n_paths, n_f)
+def differential_maps(
+        scenario: ScenarioConfig) -> tuple[StructMatrix, StructMatrix, StructMatrix]:
+    """(G, P, J_diff): the three dense maps of the differential chain.
 
+    ``G`` duplicates the reference: every ``ref_k`` row of the expanded
+    observation list [ref_0, t_0, ref_1, t_1, ..., phases, amplitudes] reads
+    ``t_ref``, every other row passes its eta entry through once.  ``P``
+    (expanded rows, difference-sequence columns) is the identity with -1 on
+    the ``ref_k`` diagonal and +1 at (t_k, delta_k), so P^T takes the
+    expanded list to [delta_0, t_0, delta_1, t_1, ...] with
+    delta_k = t_k - t_ref; the transformed information is P^T I_ext P, and
+    |det P| = 1, so the rotation creates or destroys no information.
 
-def diffseq_layout(n_paths: int, n_f: int) -> ParamLayout:
-    """Difference-sequence vector: [delta_0, t_0, delta_1, t_1, ...] with
-    delta_k = t_k - t_ref, then per-PRI phases and amplitudes."""
-    return _interleaved_layout("delta", n_paths, n_f)
-
-
-def sfd_expansion(n_paths: int, n_f: int) -> StructMatrix:
-    """Duplication map G from the physical differential eta to the expanded
-    list (every ``ref_k`` row reads the single ``t_ref`` entry).
-
-    The expanded information matrix is G I_eta G^T; the duplicated reference
-    rows are then perfectly correlated, which is exactly what the difference
-    transform re-expresses.
+    ``J_diff`` = P^T G J maps theta to the difference sequence, with J the
+    :func:`jacobian_for` Jacobian of the differential PPM frame (validated at
+    the default ``xi_ppm``, on which J does not depend): the chain rule
+    through the reparameterization, so the per-slot map that drives I_eta
+    also fixes the differential theta-structure.
     """
-    rows = eta_ext_layout(n_paths, n_f)
-    cols = eta_layout(Scheme.PPM, Decoupling.DIFFERENTIAL, n_paths, n_f)
-    G = np.zeros((rows.size, cols.size))
-    eye = np.eye(n_paths)
-    for k in range(n_f):
-        G[rows.block_slice(f"ref_{k}"), cols.block_slice("t_ref")] = eye
-        G[rows.block_slice(f"t_{k}"), cols.block_slice(f"t_{k}")] = eye
-        G[rows.block_slice(f"phi_{k}"), cols.block_slice(f"phi_{k}")] = eye
-    G[rows.block_slice("amp"), cols.block_slice("amp")] = eye
-    return StructMatrix(G, rows, cols)
+    L, n_f = scenario.n_paths, scenario.n_f
+    frame = ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL, d_data=n_f)
+    J = jacobian_for(scenario, frame)
+    ext = _interleaved_layout("ref", L, n_f)
+    seq = _interleaved_layout("delta", L, n_f)
+    paths = np.arange(L)
+    ref = 2 * L * np.arange(n_f)[:, None] + paths  # ref_k rows; t_k sits L further
 
-
-def differential_maps(n_paths: int, n_f: int, t_f: float) -> tuple[StructMatrix, StructMatrix]:
-    """(P_diff, J_diff) for the differential pipeline.
-
-    ``P_diff`` is the square, +-1-banded change of variables between the
-    expanded observation list and the difference sequence; the transformed
-    information matrix is ``P_diff^T I_ext P_diff`` (its determinant has
-    magnitude 1, so no information is created or destroyed by the rotation).
-
-    ``J_diff`` maps theta (PPM physical parameters) to the difference
-    sequence: delta rows depend on the data shift only, t rows on the
-    absolute delays and the data shift, phase rows carry the Doppler ramp.
-    """
-    ext = eta_ext_layout(n_paths, n_f)
-    seq = diffseq_layout(n_paths, n_f)
-    theta = theta_layout(Scheme.PPM, n_paths)
-    L = n_paths
-    eye = np.eye(L)
-    H = h_matrix(L)
-    E = e_vector(L)
-
-    P = np.zeros((ext.size, seq.size))
-    for k in range(n_f):
-        P[ext.block_slice(f"ref_{k}"), seq.block_slice(f"delta_{k}")] = -eye
-        P[ext.block_slice(f"t_{k}"), seq.block_slice(f"delta_{k}")] = eye
-        P[ext.block_slice(f"t_{k}"), seq.block_slice(f"t_{k}")] = eye
-        P[ext.block_slice(f"phi_{k}"), seq.block_slice(f"phi_{k}")] = eye
-    P[ext.block_slice("amp"), seq.block_slice("amp")] = eye
-
-    J = np.zeros((seq.size, theta.size))
-    for k in range(n_f):
-        J[seq.block_slice(f"delta_{k}"), theta.block_slice("dtau_q")] = E
-        J[seq.block_slice(f"t_{k}"), theta.block_slice("tau1")] = H[:, :1]
-        J[seq.block_slice(f"t_{k}"), theta.block_slice("dtau")] = H[:, 1:]
-        J[seq.block_slice(f"t_{k}"), theta.block_slice("dtau_q")] = E
-        J[seq.block_slice(f"phi_{k}"), theta.block_slice("doppler")] = l_kappa(L, k, t_f)
-    J[seq.block_slice("amp"), theta.block_slice("amp")] = np.eye(L)
-    return StructMatrix(P, ext, seq), StructMatrix(J, seq, theta)
+    G = np.zeros((ext.size, J.row_layout.size))
+    G[ref, paths] = 1.0
+    G[np.delete(np.arange(ext.size), ref.ravel()), np.arange(L, J.row_layout.size)] = 1.0
+    P = np.eye(ext.size)
+    P[ref, ref] = -1.0
+    P[ref + L, ref] = 1.0
+    return (StructMatrix(G, ext, J.row_layout), StructMatrix(P, ext, seq),
+            StructMatrix(P.T @ G @ J.data, seq, J.col_layout))

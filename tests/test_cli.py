@@ -237,6 +237,13 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert len(body) == 4  # header + 3 rows
 
 
+def test_sweep_rejects_unknown_outputs(tmp_path, capsys):
+    code = cli.main(["sweep", "--out", str(tmp_path),
+                     "--set", "sweep.outputs=root_range_crlb_m,bogus"])
+    assert code == 2
+    assert "unknown sweep outputs" in capsys.readouterr().err
+
+
 def test_sweep_explicit_values(tmp_path):
     code = cli.main(["sweep", "--out", str(tmp_path),
                      "--set", "sweep.axis=n_f",
@@ -286,3 +293,22 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "root range crlb" in proc.stdout
+
+
+def test_report_runs_without_scipy():
+    # scipy is a test-only dependency: importing the package and the CLI and
+    # computing one report must not load it
+    code = (
+        "import sys\n"
+        "import isacbounds, isacbounds.cli\n"
+        "from isacbounds.bounds import crlb_report\n"
+        "from isacbounds.experiments import reference_scenario\n"
+        "from isacbounds.model import Decoupling, ModulationConfig, Scheme\n"
+        "crlb_report(reference_scenario(n_f=8), ModulationConfig(\n"
+        "    Scheme.PPM, Decoupling.PILOT, p_pilots=4, d_data=4))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -32,15 +32,14 @@ from isacbounds.fim import (
     DiagonalMatrix,
     FdSteps,
     LabeledMatrix,
-    coeff_a,
     coeff_a_range,
-    coeff_b,
     coeff_b_full,
     observation_fim_analytic,
     observation_fim_numeric,
     per_pri_information,
 )
 from isacbounds.experiments import fim_deviation, reference_scenario, with_snr
+from isacbounds.jacobians import ramp_slope
 from isacbounds.signals import _slot_model, eta_point, mean_from_eta
 
 from conftest import ALL_KINDS, make_modulation, sym_eigs
@@ -51,17 +50,18 @@ from conftest import ALL_KINDS, make_modulation, sym_eigs
 @given(n=st.integers(1, 300), t_f=st.floats(1e-8, 1e-6))
 @settings(max_examples=60, deadline=None)
 def test_coeff_full_closed_forms(n, t_f):
-    ks = range(n)
-    assert coeff_b_full(t_f, n) == pytest.approx(coeff_b(t_f, ks), rel=1e-12, abs=1e-40)
+    ks = np.arange(n)
+    assert coeff_b_full(t_f, n) == pytest.approx(
+        np.sum(ramp_slope(ks, t_f) ** 2), rel=1e-12, abs=1e-40)
 
 
 @given(start=st.integers(0, 200), count=st.integers(1, 200))
 @settings(max_examples=60, deadline=None)
 def test_coeff_range_closed_forms(start, count):
     t_f = 1e-7
-    ks = range(start, start + count)
+    ks = np.arange(start, start + count)
     assert coeff_a_range(t_f, start, count) == pytest.approx(
-        coeff_a(t_f, ks), rel=1e-12, abs=1e-30)
+        np.sum(ramp_slope(ks, t_f)), rel=1e-12, abs=1e-30)
 
 
 def test_coeff_anchor_values():

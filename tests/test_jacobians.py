@@ -16,14 +16,10 @@ from isacbounds.model import (
 )
 from isacbounds.jacobians import (
     differential_maps,
-    diffseq_layout,
     e_vector,
-    eta_ext_layout,
     h_matrix,
     jacobian_for,
-    l_kappa,
     ramp_slope,
-    sfd_expansion,
 )
 from isacbounds.experiments import reference_scenario
 
@@ -52,8 +48,9 @@ def test_e_vector_and_ramp():
     np.testing.assert_array_equal(e_vector(3), [[1.0], [1.0], [1.0]])
     assert ramp_slope(0, T_F) == 0.0
     assert ramp_slope(5, T_F) == pytest.approx(2 * np.pi * 5 * T_F, rel=1e-15)
-    np.testing.assert_allclose(l_kappa(2, 3, T_F),
-                               ramp_slope(3, T_F) * h_matrix(2), rtol=1e-15)
+    # the per-PRI phase rows of a Jacobian: 2 pi kappa T_f times H
+    np.testing.assert_allclose(ramp_slope(3, T_F) * h_matrix(2),
+                               2 * np.pi * 3 * T_F * np.array([[1, 0], [1, 1]]), rtol=1e-15)
 
 
 def _entry_alphabet(data, n_f, t_f):
@@ -83,7 +80,7 @@ def test_jacobian_sensing_blocks():
     np.testing.assert_array_equal(J.block("tau", "delay"), h_matrix(L))
     for k in range(n_f):
         np.testing.assert_allclose(J.block(f"phi_{k}", "doppler"),
-                                   l_kappa(L, k, T_F), rtol=1e-15)
+                                   ramp_slope(k, T_F) * h_matrix(L), rtol=1e-15)
     np.testing.assert_array_equal(J.block("amp", "amp"), np.eye(L))
     # nothing else is populated
     assert np.all(J.block("tau", "doppler") == 0)
@@ -121,7 +118,7 @@ def test_jacobian_bpsk_phase_offset_column():
     # the Doppler sub-block is untouched by the data modulation
     for k in range(n_f):
         np.testing.assert_allclose(Jp.block(f"phi_{k}", "doppler"),
-                                   l_kappa(L, k, T_F), rtol=1e-15)
+                                   ramp_slope(k, T_F) * h_matrix(L), rtol=1e-15)
 
 
 def test_jacobian_for_matches_plain():
@@ -142,7 +139,7 @@ def test_jacobian_differential_delay_rows():
         np.testing.assert_array_equal(J.block(f"t_{k}", "delay"),
                                       np.hstack([h_matrix(L), e_vector(L)]))
         np.testing.assert_allclose(J.block(f"phi_{k}", "doppler"),
-                                   l_kappa(L, k, T_F), rtol=1e-15)
+                                   ramp_slope(k, T_F) * h_matrix(L), rtol=1e-15)
     np.testing.assert_array_equal(J.block("amp", "amp"), np.eye(L))
     assert _entry_alphabet(J.data, n_f, T_F)
 
@@ -151,7 +148,7 @@ def test_jacobian_differential_delay_rows():
 
 def test_sfd_expansion_duplicates_reference():
     L, n_f = 2, 3
-    G = sfd_expansion(L, n_f)
+    G, _, _ = differential_maps(reference_scenario(n_f=n_f, n_paths=L))
     eta_names = (
         [f"tref{l}" for l in range(L)]
         + [f"t{k}{l}" for k in range(n_f) for l in range(L)]
@@ -160,7 +157,7 @@ def test_sfd_expansion_duplicates_reference():
     )
     vec = np.arange(len(eta_names), dtype=float)
     ext = G.data @ vec
-    lay = eta_ext_layout(L, n_f)
+    lay = G.row_layout
     assert ext.shape == (lay.size,)
     # each ref_k block is a copy of the t_ref entries
     for k in range(n_f):
@@ -171,9 +168,8 @@ def test_sfd_expansion_duplicates_reference():
 
 def test_differential_maps_structure():
     L, n_f = 2, 3
-    P, J = differential_maps(L, n_f, T_F)
-    ext = eta_ext_layout(L, n_f)
-    seq = diffseq_layout(L, n_f)
+    _, P, J = differential_maps(reference_scenario(n_f=n_f, n_paths=L))
+    ext, seq = P.row_layout, P.col_layout
     assert P.data.shape == (ext.size, seq.size)
     assert ext.size == seq.size
     # unimodular: the reparameterization loses nothing
@@ -196,11 +192,11 @@ def test_differential_maps_structure():
             J.block(f"t_{k}", "delay"),
             np.hstack([h_matrix(L), e_vector(L)]))
         np.testing.assert_allclose(J.block(f"phi_{k}", "doppler"),
-                                   l_kappa(L, k, T_F), rtol=1e-15)
+                                   ramp_slope(k, T_F) * h_matrix(L), rtol=1e-15)
     np.testing.assert_array_equal(J.block("amp", "amp"), np.eye(L))
 
 
 def test_differential_entry_alphabet():
-    P, J = differential_maps(2, 4, T_F)
+    _, P, J = differential_maps(reference_scenario(n_f=4, n_paths=2))
     assert _entry_alphabet(P.data, 4, T_F)
     assert _entry_alphabet(J.data, 4, T_F)
