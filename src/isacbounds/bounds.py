@@ -21,7 +21,10 @@ The Schur elimination uses a Cholesky factorization of the nuisance block; if
 that block is singular (which is the defining symptom of sensing/data
 coupling in the undecoupled PPM and BPSK frames) a
 :class:`CoupledParametersError` is raised naming the offending columns,
-rather than silently pseudo-inverting.
+rather than silently pseudo-inverting.  :func:`crlb_report` runs those
+per-target eliminations only for a frame that one Cholesky factorization of
+the equilibrated I_theta cannot vouch for; every other frame gets all its
+CRLBs from that one factor and its inverse.
 
 A differential frame duplicates the reference arrival time per data PRI,
 rotates it to the difference sequence [t^k - t^ref, t^k] by the square
@@ -47,7 +50,7 @@ from .model import (
     ScenarioConfig,
     Scheme,
     SPEED_OF_LIGHT,
-    eta_size,
+    eta_layout_for,
     theta_layout_for,
     validate_modulation,
 )
@@ -413,7 +416,7 @@ def differential_chain(scenario: ScenarioConfig,
     raises LeakageError here.
     """
     G, P, J = differential_maps(scenario)
-    if tuple(G.col_layout.names) != tuple(i_eta.layout.names):
+    if G.col_layout != i_eta.layout:
         raise ConfigError("observation FIM layout does not match the differential maps")
     i_ext = LabeledMatrix(G.data @ i_eta.data @ G.data.T, G.row_layout)
     raw = LabeledMatrix(P.data.T @ i_ext.data @ P.data, P.col_layout)
@@ -463,7 +466,7 @@ def assemble_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig,
     require_sfd_weight(sfd_weight)
     if modulation.decoupling == Decoupling.DIFFERENTIAL:
         product = differential_pipeline(scenario, modulation, sfd_weight)
-    elif eta_size(scenario, modulation) <= PRODUCT_CHECK_MAX_ETA:
+    elif eta_layout_for(scenario, modulation).size <= PRODUCT_CHECK_MAX_ETA:
         i_eta = observation_fim_analytic(scenario, modulation)
         J = jacobian_for(scenario, modulation)
         product = LabeledMatrix(_congruence(J.data, i_eta.diag, J.data), J.col_layout)
@@ -497,24 +500,72 @@ class CrlbReport:
     range_crlb_m2: float | None
 
 
+#: the one-factorization route of :func:`crlb_report` is taken only when
+#: every 1 / (I~^-1)_kk exceeds RANK_RTOL by this factor (I~ the
+#: equilibrated I_theta).  For a positive-definite I~ the squared Cholesky
+#: pivot of entry k in any principal submatrix is at least 1 / (I~^-1)_kk,
+#: so each per-target nuisance factorization would then clear its RANK_RTOL
+#: pivot gate; the factor covers the roundoff between those factorizations
+#: and this one.  It also keeps out every frame whose equilibrated smallest
+#: singular value is within RANK_RTOL of the largest, for n_theta <= 31:
+#: there min_k 1 / (I~^-1)_kk <= n_theta**2 RANK_RTOL.
+_ONE_FACTOR_MARGIN = 1e3
+
+
+def _one_factor_crlbs(fim: LabeledMatrix, targets: list[str]) -> dict | None:
+    """Every target's CRLB from one Cholesky factorization, or None.
+
+    With I~ = D^-1/2 I D^-1/2 (unit diagonal) and its inverse from the one
+    factor, block b's scaled EFIM is inv((I~^-1)_bb) and its CRLB is
+    sum_{i in b} (I~^-1)_ii / I_ii.  None when the matrix has a dead
+    direction, fails the factorization or the ``_ONE_FACTOR_MARGIN`` pivot
+    bar, or any target fails the ``EFIM_FLOOR`` test of :func:`efim`: the
+    caller then runs the per-target Schur complements, which name the cause.
+    """
+    diag = np.diag(fim.data)
+    if not np.all(diag > 0.0):
+        return None
+    root = np.sqrt(diag)
+    try:
+        low = np.linalg.cholesky(fim.data / root[:, None] / root[None, :])
+    except np.linalg.LinAlgError:
+        return None
+    low_inv = np.linalg.inv(low)
+    inv = low_inv.T @ low_inv
+    if not np.all(np.diag(inv) * (_ONE_FACTOR_MARGIN * RANK_RTOL) < 1.0):
+        return None
+    values = {}
+    for target in targets:
+        b = fim.layout.block_slice(target)
+        block = inv[b, b]
+        # min eigenvalue of the scaled EFIM inv(block)
+        if not 1.0 / np.linalg.eigvalsh(block)[-1] > EFIM_FLOOR:
+            return None
+        values[target] = float(np.sum(np.diag(block) / diag[b]))
+    return values
+
+
 def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig,
                 sfd_weight: float = 1.0) -> CrlbReport:
     """Assemble I_theta, diagnose its rank and compute the available CRLBs.
 
-    Blocks whose Schur elimination hits a singular nuisance matrix get a
-    ``None`` CRLB; the coupled/zero columns explain which directions are
-    unidentifiable.
+    A frame that clears the gates of :func:`_one_factor_crlbs` gets every
+    CRLB from one factorization of the equilibrated I_theta.  Any other
+    frame runs :func:`crlb` per target: blocks whose Schur elimination hits
+    a singular nuisance matrix get a ``None`` CRLB, and the coupled/zero
+    columns explain which directions are unidentifiable.
     """
     fim = assemble_theta_fim(scenario, modulation, sfd_weight=sfd_weight)
     rep = singularity_report(fim)
-    values: dict = {}
-    for target in CRLB_TARGETS:
-        if target not in fim.layout.block_bounds:
-            continue
-        try:
-            values[target] = crlb(fim, target)
-        except CoupledParametersError:
-            values[target] = None
+    targets = [t for t in CRLB_TARGETS if t in fim.layout.block_bounds]
+    values = _one_factor_crlbs(fim, targets)
+    if values is None:
+        values = {}
+        for target in targets:
+            try:
+                values[target] = crlb(fim, target)
+            except CoupledParametersError:
+                values[target] = None
     rng = None if values.get("tau1") is None else SPEED_OF_LIGHT ** 2 * values["tau1"]
     return CrlbReport(
         scheme=modulation.scheme.value,

@@ -29,8 +29,9 @@ and :func:`coeff_a_range` sums ``2 pi kappa t_f`` over a PRI range.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,22 +61,32 @@ SYMMETRY_RTOL = 1e-10
 # =========================================================================
 
 
-def _require_finite(values: np.ndarray, labels) -> None:
+def _require_finite(values: np.ndarray, labels: ParamLayout | Sequence[str]) -> None:
     """Raise ConfigError naming the first NaN or +-inf entry of a square
-    matrix (2-D ``values``) or of a diagonal (1-D ``values``)."""
+    matrix (2-D ``values``) or of a diagonal (1-D ``values``).
+
+    A layout's names are read only to word the error.
+    """
     bad = ~np.isfinite(values)
     if np.any(bad):
         at = tuple(np.argwhere(bad)[0])
         i, j = at if len(at) == 2 else at * 2
+        names = labels.names if isinstance(labels, ParamLayout) else labels
         raise ConfigError(
-            f"information entry ({labels[i]}, {labels[j]}) is {values[at]}; "
+            f"information entry ({names[i]}, {names[j]}) is {values[at]}; "
             "the configuration overflows float64"
         )
 
 
 @dataclass
 class LabeledMatrix:
-    """Square matrix addressed by the named blocks of a ParamLayout."""
+    """Square matrix addressed by the named blocks of a ParamLayout.
+
+    Symmetry is checked pair by pair against the diagonal:
+    |M_ij - M_ji| <= SYMMETRY_RTOL sqrt(|M_ii M_jj|), exactly where a
+    diagonal entry is 0, so a skew block of small units is seen next to a
+    block some orders of magnitude larger.
+    """
 
     data: np.ndarray
     layout: ParamLayout
@@ -86,13 +97,18 @@ class LabeledMatrix:
             raise ConfigError(
                 f"matrix shape {self.data.shape} does not match layout size {n}"
             )
-        _require_finite(self.data, self.layout.names)
-        scale = float(np.max(np.abs(self.data))) or 1.0
-        skew = float(np.max(np.abs(self.data - self.data.T)))
-        if skew > SYMMETRY_RTOL * scale:
+        _require_finite(self.data, self.layout)
+        root = np.sqrt(np.abs(np.diag(self.data)))
+        skew = np.abs(self.data - self.data.T)
+        # the tolerance factor first: root_i * root_j alone can overflow
+        bad = skew > (SYMMETRY_RTOL * root)[:, None] * root[None, :]
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            names = self.layout.names
             raise ConfigError(
-                f"matrix is not symmetric (max |M - M^T| = {skew:.3e} "
-                f"vs scale {scale:.3e})"
+                f"matrix is not symmetric at ({names[i]}, {names[j]}): "
+                f"|M_ij - M_ji| = {skew[i, j]:.3e} vs "
+                f"sqrt(|M_ii M_jj|) = {float(root[i]) * float(root[j]):.3e}"
             )
 
     @property
@@ -124,7 +140,7 @@ class DiagonalMatrix:
             raise ConfigError(
                 f"diagonal shape {self.diag.shape} does not match layout size {n}"
             )
-        _require_finite(self.diag, self.layout.names)
+        _require_finite(self.diag, self.layout)
 
     @property
     def size(self) -> int:
@@ -179,7 +195,16 @@ def per_pri_information(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarra
     Raises ConfigError unless every value is finite and at least the
     smallest normal float: an amplitude whose square over- or underflows has
     no usable information.
+
+    The arrays are read-only: the last scenario's values are kept, so the
+    product and closed-form sides of one report sample the pulses once.
     """
+    return _per_pri_information(scenario)
+
+
+@lru_cache(maxsize=1)
+def _per_pri_information(
+        scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pulse, f_s = scenario.pulse, scenario.f_s
     half = SUPPORT_SIGMAS * pulse.alpha
     energy = np.empty(scenario.n_paths)
@@ -215,6 +240,8 @@ def per_pri_information(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarra
             f"per-PRI information is not finite and normal at per-pulse SNR "
             f"{snr.tolist()}; the path amplitudes are out of range"
         )
+    for values in lams:
+        values.setflags(write=False)
     return lams
 
 

@@ -36,13 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    Block,
     ConfigError,
     Decoupling,
     ModulationConfig,
     ParamLayout,
+    PerPri,
     ScenarioConfig,
     Scheme,
-    _layout,
     eta_layout_for,
     theta_layout_for,
 )
@@ -144,17 +145,8 @@ def jacobian_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> Stru
 
 def _interleaved_layout(first: str, n_paths: int, n_f: int) -> ParamLayout:
     """[first_0, t_0, first_1, t_1, ...], then per-PRI phases and amplitudes."""
-    paths = range(1, n_paths + 1)
-
-    def entries(block: str) -> tuple[str, list[str]]:
-        return block, [f"{block}_{l}" for l in paths]
-
-    blocks = [entries(f"{prefix}_{k}") for k in range(n_f) for prefix in (first, "t")]
-    blocks += [entries(f"phi_{k}") for k in range(n_f)]
-    blocks.append(entries("amp"))
-    layout = _layout(blocks)
-    layout.block_bounds["phi"] = (layout.block("phi_0")[0], layout.block(f"phi_{n_f - 1}")[1])
-    return layout
+    return ParamLayout((PerPri((first, "t"), n_f, n_paths),
+                        PerPri(("phi",), n_f, n_paths, "phi"), Block("amp", n_paths)))
 
 
 def differential_maps(

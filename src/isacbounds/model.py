@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -297,30 +300,119 @@ def validate_modulation(scenario: ScenarioConfig, modulation: ModulationConfig) 
 # =========================================================================
 
 
-@dataclass
-class ParamLayout:
-    """Ordered real parameter vector with named blocks.
+@dataclass(frozen=True)
+class Block:
+    """One block of ``width`` entries named ``name_first`` .. ``name_{first+width-1}``.
 
-    ``names`` holds one label per scalar entry.  ``block_bounds`` maps a block
-    name to a half-open index range (start, stop); ranges may overlap so that
-    both aggregate blocks (e.g. ``"phi"``) and per-PRI sub-blocks
-    (e.g. ``"phi_3"``) are addressable.
+    With ``first=None`` the block has one entry, named like the block.
     """
 
-    names: tuple[str, ...]
-    block_bounds: dict[str, tuple[int, int]]
+    name: str
+    width: int
+    first: int | None = 1
+
+    def entry_names(self) -> list[str]:
+        if self.first is None:
+            return [self.name]
+        return [f"{self.name}_{l}" for l in range(self.first, self.first + self.width)]
+
+
+@dataclass(frozen=True)
+class PerPri:
+    """``count`` PRIs; PRI k holds one block ``prefix_k`` per prefix, in order.
+
+    Each of those blocks has ``width`` entries ``prefix_k_l`` (l = 1..width).
+    ``aggregate``, if given, names the block spanning the whole run.
+    """
+
+    prefixes: tuple[str, ...]
+    count: int
+    width: int
+    aggregate: str | None = None
 
     @property
     def size(self) -> int:
-        return len(self.names)
+        return self.count * len(self.prefixes) * self.width
+
+
+@dataclass(frozen=True)
+class ParamLayout:
+    """Ordered real parameter vector with named blocks.
+
+    The vector is ``segments`` laid end to end: :class:`Block` and
+    :class:`PerPri` runs.  ``spans`` adds aggregate blocks, each from the
+    start of one named block to the end of another.  Block ranges are
+    half-open index ranges (start, stop) and may overlap, so that both
+    aggregate blocks (e.g. ``"phi"``) and per-PRI sub-blocks (e.g.
+    ``"phi_3"``) are addressable.
+
+    ``size`` and the bounds of every :class:`Block`, run aggregate and span
+    are computed at construction, by arithmetic over the segments.  The
+    per-entry ``names`` and the per-PRI sub-blocks, O(n_f) of each, are built
+    on first read only and then kept: the information-matrix pipeline reads
+    names only to word an error.
+    """
+
+    segments: tuple[Block | PerPri, ...]
+    spans: tuple[tuple[str, str, str], ...] = ()
+    size: int = field(init=False, repr=False, compare=False)
+    _bounds: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bounds: dict[str, tuple[int, int]] = {}
+        lo = 0
+        for seg in self.segments:
+            if isinstance(seg, Block):
+                bounds[seg.name] = (lo, lo + seg.width)
+                lo += seg.width
+            else:
+                if seg.aggregate is not None:
+                    bounds[seg.aggregate] = (lo, lo + seg.size)
+                lo += seg.size
+        for name, first, last in self.spans:
+            bounds[name] = (bounds[first][0], bounds[last][1])
+        object.__setattr__(self, "size", lo)
+        object.__setattr__(self, "_bounds", bounds)
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """One label per scalar entry."""
+        names: list[str] = []
+        for seg in self.segments:
+            if isinstance(seg, Block):
+                names += seg.entry_names()
+            else:
+                paths = range(1, seg.width + 1)
+                names += [f"{prefix}_{k}_{l}" for k in range(seg.count)
+                          for prefix in seg.prefixes for l in paths]
+        return tuple(names)
+
+    @cached_property
+    def block_bounds(self) -> Mapping[str, tuple[int, int]]:
+        """Every block name -> (start, stop), per-PRI sub-blocks included."""
+        bounds: dict[str, tuple[int, int]] = {}
+        lo = 0
+        for seg in self.segments:
+            if isinstance(seg, Block):
+                bounds[seg.name] = (lo, lo + seg.width)
+                lo += seg.width
+                continue
+            for k in range(seg.count):
+                for prefix in seg.prefixes:
+                    bounds[f"{prefix}_{k}"] = (lo, lo + seg.width)
+                    lo += seg.width
+        bounds.update(self._bounds)  # aggregates last
+        return MappingProxyType(bounds)
 
     def block(self, name: str) -> tuple[int, int]:
-        try:
-            return self.block_bounds[name]
-        except KeyError:
+        bounds = self._bounds.get(name)
+        if bounds is None:
+            bounds = self.block_bounds.get(name)
+        if bounds is None:
             raise KeyError(
                 f"unknown block {name!r}; available: {sorted(self.block_bounds)}"
-            ) from None
+            )
+        return bounds
 
     def block_slice(self, name: str) -> slice:
         lo, hi = self.block(name)
@@ -329,16 +421,6 @@ class ParamLayout:
     def block_size(self, name: str) -> int:
         lo, hi = self.block(name)
         return hi - lo
-
-
-def _layout(blocks: list[tuple[str, list[str]]]) -> ParamLayout:
-    names: list[str] = []
-    bounds: dict[str, tuple[int, int]] = {}
-    for block_name, entry_names in blocks:
-        lo = len(names)
-        names.extend(entry_names)
-        bounds[block_name] = (lo, len(names))
-    return ParamLayout(tuple(names), bounds)
 
 
 def theta_layout(scheme: Scheme, n_paths: int) -> ParamLayout:
@@ -354,24 +436,17 @@ def theta_layout(scheme: Scheme, n_paths: int) -> ParamLayout:
     BPSK data phase.  The aggregate block ``"delay"`` spans tau1 + dtau (+
     dtau_q for PPM), the block ``"doppler"`` spans fd1 + dfd.
     """
-    L = n_paths
-    blocks: list[tuple[str, list[str]]] = [
-        ("tau1", ["tau1"]),
-        ("dtau", [f"dtau_{l}" for l in range(2, L + 1)]),
-    ]
+    offsets = n_paths - 1
+    segments = [Block("tau1", 1, None), Block("dtau", offsets, 2)]
     if scheme == Scheme.PPM:
-        blocks.append(("dtau_q", ["dtau_q"]))
-    blocks.append(("fd1", ["fd1"]))
-    blocks.append(("dfd", [f"dfd_{l}" for l in range(2, L + 1)]))
+        segments.append(Block("dtau_q", 1, None))
+    segments += [Block("fd1", 1, None), Block("dfd", offsets, 2)]
     if scheme == Scheme.BPSK:
-        blocks.append(("phi_bpsk", ["phi_bpsk"]))
-    blocks.append(("amp", [f"amp_{l}" for l in range(1, L + 1)]))
-    layout = _layout(blocks)
-    delay_hi = layout.block("dtau_q")[1] if scheme == Scheme.PPM else layout.block("dtau")[1]
-    dopp_hi = layout.block("dfd")[1]
-    layout.block_bounds["delay"] = (0, delay_hi)
-    layout.block_bounds["doppler"] = (layout.block("fd1")[0], dopp_hi)
-    return layout
+        segments.append(Block("phi_bpsk", 1, None))
+    segments.append(Block("amp", n_paths))
+    delay_end = "dtau_q" if scheme == Scheme.PPM else "dtau"
+    return ParamLayout(tuple(segments),
+                       (("delay", "tau1", delay_end), ("doppler", "fd1", "dfd")))
 
 
 def eta_layout(scheme: Scheme, decoupling: Decoupling, n_paths: int, n_f: int,
@@ -385,40 +460,21 @@ def eta_layout(scheme: Scheme, decoupling: Decoupling, n_paths: int, n_f: int,
       * differential:  [t_ref (L), t per data PRI (n_f x L),
                         phi per data PRI (n_f x L), amp (L)]
 
-    Every per-PRI group also gets its own sub-block (``phi_k``, ``t_k``).
+    Every per-PRI group also gets its own sub-block (``phi_k``, ``t_k``); the
+    aggregate ``"phi"`` spans the phases and, in a differential frame,
+    ``"t_abs"`` the per-PRI arrival times.
     """
     L = n_paths
-    paths = range(1, L + 1)
-
-    def per_pri(prefix: str, count: int) -> list[tuple[str, list[str]]]:
-        return [(f"{prefix}_{k}", [f"{prefix}_{k}_{l}" for l in paths])
-                for k in range(count)]
-
     if scheme != Scheme.SENSING and decoupling == Decoupling.PILOT:
-        blocks = [("tau_p", [f"tau_p_{l}" for l in paths]),
-                  ("tau_d", [f"tau_d_{l}" for l in paths])]
-        blocks += per_pri("phi", p_pilots + d_data)
-        blocks += [("amp_p", [f"amp_p_{l}" for l in paths]),
-                   ("amp_d", [f"amp_d_{l}" for l in paths])]
-        layout = _layout(blocks)
-        n_pri = p_pilots + d_data
+        segments = (Block("tau_p", L), Block("tau_d", L),
+                    PerPri(("phi",), p_pilots + d_data, L, "phi"),
+                    Block("amp_p", L), Block("amp_d", L))
     elif scheme == Scheme.PPM and decoupling == Decoupling.DIFFERENTIAL:
-        blocks = [("t_ref", [f"t_ref_{l}" for l in paths])]
-        blocks += per_pri("t", n_f)
-        blocks += per_pri("phi", n_f)
-        blocks += [("amp", [f"amp_{l}" for l in paths])]
-        layout = _layout(blocks)
-        layout.block_bounds["t_abs"] = (layout.block("t_0")[0], layout.block(f"t_{n_f - 1}")[1])
-        n_pri = n_f
+        segments = (Block("t_ref", L), PerPri(("t",), n_f, L, "t_abs"),
+                    PerPri(("phi",), n_f, L, "phi"), Block("amp", L))
     else:
-        blocks = [("tau", [f"tau_{l}" for l in paths])]
-        blocks += per_pri("phi", n_f)
-        blocks += [("amp", [f"amp_{l}" for l in paths])]
-        layout = _layout(blocks)
-        n_pri = n_f
-    layout.block_bounds["phi"] = (layout.block("phi_0")[0],
-                                  layout.block(f"phi_{n_pri - 1}")[1])
-    return layout
+        segments = (Block("tau", L), PerPri(("phi",), n_f, L, "phi"), Block("amp", L))
+    return ParamLayout(segments)
 
 
 def theta_layout_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> ParamLayout:
@@ -429,18 +485,6 @@ def eta_layout_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> Pa
     validate_modulation(scenario, modulation)
     return eta_layout(modulation.scheme, modulation.decoupling, scenario.n_paths,
                       scenario.n_f, modulation.p_pilots, modulation.d_data)
-
-
-def eta_size(scenario: ScenarioConfig, modulation: ModulationConfig) -> int:
-    """Length of :func:`eta_layout_for`, without building the layout."""
-    validate_modulation(scenario, modulation)
-    if modulation.scheme != Scheme.SENSING and modulation.decoupling == Decoupling.PILOT:
-        blocks = 4 + modulation.p_pilots + modulation.d_data
-    elif modulation.scheme == Scheme.PPM and modulation.decoupling == Decoupling.DIFFERENTIAL:
-        blocks = 2 + 2 * scenario.n_f
-    else:
-        blocks = 2 + scenario.n_f
-    return blocks * scenario.n_paths
 
 
 # =========================================================================

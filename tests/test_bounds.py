@@ -22,6 +22,7 @@ from isacbounds.model import (
     ConfigError,
     Decoupling,
     ModulationConfig,
+    ParamLayout,
     SPEED_OF_LIGHT,
     Scheme,
     UndersampledPulseError,
@@ -581,6 +582,83 @@ def test_crlb_report_fields(ref8):
         SPEED_OF_LIGHT ** 2 * rep.crlb["tau1"], rel=1e-12)
     rep_b = crlb_report(ref8, make_modulation("bpsk-pilot", 8))
     assert set(rep_b.crlb) == {"tau1", "phi_bpsk", "fd1", "amp"}
+
+
+def per_target_crlbs(fim):
+    """The reference route: one Schur complement per target, None where it fails."""
+    values = {}
+    for target in bounds.CRLB_TARGETS:
+        if target in fim.layout.block_bounds:
+            try:
+                values[target] = crlb(fim, target)
+            except CoupledParametersError:
+                values[target] = None
+    return values
+
+
+def assert_same_crlbs(got, want):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if value is None:
+            assert got[name] is None, name
+        else:
+            assert got[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("kind, n_f", [
+    (kind, n_f) for kind in ALL_KINDS for n_f in (1, 2, 8, 64, 500, 2048, 10 ** 5)
+    if n_f >= 2 or not kind.endswith("pilot")])  # a pilot split needs two PRIs
+def test_one_factor_crlbs_equal_per_target_loop(kind, n_f):
+    for n_paths in (1, 2, 3):
+        sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+        mod = make_modulation(kind, n_f)
+        want = per_target_crlbs(assemble_theta_fim(sc, mod))
+        assert_same_crlbs(crlb_report(sc, mod).crlb, want)
+
+
+@pytest.mark.parametrize("n_paths", (1, 3))
+def test_near_singular_frame_takes_the_per_target_route(monkeypatch, n_paths):
+    # one pilot among 1e8 PRIs: the equilibrated I_theta is within 1e-8 of
+    # singular, so the one-factor bar refuses it; the Schur route then finds
+    # some blocks and loses others
+    n_f = 10 ** 8
+    sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+    mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=n_f - 1)
+    fim = assemble_theta_fim(sc, mod)
+    targets = [t for t in bounds.CRLB_TARGETS if t in fim.layout.block_bounds]
+    assert bounds._one_factor_crlbs(fim, targets) is None
+    want = per_target_crlbs(fim)
+    assert None in want.values() and any(v is not None for v in want.values())
+    calls = []
+    monkeypatch.setattr(bounds, "crlb", lambda *a: calls.append(a[1]) or crlb(*a))
+    assert_same_crlbs(crlb_report(sc, mod).crlb, want)
+    assert calls == targets
+
+
+def test_one_factor_route_skips_the_schur_complements(monkeypatch, ref8):
+    def refuse(*args):
+        raise AssertionError("per-target Schur complement on a nonsingular frame")
+
+    monkeypatch.setattr(bounds, "crlb", refuse)
+    for kind in ("sensing", "ppm-pilot", "bpsk-pilot", "ppm-diff"):
+        rep = crlb_report(ref8, make_modulation(kind, 8))
+        assert None not in rep.crlb.values(), kind
+
+
+def test_report_builds_no_eta_names(monkeypatch):
+    # ppm-pilot at n_f = 500 takes the product route through a 1,512-entry
+    # eta layout; only the theta layout's ten names may be built
+    built = []
+    names = ParamLayout.names
+
+    def counting(layout):
+        built.append(layout.size)
+        return names.func(layout)
+
+    monkeypatch.setattr(ParamLayout, "names", property(counting))
+    sc = reference_scenario(n_f=500)
+    crlb_report(sc, make_modulation("ppm-pilot", 500))
+    assert set(built) <= {theta_layout(Scheme.PPM, 3).size}
 
 
 @given(kind=st.sampled_from(ALL_KINDS), n_f=st.sampled_from((2, 8)),

@@ -25,6 +25,7 @@ from isacbounds.model import (
     effective_bandwidth,
     eta_layout_for,
     received_snr,
+    theta_layout,
 )
 from isacbounds import signals
 from isacbounds.fim import (
@@ -288,6 +289,26 @@ def test_labeled_matrix_validation():
     bad[0, 1] = 0.5
     with pytest.raises(ConfigError):
         LabeledMatrix(bad, lay)
+
+
+def test_labeled_matrix_symmetry_is_checked_per_pair():
+    # a skew Doppler pair next to a delay block 23 orders of magnitude larger:
+    # a tolerance relative to max |M| cannot see it
+    lay = theta_layout(Scheme.SENSING, 2)
+    M = np.eye(lay.size)
+    M[0, 0] = M[1, 1] = 1e23
+    fd1, dfd = lay.block("fd1")[0], lay.block("dfd")[0]
+    M[fd1, dfd], M[dfd, fd1] = 0.9, -0.9
+    with pytest.raises(ConfigError, match=r"not symmetric at \(fd1, dfd_2\)"):
+        LabeledMatrix(M, lay)
+    M[dfd, fd1] = 0.9 * (1.0 + 1e-12)  # roundoff-sized skew passes
+    LabeledMatrix(M, lay)
+    # where a diagonal entry is 0 the pair must match exactly
+    M = np.eye(lay.size)
+    M[fd1, fd1] = 0.0
+    M[fd1, dfd], M[dfd, fd1] = 1e-300, 0.0
+    with pytest.raises(ConfigError, match="not symmetric"):
+        LabeledMatrix(M, lay)
 
 
 def test_labeled_matrix_block_accessor():

@@ -27,7 +27,6 @@ from isacbounds.model import (
     effective_bandwidth,
     eta_layout,
     eta_layout_for,
-    eta_size,
     pulse_time_derivative,
     received_snr,
     sample_pulse,
@@ -363,8 +362,119 @@ def test_eta_size_matches_layout(kind):
     for n_f in (2, 7, 8):
         for n_paths in (1, 3):
             sc = reference_scenario(n_f=n_f, n_paths=n_paths)
-            mod = make_modulation(kind, n_f)
-            assert eta_size(sc, mod) == eta_layout_for(sc, mod).size
+            layout = eta_layout_for(sc, make_modulation(kind, n_f))
+            assert layout.size == len(layout.names)
+
+
+# Eager reference layouts: every name and every block bound built entry by
+# entry, as lists; the package's layouts compute them arithmetically.
+
+def _eager(blocks, spans=()):
+    names, bounds = [], {}
+    for block, entries in blocks:
+        lo = len(names)
+        names.extend(entries)
+        bounds[block] = (lo, len(names))
+    for name, first, last in spans:
+        bounds[name] = (bounds[first][0], bounds[last][1])
+    return tuple(names), bounds
+
+
+def _entries(block, paths):
+    return block, [f"{block}_{l}" for l in paths]
+
+
+def _eager_theta(scheme, L):
+    blocks = [("tau1", ["tau1"]), _entries("dtau", range(2, L + 1))]
+    if scheme == Scheme.PPM:
+        blocks.append(("dtau_q", ["dtau_q"]))
+    blocks += [("fd1", ["fd1"]), _entries("dfd", range(2, L + 1))]
+    if scheme == Scheme.BPSK:
+        blocks.append(("phi_bpsk", ["phi_bpsk"]))
+    blocks.append(_entries("amp", range(1, L + 1)))
+    delay_end = "dtau_q" if scheme == Scheme.PPM else "dtau"
+    return _eager(blocks, [("delay", "tau1", delay_end), ("doppler", "fd1", "dfd")])
+
+
+def _eager_eta(scheme, decoupling, L, n_f, p, d):
+    paths = range(1, L + 1)
+
+    def per_pri(prefix, count):
+        return [_entries(f"{prefix}_{k}", paths) for k in range(count)]
+
+    if scheme != Scheme.SENSING and decoupling == Decoupling.PILOT:
+        n_pri = p + d
+        blocks = [_entries("tau_p", paths), _entries("tau_d", paths), *per_pri("phi", n_pri),
+                  _entries("amp_p", paths), _entries("amp_d", paths)]
+        spans = []
+    elif scheme == Scheme.PPM and decoupling == Decoupling.DIFFERENTIAL:
+        n_pri = n_f
+        blocks = [_entries("t_ref", paths), *per_pri("t", n_f), *per_pri("phi", n_f),
+                  _entries("amp", paths)]
+        spans = [("t_abs", "t_0", f"t_{n_f - 1}")]
+    else:
+        n_pri = n_f
+        blocks = [_entries("tau", paths), *per_pri("phi", n_f), _entries("amp", paths)]
+        spans = []
+    return _eager(blocks, spans + [("phi", "phi_0", f"phi_{n_pri - 1}")])
+
+
+def _eager_interleaved(first, L, n_f):
+    paths = range(1, L + 1)
+    blocks = [_entries(f"{prefix}_{k}", paths) for k in range(n_f) for prefix in (first, "t")]
+    blocks += [_entries(f"phi_{k}", paths) for k in range(n_f)]
+    blocks.append(_entries("amp", paths))
+    return _eager(blocks, [("phi", "phi_0", f"phi_{n_f - 1}")])
+
+
+def _assert_matches(layout, reference):
+    names, bounds = reference
+    assert layout.size == len(names)
+    assert layout.names == names
+    assert dict(layout.block_bounds) == bounds
+    for name, want in bounds.items():
+        assert layout.block(name) == want, name
+
+
+LAYOUT_N_F = (1, 2, 3, 8, 64, 500)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_layouts_match_eager_reference(kind):
+    mod = make_modulation(kind, 2)
+    for L in (1, 2, 3):
+        _assert_matches(theta_layout(mod.scheme, L), _eager_theta(mod.scheme, L))
+        for n_f in LAYOUT_N_F:
+            splits = [(0, n_f)]
+            if mod.decoupling == Decoupling.PILOT:
+                splits += [(n_f // 2, n_f - n_f // 2), (n_f, 0)]
+            for p, d in splits:
+                args = (mod.scheme, mod.decoupling, L, n_f, p, d)
+                _assert_matches(eta_layout(*args), _eager_eta(*args))
+
+
+def test_interleaved_layouts_match_eager_reference():
+    from isacbounds.jacobians import _interleaved_layout
+    for L in (1, 2, 3):
+        for n_f in LAYOUT_N_F:
+            for first in ("ref", "delta"):
+                _assert_matches(_interleaved_layout(first, L, n_f),
+                                _eager_interleaved(first, L, n_f))
+
+
+def test_layout_is_immutable_and_names_are_lazy():
+    lay = eta_layout(Scheme.PPM, Decoupling.PILOT, 3, 500, p_pilots=250, d_data=250)
+    assert "names" not in vars(lay) and "block_bounds" not in vars(lay)
+    assert lay.block("phi") == (6, 1506) and lay.size == 1512
+    assert "names" not in vars(lay) and "block_bounds" not in vars(lay)
+    assert lay.block("phi_17") == (57, 60)
+    assert "block_bounds" in vars(lay) and "names" not in vars(lay)
+    with pytest.raises(AttributeError):
+        lay.size = 3
+    with pytest.raises(TypeError):
+        lay.block_bounds["phi"] = (0, 1)
+    with pytest.raises(KeyError, match="unknown block 'phi_500'"):
+        lay.block("phi_500")
 
 
 # ------------------------------------------------------------------ regulatory
