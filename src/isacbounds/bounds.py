@@ -62,7 +62,6 @@ from .fim import (
     coeff_b_full,
     observation_fim_analytic,
     per_pri_information,
-    require_sfd_weight,
 )
 from .jacobians import differential_maps, e_vector, h_matrix, jacobian_for, ramp_slope
 
@@ -116,16 +115,18 @@ def _equilibrate(data: np.ndarray) -> np.ndarray:
 
 
 def singularity_report(mat: LabeledMatrix | DiagonalMatrix | np.ndarray,
-                       labels: tuple[str, ...] | None = None,
-                       tol: float = RANK_RTOL) -> SingularityReport:
+                       labels: tuple[str, ...] | None = None) -> SingularityReport:
     """SVD-based rank report with duplicate/zero column identification.
 
     The matrix is diagonally equilibrated first, then rank counts singular
-    values above ``tol`` times the largest one.  Column pairs of the scaled
-    matrix whose difference is below ``tol`` relative to their size are
-    reported as coupled (these are the structurally indistinguishable
-    parameter directions); all-zero columns are listed separately.  A NaN or
-    +-inf entry raises ConfigError.
+    values above ``RANK_RTOL`` times the largest one.  Column pairs of the
+    scaled matrix whose difference is below ``RANK_RTOL`` relative to their
+    size are reported as coupled (these are the structurally
+    indistinguishable parameter directions); all-zero columns are listed
+    separately.  A coupled pair (i, j) leaves |S (e_i - e_j)| / sqrt(2) <=
+    RANK_RTOL smax / sqrt(2), far above the SVD's roundoff, so only a
+    rank-deficient matrix is searched for pairs.  A NaN or +-inf entry raises
+    ConfigError.
     """
     if isinstance(mat, (LabeledMatrix, DiagonalMatrix)):
         data = mat.data
@@ -141,21 +142,22 @@ def singularity_report(mat: LabeledMatrix | DiagonalMatrix | np.ndarray,
     smax = float(s[0]) if s.size else 0.0
     if smax == 0.0:
         return SingularityReport(n, 0, True, 0.0, (), tuple(labels))
-    rank = int(np.sum(s > tol * smax))
+    tol = RANK_RTOL * smax
+    rank = int(np.sum(s > tol))
     ratio = float(s[-1] / smax)
 
     norms = np.linalg.norm(scaled, axis=0)
-    zero_cols = tuple(labels[i] for i in np.flatnonzero(norms <= tol * smax))
+    zero_cols = tuple(labels[i] for i in np.flatnonzero(norms <= tol))
     coupled: list[tuple[str, str]] = []
-    if n <= 512:
+    if rank < n <= 512:
         for i in range(n):
-            if norms[i] <= tol * smax:
+            if norms[i] <= tol:
                 continue
             for j in range(i + 1, n):
-                if norms[j] <= tol * smax:
+                if norms[j] <= tol:
                     continue
                 d = np.linalg.norm(scaled[:, i] - scaled[:, j])
-                if d <= tol * max(norms[i], norms[j]):
+                if d <= RANK_RTOL * max(norms[i], norms[j]):
                     coupled.append((labels[i], labels[j]))
     return SingularityReport(n, rank, rank < n, ratio, tuple(coupled), zero_cols)
 
@@ -243,14 +245,7 @@ def efim(fim: LabeledMatrix, target: str) -> np.ndarray:
 
 def crlb(fim: LabeledMatrix, target: str) -> float:
     """tr(EFIM(target)^{-1}): the CRLB on the named block."""
-    E = efim(fim, target)
-    if E.shape == (1, 1):
-        if E[0, 0] <= 0.0:
-            raise CoupledParametersError(
-                f"EFIM of {target!r} is not positive ({E[0, 0]:.3e})"
-            )
-        return float(1.0 / E[0, 0])
-    return float(np.trace(np.linalg.inv(E)))
+    return float(np.trace(np.linalg.inv(efim(fim, target))))
 
 
 def range_crlb(fim: LabeledMatrix) -> float:
@@ -267,8 +262,8 @@ def _congruence(H_l: np.ndarray, diag: np.ndarray, H_r: np.ndarray) -> np.ndarra
     return H_l.T @ (diag[:, None] * H_r)
 
 
-def closed_form_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig,
-                          sfd_weight: float = 1.0) -> LabeledMatrix:
+def closed_form_theta_fim(scenario: ScenarioConfig,
+                          modulation: ModulationConfig) -> LabeledMatrix:
     """I_theta assembled directly from the closed-form block expressions.
 
     Every frame kind carries the path delays, the Doppler phase ramp and the
@@ -301,7 +296,7 @@ def closed_form_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig
     scheme, dec = modulation.scheme, modulation.decoupling
     if scheme == Scheme.PPM:
         if dec == Decoupling.DIFFERENTIAL:
-            cross, own = 2.0 * n_f, (sfd_weight + 4.0) * n_f
+            cross, own = 2.0 * n_f, (modulation.sfd_weight + 4.0) * n_f
         else:
             cross = own = modulation.d_data if dec == Decoupling.PILOT else n_f
         q = layout.block_slice("dtau_q")
@@ -354,12 +349,12 @@ def zero_reference_cross(i_diffseq: LabeledMatrix) -> LabeledMatrix:
     return LabeledMatrix(data, layout)
 
 
-def differential_pipeline(scenario: ScenarioConfig, modulation: ModulationConfig,
-                          sfd_weight: float = 1.0) -> LabeledMatrix:
+def differential_pipeline(scenario: ScenarioConfig,
+                          modulation: ModulationConfig) -> LabeledMatrix:
     """I_theta of a differential frame, J^T I_diffseq J summed per PRI.
 
-    The reference arrival-time information is scaled by ``sfd_weight``.
-    After the cut, PRI k contributes the (delta_k, t_k) block
+    After the cut, PRI k contributes the (delta_k, t_k) block, with w the
+    ``modulation.sfd_weight`` of the reference pulse,
     B = [[(w+1) Lam_tau, Lam_tau], [Lam_tau, Lam_tau]] through the delay rows
     J_k = [[0 | E], [H | E]], its phases Lam_phi through the Doppler ramp
     slope_k H, and the amplitudes n_f Lam_alpha once: O(n_f + L^3), with no
@@ -367,7 +362,6 @@ def differential_pipeline(scenario: ScenarioConfig, modulation: ModulationConfig
     """
     if modulation.decoupling != Decoupling.DIFFERENTIAL:
         raise ConfigError("differential_pipeline requires differential decoupling")
-    require_sfd_weight(sfd_weight)
     L, n_f = scenario.n_paths, scenario.n_f
     l_tau, l_phi, l_alpha = per_pri_information(scenario)
     lam = np.diag(l_tau)
@@ -379,7 +373,7 @@ def differential_pipeline(scenario: ScenarioConfig, modulation: ModulationConfig
     M = np.zeros((layout.size, layout.size))
     delay, doppler, amp = (layout.block_slice(b) for b in ("delay", "doppler", "amp"))
     with np.errstate(over="ignore", invalid="ignore"):  # LabeledMatrix refuses inf/NaN
-        B = np.block([[(sfd_weight + 1.0) * lam, lam], [lam, lam]])
+        B = np.block([[(modulation.sfd_weight + 1.0) * lam, lam], [lam, lam]])
         M[delay, delay] = n_f * (J_k.T @ B @ J_k)
     M[doppler, doppler] = ramp * _congruence(H, l_phi, H)
     M[amp, amp] = np.diag(n_f * l_alpha)
@@ -451,8 +445,8 @@ def _check_agreement(product: LabeledMatrix, closed: LabeledMatrix) -> None:
         )
 
 
-def assemble_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig,
-                       sfd_weight: float = 1.0) -> LabeledMatrix:
+def assemble_theta_fim(scenario: ScenarioConfig,
+                       modulation: ModulationConfig) -> LabeledMatrix:
     """I_theta for any scenario/modulation pair.
 
     Differential frames take :func:`differential_pipeline`; other frames
@@ -463,16 +457,15 @@ def assemble_theta_fim(scenario: ScenarioConfig, modulation: ModulationConfig,
     mismatch raises.  Larger non-differential frames return the closed form.
     """
     validate_modulation(scenario, modulation)
-    require_sfd_weight(sfd_weight)
     if modulation.decoupling == Decoupling.DIFFERENTIAL:
-        product = differential_pipeline(scenario, modulation, sfd_weight)
+        product = differential_pipeline(scenario, modulation)
     elif eta_layout_for(scenario, modulation).size <= PRODUCT_CHECK_MAX_ETA:
         i_eta = observation_fim_analytic(scenario, modulation)
         J = jacobian_for(scenario, modulation)
         product = LabeledMatrix(_congruence(J.data, i_eta.diag, J.data), J.col_layout)
     else:
-        return closed_form_theta_fim(scenario, modulation, sfd_weight)
-    _check_agreement(product, closed_form_theta_fim(scenario, modulation, sfd_weight))
+        return closed_form_theta_fim(scenario, modulation)
+    _check_agreement(product, closed_form_theta_fim(scenario, modulation))
     return product
 
 
@@ -545,8 +538,7 @@ def _one_factor_crlbs(fim: LabeledMatrix, targets: list[str]) -> dict | None:
     return values
 
 
-def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig,
-                sfd_weight: float = 1.0) -> CrlbReport:
+def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig) -> CrlbReport:
     """Assemble I_theta, diagnose its rank and compute the available CRLBs.
 
     A frame that clears the gates of :func:`_one_factor_crlbs` gets every
@@ -555,7 +547,7 @@ def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig,
     a singular nuisance matrix get a ``None`` CRLB, and the coupled/zero
     columns explain which directions are unidentifiable.
     """
-    fim = assemble_theta_fim(scenario, modulation, sfd_weight=sfd_weight)
+    fim = assemble_theta_fim(scenario, modulation)
     rep = singularity_report(fim)
     targets = [t for t in CRLB_TARGETS if t in fim.layout.block_bounds]
     values = _one_factor_crlbs(fim, targets)
@@ -598,8 +590,6 @@ def comm_efim_ppm(scenario: ScenarioConfig, modulation: ModulationConfig) -> flo
         raise ConfigError("comm_efim_ppm is defined for pilot-decoupled PPM")
     if modulation.d_data < 1:
         raise ConfigError("comm_efim_ppm needs at least one data PRI")
-    if modulation.p_pilots < 1:
-        raise ConfigError("comm_efim_ppm needs at least one pilot PRI")
     fim = assemble_theta_fim(scenario, modulation)
     E = efim(fim, "dtau_q")
     return float(E[0, 0])

@@ -212,6 +212,7 @@ def build_modulation(cfg: dict[str, dict[str, str]]) -> ModulationConfig:
         xi_bpsk=parse_quantity(mo["xi_bpsk"]),
         p_pilots=parse_int(mo["p_pilots"]),
         d_data=parse_int(mo["d_data"]),
+        sfd_weight=parse_quantity(mo["sfd_weight"]),
     )
 
 
@@ -243,8 +244,7 @@ def cmd_bounds(args) -> int:
     cfg = load_config(args.config, args.set)
     scenario = build_scenario(cfg)
     modulation = build_modulation(cfg)
-    sfd_weight = parse_quantity(cfg["modulation"]["sfd_weight"])
-    report = crlb_report(scenario, modulation, sfd_weight=sfd_weight)
+    report = crlb_report(scenario, modulation)
     reg = check_regulatory(scenario)
 
     print(f"scheme={report.scheme} decoupling={report.decoupling} "
@@ -302,7 +302,6 @@ def cmd_sweep(args) -> int:
         outputs=tuple(s.strip() for s in sw["outputs"].split(",") if s.strip()),
         scenario=build_scenario(cfg),
         modulation=build_modulation(cfg),
-        sfd_weight=parse_quantity(cfg["modulation"]["sfd_weight"]),
     )
     table = run_sweep(spec)
     path = _out_dir(args) / f"sweep_{spec.axis}.csv"
@@ -328,8 +327,7 @@ def cmd_crossover(args) -> int:
         d_lo = 2  # a single data PRI cannot carry the Doppler ramp
     result = find_crossover(
         scenario, modulation.p_pilots, range(d_lo, d_hi + 1),
-        xi_ppm=modulation.xi_ppm,
-        sfd_weight=parse_quantity(cfg["modulation"]["sfd_weight"]),
+        xi_ppm=modulation.xi_ppm, sfd_weight=modulation.sfd_weight,
     )
     if args.out:
         path = _out_dir(args) / "crossover.csv"

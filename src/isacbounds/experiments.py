@@ -112,7 +112,6 @@ class SweepSpec:
     outputs: tuple[str, ...]
     scenario: ScenarioConfig
     modulation: ModulationConfig
-    sfd_weight: float = 1.0
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -195,7 +194,7 @@ def _eval_point(spec: SweepSpec, value: float) -> tuple:
     results: dict[str, float] = {o: math.nan for o in spec.outputs}
     try:
         scenario, modulation = _configure_point(spec, value)
-        report = crlb_report(scenario, modulation, sfd_weight=spec.sfd_weight)
+        report = crlb_report(scenario, modulation)
         for out in spec.outputs:
             if out == "root_range_crlb_m":
                 if report.range_crlb_m2 is not None:
@@ -244,7 +243,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
         "decoupling": mod.decoupling.value,
         "p_pilots": mod.p_pilots,
         "d_data": mod.d_data,
-        "sfd_weight": spec.sfd_weight,
+        "sfd_weight": mod.sfd_weight,
         "f_c_hz": sc.f_c,
         "t_f_s": sc.t_f,
         "n_f": sc.n_f,
@@ -274,14 +273,17 @@ class CrossoverResult:
 
 
 def _ranging_pair(scenario: ScenarioConfig, p_pilots: int, d: int,
-                  xi_ppm: float, sfd_weight: float) -> tuple[float, float, str]:
-    """(pilot root-range CRLB, differential root-range CRLB, error) at d data PRIs."""
+                  differential: ModulationConfig) -> tuple[float, float, str]:
+    """(pilot root-range CRLB, differential root-range CRLB, error) at d data PRIs.
+
+    Both arms share the ``xi_ppm`` of the ``differential`` arm's modulation.
+    """
     error = ""
     pilot = math.nan
     diff = math.nan
     try:
         mod_p = ModulationConfig(scheme=Scheme.PPM, decoupling=Decoupling.PILOT,
-                                 xi_ppm=xi_ppm, p_pilots=p_pilots, d_data=d)
+                                 xi_ppm=differential.xi_ppm, p_pilots=p_pilots, d_data=d)
         rep = crlb_report(with_frame(scenario, p_pilots + d), mod_p)
         if rep.range_crlb_m2 is not None:
             pilot = math.sqrt(rep.range_crlb_m2)
@@ -290,9 +292,8 @@ def _ranging_pair(scenario: ScenarioConfig, p_pilots: int, d: int,
     except Exception as exc:
         error = f"pilot arm: {type(exc).__name__}: {exc}"
     try:
-        mod_d = ModulationConfig(scheme=Scheme.PPM, decoupling=Decoupling.DIFFERENTIAL,
-                                 xi_ppm=xi_ppm, d_data=d)
-        rep = crlb_report(with_frame(scenario, d), mod_d, sfd_weight=sfd_weight)
+        mod_d = dataclasses.replace(differential, d_data=d)
+        rep = crlb_report(with_frame(scenario, d), mod_d)
         if rep.range_crlb_m2 is not None:
             diff = math.sqrt(rep.range_crlb_m2)
         else:
@@ -308,22 +309,25 @@ def find_crossover(scenario: ScenarioConfig, p_pilots: int, d_values,
     """Scan data-PRI counts for the pilot-vs-differential ranging crossover.
 
     The pilot arm keeps ``p_pilots`` pilots and appends ``d`` data PRIs; the
-    differential arm spends all ``d`` PRIs on data plus the reference pulse.
-    The crossover index is where the differential root ranging CRLB first
-    drops below the pilot one; it is checked at every SNR in
-    ``check_snrs_db`` (the bounds scale identically with SNR, so the index
-    must not move).
+    differential arm spends all ``d`` PRIs on data plus the reference pulse,
+    whose ``sfd_weight`` goes into that arm's :class:`ModulationConfig` (so a
+    bad weight or ``xi_ppm`` raises ConfigError before the scan).  The
+    crossover index is where the differential root ranging CRLB first drops
+    below the pilot one; it is checked at every SNR in ``check_snrs_db`` (the
+    bounds scale identically with SNR, so the index must not move).
     """
     d_values = [int(d) for d in d_values]
     if p_pilots < 1:
         raise ConfigError("the pilot arm needs at least one pilot PRI")
+    differential = ModulationConfig(scheme=Scheme.PPM, decoupling=Decoupling.DIFFERENTIAL,
+                                    xi_ppm=xi_ppm, sfd_weight=sfd_weight)
     per_snr_cross: list[int | None] = []
     rows = []
     for snr_db in check_snrs_db:
         sc = with_snr(scenario, snr_db)
         cross: int | None = None
         for d in d_values:
-            pilot, diff, err = _ranging_pair(sc, p_pilots, d, xi_ppm, sfd_weight)
+            pilot, diff, err = _ranging_pair(sc, p_pilots, d, differential)
             # strict improvement beyond roundoff: exact ties are not a crossover
             if (cross is None and math.isfinite(pilot) and math.isfinite(diff)
                     and diff < pilot * (1.0 - 1e-9)):

@@ -245,32 +245,24 @@ def _per_pri_information(
     return lams
 
 
-def require_sfd_weight(sfd_weight: float) -> None:
-    """Raise ConfigError unless the differential reference weight is finite and > 0."""
-    if not (math.isfinite(sfd_weight) and sfd_weight > 0.0):
-        raise ConfigError(f"sfd_weight must be finite and > 0, got {sfd_weight}")
-
-
 # =========================================================================
 # Analytic observation FIM
 # =========================================================================
 
 
-def observation_fim_analytic(scenario: ScenarioConfig, modulation: ModulationConfig,
-                             sfd_weight: float = 1.0) -> DiagonalMatrix:
+def observation_fim_analytic(scenario: ScenarioConfig,
+                             modulation: ModulationConfig) -> DiagonalMatrix:
     """Closed-form I_eta for the given scenario/modulation pair, as its diagonal.
 
     Every (slot, path) pulse gives one pulse's lambda to the eta entry that
     the per-slot map of :mod:`isacbounds.signals` names for its delay, phase
-    and amplitude.  ``sfd_weight`` scales the arrival-time information of the
-    differential reference pulse relative to a single data pulse (1.0 = one
-    pulse's worth).  Slots are disjoint and paths are >= 12 alpha apart (a
-    ScenarioConfig invariant), so the matrix is exactly diagonal: it is
-    returned as a :class:`DiagonalMatrix`, and its dense n_eta x n_eta form
-    is built only when ``.data`` is read.  A weight that overflows the
-    reference information raises ConfigError.
+    and amplitude; the differential reference pulse counts
+    ``modulation.sfd_weight`` pulses on its delay.  Slots are disjoint and
+    paths are >= 12 alpha apart (a ScenarioConfig invariant), so the matrix is
+    exactly diagonal: it is returned as a :class:`DiagonalMatrix`, and its
+    dense n_eta x n_eta form is built only when ``.data`` is read.  A weight
+    that overflows the reference information raises ConfigError.
     """
-    require_sfd_weight(sfd_weight)
     layout = eta_layout_for(scenario, modulation)
     size, _, index = _slot_model(scenario, modulation)
     lam = np.empty(index.shape)
@@ -278,7 +270,7 @@ def observation_fim_analytic(scenario: ScenarioConfig, modulation: ModulationCon
     known = index >= 0
     diag = np.zeros(size)
     with np.errstate(over="ignore"):  # DiagonalMatrix refuses an inf entry
-        lam[_TAU, :index.shape[1] - scenario.n_f] *= sfd_weight  # reference slot
+        lam[_TAU, :index.shape[1] - scenario.n_f] *= modulation.sfd_weight  # reference
         # every pulse of an entry carries the same lambda: write it once and
         # count the pulses, so n_f * lambda is formed exactly as a product
         diag[index[known]] = lam[known]

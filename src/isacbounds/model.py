@@ -228,6 +228,10 @@ class ModulationConfig:
     ``p_pilots + d_data`` must equal the scenario ``n_f`` whenever the frame is
     split (checked by :func:`validate_modulation`, which needs the scenario).
     For ``decoupling = NONE`` or ``DIFFERENTIAL`` every PRI carries data.
+    ``sfd_weight`` is the arrival-time information of the differential
+    reference (start-of-frame) pulse in units of one data pulse (1.0 = one
+    pulse's worth); only differential frames read it, as only PPM frames read
+    ``xi_ppm``.
     """
 
     scheme: Scheme = Scheme.SENSING
@@ -236,6 +240,7 @@ class ModulationConfig:
     xi_bpsk: float = math.pi
     p_pilots: int = 0
     d_data: int = 0
+    sfd_weight: float = 1.0
 
     def __post_init__(self):
         # accept plain strings for the two enums
@@ -244,7 +249,10 @@ class ModulationConfig:
             object.__setattr__(self, "decoupling", Decoupling(self.decoupling))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        _require_finite("modulation", xi_ppm=self.xi_ppm, xi_bpsk=self.xi_bpsk)
+        _require_finite("modulation", xi_ppm=self.xi_ppm, xi_bpsk=self.xi_bpsk,
+                        sfd_weight=self.sfd_weight)
+        if not self.sfd_weight > 0.0:
+            raise ConfigError(f"sfd_weight must be > 0, got {self.sfd_weight}")
         if self.scheme == Scheme.SENSING:
             if self.decoupling != Decoupling.NONE:
                 raise ConfigError("sensing-only frames take no decoupling strategy")

@@ -109,6 +109,26 @@ def test_singularity_report_healthy():
     assert rep.zero_columns == ()
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_singularity_report_pairs_columns_only_when_rank_deficient(monkeypatch, kind):
+    # a coupled pair (i, j) has |S (e_i - e_j)| <= RANK_RTOL smax, which
+    # already drops the rank: a full-rank report compares no column pair
+    real, calls = np.linalg.norm, []
+
+    def counting(x, *args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return real(x, *args, **kwargs)
+
+    fim = assemble_theta_fim(reference_scenario(n_f=8), make_modulation(kind, 8))
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    rep = singularity_report(fim)
+    assert calls[0] == 0  # the column norms
+    if rep.singular:
+        assert len(calls) > 1
+    else:
+        assert calls == [0]
+
+
 def test_singularity_report_coupled_pair():
     M = np.array([[1.0, 1.0, 0.0],
                   [1.0, 1.0, 0.0],
@@ -271,7 +291,7 @@ def test_overflowing_sfd_weight_is_a_config_error():
         for route, entry in ((differential_pipeline, r"\(tau1, tau1\) is nan"),
                              (closed_form_theta_fim, r"\(dtau_q, dtau_q\) is inf")):
             with pytest.raises(ConfigError, match=entry):
-                route(sc, mod, sfd_weight=1e300)
+                route(sc, dataclasses.replace(mod, sfd_weight=1e300))
 
 
 @pytest.mark.parametrize("kind", ("sensing", "ppm-pilot", "ppm-diff"))
@@ -315,8 +335,9 @@ def test_structured_differential_matches_dense_chain(n_paths):
         sc = reference_scenario(n_f=n_f, n_paths=n_paths)
         mod = make_modulation("ppm-diff", n_f)
         for w in (0.5, 1.0, 4.0):
-            fast = differential_pipeline(sc, mod, sfd_weight=w)
-            i_eta = observation_fim_analytic(sc, mod, sfd_weight=w)
+            weighted = dataclasses.replace(mod, sfd_weight=w)
+            fast = differential_pipeline(sc, weighted)
+            i_eta = observation_fim_analytic(sc, weighted)
             dense = differential_chain(sc, i_eta).i_theta
             assert fast.layout.names == dense.layout.names
             assert equilibrated_deviation(fast.data, dense.data) < 1e-12, (n_f, w)
@@ -340,14 +361,23 @@ def test_differential_pipeline_builds_dense_chain_only_on_request():
 
 
 @pytest.mark.parametrize("n_f", (8, 2048))
-@pytest.mark.parametrize("weight", (-1.0, 0.0, float("nan"), float("inf")))
+@pytest.mark.parametrize("weight", (-4.0, -1.0, 0.0, float("nan"), float("inf"),
+                                    float("-inf")))
 def test_sfd_weight_checked_at_every_frame_length(n_f, weight):
-    sc = reference_scenario(n_f=n_f)
+    # the weight is checked once, when the modulation is built, so no route
+    # (crlb_report, differential_pipeline, closed_form_theta_fim) can see it
     mod = make_modulation("ppm-diff", n_f)
     with pytest.raises(ConfigError, match="sfd_weight"):
-        crlb_report(sc, mod, sfd_weight=weight)
-    with pytest.raises(ConfigError, match="sfd_weight"):
-        differential_pipeline(sc, mod, sfd_weight=weight)
+        dataclasses.replace(mod, sfd_weight=weight)
+
+
+@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k != "ppm-diff"])
+def test_only_differential_frames_read_sfd_weight(kind):
+    # the crossover verb builds its differential arm from a pilot config, so
+    # any frame may carry a weight
+    sc = reference_scenario(n_f=8)
+    mod = make_modulation(kind, 8)
+    assert crlb_report(sc, dataclasses.replace(mod, sfd_weight=2.5)) == crlb_report(sc, mod)
 
 
 def _with_amp(sc, amp):
@@ -553,7 +583,7 @@ def test_differential_sfd_weight_improves_ranging():
     lam = lam_per_pri(sc)[0]
     mod = make_modulation("ppm-diff", 8)
     for w in (0.5, 1.0, 4.0):
-        fim = assemble_theta_fim(sc, mod, sfd_weight=w)
+        fim = assemble_theta_fim(sc, dataclasses.replace(mod, sfd_weight=w))
         want = w / (w + 4.0) * 8 * lam
         assert efim(fim, "tau1")[0, 0] == pytest.approx(want, rel=1e-10)
 

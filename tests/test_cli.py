@@ -1,5 +1,8 @@
 """Command line interface: parsing, exit codes, and file outputs."""
 
+import csv
+import dataclasses
+import math
 import subprocess
 import sys
 import warnings
@@ -8,6 +11,8 @@ import pytest
 
 from isacbounds.model import ConfigError
 from isacbounds import bounds, cli
+from isacbounds.bounds import crlb_report
+from isacbounds.experiments import data_rate, with_snr
 from isacbounds.fim import LabeledMatrix
 
 
@@ -194,7 +199,7 @@ def test_verbs_refuse_options_they_do_not_read(argv, tmp_path, monkeypatch, caps
 # --------------------------------------------------------------- sweep verb
 
 @pytest.mark.parametrize("n_f", ("8", "2048"))
-@pytest.mark.parametrize("weight", ("-1", "0"))
+@pytest.mark.parametrize("weight", ("-4", "-1", "0"))
 def test_bounds_rejects_bad_sfd_weight(n_f, weight, capsys):
     code = cli.main(["bounds", "--set", f"scenario.n_f={n_f}",
                      "--set", "modulation.scheme=ppm",
@@ -235,6 +240,30 @@ def test_sweep_writes_csv(tmp_path, capsys):
     body = [ln for ln in lines if not ln.startswith("# ")]
     assert body[0].startswith("snr_db,")
     assert len(body) == 4  # header + 3 rows
+
+
+def test_sweep_reads_sfd_weight_from_the_modulation(tmp_path, capsys):
+    sets = ["modulation.scheme=ppm", "modulation.decoupling=differential",
+            "modulation.d_data=8", "modulation.sfd_weight=2.5",
+            "sweep.axis=snr_db", "sweep.values=0,10"]
+    code = cli.main(["sweep", "--out", str(tmp_path),
+                     *(arg for item in sets for arg in ("--set", item))])
+    assert code == 0
+    lines = (tmp_path / "sweep_snr_db.csv").read_text().splitlines()
+    assert "# sfd_weight = 2.5" in lines
+    cfg = cli.load_config(None, sets)
+    scenario, modulation = cli.build_scenario(cfg), cli.build_modulation(cfg)
+    assert modulation.sfd_weight == 2.5
+    unweighted = dataclasses.replace(modulation, sfd_weight=1.0)
+    rows = list(csv.reader(ln for ln in lines if not ln.startswith("# ")))[1:]
+    for snr_db, root_range, root_doppler, rate, error in rows:
+        sc = with_snr(scenario, float(snr_db))
+        report = crlb_report(sc, modulation)
+        assert float(root_range) == math.sqrt(report.range_crlb_m2)
+        assert float(root_doppler) == math.sqrt(report.crlb["fd1"])
+        assert float(rate) == data_rate(sc, modulation)
+        assert error == ""
+        assert report.range_crlb_m2 < crlb_report(sc, unweighted).range_crlb_m2
 
 
 def test_sweep_rejects_unknown_outputs(tmp_path, capsys):

@@ -137,7 +137,7 @@ def test_analytic_fim_diagonal_by_block(kind):
         want.update({f"t_{k}": lt for k in range(n_f)}, t_ref=w * lt, amp=n_f * la)
     else:
         want.update(tau=n_f * lt, amp=n_f * la)
-    I = observation_fim_analytic(sc, mod, sfd_weight=w)
+    I = observation_fim_analytic(sc, dataclasses.replace(mod, sfd_weight=w))
     assert sum(I.layout.block_size(name) for name in want) == I.size
     for name, values in want.items():
         np.testing.assert_array_equal(np.diag(I.block(name, name)), values, err_msg=name)
@@ -163,8 +163,8 @@ def test_analytic_fim_positive_semidefinite():
 def test_sfd_weight_scales_reference_rows():
     sc = reference_scenario(n_f=2, n_paths=1)
     mod = ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL)
-    I1 = observation_fim_analytic(sc, mod, sfd_weight=1.0)
-    I3 = observation_fim_analytic(sc, mod, sfd_weight=3.0)
+    I1 = observation_fim_analytic(sc, dataclasses.replace(mod, sfd_weight=1.0))
+    I3 = observation_fim_analytic(sc, dataclasses.replace(mod, sfd_weight=3.0))
     np.testing.assert_allclose(I3.block("t_ref", "t_ref"),
                                3.0 * I1.block("t_ref", "t_ref"), rtol=1e-12)
     np.testing.assert_allclose(I3.block("t_0", "t_0"),
@@ -177,7 +177,7 @@ def test_overflowing_sfd_weight_is_a_config_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match=r"\(t_ref_1, t_ref_1\) is inf"):
-            observation_fim_analytic(sc, mod, sfd_weight=1e300)
+            observation_fim_analytic(sc, dataclasses.replace(mod, sfd_weight=1e300))
 
 
 # -------------------------------------------------------- numeric cross-check
