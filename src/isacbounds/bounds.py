@@ -39,6 +39,7 @@ matrices of that chain from a given I_eta, as the reference.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +77,34 @@ PRODUCT_CHECK_MAX_ETA = 3000
 
 
 class CoupledParametersError(RuntimeError):
-    """A nuisance block required by a Schur complement is singular."""
+    """A nuisance block required by a Schur complement is singular.
 
-    def __init__(self, message: str, report: "SingularityReport | None" = None):
+    ``report`` is the :class:`SingularityReport` of that block, if any.  With
+    ``diagnose`` (a function returning the message and the report) both are
+    built on first read, so a caller that only catches the error pays for no
+    diagnosis.
+    """
+
+    def __init__(self, message: str = "", report: "SingularityReport | None" = None,
+                 diagnose: "Callable[[], tuple[str, SingularityReport]] | None" = None):
         super().__init__(message)
-        self.report = report
+        self._message = message
+        self._report = report
+        self._diagnose = diagnose
+
+    def _diagnosed(self) -> None:
+        if self._diagnose is not None:
+            self._message, self._report = self._diagnose()
+            self._diagnose = None
+
+    @property
+    def report(self) -> "SingularityReport | None":
+        self._diagnosed()
+        return self._report
+
+    def __str__(self) -> str:
+        self._diagnosed()
+        return self._message
 
 
 # =========================================================================
@@ -168,10 +192,13 @@ def singularity_report(mat: LabeledMatrix | DiagonalMatrix | np.ndarray,
 
 
 def schur_complement(M: np.ndarray, keep: np.ndarray, elim: np.ndarray,
-                     elim_labels: tuple[str, ...] | None = None) -> np.ndarray:
+                     elim_labels: Sequence[str] | Callable[[], Sequence[str]] | None = None
+                     ) -> np.ndarray:
     """A - B^T C^{-1} B with C = M[elim, elim], via Cholesky of C.
 
-    Raises CoupledParametersError when C is not positive definite.
+    Raises CoupledParametersError when C is not positive definite; its
+    message and singularity report, which name the columns of C by
+    ``elim_labels`` (or a function returning them), are built on first read.
     """
     A = M[np.ix_(keep, keep)]
     if elim.size == 0:
@@ -179,30 +206,29 @@ def schur_complement(M: np.ndarray, keep: np.ndarray, elim: np.ndarray,
     B = M[np.ix_(elim, keep)]
     C = M[np.ix_(elim, elim)]
 
-    def _raise_singular() -> None:
-        rep = singularity_report(C, elim_labels or tuple(f"elim_{i}" for i in elim))
+    def _diagnose() -> tuple[str, SingularityReport]:
+        labels = elim_labels() if callable(elim_labels) else elim_labels
+        rep = singularity_report(C, tuple(labels or (f"elim_{i}" for i in elim)))
         detail = []
         if rep.coupled_columns:
             detail.append("coupled columns: " + ", ".join(f"{a}~{b}" for a, b in rep.coupled_columns))
         if rep.zero_columns:
             detail.append("zero columns: " + ", ".join(rep.zero_columns))
-        raise CoupledParametersError(
-            f"nuisance block is singular (rank {rep.rank} of {rep.size}); "
-            + ("; ".join(detail) if detail else "no duplicate columns identified")
-            + "; choose a decoupling strategy or drop the affected parameters",
-            rep,
-        ) from None
+        message = (f"nuisance block is singular (rank {rep.rank} of {rep.size}); "
+                   + ("; ".join(detail) if detail else "no duplicate columns identified")
+                   + "; choose a decoupling strategy or drop the affected parameters")
+        return message, rep
 
     try:
         low = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
-        _raise_singular()
+        raise CoupledParametersError(diagnose=_diagnose) from None
     # an exactly dependent direction can survive the factorization on a
     # roundoff-sized pivot; the squared pivot over the diagonal entry is the
     # scale-free leftover of that direction, so gate it explicitly
     pivot_ratio = np.diag(low) ** 2 / np.diag(C)
     if np.any(pivot_ratio <= RANK_RTOL):
-        _raise_singular()
+        raise CoupledParametersError(diagnose=_diagnose)
     Y = np.linalg.solve(low, B)  # B^T C^{-1} B = Y^T Y with C = low low^T
     return A - Y.T @ Y
 
@@ -225,8 +251,8 @@ def efim(fim: LabeledMatrix, target: str) -> np.ndarray:
         raise ConfigError(f"target block {target!r} is empty")
     keep = np.arange(lo, hi)
     elim = np.array([i for i in range(fim.size) if not lo <= i < hi], dtype=int)
-    labels = tuple(fim.layout.names[i] for i in elim)
-    E = schur_complement(fim.data, keep, elim, labels)
+    E = schur_complement(fim.data, keep, elim,
+                         lambda: [fim.layout.names[i] for i in elim])
 
     diag = np.diag(fim.data)[lo:hi]
     if np.any(diag <= 0.0):

@@ -347,9 +347,10 @@ def cmd_crossover(args) -> int:
 def cmd_pareto(args) -> int:
     cfg = load_config(args.config, args.set)
     scenario = build_scenario(cfg)
+    # the table chooses its own frame splits, but [modulation] is still checked
+    modulation = build_modulation(cfg)
     snr_db = parse_quantity(cfg["scenario"]["snr_db"])
-    xi_ppm = parse_quantity(cfg["modulation"]["xi_ppm"])
-    table = pareto_table(scenario, scenario.n_f, snr_db=snr_db, xi_ppm=xi_ppm)
+    table = pareto_table(scenario, scenario.n_f, snr_db=snr_db, xi_ppm=modulation.xi_ppm)
     path = _out_dir(args) / "pareto.csv"
     table.to_csv(path)
     print(f"wrote {path} ({len(table.rows)} rows)")

@@ -42,6 +42,7 @@ from .model import (
     SUPPORT_SIGMAS,
     ScenarioConfig,
     UndersampledPulseError,
+    _window_starts,
     effective_bandwidth,
     eta_layout_for,
     sample_pulse,
@@ -295,6 +296,25 @@ class FdSteps:
 DEFAULT_FD = FdSteps()
 
 
+def _probe_ranges(scenario: ScenarioConfig, table: np.ndarray, index: np.ndarray,
+                  eta0: np.ndarray, h: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per slot, the sample range [lo, hi) outside which every evaluation of
+    the probe is an exact zero.
+
+    The probe places each pulse at its eta0 arrival time, or that time +- h
+    on the delay entry it perturbs; the range is the union of the pulse
+    windows of :func:`isacbounds.model._pulse_window` at all of those
+    centers, which covers each evaluation's own windows.
+    """
+    tau = index[_TAU]
+    center = np.where(tau >= 0, eta0[tau], table[_TAU])
+    step = np.where(tau >= 0, h[tau], 0.0)
+    centers = np.stack([center, center + step, center - step], axis=-1)
+    firsts, width = _window_starts(scenario.pulse, centers, scenario)
+    firsts = np.reshape(firsts, (tau.shape[0], -1))
+    return firsts.min(axis=1).tolist(), (firsts.max(axis=1) + width).tolist()
+
+
 def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConfig,
                             steps: FdSteps = DEFAULT_FD) -> LabeledMatrix:
     """I_eta via central differences of the mean vector.
@@ -306,6 +326,9 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     re-evaluated: the others cancel exactly in the difference.  Slots occupy
     disjoint samples, so I_eta is the sum over slots of the Gram block
     Re(B_s^H B_s) / sigma2 of the columns B_s of the entries slot s touches.
+    Each slot's differences and Gram block are formed over one sample range,
+    the union of the pulse windows at every center the probe evaluates there
+    (:func:`_probe_ranges`); outside it both evaluations are exact zeros.
     Guarded to ``MAX_FD_PARAMS`` parameters and ``MAX_FD_SAMPLES`` stacked
     samples.
     """
@@ -321,7 +344,7 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
             f"numeric probe limited to {MAX_FD_SAMPLES} samples, frame has {total}"
         )
 
-    size, _, index = _slot_model(scenario, modulation)
+    size, table, index = _slot_model(scenario, modulation)
     known = index >= 0
     which, slot, _ = np.nonzero(known)
     kind = np.empty(size, dtype=np.intp)
@@ -331,7 +354,8 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     eta0 = eta_point(scenario, modulation)
     h = np.array([steps.delay, steps.phase, steps.amp_rel])[kind]
     h[kind == _AMP] *= np.abs(eta0[kind == _AMP])  # relative amplitude steps
-    pieces = []  # entry i's column, one row of n_s samples per slot it drives
+    lo, hi = _probe_ranges(scenario, table, index, eta0, h)
+    pieces = []  # entry i's column, one row of samples lo[s]:hi[s] per slot s it drives
     for i, name in enumerate(layout.names):
         if not h[i] > 0.0:
             raise ConfigError(f"finite-difference step for {name!r} is not positive")
@@ -340,9 +364,10 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
         up[i] += h[i]
         dn[i] -= h[i]
         slots = np.flatnonzero(drives[i])
-        diff = (mean_from_eta(scenario, modulation, up, slots)
-                - mean_from_eta(scenario, modulation, dn, slots)) / (2.0 * h[i])
-        pieces.append(diff.reshape(slots.size, scenario.n_s))
+        mu_up = mean_from_eta(scenario, modulation, up, slots).reshape(slots.size, -1)
+        mu_dn = mean_from_eta(scenario, modulation, dn, slots).reshape(slots.size, -1)
+        pieces.append([(mu_up[r, lo[s]:hi[s]] - mu_dn[r, lo[s]:hi[s]]) / (2.0 * h[i])
+                       for r, s in enumerate(slots.tolist())])
 
     # Re(B_s^H B_s) as one real product over the interleaved (re, im) samples
     row = np.cumsum(drives, axis=1) - 1  # row of slot s in pieces[i]

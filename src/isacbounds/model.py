@@ -505,6 +505,68 @@ def time_grid(scenario: ScenarioConfig) -> np.ndarray:
     return np.arange(scenario.n_s) / scenario.f_s
 
 
+def _window_starts(shape: PulseShape, centers: np.ndarray,
+                   scenario: ScenarioConfig) -> tuple[list[int], int]:
+    """First sample and common width of each center's window; see :func:`_pulse_window`."""
+    half = SUPPORT_SIGMAS * shape.alpha
+    # Python-float arithmetic: a call handles only a handful of centers
+    centers = np.asarray(centers, dtype=float).ravel().tolist()
+    for center in centers:
+        if not center >= 0.0:  # also catches NaN
+            raise LeakageError(f"pulse center tau = {center} s is not >= 0")
+        if center + half >= scenario.t_f:
+            raise LeakageError(
+                f"pulse center tau = {center} s leaks past the PRI boundary "
+                f"{scenario.t_f} s (support +-{SUPPORT_SIGMAS} alpha)"
+            )
+    n_s, f_s = scenario.n_s, scenario.f_s
+    span = UNDERFLOW_SIGMAS * shape.alpha
+    firsts = [math.ceil((center - span) * f_s) - 1 for center in centers]
+    width = n_s
+    if 2.0 * shape.alpha ** 2 >= sys.float_info.min:
+        width = min(n_s, max((math.floor((center + span) * f_s) + 2 - first
+                              for center, first in zip(centers, firsts)),
+                             default=0))
+    return [min(max(first, 0), n_s - width) for first in firsts], width
+
+
+def _pulse_window(shape: PulseShape, centers: np.ndarray,
+                  scenario: ScenarioConfig) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+    """The samples of w(t - tau) that can be nonzero, for each of ``centers``.
+
+    Every sampler of the package scatters from this one window.  Returns
+    ``(firsts, width, t, values)``: center ``i`` (in C order) owns the PRI
+    samples ``firsts[i] .. firsts[i] + width - 1``, at time offsets ``t[i]``
+    from the center, where the pulse is ``values[i]``; ``t`` and ``values``
+    have shape ``(centers.size, width)``.  The window spans the samples
+    within ``UNDERFLOW_SIGMAS`` alpha of the center, plus one either side, at
+    a width common to the call; one that runs off the grid slides back inside
+    it (its extra samples are computed exactly).  Every sample outside a
+    window is an exact zero of the formula in float64, so scattering the
+    windows reproduces the whole-grid formula bit for bit.  When 2 alpha**2
+    underflows, t * t / (2 alpha**2) can be 0 / 0 anywhere: the window is
+    then the whole PRI.
+
+    Raises LeakageError unless every center satisfies ``0 <= tau`` and
+    ``tau + 6 alpha < t_f``.
+    """
+    flat = np.asarray(centers, dtype=float).reshape(-1)
+    firsts, width = _window_starts(shape, flat, scenario)
+    t = (np.array(firsts, dtype=np.intp)[:, None] + np.arange(width)) / scenario.f_s \
+        - flat[:, None]
+    c = (shape.alpha * math.sqrt(math.pi)) ** -0.5
+    return firsts, width, t, c * np.exp(-(t * t) / (2.0 * shape.alpha ** 2))
+
+
+def _scatter(centers: np.ndarray, firsts: list[int], width: int,
+             rows: np.ndarray, n_s: int) -> np.ndarray:
+    """Window rows placed on a zero PRI grid, shape ``centers.shape + (n_s,)``."""
+    out = np.zeros((len(firsts), n_s))
+    for row, first, value in zip(out, firsts, rows):
+        row[first:first + width] = value
+    return out.reshape(centers.shape + (n_s,))
+
+
 def sample_pulse(shape: PulseShape, tau: float | np.ndarray,
                  scenario: ScenarioConfig) -> np.ndarray:
     """Sample w(t - tau) on the PRI grid.
@@ -524,43 +586,12 @@ def sample_pulse(shape: PulseShape, tau: float | np.ndarray,
         ``sum(w**2) / f_s ~= 1`` holds whenever the +-6 alpha support lies
         fully inside the PRI.
 
-    The Gaussian is evaluated only on the samples within ``UNDERFLOW_SIGMAS``
-    alpha of each center, plus one sample either side; every other sample is
-    an exact zero, which is what the formula gives there in float64.  Each
-    sample is therefore bit-identical to evaluating the formula on the whole
-    grid.
+    Each row is the center's sample window (see :func:`_pulse_window`) on a
+    zero grid, bit-identical to evaluating the formula on the whole grid.
     """
     centers = np.asarray(tau, dtype=float)
-    half = SUPPORT_SIGMAS * shape.alpha
-    # Python-float comparisons: a call checks only a handful of centers
-    for center in centers.ravel().tolist():
-        if not center >= 0.0:  # also catches NaN
-            raise LeakageError(f"pulse center tau = {center} s is not >= 0")
-        if center + half >= scenario.t_f:
-            raise LeakageError(
-                f"pulse center tau = {center} s leaks past the PRI boundary "
-                f"{scenario.t_f} s (support +-{SUPPORT_SIGMAS} alpha)"
-            )
-    n_s, f_s = scenario.n_s, scenario.f_s
-    flat = centers.reshape(-1)
-    two_a2 = 2.0 * shape.alpha ** 2
-    # one index window of a common width per center; a window that runs off
-    # the grid slides back inside it (the extra samples are computed exactly)
-    span = UNDERFLOW_SIGMAS * shape.alpha
-    firsts = [math.ceil((center - span) * f_s) - 1 for center in flat.tolist()]
-    width = n_s
-    if two_a2 >= sys.float_info.min:  # else t * t / two_a2 can be 0 / 0 anywhere
-        width = min(n_s, max((math.floor((center + span) * f_s) + 2 - first
-                              for center, first in zip(flat.tolist(), firsts)),
-                             default=0))
-    firsts = [min(max(first, 0), n_s - width) for first in firsts]
-    t = (np.array(firsts, dtype=np.intp)[:, None] + np.arange(width)) / f_s - flat[:, None]
-    c = (shape.alpha * math.sqrt(math.pi)) ** -0.5
-    values = c * np.exp(-(t * t) / two_a2)
-    w = np.zeros((flat.size, n_s))
-    for row, first, value in zip(w, firsts, values):
-        row[first:first + width] = value
-    return w.reshape(centers.shape + (n_s,))
+    firsts, width, _, values = _pulse_window(shape, centers, scenario)
+    return _scatter(centers, firsts, width, values, scenario.n_s)
 
 
 def pulse_time_derivative(shape: PulseShape, tau: float | np.ndarray,
@@ -569,12 +600,13 @@ def pulse_time_derivative(shape: PulseShape, tau: float | np.ndarray,
 
     Takes the center(s) and returns the shape of :func:`sample_pulse`.
     Antisymmetric about the pulse center; its squared-integral equals
-    1 / (2 alpha**2) = (2 pi B)**2 with B the effective bandwidth.
+    1 / (2 alpha**2) = (2 pi B)**2 with B the effective bandwidth.  Formed
+    on each center's sample window only and scattered like
+    :func:`sample_pulse`.
     """
     centers = np.asarray(tau, dtype=float)
-    w = sample_pulse(shape, centers, scenario)
-    t = time_grid(scenario) - centers[..., None]
-    return (t / shape.alpha ** 2) * w
+    firsts, width, t, values = _pulse_window(shape, centers, scenario)
+    return _scatter(centers, firsts, width, (t / shape.alpha ** 2) * values, scenario.n_s)
 
 
 def effective_bandwidth(shape: PulseShape) -> float:

@@ -34,9 +34,8 @@ from .model import (
     ScenarioConfig,
     Scheme,
     ConfigError,
+    _pulse_window,
     eta_layout_for,
-    pulse_time_derivative,
-    sample_pulse,
     validate_modulation,
 )
 
@@ -204,15 +203,20 @@ def _slot_model(scenario: ScenarioConfig,
 def _evaluate(scenario: ScenarioConfig, table: np.ndarray) -> np.ndarray:
     """Stacked mean of a slot table, one slot (all paths) at a time.
 
-    The path sum is an elementwise reduction, not a matrix product: complex
-    BLAS gemv on (L, n_s) operands can stall for milliseconds when threaded.
+    Each path adds ``coef * w`` into its pulse's sample window
+    (:func:`isacbounds.model._pulse_window`), in path order; every other
+    sample of the slot is an exact zero of the pulse formula and stays 0.
     """
     tau, phi, amp = table
-    coef = (amp * np.exp(1j * phi))[..., None]
-    mu = np.empty((tau.shape[0], scenario.n_s), dtype=complex)
+    coef = amp * np.exp(1j * phi)
+    ns = scenario.n_s
+    mu = np.zeros(tau.shape[0] * ns, dtype=complex)
     for slot, centers in enumerate(tau):
-        mu[slot] = (coef[slot] * sample_pulse(scenario.pulse, centers, scenario)).sum(axis=0)
-    return mu.ravel()
+        firsts, width, _, w = _pulse_window(scenario.pulse, centers, scenario)
+        for c, first, values in zip(coef[slot], firsts, w):
+            lo = slot * ns + first
+            mu[lo:lo + width] += c * values
+    return mu
 
 
 # =========================================================================
@@ -290,7 +294,9 @@ def mean_jacobian(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.
         Column ``i`` is the derivative of the stacked mean with respect to
         eta entry ``i`` of :func:`isacbounds.model.eta_layout_for`.  Phase
         columns are ``j *`` (the slot's path contribution); arrival-time
-        columns use the analytic pulse derivative.
+        columns use the analytic pulse derivative.  Only the rows of each
+        pulse's sample window (:func:`isacbounds.model._pulse_window`) are
+        written; every other entry is 0.
     """
     size, (tau, phi, amp), index = _slot_model(scenario, modulation)
     ns = scenario.n_s
@@ -298,13 +304,14 @@ def mean_jacobian(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.
     coef = amp * rot
     J = np.zeros((tau.shape[0] * ns, size), dtype=complex)
     for slot, centers in enumerate(tau):
-        w = sample_pulse(scenario.pulse, centers, scenario)
-        dw = pulse_time_derivative(scenario.pulse, centers, scenario)
+        firsts, width, t, w = _pulse_window(scenario.pulse, centers, scenario)
+        dw = (t / scenario.pulse.alpha ** 2) * w  # as pulse_time_derivative forms it
         c = coef[slot][:, None]
         # d/dtau, d/dphi, d/damp of each path's term, in _slot_table order
         terms = (c * dw, 1j * c * w, rot[slot][:, None] * w)
-        rows = J[slot * ns:(slot + 1) * ns]
         for cols, term in zip(index[:, slot], terms):
-            unknown = cols >= 0
-            rows[:, cols[unknown]] = term[unknown].T
+            for col, first, values in zip(cols.tolist(), firsts, term):
+                if col >= 0:
+                    lo = slot * ns + first
+                    J[lo:lo + width, col] = values
     return J

@@ -146,3 +146,45 @@ def test_traced_oracle_contract():
     assert out["unexercised"] == []
     assert out["validate"] == 0
     assert out["crosscheck_ratio"] == 1.0
+
+
+# The oracle's probe metrics (signals.mean_evals, signals.mean_eval.self_s)
+# count the mean evaluations the numeric probe makes through the public
+# mean_from_eta; a probe that evaluated the mean some other way would leave
+# them at 0 while the run still passed.
+PROBE_SCRIPT = """
+import json
+import numpy as np
+import isacbounds as ib
+from tracer import Tracer
+import workloads as w
+
+tracer = Tracer()
+tracer.install(ib)
+sc = w.scenario(w.REFERENCE, 2, 2, 100e9)
+mod = w.modulation("bpsk-pilot", 2)
+tracer.active = True
+ib.observation_fim_numeric(sc, mod)
+ib.mean_jacobian(sc, mod)
+tracer.active = False
+key = np.frombuffer(tracer.key, dtype=np.int64)
+parent = np.frombuffer(tracer.parent, dtype=np.int64)
+names = [tracer.keys[k] for k in key]
+# the outermost span each span runs under (spans are numbered in start order)
+root = []
+for i, p in enumerate(parent):
+    root.append(i if p < 0 else root[p])
+evals = {}
+for i, name in enumerate(names):
+    if name == "signals.mean_from_eta":
+        evals[names[root[i]]] = evals.get(names[root[i]], 0) + 1
+print(json.dumps({"roots": [names[i] for i in sorted(set(root))], "evals": evals,
+                  "eta_size": int(ib.model.eta_layout_for(sc, mod).size)}))
+"""
+
+
+def test_traced_probe_evaluates_the_mean_through_mean_from_eta():
+    out = _run_traced(PROBE_SCRIPT)
+    assert out["roots"] == ["fim.observation_fim_numeric", "signals.mean_jacobian"]
+    # one up and one down evaluation per eta entry, all inside the probe
+    assert out["evals"] == {"fim.observation_fim_numeric": 2 * out["eta_size"]}

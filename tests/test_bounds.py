@@ -99,6 +99,31 @@ def test_schur_complement_rejects_singular_nuisance():
     assert exc.value.report is not None
 
 
+def test_coupled_error_is_diagnosed_on_first_read(ref8, monkeypatch):
+    fim = assemble_theta_fim(ref8, ModulationConfig(Scheme.PPM, d_data=ref8.n_f))
+    calls = []
+    report = bounds.singularity_report
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "singularity_report", counted)
+    with pytest.raises(CoupledParametersError) as exc:
+        efim(fim, "fd1")
+    assert calls == []  # raising costs no SVD
+    assert str(exc.value) == (
+        "nuisance block is singular (rank 8 of 9); coupled columns: tau1~dtau_q; "
+        "choose a decoupling strategy or drop the affected parameters")
+    assert exc.value.report.coupled_columns == (("tau1", "dtau_q"),)
+    assert len(calls) == 1  # built once, then kept
+    # a report catches two such errors (fd1, amp) and diagnoses only I_theta
+    calls.clear()
+    rep = crlb_report(ref8, ModulationConfig(Scheme.PPM, d_data=ref8.n_f))
+    assert rep.crlb["fd1"] is None and rep.crlb["amp"] is None
+    assert len(calls) == 1
+
+
 # --------------------------------------------------------- singularity report
 
 def test_singularity_report_healthy():

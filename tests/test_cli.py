@@ -308,6 +308,17 @@ def test_pareto_verb(tmp_path, capsys):
     assert "root range m" in out
 
 
+@pytest.mark.parametrize("key", ["modulation.scheme=bogus", "modulation.sfd_weight=-1"])
+def test_pareto_verb_validates_the_modulation_section(tmp_path, capsys, key):
+    # the table reads only xi_ppm, but a bad [modulation] key is still a
+    # configuration error, as it is for every other verb
+    code = cli.main(["pareto", "--out", str(tmp_path), "--set", "scenario.n_f=4",
+                     "--set", key])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "pareto.csv").exists()
+
+
 # ------------------------------------------------------------- validate verb
 
 def test_validate_verb(capsys):

@@ -229,9 +229,25 @@ def test_numeric_fim_equals_whole_frame_probe(kind, n_paths, f_s):
     assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-13
 
 
+@pytest.mark.parametrize("f_s", [10e9, 100e9])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_numeric_fim_sample_range_covers_wide_delay_steps(kind, f_s):
+    # a 50 alpha delay step moves a pulse clear of its +-40 alpha window at
+    # eta0: the probe's per-slot sample range must take in the shifted
+    # pulses too, or their differences are cut off
+    n_f = 3
+    sc = dataclasses.replace(reference_scenario(n_f=n_f, n_paths=2), f_s=f_s)
+    mod = make_modulation(kind, n_f)
+    steps = FdSteps(delay=50 * sc.pulse.alpha)
+    got = observation_fim_numeric(sc, mod, steps).data
+    want = _whole_frame_probe(sc, mod, steps)
+    d = np.sqrt(np.diag(want))
+    assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-13
+
+
 def test_numeric_fim_samples_only_the_slots_each_entry_drives(monkeypatch):
     # each entry re-evaluates the slots the per-slot map says it drives (one
-    # sample_pulse call per slot, up and down), not the whole frame
+    # pulse-window call per slot, up and down), not the whole frame
     n_f = 8
     sc = reference_scenario(n_f=n_f, n_paths=3)
     mod = make_modulation("bpsk-pilot", n_f)
@@ -239,13 +255,13 @@ def test_numeric_fim_samples_only_the_slots_each_entry_drives(monkeypatch):
     want = 2 * sum(int(np.any(index == i, axis=(0, 2)).sum()) for i in range(size))
     assert (want, 2 * size * n_f) == (144, 576)
     calls = []
-    sample = signals.sample_pulse
+    window = signals._pulse_window
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return sample(*args, **kwargs)
+        return window(*args, **kwargs)
 
-    monkeypatch.setattr(signals, "sample_pulse", counted)
+    monkeypatch.setattr(signals, "_pulse_window", counted)
     observation_fim_numeric(sc, mod)
     assert len(calls) == want
 

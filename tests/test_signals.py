@@ -5,19 +5,30 @@ differences of mean_from_eta; that finite-difference oracle is what the
 information-matrix layer ultimately rests on.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from isacbounds.fim import per_pri_information
 from isacbounds.model import (
     ConfigError,
     Decoupling,
     LeakageError,
     ModulationConfig,
+    PulseShape,
+    SUPPORT_SIGMAS,
     Scheme,
+    UndersampledPulseError,
     eta_layout_for,
+    pulse_time_derivative,
     sample_pulse,
+    time_grid,
 )
 from isacbounds.signals import (
+    _TAU,
+    _slot_model,
     bound_bits,
     eta_point,
     mean_from_eta,
@@ -231,3 +242,103 @@ def test_mean_from_eta_slots_are_rows_of_the_whole_frame(kind):
     for bad in ([last + 1], [-1], [0.0], [True], "0", [[0]], 0):
         with pytest.raises(ConfigError):
             mean_from_eta(sc, mod, eta, bad)
+
+
+# ------------------------------------------- windows against the whole grid
+#
+# The samplers evaluate each pulse on its sample window only.  These
+# references evaluate every formula on every sample of the PRI and sum the
+# paths in order; the windowed results must equal them bit for bit (up to
+# the sign of a zero, which np.array_equal ignores).
+
+def _whole_grid_pulse(sc, tau):
+    # w(t - tau) and d/dtau w(t - tau) on every sample of the PRI grid
+    t = time_grid(sc) - np.asarray(tau, dtype=float)[..., None]
+    alpha = sc.pulse.alpha
+    w = (alpha * math.sqrt(math.pi)) ** -0.5 * np.exp(-(t * t) / (2.0 * alpha ** 2))
+    return w, (t / alpha ** 2) * w
+
+
+def _whole_grid_mean(sc, table):
+    # sum over paths, in path order, of amp exp(j phi) w(t - tau) per slot
+    tau, phi, amp = table
+    coef = amp * np.exp(1j * phi)
+    w, _ = _whole_grid_pulse(sc, tau)
+    mu = coef[:, 0, None] * w[:, 0]
+    for l in range(1, tau.shape[1]):
+        mu = mu + coef[:, l, None] * w[:, l]
+    return mu.ravel()
+
+
+def _whole_grid_jacobian(sc, mod):
+    # d/dtau, d/dphi and d/damp of every (slot, path) term, written into the
+    # column the per-slot map names, on every sample of the slot
+    size, (tau, phi, amp), index = _slot_model(sc, mod)
+    w, dw = _whole_grid_pulse(sc, tau)
+    rot = np.exp(1j * phi)
+    c = (amp * rot)[..., None]
+    terms = (c * dw, 1j * c * w, rot[..., None] * w)
+    J = np.zeros((tau.shape[0], sc.n_s, size), dtype=complex)
+    for which, term in enumerate(terms):
+        for slot, l in np.ndindex(tau.shape):
+            if index[which, slot, l] >= 0:
+                J[slot, :, index[which, slot, l]] = term[slot, l]
+    return J.reshape(-1, size)
+
+
+def _last_center(sc):
+    # largest center whose +-6 alpha support stays inside the PRI
+    half = SUPPORT_SIGMAS * sc.pulse.alpha
+    tau = sc.t_f - half
+    while tau + half >= sc.t_f:
+        tau = np.nextafter(tau, 0.0)
+    return float(tau)
+
+
+#: alpha * f_s just above the sampling edge: per_pri_information accepts the
+#: pulse, one percent narrower it does not
+EDGE_ALPHA_FS = 0.901
+
+
+def _window_scenario(n_paths, rate):
+    sc = reference_scenario(n_f=3, n_paths=n_paths)
+    if rate == "edge":
+        return dataclasses.replace(sc, pulse=PulseShape(alpha=EDGE_ALPHA_FS / sc.f_s))
+    return dataclasses.replace(sc, f_s=rate)
+
+
+def test_edge_scenario_sits_at_the_sampling_tolerance():
+    sc = _window_scenario(3, "edge")
+    per_pri_information(sc)
+    narrower = dataclasses.replace(sc, pulse=PulseShape(alpha=0.99 * sc.pulse.alpha))
+    with pytest.raises(UndersampledPulseError):
+        per_pri_information(narrower)
+
+
+@pytest.mark.parametrize("rate", [10e9, 100e9, "edge"])
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_windowed_sampling_is_bit_identical_to_the_whole_grid(kind, n_paths, rate):
+    sc = _window_scenario(n_paths, rate)
+    mod = make_modulation(kind, sc.n_f)
+    # the samplers, at the paths and at centers whose windows slide at the
+    # PRI start and end
+    taus = np.array([0.0, *(p.tau_l0 for p in sc.paths), _last_center(sc)])
+    w, dw = _whole_grid_pulse(sc, taus)
+    np.testing.assert_array_equal(sample_pulse(sc.pulse, taus, sc), w)
+    np.testing.assert_array_equal(pulse_time_derivative(sc.pulse, taus, sc), dw)
+
+    _, table, index = _slot_model(sc, mod)
+    np.testing.assert_array_equal(mean_vector(sc, mod), _whole_grid_mean(sc, table))
+    np.testing.assert_array_equal(mean_jacobian(sc, mod), _whole_grid_jacobian(sc, mod))
+
+    # mean_from_eta with the delay entries moved alternately to the first and
+    # the last center the PRI allows, on a subset of slots in a new order
+    eta = eta_point(sc, mod)
+    delays = np.unique(index[_TAU][index[_TAU] >= 0])
+    eta[delays[0::2]] = 0.0
+    eta[delays[1::2]] = _last_center(sc)
+    moved = np.where(index >= 0, eta[index], table)
+    slots = [index.shape[1] - 1, 0]
+    whole = _whole_grid_mean(sc, moved).reshape(-1, sc.n_s)
+    np.testing.assert_array_equal(mean_from_eta(sc, mod, eta, slots), whole[slots].ravel())
