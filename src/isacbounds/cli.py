@@ -314,9 +314,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _snr_scenario(cfg: dict[str, dict[str, str]], verb: str) -> ScenarioConfig:
+    """Scenario of a verb that sets every path amplitude from an SNR itself."""
+    if cfg["scenario"]["amps"].strip():
+        raise ConfigError(f"{verb} sets the path amplitudes from an SNR; unset scenario.amps")
+    return build_scenario(cfg)
+
+
 def cmd_crossover(args) -> int:
     cfg = load_config(args.config, args.set)
-    scenario = build_scenario(cfg)
+    scenario = _snr_scenario(cfg, "crossover")
     modulation = build_modulation(cfg)
     if modulation.p_pilots < 1:
         raise ConfigError("crossover needs modulation.p_pilots >= 1 for the pilot arm")
@@ -346,7 +353,7 @@ def cmd_crossover(args) -> int:
 
 def cmd_pareto(args) -> int:
     cfg = load_config(args.config, args.set)
-    scenario = build_scenario(cfg)
+    scenario = _snr_scenario(cfg, "pareto")
     # the table chooses its own frame splits, but [modulation] is still checked
     modulation = build_modulation(cfg)
     snr_db = parse_quantity(cfg["scenario"]["snr_db"])

@@ -5,6 +5,10 @@ plots: root ranging/Doppler CRLB versus SNR, data-assistance comparisons
 across frame splits, the pilot-versus-differential crossover in the number of
 data pulses, and the rate/ranging trade-off frontier.  Everything is pure and
 deterministic: identical inputs give byte-identical CSV output.
+
+One evaluator, :func:`_evaluate`, turns a configured frame into table cells
+for all three tables: sweep rows, both crossover arms (run on the sweep's
+``d_data`` axis) and frontier rows.
 """
 
 from __future__ import annotations
@@ -189,33 +193,43 @@ def _configure_point(spec: SweepSpec, value: float) -> tuple[ScenarioConfig, Mod
     return scenario, modulation
 
 
-def _eval_point(spec: SweepSpec, value: float) -> tuple:
-    error = ""
-    results: dict[str, float] = {o: math.nan for o in spec.outputs}
+def _blank_cells(outputs) -> dict:
+    return {**dict.fromkeys(outputs, math.nan), "error": ""}
+
+
+def _evaluate(scenario: ScenarioConfig, modulation: ModulationConfig, cells: dict) -> dict:
+    """Fill the output cells of one configured frame and its ``error`` text.
+
+    ``cells`` comes from :func:`_blank_cells`.  A value the report cannot give
+    stays NaN with the reason in ``error``.  Exceptions propagate, and the
+    cells filled before the raise keep their values.
+    """
+    report = crlb_report(scenario, modulation)
+    crlbs = {"root_range_crlb_m": ("ranging", report.range_crlb_m2),
+             "root_doppler_crlb_hz": ("Doppler", report.crlb.get("fd1"))}
+    for out in cells:
+        if out in crlbs:
+            what, v = crlbs[out]
+            if v is not None:
+                cells[out] = math.sqrt(v)
+            elif not cells["error"]:
+                cells["error"] = f"{what} CRLB unavailable (singular nuisance block)"
+        elif out == "rate_bps":
+            cells[out] = data_rate(scenario, modulation)
+        elif out == "comm_efim":
+            cells[out] = comm_efim_ppm(scenario, modulation)
+    if report.singular and not cells["error"]:
+        cells["error"] = "information matrix singular: " + _describe_singularity(report)
+    return cells
+
+
+def _sweep_row(spec: SweepSpec, value: float) -> tuple:
+    cells = _blank_cells(spec.outputs)
     try:
-        scenario, modulation = _configure_point(spec, value)
-        report = crlb_report(scenario, modulation)
-        for out in spec.outputs:
-            if out == "root_range_crlb_m":
-                if report.range_crlb_m2 is not None:
-                    results[out] = math.sqrt(report.range_crlb_m2)
-                else:
-                    error = error or "ranging CRLB unavailable (singular nuisance block)"
-            elif out == "root_doppler_crlb_hz":
-                v = report.crlb.get("fd1")
-                if v is not None:
-                    results[out] = math.sqrt(v)
-                else:
-                    error = error or "Doppler CRLB unavailable (singular nuisance block)"
-            elif out == "rate_bps":
-                results[out] = data_rate(scenario, modulation)
-            elif out == "comm_efim":
-                results[out] = comm_efim_ppm(scenario, modulation)
-        if report.singular and not error:
-            error = "information matrix singular: " + _describe_singularity(report)
+        _evaluate(*_configure_point(spec, value), cells)
     except Exception as exc:  # keep sweeping, report per row
-        error = error or f"{type(exc).__name__}: {exc}"
-    return (value, *[results[o] for o in spec.outputs], error)
+        cells["error"] = cells["error"] or f"{type(exc).__name__}: {exc}"
+    return (value, *cells.values())
 
 
 def _describe_singularity(report) -> str:
@@ -233,7 +247,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     Rows that fail (singular configurations, leakage, ...) carry NaN outputs
     and the error message in the last column; the sweep always completes.
     """
-    rows = [_eval_point(spec, v) for v in spec.values]
+    rows = [_sweep_row(spec, v) for v in spec.values]
     sc, mod = spec.scenario, spec.modulation
     provenance = {
         "generator": f"isacbounds {_pkg_version}",
@@ -272,37 +286,6 @@ class CrossoverResult:
     table: ResultTable
 
 
-def _ranging_pair(scenario: ScenarioConfig, p_pilots: int, d: int,
-                  differential: ModulationConfig) -> tuple[float, float, str]:
-    """(pilot root-range CRLB, differential root-range CRLB, error) at d data PRIs.
-
-    Both arms share the ``xi_ppm`` of the ``differential`` arm's modulation.
-    """
-    error = ""
-    pilot = math.nan
-    diff = math.nan
-    try:
-        mod_p = ModulationConfig(scheme=Scheme.PPM, decoupling=Decoupling.PILOT,
-                                 xi_ppm=differential.xi_ppm, p_pilots=p_pilots, d_data=d)
-        rep = crlb_report(with_frame(scenario, p_pilots + d), mod_p)
-        if rep.range_crlb_m2 is not None:
-            pilot = math.sqrt(rep.range_crlb_m2)
-        else:
-            error = "pilot arm singular"
-    except Exception as exc:
-        error = f"pilot arm: {type(exc).__name__}: {exc}"
-    try:
-        mod_d = dataclasses.replace(differential, d_data=d)
-        rep = crlb_report(with_frame(scenario, d), mod_d)
-        if rep.range_crlb_m2 is not None:
-            diff = math.sqrt(rep.range_crlb_m2)
-        else:
-            error = (error + "; " if error else "") + "differential arm singular"
-    except Exception as exc:
-        error = (error + "; " if error else "") + f"differential arm: {type(exc).__name__}: {exc}"
-    return pilot, diff, error
-
-
 def find_crossover(scenario: ScenarioConfig, p_pilots: int, d_values,
                    xi_ppm: float = 2.0e-9, sfd_weight: float = 1.0,
                    check_snrs_db: tuple[float, ...] = (0.0, 20.0)) -> CrossoverResult:
@@ -311,28 +294,37 @@ def find_crossover(scenario: ScenarioConfig, p_pilots: int, d_values,
     The pilot arm keeps ``p_pilots`` pilots and appends ``d`` data PRIs; the
     differential arm spends all ``d`` PRIs on data plus the reference pulse,
     whose ``sfd_weight`` goes into that arm's :class:`ModulationConfig` (so a
-    bad weight or ``xi_ppm`` raises ConfigError before the scan).  The
-    crossover index is where the differential root ranging CRLB first drops
-    below the pilot one; it is checked at every SNR in ``check_snrs_db`` (the
-    bounds scale identically with SNR, so the index must not move).
+    bad pilot count, weight or ``xi_ppm`` raises ConfigError before the scan).
+    Both arms run on the sweep engine's ``d_data`` axis.  The crossover index
+    is where the differential root ranging CRLB first drops below the pilot
+    one; it is checked at every SNR in ``check_snrs_db`` (the bounds scale
+    identically with SNR, so the index must not move).
     """
-    d_values = [int(d) for d in d_values]
-    if p_pilots < 1:
-        raise ConfigError("the pilot arm needs at least one pilot PRI")
-    differential = ModulationConfig(scheme=Scheme.PPM, decoupling=Decoupling.DIFFERENTIAL,
-                                    xi_ppm=xi_ppm, sfd_weight=sfd_weight)
+    arms = {
+        "pilot": ModulationConfig(scheme=Scheme.PPM, decoupling=Decoupling.PILOT,
+                                  xi_ppm=xi_ppm, p_pilots=p_pilots),
+        "differential": ModulationConfig(scheme=Scheme.PPM, decoupling=Decoupling.DIFFERENTIAL,
+                                         xi_ppm=xi_ppm, sfd_weight=sfd_weight),
+    }
+    if not check_snrs_db:
+        raise ConfigError("the crossover needs at least one check SNR")
+    d_values = tuple(int(d) for d in d_values)
+    ranging = ("root_range_crlb_m",)
     per_snr_cross: list[int | None] = []
     rows = []
     for snr_db in check_snrs_db:
         sc = with_snr(scenario, snr_db)
+        # a sweep refuses an empty axis; an empty d range finds no crossover
+        pilot, diff = (run_sweep(SweepSpec("d_data", d_values, ranging, sc, mod)).rows
+                       if d_values else [] for mod in arms.values())
         cross: int | None = None
-        for d in d_values:
-            pilot, diff, err = _ranging_pair(sc, p_pilots, d, differential)
+        for (d, p_rng, p_err), (_, d_rng, d_err) in zip(pilot, diff):
             # strict improvement beyond roundoff: exact ties are not a crossover
-            if (cross is None and math.isfinite(pilot) and math.isfinite(diff)
-                    and diff < pilot * (1.0 - 1e-9)):
+            if (cross is None and math.isfinite(p_rng) and math.isfinite(d_rng)
+                    and d_rng < p_rng * (1.0 - 1e-9)):
                 cross = d
-            rows.append((snr_db, d, pilot, diff, err))
+            err = "; ".join(f"{arm} arm: {e}" for arm, e in zip(arms, (p_err, d_err)) if e)
+            rows.append((snr_db, d, p_rng, d_rng, err))
         per_snr_cross.append(cross)
     table = ResultTable(
         columns=("snr_db", "d_data", "pilot_root_range_crlb_m",
@@ -362,14 +354,11 @@ def pareto_table(scenario: ScenarioConfig, n_total: int, snr_db: float = 0.0,
     rows = []
     for p in range(1, n_total + 1):
         d = n_total - p
-        if d > 0:
-            mod = ModulationConfig(scheme=Scheme.PPM, decoupling=Decoupling.PILOT,
-                                   xi_ppm=xi_ppm, p_pilots=p, d_data=d)
-        else:
-            mod = ModulationConfig(scheme=Scheme.SENSING)
-        rep = crlb_report(sc, mod)
-        rng = math.sqrt(rep.range_crlb_m2) if rep.range_crlb_m2 is not None else math.nan
-        rows.append((p, d, data_rate(sc, mod), rng, ""))
+        mod = (ModulationConfig(scheme=Scheme.PPM, decoupling=Decoupling.PILOT,
+                                xi_ppm=xi_ppm, p_pilots=p, d_data=d) if d > 0
+               else ModulationConfig(scheme=Scheme.SENSING))
+        cells = _evaluate(sc, mod, _blank_cells(("rate_bps", "root_range_crlb_m")))
+        rows.append((p, d, *cells.values()))
     return ResultTable(
         columns=("p_pilots", "d_data", "rate_bps", "root_range_crlb_m", "error"),
         rows=rows,
@@ -402,6 +391,8 @@ def fim_deviation(test: np.ndarray, ref: np.ndarray, floor_rel: float = 1e-9) ->
 
 def validate_suite(rtol: float = 0.02) -> list[CheckResult]:
     """Fast oracle checks: closed forms against quadrature and the numeric probe."""
+    if not 0.0 < rtol < math.inf:  # NaN fails this too
+        raise ConfigError(f"validate tolerance must be finite and > 0, got {rtol}")
     checks: list[CheckResult] = []
 
     sc = reference_scenario(n_f=2, n_paths=1)

@@ -319,6 +319,27 @@ def test_pareto_verb_validates_the_modulation_section(tmp_path, capsys, key):
     assert not (tmp_path / "pareto.csv").exists()
 
 
+@pytest.mark.parametrize("verb,csv_name", [("crossover", "crossover.csv"),
+                                           ("pareto", "pareto.csv")])
+def test_snr_verbs_refuse_amps(verb, csv_name, tmp_path, capsys):
+    # both tables set every amplitude from an SNR, so given amps would be ignored
+    code = cli.main([verb, "--out", str(tmp_path), "--set", "scenario.n_f=4",
+                     "--set", "scenario.amps=1e-3,2e-3,5e-3",
+                     "--set", "modulation.scheme=ppm", "--set", "modulation.decoupling=pilot",
+                     "--set", "modulation.p_pilots=2", "--set", "modulation.d_data=2"])
+    assert code == 2
+    assert "scenario.amps" in capsys.readouterr().err
+    assert not (tmp_path / csv_name).exists()
+
+
+def test_pareto_verb_refuses_a_leaking_shift(tmp_path, capsys):
+    code = cli.main(["pareto", "--out", str(tmp_path), "--set", "scenario.n_f=4",
+                     "--set", "modulation.xi_ppm=60ns"])
+    assert code == 2
+    assert "xi_ppm" in capsys.readouterr().err
+    assert not (tmp_path / "pareto.csv").exists()
+
+
 # ------------------------------------------------------------- validate verb
 
 def test_validate_verb(capsys):
@@ -326,6 +347,14 @@ def test_validate_verb(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 13
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_validate_verb_refuses_a_bad_tolerance(tol, capsys):
+    assert cli.main(["validate", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_console_script_entry_point():

@@ -199,6 +199,14 @@ def test_sweep_row_equals_its_single_point_report(kind, axis, data):
             assert row[-1], row
 
 
+def test_sweep_row_keeps_the_cells_before_a_raising_output():
+    # a ppm-pilot frame with no data PRI has a rate, but no comm EFIM
+    spec = _pilot_spec(axis="d_data", values=(0,), outputs=("rate_bps", "comm_efim"))
+    (row,) = run_sweep(spec).rows
+    assert row[1] == 0.0
+    assert math.isnan(row[2]) and row[3].startswith("ConfigError: ")
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         _pilot_spec(axis="bogus")
@@ -268,6 +276,44 @@ def test_crossover_not_found_when_range_too_short():
     assert res.d_cross is None
 
 
+def test_crossover_rows_equal_their_single_point_reports():
+    sc, p_pilots, xi = reference_scenario(n_paths=2), 3, 2.0e-9
+    res = find_crossover(sc, p_pilots, range(0, 7), xi_ppm=xi)
+    assert [row[:2] for row in res.table.rows] == [(s, d) for s in (0.0, 20.0) for d in range(7)]
+    for snr_db, d, pilot, diff, error in res.table.rows:
+        arms = {
+            "pilot": (p_pilots + d, dict(decoupling=Decoupling.PILOT, p_pilots=p_pilots)),
+            "differential": (d, dict(decoupling=Decoupling.DIFFERENTIAL)),
+        }
+        for (arm, (n_f, kw)), got in zip(arms.items(), (pilot, diff)):
+            try:
+                mod = ModulationConfig(scheme=Scheme.PPM, xi_ppm=xi, d_data=d, **kw)
+                m2 = crlb_report(with_frame(with_snr(sc, snr_db), n_f), mod).range_crlb_m2
+            except ConfigError:
+                m2 = None
+            if m2 is None:
+                assert math.isnan(got) and f"{arm} arm: " in error, (arm, d, error)
+            else:
+                assert got == math.sqrt(m2), (arm, snr_db, d)
+                assert f"{arm} arm: " not in error, (arm, d, error)
+    # d = 0 and 1 carry no differential ranging; from d = 2 both arms do
+    assert all(row[4] for row in res.table.rows if row[1] < 2)
+    assert not any(row[4] for row in res.table.rows if row[1] >= 2)
+
+
+def test_crossover_refuses_configs_before_the_scan():
+    sc = reference_scenario()
+    with pytest.raises(ConfigError, match="check SNR"):
+        find_crossover(sc, 4, range(2, 5), check_snrs_db=())
+    with pytest.raises(ConfigError, match="pilot"):
+        find_crossover(sc, 0, range(2, 5))
+
+
+def test_crossover_of_an_empty_range_finds_nothing():
+    res = find_crossover(reference_scenario(), 4, [])
+    assert not res.found and res.snr_invariant and res.table.rows == []
+
+
 # -------------------------------------------------------------------- pareto
 
 def test_pareto_frontier_shape():
@@ -288,6 +334,18 @@ def test_pareto_frontier_shape():
         for j, (rb, cb) in enumerate(rows):
             if i != j:
                 assert not (rb >= ra and cb <= ca and (rb > ra or cb < ca))
+
+
+def test_pareto_rows_equal_their_single_point_reports():
+    sc = reference_scenario()
+    tab = pareto_table(sc, n_total=8, snr_db=3.0)
+    frame = with_snr(with_frame(sc, 8), 3.0)
+    for p, d, rate, rng, error in tab.rows:
+        mod = (ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=p, d_data=d) if d
+               else ModulationConfig(Scheme.SENSING))
+        assert rate == data_rate(frame, mod)
+        assert rng == math.sqrt(crlb_report(frame, mod).range_crlb_m2)
+        assert error == ""
 
 
 # ----------------------------------------------------------- validation suite
