@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import decimal
 import math
 import re
 import sys
@@ -60,12 +61,17 @@ EXIT_INTERNAL = 4
 # Quantity parsing
 # =========================================================================
 
-_UNIT_SCALE = {
-    "": 1.0,
-    "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12,
-    "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12,
-    "j": 1.0, "mj": 1e-3, "uj": 1e-6, "nj": 1e-9, "pj": 1e-12,
+#: decimal exponent of each unit, applied exactly: "100ns" is 1e-07, not 100 * 1e-9
+_UNIT_EXPONENT = {
+    "": 0,
+    "s": 0, "ms": -3, "us": -6, "ns": -9, "ps": -12,
+    "hz": 0, "khz": 3, "mhz": 6, "ghz": 9, "thz": 12,
+    "j": 0, "mj": -3, "uj": -6, "nj": -9, "pj": -12,
 }
+
+#: scaleb here is exact; past the float range it gives inf or 0, as float() does
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN, traps=[])
 
 _QUANTITY_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
 
@@ -77,12 +83,13 @@ def parse_quantity(text: str) -> float:
         raise ConfigError(f"cannot parse quantity {text!r}")
     value, unit = m.groups()
     key = unit.lower()
-    if key not in _UNIT_SCALE:
+    if key not in _UNIT_EXPONENT:
         raise ConfigError(f"unknown unit {unit!r} in {text!r}")
     try:
-        return float(value) * _UNIT_SCALE[key]
-    except ValueError:
+        number = decimal.Decimal(value)
+    except decimal.InvalidOperation:
         raise ConfigError(f"cannot parse quantity {text!r}") from None
+    return float(number.scaleb(_UNIT_EXPONENT[key], _EXACT))
 
 
 def parse_int(text: str) -> int:
@@ -200,14 +207,9 @@ def build_scenario(cfg: dict[str, dict[str, str]]) -> ScenarioConfig:
 
 def build_modulation(cfg: dict[str, dict[str, str]]) -> ModulationConfig:
     mo = cfg["modulation"]
-    try:
-        scheme = Scheme(mo["scheme"].strip().lower())
-        decoupling = Decoupling(mo["decoupling"].strip().lower())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     return ModulationConfig(
-        scheme=scheme,
-        decoupling=decoupling,
+        scheme=mo["scheme"].strip().lower(),
+        decoupling=mo["decoupling"].strip().lower(),
         xi_ppm=parse_quantity(mo["xi_ppm"]),
         xi_bpsk=parse_quantity(mo["xi_bpsk"]),
         p_pilots=parse_int(mo["p_pilots"]),
@@ -296,11 +298,13 @@ def _singular_advice(report, n_f: int) -> str:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.set)
     sw = cfg["sweep"]
+    axis = sw["axis"].strip()
     spec = SweepSpec(
-        axis=sw["axis"].strip(),
+        axis=axis,
         values=sweep_values(cfg),
         outputs=tuple(s.strip() for s in sw["outputs"].split(",") if s.strip()),
-        scenario=build_scenario(cfg),
+        scenario=(_snr_scenario(cfg, "sweep on the snr_db axis") if axis == "snr_db"
+                  else build_scenario(cfg)),
         modulation=build_modulation(cfg),
     )
     table = run_sweep(spec)
@@ -328,10 +332,13 @@ def cmd_crossover(args) -> int:
     if modulation.p_pilots < 1:
         raise ConfigError("crossover needs modulation.p_pilots >= 1 for the pilot arm")
     sw = cfg["sweep"]
-    d_lo = parse_int(sw["start"])
+    if sw["values"].strip():
+        raise ConfigError("crossover scans sweep.start..sweep.stop; unset sweep.values")
+    d_lo = max(parse_int(sw["start"]), 2)  # one data PRI cannot carry the Doppler ramp
     d_hi = parse_int(sw["stop"])
-    if d_lo < 2:
-        d_lo = 2  # a single data PRI cannot carry the Doppler ramp
+    if d_hi < d_lo:
+        raise ConfigError(f"crossover scans no d_data: sweep.stop = {d_hi} is below "
+                          f"the first scanned d_data {d_lo}")
     result = find_crossover(
         scenario, modulation.p_pilots, range(d_lo, d_hi + 1),
         xi_ppm=modulation.xi_ppm, sfd_weight=modulation.sfd_weight,

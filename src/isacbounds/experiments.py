@@ -31,7 +31,9 @@ from .model import (
     amp_for_snr,
     effective_bandwidth,
     received_snr,
+    validate_modulation,
 )
+from .signals import bound_bits
 from .fim import observation_fim_analytic, observation_fim_numeric, per_pri_information
 from .bounds import comm_efim_ppm, crlb_report
 from . import __version__ as _pkg_version
@@ -85,18 +87,12 @@ def with_frame(scenario: ScenarioConfig, n_f: int) -> ScenarioConfig:
 def data_rate(scenario: ScenarioConfig, modulation: ModulationConfig) -> float:
     """Raw data rate in bit/s: one bit per data PRI over the frame span.
 
-    rate = D / ((P + D) * t_f).  Sensing-only frames carry nothing;
-    differential and undecoupled frames use every PRI (rate 1 / t_f).
+    rate = D / (n_f * t_f), D the data PRIs that :func:`signals.bound_bits`
+    marks: none when sensing-only, all when differential or undecoupled.
+    Raises ConfigError unless the pair is valid.
     """
-    if modulation.scheme == Scheme.SENSING:
-        return 0.0
-    if modulation.decoupling == Decoupling.PILOT:
-        p, d = modulation.p_pilots, modulation.d_data
-    else:
-        p, d = 0, scenario.n_f
-    if d == 0:
-        return 0.0
-    return d / ((p + d) * scenario.t_f)
+    validate_modulation(scenario, modulation)
+    return int(bound_bits(scenario, modulation).sum()) / (scenario.n_f * scenario.t_f)
 
 
 # =========================================================================

@@ -39,13 +39,12 @@ from .model import (
     ConfigError,
     ModulationConfig,
     ParamLayout,
-    SUPPORT_SIGMAS,
     ScenarioConfig,
     UndersampledPulseError,
+    _pulse_window,
     _window_starts,
     effective_bandwidth,
     eta_layout_for,
-    sample_pulse,
 )
 from .signals import _AMP, _TAU, _slot_model, eta_point, mean_from_eta, n_slots
 
@@ -207,19 +206,12 @@ def per_pri_information(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarra
 def _per_pri_information(
         scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pulse, f_s = scenario.pulse, scenario.f_s
-    half = SUPPORT_SIGMAS * pulse.alpha
-    energy = np.empty(scenario.n_paths)
-    slope_energy = np.empty(scenario.n_paths)  # alpha**4 sum(w'**2) / f_s
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # one path at a time: a (L, n_s) sampling is slower at 10^4 samples
-        for l, path in enumerate(scenario.paths):
-            w = sample_pulse(pulse, path.tau_l0, scenario)
-            energy[l] = np.dot(w, w) / f_s  # as received_snr forms it
-            # w' = -(t - tau) / alpha**2 * w, summed over the +-6 alpha support
-            lo = max(0, math.ceil((path.tau_l0 - half) * f_s))
-            hi = min(scenario.n_s, math.floor((path.tau_l0 + half) * f_s) + 1)
-            uw = (np.arange(lo, hi) / f_s - path.tau_l0) * w[lo:hi]
-            slope_energy[l] = np.dot(uw, uw) / f_s
+        # every path's pulse on its own sample window, t its offset from the
+        # center: the energies sum(w**2) / f_s and alpha**4 sum(w'**2) / f_s
+        _, _, t, w = _pulse_window(pulse, [p.tau_l0 for p in scenario.paths], scenario)
+        energy = (w * w).sum(axis=1) / f_s
+        slope_energy = ((t * w) ** 2).sum(axis=1) / f_s
         # (2 pi B)**2 = 1 / (2 alpha**2) for the Gaussian pulse
         error = np.maximum(np.abs(energy - 1.0),
                            np.abs(2.0 * slope_energy / pulse.alpha ** 2 - 1.0))

@@ -38,6 +38,10 @@ def make_modulation(kind: str, n_f: int) -> ModulationConfig:
 
 ALL_KINDS = ("sensing", "ppm-raw", "bpsk-raw", "ppm-pilot", "bpsk-pilot", "ppm-diff")
 
+#: alpha * f_s just above the sampling edge: per_pri_information accepts the
+#: pulse, one percent narrower it does not
+EDGE_ALPHA_FS = 0.901
+
 
 @pytest.fixture
 def ref8():

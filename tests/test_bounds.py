@@ -743,3 +743,48 @@ def test_crlb_report_invariants(kind, n_f, snr_db, shift, f_c, dopplers):
             assert got == pytest.approx(want, rel=1e-9)
         else:
             assert got * snr == pytest.approx(want, rel=1e-9), name
+
+
+@given(n_paths=st.integers(1, 3),
+       n_f_p=st.integers(3, 500).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+       snr_db=st.floats(-10.0, 30.0), shift=st.floats(-18e-9, 30e-9),
+       dopplers=st.lists(st.floats(-5e3, 5e3), min_size=3, max_size=3),
+       sfd_weight=st.floats(0.1, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_decoupling_separates_the_sensing_and_data_domains(n_paths, n_f_p, snr_db, shift,
+                                                           dopplers, sfd_weight):
+    # the paper's coupling claim as exact identities: a decoupled frame pays
+    # for its data only in the parameter the data moves (PPM: delay, BPSK:
+    # phase), so its other CRLBs are those of a sensing frame of equal length
+    n_f, p = n_f_p
+    d = n_f - p
+    sc = reference_scenario(n_f=n_f, n_paths=n_paths, snr_db=snr_db,
+                            dopplers=tuple(dopplers[:n_paths]))
+    sc = dataclasses.replace(sc, paths=tuple(
+        dataclasses.replace(path, tau_l0=path.tau_l0 + shift) for path in sc.paths))
+
+    def pilot(scheme, p, d):
+        return ModulationConfig(scheme=scheme, decoupling=Decoupling.PILOT,
+                                p_pilots=p, d_data=d)
+
+    sensing = crlb_report(sc, make_modulation("sensing", n_f)).crlb
+    ppm = crlb_report(sc, pilot(Scheme.PPM, p, d)).crlb
+    bpsk = crlb_report(sc, pilot(Scheme.BPSK, p, d)).crlb
+    diff = crlb_report(sc, dataclasses.replace(make_modulation("ppm-diff", n_f),
+                                               sfd_weight=sfd_weight)).crlb
+    for name, frame, crlbs in (("fd1", "ppm-pilot", ppm), ("amp", "ppm-pilot", ppm),
+                               ("fd1", "ppm-diff", diff), ("amp", "ppm-diff", diff),
+                               ("tau1", "bpsk-pilot", bpsk), ("amp", "bpsk-pilot", bpsk)):
+        assert crlbs[name] == pytest.approx(sensing[name], rel=1e-12), (frame, name)
+
+    # data PRIs never remove delay information, and add less than pilots would
+    longer = crlb_report(with_frame(sc, n_f + 1), pilot(Scheme.PPM, p, d + 1)).crlb
+    assert longer["tau1"] <= ppm["tau1"] * (1 + 1e-12)
+    assert sensing["tau1"] <= ppm["tau1"] * (1 + 1e-12)
+    if p >= 2:
+        pilots_only = crlb_report(with_frame(sc, p), make_modulation("sensing", p)).crlb
+        assert ppm["tau1"] <= pilots_only["tau1"] * (1 + 1e-12)
+
+    lam_tau = per_pri_information(sc)[0]
+    assert comm_efim_ppm(sc, pilot(Scheme.PPM, p, d)) == pytest.approx(
+        float(np.sum(lam_tau)) * p * d / (p + d), rel=1e-12)

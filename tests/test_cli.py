@@ -12,7 +12,7 @@ import pytest
 from isacbounds.model import ConfigError
 from isacbounds import bounds, cli
 from isacbounds.bounds import crlb_report
-from isacbounds.experiments import data_rate, with_snr
+from isacbounds.experiments import data_rate, reference_scenario, with_snr
 from isacbounds.fim import LabeledMatrix
 
 
@@ -36,6 +36,17 @@ from isacbounds.fim import LabeledMatrix
 ])
 def test_parse_quantity(text, value):
     assert cli.parse_quantity(text) == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("text,value", [("100ns", 1e-07), ("0.2ns", 2e-10), ("60ns", 6e-08),
+                                        ("3993.6MHz", 3993.6e6), ("3.7pJ", 3.7e-12),
+                                        ("1e-07", 1e-07)])
+def test_parse_quantity_scales_units_exactly(text, value):
+    assert cli.parse_quantity(text) == value
+
+
+def test_default_config_is_the_reference_scenario():
+    assert cli.build_scenario(cli.load_config(None, [])) == reference_scenario()
 
 
 @pytest.mark.parametrize("text", ["abc", "1.2.3ns", "", "ns", "10 lightyears"])
@@ -134,6 +145,7 @@ def test_exit_codes_for_config_errors():
     assert cli.main(["bounds", "--set", "scenario.n_f=abc"]) == 2
     assert cli.main(["bounds", "--config", "/nonexistent.ini"]) == 2
     assert cli.main(["bounds", "--set", "modulation.scheme=chirp"]) == 2
+    assert cli.main(["bounds", "--set", "scenario.f_s=1.5.3"]) == 2
 
 
 def test_bounds_rejects_out_of_range_amplitude(capsys):
@@ -273,6 +285,18 @@ def test_sweep_rejects_unknown_outputs(tmp_path, capsys):
     assert "unknown sweep outputs" in capsys.readouterr().err
 
 
+def test_sweep_off_the_snr_axis_reads_amps(tmp_path):
+    bodies = []
+    for amps in ("", "1e-3,2e-3,5e-3"):
+        out = tmp_path / str(len(bodies))
+        assert cli.main(["sweep", "--out", str(out), "--set", "sweep.axis=n_f",
+                         "--set", "sweep.values=2,4", "--set", f"scenario.amps={amps}"]) == 0
+        bodies.append([ln for ln in (out / "sweep_n_f.csv").read_text().splitlines()
+                       if not ln.startswith("# ")])
+    assert bodies[0][0] == bodies[1][0]
+    assert bodies[0][1:] != bodies[1][1:]
+
+
 def test_sweep_explicit_values(tmp_path):
     code = cli.main(["sweep", "--out", str(tmp_path),
                      "--set", "sweep.axis=n_f",
@@ -299,6 +323,21 @@ def test_crossover_verb(tmp_path, capsys):
     assert (tmp_path / "crossover.csv").exists()
 
 
+@pytest.mark.parametrize("sets,message", [
+    (["sweep.values=3,4"], "unset sweep.values"),
+    (["sweep.start=10", "sweep.stop=5"], "sweep.stop = 5 is below the first scanned d_data 10"),
+    (["sweep.start=0", "sweep.stop=1"], "sweep.stop = 1 is below the first scanned d_data 2"),
+])
+def test_crossover_refuses_a_range_it_would_not_scan(sets, message, tmp_path, capsys):
+    code = cli.main(["crossover", "--out", str(tmp_path),
+                     "--set", "modulation.scheme=ppm", "--set", "modulation.decoupling=pilot",
+                     "--set", "modulation.p_pilots=4", "--set", "modulation.d_data=4",
+                     *(arg for item in sets for arg in ("--set", item))])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "crossover.csv").exists()
+
+
 def test_pareto_verb(tmp_path, capsys):
     code = cli.main(["pareto", "--out", str(tmp_path),
                      "--set", "scenario.n_f=8"])
@@ -320,9 +359,11 @@ def test_pareto_verb_validates_the_modulation_section(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("verb,csv_name", [("crossover", "crossover.csv"),
-                                           ("pareto", "pareto.csv")])
+                                           ("pareto", "pareto.csv"),
+                                           ("sweep", "sweep_snr_db.csv")])
 def test_snr_verbs_refuse_amps(verb, csv_name, tmp_path, capsys):
-    # both tables set every amplitude from an SNR, so given amps would be ignored
+    # these tables set every amplitude from an SNR (sweep on its default
+    # snr_db axis), so given amps would be ignored
     code = cli.main([verb, "--out", str(tmp_path), "--set", "scenario.n_f=4",
                      "--set", "scenario.amps=1e-3,2e-3,5e-3",
                      "--set", "modulation.scheme=ppm", "--set", "modulation.decoupling=pilot",

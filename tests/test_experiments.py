@@ -16,6 +16,7 @@ from isacbounds.model import (
     received_snr,
 )
 from isacbounds.bounds import comm_efim_ppm, crlb_report
+from isacbounds.signals import bound_bits
 from isacbounds.experiments import (
     SWEEP_AXES,
     CrossoverResult,
@@ -62,6 +63,22 @@ def test_data_rate():
                                           p_pilots=4, d_data=4)) == pytest.approx(5e6)
     assert data_rate(sc, ModulationConfig(Scheme.BPSK, d_data=8)) == pytest.approx(1e7)
     assert data_rate(sc, make_modulation("ppm-diff", 8)) == pytest.approx(1e7)
+
+
+@pytest.mark.parametrize("kind", [*ALL_KINDS, "ppm-pilot-d0"])
+def test_data_rate_counts_the_data_bits(kind):
+    sc = reference_scenario(n_f=6)
+    if kind == "ppm-pilot-d0":
+        mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=6, d_data=0)
+    else:
+        mod = make_modulation(kind, sc.n_f)
+    assert data_rate(sc, mod) == bound_bits(sc, mod).sum() / (sc.n_f * sc.t_f)
+
+
+def test_data_rate_refuses_a_split_that_misses_the_frame():
+    mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=2, d_data=3)
+    with pytest.raises(ConfigError, match="does not cover the frame"):
+        data_rate(reference_scenario(n_f=8), mod)
 
 
 # ------------------------------------------------------------------- sweeps

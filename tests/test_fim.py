@@ -27,7 +27,7 @@ from isacbounds.model import (
     received_snr,
     theta_layout,
 )
-from isacbounds import signals
+from isacbounds import fim, model, signals
 from isacbounds.fim import (
     DEFAULT_FD,
     DiagonalMatrix,
@@ -43,7 +43,7 @@ from isacbounds.experiments import fim_deviation, reference_scenario, with_snr
 from isacbounds.jacobians import ramp_slope
 from isacbounds.signals import _slot_model, eta_point, mean_from_eta
 
-from conftest import ALL_KINDS, make_modulation, sym_eigs
+from conftest import ALL_KINDS, EDGE_ALPHA_FS, make_modulation, sym_eigs
 
 
 # ------------------------------------------------------------- ramp coefficients
@@ -85,6 +85,42 @@ def test_per_pri_information_anchors():
     assert 8 * lam_tau[0] == pytest.approx(1e23, rel=1e-9)
     assert lam_phi[0] == pytest.approx(1000.0, rel=1e-9)
     assert lam_amp[0] == pytest.approx(lam_phi[0] / sc.paths[0].amp ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("f_s,alpha_fs", [(7.77e9, None), (10e9, None), (100e9, None),
+                                          (10e9, EDGE_ALPHA_FS)])
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+@pytest.mark.parametrize("shift", [0.0, 0.37, 0.81])  # in samples
+def test_per_pri_information_equals_whole_grid_sums(f_s, alpha_fs, n_paths, shift):
+    sc = reference_scenario(n_f=2, n_paths=n_paths, f_s=f_s)
+    pulse = sc.pulse if alpha_fs is None else PulseShape(alpha=alpha_fs / f_s)
+    paths = tuple(dataclasses.replace(p, tau_l0=p.tau_l0 + shift / f_s, amp=(1 + l) * p.amp)
+                  for l, p in enumerate(sc.paths))
+    sc = dataclasses.replace(sc, pulse=pulse, paths=paths)
+    # the pulse on the whole PRI grid, every path at once
+    t = np.arange(sc.n_s) / f_s - np.array([p.tau_l0 for p in paths])[:, None]
+    w = pulse.peak() * np.exp(-(t * t) / (2.0 * pulse.alpha ** 2))
+    amps = np.array([p.amp for p in paths])
+    lam_phi = sc.t_f * f_s * amps ** 2 * np.sum(w * w, axis=1) / f_s / (sc.t_f * sc.sigma2)
+    want = ((2 * np.pi * effective_bandwidth(pulse)) ** 2 * lam_phi, lam_phi,
+            lam_phi / amps ** 2)
+    for got, ref in zip(per_pri_information(sc), want):
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+def test_per_pri_information_samples_all_paths_in_one_window(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = model._pulse_window
+    monkeypatch.setattr(model, "_pulse_window", counted)
+    monkeypatch.setattr(fim, "_pulse_window", counted, raising=False)
+    fim._per_pri_information.cache_clear()
+    per_pri_information(reference_scenario(n_paths=3))
+    assert len(calls) == 1
 
 
 def test_information_scales_with_snr_not_for_amp_rows():

@@ -40,7 +40,7 @@ from isacbounds.signals import (
 )
 from isacbounds.experiments import reference_scenario
 
-from conftest import ALL_KINDS, make_modulation
+from conftest import ALL_KINDS, EDGE_ALPHA_FS, make_modulation
 
 TWO_PI = 2.0 * np.pi
 
@@ -293,11 +293,6 @@ def _last_center(sc):
     while tau + half >= sc.t_f:
         tau = np.nextafter(tau, 0.0)
     return float(tau)
-
-
-#: alpha * f_s just above the sampling edge: per_pri_information accepts the
-#: pulse, one percent narrower it does not
-EDGE_ALPHA_FS = 0.901
 
 
 def _window_scenario(n_paths, rate):
