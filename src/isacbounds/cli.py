@@ -42,7 +42,7 @@ from .model import (
     check_regulatory,
     effective_bandwidth,
 )
-from .bounds import crlb_report
+from .bounds import RANK_RTOL, crlb_report
 from .experiments import (
     SweepSpec,
     data_rate,
@@ -205,17 +205,24 @@ def build_scenario(cfg: dict[str, dict[str, str]]) -> ScenarioConfig:
     )
 
 
+#: how each [modulation] key is read
+_MODULATION_FIELDS = {
+    "scheme": lambda text: text.strip().lower(),
+    "decoupling": lambda text: text.strip().lower(),
+    "xi_ppm": parse_quantity,
+    "xi_bpsk": parse_quantity,
+    "p_pilots": parse_int,
+    "d_data": parse_int,
+    "sfd_weight": parse_quantity,
+}
+
+
+def _modulation_values(cfg: dict[str, dict[str, str]]) -> dict:
+    return {key: parse(cfg["modulation"][key]) for key, parse in _MODULATION_FIELDS.items()}
+
+
 def build_modulation(cfg: dict[str, dict[str, str]]) -> ModulationConfig:
-    mo = cfg["modulation"]
-    return ModulationConfig(
-        scheme=mo["scheme"].strip().lower(),
-        decoupling=mo["decoupling"].strip().lower(),
-        xi_ppm=parse_quantity(mo["xi_ppm"]),
-        xi_bpsk=parse_quantity(mo["xi_bpsk"]),
-        p_pilots=parse_int(mo["p_pilots"]),
-        d_data=parse_int(mo["d_data"]),
-        sfd_weight=parse_quantity(mo["sfd_weight"]),
-    )
+    return ModulationConfig(**_modulation_values(cfg))
 
 
 def sweep_values(cfg: dict[str, dict[str, str]]) -> tuple[float, ...]:
@@ -256,8 +263,10 @@ def cmd_bounds(args) -> int:
     print(f"regulatory: {reg.energy_per_window_j * 1e9:.3f} nJ per 1 ms "
           f"(limit {reg.limit_j * 1e9:.0f} nJ, per-pulse ceiling "
           f"{reg.e_tb_ceiling_j * 1e12:.2f} pJ) -> {'pass' if reg.passed else 'FAIL'}")
+    # a singular frame's ratio is roundoff: say only that it is below the rank cut
+    ratio = f"<= {RANK_RTOL:g}" if report.singular else f"{report.min_sv_ratio:.2e}"
     print(f"information matrix: size {report.size}, rank {report.rank}, "
-          f"min sv ratio {report.min_sv_ratio:.2e}")
+          f"min sv ratio {ratio}")
     if report.coupled_columns:
         print("coupled columns: "
               + ", ".join(f"{a} ~ {b}" for a, b in report.coupled_columns))
@@ -334,11 +343,15 @@ def cmd_crossover(args) -> int:
     sw = cfg["sweep"]
     if sw["values"].strip():
         raise ConfigError("crossover scans sweep.start..sweep.stop; unset sweep.values")
-    d_lo = max(parse_int(sw["start"]), 2)  # one data PRI cannot carry the Doppler ramp
+    start = parse_int(sw["start"])
+    d_lo = max(start, 2)  # one data PRI cannot carry the Doppler ramp
     d_hi = parse_int(sw["stop"])
     if d_hi < d_lo:
         raise ConfigError(f"crossover scans no d_data: sweep.stop = {d_hi} is below "
                           f"the first scanned d_data {d_lo}")
+    if d_lo != start:
+        print(f"scanning d_data in [{d_lo}, {d_hi}]: sweep.start = {start} is raised to "
+              f"{d_lo}, as one data PRI cannot carry the Doppler ramp")
     result = find_crossover(
         scenario, modulation.p_pilots, range(d_lo, d_hi + 1),
         xi_ppm=modulation.xi_ppm, sfd_weight=modulation.sfd_weight,
@@ -361,7 +374,13 @@ def cmd_crossover(args) -> int:
 def cmd_pareto(args) -> int:
     cfg = load_config(args.config, args.set)
     scenario = _snr_scenario(cfg, "pareto")
-    # the table chooses its own frame splits, but [modulation] is still checked
+    # the table chooses its own frames and reads only xi_ppm: any other
+    # [modulation] value would be silently ignored
+    given, default = _modulation_values(cfg), _modulation_values(DEFAULTS)
+    for key, value in given.items():
+        if key != "xi_ppm" and value != default[key]:
+            raise ConfigError(f"pareto chooses its own frames and reads only "
+                              f"modulation.xi_ppm; unset modulation.{key}")
     modulation = build_modulation(cfg)
     snr_db = parse_quantity(cfg["scenario"]["snr_db"])
     table = pareto_table(scenario, scenario.n_f, snr_db=snr_db, xi_ppm=modulation.xi_ppm)

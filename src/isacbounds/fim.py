@@ -318,9 +318,12 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     re-evaluated: the others cancel exactly in the difference.  Slots occupy
     disjoint samples, so I_eta is the sum over slots of the Gram block
     Re(B_s^H B_s) / sigma2 of the columns B_s of the entries slot s touches.
-    Each slot's differences and Gram block are formed over one sample range,
-    the union of the pulse windows at every center the probe evaluates there
-    (:func:`_probe_ranges`); outside it both evaluations are exact zeros.
+    Each slot is evaluated once, by one stacked :func:`mean_from_eta` call
+    over the up and down points of all of its entries, which share one pulse
+    window per distinct center.  Its differences and Gram block are formed
+    over one sample range, the union of the pulse windows at every center
+    the probe evaluates there (:func:`_probe_ranges`); outside it both
+    evaluations are exact zeros.
     Guarded to ``MAX_FD_PARAMS`` parameters and ``MAX_FD_SAMPLES`` stacked
     samples.
     """
@@ -346,27 +349,23 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     eta0 = eta_point(scenario, modulation)
     h = np.array([steps.delay, steps.phase, steps.amp_rel])[kind]
     h[kind == _AMP] *= np.abs(eta0[kind == _AMP])  # relative amplitude steps
+    nonpositive = np.flatnonzero(~(h > 0.0))  # NaN counts as a failure
+    if nonpositive.size:
+        raise ConfigError(
+            f"finite-difference step for {layout.names[nonpositive[0]]!r} is not positive")
     lo, hi = _probe_ranges(scenario, table, index, eta0, h)
-    pieces = []  # entry i's column, one row of samples lo[s]:hi[s] per slot s it drives
-    for i, name in enumerate(layout.names):
-        if not h[i] > 0.0:
-            raise ConfigError(f"finite-difference step for {name!r} is not positive")
-        up = eta0.copy()
-        dn = eta0.copy()
-        up[i] += h[i]
-        dn[i] -= h[i]
-        slots = np.flatnonzero(drives[i])
-        mu_up = mean_from_eta(scenario, modulation, up, slots).reshape(slots.size, -1)
-        mu_dn = mean_from_eta(scenario, modulation, dn, slots).reshape(slots.size, -1)
-        pieces.append([(mu_up[r, lo[s]:hi[s]] - mu_dn[r, lo[s]:hi[s]]) / (2.0 * h[i])
-                       for r, s in enumerate(slots.tolist())])
 
     # Re(B_s^H B_s) as one real product over the interleaved (re, im) samples
-    row = np.cumsum(drives, axis=1) - 1  # row of slot s in pieces[i]
     M = np.zeros((size, size))
     for s in range(index.shape[1]):
         entries = np.flatnonzero(drives[:, s])
-        flat = np.stack([pieces[i][row[i, s]] for i in entries]).view(np.float64)
+        m, rows = entries.size, np.arange(entries.size)
+        # eta0 + h_i e_i, then eta0 - h_i e_i, for every entry i slot s drives
+        points = np.repeat(eta0[None, :], 2 * m, axis=0)
+        points[rows, entries] += h[entries]
+        points[rows + m, entries] -= h[entries]
+        mu = mean_from_eta(scenario, modulation, points, [s])[:, lo[s]:hi[s]]
+        flat = ((mu[:m] - mu[m:]) / (2.0 * h[entries])[:, None]).view(np.float64)
         M[np.ix_(entries, entries)] += flat @ flat.T
     M /= scenario.sigma2
     M = 0.5 * (M + M.T)

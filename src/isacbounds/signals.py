@@ -200,23 +200,40 @@ def _slot_model(scenario: ScenarioConfig,
     return layout.size, table, index
 
 
-def _evaluate(scenario: ScenarioConfig, table: np.ndarray) -> np.ndarray:
-    """Stacked mean of a slot table, one slot (all paths) at a time.
+def _windows(scenario: ScenarioConfig, tau: np.ndarray
+             ) -> tuple[list[int], int, np.ndarray, np.ndarray, np.ndarray]:
+    """One :func:`isacbounds.model._pulse_window` pass over the distinct
+    centers of ``tau``: its ``(firsts, width, t, values)``, one row per
+    distinct center, and the row of each entry of ``tau``.
 
-    Each path adds ``coef * w`` into its pulse's sample window
+    Window values depend only on the center and the sample, so the pulses at
+    one center share a row bit for bit.
+    """
+    centers, which = np.unique(tau.reshape(-1), return_inverse=True)
+    firsts, width, t, w = _pulse_window(scenario.pulse, centers, scenario)
+    return firsts, width, t, w, which.reshape(tau.shape)
+
+
+def _evaluate(scenario: ScenarioConfig, table: np.ndarray) -> np.ndarray:
+    """Stacked mean of slot tables: shape ``(..., 3, n_slots, L)`` gives
+    ``(..., n_slots * n_s)``.
+
+    Each (slot, path) pulse adds ``coef * w`` into its sample window
     (:func:`isacbounds.model._pulse_window`), in path order; every other
     sample of the slot is an exact zero of the pulse formula and stays 0.
     """
-    tau, phi, amp = table
+    tau, phi, amp = np.moveaxis(table, -3, 0)
     coef = amp * np.exp(1j * phi)
     ns = scenario.n_s
-    mu = np.zeros(tau.shape[0] * ns, dtype=complex)
-    for slot, centers in enumerate(tau):
-        firsts, width, _, w = _pulse_window(scenario.pulse, centers, scenario)
-        for c, first, values in zip(coef[slot], firsts, w):
-            lo = slot * ns + first
-            mu[lo:lo + width] += c * values
-    return mu
+    L = tau.shape[-1]
+    firsts, width, _, w, which = _windows(scenario, tau)
+    mu = np.zeros(tau.shape[:-1] + (ns,), dtype=complex)
+    for row, cs, us in zip(mu.reshape(-1, ns), coef.reshape(-1, L),
+                           which.reshape(-1, L).tolist()):
+        for c, u in zip(cs, us):
+            first = firsts[u]
+            row[first:first + width] += c * w[u]
+    return mu.reshape(tau.shape[:-2] + (tau.shape[-2] * ns,))
 
 
 # =========================================================================
@@ -256,7 +273,10 @@ def mean_from_eta(scenario: ScenarioConfig, modulation: ModulationConfig,
                   eta: np.ndarray, slots=None) -> np.ndarray:
     """Mean vector as a function of eta (used by the finite-difference probe).
 
-    ``eta`` follows :func:`isacbounds.model.eta_layout_for`.
+    ``eta`` follows :func:`isacbounds.model.eta_layout_for`; a stack of
+    points, shape ``(k, n_eta)``, gives one mean per row, shape
+    ``(k, len(slots) * n_s)``, each equal to the call on that row alone.
+    The stack is evaluated with one pulse window per distinct center.
     ``mean_from_eta(scenario, modulation, eta_point(...))`` equals
     ``mean_vector(scenario, modulation)`` at the all-ones data word.
     ``slots`` lists the slots to evaluate (all by default); the result stacks
@@ -265,11 +285,11 @@ def mean_from_eta(scenario: ScenarioConfig, modulation: ModulationConfig,
     """
     size, table, index = _slot_model(scenario, modulation)
     eta = np.asarray(eta, dtype=float)
-    if eta.shape != (size,):
-        raise ConfigError(f"eta must have shape ({size},), got {eta.shape}")
+    if eta.ndim not in (1, 2) or eta.shape[-1] != size:
+        raise ConfigError(f"eta must have shape ({size},) or (k, {size}), got {eta.shape}")
     slots = _check_slots(slots, index.shape[1])
     index = index[:, slots]
-    return _evaluate(scenario, np.where(index >= 0, eta[index], table[:, slots]))
+    return _evaluate(scenario, np.where(index >= 0, eta[..., index], table[:, slots]))
 
 
 def _check_slots(slots, count: int) -> np.ndarray:
@@ -302,16 +322,16 @@ def mean_jacobian(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.
     ns = scenario.n_s
     rot = np.exp(1j * phi)
     coef = amp * rot
+    firsts, width, t, w, which = _windows(scenario, tau)
+    dw = (t / scenario.pulse.alpha ** 2) * w  # as pulse_time_derivative forms it
     J = np.zeros((tau.shape[0] * ns, size), dtype=complex)
-    for slot, centers in enumerate(tau):
-        firsts, width, t, w = _pulse_window(scenario.pulse, centers, scenario)
-        dw = (t / scenario.pulse.alpha ** 2) * w  # as pulse_time_derivative forms it
+    for slot, us in enumerate(which.tolist()):
         c = coef[slot][:, None]
         # d/dtau, d/dphi, d/damp of each path's term, in _slot_table order
-        terms = (c * dw, 1j * c * w, rot[slot][:, None] * w)
+        terms = (c * dw[us], 1j * c * w[us], rot[slot][:, None] * w[us])
         for cols, term in zip(index[:, slot], terms):
-            for col, first, values in zip(cols.tolist(), firsts, term):
+            for col, u, values in zip(cols.tolist(), us, term):
                 if col >= 0:
-                    lo = slot * ns + first
+                    lo = slot * ns + firsts[u]
                     J[lo:lo + width, col] = values
     return J

@@ -179,12 +179,13 @@ for i, name in enumerate(names):
     if name == "signals.mean_from_eta":
         evals[names[root[i]]] = evals.get(names[root[i]], 0) + 1
 print(json.dumps({"roots": [names[i] for i in sorted(set(root))], "evals": evals,
-                  "eta_size": int(ib.model.eta_layout_for(sc, mod).size)}))
+                  "slots": int(ib.signals.n_slots(sc, mod))}))
 """
 
 
 def test_traced_probe_evaluates_the_mean_through_mean_from_eta():
     out = _run_traced(PROBE_SCRIPT)
     assert out["roots"] == ["fim.observation_fim_numeric", "signals.mean_jacobian"]
-    # one up and one down evaluation per eta entry, all inside the probe
-    assert out["evals"] == {"fim.observation_fim_numeric": 2 * out["eta_size"]}
+    # one stacked evaluation per slot (every slot is driven by some entry),
+    # all inside the probe
+    assert out["evals"] == {"fim.observation_fim_numeric": out["slots"]}

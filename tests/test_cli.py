@@ -105,6 +105,18 @@ def test_bounds_singular_configuration_exits_3(capsys):
     assert "SINGULAR: pick a pilot or differential decoupling\n" in out
 
 
+def test_bounds_prints_a_singular_frame_ratio_as_below_the_rank_cut(capsys):
+    # the smallest singular value of a singular frame is roundoff, so its
+    # digits are not printed (plain-SI ppm-raw at the default n_f = 8)
+    assert cli.main(["bounds", "--set", "modulation.scheme=ppm",
+                     "--set", "modulation.d_data=8"]) == 3
+    out = capsys.readouterr().out
+    assert f"information matrix: size 10, rank 9, min sv ratio <= {bounds.RANK_RTOL:g}\n" in out
+    assert cli.main(["bounds"]) == 0
+    ratio = capsys.readouterr().out.split("min sv ratio ")[1].split("\n")[0]
+    assert float(ratio) > bounds.RANK_RTOL
+
+
 def test_bounds_singular_sensing_frame_names_dead_columns(capsys):
     # a sensing frame takes no decoupling: say what it cannot resolve
     assert cli.main(["bounds", "--set", "scenario.n_f=1"]) == 3
@@ -320,7 +332,21 @@ def test_crossover_verb(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "d_data = 22" in out
     assert "SNR-invariant" in out
+    assert "scanning" not in out  # sweep.start = 2 needs no raise
     assert (tmp_path / "crossover.csv").exists()
+
+
+@pytest.mark.parametrize("start", ["0", "1"])
+def test_crossover_says_when_it_raises_the_start(start, capsys):
+    code = cli.main(["crossover", "--set", "modulation.scheme=ppm",
+                     "--set", "modulation.decoupling=pilot",
+                     "--set", "modulation.p_pilots=4", "--set", "modulation.d_data=4",
+                     "--set", f"sweep.start={start}", "--set", "sweep.stop=30"])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == (f"scanning d_data in [2, 30]: sweep.start = {start} is raised to 2, "
+                      "as one data PRI cannot carry the Doppler ramp")
+    assert "d_data = 22" in out[1]
 
 
 @pytest.mark.parametrize("sets,message", [
@@ -356,6 +382,27 @@ def test_pareto_verb_validates_the_modulation_section(tmp_path, capsys, key):
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "pareto.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["scheme=ppm", "decoupling=pilot", "xi_bpsk=1.0",
+                                 "p_pilots=2", "d_data=2", "sfd_weight=2"])
+def test_pareto_refuses_modulation_keys_it_does_not_read(key, tmp_path, capsys):
+    # the table picks its own frames from xi_ppm alone; any other
+    # [modulation] value set away from its default would have no effect
+    code = cli.main(["pareto", "--out", str(tmp_path), "--set", "scenario.n_f=4",
+                     "--set", f"modulation.{key}"])
+    assert code == 2
+    assert f"unset modulation.{key.split('=')[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "pareto.csv").exists()
+
+
+def test_pareto_accepts_modulation_keys_at_their_defaults(tmp_path):
+    code = cli.main(["pareto", "--out", str(tmp_path), "--set", "scenario.n_f=4",
+                     "--set", "modulation.scheme= Sensing", "--set", "modulation.p_pilots=0",
+                     "--set", "modulation.sfd_weight=1", "--set", f"modulation.xi_bpsk={math.pi}",
+                     "--set", "modulation.xi_ppm=1ns"])
+    assert code == 0
+    assert (tmp_path / "pareto.csv").exists()
 
 
 @pytest.mark.parametrize("verb,csv_name", [("crossover", "crossover.csv"),

@@ -229,25 +229,70 @@ def test_numeric_fim_matches_analytic(kind):
     assert fim_deviation(num.data, ana.data) < 1e-4
 
 
+def _fd_step(name, value, steps=DEFAULT_FD):
+    # the probe's step for an entry, chosen by its name
+    if name.startswith(("tau", "t_")):
+        return steps.delay
+    if name.startswith("phi"):
+        return steps.phase
+    return steps.amp_rel * abs(value)
+
+
 def _whole_frame_probe(sc, mod, steps=DEFAULT_FD):
-    # central differences of the whole stacked frame, steps chosen by entry
-    # name, then one dense Gram over every column
+    # central differences of the whole stacked frame, then one dense Gram
+    # over every column
     lay = eta_layout_for(sc, mod)
     eta = eta_point(sc, mod)
     cols = []
     for i, name in enumerate(lay.names):
-        if name.startswith(("tau", "t_")):
-            h = steps.delay
-        elif name.startswith("phi"):
-            h = steps.phase
-        else:
-            h = steps.amp_rel * abs(eta[i])
+        h = _fd_step(name, eta[i], steps)
         up, dn = eta.copy(), eta.copy()
         up[i] += h
         dn[i] -= h
         cols.append((mean_from_eta(sc, mod, up) - mean_from_eta(sc, mod, dn)) / (2.0 * h))
     B = np.stack(cols, axis=1)
     return (B.conj().T @ B).real / sc.sigma2
+
+
+def _per_entry_probe(sc, mod, steps=DEFAULT_FD):
+    # the probe one entry at a time: a single-point up and down evaluation of
+    # the slots the entry drives, each slot sliced to its probe range, then
+    # one Gram block per slot over the entries that drive it, in entry order
+    lay = eta_layout_for(sc, mod)
+    size, table, index = _slot_model(sc, mod)
+    eta0 = eta_point(sc, mod)
+    h = np.array([_fd_step(name, eta0[i], steps) for i, name in enumerate(lay.names)])
+    lo, hi = fim._probe_ranges(sc, table, index, eta0, h)
+    cols = {}
+    for i in range(size):
+        up, dn = eta0.copy(), eta0.copy()
+        up[i] += h[i]
+        dn[i] -= h[i]
+        slots = np.flatnonzero(np.any(index == i, axis=(0, 2)))
+        mu_up = mean_from_eta(sc, mod, up, slots).reshape(slots.size, -1)
+        mu_dn = mean_from_eta(sc, mod, dn, slots).reshape(slots.size, -1)
+        for r, s in enumerate(slots.tolist()):
+            cols[i, s] = (mu_up[r, lo[s]:hi[s]] - mu_dn[r, lo[s]:hi[s]]) / (2.0 * h[i])
+    M = np.zeros((size, size))
+    for s in range(index.shape[1]):
+        entries = [i for i in range(size) if (i, s) in cols]
+        flat = np.stack([cols[i, s] for i in entries]).view(np.float64)
+        M[np.ix_(entries, entries)] += flat @ flat.T
+    M /= sc.sigma2
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize("f_s", [10e9, 100e9])
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_numeric_fim_equals_the_per_entry_probe_exactly(kind, n_paths, f_s):
+    # one stacked evaluation per slot forms every difference and Gram block
+    # exactly as evaluating each entry on its own does
+    n_f = 3
+    sc = dataclasses.replace(reference_scenario(n_f=n_f, n_paths=n_paths), f_s=f_s)
+    mod = make_modulation(kind, n_f)
+    np.testing.assert_array_equal(observation_fim_numeric(sc, mod).data,
+                                  _per_entry_probe(sc, mod))
 
 
 @pytest.mark.parametrize("f_s", [10e9, 100e9])
@@ -281,25 +326,46 @@ def test_numeric_fim_sample_range_covers_wide_delay_steps(kind, f_s):
     assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-13
 
 
-def test_numeric_fim_samples_only_the_slots_each_entry_drives(monkeypatch):
-    # each entry re-evaluates the slots the per-slot map says it drives (one
-    # pulse-window call per slot, up and down), not the whole frame
+def test_numeric_fim_evaluates_each_slot_once_for_the_entries_it_drives(monkeypatch):
+    # one stacked mean_from_eta call per slot, with one pulse-window pass;
+    # its rows are eta0 +- h on one entry that drives the slot, so the probe
+    # makes one up and one down evaluation per (entry, slot) pair the
+    # per-slot map names, not per entry and PRI
     n_f = 8
     sc = reference_scenario(n_f=n_f, n_paths=3)
     mod = make_modulation("bpsk-pilot", n_f)
     size, _, index = _slot_model(sc, mod)
+    names = eta_layout_for(sc, mod).names
+    eta0 = eta_point(sc, mod)
     want = 2 * sum(int(np.any(index == i, axis=(0, 2)).sum()) for i in range(size))
     assert (want, 2 * size * n_f) == (144, 576)
-    calls = []
-    window = signals._pulse_window
+    windows, calls = [], []
+    window, evaluate = signals._pulse_window, fim.mean_from_eta
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        windows.append(1)
         return window(*args, **kwargs)
 
+    def recorded(scenario, modulation, eta, slots=None):
+        before = len(windows)
+        out = evaluate(scenario, modulation, eta, slots)
+        calls.append((np.array(eta), list(slots), len(windows) - before))
+        return out
+
     monkeypatch.setattr(signals, "_pulse_window", counted)
+    monkeypatch.setattr(fim, "mean_from_eta", recorded)
     observation_fim_numeric(sc, mod)
-    assert len(calls) == want
+    assert [slots for _, slots, _ in calls] == [[s] for s in range(n_f)]
+    evaluations = []
+    for eta, (s,), passes in calls:
+        assert passes == 1
+        for row in eta:
+            (i,) = np.flatnonzero(row != eta0)
+            assert np.any(index[:, s] == i), (names[i], s)
+            h = _fd_step(names[i], eta0[i])
+            assert row[i] in (eta0[i] + h, eta0[i] - h), names[i]
+            evaluations.append((i, s, row[i] > eta0[i]))
+    assert len(evaluations) == len(set(evaluations)) == want
 
 
 def test_numeric_fim_positive_semidefinite():

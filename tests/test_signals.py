@@ -176,7 +176,7 @@ def test_mean_from_eta_at_operating_point(kind):
     mod = make_modulation(kind, n_f)
     mu_direct = mean_vector(sc, mod)
     mu_eta = mean_from_eta(sc, mod, eta_point(sc, mod))
-    np.testing.assert_allclose(mu_eta, mu_direct, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(mu_eta, mu_direct)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -242,6 +242,41 @@ def test_mean_from_eta_slots_are_rows_of_the_whole_frame(kind):
     for bad in ([last + 1], [-1], [0.0], [True], "0", [[0]], 0):
         with pytest.raises(ConfigError):
             mean_from_eta(sc, mod, eta, bad)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_stacked_mean_from_eta_rows_are_the_single_point_calls(kind):
+    # rows that share centers (repeated points, unmoved paths) and rows that
+    # move every delay are evaluated in one call, each exactly as on its own
+    n_f = 3
+    sc = reference_scenario(n_f=n_f, n_paths=3, dopplers=(100.0, -50.0, 20.0))
+    mod = make_modulation(kind, n_f)
+    eta0 = eta_point(sc, mod)
+    rng = np.random.default_rng(5)
+    points = eta0 * (1.0 + 1e-3 * rng.standard_normal((4, eta0.size)))
+    points = np.vstack([eta0, points, eta0, points[:1]])
+    count = n_slots(sc, mod)
+    for slots in (None, [count - 1, 0], [1, 1], np.array([], dtype=int)):
+        got = mean_from_eta(sc, mod, points, slots)
+        width = (count if slots is None else len(slots)) * sc.n_s
+        assert got.shape == (len(points), width)
+        for j, point in enumerate(points):
+            np.testing.assert_array_equal(got[j], mean_from_eta(sc, mod, point, slots),
+                                          err_msg=f"row {j}, slots {slots}")
+    assert mean_from_eta(sc, mod, points[:0]).shape == (0, count * sc.n_s)
+    for bad in (points[None], points[:, :-1], np.zeros((2, eta0.size + 1)), eta0[:-1],
+                eta0[0]):
+        with pytest.raises(ConfigError, match="eta must have shape"):
+            mean_from_eta(sc, mod, bad)
+
+
+@pytest.mark.parametrize("rate", [10e9, 100e9])
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_mean_vector_is_mean_from_eta_at_eta_point_exactly(kind, n_paths, rate):
+    sc = dataclasses.replace(reference_scenario(n_f=3, n_paths=n_paths), f_s=rate)
+    mod = make_modulation(kind, sc.n_f)
+    np.testing.assert_array_equal(mean_vector(sc, mod), mean_from_eta(sc, mod, eta_point(sc, mod)))
 
 
 # ------------------------------------------- windows against the whole grid
