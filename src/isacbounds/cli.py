@@ -77,7 +77,7 @@ _QUANTITY_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)
 
 
 def parse_quantity(text: str) -> float:
-    """Parse '100ns', '10GHz', '3.7pJ', '1e-7' ... into an SI float."""
+    """Parse '100ns', '10GHz', '3.7pJ', '1e-7' ... into a finite SI float."""
     m = _QUANTITY_RE.match(str(text))
     if not m:
         raise ConfigError(f"cannot parse quantity {text!r}")
@@ -89,7 +89,10 @@ def parse_quantity(text: str) -> float:
         number = decimal.Decimal(value)
     except decimal.InvalidOperation:
         raise ConfigError(f"cannot parse quantity {text!r}") from None
-    return float(number.scaleb(_UNIT_EXPONENT[key], _EXACT))
+    result = float(number.scaleb(_UNIT_EXPONENT[key], _EXACT))
+    if not math.isfinite(result):
+        raise ConfigError(f"quantity {text!r} is beyond the float range")
+    return result
 
 
 def parse_int(text: str) -> int:
@@ -107,131 +110,117 @@ def parse_list(text: str) -> list[float]:
     return [parse_quantity(s) for s in items]
 
 
+def _optional_list(text: str) -> list[float] | None:
+    return parse_list(text) if text.strip() else None
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 # =========================================================================
 # Config assembly
 # =========================================================================
 
-DEFAULTS = {
+#: every config key, as {section: {key: (default text, parser)}}; the file and
+#: --set strip each value, and ModulationConfig and SweepSpec check the words
+CONFIG_KEYS = {
     "scenario": {
-        "f_c": "3993.6MHz",
-        "t_f": "100ns",
-        "n_f": "8",
-        "f_s": "10GHz",
-        "sigma2": "1.0",
-        "alpha": "0.2ns",
-        "e_tb": "3.7pJ",
-        "delays": "20ns,40ns,60ns",
-        "dopplers": "",
-        "snr_db": "0",
-        "amps": "",
+        "f_c": ("3993.6MHz", parse_quantity),
+        "t_f": ("100ns", parse_quantity),
+        "n_f": ("8", parse_int),
+        "f_s": ("10GHz", parse_quantity),
+        "sigma2": ("1.0", parse_quantity),
+        "alpha": ("0.2ns", parse_quantity),
+        "e_tb": ("3.7pJ", parse_quantity),
+        "delays": ("20ns,40ns,60ns", parse_list),
+        "dopplers": ("", _optional_list),
+        "snr_db": ("0", parse_quantity),
+        "amps": ("", _optional_list),
     },
     "modulation": {
-        "scheme": "sensing",
-        "decoupling": "none",
-        "xi_ppm": "2ns",
-        "xi_bpsk": str(math.pi),
-        "p_pilots": "0",
-        "d_data": "0",
-        "sfd_weight": "1.0",
+        "scheme": ("sensing", str.lower),
+        "decoupling": ("none", str.lower),
+        "xi_ppm": ("2ns", parse_quantity),
+        "xi_bpsk": (str(math.pi), parse_quantity),
+        "p_pilots": ("0", parse_int),
+        "d_data": ("0", parse_int),
+        "sfd_weight": ("1.0", parse_quantity),
     },
     "sweep": {
-        "axis": "snr_db",
-        "start": "0",
-        "stop": "30",
-        "step": "5",
-        "values": "",
-        "outputs": "root_range_crlb_m,root_doppler_crlb_hz,rate_bps",
+        "axis": ("snr_db", str),
+        "start": ("0", parse_quantity),
+        "stop": ("30", parse_quantity),
+        "step": ("5", parse_quantity),
+        "values": ("", _optional_list),
+        "outputs": ("root_range_crlb_m,root_doppler_crlb_hz,rate_bps", _names),
     },
 }
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict[str, dict[str, str]]:
-    cfg = {section: dict(keys) for section, keys in DEFAULTS.items()}
+def load_config(path: str | None, overrides: list[str]) -> dict[str, dict]:
+    """Parsed config values: the defaults, then the file, then ``--set``."""
+    entries = [(section, key, text) for section, keys in CONFIG_KEYS.items()
+               for key, (text, _) in keys.items()]
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigError(f"cannot read config file {path!r}")
         for section in parser.sections():
-            if section not in cfg:
+            if section not in CONFIG_KEYS:
                 raise ConfigError(
-                    f"unknown config section [{section}]; use one of {sorted(cfg)}"
+                    f"unknown config section [{section}]; use one of {sorted(CONFIG_KEYS)}"
                 )
-            for key, value in parser.items(section):
-                if key not in cfg[section]:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                cfg[section][key] = value
+            entries += [(section, key, value) for key, value in parser.items(section)]
     for item in overrides or []:
-        if "=" not in item:
+        target, eq, value = item.partition("=")
+        section, dot, key = target.partition(".")
+        if not (eq and dot):
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
-        target, value = item.split("=", 1)
-        if "." not in target:
-            raise ConfigError(f"--set expects section.key=value, got {item!r}")
-        section, key = target.split(".", 1)
-        section, key = section.strip(), key.strip()
-        if section not in cfg or key not in cfg[section]:
+        entries.append((section.strip(), key.strip(), value.strip()))
+    cfg = {section: {} for section in CONFIG_KEYS}
+    for section, key, text in entries:
+        if key not in CONFIG_KEYS.get(section, {}):
             raise ConfigError(f"unknown config entry {section}.{key}")
-        cfg[section][key] = value.strip()
+        try:
+            cfg[section][key] = CONFIG_KEYS[section][key][1](text)
+        except ConfigError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from None
     return cfg
 
 
-def build_scenario(cfg: dict[str, dict[str, str]]) -> ScenarioConfig:
+def build_scenario(cfg: dict[str, dict]) -> ScenarioConfig:
     sc = cfg["scenario"]
-    delays = parse_list(sc["delays"])
-    n_paths = len(delays)
-    dopplers = parse_list(sc["dopplers"]) if sc["dopplers"].strip() else [0.0] * n_paths
+    n_paths = len(sc["delays"])
+    dopplers = sc["dopplers"] or [0.0] * n_paths
     if len(dopplers) != n_paths:
         raise ConfigError("dopplers list must match delays list")
-    t_f = parse_quantity(sc["t_f"])
-    sigma2 = parse_quantity(sc["sigma2"])
-    if sc["amps"].strip():
-        amps = parse_list(sc["amps"])
-        if len(amps) != n_paths:
-            raise ConfigError("amps list must match delays list")
+    if sc["amps"] is None:
+        amps = [amp_for_snr(10.0 ** (sc["snr_db"] / 10.0), sc["t_f"], sc["sigma2"])] * n_paths
+    elif sc["snr_db"] != load_config(None, [])["scenario"]["snr_db"]:
+        raise ConfigError("scenario.amps and scenario.snr_db both set the path "
+                          "amplitudes; unset one of them")
+    elif len(sc["amps"]) != n_paths:
+        raise ConfigError("amps list must match delays list")
     else:
-        amp = amp_for_snr(10.0 ** (parse_quantity(sc["snr_db"]) / 10.0), t_f, sigma2)
-        amps = [amp] * n_paths
+        amps = sc["amps"]
     paths = tuple(PathState(tau_l0=d, f_dl=f, amp=a)
-                  for d, f, a in zip(delays, dopplers, amps))
+                  for d, f, a in zip(sc["delays"], dopplers, amps))
     return ScenarioConfig(
-        f_c=parse_quantity(sc["f_c"]),
-        t_f=t_f,
-        n_f=parse_int(sc["n_f"]),
-        f_s=parse_quantity(sc["f_s"]),
-        sigma2=sigma2,
-        paths=paths,
-        pulse=PulseShape(alpha=parse_quantity(sc["alpha"]),
-                         e_tb=parse_quantity(sc["e_tb"])),
+        f_c=sc["f_c"], t_f=sc["t_f"], n_f=sc["n_f"], f_s=sc["f_s"], sigma2=sc["sigma2"],
+        paths=paths, pulse=PulseShape(alpha=sc["alpha"], e_tb=sc["e_tb"]),
     )
 
 
-#: how each [modulation] key is read
-_MODULATION_FIELDS = {
-    "scheme": lambda text: text.strip().lower(),
-    "decoupling": lambda text: text.strip().lower(),
-    "xi_ppm": parse_quantity,
-    "xi_bpsk": parse_quantity,
-    "p_pilots": parse_int,
-    "d_data": parse_int,
-    "sfd_weight": parse_quantity,
-}
+def build_modulation(cfg: dict[str, dict]) -> ModulationConfig:
+    return ModulationConfig(**cfg["modulation"])
 
 
-def _modulation_values(cfg: dict[str, dict[str, str]]) -> dict:
-    return {key: parse(cfg["modulation"][key]) for key, parse in _MODULATION_FIELDS.items()}
-
-
-def build_modulation(cfg: dict[str, dict[str, str]]) -> ModulationConfig:
-    return ModulationConfig(**_modulation_values(cfg))
-
-
-def sweep_values(cfg: dict[str, dict[str, str]]) -> tuple[float, ...]:
+def sweep_values(cfg: dict[str, dict]) -> tuple[float, ...]:
     sw = cfg["sweep"]
-    if sw["values"].strip():
-        return tuple(parse_list(sw["values"]))
-    start = parse_quantity(sw["start"])
-    stop = parse_quantity(sw["stop"])
-    step = parse_quantity(sw["step"])
+    if sw["values"] is not None:
+        return tuple(sw["values"])
+    start, stop, step = sw["start"], sw["stop"], sw["step"]
     if step <= 0 or stop < start:
         raise ConfigError(f"bad sweep range start={start} stop={stop} step={step}")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -307,12 +296,11 @@ def _singular_advice(report, n_f: int) -> str:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.set)
     sw = cfg["sweep"]
-    axis = sw["axis"].strip()
     spec = SweepSpec(
-        axis=axis,
+        axis=sw["axis"],
         values=sweep_values(cfg),
-        outputs=tuple(s.strip() for s in sw["outputs"].split(",") if s.strip()),
-        scenario=(_snr_scenario(cfg, "sweep on the snr_db axis") if axis == "snr_db"
+        outputs=sw["outputs"],
+        scenario=(_snr_scenario(cfg, "sweep on the snr_db axis") if sw["axis"] == "snr_db"
                   else build_scenario(cfg)),
         modulation=build_modulation(cfg),
     )
@@ -327,9 +315,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _snr_scenario(cfg: dict[str, dict[str, str]], verb: str) -> ScenarioConfig:
+def _snr_scenario(cfg: dict[str, dict], verb: str) -> ScenarioConfig:
     """Scenario of a verb that sets every path amplitude from an SNR itself."""
-    if cfg["scenario"]["amps"].strip():
+    if cfg["scenario"]["amps"] is not None:
         raise ConfigError(f"{verb} sets the path amplitudes from an SNR; unset scenario.amps")
     return build_scenario(cfg)
 
@@ -338,14 +326,17 @@ def cmd_crossover(args) -> int:
     cfg = load_config(args.config, args.set)
     scenario = _snr_scenario(cfg, "crossover")
     modulation = build_modulation(cfg)
-    if modulation.p_pilots < 1:
-        raise ConfigError("crossover needs modulation.p_pilots >= 1 for the pilot arm")
+    if (modulation.scheme, modulation.decoupling) != (Scheme.PPM, Decoupling.PILOT):
+        raise ConfigError("crossover compares PPM pilot and differential frames; set "
+                          "modulation.scheme = ppm and modulation.decoupling = pilot")
     sw = cfg["sweep"]
-    if sw["values"].strip():
+    if sw["values"] is not None:
         raise ConfigError("crossover scans sweep.start..sweep.stop; unset sweep.values")
-    start = parse_int(sw["start"])
+    for key in ("start", "stop"):
+        if not sw[key].is_integer():
+            raise ConfigError(f"sweep.{key}: expected an integer, got {sw[key]}")
+    start, d_hi = int(sw["start"]), int(sw["stop"])
     d_lo = max(start, 2)  # one data PRI cannot carry the Doppler ramp
-    d_hi = parse_int(sw["stop"])
     if d_hi < d_lo:
         raise ConfigError(f"crossover scans no d_data: sweep.stop = {d_hi} is below "
                           f"the first scanned d_data {d_lo}")
@@ -376,14 +367,14 @@ def cmd_pareto(args) -> int:
     scenario = _snr_scenario(cfg, "pareto")
     # the table chooses its own frames and reads only xi_ppm: any other
     # [modulation] value would be silently ignored
-    given, default = _modulation_values(cfg), _modulation_values(DEFAULTS)
-    for key, value in given.items():
+    default = load_config(None, [])["modulation"]
+    for key, value in cfg["modulation"].items():
         if key != "xi_ppm" and value != default[key]:
             raise ConfigError(f"pareto chooses its own frames and reads only "
                               f"modulation.xi_ppm; unset modulation.{key}")
     modulation = build_modulation(cfg)
-    snr_db = parse_quantity(cfg["scenario"]["snr_db"])
-    table = pareto_table(scenario, scenario.n_f, snr_db=snr_db, xi_ppm=modulation.xi_ppm)
+    table = pareto_table(scenario, scenario.n_f, snr_db=cfg["scenario"]["snr_db"],
+                         xi_ppm=modulation.xi_ppm)
     path = _out_dir(args) / "pareto.csv"
     table.to_csv(path)
     print(f"wrote {path} ({len(table.rows)} rows)")

@@ -61,6 +61,8 @@ def reference_scenario(n_f: int = 8, n_paths: int = 3, snr_db: float = 0.0,
     amp = amp_for_snr(10.0 ** (snr_db / 10.0), REF_T_F, REF_SIGMA2)
     if dopplers is None:
         dopplers = (0.0,) * n_paths
+    if len(dopplers) != n_paths:
+        raise ConfigError(f"{len(dopplers)} dopplers given for {n_paths} paths")
     paths = tuple(PathState(tau_l0=REF_DELAYS[i], f_dl=dopplers[i], amp=amp)
                   for i in range(n_paths))
     return ScenarioConfig(f_c=REF_F_C, t_f=REF_T_F, n_f=n_f, f_s=f_s,

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from isacbounds.model import ConfigError
+from isacbounds.model import ConfigError, ModulationConfig
 from isacbounds import bounds, cli
 from isacbounds.bounds import crlb_report
 from isacbounds.experiments import data_rate, reference_scenario, with_snr
@@ -49,6 +49,10 @@ def test_default_config_is_the_reference_scenario():
     assert cli.build_scenario(cli.load_config(None, [])) == reference_scenario()
 
 
+def test_default_config_is_the_default_modulation():
+    assert cli.build_modulation(cli.load_config(None, [])) == ModulationConfig()
+
+
 @pytest.mark.parametrize("text", ["abc", "1.2.3ns", "", "ns", "10 lightyears"])
 def test_parse_quantity_rejects(text):
     with pytest.raises(ConfigError):
@@ -80,9 +84,45 @@ def test_load_config_layering(tmp_path):
     ini = tmp_path / "ok.ini"
     ini.write_text("[scenario]\nn_f = 16\nsnr_db = 10\n")
     cfg = cli.load_config(str(ini), ["scenario.n_f=32"])
-    assert cfg["scenario"]["n_f"] == "32"       # --set beats the file
-    assert cfg["scenario"]["snr_db"] == "10"    # file beats defaults
+    assert cfg["scenario"]["n_f"] == 32         # --set beats the file
+    assert cfg["scenario"]["snr_db"] == 10.0    # file beats defaults
     assert cfg["modulation"]["scheme"] == "sensing"
+
+
+def test_an_empty_unknown_section_is_refused(tmp_path, capsys):
+    ini = tmp_path / "empty.ini"
+    ini.write_text("[foo]\n")
+    assert cli.main(["bounds", "--config", str(ini)]) == 2
+    assert "unknown config section [foo]" in capsys.readouterr().err
+
+
+#: keys whose text is checked where it is used, not when the config is loaded
+_STRING_KEYS = ("modulation.scheme", "modulation.decoupling", "sweep.axis", "sweep.outputs")
+
+
+@pytest.mark.parametrize("key", [f"{section}.{key}" for section, keys in cli.CONFIG_KEYS.items()
+                                 for key in keys if f"{section}.{key}" not in _STRING_KEYS])
+def test_every_malformed_value_is_refused_by_name(key, capsys):
+    # even by a verb that never reads the key
+    assert cli.main(["bounds", "--set", f"{key}=abc"]) == 2
+    assert f"configuration error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,sets", [
+    ("sweep", ["scenario.n_f=1e999"]),
+    ("sweep", ["sweep.stop=1e999"]),
+    ("crossover", ["modulation.scheme=ppm", "modulation.decoupling=pilot",
+                   "modulation.p_pilots=2", "modulation.d_data=6", "sweep.stop=1e999"]),
+    ("bounds", ["modulation.p_pilots=1e999"]),
+    ("bounds", ["scenario.f_c=1e999GHz"]),
+])
+def test_a_quantity_beyond_the_float_range_is_refused_by_name(verb, sets, tmp_path, capsys):
+    code = cli.main([verb, *(["--out", str(tmp_path)] if verb != "bounds" else []),
+                     *(arg for item in sets for arg in ("--set", item))])
+    assert code == 2
+    key = sets[-1].split("=")[0]
+    assert f"configuration error: {key}: quantity " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # --------------------------------------------------------------- bounds verb
@@ -152,12 +192,14 @@ def test_bounds_unit_suffixes_accepted(capsys):
     assert "root range crlb: 9.480270e-04 m" in capsys.readouterr().out
 
 
-def test_exit_codes_for_config_errors():
+def test_exit_codes_for_config_errors(capsys):
     assert cli.main(["bounds", "--set", "scenario.bogus=1"]) == 2
     assert cli.main(["bounds", "--set", "scenario.n_f=abc"]) == 2
     assert cli.main(["bounds", "--config", "/nonexistent.ini"]) == 2
     assert cli.main(["bounds", "--set", "modulation.scheme=chirp"]) == 2
     assert cli.main(["bounds", "--set", "scenario.f_s=1.5.3"]) == 2
+    assert ("configuration error: scenario.f_s: cannot parse quantity '1.5.3'"
+            in capsys.readouterr().err)
 
 
 def test_bounds_rejects_out_of_range_amplitude(capsys):
@@ -297,6 +339,19 @@ def test_sweep_rejects_unknown_outputs(tmp_path, capsys):
     assert "unknown sweep outputs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["bounds", "sweep"])
+def test_amps_refuse_an_snr_away_from_its_default(verb, tmp_path, capsys):
+    # given amps set every amplitude, so the SNR would be ignored
+    sweep = ["--out", str(tmp_path), "--set", "sweep.axis=n_f", "--set", "sweep.values=2,4"]
+    argv = [verb, *(sweep if verb == "sweep" else []),
+            "--set", "scenario.amps=1e-3,2e-3,5e-3"]
+    assert cli.main([*argv, "--set", "scenario.snr_db=30"]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.amps" in err and "scenario.snr_db" in err
+    assert not list(tmp_path.iterdir())
+    assert cli.main([*argv, "--set", "scenario.snr_db=0"]) == 0
+
+
 def test_sweep_off_the_snr_axis_reads_amps(tmp_path):
     bodies = []
     for amps in ("", "1e-3,2e-3,5e-3"):
@@ -361,6 +416,23 @@ def test_crossover_refuses_a_range_it_would_not_scan(sets, message, tmp_path, ca
                      *(arg for item in sets for arg in ("--set", item))])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "crossover.csv").exists()
+
+
+@pytest.mark.parametrize("scheme,decoupling", [("bpsk", "pilot"), ("ppm", "differential"),
+                                               ("ppm", "none")])
+def test_crossover_refuses_a_frame_it_does_not_scan(scheme, decoupling, tmp_path, capsys):
+    # the scan compares PPM pilot and PPM differential frames whatever the
+    # [modulation] section says, so any other frame would be ignored
+    d_data = "6" if decoupling == "pilot" else "8"
+    code = cli.main(["crossover", "--out", str(tmp_path),
+                     "--set", f"modulation.scheme={scheme}",
+                     "--set", f"modulation.decoupling={decoupling}",
+                     "--set", f"modulation.p_pilots={2 if decoupling == 'pilot' else 0}",
+                     "--set", f"modulation.d_data={d_data}", "--set", "sweep.stop=12"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "modulation.scheme = ppm and modulation.decoupling = pilot" in err
     assert not (tmp_path / "crossover.csv").exists()
 
 

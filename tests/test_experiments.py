@@ -48,6 +48,12 @@ def test_reference_scenario_values():
     assert received_snr(sc20, sc20.paths[0]) == pytest.approx(100.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("dopplers", [(1.0,), (1.0, 2.0, 3.0, 4.0)])
+def test_reference_scenario_refuses_a_doppler_count_off_the_path_count(dopplers):
+    with pytest.raises(ConfigError, match=f"{len(dopplers)} dopplers given for 3 paths"):
+        reference_scenario(n_paths=3, dopplers=dopplers)
+
+
 def test_with_helpers_do_not_mutate():
     sc = reference_scenario()
     sc2 = with_frame(with_snr(sc, 10.0), 16)
