@@ -7,7 +7,7 @@ Public surface:
 * :mod:`isacbounds.signals` -- frame mean vector and its parameter Jacobian
 * :mod:`isacbounds.fim` -- observation Fisher information (closed form + probe)
 * :mod:`isacbounds.jacobians` -- structural maps to the physical parameters
-* :mod:`isacbounds.bounds` -- EFIM / CRLB, coupling diagnosis, differential chain
+* :mod:`isacbounds.bounds` -- EFIM / CRLB, coupling diagnosis, differential pipeline
 * :mod:`isacbounds.experiments` -- reference setups, sweeps, crossover, frontier
 """
 
@@ -39,7 +39,7 @@ from .fim import (
     observation_fim_analytic,
     observation_fim_numeric,
 )
-from .jacobians import StructMatrix, differential_maps, e_vector, h_matrix
+from .jacobians import StructMatrix, e_vector, h_matrix
 from .bounds import (
     CoupledParametersError,
     CrlbReport,
@@ -48,7 +48,6 @@ from .bounds import (
     comm_efim_ppm,
     crlb,
     crlb_report,
-    differential_chain,
     differential_pipeline,
     efim,
     range_crlb,
@@ -78,10 +77,10 @@ __all__ = [
     "mean_jacobian", "mean_vector",
     "DiagonalMatrix", "FdSteps", "LabeledMatrix",
     "observation_fim_analytic", "observation_fim_numeric",
-    "StructMatrix", "differential_maps", "e_vector", "h_matrix",
+    "StructMatrix", "e_vector", "h_matrix",
     "CoupledParametersError", "CrlbReport", "SingularityReport",
     "assemble_theta_fim", "comm_efim_ppm", "crlb", "crlb_report",
-    "differential_chain", "differential_pipeline", "efim", "range_crlb", "singularity_report",
+    "differential_pipeline", "efim", "range_crlb", "singularity_report",
     "CrossoverResult", "ResultTable", "SweepSpec", "data_rate", "find_crossover",
     "pareto_table", "reference_scenario", "run_sweep", "validate_suite",
     "with_frame", "with_snr",

@@ -33,8 +33,7 @@ equal the reference-pulse information) -- the independence approximation
 that makes per-PRI differential demodulation tractable -- and collapses the
 result onto theta.  After the cut every PRI contributes the same
 (delta_k, t_k) block, so :func:`differential_pipeline` sums per-PRI blocks
-plus the Doppler-ramp weights; :func:`differential_chain` forms the dense
-matrices of that chain from a given I_eta, as the reference.
+plus the Doppler-ramp weights, with no matrix of the dense chain.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from .fim import (
     observation_fim_analytic,
     per_pri_information,
 )
-from .jacobians import differential_maps, e_vector, h_matrix, jacobian_for, ramp_slope
+from .jacobians import e_vector, h_matrix, jacobian_for, ramp_slope
 
 RANK_RTOL = 1e-10
 ASSEMBLY_RTOL = 1e-10
@@ -363,15 +362,16 @@ def zero_reference_cross(i_diffseq: LabeledMatrix) -> LabeledMatrix:
 
     Those blocks all equal the reference-pulse information (every difference
     shares the same reference); dropping them treats the per-PRI differential
-    measurements as independent, which is the tractable working model.
+    measurements as independent, the working model that
+    :func:`differential_pipeline` builds in.
     """
     layout = i_diffseq.layout
     data = i_diffseq.data.copy()
-    deltas = sorted(name for name in layout.block_bounds if name.startswith("delta_"))
-    for i, a in enumerate(deltas):
-        for b in deltas[i + 1:]:
-            data[layout.block_slice(a), layout.block_slice(b)] = 0.0
-            data[layout.block_slice(b), layout.block_slice(a)] = 0.0
+    deltas = [slice(*span) for name, span in layout.block_bounds.items() if name.startswith("delta_")]
+    for a in deltas:
+        for b in deltas:
+            if a != b:
+                data[a, b] = 0.0
     return LabeledMatrix(data, layout)
 
 
@@ -383,8 +383,7 @@ def differential_pipeline(scenario: ScenarioConfig,
     ``modulation.sfd_weight`` of the reference pulse,
     B = [[(w+1) Lam_tau, Lam_tau], [Lam_tau, Lam_tau]] through the delay rows
     J_k = [[0 | E], [H | E]], its phases Lam_phi through the Doppler ramp
-    slope_k H, and the amplitudes n_f Lam_alpha once: O(n_f + L^3), with no
-    matrix of the dense chain (:func:`differential_chain`).
+    slope_k H, and the amplitudes n_f Lam_alpha once: O(n_f + L^3).
     """
     if modulation.decoupling != Decoupling.DIFFERENTIAL:
         raise ConfigError("differential_pipeline requires differential decoupling")
@@ -404,45 +403,6 @@ def differential_pipeline(scenario: ScenarioConfig,
     M[doppler, doppler] = ramp * _congruence(H, l_phi, H)
     M[amp, amp] = np.diag(n_f * l_alpha)
     return LabeledMatrix(M, layout)
-
-
-@dataclass(frozen=True)
-class DifferentialChain:
-    """The dense matrices of the differential chain, in order.
-
-    ``i_ext`` is I_eta with the reference duplicated per data PRI,
-    ``i_diffseq_raw`` the difference sequence with its correlations intact,
-    ``i_diffseq`` the same after the cross-PRI cut, and ``i_theta`` its
-    collapse onto theta.
-    """
-
-    i_ext: LabeledMatrix
-    i_diffseq_raw: LabeledMatrix
-    i_diffseq: LabeledMatrix
-    i_theta: LabeledMatrix
-
-
-def differential_chain(scenario: ScenarioConfig,
-                       i_eta: LabeledMatrix | DiagonalMatrix) -> DifferentialChain:
-    """Run a differential-frame I_eta through the explicit dense chain.
-
-    The reference for :func:`differential_pipeline`, and the route for an
-    I_eta that is not the closed form (e.g. the numeric probe): the maps of
-    :func:`~isacbounds.jacobians.differential_maps` and
-    :func:`zero_reference_cross`, as O((n_f L)^3) dense products.  Its
-    theta side is :func:`~isacbounds.jacobians.jacobian_for`'s J of the
-    differential PPM frame, validated at the default ``xi_ppm`` (J does not
-    depend on it), so a scenario whose paths leave no room for that shift
-    raises LeakageError here.
-    """
-    G, P, J = differential_maps(scenario)
-    if G.col_layout != i_eta.layout:
-        raise ConfigError("observation FIM layout does not match the differential maps")
-    i_ext = LabeledMatrix(G.data @ i_eta.data @ G.data.T, G.row_layout)
-    raw = LabeledMatrix(P.data.T @ i_ext.data @ P.data, P.col_layout)
-    cut = zero_reference_cross(raw)
-    return DifferentialChain(i_ext, raw, cut,
-                             LabeledMatrix(J.data.T @ cut.data @ J.data, J.col_layout))
 
 
 # =========================================================================

@@ -44,6 +44,8 @@ from .model import (
 )
 from .bounds import RANK_RTOL, crlb_report
 from .experiments import (
+    SWEEP_AXES,
+    SWEEP_OUTPUTS,
     SweepSpec,
     data_rate,
     find_crossover,
@@ -114,8 +116,18 @@ def _optional_list(text: str) -> list[float] | None:
     return parse_list(text) if text.strip() else None
 
 
-def _names(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+def _sweep_axis(text: str) -> str:
+    if text not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {text!r}; use one of {SWEEP_AXES}")
+    return text
+
+
+def _sweep_outputs(text: str) -> tuple[str, ...]:
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    bad = [o for o in names if o not in SWEEP_OUTPUTS]
+    if bad:
+        raise ConfigError(f"unknown sweep outputs {bad}; use a subset of {SWEEP_OUTPUTS}")
+    return names
 
 
 # =========================================================================
@@ -123,7 +135,7 @@ def _names(text: str) -> tuple[str, ...]:
 # =========================================================================
 
 #: every config key, as {section: {key: (default text, parser)}}; the file and
-#: --set strip each value, and ModulationConfig and SweepSpec check the words
+#: --set strip each value, and ModulationConfig checks the scheme and decoupling
 CONFIG_KEYS = {
     "scenario": {
         "f_c": ("3993.6MHz", parse_quantity),
@@ -148,12 +160,12 @@ CONFIG_KEYS = {
         "sfd_weight": ("1.0", parse_quantity),
     },
     "sweep": {
-        "axis": ("snr_db", str),
+        "axis": ("snr_db", _sweep_axis),
         "start": ("0", parse_quantity),
         "stop": ("30", parse_quantity),
         "step": ("5", parse_quantity),
         "values": ("", _optional_list),
-        "outputs": ("root_range_crlb_m,root_doppler_crlb_hz,rate_bps", _names),
+        "outputs": ("root_range_crlb_m,root_doppler_crlb_hz,rate_bps", _sweep_outputs),
     },
 }
 
@@ -189,6 +201,12 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, dict]:
     return cfg
 
 
+def config_default(section: str, key: str):
+    """The parsed default value of one config key."""
+    text, parse = CONFIG_KEYS[section][key]
+    return parse(text)
+
+
 def build_scenario(cfg: dict[str, dict]) -> ScenarioConfig:
     sc = cfg["scenario"]
     n_paths = len(sc["delays"])
@@ -197,7 +215,7 @@ def build_scenario(cfg: dict[str, dict]) -> ScenarioConfig:
         raise ConfigError("dopplers list must match delays list")
     if sc["amps"] is None:
         amps = [amp_for_snr(10.0 ** (sc["snr_db"] / 10.0), sc["t_f"], sc["sigma2"])] * n_paths
-    elif sc["snr_db"] != load_config(None, [])["scenario"]["snr_db"]:
+    elif sc["snr_db"] != config_default("scenario", "snr_db"):
         raise ConfigError("scenario.amps and scenario.snr_db both set the path "
                           "amplitudes; unset one of them")
     elif len(sc["amps"]) != n_paths:
@@ -330,8 +348,9 @@ def cmd_crossover(args) -> int:
         raise ConfigError("crossover compares PPM pilot and differential frames; set "
                           "modulation.scheme = ppm and modulation.decoupling = pilot")
     sw = cfg["sweep"]
-    if sw["values"] is not None:
-        raise ConfigError("crossover scans sweep.start..sweep.stop; unset sweep.values")
+    for key in ("values", "step"):
+        if sw[key] != config_default("sweep", key):
+            raise ConfigError(f"crossover scans sweep.start..sweep.stop; unset sweep.{key}")
     for key in ("start", "stop"):
         if not sw[key].is_integer():
             raise ConfigError(f"sweep.{key}: expected an integer, got {sw[key]}")
@@ -365,11 +384,8 @@ def cmd_crossover(args) -> int:
 def cmd_pareto(args) -> int:
     cfg = load_config(args.config, args.set)
     scenario = _snr_scenario(cfg, "pareto")
-    # the table chooses its own frames and reads only xi_ppm: any other
-    # [modulation] value would be silently ignored
-    default = load_config(None, [])["modulation"]
     for key, value in cfg["modulation"].items():
-        if key != "xi_ppm" and value != default[key]:
+        if key != "xi_ppm" and value != config_default("modulation", key):
             raise ConfigError(f"pareto chooses its own frames and reads only "
                               f"modulation.xi_ppm; unset modulation.{key}")
     modulation = build_modulation(cfg)

@@ -19,13 +19,6 @@ derivatives are built from two primitives:
 Per-PRI phase rows carry the ramp slope 2 pi kappa t_f times H, since both
 Doppler and the Doppler-equivalent data phase enter the PRI-``kappa`` phase
 through that factor.
-
-A differential frame is a reparameterization of the same eta: duplicate the
-reference arrival time once per data PRI, rotate to the difference sequence
-[t^k - t^ref, t^k], collapse onto theta.  :func:`differential_maps` builds
-those maps by index arithmetic and takes the theta side from
-:func:`jacobian_for`, so the chain rule through them needs no second,
-hand-placed Jacobian.
 """
 
 from __future__ import annotations
@@ -36,12 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    Block,
     ConfigError,
-    Decoupling,
     ModulationConfig,
     ParamLayout,
-    PerPri,
     ScenarioConfig,
     Scheme,
     eta_layout_for,
@@ -75,10 +65,8 @@ class StructMatrix:
 
 def h_matrix(n_paths: int) -> np.ndarray:
     """L x L map from [tau1, dtau_2..L] to absolute per-path delays."""
-    H = np.zeros((n_paths, n_paths))
+    H = np.eye(n_paths)
     H[:, 0] = 1.0
-    for l in range(1, n_paths):
-        H[l, l] = 1.0
     return H
 
 
@@ -106,8 +94,7 @@ def jacobian_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> Stru
     times H (plus the data bit through phi_bpsk: raw on pilot splits, riding
     the ramp otherwise) and each amplitude with I; those derivatives are
     written into the eta rows the map names.  For a differential frame this
-    is the plain chain rule, which :func:`differential_maps` carries on to
-    the difference sequence.
+    is the plain chain rule through the same map.
     """
     rows = eta_layout_for(scenario, modulation)
     cols = theta_layout_for(scenario, modulation)
@@ -136,51 +123,3 @@ def jacobian_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> Stru
     J = np.zeros((size, cols.size))
     J[index[known]] = D[known]
     return StructMatrix(J, rows, cols)
-
-
-# =========================================================================
-# Differential maps
-# =========================================================================
-
-
-def _interleaved_layout(first: str, n_paths: int, n_f: int) -> ParamLayout:
-    """[first_0, t_0, first_1, t_1, ...], then per-PRI phases and amplitudes."""
-    return ParamLayout((PerPri((first, "t"), n_f, n_paths),
-                        PerPri(("phi",), n_f, n_paths, "phi"), Block("amp", n_paths)))
-
-
-def differential_maps(
-        scenario: ScenarioConfig) -> tuple[StructMatrix, StructMatrix, StructMatrix]:
-    """(G, P, J_diff): the three dense maps of the differential chain.
-
-    ``G`` duplicates the reference: every ``ref_k`` row of the expanded
-    observation list [ref_0, t_0, ref_1, t_1, ..., phases, amplitudes] reads
-    ``t_ref``, every other row passes its eta entry through once.  ``P``
-    (expanded rows, difference-sequence columns) is the identity with -1 on
-    the ``ref_k`` diagonal and +1 at (t_k, delta_k), so P^T takes the
-    expanded list to [delta_0, t_0, delta_1, t_1, ...] with
-    delta_k = t_k - t_ref; the transformed information is P^T I_ext P, and
-    |det P| = 1, so the rotation creates or destroys no information.
-
-    ``J_diff`` = P^T G J maps theta to the difference sequence, with J the
-    :func:`jacobian_for` Jacobian of the differential PPM frame (validated at
-    the default ``xi_ppm``, on which J does not depend): the chain rule
-    through the reparameterization, so the per-slot map that drives I_eta
-    also fixes the differential theta-structure.
-    """
-    L, n_f = scenario.n_paths, scenario.n_f
-    frame = ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL, d_data=n_f)
-    J = jacobian_for(scenario, frame)
-    ext = _interleaved_layout("ref", L, n_f)
-    seq = _interleaved_layout("delta", L, n_f)
-    paths = np.arange(L)
-    ref = 2 * L * np.arange(n_f)[:, None] + paths  # ref_k rows; t_k sits L further
-
-    G = np.zeros((ext.size, J.row_layout.size))
-    G[ref, paths] = 1.0
-    G[np.delete(np.arange(ext.size), ref.ravel()), np.arange(L, J.row_layout.size)] = 1.0
-    P = np.eye(ext.size)
-    P[ref, ref] = -1.0
-    P[ref + L, ref] = 1.0
-    return (StructMatrix(G, ext, J.row_layout), StructMatrix(P, ext, seq),
-            StructMatrix(P.T @ G @ J.data, seq, J.col_layout))

@@ -327,20 +327,18 @@ class Block:
 
 @dataclass(frozen=True)
 class PerPri:
-    """``count`` PRIs; PRI k holds one block ``prefix_k`` per prefix, in order.
-
-    Each of those blocks has ``width`` entries ``prefix_k_l`` (l = 1..width).
-    ``aggregate``, if given, names the block spanning the whole run.
+    """``count`` PRIs; PRI k holds the block ``prefix_k`` of ``width`` entries
+    ``prefix_k_l`` (l = 1..width); ``aggregate``, if given, spans the whole run.
     """
 
-    prefixes: tuple[str, ...]
+    prefix: str
     count: int
     width: int
     aggregate: str | None = None
 
     @property
     def size(self) -> int:
-        return self.count * len(self.prefixes) * self.width
+        return self.count * self.width
 
 
 @dataclass(frozen=True)
@@ -390,9 +388,8 @@ class ParamLayout:
             if isinstance(seg, Block):
                 names += seg.entry_names()
             else:
-                paths = range(1, seg.width + 1)
-                names += [f"{prefix}_{k}_{l}" for k in range(seg.count)
-                          for prefix in seg.prefixes for l in paths]
+                names += [f"{seg.prefix}_{k}_{l}" for k in range(seg.count)
+                          for l in range(1, seg.width + 1)]
         return tuple(names)
 
     @cached_property
@@ -406,9 +403,8 @@ class ParamLayout:
                 lo += seg.width
                 continue
             for k in range(seg.count):
-                for prefix in seg.prefixes:
-                    bounds[f"{prefix}_{k}"] = (lo, lo + seg.width)
-                    lo += seg.width
+                bounds[f"{seg.prefix}_{k}"] = (lo, lo + seg.width)
+                lo += seg.width
         bounds.update(self._bounds)  # aggregates last
         return MappingProxyType(bounds)
 
@@ -475,13 +471,13 @@ def eta_layout(scheme: Scheme, decoupling: Decoupling, n_paths: int, n_f: int,
     L = n_paths
     if scheme != Scheme.SENSING and decoupling == Decoupling.PILOT:
         segments = (Block("tau_p", L), Block("tau_d", L),
-                    PerPri(("phi",), p_pilots + d_data, L, "phi"),
+                    PerPri("phi", p_pilots + d_data, L, "phi"),
                     Block("amp_p", L), Block("amp_d", L))
     elif scheme == Scheme.PPM and decoupling == Decoupling.DIFFERENTIAL:
-        segments = (Block("t_ref", L), PerPri(("t",), n_f, L, "t_abs"),
-                    PerPri(("phi",), n_f, L, "phi"), Block("amp", L))
+        segments = (Block("t_ref", L), PerPri("t", n_f, L, "t_abs"),
+                    PerPri("phi", n_f, L, "phi"), Block("amp", L))
     else:
-        segments = (Block("tau", L), PerPri(("phi",), n_f, L, "phi"), Block("amp", L))
+        segments = (Block("tau", L), PerPri("phi", n_f, L, "phi"), Block("amp", L))
     return ParamLayout(segments)
 
 

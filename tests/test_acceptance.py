@@ -26,7 +26,6 @@ from isacbounds.bounds import (
     assemble_theta_fim,
     closed_form_theta_fim,
     crlb_report,
-    differential_chain,
     efim,
 )
 from isacbounds.experiments import (
@@ -37,6 +36,7 @@ from isacbounds.experiments import (
 )
 
 from conftest import make_modulation
+from differential_reference import differential_chain
 
 ROOT_RANGE_0DB_M = 9.48026992620368e-4
 ROOT_DOPPLER_2048_0DB_HZ = 0.9409031149368619

@@ -43,7 +43,6 @@ from isacbounds.bounds import (
     comm_efim_ppm,
     crlb,
     crlb_report,
-    differential_chain,
     differential_pipeline,
     efim,
     range_crlb,
@@ -54,6 +53,7 @@ from isacbounds.bounds import (
 from isacbounds.experiments import fim_deviation, reference_scenario, with_frame
 
 from conftest import ALL_KINDS, make_modulation, sym_eigs
+from differential_reference import differential_chain
 
 
 def lam_per_pri(sc):

@@ -97,7 +97,7 @@ def test_an_empty_unknown_section_is_refused(tmp_path, capsys):
 
 
 #: keys whose text is checked where it is used, not when the config is loaded
-_STRING_KEYS = ("modulation.scheme", "modulation.decoupling", "sweep.axis", "sweep.outputs")
+_STRING_KEYS = ("modulation.scheme", "modulation.decoupling")
 
 
 @pytest.mark.parametrize("key", [f"{section}.{key}" for section, keys in cli.CONFIG_KEYS.items()
@@ -106,6 +106,21 @@ def test_every_malformed_value_is_refused_by_name(key, capsys):
     # even by a verb that never reads the key
     assert cli.main(["bounds", "--set", f"{key}=abc"]) == 2
     assert f"configuration error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,sets", [
+    ("bounds", ["sweep.axis=bogus"]),
+    ("bounds", ["sweep.outputs=bogus"]),
+    ("pareto", ["scenario.n_f=4", "sweep.axis=bogus"]),
+])
+def test_sweep_names_are_checked_by_every_verb(verb, sets, tmp_path, capsys):
+    # a verb that never sweeps still refuses an axis or output the sweep would
+    code = cli.main([verb, *(["--out", str(tmp_path)] if verb != "bounds" else []),
+                     *(arg for item in sets for arg in ("--set", item))])
+    assert code == 2
+    key = sets[-1].split("=")[0]
+    assert f"configuration error: {key}: unknown " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("verb,sets", [
@@ -408,6 +423,7 @@ def test_crossover_says_when_it_raises_the_start(start, capsys):
     (["sweep.values=3,4"], "unset sweep.values"),
     (["sweep.start=10", "sweep.stop=5"], "sweep.stop = 5 is below the first scanned d_data 10"),
     (["sweep.start=0", "sweep.stop=1"], "sweep.stop = 1 is below the first scanned d_data 2"),
+    (["sweep.start=2", "sweep.stop=30", "sweep.step=7"], "unset sweep.step"),
 ])
 def test_crossover_refuses_a_range_it_would_not_scan(sets, message, tmp_path, capsys):
     code = cli.main(["crossover", "--out", str(tmp_path),

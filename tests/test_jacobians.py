@@ -15,13 +15,14 @@ from isacbounds.model import (
     theta_layout,
 )
 from isacbounds.jacobians import (
-    differential_maps,
     e_vector,
     h_matrix,
     jacobian_for,
     ramp_slope,
 )
 from isacbounds.experiments import reference_scenario
+
+from differential_reference import differential_maps
 
 T_F = 1e-7
 

@@ -37,6 +37,7 @@ from isacbounds.model import (
 from isacbounds.experiments import reference_scenario
 
 from conftest import ALL_KINDS, make_modulation
+from differential_reference import interleaved_layout
 
 ALPHA = 0.2e-9
 
@@ -454,11 +455,10 @@ def test_layouts_match_eager_reference(kind):
 
 
 def test_interleaved_layouts_match_eager_reference():
-    from isacbounds.jacobians import _interleaved_layout
     for L in (1, 2, 3):
         for n_f in LAYOUT_N_F:
             for first in ("ref", "delta"):
-                _assert_matches(_interleaved_layout(first, L, n_f),
+                _assert_matches(interleaved_layout(first, L, n_f),
                                 _eager_interleaved(first, L, n_f))
 
 
