@@ -74,6 +74,10 @@ ASSEMBLY_RTOL = 1e-10
 #: frames are checked at every size
 PRODUCT_CHECK_MAX_ETA = 3000
 
+#: PRIs per chunk of the differential ramp sum, so its memory does not grow
+#: with n_f; a frame of up to this many PRIs is summed in one piece
+RAMP_CHUNK = 1 << 17
+
 
 class CoupledParametersError(RuntimeError):
     """A nuisance block required by a Schur complement is singular.
@@ -383,7 +387,9 @@ def differential_pipeline(scenario: ScenarioConfig,
     ``modulation.sfd_weight`` of the reference pulse,
     B = [[(w+1) Lam_tau, Lam_tau], [Lam_tau, Lam_tau]] through the delay rows
     J_k = [[0 | E], [H | E]], its phases Lam_phi through the Doppler ramp
-    slope_k H, and the amplitudes n_f Lam_alpha once: O(n_f + L^3).
+    slope_k H, and the amplitudes n_f Lam_alpha once: O(n_f + L^3) time.
+    The squared slopes are summed ``RAMP_CHUNK`` PRIs at a time, in memory
+    that does not grow with n_f.
     """
     if modulation.decoupling != Decoupling.DIFFERENTIAL:
         raise ConfigError("differential_pipeline requires differential decoupling")
@@ -392,7 +398,10 @@ def differential_pipeline(scenario: ScenarioConfig,
     lam = np.diag(l_tau)
     H, E = h_matrix(L), e_vector(L)
     J_k = np.block([[np.zeros((L, L)), E], [H, E]])  # the same for every PRI
-    ramp = float(np.sum(ramp_slope(np.arange(n_f), scenario.t_f) ** 2))
+    ramp = 0.0
+    for lo in range(0, n_f, RAMP_CHUNK):
+        kappa = np.arange(lo, min(lo + RAMP_CHUNK, n_f))
+        ramp += float(np.sum(ramp_slope(kappa, scenario.t_f) ** 2))
 
     layout = theta_layout_for(scenario, modulation)
     M = np.zeros((layout.size, layout.size))

@@ -44,9 +44,10 @@ from .model import (
 )
 from .bounds import RANK_RTOL, crlb_report
 from .experiments import (
-    SWEEP_AXES,
-    SWEEP_OUTPUTS,
+    MAX_SWEEP_POINTS,
     SweepSpec,
+    check_sweep_axis,
+    check_sweep_outputs,
     data_rate,
     find_crossover,
     pareto_table,
@@ -116,18 +117,19 @@ def _optional_list(text: str) -> list[float] | None:
     return parse_list(text) if text.strip() else None
 
 
-def _sweep_axis(text: str) -> str:
-    if text not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {text!r}; use one of {SWEEP_AXES}")
-    return text
-
-
 def _sweep_outputs(text: str) -> tuple[str, ...]:
-    names = tuple(s.strip() for s in text.split(",") if s.strip())
-    bad = [o for o in names if o not in SWEEP_OUTPUTS]
-    if bad:
-        raise ConfigError(f"unknown sweep outputs {bad}; use a subset of {SWEEP_OUTPUTS}")
-    return names
+    return check_sweep_outputs([s.strip() for s in text.split(",") if s.strip()])
+
+
+def _choice(kind: type[Scheme] | type[Decoupling]):
+    """Parser of an enum key: the member whose value the text names, in any case."""
+    def parse(text: str):
+        try:
+            return kind(text.lower())
+        except ValueError:
+            raise ConfigError(f"unknown {kind.__name__.lower()} {text!r}; "
+                              f"use one of {tuple(m.value for m in kind)}") from None
+    return parse
 
 
 # =========================================================================
@@ -135,7 +137,7 @@ def _sweep_outputs(text: str) -> tuple[str, ...]:
 # =========================================================================
 
 #: every config key, as {section: {key: (default text, parser)}}; the file and
-#: --set strip each value, and ModulationConfig checks the scheme and decoupling
+#: --set strip each value
 CONFIG_KEYS = {
     "scenario": {
         "f_c": ("3993.6MHz", parse_quantity),
@@ -151,8 +153,8 @@ CONFIG_KEYS = {
         "amps": ("", _optional_list),
     },
     "modulation": {
-        "scheme": ("sensing", str.lower),
-        "decoupling": ("none", str.lower),
+        "scheme": ("sensing", _choice(Scheme)),
+        "decoupling": ("none", _choice(Decoupling)),
         "xi_ppm": ("2ns", parse_quantity),
         "xi_bpsk": (str(math.pi), parse_quantity),
         "p_pilots": ("0", parse_int),
@@ -160,7 +162,7 @@ CONFIG_KEYS = {
         "sfd_weight": ("1.0", parse_quantity),
     },
     "sweep": {
-        "axis": ("snr_db", _sweep_axis),
+        "axis": ("snr_db", check_sweep_axis),
         "start": ("0", parse_quantity),
         "stop": ("30", parse_quantity),
         "step": ("5", parse_quantity),
@@ -241,7 +243,11 @@ def sweep_values(cfg: dict[str, dict]) -> tuple[float, ...]:
     start, stop, step = sw["start"], sw["stop"], sw["step"]
     if step <= 0 or stop < start:
         raise ConfigError(f"bad sweep range start={start} stop={stop} step={step}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9  # inf when the quotient overflows
+    if not steps < MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep.start = {start} to sweep.stop = {stop} in steps of "
+                          f"sweep.step = {step} spans more than {MAX_SWEEP_POINTS} points")
+    n = int(math.floor(steps)) + 1
     return tuple(start + i * step for i in range(n))
 
 
@@ -359,6 +365,9 @@ def cmd_crossover(args) -> int:
     if d_hi < d_lo:
         raise ConfigError(f"crossover scans no d_data: sweep.stop = {d_hi} is below "
                           f"the first scanned d_data {d_lo}")
+    if d_hi - d_lo >= MAX_SWEEP_POINTS:
+        raise ConfigError(f"crossover scans d_data from {d_lo} to sweep.stop = "
+                          f"{sw['stop']:g}: more than {MAX_SWEEP_POINTS} points")
     if d_lo != start:
         print(f"scanning d_data in [{d_lo}, {d_hi}]: sweep.start = {start} is raised to "
               f"{d_lo}, as one data PRI cannot carry the Doppler ramp")

@@ -104,6 +104,26 @@ def data_rate(scenario: ScenarioConfig, modulation: ModulationConfig) -> float:
 SWEEP_AXES = ("snr_db", "n_f", "d_data", "pilot_ratio")
 SWEEP_OUTPUTS = ("root_range_crlb_m", "root_doppler_crlb_hz", "rate_bps", "comm_efim")
 
+#: most points a configured range may span: a sweep or crossover scan is
+#: refused beyond it before any of its points is built
+MAX_SWEEP_POINTS = 100_000
+
+
+def check_sweep_axis(axis: str) -> str:
+    """``axis``; ConfigError unless it is one of ``SWEEP_AXES``."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
+    return axis
+
+
+def check_sweep_outputs(outputs) -> tuple[str, ...]:
+    """``outputs`` as a tuple; ConfigError unless each is one of ``SWEEP_OUTPUTS``."""
+    outputs = tuple(outputs)
+    bad = [o for o in outputs if o not in SWEEP_OUTPUTS]
+    if bad:
+        raise ConfigError(f"unknown sweep outputs {bad}; use a subset of {SWEEP_OUTPUTS}")
+    return outputs
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -116,11 +136,8 @@ class SweepSpec:
     modulation: ModulationConfig
 
     def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
-            raise ConfigError(f"unknown sweep axis {self.axis!r}; use one of {SWEEP_AXES}")
-        bad = [o for o in self.outputs if o not in SWEEP_OUTPUTS]
-        if bad:
-            raise ConfigError(f"unknown sweep outputs {bad}; use a subset of {SWEEP_OUTPUTS}")
+        check_sweep_axis(self.axis)
+        check_sweep_outputs(self.outputs)
         if len(self.values) == 0:
             raise ConfigError("sweep needs at least one axis value")
 

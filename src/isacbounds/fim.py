@@ -14,12 +14,13 @@ pulse of path l adds one pulse's worth per (slot, path) value
     lambda_phi   =              t_f * f_s * SNR_l       (carrier phase)
     lambda_alpha =              t_f * f_s * SNR_l / amp**2   (amplitude)
 
-to the eta entry that the per-slot map of :mod:`isacbounds.signals` names
-for it, so an entry touched by M pulses carries M lambda.  B is the effective
-bandwidth and SNR_l the per-pulse received SNR of the path.  The symmetric
-pulse makes the arrival-time / amplitude cross information exactly zero.
-:func:`observation_fim_analytic` therefore returns I_eta as its diagonal, a
-:class:`DiagonalMatrix`, whose dense form is built only on request.
+to the eta entry that the per-slot map of :mod:`isacbounds.signals` names for
+it, so an entry touched by M pulses carries M lambda: each kind's per-path
+lambda goes straight into the map's rows, times the pulse count.  B is the
+effective bandwidth and SNR_l the per-pulse received SNR of the path.  The
+symmetric pulse makes the arrival-time / amplitude cross information exactly
+zero, so :func:`observation_fim_analytic` returns I_eta as its diagonal, a
+:class:`DiagonalMatrix` whose dense form is built only on request.
 
 The closed-form ramp sums of the assembly (:mod:`isacbounds.bounds`) also
 live here: :func:`coeff_b_full` sums ``(2 pi kappa t_f)**2`` over the frame
@@ -46,7 +47,7 @@ from .model import (
     effective_bandwidth,
     eta_layout_for,
 )
-from .signals import _AMP, _TAU, _slot_model, eta_point, mean_from_eta, n_slots
+from .signals import _AMP, _PHI, _TAU, _slot_model, eta_point, mean_from_eta, n_slots
 
 # numeric-probe guard rails: beyond this the finite-difference sweep is too
 # slow to be useful and the closed forms are the intended path
@@ -258,16 +259,18 @@ def observation_fim_analytic(scenario: ScenarioConfig,
     """
     layout = eta_layout_for(scenario, modulation)
     size, _, index = _slot_model(scenario, modulation)
-    lam = np.empty(index.shape)
-    lam[:] = np.array(per_pri_information(scenario))[:, None, :]
-    known = index >= 0
+    ref = index.shape[1] - scenario.n_f  # the differential reference slot, if any
     diag = np.zeros(size)
+    pulses = np.zeros(size, dtype=np.intp)
+    # one lambda per row times its pulses, so n_f * lambda is formed exactly as
+    # a product; the reference slot's phase and amplitude are known (no row)
+    for rows, lam in zip((index[_TAU], index[_PHI, ref:], index[_AMP, ref:]),
+                         per_pri_information(scenario)):
+        diag[rows] = lam
+        pulses += np.bincount(rows.ravel(), minlength=size)
     with np.errstate(over="ignore"):  # DiagonalMatrix refuses an inf entry
-        lam[_TAU, :index.shape[1] - scenario.n_f] *= modulation.sfd_weight  # reference
-        # every pulse of an entry carries the same lambda: write it once and
-        # count the pulses, so n_f * lambda is formed exactly as a product
-        diag[index[known]] = lam[known]
-        diag *= np.bincount(index[known], minlength=size)
+        diag[index[_TAU, :ref]] *= modulation.sfd_weight
+        diag *= pulses
     return DiagonalMatrix(diag, layout)
 
 

@@ -7,10 +7,11 @@ matrix is the congruence
 
     I_theta = J^T I_eta J,        J = d eta / d theta.
 
-:func:`jacobian_for` reads J off the per-slot map of :mod:`isacbounds.signals`,
-which names the eta entry behind every pulse's delay, phase and amplitude; the
-pilot/differential/unsplit split is decided there, not here.  Each slot's
-derivatives are built from two primitives:
+:func:`jacobian_for` writes J straight through the per-slot map of
+:mod:`isacbounds.signals`, which names the eta entry behind every pulse's
+delay, phase and amplitude; the pilot/differential/unsplit split is decided
+there, not here.  Each kind's derivative rows are built from two primitives
+and assigned to the rows the map names, with no intermediate table:
 
   * ``H`` (L x L): first column all ones, remaining columns the unit vectors
     of paths 2..L -- it maps [tau1, dtau_2..L] to the absolute per-path values;
@@ -86,40 +87,35 @@ def ramp_slope(kappa: int | np.ndarray, t_f: float) -> float | np.ndarray:
 
 
 def jacobian_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> StructMatrix:
-    """d eta / d theta, read off the per-slot map of :mod:`isacbounds.signals`.
+    """d eta / d theta, written through the per-slot map of :mod:`isacbounds.signals`.
 
     Rows follow :func:`isacbounds.model.eta_layout_for`, columns
     :func:`isacbounds.model.theta_layout_for`.  Each (slot, path) delay moves
     with H (plus the data bit through dtau_q), each phase with the ramp slope
     times H (plus the data bit through phi_bpsk: raw on pilot splits, riding
     the ramp otherwise) and each amplitude with I; those derivatives are
-    written into the eta rows the map names.  For a differential frame this
-    is the plain chain rule through the same map.
+    assigned directly to the eta rows the map names.  For a differential
+    frame this is the plain chain rule through the same map.
     """
     rows = eta_layout_for(scenario, modulation)
     cols = theta_layout_for(scenario, modulation)
     size, _, index = _slot_model(scenario, modulation)
     L, n_f = scenario.n_paths, scenario.n_f
     ref = index.shape[1] - n_f  # the differential reference slot, if any
-    bits = np.zeros(index.shape[1])
-    bits[ref:] = bound_bits(scenario, modulation)
-    slope = np.zeros(index.shape[1])
-    slope[ref:] = ramp_slope(np.arange(n_f), scenario.t_f)
+    bits = bound_bits(scenario, modulation)[:, None]
+    slope = ramp_slope(np.arange(n_f), scenario.t_f)[:, None]
     H = h_matrix(L)
-
-    # derivative of every slot value, in the (3, slots, L) order of the map
-    D = np.zeros(index.shape + (cols.size,))
+    # the reference slot's phase and amplitude are known: only its delay has a
+    # row.  Path l of a slot moves with row l of the primitive; rows shared by
+    # several slots (unsplit delays and amplitudes) get the same values
+    tau, phi, amp = index[_TAU], index[_PHI, ref:], index[_AMP, ref:]
     lo = cols.block("delay")[0]
-    D[_TAU, :, :, lo:lo + L] = H
-    D[_PHI, :, :, cols.block_slice("doppler")] = slope[:, None, None] * H
-    D[_AMP, :, :, cols.block_slice("amp")] = np.eye(L)
-    if modulation.scheme == Scheme.PPM:
-        D[_TAU, :, :, cols.block_slice("dtau_q")] = bits[:, None, None]
-    elif modulation.scheme == Scheme.BPSK:
-        data_phase = bits if modulation.p_pilots else slope * bits
-        D[_PHI, :, :, cols.block_slice("phi_bpsk")] = data_phase[:, None, None]
-
-    known = index >= 0
     J = np.zeros((size, cols.size))
-    J[index[known]] = D[known]
+    J[tau, lo:lo + L] = H
+    J[phi, cols.block_slice("doppler")] = slope[..., None] * H
+    J[amp, cols.block_slice("amp")] = np.eye(L)
+    if modulation.scheme == Scheme.PPM:
+        J[tau[ref:], cols.block("dtau_q")[0]] = bits
+    elif modulation.scheme == Scheme.BPSK:
+        J[phi, cols.block("phi_bpsk")[0]] = bits if modulation.p_pilots else slope * bits
     return StructMatrix(J, rows, cols)

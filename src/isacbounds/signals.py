@@ -153,6 +153,9 @@ def _slot_index(scenario: ScenarioConfig, modulation: ModulationConfig,
                 layout: ParamLayout) -> np.ndarray:
     """eta entry that sets each value of :func:`_slot_table`; -1 where known.
 
+    Only the differential reference slot's phase and amplitude are known, so
+    a reader may skip them by taking those two kinds from slot n_slots - n_f on.
+
     This is the one place the decoupling strategy decides which unknown
     drives each slot: pilot and data PRIs have their own arrival times and
     amplitudes, differential frames one arrival time per PRI plus the

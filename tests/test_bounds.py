@@ -11,6 +11,7 @@ information of one path):
 """
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,7 +36,7 @@ from isacbounds.fim import (
     observation_fim_numeric,
     per_pri_information,
 )
-from isacbounds.jacobians import e_vector, h_matrix, jacobian_for
+from isacbounds.jacobians import e_vector, h_matrix, jacobian_for, ramp_slope
 from isacbounds.bounds import (
     CoupledParametersError,
     assemble_theta_fim,
@@ -383,6 +384,31 @@ def test_differential_pipeline_builds_dense_chain_only_on_request():
     fim = differential_pipeline(sc, mod)
     closed = closed_form_theta_fim(sc, mod)
     assert equilibrated_deviation(fim.data, closed.data) < 1e-12
+
+
+def test_differential_ramp_sum_runs_in_bounded_memory():
+    # 10^7 PRIs are 77 chunks of the ramp sum; all at once they took 160 MB
+    n_f = 10 ** 7
+    sc = reference_scenario(n_f=n_f)
+    mod = make_modulation("ppm-diff", n_f)
+    tracemalloc.start()
+    try:
+        report = crlb_report(sc, mod)  # cross-checked against the closed form
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert report.crlb["tau1"] is not None
+
+
+def test_differential_ramp_sum_is_one_chunk_up_to_the_chunk_size():
+    # a frame of up to RAMP_CHUNK PRIs sums its ramp exactly as one array
+    n_f = bounds.RAMP_CHUNK
+    sc = reference_scenario(n_f=n_f, n_paths=1)
+    fim = differential_pipeline(sc, make_modulation("ppm-diff", n_f))
+    ramp = float(np.sum(ramp_slope(np.arange(n_f), sc.t_f) ** 2))
+    l_phi = per_pri_information(sc)[1]
+    assert fim.block("fd1")[0, 0] == ramp * l_phi[0]
 
 
 @pytest.mark.parametrize("n_f", (8, 2048))

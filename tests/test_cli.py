@@ -9,10 +9,10 @@ import warnings
 
 import pytest
 
-from isacbounds.model import ConfigError, ModulationConfig
+from isacbounds.model import ConfigError, Decoupling, ModulationConfig, Scheme
 from isacbounds import bounds, cli
 from isacbounds.bounds import crlb_report
-from isacbounds.experiments import data_rate, reference_scenario, with_snr
+from isacbounds.experiments import MAX_SWEEP_POINTS, data_rate, reference_scenario, with_snr
 from isacbounds.fim import LabeledMatrix
 
 
@@ -96,12 +96,8 @@ def test_an_empty_unknown_section_is_refused(tmp_path, capsys):
     assert "unknown config section [foo]" in capsys.readouterr().err
 
 
-#: keys whose text is checked where it is used, not when the config is loaded
-_STRING_KEYS = ("modulation.scheme", "modulation.decoupling")
-
-
 @pytest.mark.parametrize("key", [f"{section}.{key}" for section, keys in cli.CONFIG_KEYS.items()
-                                 for key in keys if f"{section}.{key}" not in _STRING_KEYS])
+                                 for key in keys])
 def test_every_malformed_value_is_refused_by_name(key, capsys):
     # even by a verb that never reads the key
     assert cli.main(["bounds", "--set", f"{key}=abc"]) == 2
@@ -137,6 +133,54 @@ def test_a_quantity_beyond_the_float_range_is_refused_by_name(verb, sets, tmp_pa
     assert code == 2
     key = sets[-1].split("=")[0]
     assert f"configuration error: {key}: quantity " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("verb,sets", [
+    ("sweep", ["modulation.scheme=bogus"]),
+    ("pareto", ["scenario.n_f=4", "modulation.decoupling=Bogus"]),
+])
+def test_an_unknown_enum_value_is_refused_by_name(verb, sets, tmp_path, capsys):
+    code = cli.main([verb, "--out", str(tmp_path),
+                     *(arg for item in sets for arg in ("--set", item))])
+    assert code == 2
+    key, value = sets[-1].split("=")
+    assert f"configuration error: {key}: unknown {key.split('.')[1]} {value!r}" in (
+        capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_enum_values_are_read_in_any_case():
+    cfg = cli.load_config(None, ["modulation.scheme=PPM", "modulation.decoupling=Pilot"])
+    assert cfg["modulation"]["scheme"] is Scheme.PPM
+    assert cfg["modulation"]["decoupling"] is Decoupling.PILOT
+
+
+@pytest.mark.parametrize("sets", [["sweep.step=1e-320"],
+                                  ["sweep.start=-1e308", "sweep.stop=1e308"],
+                                  ["sweep.stop=100000", "sweep.step=1"]])
+def test_sweep_refuses_a_range_beyond_the_point_limit(sets, tmp_path, capsys):
+    code = cli.main(["sweep", "--out", str(tmp_path),
+                     *(arg for item in sets for arg in ("--set", item))])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sweep.start" in err and "sweep.step" in err
+    assert f"more than {MAX_SWEEP_POINTS} points" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_values_reach_the_point_limit_exactly():
+    cfg = cli.load_config(None, [f"sweep.stop={MAX_SWEEP_POINTS - 1}", "sweep.step=1"])
+    assert len(cli.sweep_values(cfg)) == MAX_SWEEP_POINTS
+
+
+def test_crossover_refuses_a_range_beyond_the_point_limit(tmp_path, capsys):
+    code = cli.main(["crossover", "--out", str(tmp_path),
+                     "--set", "modulation.scheme=ppm", "--set", "modulation.decoupling=pilot",
+                     "--set", "modulation.p_pilots=4", "--set", "sweep.stop=1e300"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"sweep.stop = 1e+300: more than {MAX_SWEEP_POINTS} points" in err
     assert not list(tmp_path.iterdir())
 
 

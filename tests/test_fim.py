@@ -180,6 +180,34 @@ def test_analytic_fim_diagonal_by_block(kind):
     np.testing.assert_array_equal(I.data, np.diag(np.diag(I.data)))
 
 
+def _table_and_gather_diagonal(sc, mod):
+    # the lambda diagonal built the long way: every (slot, path) value's
+    # lambda in a (3, slots, L) table, the reference delay weighted there,
+    # then gathered into the eta entries the map names and counted
+    size, _, index = _slot_model(sc, mod)
+    lam = np.empty(index.shape)
+    lam[:] = np.array(per_pri_information(sc))[:, None, :]
+    known = index >= 0
+    diag = np.zeros(size)
+    lam[signals._TAU, :index.shape[1] - sc.n_f] *= mod.sfd_weight
+    diag[index[known]] = lam[known]
+    diag *= np.bincount(index[known], minlength=size)
+    return diag
+
+
+@pytest.mark.parametrize("kind, n_f", [
+    (kind, n_f) for kind in ALL_KINDS for n_f in (1, 2, 8, 64, 499)
+    if n_f >= 2 or not kind.endswith("pilot")])  # a pilot split needs two PRIs
+def test_analytic_diagonal_equals_the_table_and_gather_construction(kind, n_f):
+    weights = (0.5, 1.0, 4.0) if kind == "ppm-diff" else (1.0,)
+    for n_paths in (1, 2, 3):
+        sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+        for w in weights:
+            mod = dataclasses.replace(make_modulation(kind, n_f), sfd_weight=w)
+            np.testing.assert_array_equal(observation_fim_analytic(sc, mod).diag,
+                                          _table_and_gather_diagonal(sc, mod))
+
+
 def test_analytic_fim_frame_additivity():
     mod = ModulationConfig(Scheme.SENSING)
     I2 = observation_fim_analytic(reference_scenario(n_f=2, n_paths=2), mod)

@@ -13,6 +13,7 @@ from isacbounds.model import (
     Scheme,
     eta_layout_for,
     theta_layout,
+    theta_layout_for,
 )
 from isacbounds.jacobians import (
     e_vector,
@@ -21,7 +22,9 @@ from isacbounds.jacobians import (
     ramp_slope,
 )
 from isacbounds.experiments import reference_scenario
+from isacbounds.signals import _AMP, _PHI, _TAU, _slot_model, bound_bits
 
+from conftest import ALL_KINDS, make_modulation
 from differential_reference import differential_maps
 
 T_F = 1e-7
@@ -201,3 +204,45 @@ def test_differential_entry_alphabet():
     _, P, J = differential_maps(reference_scenario(n_f=4, n_paths=2))
     assert _entry_alphabet(P.data, 4, T_F)
     assert _entry_alphabet(J.data, 4, T_F)
+
+
+# ------------------------------------------------------------- slot-map writes
+
+def _table_and_gather_jacobian(sc, mod):
+    # J built the long way: every slot value's derivative row in a dense
+    # (3, slots, L, n_theta) table, then gathered into the eta rows the map
+    # names for it
+    cols = theta_layout_for(sc, mod)
+    size, _, index = _slot_model(sc, mod)
+    L, n_f = sc.n_paths, sc.n_f
+    ref = index.shape[1] - n_f
+    bits = np.zeros(index.shape[1])
+    bits[ref:] = bound_bits(sc, mod)
+    slope = np.zeros(index.shape[1])
+    slope[ref:] = ramp_slope(np.arange(n_f), sc.t_f)
+    H = h_matrix(L)
+    D = np.zeros(index.shape + (cols.size,))
+    lo = cols.block("delay")[0]
+    D[_TAU, :, :, lo:lo + L] = H
+    D[_PHI, :, :, cols.block_slice("doppler")] = slope[:, None, None] * H
+    D[_AMP, :, :, cols.block_slice("amp")] = np.eye(L)
+    if mod.scheme == Scheme.PPM:
+        D[_TAU, :, :, cols.block_slice("dtau_q")] = bits[:, None, None]
+    elif mod.scheme == Scheme.BPSK:
+        data_phase = bits if mod.p_pilots else slope * bits
+        D[_PHI, :, :, cols.block_slice("phi_bpsk")] = data_phase[:, None, None]
+    known = index >= 0
+    J = np.zeros((size, cols.size))
+    J[index[known]] = D[known]
+    return J
+
+
+@pytest.mark.parametrize("kind, n_f", [
+    (kind, n_f) for kind in ALL_KINDS for n_f in (1, 2, 8, 64, 499)
+    if n_f >= 2 or not kind.endswith("pilot")])  # a pilot split needs two PRIs
+def test_jacobian_equals_the_table_and_gather_construction(kind, n_f):
+    for n_paths in (1, 2, 3):
+        sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+        mod = make_modulation(kind, n_f)
+        np.testing.assert_array_equal(jacobian_for(sc, mod).data,
+                                      _table_and_gather_jacobian(sc, mod))
