@@ -318,31 +318,31 @@ def closed_form_theta_fim(scenario: ScenarioConfig,
     lo = layout.block("delay")[0]
     tau = slice(lo, lo + L)  # tau1 and dtau: the delay block without dtau_q
     doppler, amp = layout.block_slice("doppler"), layout.block_slice("amp")
-    put(tau, tau, n_f * _congruence(H, l_tau1, H))
-    put(doppler, doppler, coeff_b_full(t_f, n_f) * _congruence(H, l_phi1, H))
-    put(amp, amp, np.diag(n_f * l_alpha1))
+    with np.errstate(over="ignore", invalid="ignore"):  # LabeledMatrix refuses inf/NaN
+        put(tau, tau, n_f * _congruence(H, l_tau1, H))
+        put(doppler, doppler, coeff_b_full(t_f, n_f) * _congruence(H, l_phi1, H))
+        put(amp, amp, np.diag(n_f * l_alpha1))
 
-    scheme, dec = modulation.scheme, modulation.decoupling
-    if scheme == Scheme.PPM:
-        if dec == Decoupling.DIFFERENTIAL:
-            cross, own = 2.0 * n_f, (modulation.sfd_weight + 4.0) * n_f
-        else:
-            cross = own = modulation.d_data if dec == Decoupling.PILOT else n_f
-        q = layout.block_slice("dtau_q")
-        put(tau, q, cross * _congruence(H, l_tau1, E))
-        with np.errstate(over="ignore"):  # LabeledMatrix refuses an overflowed weight
+        scheme, dec = modulation.scheme, modulation.decoupling
+        if scheme == Scheme.PPM:
+            if dec == Decoupling.DIFFERENTIAL:
+                cross, own = 2.0 * n_f, (modulation.sfd_weight + 4.0) * n_f
+            else:
+                cross = own = modulation.d_data if dec == Decoupling.PILOT else n_f
+            q = layout.block_slice("dtau_q")
+            put(tau, q, cross * _congruence(H, l_tau1, E))
             put(q, q, own * _congruence(E, l_tau1, E))
-    elif scheme == Scheme.BPSK:
-        if dec == Decoupling.PILOT:
-            # raw data phase: unit ramp on the D data PRIs
-            p, d = modulation.p_pilots, modulation.d_data
-            cross, own = coeff_a_range(t_f, p, d), d
-        else:
-            # Doppler-equivalent data phase: shares the quadratic ramp sum
-            cross = own = coeff_b_full(t_f, n_f)
-        b = layout.block_slice("phi_bpsk")
-        put(doppler, b, cross * _congruence(H, l_phi1, E))
-        put(b, b, own * _congruence(E, l_phi1, E))
+        elif scheme == Scheme.BPSK:
+            if dec == Decoupling.PILOT:
+                # raw data phase: unit ramp on the D data PRIs
+                p, d = modulation.p_pilots, modulation.d_data
+                cross, own = coeff_a_range(t_f, p, d), d
+            else:
+                # Doppler-equivalent data phase: shares the quadratic ramp sum
+                cross = own = coeff_b_full(t_f, n_f)
+            b = layout.block_slice("phi_bpsk")
+            put(doppler, b, cross * _congruence(H, l_phi1, E))
+            put(b, b, own * _congruence(E, l_phi1, E))
     # exact zeros are structurally dead columns (Doppler at n_f = 1); a
     # subnormal diagonal has lost its precision and would break the checks
     diag = np.diag(M)
@@ -577,14 +577,18 @@ def comm_efim_ppm(scenario: ScenarioConfig, modulation: ModulationConfig) -> flo
     """Equivalent Fisher information of the PPM data shift dtau_q.
 
     Defined for the pilot split with at least one pilot and one data PRI
-    (without pilots the shift is inseparable from the delays).  Scales
-    linearly with SNR and is strictly below the data-PRI arrival-time
-    information D * lambda_tau: the sensing nuisance always costs something.
+    (without pilots the shift is inseparable from the delays).  Eliminating
+    the delays from the p pilot and d data PRIs of :func:`validate_modulation`
+    leaves sum_l lambda_tau,l * p d / (p + d), in closed form: it scales
+    linearly with SNR and stays below the data PRIs' own d * sum_l
+    lambda_tau,l, the cost of the sensing nuisance.  ConfigError past float64.
     """
     if modulation.scheme != Scheme.PPM or modulation.decoupling != Decoupling.PILOT:
         raise ConfigError("comm_efim_ppm is defined for pilot-decoupled PPM")
-    if modulation.d_data < 1:
+    data = validate_modulation(scenario, modulation)
+    p, d = data.start, data.stop - data.start
+    if d < 1:
         raise ConfigError("comm_efim_ppm needs at least one data PRI")
-    fim = assemble_theta_fim(scenario, modulation)
-    E = efim(fim, "dtau_q")
-    return float(E[0, 0])
+    value = sum(per_pri_information(scenario)[0].tolist()) * (p * d / (p + d))
+    _require_finite(np.array([value]), ("dtau_q",))
+    return value

@@ -392,6 +392,8 @@ def cmd_crossover(args) -> int:
 
 def cmd_pareto(args) -> int:
     cfg = load_config(args.config, args.set)
+    if cfg["scenario"]["n_f"] > MAX_SWEEP_POINTS:
+        raise ConfigError(f"scenario.n_f: pareto would build more than {MAX_SWEEP_POINTS} frames")
     scenario = _snr_scenario(cfg, "pareto")
     for key, value in cfg["modulation"].items():
         if key != "xi_ppm" and value != config_default("modulation", key):

@@ -33,7 +33,6 @@ from .model import (
     received_snr,
     validate_modulation,
 )
-from .signals import bound_bits
 from .fim import observation_fim_analytic, observation_fim_numeric, per_pri_information
 from .bounds import comm_efim_ppm, crlb_report
 from . import __version__ as _pkg_version
@@ -89,12 +88,12 @@ def with_frame(scenario: ScenarioConfig, n_f: int) -> ScenarioConfig:
 def data_rate(scenario: ScenarioConfig, modulation: ModulationConfig) -> float:
     """Raw data rate in bit/s: one bit per data PRI over the frame span.
 
-    rate = D / (n_f * t_f), D the data PRIs that :func:`signals.bound_bits`
-    marks: none when sensing-only, all when differential or undecoupled.
+    rate = D / (n_f * t_f), D the data PRIs that :func:`validate_modulation`
+    returns: none when sensing-only, all when differential or undecoupled.
     Raises ConfigError unless the pair is valid.
     """
-    validate_modulation(scenario, modulation)
-    return int(bound_bits(scenario, modulation).sum()) / (scenario.n_f * scenario.t_f)
+    data = validate_modulation(scenario, modulation)
+    return (data.stop - data.start) / (scenario.n_f * scenario.t_f)
 
 
 # =========================================================================

@@ -225,9 +225,7 @@ class Decoupling(str, Enum):
 class ModulationConfig:
     """Modulation scheme, frame split and decoupling strategy.
 
-    ``p_pilots + d_data`` must equal the scenario ``n_f`` whenever the frame is
-    split (checked by :func:`validate_modulation`, which needs the scenario).
-    For ``decoupling = NONE`` or ``DIFFERENTIAL`` every PRI carries data.
+    :func:`validate_modulation` checks the split against a scenario's ``n_f``.
     ``sfd_weight`` is the arrival-time information of the differential
     reference (start-of-frame) pulse in units of one data pulse (1.0 = one
     pulse's worth); only differential frames read it, as only PPM frames read
@@ -270,21 +268,24 @@ class ModulationConfig:
             raise ConfigError("xi_bpsk must be nonzero for BPSK")
 
 
-def validate_modulation(scenario: ScenarioConfig, modulation: ModulationConfig) -> None:
-    """Check the frame split and modulation shifts against a scenario.
+def validate_modulation(scenario: ScenarioConfig, modulation: ModulationConfig) -> range:
+    """Check the pair against the scenario and return its data PRIs.
 
-    Raises ConfigError / LeakageError on inconsistency; returns None when the
-    pair is usable by the information-matrix pipeline.
+    The package's one statement of the frame split: no PRI of a sensing-only
+    frame, ``p_pilots`` .. n_f - 1 on a pilot split, every PRI otherwise.
+    Count it by ``stop - start``, as ``len()`` overflows past 2**63 - 1.
+    Raises ConfigError / LeakageError on inconsistency.
     """
     n_f = scenario.n_f
     if modulation.scheme == Scheme.SENSING:
-        pass
+        data = range(0)
     elif modulation.decoupling == Decoupling.PILOT:
         if modulation.p_pilots + modulation.d_data != n_f:
             raise ConfigError(
                 f"pilot split {modulation.p_pilots}+{modulation.d_data} "
                 f"does not cover the frame (n_f = {n_f})"
             )
+        data = range(modulation.p_pilots, n_f)
     else:  # NONE or DIFFERENTIAL with a data scheme: every PRI carries data
         if modulation.p_pilots != 0:
             raise ConfigError("p_pilots must be 0 unless decoupling = pilot")
@@ -293,6 +294,7 @@ def validate_modulation(scenario: ScenarioConfig, modulation: ModulationConfig) 
                 f"without a pilot split d_data must be 0 or n_f = {n_f}, "
                 f"got {modulation.d_data}"
             )
+        data = range(n_f)
     if modulation.scheme == Scheme.PPM:
         half = SUPPORT_SIGMAS * scenario.pulse.alpha
         worst = max(p.tau_l0 for p in scenario.paths) + modulation.xi_ppm
@@ -301,6 +303,7 @@ def validate_modulation(scenario: ScenarioConfig, modulation: ModulationConfig) 
                 f"PPM shift xi_ppm = {modulation.xi_ppm} s pushes the latest "
                 f"path support past the PRI boundary {scenario.t_f} s"
             )
+    return data
 
 
 # =========================================================================
@@ -453,13 +456,12 @@ def theta_layout(scheme: Scheme, n_paths: int) -> ParamLayout:
                        (("delay", "tau1", delay_end), ("doppler", "fd1", "dfd")))
 
 
-def eta_layout(scheme: Scheme, decoupling: Decoupling, n_paths: int, n_f: int,
-               p_pilots: int = 0, d_data: int = 0) -> ParamLayout:
+def eta_layout(scheme: Scheme, decoupling: Decoupling, n_paths: int, n_f: int) -> ParamLayout:
     """Layout of the observation-domain parameter vector eta.
 
     Order (L = n_paths, per-PRI blocks are PRI-major / path-minor):
       * no split:      [tau (L), phi per PRI (n_f x L), amp (L)]
-      * pilot split:   [tau_p (L), tau_d (L), phi per PRI ((P+D) x L),
+      * pilot split:   [tau_p (L), tau_d (L), phi per PRI (n_f x L),
                         amp_p (L), amp_d (L)]
       * differential:  [t_ref (L), t per data PRI (n_f x L),
                         phi per data PRI (n_f x L), amp (L)]
@@ -471,7 +473,7 @@ def eta_layout(scheme: Scheme, decoupling: Decoupling, n_paths: int, n_f: int,
     L = n_paths
     if scheme != Scheme.SENSING and decoupling == Decoupling.PILOT:
         segments = (Block("tau_p", L), Block("tau_d", L),
-                    PerPri("phi", p_pilots + d_data, L, "phi"),
+                    PerPri("phi", n_f, L, "phi"),
                     Block("amp_p", L), Block("amp_d", L))
     elif scheme == Scheme.PPM and decoupling == Decoupling.DIFFERENTIAL:
         segments = (Block("t_ref", L), PerPri("t", n_f, L, "t_abs"),
@@ -487,8 +489,7 @@ def theta_layout_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> 
 
 def eta_layout_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> ParamLayout:
     validate_modulation(scenario, modulation)
-    return eta_layout(modulation.scheme, modulation.decoupling, scenario.n_paths,
-                      scenario.n_f, modulation.p_pilots, modulation.d_data)
+    return eta_layout(modulation.scheme, modulation.decoupling, scenario.n_paths, scenario.n_f)
 
 
 # =========================================================================

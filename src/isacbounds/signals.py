@@ -17,8 +17,9 @@ the path contribution in PRI ``kappa`` is
     phi_l^kappa = 2 pi (f_dl kappa t_f - f_c tau_l0)   [- xi_bpsk q_kappa].
 
 PPM moves the data-PRI pulse by ``xi_ppm * q_kappa``; BPSK rotates it by
-``xi_bpsk * q_kappa``.  Pilot PRIs are never modulated.  All bound-level
-computations use the all-ones data word, which is also the default here.
+``xi_bpsk * q_kappa``.  Only the data PRIs that :func:`validate_modulation`
+returns are modulated.  All bound-level computations use the all-ones data
+word, which is also the default here.
 """
 
 from __future__ import annotations
@@ -49,13 +50,9 @@ TWO_PI = 2.0 * np.pi
 
 def bound_bits(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.ndarray:
     """Default data word for bound evaluation: 1 on data PRIs, 0 elsewhere."""
+    data = validate_modulation(scenario, modulation)
     bits = np.zeros(scenario.n_f, dtype=np.int64)
-    if modulation.scheme == Scheme.SENSING:
-        return bits
-    if modulation.decoupling == Decoupling.PILOT:
-        bits[modulation.p_pilots:] = 1
-    else:
-        bits[:] = 1
+    bits[data.start:data.stop] = 1
     return bits
 
 
@@ -63,6 +60,7 @@ def _check_bits(scenario: ScenarioConfig, modulation: ModulationConfig,
                 bits: np.ndarray | None) -> np.ndarray:
     if bits is None:
         return bound_bits(scenario, modulation)
+    data = validate_modulation(scenario, modulation)
     bits = np.asarray(bits)
     if bits.shape != (scenario.n_f,):
         raise ConfigError(
@@ -71,12 +69,9 @@ def _check_bits(scenario: ScenarioConfig, modulation: ModulationConfig,
         )
     if np.any((bits != 0) & (bits != 1)):
         raise ConfigError("bits must be binary")
-    bits = bits.astype(np.int64)
-    if modulation.scheme == Scheme.SENSING and np.any(bits != 0):
-        raise ConfigError("sensing-only frames carry no data bits")
-    if modulation.decoupling == Decoupling.PILOT and np.any(bits[:modulation.p_pilots] != 0):
-        raise ConfigError("pilot PRIs are unmodulated; their bits must be 0")
-    return bits
+    if np.any(bits[:data.start] != 0) or np.any(bits[data.stop:] != 0):
+        raise ConfigError(f"bits outside the data PRIs {data} must be 0")
+    return bits.astype(np.int64)
 
 
 def phase_values(scenario: ScenarioConfig, modulation: ModulationConfig,
@@ -252,7 +247,6 @@ def mean_vector(scenario: ScenarioConfig, modulation: ModulationConfig,
     the unmodulated reference pulse) holds the sum over paths of the carrier-
     rotated, amplitude-scaled pulse at that PRI's path positions.
     """
-    validate_modulation(scenario, modulation)
     bits = _check_bits(scenario, modulation, bits)
     return _evaluate(scenario, _slot_table(scenario, modulation, bits))
 

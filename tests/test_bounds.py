@@ -13,6 +13,7 @@ information of one path):
 import dataclasses
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -320,6 +321,18 @@ def test_overflowing_sfd_weight_is_a_config_error():
                 route(sc, dataclasses.replace(mod, sfd_weight=1e300))
 
 
+@pytest.mark.parametrize("kind", ("sensing", "ppm-pilot"))
+def test_a_frame_past_float64_is_a_config_error_without_warnings(kind):
+    # the closed-form products overflow quietly and LabeledMatrix names the
+    # first inf entry; a differential frame would sum n_f / RAMP_CHUNK chunks
+    n_f = 10 ** 300
+    mod = make_modulation(kind, n_f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="overflows float64"):
+            crlb_report(reference_scenario(n_f=n_f), mod)
+
+
 @pytest.mark.parametrize("kind", ("sensing", "ppm-pilot", "ppm-diff"))
 def test_numeric_chain_matches_closed_form(kind):
     sc = reference_scenario(n_f=2, n_paths=1)
@@ -519,6 +532,48 @@ def test_comm_efim_closed_factor(ref8):
         comm_efim_ppm(ref8, ModulationConfig(Scheme.SENSING))
     with pytest.raises(ConfigError):
         comm_efim_ppm(ref8, make_modulation("ppm-diff", 8))
+
+
+def _exact_comm_efim(sc, p, d):
+    """dtau_q EFIM of a pilot PPM frame by exact rational elimination.
+
+    The delay rows and dtau_q carry p pilots H^T Lam H and d data PRIs
+    [H E]^T Lam [H E] (Doppler and amplitudes are uncoupled from them); the
+    float lambdas are taken exactly and the delays eliminated by Gaussian
+    elimination.
+    """
+    lam = [Fraction(float(x)) for x in lam_per_pri(sc)]
+    H = [[Fraction(float(x)) for x in row] for row in h_matrix(sc.n_paths)]
+    L = sc.n_paths
+    data = [row + [Fraction(1)] for row in H]  # path l of a data PRI: [H E]
+    M = [[sum(lam[l] * ((p + d) * H[l][i] * H[l][j] if max(i, j) < L else
+                        d * data[l][i] * data[l][j]) for l in range(L))
+          for j in range(L + 1)] for i in range(L + 1)]
+    for k in range(L):  # eliminate the delays, pivot by pivot
+        for i in range(k + 1, L + 1):
+            factor = M[i][k] / M[k][k]
+            M[i] = [a - factor * b for a, b in zip(M[i], M[k])]
+    return M[L][L]
+
+
+@pytest.mark.parametrize("n_f", [10 ** 6, 10 ** 7])
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+def test_comm_efim_matches_exact_arithmetic(n_f, n_paths):
+    # one pilot against n_f - 1 data PRIs: a Schur complement of the float
+    # I_theta cancels to 1e-9 here, the closed form keeps every digit
+    sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+    mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=n_f - 1)
+    exact = _exact_comm_efim(sc, 1, n_f - 1)
+    assert abs(Fraction(comm_efim_ppm(sc, mod)) - exact) <= Fraction(1, 10 ** 14) * exact
+
+
+def test_comm_efim_past_float64_is_a_config_error():
+    n_f = 10 ** 300
+    mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=n_f // 2, d_data=n_f // 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"\(dtau_q, dtau_q\) is inf"):
+            comm_efim_ppm(reference_scenario(n_f=n_f), mod)
 
 
 # ---------------------------------------------------------------- singularity
@@ -811,6 +866,6 @@ def test_decoupling_separates_the_sensing_and_data_domains(n_paths, n_f_p, snr_d
         pilots_only = crlb_report(with_frame(sc, p), make_modulation("sensing", p)).crlb
         assert ppm["tau1"] <= pilots_only["tau1"] * (1 + 1e-12)
 
-    lam_tau = per_pri_information(sc)[0]
-    assert comm_efim_ppm(sc, pilot(Scheme.PPM, p, d)) == pytest.approx(
-        float(np.sum(lam_tau)) * p * d / (p + d), rel=1e-12)
+    mod = pilot(Scheme.PPM, p, d)
+    assert comm_efim_ppm(sc, mod) == pytest.approx(
+        efim(assemble_theta_fim(sc, mod), "dtau_q")[0, 0], rel=1e-12)

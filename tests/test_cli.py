@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from isacbounds.model import ConfigError, Decoupling, ModulationConfig, Scheme
-from isacbounds import bounds, cli
+from isacbounds import bounds, cli, experiments
 from isacbounds.bounds import crlb_report
 from isacbounds.experiments import MAX_SWEEP_POINTS, data_rate, reference_scenario, with_snr
 from isacbounds.fim import LabeledMatrix
@@ -184,6 +184,18 @@ def test_crossover_refuses_a_range_beyond_the_point_limit(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_pareto_refuses_a_frame_beyond_the_point_limit(tmp_path, capsys, monkeypatch):
+    # one report per pilot count: the cap applies before the first frame
+    calls = []
+    monkeypatch.setattr(experiments, "crlb_report", lambda *a: calls.append(a))
+    code = cli.main(["pareto", "--out", str(tmp_path),
+                     "--set", f"scenario.n_f={MAX_SWEEP_POINTS + 1}"])
+    assert code == 2
+    assert "scenario.n_f" in capsys.readouterr().err
+    assert calls == []
+    assert not list(tmp_path.iterdir())
+
+
 # --------------------------------------------------------------- bounds verb
 
 def test_bounds_default_run(capsys):
@@ -193,6 +205,18 @@ def test_bounds_default_run(capsys):
     assert "root range crlb: 9.480270e-04 m" in out
     assert "regulatory" in out and "-> pass" in out
     assert "rank 9" in out
+
+
+def test_bounds_runs_a_frame_past_the_index_range(capsys):
+    assert cli.main(["bounds", "--set", "scenario.n_f=1e20"]) == 0
+    assert "data rate: 0.000000e+00 bit/s" in capsys.readouterr().out
+
+
+def test_bounds_past_float64_is_a_config_error_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["bounds", "--set", "scenario.n_f=1e300"]) == 2
+    assert "overflows float64" in capsys.readouterr().err
 
 
 def test_bounds_singular_configuration_exits_3(capsys):

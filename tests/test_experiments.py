@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,56 @@ def test_data_rate_counts_the_data_bits(kind):
     else:
         mod = make_modulation(kind, sc.n_f)
     assert data_rate(sc, mod) == bound_bits(sc, mod).sum() / (sc.n_f * sc.t_f)
+
+
+def _parent_bound_bits(sc, mod):
+    # the per-kind construction the data-PRI range replaced, as the reference
+    bits = np.zeros(sc.n_f, dtype=np.int64)
+    if mod.scheme == Scheme.SENSING:
+        return bits
+    if mod.decoupling == Decoupling.PILOT:
+        bits[mod.p_pilots:] = 1
+    else:
+        bits[:] = 1
+    return bits
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_bound_bits_and_data_rate_match_the_per_kind_rules(kind):
+    base = make_modulation(kind, 2)
+    for n_f in (1, 2, 8, 64, 499):
+        if base.decoupling == Decoupling.PILOT:
+            mods = [dataclasses.replace(base, p_pilots=p, d_data=n_f - p)
+                    for p in range(1, n_f + 1)]
+        else:
+            mods = [make_modulation(kind, n_f)]
+        for L in (1, 2, 3):
+            sc = reference_scenario(n_f=n_f, n_paths=L)
+            for mod in mods:
+                want = _parent_bound_bits(sc, mod)
+                np.testing.assert_array_equal(bound_bits(sc, mod), want)
+                assert data_rate(sc, mod) == int(want.sum()) / (sc.n_f * sc.t_f)
+
+
+def test_data_rate_counts_a_frame_past_the_index_range():
+    # 10**20 PRIs: no array, and no len() of a range beyond 2**63 - 1
+    n_f = 10 ** 20
+    sc = reference_scenario(n_f=n_f)
+    mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=n_f - 1)
+    assert data_rate(sc, mod) == (n_f - 1) / (n_f * sc.t_f)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_data_rate_allocates_nothing_per_pri(kind):
+    n_f = 10 ** 7
+    sc, mod = reference_scenario(n_f=n_f), make_modulation(kind, n_f)
+    tracemalloc.start()
+    try:
+        data_rate(sc, mod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000
 
 
 def test_data_rate_refuses_a_split_that_misses_the_frame():

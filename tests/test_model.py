@@ -310,6 +310,18 @@ def test_validate_modulation_frame_split():
                                                  p_pilots=1, d_data=3))
 
 
+def test_validate_modulation_returns_the_data_pris():
+    sc = _scenario(n_f=4)
+    assert validate_modulation(sc, ModulationConfig(Scheme.SENSING)) == range(0)
+    assert validate_modulation(sc, ModulationConfig(Scheme.PPM, Decoupling.PILOT,
+                                                    p_pilots=1, d_data=3)) == range(1, 4)
+    assert validate_modulation(sc, ModulationConfig(Scheme.BPSK, Decoupling.PILOT,
+                                                    p_pilots=4)) == range(4, 4)
+    for mod in (ModulationConfig(Scheme.PPM), ModulationConfig(Scheme.BPSK, d_data=4),
+                ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL, d_data=4)):
+        assert validate_modulation(sc, mod) == range(4)
+
+
 def test_validate_modulation_ppm_leakage():
     sc = _scenario(paths=(PathState(97.2e-9),))
     validate_modulation(sc, ModulationConfig(Scheme.BPSK, d_data=2))
@@ -347,7 +359,7 @@ def test_eta_layout_structures():
     assert lay.block_bounds["phi"] == (2, 8)          # aggregate over all PRIs
     assert lay.block_bounds["phi_1"] == (4, 6)
 
-    lay = eta_layout(Scheme.BPSK, Decoupling.PILOT, 2, 4, p_pilots=1, d_data=3)
+    lay = eta_layout(Scheme.BPSK, Decoupling.PILOT, 2, 4)
     assert lay.block_bounds["tau_p"] == (0, 2)
     assert lay.block_bounds["tau_d"] == (2, 4)
     assert lay.block_size("amp_p") == 2 and lay.block_size("amp_d") == 2
@@ -450,8 +462,8 @@ def test_layouts_match_eager_reference(kind):
             if mod.decoupling == Decoupling.PILOT:
                 splits += [(n_f // 2, n_f - n_f // 2), (n_f, 0)]
             for p, d in splits:
-                args = (mod.scheme, mod.decoupling, L, n_f, p, d)
-                _assert_matches(eta_layout(*args), _eager_eta(*args))
+                args = (mod.scheme, mod.decoupling, L, n_f)
+                _assert_matches(eta_layout(*args), _eager_eta(*args, p, d))
 
 
 def test_interleaved_layouts_match_eager_reference():
@@ -463,7 +475,7 @@ def test_interleaved_layouts_match_eager_reference():
 
 
 def test_layout_is_immutable_and_names_are_lazy():
-    lay = eta_layout(Scheme.PPM, Decoupling.PILOT, 3, 500, p_pilots=250, d_data=250)
+    lay = eta_layout(Scheme.PPM, Decoupling.PILOT, 3, 500)
     assert "names" not in vars(lay) and "block_bounds" not in vars(lay)
     assert lay.block("phi") == (6, 1506) and lay.size == 1512
     assert "names" not in vars(lay) and "block_bounds" not in vars(lay)
