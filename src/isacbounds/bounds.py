@@ -126,6 +126,17 @@ class SingularityReport:
     coupled_columns: tuple[tuple[str, str], ...]
     zero_columns: tuple[str, ...]
 
+    def describe(self) -> str:
+        """The verdict in words: "coupled columns: a~b; zero columns: x", or
+        "rank r of n" when no column is named."""
+        parts = []
+        if self.coupled_columns:
+            parts.append("coupled columns: "
+                         + ", ".join(f"{a}~{b}" for a, b in self.coupled_columns))
+        if self.zero_columns:
+            parts.append("zero columns: " + ", ".join(self.zero_columns))
+        return "; ".join(parts) or f"rank {self.rank} of {self.size}"
+
 
 def _equilibrate(data: np.ndarray) -> np.ndarray:
     """Symmetric diagonal scaling: unit diagonal where positive, rows/columns
@@ -152,8 +163,9 @@ def singularity_report(mat: LabeledMatrix | DiagonalMatrix | np.ndarray,
     indistinguishable parameter directions); all-zero columns are listed
     separately.  A coupled pair (i, j) leaves |S (e_i - e_j)| / sqrt(2) <=
     RANK_RTOL smax / sqrt(2), far above the SVD's roundoff, so only a
-    rank-deficient matrix is searched for pairs.  A NaN or +-inf entry raises
-    ConfigError.
+    rank-deficient matrix is searched for pairs, at every size: the Gram
+    matrix of the live columns proposes the candidates, and each is confirmed
+    by that column-difference test.  A NaN or +-inf entry raises ConfigError.
     """
     if isinstance(mat, (LabeledMatrix, DiagonalMatrix)):
         data = mat.data
@@ -175,18 +187,22 @@ def singularity_report(mat: LabeledMatrix | DiagonalMatrix | np.ndarray,
 
     norms = np.linalg.norm(scaled, axis=0)
     zero_cols = tuple(labels[i] for i in np.flatnonzero(norms <= tol))
-    coupled: list[tuple[str, str]] = []
-    if rank < n <= 512:
-        for i in range(n):
-            if norms[i] <= tol:
-                continue
-            for j in range(i + 1, n):
-                if norms[j] <= tol:
-                    continue
-                d = np.linalg.norm(scaled[:, i] - scaled[:, j])
-                if d <= RANK_RTOL * max(norms[i], norms[j]):
-                    coupled.append((labels[i], labels[j]))
-    return SingularityReport(n, rank, rank < n, ratio, tuple(coupled), zero_cols)
+    coupled: tuple[tuple[str, str], ...] = ()
+    if rank < n:
+        live = np.flatnonzero(norms > tol)
+        cols = scaled[:, live]
+        gram = cols.T @ cols
+        sq = np.diag(gram)
+        # |s_i - s_j|^2 read off the Gram matrix is off by at most about
+        # 2 (n + 2) eps max(|s_i|^2, |s_j|^2); twice that slack lets no pair
+        # of the exact test below slip through
+        slack = RANK_RTOL ** 2 + 4 * (n + 3) * np.finfo(float).eps
+        near = sq[:, None] + sq[None, :] - 2.0 * gram <= slack * np.maximum.outer(sq, sq)
+        i, j = np.nonzero(np.triu(near, 1))
+        gap = np.linalg.norm(cols[:, i] - cols[:, j], axis=0)
+        hit = gap <= RANK_RTOL * np.maximum(norms[live[i]], norms[live[j]])
+        coupled = tuple((labels[a], labels[b]) for a, b in zip(live[i[hit]], live[j[hit]]))
+    return SingularityReport(n, rank, rank < n, ratio, coupled, zero_cols)
 
 
 # =========================================================================
@@ -212,14 +228,9 @@ def schur_complement(M: np.ndarray, keep: np.ndarray, elim: np.ndarray,
     def _diagnose() -> tuple[str, SingularityReport]:
         labels = elim_labels() if callable(elim_labels) else elim_labels
         rep = singularity_report(C, tuple(labels or (f"elim_{i}" for i in elim)))
-        detail = []
-        if rep.coupled_columns:
-            detail.append("coupled columns: " + ", ".join(f"{a}~{b}" for a, b in rep.coupled_columns))
-        if rep.zero_columns:
-            detail.append("zero columns: " + ", ".join(rep.zero_columns))
-        message = (f"nuisance block is singular (rank {rep.rank} of {rep.size}); "
-                   + ("; ".join(detail) if detail else "no duplicate columns identified")
-                   + "; choose a decoupling strategy or drop the affected parameters")
+        named = f"; {rep.describe()}" if rep.coupled_columns or rep.zero_columns else ""
+        message = (f"nuisance block is singular (rank {rep.rank} of {rep.size}){named}; "
+                   "choose a decoupling strategy or drop the affected parameters")
         return message, rep
 
     try:
@@ -473,17 +484,11 @@ CRLB_TARGETS = ("tau1", "dtau_q", "fd1", "phi_bpsk", "amp")
 
 
 @dataclass(frozen=True)
-class CrlbReport:
+class CrlbReport(SingularityReport):
     """Singularity structure and per-block CRLBs of one configuration."""
 
     scheme: str
     decoupling: str
-    size: int
-    singular: bool
-    rank: int
-    min_sv_ratio: float
-    coupled_columns: tuple[tuple[str, str], ...]
-    zero_columns: tuple[str, ...]
     crlb: dict
     range_crlb_m2: float | None
 
@@ -555,14 +560,9 @@ def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig) -> CrlbR
                 values[target] = None
     rng = None if values.get("tau1") is None else SPEED_OF_LIGHT ** 2 * values["tau1"]
     return CrlbReport(
+        **vars(rep),
         scheme=modulation.scheme.value,
         decoupling=modulation.decoupling.value,
-        size=fim.size,
-        singular=rep.singular,
-        rank=rep.rank,
-        min_sv_ratio=rep.min_sv_ratio,
-        coupled_columns=rep.coupled_columns,
-        zero_columns=rep.zero_columns,
         crlb=values,
         range_crlb_m2=rng,
     )

@@ -79,8 +79,8 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 _QUANTITY_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
 
 
-def parse_quantity(text: str) -> float:
-    """Parse '100ns', '10GHz', '3.7pJ', '1e-7' ... into a finite SI float."""
+def _parse_exact(text: str) -> decimal.Decimal:
+    """The exact SI value of '100ns', '10GHz', '1e20' ..., within the float range."""
     m = _QUANTITY_RE.match(str(text))
     if not m:
         raise ConfigError(f"cannot parse quantity {text!r}")
@@ -89,21 +89,26 @@ def parse_quantity(text: str) -> float:
     if key not in _UNIT_EXPONENT:
         raise ConfigError(f"unknown unit {unit!r} in {text!r}")
     try:
-        number = decimal.Decimal(value)
+        number = decimal.Decimal(value).scaleb(_UNIT_EXPONENT[key], _EXACT)
     except decimal.InvalidOperation:
         raise ConfigError(f"cannot parse quantity {text!r}") from None
-    result = float(number.scaleb(_UNIT_EXPONENT[key], _EXACT))
-    if not math.isfinite(result):
+    if not math.isfinite(float(number)):
         raise ConfigError(f"quantity {text!r} is beyond the float range")
-    return result
+    return number
+
+
+def parse_quantity(text: str) -> float:
+    """Parse '100ns', '10GHz', '3.7pJ', '1e-7' ... into a finite SI float."""
+    return float(_parse_exact(text))
 
 
 def parse_int(text: str) -> int:
-    v = parse_quantity(text)
-    i = int(round(v))
-    if abs(v - i) > 1e-9 * max(1.0, abs(v)):
+    """Parse an integer exactly, digit for digit ('1e20' is 10**20)."""
+    number = _parse_exact(text)
+    value = int(number)
+    if value != number:
         raise ConfigError(f"expected an integer, got {text!r}")
-    return i
+    return value
 
 
 def parse_list(text: str) -> list[float]:

@@ -180,8 +180,7 @@ def _configure_point(spec: SweepSpec, value: float) -> tuple[ScenarioConfig, Mod
     if spec.axis == "n_f":
         n = int(round(value))
         if modulation.decoupling == Decoupling.PILOT:
-            total = modulation.p_pilots + modulation.d_data
-            ratio = modulation.p_pilots / total if total else 0.5
+            ratio = modulation.p_pilots / (modulation.p_pilots + modulation.d_data)
             p = int(round(ratio * n))
             modulation = dataclasses.replace(modulation, p_pilots=p, d_data=n - p)
         elif modulation.scheme != Scheme.SENSING:
@@ -233,7 +232,7 @@ def _evaluate(scenario: ScenarioConfig, modulation: ModulationConfig, cells: dic
         elif out == "comm_efim":
             cells[out] = comm_efim_ppm(scenario, modulation)
     if report.singular and not cells["error"]:
-        cells["error"] = "information matrix singular: " + _describe_singularity(report)
+        cells["error"] = "information matrix singular: " + report.describe()
     return cells
 
 
@@ -244,15 +243,6 @@ def _sweep_row(spec: SweepSpec, value: float) -> tuple:
     except Exception as exc:  # keep sweeping, report per row
         cells["error"] = cells["error"] or f"{type(exc).__name__}: {exc}"
     return (value, *cells.values())
-
-
-def _describe_singularity(report) -> str:
-    parts = []
-    if report.coupled_columns:
-        parts.append("coupled " + ", ".join(f"{a}~{b}" for a, b in report.coupled_columns))
-    if report.zero_columns:
-        parts.append("zero " + ", ".join(report.zero_columns))
-    return "; ".join(parts) or f"rank {report.rank} of {report.size}"
 
 
 def run_sweep(spec: SweepSpec) -> ResultTable:

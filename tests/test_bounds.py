@@ -206,6 +206,67 @@ def test_singularity_report_survives_mixed_scales():
     assert rep.coupled_columns == (("f1", "f2"),)
 
 
+def test_singularity_report_pairs_columns_past_512():
+    M = np.eye(600)
+    M[0, 1] = M[1, 0] = 1.0  # columns 0 and 1 are both e_0 + e_1
+    rep = singularity_report(M)
+    assert rep.rank == 599
+    assert rep.coupled_columns == (("col_0", "col_1"),)
+    assert rep.zero_columns == ()
+
+
+def all_pairs(M: np.ndarray, labels: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+    """Reference search: every pair of live columns of the equilibrated
+    matrix, one column-difference test each."""
+    d = np.diag(M)
+    s = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 1.0)
+    S = M * s[:, None] * s[None, :]
+    tol = bounds.RANK_RTOL * np.linalg.svd(S, compute_uv=False)[0]
+    norms = [np.linalg.norm(S[:, i]) for i in range(len(labels))]
+    pairs = []
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            if (norms[i] > tol and norms[j] > tol and np.linalg.norm(S[:, i] - S[:, j])
+                    <= bounds.RANK_RTOL * max(norms[i], norms[j])):
+                pairs.append((labels[i], labels[j]))
+    return tuple(pairs)
+
+
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_singularity_report_finds_the_planted_pairs(n, seed):
+    # copies of random PSD columns, at mixed scales, with some rows and
+    # columns zeroed: the vectorised search names exactly the pairs that the
+    # all-pairs loop names, and every planted copy is among them
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n + 1))
+    G = rng.standard_normal((m, int(rng.integers(1, m + 1))))
+    source = rng.integers(0, m, size=n)
+    scale = 10.0 ** rng.uniform(-20.0, 20.0, size=m)
+    M = ((G @ G.T) * np.outer(scale, scale))[np.ix_(source, source)]
+    dead = rng.random(n) < 0.2
+    M[dead, :] = 0.0
+    M[:, dead] = 0.0
+    labels = tuple(f"c{i}" for i in range(n))
+    rep = singularity_report(M, labels)
+    assert rep.coupled_columns == all_pairs(M, labels)
+    planted = {(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+               if source[i] == source[j] and not dead[i] and not dead[j]}
+    assert planted <= set(rep.coupled_columns)
+    assert rep.zero_columns == tuple(labels[i] for i in np.flatnonzero(dead))
+
+
+@pytest.mark.parametrize("coupled,zero,text", [
+    ((("u", "v"), ("u", "w")), (), "coupled columns: u~v, u~w"),
+    ((), ("x", "y"), "zero columns: x, y"),
+    ((("u", "v"),), ("x",), "coupled columns: u~v; zero columns: x"),
+    ((), (), "rank 2 of 3"),
+])
+def test_singularity_report_describe(coupled, zero, text):
+    rep = bounds.SingularityReport(3, 2, True, 0.0, coupled, zero)
+    assert rep.describe() == text
+
+
 # ------------------------------------------------------------------- EFIM/CRLB
 
 def test_efim_scalar_and_information_reduction(ref8):
@@ -618,6 +679,26 @@ def test_pilot_without_data_reports_dead_offset_column():
     rep = crlb_report(sc, mod)
     assert rep.singular
     assert rep.zero_columns == ("dtau_q",)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_singular_frames_have_no_finite_crlb(kind):
+    # a null vector of I_theta lies outside a target block (its nuisance
+    # block is singular) or has a component in it (the EFIM annihilates it)
+    pilot, singular = kind.endswith("pilot"), 0
+    for n_f in (1, 2, 8, 64, 500):
+        mods = [make_modulation(kind, n_f)] if n_f >= 2 or not pilot else []
+        if pilot:  # every PRI a pilot: no data PRI
+            mods.append(dataclasses.replace(make_modulation(kind, 2), p_pilots=n_f, d_data=0))
+        for n_paths in (1, 2, 3):
+            sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+            for mod in mods:
+                rep = crlb_report(sc, mod)
+                if rep.singular:
+                    singular += 1
+                    assert set(rep.crlb.values()) == {None}, (n_f, n_paths, mod)
+                    assert rep.range_crlb_m2 is None
+    assert singular > 0
 
 
 # --------------------------------------------------------------- differential

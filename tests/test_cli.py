@@ -68,6 +68,33 @@ def test_parse_int_and_list():
     assert cli.parse_list("2ns, 4ns") == [2e-9, 4e-9]
 
 
+@pytest.mark.parametrize("text,value", [("99999999999999999999", 99999999999999999999),
+                                        ("9007199254740993", 2 ** 53 + 1),
+                                        ("1e20", 10 ** 20), ("8.0", 8)])
+def test_parse_int_is_exact(text, value):
+    assert cli.parse_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["8.0000000001", "1e-400", "100ns", "1e400"])
+def test_parse_int_refuses_a_non_integer(text):
+    with pytest.raises(ConfigError):
+        cli.parse_int(text)
+
+
+def test_bounds_keeps_the_given_pilot_split(capsys):
+    code = cli.main(["bounds", "--set", "scenario.n_f=1e20", "--set", "modulation.scheme=ppm",
+                     "--set", "modulation.decoupling=pilot",
+                     "--set", "modulation.p_pilots=50000000000000000001",
+                     "--set", "modulation.d_data=49999999999999999999"])
+    assert code == 0
+    assert "p=50000000000000000001 d=49999999999999999999" in capsys.readouterr().out
+
+
+def test_bounds_names_a_non_integer_key(capsys):
+    assert cli.main(["bounds", "--set", "modulation.d_data=8.0000000001"]) == 2
+    assert "modulation.d_data: expected an integer" in capsys.readouterr().err
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     ini = tmp_path / "bad.ini"
     ini.write_text("[scenario]\nwhatever = 1\n")

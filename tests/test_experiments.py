@@ -199,6 +199,14 @@ def test_sweep_records_errors_and_completes():
         assert row[-1] != ""
 
 
+def test_sweep_names_the_coupled_columns():
+    spec = SweepSpec(axis="snr_db", values=(0.0,), outputs=("rate_bps",),
+                     scenario=reference_scenario(n_f=4, n_paths=1),
+                     modulation=ModulationConfig(Scheme.PPM, d_data=4))
+    assert list(run_sweep(spec).column("error")) == [
+        "information matrix singular: coupled columns: tau1~dtau_q"]
+
+
 def _sweep_point(axis, value, sc, mod):
     """The (scenario, modulation) a sweep row stands for, built by hand: the
     n_f axis keeps the pilot share, d_data grows the frame after the pilots,
