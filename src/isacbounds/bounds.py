@@ -57,6 +57,8 @@ from .model import (
 from .fim import (
     DiagonalMatrix,
     LabeledMatrix,
+    _equilibrated,
+    _first_apart,
     _require_finite,
     coeff_a_range,
     coeff_b_full,
@@ -66,7 +68,6 @@ from .fim import (
 from .jacobians import e_vector, h_matrix, jacobian_for, ramp_slope
 
 RANK_RTOL = 1e-10
-ASSEMBLY_RTOL = 1e-10
 
 #: above this eta size a non-differential frame skips the dense product and
 #: returns the closed-form assembly (verified against the product at smaller
@@ -138,28 +139,15 @@ class SingularityReport:
         return "; ".join(parts) or f"rank {self.rank} of {self.size}"
 
 
-def _equilibrate(data: np.ndarray) -> np.ndarray:
-    """Symmetric diagonal scaling: unit diagonal where positive, rows/columns
-    with a non-positive diagonal left untouched (they are dead directions).
-
-    Information matrices mix units (s^-2 for delays, dimensionless phases),
-    so a raw singular-value threshold would count every small-unit block as
-    deficient.  Rank statements below are about the scaled matrix.
-    """
-    d = np.diag(data).copy()
-    s = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 1.0)
-    # one root per side: outer(s, s) = 1/d overflows for subnormal d
-    return data * s[:, None] * s[None, :]
-
-
 def singularity_report(mat: LabeledMatrix | DiagonalMatrix | np.ndarray,
                        labels: tuple[str, ...] | None = None) -> SingularityReport:
     """SVD-based rank report with duplicate/zero column identification.
 
-    The matrix is diagonally equilibrated first, then rank counts singular
-    values above ``RANK_RTOL`` times the largest one.  Column pairs of the
-    scaled matrix whose difference is below ``RANK_RTOL`` relative to their
-    size are reported as coupled (these are the structurally
+    The matrix is equilibrated first (information matrices mix units, so a
+    raw threshold would count every small-unit block as deficient), then
+    rank counts singular values above ``RANK_RTOL`` times the largest one.
+    Column pairs of the scaled matrix whose difference is below ``RANK_RTOL``
+    relative to their size are reported as coupled (the structurally
     indistinguishable parameter directions); all-zero columns are listed
     separately.  A coupled pair (i, j) leaves |S (e_i - e_j)| / sqrt(2) <=
     RANK_RTOL smax / sqrt(2), far above the SVD's roundoff, so only a
@@ -176,7 +164,7 @@ def singularity_report(mat: LabeledMatrix | DiagonalMatrix | np.ndarray,
             labels = tuple(f"col_{i}" for i in range(data.shape[1]))
     _require_finite(data, labels)
     n = data.shape[1]
-    scaled = _equilibrate(data)
+    scaled = _equilibrated(data, np.diag(data))
     s = np.linalg.svd(scaled, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
     if smax == 0.0:
@@ -271,8 +259,7 @@ def efim(fim: LabeledMatrix, target: str) -> np.ndarray:
     diag = np.diag(fim.data)[lo:hi]
     if np.any(diag <= 0.0):
         raise CoupledParametersError(f"block {target!r} carries no information")
-    root = np.sqrt(diag)  # outer(diag, diag) itself overflows past ~1e154
-    scaled = E / np.outer(root, root)
+    scaled = _equilibrated(E, diag)
     min_eig = float(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0])
     if min_eig <= EFIM_FLOOR:
         raise CoupledParametersError(
@@ -431,23 +418,15 @@ def differential_pipeline(scenario: ScenarioConfig,
 
 
 def _check_agreement(product: LabeledMatrix, closed: LabeledMatrix) -> None:
-    """Raise unless |P_ij - C_ij| <= ASSEMBLY_RTOL sqrt(C_ii C_jj) everywhere.
-
-    On this equilibrated scale every block counts alike (delay entries are
-    ~23 orders of magnitude above Doppler ones); where a diagonal entry of C
-    is 0 the match must be exact.
-    """
-    d = np.sqrt(np.diag(closed.data))
-    scale = np.outer(d, d)
-    diff = np.abs(product.data - closed.data)
-    bad = ~(diff <= ASSEMBLY_RTOL * scale)  # NaN counts as a mismatch
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
+    """Raise unless |P_ij - C_ij| <= AGREE_RTOL sqrt(C_ii C_jj) everywhere,
+    exactly where C_ii or C_jj is 0: on this equilibrated scale every block
+    counts alike, though delay entries are ~23 orders above Doppler ones."""
+    if apart := _first_apart(product.data, closed.data, np.diag(closed.data)):
+        i, j, diff, scale = apart
         names = closed.layout.names
         raise RuntimeError(
             "matrix-product and closed-form I_theta disagree at "
-            f"({names[i]}, {names[j]}): |diff| = {diff[i, j]:.3e}, "
-            f"sqrt(C_ii C_jj) = {scale[i, j]:.3e}"
+            f"({names[i]}, {names[j]}): |diff| = {diff:.3e}, sqrt(C_ii C_jj) = {scale:.3e}"
         )
 
 
@@ -518,9 +497,8 @@ def _one_factor_crlbs(fim: LabeledMatrix, targets: list[str]) -> dict | None:
     diag = np.diag(fim.data)
     if not np.all(diag > 0.0):
         return None
-    root = np.sqrt(diag)
     try:
-        low = np.linalg.cholesky(fim.data / root[:, None] / root[None, :])
+        low = np.linalg.cholesky(_equilibrated(fim.data, diag))
     except np.linalg.LinAlgError:
         return None
     low_inv = np.linalg.inv(low)

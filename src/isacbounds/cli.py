@@ -46,6 +46,7 @@ from .bounds import RANK_RTOL, crlb_report
 from .experiments import (
     MAX_SWEEP_POINTS,
     SweepSpec,
+    _count,
     check_sweep_axis,
     check_sweep_outputs,
     data_rate,
@@ -92,7 +93,8 @@ def _parse_exact(text: str) -> decimal.Decimal:
         number = decimal.Decimal(value).scaleb(_UNIT_EXPONENT[key], _EXACT)
     except decimal.InvalidOperation:
         raise ConfigError(f"cannot parse quantity {text!r}") from None
-    if not math.isfinite(float(number)):
+    value = float(number)  # inf past the range, 0 below it: nonzero must stay nonzero
+    if not math.isfinite(value) or (value == 0.0) != number.is_zero():
         raise ConfigError(f"quantity {text!r} is beyond the float range")
     return number
 
@@ -362,10 +364,7 @@ def cmd_crossover(args) -> int:
     for key in ("values", "step"):
         if sw[key] != config_default("sweep", key):
             raise ConfigError(f"crossover scans sweep.start..sweep.stop; unset sweep.{key}")
-    for key in ("start", "stop"):
-        if not sw[key].is_integer():
-            raise ConfigError(f"sweep.{key}: expected an integer, got {sw[key]}")
-    start, d_hi = int(sw["start"]), int(sw["stop"])
+    start, d_hi = (_count(f"sweep.{key}", sw[key]) for key in ("start", "stop"))
     d_lo = max(start, 2)  # one data PRI cannot carry the Doppler ramp
     if d_hi < d_lo:
         raise ConfigError(f"crossover scans no d_data: sweep.stop = {d_hi} is below "
@@ -418,13 +417,10 @@ def cmd_pareto(args) -> int:
 
 def cmd_validate(args) -> int:
     checks = validate_suite(rtol=args.tol)
-    worst = 0
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
-        if not c.passed:
-            worst = 1
     print(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
-    return worst
+    return 0 if all(c.passed for c in checks) else 1
 
 
 # =========================================================================

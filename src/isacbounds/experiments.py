@@ -33,7 +33,8 @@ from .model import (
     received_snr,
     validate_modulation,
 )
-from .fim import observation_fim_analytic, observation_fim_numeric, per_pri_information
+from .fim import (_equilibrated, observation_fim_analytic, observation_fim_numeric,
+                  per_pri_information)
 from .bounds import comm_efim_ppm, crlb_report
 from . import __version__ as _pkg_version
 
@@ -173,12 +174,19 @@ class ResultTable:
                 writer.writerow(row)
 
 
+def _count(axis: str, value) -> int:
+    """``value`` as an int; ConfigError naming it unless it is integral."""
+    if not (isinstance(value, int) or float(value).is_integer()):  # NaN, inf are not
+        raise ConfigError(f"{axis} value {value!r} is not an integer")
+    return int(value)
+
+
 def _configure_point(spec: SweepSpec, value: float) -> tuple[ScenarioConfig, ModulationConfig]:
     scenario, modulation = spec.scenario, spec.modulation
     if spec.axis == "snr_db":
         return with_snr(scenario, float(value)), modulation
     if spec.axis == "n_f":
-        n = int(round(value))
+        n = _count("n_f", value)
         if modulation.decoupling == Decoupling.PILOT:
             ratio = modulation.p_pilots / (modulation.p_pilots + modulation.d_data)
             p = int(round(ratio * n))
@@ -187,14 +195,11 @@ def _configure_point(spec: SweepSpec, value: float) -> tuple[ScenarioConfig, Mod
             modulation = dataclasses.replace(modulation, d_data=n)
         return with_frame(scenario, n), modulation
     if spec.axis == "d_data":
-        d = int(round(value))
-        if modulation.decoupling == Decoupling.PILOT:
-            modulation = dataclasses.replace(modulation, d_data=d)
-            return with_frame(scenario, modulation.p_pilots + d), modulation
         if modulation.scheme == Scheme.SENSING:
             raise ConfigError("d_data sweep needs a data-bearing scheme")
-        modulation = dataclasses.replace(modulation, d_data=d)
-        return with_frame(scenario, d), modulation
+        # the frame is its pilots (none off a pilot split) plus the data PRIs
+        modulation = dataclasses.replace(modulation, d_data=_count("d_data", value))
+        return with_frame(scenario, modulation.p_pilots + modulation.d_data), modulation
     # pilot_ratio
     if modulation.decoupling != Decoupling.PILOT:
         raise ConfigError("pilot_ratio sweep needs pilot decoupling")
@@ -297,8 +302,8 @@ def find_crossover(scenario: ScenarioConfig, p_pilots: int, d_values,
 
     The pilot arm keeps ``p_pilots`` pilots and appends ``d`` data PRIs; the
     differential arm spends all ``d`` PRIs on data plus the reference pulse,
-    whose ``sfd_weight`` goes into that arm's :class:`ModulationConfig` (so a
-    bad pilot count, weight or ``xi_ppm`` raises ConfigError before the scan).
+    whose ``sfd_weight`` goes into that arm's :class:`ModulationConfig` (a bad
+    pilot count, weight, ``xi_ppm`` or ``d`` raises ConfigError before the scan).
     Both arms run on the sweep engine's ``d_data`` axis.  The crossover index
     is where the differential root ranging CRLB first drops below the pilot
     one; it is checked at every SNR in ``check_snrs_db`` (the bounds scale
@@ -312,7 +317,7 @@ def find_crossover(scenario: ScenarioConfig, p_pilots: int, d_values,
     }
     if not check_snrs_db:
         raise ConfigError("the crossover needs at least one check SNR")
-    d_values = tuple(int(d) for d in d_values)
+    d_values = tuple(_count("d_data", d) for d in d_values)
     ranging = ("root_range_crlb_m",)
     per_snr_cross: list[int | None] = []
     rows = []
@@ -383,14 +388,13 @@ class CheckResult:
     detail: str
 
 
-def fim_deviation(test: np.ndarray, ref: np.ndarray, floor_rel: float = 1e-9) -> float:
-    """Largest entry deviation, normalized per entry by the geometric mean of
-    the two reference diagonal entries (with a floor for zero blocks)."""
-    d = np.diag(ref).copy()
-    floor = floor_rel * float(np.max(d)) if np.max(d) > 0 else 1.0
-    d = np.maximum(d, floor)
-    scale = np.sqrt(np.outer(d, d))
-    return float(np.max(np.abs(test - ref) / scale))
+def fim_deviation(test: np.ndarray, ref: np.ndarray) -> float:
+    """Largest entry of |test - ref| on the equilibrated scale of ``ref``, its
+    diagonal floored at 1e-9 of the largest entry (at 1 if none is positive)
+    so that zero blocks divide by no zero."""
+    d = np.diag(ref)
+    d = np.maximum(d, 1e-9 * d.max() if d.max() > 0 else 1.0)
+    return float(np.max(np.abs(_equilibrated(test - ref, d))))
 
 
 def validate_suite(rtol: float = 0.02) -> list[CheckResult]:

@@ -54,12 +54,34 @@ from .signals import _AMP, _PHI, _TAU, _slot_model, eta_point, mean_from_eta, n_
 MAX_FD_PARAMS = 64
 MAX_FD_SAMPLES = 200_000
 
-SYMMETRY_RTOL = 1e-10
+#: entries of two information matrices agree within this much of sqrt|d_i d_j|
+AGREE_RTOL = 1e-10
 
 
 # =========================================================================
-# Labeled matrices
+# Labeled matrices and the equilibrated scale
 # =========================================================================
+
+
+def _equilibrated(data: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """data_ij / sqrt(d_i) / sqrt(d_j), d = ``diag``, leaving rows and columns with
+    d <= 0 unscaled: one root per side, as sqrt(d_i d_j) overflows past 1e154."""
+    root = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    return data / root[:, None] / root[None, :]
+
+
+def _first_apart(a: np.ndarray, b: np.ndarray, diag: np.ndarray) -> tuple | None:
+    """The first (i, j) where |a_ij - b_ij| > AGREE_RTOL sqrt|d_i| sqrt|d_j|, with
+    that difference and sqrt|d_i d_j|, or None: exact where a diagonal entry is
+    0, and NaN counts as apart."""
+    root = np.sqrt(np.abs(diag))
+    diff = np.abs(a - b)
+    # the tolerance factor first: root_i * root_j alone can overflow
+    close = diff <= (AGREE_RTOL * root)[:, None] * root[None, :]
+    if close.all():
+        return None
+    i, j = np.argwhere(~close)[0]
+    return i, j, diff[i, j], float(root[i]) * float(root[j])
 
 
 def _require_finite(values: np.ndarray, labels: ParamLayout | Sequence[str]) -> None:
@@ -84,9 +106,9 @@ class LabeledMatrix:
     """Square matrix addressed by the named blocks of a ParamLayout.
 
     Symmetry is checked pair by pair against the diagonal:
-    |M_ij - M_ji| <= SYMMETRY_RTOL sqrt(|M_ii M_jj|), exactly where a
-    diagonal entry is 0, so a skew block of small units is seen next to a
-    block some orders of magnitude larger.
+    |M_ij - M_ji| <= AGREE_RTOL sqrt(|M_ii M_jj|), exactly where a diagonal
+    entry is 0, so a skew block of small units is seen next to a block some
+    orders of magnitude larger.
     """
 
     data: np.ndarray
@@ -99,17 +121,12 @@ class LabeledMatrix:
                 f"matrix shape {self.data.shape} does not match layout size {n}"
             )
         _require_finite(self.data, self.layout)
-        root = np.sqrt(np.abs(np.diag(self.data)))
-        skew = np.abs(self.data - self.data.T)
-        # the tolerance factor first: root_i * root_j alone can overflow
-        bad = skew > (SYMMETRY_RTOL * root)[:, None] * root[None, :]
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
+        if apart := _first_apart(self.data, self.data.T, np.diag(self.data)):
+            i, j, skew, scale = apart
             names = self.layout.names
             raise ConfigError(
                 f"matrix is not symmetric at ({names[i]}, {names[j]}): "
-                f"|M_ij - M_ji| = {skew[i, j]:.3e} vs "
-                f"sqrt(|M_ii M_jj|) = {float(root[i]) * float(root[j]):.3e}"
+                f"|M_ij - M_ji| = {skew:.3e} vs sqrt(|M_ii M_jj|) = {scale:.3e}"
             )
 
     @property

@@ -22,6 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -70,6 +71,15 @@ def _require_finite(record: str, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ConfigError(f"{record} {name} must be finite, got {value}")
+
+
+def _store_counts(record, least: int, **values) -> None:
+    """Store each value on the frozen ``record`` as a Python int, refusing any
+    value below ``least`` and all but integers (``operator.index``; no bool)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        object.__setattr__(record, name, operator.index(value))
 
 
 # =========================================================================
@@ -164,8 +174,7 @@ class ScenarioConfig:
         object.__setattr__(self, "paths", tuple(self.paths))
         if not self.t_f > 0.0:
             raise ConfigError(f"t_f must be > 0, got {self.t_f}")
-        if not (isinstance(self.n_f, int) and self.n_f >= 1):
-            raise ConfigError(f"n_f must be an integer >= 1, got {self.n_f!r}")
+        _store_counts(self, 1, n_f=self.n_f)
         if not self.f_s > 0.0:
             raise ConfigError(f"f_s must be > 0, got {self.f_s}")
         if not self.sigma2 > 0.0:
@@ -249,6 +258,7 @@ class ModulationConfig:
             raise ConfigError(str(exc)) from None
         _require_finite("modulation", xi_ppm=self.xi_ppm, xi_bpsk=self.xi_bpsk,
                         sfd_weight=self.sfd_weight)
+        _store_counts(self, 0, p_pilots=self.p_pilots, d_data=self.d_data)
         if not self.sfd_weight > 0.0:
             raise ConfigError(f"sfd_weight must be > 0, got {self.sfd_weight}")
         if self.scheme == Scheme.SENSING:
@@ -258,8 +268,6 @@ class ModulationConfig:
                 raise ConfigError("sensing-only frames have no pilot/data split")
         if self.decoupling == Decoupling.DIFFERENTIAL and self.scheme != Scheme.PPM:
             raise ConfigError("differential decoupling is defined for PPM only")
-        if self.p_pilots < 0 or self.d_data < 0:
-            raise ConfigError("p_pilots and d_data must be >= 0")
         if self.decoupling == Decoupling.PILOT and self.p_pilots < 1:
             raise ConfigError("pilot decoupling needs at least one pilot PRI")
         if self.scheme == Scheme.PPM and not self.xi_ppm > 0.0:
@@ -322,11 +330,6 @@ class Block:
     width: int
     first: int | None = 1
 
-    def entry_names(self) -> list[str]:
-        if self.first is None:
-            return [self.name]
-        return [f"{self.name}_{l}" for l in range(self.first, self.first + self.width)]
-
 
 @dataclass(frozen=True)
 class PerPri:
@@ -388,8 +391,10 @@ class ParamLayout:
         """One label per scalar entry."""
         names: list[str] = []
         for seg in self.segments:
-            if isinstance(seg, Block):
-                names += seg.entry_names()
+            if isinstance(seg, Block) and seg.first is None:
+                names.append(seg.name)
+            elif isinstance(seg, Block):
+                names += [f"{seg.name}_{l}" for l in range(seg.first, seg.first + seg.width)]
             else:
                 names += [f"{seg.prefix}_{k}_{l}" for k in range(seg.count)
                           for l in range(1, seg.width + 1)]

@@ -429,6 +429,26 @@ def test_crosscheck_sees_every_block(monkeypatch, kind, n_f, block):
         assemble_theta_fim(reference_scenario(n_f=n_f), make_modulation(kind, n_f))
 
 
+def test_crosscheck_is_exact_where_a_diagonal_entry_is_zero(monkeypatch):
+    # at n_f = 1 the Doppler diagonal is 0: a 1e-300 mismatch in its row is
+    # no roundoff on the equilibrated scale
+    real = bounds.closed_form_theta_fim
+
+    def skewed(*args, **kwargs):
+        out = real(*args, **kwargs)
+        data = out.data.copy()
+        fd1, tau1 = out.layout.block("fd1")[0], out.layout.block("tau1")[0]
+        assert data[fd1, fd1] == 0.0
+        data[fd1, tau1] = data[tau1, fd1] = data[fd1, tau1] + 1e-300
+        return LabeledMatrix(data, out.layout)
+
+    sc, mod = reference_scenario(n_f=1), ModulationConfig(Scheme.SENSING)
+    assemble_theta_fim(sc, mod)
+    monkeypatch.setattr(bounds, "closed_form_theta_fim", skewed)
+    with pytest.raises(RuntimeError, match=r"disagree at \((tau1, fd1|fd1, tau1)\)"):
+        assemble_theta_fim(sc, mod)
+
+
 @pytest.mark.parametrize("n_paths", (1, 2, 3))
 def test_structured_differential_matches_dense_chain(n_paths):
     for n_f in (1, 2, 4, 8, 64):

@@ -59,6 +59,23 @@ def test_parse_quantity_rejects(text):
         cli.parse_quantity(text)
 
 
+@pytest.mark.parametrize("text", ["1e-400", "-1e-400", "1e-330", "1e-400ns"])
+def test_parse_quantity_refuses_an_underflow(text):
+    # a nonzero value below the float range would silently become 0
+    with pytest.raises(ConfigError, match="beyond the float range"):
+        cli.parse_quantity(text)
+
+
+@pytest.mark.parametrize("text,value", [("0", 0.0), ("0e-400", 0.0), ("5e-324", 5e-324)])
+def test_parse_quantity_keeps_zero_and_subnormals(text, value):
+    assert cli.parse_quantity(text) == value
+
+
+def test_bounds_names_an_underflowing_key(capsys):
+    assert cli.main(["bounds", "--set", "scenario.snr_db=1e-400"]) == 2
+    assert "scenario.snr_db: quantity '1e-400'" in capsys.readouterr().err
+
+
 def test_parse_int_and_list():
     assert cli.parse_int("8") == 8
     assert cli.parse_int(" 16 ") == 16
@@ -528,6 +545,27 @@ def test_crossover_refuses_a_range_it_would_not_scan(sets, message, tmp_path, ca
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "crossover.csv").exists()
+
+
+def test_crossover_names_a_fractional_start(tmp_path, capsys):
+    code = cli.main(["crossover", "--out", str(tmp_path),
+                     "--set", "modulation.scheme=ppm", "--set", "modulation.decoupling=pilot",
+                     "--set", "modulation.p_pilots=4", "--set", "modulation.d_data=4",
+                     "--set", "sweep.start=2.5", "--set", "sweep.stop=30"])
+    assert code == 2
+    assert "sweep.start value 2.5 is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "crossover.csv").exists()
+
+
+def test_sweep_names_a_fractional_frame_count(tmp_path, capsys):
+    code = cli.main(["sweep", "--out", str(tmp_path), "--set", "sweep.axis=n_f",
+                     "--set", "sweep.values=8.7,8"])
+    assert code == 0
+    with open(tmp_path / "sweep_n_f.csv", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if not row[0].startswith("#")][1:]
+    assert rows[0][0] == "8.7" and rows[0][-1] == "ConfigError: n_f value 8.7 is not an integer"
+    assert rows[0][1] == "nan"
+    assert float(rows[1][1]) == pytest.approx(9.480270e-04, rel=1e-6) and rows[1][-1] == ""
 
 
 @pytest.mark.parametrize("scheme,decoupling", [("bpsk", "pilot"), ("ppm", "differential"),

@@ -326,6 +326,28 @@ def test_fim_deviation_metric():
     assert fim_deviation(z, z) == 0.0
 
 
+def test_fim_deviation_survives_a_huge_diagonal():
+    # sqrt(d_i d_j) overflows past d ~ 1.3e154; one root per side does not
+    assert fim_deviation(np.diag([2e200, 1.0]), np.diag([1e200, 1.0])) == 1.0
+    assert fim_deviation(np.diag([2e20, 1.0]), np.diag([1e20, 1.0])) == 1.0
+
+
+@pytest.mark.parametrize("axis,kind,bad,good", [("n_f", "sensing", 8.7, 8.0),
+                                                ("n_f", "ppm-pilot", 7.5, 8.0),
+                                                ("d_data", "ppm-pilot", 4.4, 4.0),
+                                                ("d_data", "ppm-diff", 4.4, 4.0)])
+def test_integer_axes_name_a_fractional_value(axis, kind, bad, good):
+    # the value is refused, not rounded to a neighbouring frame; the sweep completes
+    spec = SweepSpec(axis=axis, values=(bad, good, math.nan), outputs=("root_range_crlb_m",),
+                     scenario=reference_scenario(n_f=8), modulation=make_modulation(kind, 8))
+    rows = run_sweep(spec).rows
+    assert rows[0][-1] == f"ConfigError: {axis} value {bad} is not an integer"
+    assert math.isnan(rows[0][1])
+    assert rows[2][-1] == f"ConfigError: {axis} value nan is not an integer"
+    whole = run_sweep(dataclasses.replace(spec, values=(int(good),))).rows[0]
+    assert rows[1][1:] == whole[1:] and rows[1][-1] == ""
+
+
 # ----------------------------------------------------------------- crossover
 
 @pytest.mark.parametrize("n_paths,expected", [(1, 21), (3, 22)])
@@ -389,6 +411,15 @@ def test_crossover_refuses_configs_before_the_scan():
         find_crossover(sc, 4, range(2, 5), check_snrs_db=())
     with pytest.raises(ConfigError, match="pilot"):
         find_crossover(sc, 0, range(2, 5))
+
+
+def test_crossover_refuses_a_fractional_d():
+    sc = reference_scenario()
+    with pytest.raises(ConfigError, match="d_data value 2.7 is not an integer"):
+        find_crossover(sc, 4, [2.7, 3.2])
+    # integral floats scan the same frames as ints
+    assert (find_crossover(sc, 4, [2.0, 3.0]).table.rows
+            == find_crossover(sc, 4, [2, 3]).table.rows)
 
 
 def test_crossover_of_an_empty_range_finds_nothing():

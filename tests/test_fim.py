@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isacbounds.model import (
+    Block,
     ConfigError,
     Decoupling,
     ModulationConfig,
+    ParamLayout,
     PathState,
     PulseShape,
     ScenarioConfig,
@@ -455,6 +457,31 @@ def test_labeled_matrix_symmetry_is_checked_per_pair():
     M[fd1, dfd], M[dfd, fd1] = 1e-300, 0.0
     with pytest.raises(ConfigError, match="not symmetric"):
         LabeledMatrix(M, lay)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n),
+    st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n),
+    st.integers(0, n - 1), st.integers(1, n - 1))))
+def test_equilibrated_scale_spans_the_float_range(case):
+    # diagonals from 1e-300 to 1e300: sqrt(M_ii M_jj) itself over- or underflows
+    exponents, coupling, i, shift = case
+    n, j = len(exponents), (i + shift) % len(exponents)
+    root = 10.0 ** (np.array(exponents) / 2.0)
+    upper = np.triu(np.reshape(coupling, (n, n)) * root[:, None] * root[None, :], 1)
+    M = upper + upper.T + np.diag(root * root)
+    scaled = fim._equilibrated(M, np.diag(M))
+    assert np.all(np.isfinite(scaled))
+    np.testing.assert_allclose(np.diag(scaled), 1.0, rtol=4 * np.finfo(float).eps)
+    lay = ParamLayout((Block("x", n),))
+    LabeledMatrix(M, lay)
+    skewed = M.copy()
+    r = np.sqrt(np.diag(M))
+    skewed[i, j] += 1e-6 * r[i] * r[j]
+    a, b = sorted((i, j))
+    with pytest.raises(ConfigError, match=rf"not symmetric at \(x_{a + 1}, x_{b + 1}\)"):
+        LabeledMatrix(skewed, lay)
 
 
 def test_labeled_matrix_block_accessor():

@@ -294,6 +294,32 @@ def test_modulation_invariants():
         ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=2, d_data=-1)
 
 
+@pytest.mark.parametrize("value", [np.int64(8), np.int32(8), np.uint16(8), 8])
+def test_frame_counts_take_any_integer_as_an_int(value):
+    sc = _scenario(n_f=value)
+    mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=value // 2,
+                           d_data=value - value // 2)
+    for got in (sc.n_f, mod.p_pilots, mod.d_data):
+        assert type(got) is int
+    assert (sc.n_f, mod.p_pilots, mod.d_data) == (8, 4, 4)
+
+
+@pytest.mark.parametrize("record,kwargs", [
+    ("scenario", dict(n_f=True)),
+    ("scenario", dict(n_f=8.0)),
+    ("scenario", dict(n_f=np.float64(8.0))),
+    ("modulation", dict(p_pilots=True, d_data=7)),
+    ("modulation", dict(p_pilots=1.5, d_data=6.5)),
+    ("modulation", dict(p_pilots=4, d_data="4")),
+])
+def test_frame_counts_refuse_a_bool_or_a_non_integer(record, kwargs):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        if record == "scenario":
+            _scenario(**kwargs)
+        else:
+            ModulationConfig(Scheme.PPM, Decoupling.PILOT, **kwargs)
+
+
 def test_validate_modulation_frame_split():
     sc = _scenario(n_f=4)
     validate_modulation(sc, ModulationConfig(Scheme.PPM, Decoupling.PILOT,
