@@ -55,7 +55,6 @@ from .model import (
     validate_modulation,
 )
 from .fim import (
-    DiagonalMatrix,
     LabeledMatrix,
     _equilibrated,
     _first_apart,
@@ -89,11 +88,11 @@ class CoupledParametersError(RuntimeError):
     diagnosis.
     """
 
-    def __init__(self, message: str = "", report: "SingularityReport | None" = None,
+    def __init__(self, message: str = "",
                  diagnose: "Callable[[], tuple[str, SingularityReport]] | None" = None):
         super().__init__(message)
         self._message = message
-        self._report = report
+        self._report = None
         self._diagnose = diagnose
 
     def _diagnosed(self) -> None:
@@ -123,7 +122,7 @@ class SingularityReport:
     size: int
     rank: int
     singular: bool
-    min_sv_ratio: float
+    min_sv_ratio: float  # 0.0 when singular: s_min <= RANK_RTOL s_max counts as zero
     coupled_columns: tuple[tuple[str, str], ...]
     zero_columns: tuple[str, ...]
 
@@ -139,7 +138,7 @@ class SingularityReport:
         return "; ".join(parts) or f"rank {self.rank} of {self.size}"
 
 
-def singularity_report(mat: LabeledMatrix | DiagonalMatrix | np.ndarray,
+def singularity_report(mat: LabeledMatrix | np.ndarray,
                        labels: tuple[str, ...] | None = None) -> SingularityReport:
     """SVD-based rank report with duplicate/zero column identification.
 
@@ -153,13 +152,17 @@ def singularity_report(mat: LabeledMatrix | DiagonalMatrix | np.ndarray,
     RANK_RTOL smax / sqrt(2), far above the SVD's roundoff, so only a
     rank-deficient matrix is searched for pairs, at every size: the Gram
     matrix of the live columns proposes the candidates, and each is confirmed
-    by that column-difference test.  A NaN or +-inf entry raises ConfigError.
+    by that column-difference test.  A NaN or +-inf entry, or an array that
+    is not square and 2-D, raises ConfigError.
     """
-    if isinstance(mat, (LabeledMatrix, DiagonalMatrix)):
+    if isinstance(mat, LabeledMatrix):
         data = mat.data
         labels = mat.layout.names
     else:
         data = np.asarray(mat)
+        if data.ndim != 2 or data.shape[0] != data.shape[1]:
+            raise ConfigError(f"singularity_report needs a square 2-D matrix, "
+                              f"got shape {data.shape}")
         if labels is None:
             labels = tuple(f"col_{i}" for i in range(data.shape[1]))
     _require_finite(data, labels)
@@ -171,7 +174,7 @@ def singularity_report(mat: LabeledMatrix | DiagonalMatrix | np.ndarray,
         return SingularityReport(n, 0, True, 0.0, (), tuple(labels))
     tol = RANK_RTOL * smax
     rank = int(np.sum(s > tol))
-    ratio = float(s[-1] / smax)
+    ratio = float(s[-1] / smax) if rank == n else 0.0
 
     norms = np.linalg.norm(scaled, axis=0)
     zero_cols = tuple(labels[i] for i in np.flatnonzero(norms <= tol))

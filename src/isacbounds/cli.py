@@ -31,6 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .model import (
+    DECOUPLINGS,
     ConfigError,
     Decoupling,
     ModulationConfig,
@@ -42,7 +43,7 @@ from .model import (
     check_regulatory,
     effective_bandwidth,
 )
-from .bounds import RANK_RTOL, crlb_report
+from .bounds import crlb_report
 from .experiments import (
     MAX_SWEEP_POINTS,
     SweepSpec,
@@ -283,15 +284,8 @@ def cmd_bounds(args) -> int:
     print(f"regulatory: {reg.energy_per_window_j * 1e9:.3f} nJ per 1 ms "
           f"(limit {reg.limit_j * 1e9:.0f} nJ, per-pulse ceiling "
           f"{reg.e_tb_ceiling_j * 1e12:.2f} pJ) -> {'pass' if reg.passed else 'FAIL'}")
-    # a singular frame's ratio is roundoff: say only that it is below the rank cut
-    ratio = f"<= {RANK_RTOL:g}" if report.singular else f"{report.min_sv_ratio:.2e}"
     print(f"information matrix: size {report.size}, rank {report.rank}, "
-          f"min sv ratio {ratio}")
-    if report.coupled_columns:
-        print("coupled columns: "
-              + ", ".join(f"{a} ~ {b}" for a, b in report.coupled_columns))
-    if report.zero_columns:
-        print("zero columns: " + ", ".join(report.zero_columns))
+          f"min sv ratio {report.min_sv_ratio:.2e}")
     for name, value in report.crlb.items():
         if value is None:
             print(f"crlb[{name}]: unavailable (singular nuisance block)")
@@ -303,25 +297,17 @@ def cmd_bounds(args) -> int:
     if fd is not None:
         print(f"root doppler crlb: {math.sqrt(fd):.6e} Hz")
     print(f"data rate: {data_rate(scenario, modulation):.6e} bit/s")
-    if report.singular:
-        print(f"configuration is SINGULAR: {_singular_advice(report, scenario.n_f)}")
-        return EXIT_SINGULAR
-    return EXIT_OK
-
-
-def _singular_advice(report, n_f: int) -> str:
-    """What a singular frame lacks, by frame kind.
-
-    Raw PPM/BPSK frames need a decoupling.  Sensing and decoupled frames take
-    none, so they are told which columns are dead or coupled instead.
-    """
-    if report.scheme != Scheme.SENSING.value and report.decoupling == Decoupling.NONE.value:
-        advice = "pick a pilot or differential decoupling"
-    else:
-        lost = [*report.zero_columns, *(f"{a} ~ {b}" for a, b in report.coupled_columns)]
-        advice = (f"this {report.scheme} frame cannot resolve "
-                  f"{', '.join(lost) or f'rank {report.rank} of {report.size}'}")
-    return advice + ("; Doppler needs n_f >= 2" if n_f < 2 else "")
+    if not report.singular:
+        return EXIT_OK
+    # the verdict, then what lifts it: a decoupling the scheme admits, a second PRI
+    verdict = [report.describe()]
+    lifts = [d.value for d in DECOUPLINGS[modulation.scheme] if d != Decoupling.NONE]
+    if modulation.decoupling == Decoupling.NONE and lifts:
+        verdict.append(f"pick a {' or '.join(lifts)} decoupling")
+    if "fd1" in report.zero_columns:
+        verdict.append("Doppler needs n_f >= 2")
+    print(f"configuration is SINGULAR: {'; '.join(verdict)}")
+    return EXIT_SINGULAR
 
 
 def cmd_sweep(args) -> int:

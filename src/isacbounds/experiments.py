@@ -30,12 +30,14 @@ from .model import (
     Scheme,
     amp_for_snr,
     effective_bandwidth,
+    pulse_time_derivative,
     received_snr,
+    sample_pulse,
     validate_modulation,
 )
 from .fim import (_equilibrated, observation_fim_analytic, observation_fim_numeric,
                   per_pri_information)
-from .bounds import comm_efim_ppm, crlb_report
+from .bounds import assemble_theta_fim, comm_efim_ppm, crlb_report
 from . import __version__ as _pkg_version
 
 # =========================================================================
@@ -219,10 +221,13 @@ def _evaluate(scenario: ScenarioConfig, modulation: ModulationConfig, cells: dic
     """Fill the output cells of one configured frame and its ``error`` text.
 
     ``cells`` comes from :func:`_blank_cells`.  A value the report cannot give
-    stays NaN with the reason in ``error``.  Exceptions propagate, and the
-    cells filled before the raise keep their values.
+    stays NaN.  ``error`` is a singular frame's verdict, or else names the
+    unavailable CRLB.  Exceptions propagate, and the cells filled before the
+    raise keep their values.
     """
     report = crlb_report(scenario, modulation)
+    if report.singular:
+        cells["error"] = "information matrix singular: " + report.describe()
     crlbs = {"root_range_crlb_m": ("ranging", report.range_crlb_m2),
              "root_doppler_crlb_hz": ("Doppler", report.crlb.get("fd1"))}
     for out in cells:
@@ -236,8 +241,6 @@ def _evaluate(scenario: ScenarioConfig, modulation: ModulationConfig, cells: dic
             cells[out] = data_rate(scenario, modulation)
         elif out == "comm_efim":
             cells[out] = comm_efim_ppm(scenario, modulation)
-    if report.singular and not cells["error"]:
-        cells["error"] = "information matrix singular: " + report.describe()
     return cells
 
 
@@ -404,8 +407,6 @@ def validate_suite(rtol: float = 0.02) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     sc = reference_scenario(n_f=2, n_paths=1)
-    from .model import sample_pulse, pulse_time_derivative
-
     w = sample_pulse(sc.pulse, 20e-9, sc)
     energy = float(np.dot(w, w)) / sc.f_s
     checks.append(CheckResult("pulse-energy-quadrature", abs(energy - 1.0) < 1e-6,
@@ -446,8 +447,6 @@ def validate_suite(rtol: float = 0.02) -> list[CheckResult]:
             checks.append(CheckResult(name, dev < rtol, f"max deviation {dev:.3e}"))
         except Exception as exc:
             checks.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-
-    from .bounds import assemble_theta_fim
 
     for scenario, modulation in probes:
         name = f"assembly-consistency-{modulation.scheme.value}-{modulation.decoupling.value}"

@@ -227,7 +227,15 @@ class Decoupling(str, Enum):
 
     NONE = "none"
     PILOT = "pilot"                 # p_pilots unmodulated PRIs, then d_data data PRIs
-    DIFFERENTIAL = "differential"   # extra start-frame reference pulse, PPM only
+    DIFFERENTIAL = "differential"   # extra start-frame reference pulse
+
+
+#: the decouplings each scheme admits
+DECOUPLINGS = {
+    Scheme.SENSING: (Decoupling.NONE,),
+    Scheme.PPM: (Decoupling.NONE, Decoupling.PILOT, Decoupling.DIFFERENTIAL),
+    Scheme.BPSK: (Decoupling.NONE, Decoupling.PILOT),
+}
 
 
 @dataclass(frozen=True)
@@ -261,13 +269,12 @@ class ModulationConfig:
         _store_counts(self, 0, p_pilots=self.p_pilots, d_data=self.d_data)
         if not self.sfd_weight > 0.0:
             raise ConfigError(f"sfd_weight must be > 0, got {self.sfd_weight}")
-        if self.scheme == Scheme.SENSING:
-            if self.decoupling != Decoupling.NONE:
-                raise ConfigError("sensing-only frames take no decoupling strategy")
-            if self.p_pilots != 0 or self.d_data != 0:
-                raise ConfigError("sensing-only frames have no pilot/data split")
-        if self.decoupling == Decoupling.DIFFERENTIAL and self.scheme != Scheme.PPM:
-            raise ConfigError("differential decoupling is defined for PPM only")
+        admitted = DECOUPLINGS[self.scheme]
+        if self.decoupling not in admitted:
+            raise ConfigError(f"{self.scheme.value} frames take decoupling {' or '.join(admitted)}"
+                              f", not {self.decoupling.value}")
+        if self.scheme == Scheme.SENSING and (self.p_pilots != 0 or self.d_data != 0):
+            raise ConfigError("sensing-only frames have no pilot/data split")
         if self.decoupling == Decoupling.PILOT and self.p_pilots < 1:
             raise ConfigError("pilot decoupling needs at least one pilot PRI")
         if self.scheme == Scheme.PPM and not self.xi_ppm > 0.0:

@@ -290,10 +290,13 @@ def mean_from_eta(scenario: ScenarioConfig, modulation: ModulationConfig,
 
 
 def _check_slots(slots, count: int) -> np.ndarray:
-    """``slots`` as an index array; ConfigError unless integers in [0, count)."""
+    """``slots`` as an index array, any empty sequence selecting none;
+    ConfigError unless integers in [0, count)."""
     if slots is None:
         return np.arange(count)
     picked = np.asarray(slots)
+    if picked.shape == (0,):  # an empty list reads as float
+        picked = np.arange(0)
     if (picked.ndim != 1 or picked.dtype.kind not in "iu"
             or np.any(picked < 0) or np.any(picked >= count)):
         raise ConfigError(

@@ -5,6 +5,8 @@ fast; the `kind` shorthand covers every scheme/decoupling combination the
 engine supports.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,20 @@ def make_modulation(kind: str, n_f: int) -> ModulationConfig:
 
 
 ALL_KINDS = ("sensing", "ppm-raw", "bpsk-raw", "ppm-pilot", "bpsk-pilot", "ppm-diff")
+
+
+def frame_shapes(kind: str, n_fs, n_paths=(1, 2, 3)):
+    """(scenario, modulation) pairs of one kind over n_f x L: the kind's own
+    frame where it is defined, and on a pilot kind the all-pilot split with
+    no data PRI too."""
+    pilot = kind.endswith("pilot")
+    for n_f in n_fs:
+        mods = [make_modulation(kind, n_f)] if n_f >= 2 or not pilot else []
+        if pilot:
+            mods.append(dataclasses.replace(make_modulation(kind, 2), p_pilots=n_f, d_data=0))
+        for L in n_paths:
+            for mod in mods:
+                yield reference_scenario(n_f=n_f, n_paths=L), mod
 
 #: alpha * f_s just above the sampling edge: per_pri_information accepts the
 #: pulse, one percent narrower it does not

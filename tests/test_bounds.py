@@ -11,6 +11,7 @@ information of one path):
 """
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -54,7 +55,7 @@ from isacbounds.bounds import (
 )
 from isacbounds.experiments import fim_deviation, reference_scenario, with_frame
 
-from conftest import ALL_KINDS, make_modulation, sym_eigs
+from conftest import ALL_KINDS, frame_shapes, make_modulation, sym_eigs
 from differential_reference import differential_chain
 
 
@@ -204,6 +205,18 @@ def test_singularity_report_survives_mixed_scales():
     rep = singularity_report(N, labels=("t1", "t2", "f1", "f2"))
     assert rep.singular
     assert rep.coupled_columns == (("f1", "f2"),)
+
+
+def test_singularity_report_takes_only_a_labeled_or_square_matrix():
+    # a DiagonalMatrix would build its dense n_eta x n_eta form: refused
+    # before that, by the shape numpy sees
+    diag = observation_fim_analytic(reference_scenario(), make_modulation("ppm-pilot", 8))
+    with pytest.raises(ConfigError, match=re.escape("square 2-D matrix, got shape ()")):
+        singularity_report(diag)
+    assert "data" not in vars(diag)
+    for bad in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ConfigError, match=re.escape(f"got shape {bad.shape}")):
+            singularity_report(bad)
 
 
 def test_singularity_report_pairs_columns_past_512():
@@ -705,20 +718,24 @@ def test_pilot_without_data_reports_dead_offset_column():
 def test_singular_frames_have_no_finite_crlb(kind):
     # a null vector of I_theta lies outside a target block (its nuisance
     # block is singular) or has a component in it (the EFIM annihilates it)
-    pilot, singular = kind.endswith("pilot"), 0
-    for n_f in (1, 2, 8, 64, 500):
-        mods = [make_modulation(kind, n_f)] if n_f >= 2 or not pilot else []
-        if pilot:  # every PRI a pilot: no data PRI
-            mods.append(dataclasses.replace(make_modulation(kind, 2), p_pilots=n_f, d_data=0))
-        for n_paths in (1, 2, 3):
-            sc = reference_scenario(n_f=n_f, n_paths=n_paths)
-            for mod in mods:
-                rep = crlb_report(sc, mod)
-                if rep.singular:
-                    singular += 1
-                    assert set(rep.crlb.values()) == {None}, (n_f, n_paths, mod)
-                    assert rep.range_crlb_m2 is None
+    singular = 0
+    for sc, mod in frame_shapes(kind, (1, 2, 8, 64, 500)):
+        rep = crlb_report(sc, mod)
+        if rep.singular:
+            singular += 1
+            assert set(rep.crlb.values()) == {None}, (sc.n_f, sc.n_paths, mod)
+            assert rep.range_crlb_m2 is None
     assert singular > 0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_min_sv_ratio_is_zero_exactly_on_singular_frames(kind):
+    # a singular report's smallest singular value is at or below the rank
+    # cut, so its ratio is 0 rather than roundoff; a nonsingular one is above
+    for sc, mod in frame_shapes(kind, (1, 2, 8)):
+        rep = crlb_report(sc, mod)
+        assert (rep.min_sv_ratio == 0.0) == rep.singular, (sc.n_f, sc.n_paths, mod)
+        assert rep.singular or rep.min_sv_ratio > bounds.RANK_RTOL
 
 
 # --------------------------------------------------------------- differential

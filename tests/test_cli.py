@@ -268,17 +268,18 @@ def test_bounds_singular_configuration_exits_3(capsys):
                      "--set", "modulation.d_data=8"])
     assert code == 3
     out = capsys.readouterr().out
-    assert "coupled columns: tau1 ~ dtau_q" in out
-    assert "SINGULAR: pick a pilot or differential decoupling\n" in out
+    assert out.endswith("configuration is SINGULAR: coupled columns: tau1~dtau_q; "
+                        "pick a pilot or differential decoupling\n")
+    assert out.count("tau1~dtau_q") == 1 and " ~ " not in out  # the verdict, once
 
 
 def test_bounds_prints_a_singular_frame_ratio_as_below_the_rank_cut(capsys):
-    # the smallest singular value of a singular frame is roundoff, so its
-    # digits are not printed (plain-SI ppm-raw at the default n_f = 8)
+    # a singular report's ratio is 0: its smallest singular value is at or
+    # below the rank cut (plain-SI ppm-raw at the default n_f = 8)
     assert cli.main(["bounds", "--set", "modulation.scheme=ppm",
                      "--set", "modulation.d_data=8"]) == 3
     out = capsys.readouterr().out
-    assert f"information matrix: size 10, rank 9, min sv ratio <= {bounds.RANK_RTOL:g}\n" in out
+    assert "information matrix: size 10, rank 9, min sv ratio 0.00e+00\n" in out
     assert cli.main(["bounds"]) == 0
     ratio = capsys.readouterr().out.split("min sv ratio ")[1].split("\n")[0]
     assert float(ratio) > bounds.RANK_RTOL
@@ -288,9 +289,37 @@ def test_bounds_singular_sensing_frame_names_dead_columns(capsys):
     # a sensing frame takes no decoupling: say what it cannot resolve
     assert cli.main(["bounds", "--set", "scenario.n_f=1"]) == 3
     out = capsys.readouterr().out
-    assert ("configuration is SINGULAR: this sensing frame cannot resolve "
-            "fd1, dfd_2, dfd_3; Doppler needs n_f >= 2\n") in out
+    assert ("configuration is SINGULAR: zero columns: fd1, dfd_2, dfd_3; "
+            "Doppler needs n_f >= 2\n") in out
     assert "decoupling" not in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("settings,verdict", [
+    (("modulation.scheme=bpsk", "modulation.d_data=8"),
+     "coupled columns: fd1~phi_bpsk; pick a pilot decoupling"),
+    (("modulation.scheme=ppm", "modulation.decoupling=pilot", "modulation.p_pilots=8",
+      "modulation.d_data=0"), "zero columns: dtau_q"),
+    (("scenario.n_f=1", "modulation.scheme=ppm", "modulation.decoupling=differential",
+      "modulation.d_data=1"), "zero columns: fd1, dfd_2, dfd_3; Doppler needs n_f >= 2"),
+])
+def test_bounds_singular_line_is_the_verdict_and_what_lifts_it(capsys, settings, verdict):
+    # the report's describe(), a decoupling DECOUPLINGS admits for an
+    # undecoupled frame, and a second PRI for a dead Doppler column
+    args = ["bounds"]
+    for item in settings:
+        args += ["--set", item]
+    assert cli.main(args) == 3
+    out = capsys.readouterr().out
+    assert out.endswith(f"\nconfiguration is SINGULAR: {verdict}\n")
+    assert ", min sv ratio 0.00e+00\n" in out
+
+
+def test_bounds_refuses_a_decoupling_the_scheme_does_not_admit(capsys):
+    # the advice for a raw BPSK frame names only frames that build
+    assert cli.main(["bounds", "--set", "modulation.scheme=bpsk",
+                     "--set", "modulation.decoupling=differential",
+                     "--set", "modulation.d_data=8"]) == 2
+    assert "bpsk frames take decoupling none or pilot" in capsys.readouterr().err
 
 
 def test_bounds_pilot_configuration(capsys):

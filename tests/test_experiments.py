@@ -33,7 +33,7 @@ from isacbounds.experiments import (
     with_snr,
 )
 
-from conftest import ALL_KINDS, make_modulation
+from conftest import ALL_KINDS, frame_shapes, make_modulation
 
 
 def test_reference_scenario_values():
@@ -282,11 +282,49 @@ def test_sweep_row_equals_its_single_point_report(kind, axis, data):
 
 
 def test_sweep_row_keeps_the_cells_before_a_raising_output():
-    # a ppm-pilot frame with no data PRI has a rate, but no comm EFIM
+    # a ppm-pilot frame with no data PRI has a rate, but no comm EFIM; it is
+    # singular, so its error is the verdict
     spec = _pilot_spec(axis="d_data", values=(0,), outputs=("rate_bps", "comm_efim"))
     (row,) = run_sweep(spec).rows
     assert row[1] == 0.0
-    assert math.isnan(row[2]) and row[3].startswith("ConfigError: ")
+    assert math.isnan(row[2]) and row[3] == "information matrix singular: zero columns: dtau_q"
+
+
+def test_sweep_row_of_a_nonsingular_frame_names_a_raising_output():
+    # a differential frame is nonsingular and has no pilot-split comm EFIM
+    spec = _pilot_spec(modulation=make_modulation("ppm-diff", 8),
+                       outputs=("rate_bps", "comm_efim"), values=(0.0,))
+    (row,) = run_sweep(spec).rows
+    assert row[1] == 1e7 and math.isnan(row[2])
+    assert row[3] == "ConfigError: comm_efim_ppm is defined for pilot-decoupled PPM"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_singular_row_error_is_the_verdict_whatever_the_outputs(kind):
+    singular = 0
+    for sc, mod in frame_shapes(kind, (1, 2, 8)):
+        rep = crlb_report(sc, mod)
+        if not rep.singular:
+            continue
+        singular += 1
+        # the CLI's default outputs (CRLBs first), a rate only, a raising output
+        for outputs in (("root_range_crlb_m", "root_doppler_crlb_hz", "rate_bps"),
+                        ("rate_bps",), ("comm_efim",)):
+            spec = SweepSpec("snr_db", (0.0,), outputs, sc, mod)
+            (row,) = run_sweep(spec).rows
+            assert row[-1] == "information matrix singular: " + rep.describe(), (outputs, mod)
+    assert singular > 0
+
+
+def test_nonsingular_row_says_which_crlb_is_unavailable():
+    # one pilot against 1e8 - 1 data PRIs: I_theta has full rank, but its
+    # tau1 block fails the elimination
+    n_f = 10 ** 8
+    mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=n_f - 1)
+    spec = _pilot_spec(values=(0.0,), scenario=reference_scenario(n_f=n_f), modulation=mod)
+    (row,) = run_sweep(spec).rows
+    assert math.isnan(row[1]) and math.isfinite(row[2])
+    assert row[-1] == "ranging CRLB unavailable (singular nuisance block)"
 
 
 def test_sweep_spec_validation():

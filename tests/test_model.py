@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from isacbounds.model import (
+    DECOUPLINGS,
     ConfigError,
     Decoupling,
     LeakageError,
@@ -292,6 +293,21 @@ def test_modulation_invariants():
         ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=0, d_data=4)
     with pytest.raises(ConfigError):
         ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=2, d_data=-1)
+
+
+@pytest.mark.parametrize("decoupling", list(Decoupling))
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_modulation_builds_exactly_the_decouplings_its_scheme_admits(scheme, decoupling):
+    # one table decides, so advice that names an admitted decoupling names a
+    # frame that builds
+    split = ({} if scheme == Scheme.SENSING
+             else dict(p_pilots=1, d_data=1) if decoupling == Decoupling.PILOT
+             else dict(d_data=2))
+    if decoupling in DECOUPLINGS[scheme]:
+        validate_modulation(_scenario(), ModulationConfig(scheme, decoupling, **split))
+    else:
+        with pytest.raises(ConfigError, match=f"^{scheme.value} frames take decoupling"):
+            ModulationConfig(scheme, decoupling, **split)
 
 
 @pytest.mark.parametrize("value", [np.int64(8), np.int32(8), np.uint16(8), 8])

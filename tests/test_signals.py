@@ -244,6 +244,15 @@ def test_mean_from_eta_slots_are_rows_of_the_whole_frame(kind):
             mean_from_eta(sc, mod, eta, bad)
 
 
+def test_any_empty_slot_sequence_is_the_empty_selection():
+    sc = reference_scenario(n_f=3, n_paths=2)
+    mod = make_modulation("ppm-pilot", 3)
+    eta = eta_point(sc, mod)
+    for empty in ([], (), range(0), np.array([], dtype=int), np.array([])):
+        assert mean_from_eta(sc, mod, eta, empty).shape == (0,), repr(empty)
+        assert mean_from_eta(sc, mod, np.stack([eta, eta]), empty).shape == (2, 0), repr(empty)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_stacked_mean_from_eta_rows_are_the_single_point_calls(kind):
     # rows that share centers (repeated points, unmoved paths) and rows that
