@@ -38,8 +38,9 @@ plus the Doppler-ramp weights, with no matrix of the dense chain.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,34 +81,30 @@ RAMP_CHUNK = 1 << 17
 
 
 class CoupledParametersError(RuntimeError):
-    """A nuisance block required by a Schur complement is singular.
+    """A CRLB block cannot be had: its nuisance block is singular, or the
+    elimination annihilates its information.
 
-    ``report`` is the :class:`SingularityReport` of that block, if any.  With
-    ``diagnose`` (a function returning the message and the report) both are
-    built on first read, so a caller that only catches the error pays for no
-    diagnosis.
+    An error raised where the nuisance block is singular keeps that ``block``
+    and its column ``labels``; its ``report`` (the block's
+    :class:`SingularityReport`) and its message are built on first read, so
+    a caller that only catches the error pays for no SVD.  Any other error
+    has its message and no report.
     """
 
-    def __init__(self, message: str = "",
-                 diagnose: "Callable[[], tuple[str, SingularityReport]] | None" = None):
+    def __init__(self, message: str = "", block: np.ndarray | None = None,
+                 labels: Sequence[str] = ()):
         super().__init__(message)
-        self._message = message
-        self._report = None
-        self._diagnose = diagnose
+        self.block, self.labels = block, tuple(labels)
 
-    def _diagnosed(self) -> None:
-        if self._diagnose is not None:
-            self._message, self._report = self._diagnose()
-            self._diagnose = None
-
-    @property
-    def report(self) -> "SingularityReport | None":
-        self._diagnosed()
-        return self._report
+    @cached_property
+    def report(self) -> SingularityReport | None:
+        return None if self.block is None else singularity_report(self.block, self.labels)
 
     def __str__(self) -> str:
-        self._diagnosed()
-        return self._message
+        if self.report is None:
+            return super().__str__()
+        return (f"nuisance block is singular: {self.report.describe()}; "
+                "choose a decoupling strategy or drop the affected parameters")
 
 
 # =========================================================================
@@ -202,38 +199,28 @@ def singularity_report(mat: LabeledMatrix | np.ndarray,
 
 
 def schur_complement(M: np.ndarray, keep: np.ndarray, elim: np.ndarray,
-                     elim_labels: Sequence[str] | Callable[[], Sequence[str]] | None = None
-                     ) -> np.ndarray:
+                     elim_labels: Sequence[str] | None = None) -> np.ndarray:
     """A - B^T C^{-1} B with C = M[elim, elim], via Cholesky of C.
 
-    Raises CoupledParametersError when C is not positive definite; its
-    message and singularity report, which name the columns of C by
-    ``elim_labels`` (or a function returning them), are built on first read.
+    Raises CoupledParametersError when C is not positive definite; the error
+    keeps C, its columns named by ``elim_labels`` (default ``elim_<i>``).
     """
     A = M[np.ix_(keep, keep)]
     if elim.size == 0:
         return A.copy()
     B = M[np.ix_(elim, keep)]
     C = M[np.ix_(elim, elim)]
-
-    def _diagnose() -> tuple[str, SingularityReport]:
-        labels = elim_labels() if callable(elim_labels) else elim_labels
-        rep = singularity_report(C, tuple(labels or (f"elim_{i}" for i in elim)))
-        named = f"; {rep.describe()}" if rep.coupled_columns or rep.zero_columns else ""
-        message = (f"nuisance block is singular (rank {rep.rank} of {rep.size}){named}; "
-                   "choose a decoupling strategy or drop the affected parameters")
-        return message, rep
-
     try:
         low = np.linalg.cholesky(C)
+        # an exactly dependent direction can survive the factorization on a
+        # roundoff-sized pivot; the squared pivot over the diagonal entry is
+        # the scale-free leftover of that direction, so gate it explicitly
+        dependent = np.any(np.diag(low) ** 2 / np.diag(C) <= RANK_RTOL)
     except np.linalg.LinAlgError:
-        raise CoupledParametersError(diagnose=_diagnose) from None
-    # an exactly dependent direction can survive the factorization on a
-    # roundoff-sized pivot; the squared pivot over the diagonal entry is the
-    # scale-free leftover of that direction, so gate it explicitly
-    pivot_ratio = np.diag(low) ** 2 / np.diag(C)
-    if np.any(pivot_ratio <= RANK_RTOL):
-        raise CoupledParametersError(diagnose=_diagnose)
+        dependent = True
+    if dependent:
+        raise CoupledParametersError(block=C, labels=(
+            [f"elim_{i}" for i in elim] if elim_labels is None else elim_labels))
     Y = np.linalg.solve(low, B)  # B^T C^{-1} B = Y^T Y with C = low low^T
     return A - Y.T @ Y
 
@@ -256,8 +243,8 @@ def efim(fim: LabeledMatrix, target: str) -> np.ndarray:
         raise ConfigError(f"target block {target!r} is empty")
     keep = np.arange(lo, hi)
     elim = np.array([i for i in range(fim.size) if not lo <= i < hi], dtype=int)
-    E = schur_complement(fim.data, keep, elim,
-                         lambda: [fim.layout.names[i] for i in elim])
+    names = fim.layout.names
+    E = schur_complement(fim.data, keep, elim, [names[i] for i in elim])
 
     diag = np.diag(fim.data)[lo:hi]
     if np.any(diag <= 0.0):
@@ -267,9 +254,7 @@ def efim(fim: LabeledMatrix, target: str) -> np.ndarray:
     if min_eig <= EFIM_FLOOR:
         raise CoupledParametersError(
             f"information on block {target!r} is annihilated by the nuisance "
-            f"parameters (scaled EFIM eigenvalue {min_eig:.2e}); the direction "
-            "is unidentifiable without a decoupling strategy"
-        )
+            f"parameters: scaled EFIM eigenvalue {min_eig:.2e} <= EFIM_FLOOR = {EFIM_FLOOR:g}")
     return E
 
 
@@ -524,9 +509,10 @@ def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig) -> CrlbR
 
     A frame that clears the gates of :func:`_one_factor_crlbs` gets every
     CRLB from one factorization of the equilibrated I_theta.  Any other
-    frame runs :func:`crlb` per target: blocks whose Schur elimination hits
-    a singular nuisance matrix get a ``None`` CRLB, and the coupled/zero
-    columns explain which directions are unidentifiable.
+    frame runs :func:`crlb` per target: a block whose elimination raises
+    CoupledParametersError (its nuisance block is singular, or its
+    information is annihilated below ``EFIM_FLOOR``) gets a ``None`` CRLB, and the
+    coupled/zero columns explain which directions are unidentifiable.
     """
     fim = assemble_theta_fim(scenario, modulation)
     rep = singularity_report(fim)

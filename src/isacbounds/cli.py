@@ -288,7 +288,7 @@ def cmd_bounds(args) -> int:
           f"min sv ratio {report.min_sv_ratio:.2e}")
     for name, value in report.crlb.items():
         if value is None:
-            print(f"crlb[{name}]: unavailable (singular nuisance block)")
+            print(f"crlb[{name}]: unavailable")
         else:
             print(f"crlb[{name}]: {value:.6e}")
     if report.range_crlb_m2 is not None:
@@ -299,9 +299,10 @@ def cmd_bounds(args) -> int:
     print(f"data rate: {data_rate(scenario, modulation):.6e} bit/s")
     if not report.singular:
         return EXIT_OK
-    # the verdict, then what lifts it: a decoupling the scheme admits, a second PRI
+    # the verdict, then what lifts it: a decoupling admitted at this n_f, a second PRI
     verdict = [report.describe()]
-    lifts = [d.value for d in DECOUPLINGS[modulation.scheme] if d != Decoupling.NONE]
+    lifts = [d.value for d, least in DECOUPLINGS[modulation.scheme].items()
+             if d != Decoupling.NONE and scenario.n_f >= least]
     if modulation.decoupling == Decoupling.NONE and lifts:
         verdict.append(f"pick a {' or '.join(lifts)} decoupling")
     if "fd1" in report.zero_columns:

@@ -183,6 +183,27 @@ def _count(axis: str, value) -> int:
     return int(value)
 
 
+def _provenance(scenario: ScenarioConfig, modulation: ModulationConfig | None = None,
+                **keys) -> dict:
+    """The CSV header of a table: the generator and the scenario, the
+    modulation when the table has one, then the table's own ``keys``."""
+    record = {
+        "generator": f"isacbounds {_pkg_version}",
+        "f_c_hz": scenario.f_c,
+        "t_f_s": scenario.t_f,
+        "n_f": scenario.n_f,
+        "f_s_hz": scenario.f_s,
+        "sigma2": scenario.sigma2,
+        "alpha_s": scenario.pulse.alpha,
+        "paths": ";".join(f"tau={p.tau_l0},fd={p.f_dl},amp={p.amp}" for p in scenario.paths),
+    }
+    if modulation is not None:
+        record.update(scheme=modulation.scheme.value, decoupling=modulation.decoupling.value,
+                      p_pilots=modulation.p_pilots, d_data=modulation.d_data,
+                      sfd_weight=modulation.sfd_weight)
+    return {**record, **keys}
+
+
 def _configure_point(spec: SweepSpec, value: float) -> tuple[ScenarioConfig, ModulationConfig]:
     scenario, modulation = spec.scenario, spec.modulation
     if spec.axis == "snr_db":
@@ -236,7 +257,7 @@ def _evaluate(scenario: ScenarioConfig, modulation: ModulationConfig, cells: dic
             if v is not None:
                 cells[out] = math.sqrt(v)
             elif not cells["error"]:
-                cells["error"] = f"{what} CRLB unavailable (singular nuisance block)"
+                cells["error"] = f"{what} CRLB unavailable"
         elif out == "rate_bps":
             cells[out] = data_rate(scenario, modulation)
         elif out == "comm_efim":
@@ -260,26 +281,9 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     and the error message in the last column; the sweep always completes.
     """
     rows = [_sweep_row(spec, v) for v in spec.values]
-    sc, mod = spec.scenario, spec.modulation
-    provenance = {
-        "generator": f"isacbounds {_pkg_version}",
-        "axis": spec.axis,
-        "outputs": ",".join(spec.outputs),
-        "scheme": mod.scheme.value,
-        "decoupling": mod.decoupling.value,
-        "p_pilots": mod.p_pilots,
-        "d_data": mod.d_data,
-        "sfd_weight": mod.sfd_weight,
-        "f_c_hz": sc.f_c,
-        "t_f_s": sc.t_f,
-        "n_f": sc.n_f,
-        "f_s_hz": sc.f_s,
-        "sigma2": sc.sigma2,
-        "alpha_s": sc.pulse.alpha,
-        "paths": ";".join(f"tau={p.tau_l0},fd={p.f_dl},amp={p.amp}" for p in sc.paths),
-    }
-    return ResultTable(columns=(spec.axis, *spec.outputs, "error"),
-                       rows=rows, provenance=provenance)
+    return ResultTable(columns=(spec.axis, *spec.outputs, "error"), rows=rows,
+                       provenance=_provenance(spec.scenario, spec.modulation, axis=spec.axis,
+                                              outputs=",".join(spec.outputs)))
 
 
 # =========================================================================
@@ -342,8 +346,8 @@ def find_crossover(scenario: ScenarioConfig, p_pilots: int, d_values,
         columns=("snr_db", "d_data", "pilot_root_range_crlb_m",
                  "differential_root_range_crlb_m", "error"),
         rows=rows,
-        provenance={"generator": f"isacbounds {_pkg_version}",
-                    "p_pilots": p_pilots, "sfd_weight": sfd_weight},
+        provenance=_provenance(scenario, p_pilots=p_pilots, sfd_weight=sfd_weight, xi_ppm=xi_ppm,
+                               check_snrs_db=",".join(str(v) for v in check_snrs_db)),
     )
     first = per_snr_cross[0]
     invariant = all(c == first for c in per_snr_cross)
@@ -374,8 +378,7 @@ def pareto_table(scenario: ScenarioConfig, n_total: int, snr_db: float = 0.0,
     return ResultTable(
         columns=("p_pilots", "d_data", "rate_bps", "root_range_crlb_m", "error"),
         rows=rows,
-        provenance={"generator": f"isacbounds {_pkg_version}",
-                    "n_total": n_total, "snr_db": snr_db},
+        provenance=_provenance(scenario, n_total=n_total, snr_db=snr_db, xi_ppm=xi_ppm),
     )
 
 

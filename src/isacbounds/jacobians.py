@@ -31,6 +31,7 @@ import numpy as np
 
 from .model import (
     ConfigError,
+    Decoupling,
     ModulationConfig,
     ParamLayout,
     ScenarioConfig,
@@ -117,5 +118,6 @@ def jacobian_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> Stru
     if modulation.scheme == Scheme.PPM:
         J[tau[ref:], cols.block("dtau_q")[0]] = bits
     elif modulation.scheme == Scheme.BPSK:
-        J[phi, cols.block("phi_bpsk")[0]] = bits if modulation.p_pilots else slope * bits
+        J[phi, cols.block("phi_bpsk")[0]] = (bits if modulation.decoupling == Decoupling.PILOT
+                                            else slope * bits)
     return StructMatrix(J, rows, cols)

@@ -47,6 +47,10 @@ SUPPORT_SIGMAS = 6.0
 #: exact zero: exp(-40**2 / 2) underflows to 0.0 in float64.
 UNDERFLOW_SIGMAS = 40.0
 
+#: Most samples a pulse window may span (f_s = 1e15 Hz at alpha = 0.2 ns
+#: takes 16e6); a wider one is refused before anything is allocated.
+MAX_WINDOW_SAMPLES = 1 << 24
+
 #: UWB regulatory energy budget: at most 37 nJ transmitted per 1 ms window.
 REG_ENERGY_LIMIT_J = 37e-9
 REG_WINDOW_S = 1e-3
@@ -230,11 +234,13 @@ class Decoupling(str, Enum):
     DIFFERENTIAL = "differential"   # extra start-frame reference pulse
 
 
-#: the decouplings each scheme admits
+#: the decouplings each scheme admits, each with the least n_f at which its frame
+#: can be nonsingular (None: at no n_f).  Doppler needs a second PRI; a BPSK pilot
+#: split a third, since its ramp and its data phase each need a PRI past the first
 DECOUPLINGS = {
-    Scheme.SENSING: (Decoupling.NONE,),
-    Scheme.PPM: (Decoupling.NONE, Decoupling.PILOT, Decoupling.DIFFERENTIAL),
-    Scheme.BPSK: (Decoupling.NONE, Decoupling.PILOT),
+    Scheme.SENSING: {Decoupling.NONE: 2},
+    Scheme.PPM: {Decoupling.NONE: None, Decoupling.PILOT: 2, Decoupling.DIFFERENTIAL: 2},
+    Scheme.BPSK: {Decoupling.NONE: None, Decoupling.PILOT: 3},
 }
 
 
@@ -536,6 +542,9 @@ def _window_starts(shape: PulseShape, centers: np.ndarray,
         width = min(n_s, max((math.floor((center + span) * f_s) + 2 - first
                               for center, first in zip(centers, firsts)),
                              default=0))
+    if width > MAX_WINDOW_SAMPLES:
+        raise ConfigError(f"f_s = {f_s} Hz samples the alpha = {shape.alpha} s pulse on a window "
+                          f"of {width} samples, above MAX_WINDOW_SAMPLES = {MAX_WINDOW_SAMPLES}")
     return [min(max(first, 0), n_s - width) for first in firsts], width
 
 
@@ -557,14 +566,13 @@ def _pulse_window(shape: PulseShape, centers: np.ndarray,
     then the whole PRI.
 
     Raises LeakageError unless every center satisfies ``0 <= tau`` and
-    ``tau + 6 alpha < t_f``.
+    ``tau + 6 alpha < t_f``, and ConfigError past ``MAX_WINDOW_SAMPLES``.
     """
     flat = np.asarray(centers, dtype=float).reshape(-1)
     firsts, width = _window_starts(shape, flat, scenario)
     t = (np.array(firsts, dtype=np.intp)[:, None] + np.arange(width)) / scenario.f_s \
         - flat[:, None]
-    c = (shape.alpha * math.sqrt(math.pi)) ** -0.5
-    return firsts, width, t, c * np.exp(-(t * t) / (2.0 * shape.alpha ** 2))
+    return firsts, width, t, shape.peak() * np.exp(-(t * t) / (2.0 * shape.alpha ** 2))
 
 
 def _scatter(centers: np.ndarray, firsts: list[int], width: int,

@@ -116,7 +116,7 @@ def test_coupled_error_is_diagnosed_on_first_read(ref8, monkeypatch):
         efim(fim, "fd1")
     assert calls == []  # raising costs no SVD
     assert str(exc.value) == (
-        "nuisance block is singular (rank 8 of 9); coupled columns: tau1~dtau_q; "
+        "nuisance block is singular: coupled columns: tau1~dtau_q; "
         "choose a decoupling strategy or drop the affected parameters")
     assert exc.value.report.coupled_columns == (("tau1", "dtau_q"),)
     assert len(calls) == 1  # built once, then kept
@@ -125,6 +125,65 @@ def test_coupled_error_is_diagnosed_on_first_read(ref8, monkeypatch):
     rep = crlb_report(ref8, ModulationConfig(Scheme.PPM, d_data=ref8.n_f))
     assert rep.crlb["fd1"] is None and rep.crlb["amp"] is None
     assert len(calls) == 1
+
+
+_REMEDY = "; choose a decoupling strategy or drop the affected parameters"
+
+
+@pytest.mark.parametrize("kind", ["ppm-raw", "bpsk-raw"])
+def test_nuisance_error_is_worded_by_describe(kind, monkeypatch):
+    # every error raised at the nuisance elimination is the block's verdict,
+    # and raising it runs no SVD
+    calls = []
+    report = bounds.singularity_report
+    monkeypatch.setattr(bounds, "singularity_report",
+                        lambda *a: calls.append(1) or report(*a))
+    nuisance = 0
+    for sc, mod in frame_shapes(kind, (1, 2, 8, 64)):
+        fim = assemble_theta_fim(sc, mod)
+        for target in bounds.CRLB_TARGETS:
+            if target not in fim.layout.block_bounds:
+                continue
+            try:
+                efim(fim, target)
+                continue
+            except CoupledParametersError as exc:
+                err = exc
+            if err.block is None:  # the EFIM floor: a message, no report
+                assert err.report is None and "EFIM_FLOOR" in str(err)
+                continue
+            nuisance += 1
+            assert calls == []
+            assert str(err) == "nuisance block is singular: " + err.report.describe() + _REMEDY
+            assert err.report.singular
+            calls.clear()
+    assert nuisance > 0
+
+
+def test_nuisance_error_without_a_named_column_gives_the_rank():
+    # columns 1, 2 and their sum: rank 2 of 3, with no equal pair and no zero
+    # column, under the default labels
+    V = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    M = np.eye(4)
+    M[1:, 1:] = V @ V.T
+    with pytest.raises(CoupledParametersError) as exc:
+        schur_complement(M, np.array([0]), np.array([1, 2, 3]))
+    assert exc.value.labels == ("elim_1", "elim_2", "elim_3")
+    assert str(exc.value) == "nuisance block is singular: rank 2 of 3" + _REMEDY
+
+
+def test_efim_floor_error_states_the_floor_not_a_remedy():
+    # one pilot against 1e8 - 1 data PRIs: a full-rank I_theta whose tau1
+    # information the elimination annihilates; no nuisance block is singular
+    n_f = 10 ** 8
+    mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=n_f - 1)
+    fim = assemble_theta_fim(reference_scenario(n_f=n_f), mod)
+    with pytest.raises(CoupledParametersError) as exc:
+        efim(fim, "tau1")
+    assert exc.value.report is None
+    assert re.fullmatch(r"information on block 'tau1' is annihilated by the nuisance "
+                        r"parameters: scaled EFIM eigenvalue \S+ <= EFIM_FLOOR = 1e-08",
+                        str(exc.value))
 
 
 # --------------------------------------------------------- singularity report

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from isacbounds.model import ConfigError, Decoupling, ModulationConfig, Scheme
+from isacbounds.model import DECOUPLINGS, ConfigError, Decoupling, ModulationConfig, Scheme
 from isacbounds import bounds, cli, experiments
 from isacbounds.bounds import crlb_report
 from isacbounds.experiments import MAX_SWEEP_POINTS, data_rate, reference_scenario, with_snr
@@ -294,6 +294,13 @@ def test_bounds_singular_sensing_frame_names_dead_columns(capsys):
     assert "decoupling" not in out.splitlines()[-1]
 
 
+def _bounds_args(settings):
+    args = ["bounds"]
+    for item in settings:
+        args += ["--set", item]
+    return args
+
+
 @pytest.mark.parametrize("settings,verdict", [
     (("modulation.scheme=bpsk", "modulation.d_data=8"),
      "coupled columns: fd1~phi_bpsk; pick a pilot decoupling"),
@@ -301,17 +308,68 @@ def test_bounds_singular_sensing_frame_names_dead_columns(capsys):
       "modulation.d_data=0"), "zero columns: dtau_q"),
     (("scenario.n_f=1", "modulation.scheme=ppm", "modulation.decoupling=differential",
       "modulation.d_data=1"), "zero columns: fd1, dfd_2, dfd_3; Doppler needs n_f >= 2"),
+    (("scenario.n_f=1", "modulation.scheme=ppm", "modulation.d_data=1"),
+     "coupled columns: tau1~dtau_q; zero columns: fd1, dfd_2, dfd_3; Doppler needs n_f >= 2"),
+    (("scenario.n_f=2", "modulation.scheme=bpsk", "modulation.d_data=2"),
+     "coupled columns: fd1~phi_bpsk"),
 ])
 def test_bounds_singular_line_is_the_verdict_and_what_lifts_it(capsys, settings, verdict):
     # the report's describe(), a decoupling DECOUPLINGS admits for an
     # undecoupled frame, and a second PRI for a dead Doppler column
-    args = ["bounds"]
-    for item in settings:
-        args += ["--set", item]
-    assert cli.main(args) == 3
+    assert cli.main(_bounds_args(settings)) == 3
     out = capsys.readouterr().out
     assert out.endswith(f"\nconfiguration is SINGULAR: {verdict}\n")
     assert ", min sv ratio 0.00e+00\n" in out
+
+
+@pytest.mark.parametrize("settings", [
+    ("modulation.scheme=ppm", "modulation.d_data=8"),
+    ("modulation.scheme=bpsk", "modulation.d_data=8"),
+    ("scenario.n_f=1",),
+    ("scenario.n_f=1e8", "modulation.scheme=ppm", "modulation.decoupling=pilot",
+     "modulation.p_pilots=1", "modulation.d_data=99999999"),
+])
+def test_bounds_prints_an_unavailable_crlb_without_a_cause(capsys, settings):
+    cfg = cli.load_config(None, list(settings))
+    report = crlb_report(cli.build_scenario(cfg), cli.build_modulation(cfg))
+    missing = [name for name, value in report.crlb.items() if value is None]
+    assert missing
+    cli.main(_bounds_args(settings))
+    lines = capsys.readouterr().out.splitlines()
+    for name in missing:
+        assert f"crlb[{name}]: unavailable" in lines
+    assert sum(ln.startswith("crlb[") and "unavailable" in ln for ln in lines) == len(missing)
+
+
+@pytest.mark.parametrize("delays", ["20ns", "20ns,40ns,60ns"])
+@pytest.mark.parametrize("n_f", [1, 2, 3])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_bounds_advises_only_a_decoupling_whose_frame_is_nonsingular(capsys, scheme, n_f,
+                                                                     delays):
+    # the frames the advice could name, built here: one pilot, or all PRIs
+    # differential
+    sc = cli.build_scenario(cli.load_config(None, [f"scenario.delays={delays}"]))
+    sc = dataclasses.replace(sc, n_f=n_f)
+    splits = {Decoupling.PILOT: dict(p_pilots=1, d_data=n_f - 1),
+              Decoupling.DIFFERENTIAL: dict(d_data=n_f)}
+    want = [d.value for d in DECOUPLINGS[scheme] if d in splits
+            and not crlb_report(sc, ModulationConfig(scheme, d, **splits[d])).singular]
+    d_data = 0 if scheme == Scheme.SENSING else n_f
+    code = cli.main(_bounds_args((f"scenario.delays={delays}", f"scenario.n_f={n_f}",
+                                  f"modulation.scheme={scheme.value}",
+                                  f"modulation.d_data={d_data}")))
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    advice = [clause for clause in verdict.split("; ") if clause.startswith("pick a ")]
+    if want:
+        assert code == 3 and advice == [f"pick a {' or '.join(want)} decoupling"]
+    else:
+        assert advice == []
+
+
+def test_bounds_refuses_a_sample_grid_that_cannot_hold_a_pulse(capsys):
+    assert cli.main(["bounds", "--set", "scenario.f_s=1e20"]) == 2
+    err = capsys.readouterr().err
+    assert "f_s = 1e+20 Hz" in err and "MAX_WINDOW_SAMPLES" in err and "Traceback" not in err
 
 
 def test_bounds_refuses_a_decoupling_the_scheme_does_not_admit(capsys):

@@ -324,7 +324,7 @@ def test_nonsingular_row_says_which_crlb_is_unavailable():
     spec = _pilot_spec(values=(0.0,), scenario=reference_scenario(n_f=n_f), modulation=mod)
     (row,) = run_sweep(spec).rows
     assert math.isnan(row[1]) and math.isfinite(row[2])
-    assert row[-1] == "ranging CRLB unavailable (singular nuisance block)"
+    assert row[-1] == "ranging CRLB unavailable"
 
 
 def test_sweep_spec_validation():
@@ -351,6 +351,34 @@ def test_result_table_csv_format(tmp_path):
     assert float(data[0].split(",")[0]) == 0.0
     # no timestamps anywhere: identical on a rewrite
     assert text == _csv_text(tab, tmp_path, "fmt2.csv")
+
+
+def _header(tab, tmp_path, name):
+    lines = _csv_text(tab, tmp_path, name).splitlines()
+    return dict(ln[2:].split(" = ", 1) for ln in lines if ln.startswith("# "))
+
+
+def test_every_table_header_records_its_scenario(tmp_path):
+    sc = reference_scenario(n_f=4, n_paths=2, snr_db=3.0, dopplers=(5.0, -7.0))
+    scenario_keys = {
+        "f_c_hz": sc.f_c, "t_f_s": sc.t_f, "n_f": sc.n_f, "f_s_hz": sc.f_s,
+        "sigma2": sc.sigma2, "alpha_s": sc.pulse.alpha,
+        "paths": ";".join(f"tau={p.tau_l0},fd={p.f_dl},amp={p.amp}" for p in sc.paths),
+    }
+    tables = {
+        "sweep": (run_sweep(_pilot_spec(scenario=sc, modulation=make_modulation("ppm-pilot", 4))),
+                  {"axis": "snr_db", "scheme": "ppm", "decoupling": "pilot", "p_pilots": 2}),
+        "crossover": (find_crossover(sc, 2, (2, 3), xi_ppm=3e-9, sfd_weight=2.5).table,
+                      {"p_pilots": 2, "sfd_weight": 2.5, "xi_ppm": 3e-9,
+                       "check_snrs_db": "0.0,20.0"}),
+        "pareto": (pareto_table(sc, 4, snr_db=3.0, xi_ppm=3e-9),
+                   {"n_total": 4, "snr_db": 3.0, "xi_ppm": 3e-9}),
+    }
+    for name, (tab, own) in tables.items():
+        header = _header(tab, tmp_path, f"{name}.csv")
+        assert header["generator"].startswith("isacbounds "), name
+        for key, value in {**scenario_keys, **own}.items():
+            assert header[key] == str(value), (name, key)
 
 
 def test_fim_deviation_metric():

@@ -5,6 +5,8 @@ scipy.integrate.quad and compare against the closed forms the package uses.
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from isacbounds.model import (
     ConfigError,
     Decoupling,
     LeakageError,
+    MAX_WINDOW_SAMPLES,
     ModulationConfig,
     PathState,
     PulseShape,
@@ -35,6 +38,7 @@ from isacbounds.model import (
     time_grid,
     validate_modulation,
 )
+from isacbounds.bounds import crlb_report
 from isacbounds.experiments import reference_scenario
 
 from conftest import ALL_KINDS, make_modulation
@@ -195,6 +199,23 @@ def test_sample_pulse_underflowing_width_uses_the_whole_grid():
     np.testing.assert_array_equal(got, want)
 
 
+def test_a_window_past_the_sample_bound_is_refused_before_allocating():
+    # f_s = 1e15 at alpha = 0.2 ns spans 16e6 samples and builds (one path,
+    # to keep the test small); 1.1e15 spans 17.6e6 > 2**24
+    assert crlb_report(reference_scenario(n_paths=1, f_s=1e15), ModulationConfig()).rank == 3
+    for f_s in (1.1e15, 1e16, 1e20):
+        tracemalloc.start()
+        try:
+            message = re.escape(f"f_s = {f_s} Hz ") + ".* above MAX_WINDOW_SAMPLES"
+            with pytest.raises(ConfigError, match=message):
+                crlb_report(reference_scenario(f_s=f_s), ModulationConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f_s
+    assert MAX_WINDOW_SAMPLES == 2 ** 24
+
+
 def test_pulse_time_derivative_matches_finite_difference():
     sc = _scenario()
     tau, h = 20e-9, 1e-14
@@ -308,6 +329,23 @@ def test_modulation_builds_exactly_the_decouplings_its_scheme_admits(scheme, dec
     else:
         with pytest.raises(ConfigError, match=f"^{scheme.value} frames take decoupling"):
             ModulationConfig(scheme, decoupling, **split)
+
+
+@pytest.mark.parametrize("n_paths", [1, 3])
+def test_decouplings_state_the_least_frame_that_can_be_nonsingular(n_paths):
+    # some split of the kind is nonsingular exactly from the stated n_f on
+    for scheme, leasts in DECOUPLINGS.items():
+        for decoupling, least in leasts.items():
+            for n_f in (1, 2, 3):
+                sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+                if decoupling == Decoupling.PILOT:
+                    splits = [dict(p_pilots=p, d_data=n_f - p) for p in range(1, n_f + 1)]
+                else:
+                    splits = [dict(d_data=0 if scheme == Scheme.SENSING else n_f)]
+                nonsingular = any(not crlb_report(sc, ModulationConfig(scheme, decoupling, **k))
+                                  .singular for k in splits)
+                assert nonsingular == (least is not None and n_f >= least), \
+                    (scheme, decoupling, n_f)
 
 
 @pytest.mark.parametrize("value", [np.int64(8), np.int32(8), np.uint16(8), 8])
