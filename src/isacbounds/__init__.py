@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 from .model import (
     ConfigError,
     Decoupling,
+    Frame,
     LeakageError,
     ModulationConfig,
     ParamLayout,
@@ -69,7 +70,7 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "ConfigError", "Decoupling", "LeakageError", "ModulationConfig", "ParamLayout",
+    "ConfigError", "Decoupling", "Frame", "LeakageError", "ModulationConfig", "ParamLayout",
     "PathState", "PulseShape", "RegulatoryReport", "ScenarioConfig", "Scheme",
     "UndersampledPulseError",
     "amp_for_snr", "check_regulatory", "effective_bandwidth", "received_snr",

@@ -7,15 +7,16 @@ The pipeline is
       -> EFIM(block) = A - B^T C^{-1} B (Schur complement onto a target block)
       -> CRLB(block) = tr(EFIM^{-1})    (and c**2 * CRLB(tau1) for ranging).
 
-:func:`assemble_theta_fim` has one route per frame kind.  Differential frames
-run through :func:`differential_pipeline`; other frames form the product
-J^T diag(lambda) J from the diagonal of I_eta, in O(n_eta n_theta^2) and with
-no n_eta x n_eta matrix, while eta has at most ``PRODUCT_CHECK_MAX_ETA``
-entries.  Either product is required to agree with
-:func:`closed_form_theta_fim`, built directly from the closed-form block
-expressions, entry-wise to 1e-10 of the geometric mean of their diagonal
-entries.  Larger non-differential frames return the closed form without a
-product.
+The stages take a :class:`~isacbounds.model.Frame`, which :func:`crlb_report`
+builds once from its scenario and modulation.  :func:`assemble_theta_fim` has
+one route per frame kind.  Differential frames run through
+:func:`differential_pipeline`; other frames form the product J^T diag(lambda) J
+from the diagonal of I_eta, in O(n_eta n_theta^2) and with no n_eta x n_eta
+matrix, while eta has at most ``PRODUCT_CHECK_MAX_ETA`` entries.  Either
+product is required to agree with :func:`closed_form_theta_fim`, built
+directly from the closed-form block expressions, entry-wise to 1e-10 of the
+geometric mean of their diagonal entries.  Larger non-differential frames
+return the closed form without a product.
 
 The Schur elimination uses a Cholesky factorization of the nuisance block; if
 that block is singular (which is the defining symptom of sensing/data
@@ -47,13 +48,11 @@ import numpy as np
 from .model import (
     ConfigError,
     Decoupling,
+    Frame,
     ModulationConfig,
     ScenarioConfig,
     Scheme,
     SPEED_OF_LIGHT,
-    eta_layout_for,
-    theta_layout_for,
-    validate_modulation,
 )
 from .fim import (
     LabeledMatrix,
@@ -63,7 +62,6 @@ from .fim import (
     coeff_a_range,
     coeff_b_full,
     observation_fim_analytic,
-    per_pri_information,
 )
 from .jacobians import e_vector, h_matrix, jacobian_for, ramp_slope
 
@@ -103,8 +101,7 @@ class CoupledParametersError(RuntimeError):
     def __str__(self) -> str:
         if self.report is None:
             return super().__str__()
-        return (f"nuisance block is singular: {self.report.describe()}; "
-                "choose a decoupling strategy or drop the affected parameters")
+        return f"nuisance block is singular: {self.report.describe()}"
 
 
 # =========================================================================
@@ -277,8 +274,7 @@ def _congruence(H_l: np.ndarray, diag: np.ndarray, H_r: np.ndarray) -> np.ndarra
     return H_l.T @ (diag[:, None] * H_r)
 
 
-def closed_form_theta_fim(scenario: ScenarioConfig,
-                          modulation: ModulationConfig) -> LabeledMatrix:
+def closed_form_theta_fim(frame: Frame) -> LabeledMatrix:
     """I_theta assembled directly from the closed-form block expressions.
 
     Every frame kind carries the path delays, the Doppler phase ramp and the
@@ -288,12 +284,11 @@ def closed_form_theta_fim(scenario: ScenarioConfig,
     The symmetric pulse zeroes every delay/phase/amplitude cross block, so
     those are simply absent.
     """
-    validate_modulation(scenario, modulation)
-    layout = theta_layout_for(scenario, modulation)
+    scenario, modulation, layout = frame.scenario, frame.modulation, frame.theta
     L, n_f, t_f = scenario.n_paths, scenario.n_f, scenario.t_f
     H = h_matrix(L)
     E = e_vector(L)
-    l_tau1, l_phi1, l_alpha1 = per_pri_information(scenario)
+    l_tau1, l_phi1, l_alpha1 = scenario.per_pri_information
     M = np.zeros((layout.size, layout.size))
 
     def put(rows: slice, cols: slice, block: np.ndarray) -> None:
@@ -365,22 +360,22 @@ def zero_reference_cross(i_diffseq: LabeledMatrix) -> LabeledMatrix:
     return LabeledMatrix(data, layout)
 
 
-def differential_pipeline(scenario: ScenarioConfig,
-                          modulation: ModulationConfig) -> LabeledMatrix:
+def differential_pipeline(frame: Frame) -> LabeledMatrix:
     """I_theta of a differential frame, J^T I_diffseq J summed per PRI.
 
     After the cut, PRI k contributes the (delta_k, t_k) block, with w the
-    ``modulation.sfd_weight`` of the reference pulse,
+    ``sfd_weight`` of the frame's reference pulse,
     B = [[(w+1) Lam_tau, Lam_tau], [Lam_tau, Lam_tau]] through the delay rows
     J_k = [[0 | E], [H | E]], its phases Lam_phi through the Doppler ramp
     slope_k H, and the amplitudes n_f Lam_alpha once: O(n_f + L^3) time.
     The squared slopes are summed ``RAMP_CHUNK`` PRIs at a time, in memory
     that does not grow with n_f.
     """
+    scenario, modulation, layout = frame.scenario, frame.modulation, frame.theta
     if modulation.decoupling != Decoupling.DIFFERENTIAL:
         raise ConfigError("differential_pipeline requires differential decoupling")
     L, n_f = scenario.n_paths, scenario.n_f
-    l_tau, l_phi, l_alpha = per_pri_information(scenario)
+    l_tau, l_phi, l_alpha = scenario.per_pri_information
     lam = np.diag(l_tau)
     H, E = h_matrix(L), e_vector(L)
     J_k = np.block([[np.zeros((L, L)), E], [H, E]])  # the same for every PRI
@@ -389,7 +384,6 @@ def differential_pipeline(scenario: ScenarioConfig,
         kappa = np.arange(lo, min(lo + RAMP_CHUNK, n_f))
         ramp += float(np.sum(ramp_slope(kappa, scenario.t_f) ** 2))
 
-    layout = theta_layout_for(scenario, modulation)
     M = np.zeros((layout.size, layout.size))
     delay, doppler, amp = (layout.block_slice(b) for b in ("delay", "doppler", "amp"))
     with np.errstate(over="ignore", invalid="ignore"):  # LabeledMatrix refuses inf/NaN
@@ -418,9 +412,8 @@ def _check_agreement(product: LabeledMatrix, closed: LabeledMatrix) -> None:
         )
 
 
-def assemble_theta_fim(scenario: ScenarioConfig,
-                       modulation: ModulationConfig) -> LabeledMatrix:
-    """I_theta for any scenario/modulation pair.
+def assemble_theta_fim(frame: Frame) -> LabeledMatrix:
+    """I_theta of a frame.
 
     Differential frames take :func:`differential_pipeline`; other frames
     with at most ``PRODUCT_CHECK_MAX_ETA`` eta entries take J^T diag(lambda) J,
@@ -429,16 +422,15 @@ def assemble_theta_fim(scenario: ScenarioConfig,
     :func:`closed_form_theta_fim` on the equilibrated scale at 1e-10, and a
     mismatch raises.  Larger non-differential frames return the closed form.
     """
-    validate_modulation(scenario, modulation)
-    if modulation.decoupling == Decoupling.DIFFERENTIAL:
-        product = differential_pipeline(scenario, modulation)
-    elif eta_layout_for(scenario, modulation).size <= PRODUCT_CHECK_MAX_ETA:
-        i_eta = observation_fim_analytic(scenario, modulation)
-        J = jacobian_for(scenario, modulation)
+    if frame.modulation.decoupling == Decoupling.DIFFERENTIAL:
+        product = differential_pipeline(frame)
+    elif frame.eta.size <= PRODUCT_CHECK_MAX_ETA:
+        i_eta = observation_fim_analytic(frame.scenario, frame.modulation)
+        J = jacobian_for(frame)
         product = LabeledMatrix(_congruence(J.data, i_eta.diag, J.data), J.col_layout)
     else:
-        return closed_form_theta_fim(scenario, modulation)
-    _check_agreement(product, closed_form_theta_fim(scenario, modulation))
+        return closed_form_theta_fim(frame)
+    _check_agreement(product, closed_form_theta_fim(frame))
     return product
 
 
@@ -514,7 +506,7 @@ def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig) -> CrlbR
     information is annihilated below ``EFIM_FLOOR``) gets a ``None`` CRLB, and the
     coupled/zero columns explain which directions are unidentifiable.
     """
-    fim = assemble_theta_fim(scenario, modulation)
+    fim = assemble_theta_fim(Frame(scenario, modulation))
     rep = singularity_report(fim)
     targets = [t for t in CRLB_TARGETS if t in fim.layout.block_bounds]
     values = _one_factor_crlbs(fim, targets)
@@ -545,17 +537,17 @@ def comm_efim_ppm(scenario: ScenarioConfig, modulation: ModulationConfig) -> flo
 
     Defined for the pilot split with at least one pilot and one data PRI
     (without pilots the shift is inseparable from the delays).  Eliminating
-    the delays from the p pilot and d data PRIs of :func:`validate_modulation`
-    leaves sum_l lambda_tau,l * p d / (p + d), in closed form: it scales
-    linearly with SNR and stays below the data PRIs' own d * sum_l
-    lambda_tau,l, the cost of the sensing nuisance.  ConfigError past float64.
+    the delays from the frame's p pilot and d data PRIs leaves
+    sum_l lambda_tau,l * p d / (p + d), in closed form: it scales linearly
+    with SNR and stays below the data PRIs' own d * sum_l lambda_tau,l, the
+    cost of the sensing nuisance.  ConfigError past float64.
     """
     if modulation.scheme != Scheme.PPM or modulation.decoupling != Decoupling.PILOT:
         raise ConfigError("comm_efim_ppm is defined for pilot-decoupled PPM")
-    data = validate_modulation(scenario, modulation)
+    data = Frame(scenario, modulation).data
     p, d = data.start, data.stop - data.start
     if d < 1:
         raise ConfigError("comm_efim_ppm needs at least one data PRI")
-    value = sum(per_pri_information(scenario)[0].tolist()) * (p * d / (p + d))
+    value = sum(scenario.per_pri_information[0].tolist()) * (p * d / (p + d))
     _require_finite(np.array([value]), ("dtau_q",))
     return value

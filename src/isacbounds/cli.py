@@ -39,7 +39,7 @@ from .model import (
     PulseShape,
     ScenarioConfig,
     Scheme,
-    amp_for_snr,
+    amp_for_snr_db,
     check_regulatory,
     effective_bandwidth,
 )
@@ -224,7 +224,7 @@ def build_scenario(cfg: dict[str, dict]) -> ScenarioConfig:
     if len(dopplers) != n_paths:
         raise ConfigError("dopplers list must match delays list")
     if sc["amps"] is None:
-        amps = [amp_for_snr(10.0 ** (sc["snr_db"] / 10.0), sc["t_f"], sc["sigma2"])] * n_paths
+        amps = [amp_for_snr_db(sc["snr_db"], sc["t_f"], sc["sigma2"])] * n_paths
     elif sc["snr_db"] != config_default("scenario", "snr_db"):
         raise ConfigError("scenario.amps and scenario.snr_db both set the path "
                           "amplitudes; unset one of them")

@@ -23,21 +23,20 @@ import numpy as np
 from .model import (
     ConfigError,
     Decoupling,
+    Frame,
     ModulationConfig,
     PathState,
     PulseShape,
     ScenarioConfig,
     Scheme,
-    amp_for_snr,
+    amp_for_snr_db,
     effective_bandwidth,
     pulse_time_derivative,
     received_snr,
     sample_pulse,
-    validate_modulation,
 )
-from .fim import (_equilibrated, observation_fim_analytic, observation_fim_numeric,
-                  per_pri_information)
-from .bounds import assemble_theta_fim, comm_efim_ppm, crlb_report
+from .fim import _equilibrated, observation_fim_analytic, observation_fim_numeric
+from .bounds import CoupledParametersError, assemble_theta_fim, comm_efim_ppm, crlb_report
 from . import __version__ as _pkg_version
 
 # =========================================================================
@@ -60,7 +59,7 @@ def reference_scenario(n_f: int = 8, n_paths: int = 3, snr_db: float = 0.0,
     """Baseline scenario: equal-SNR paths at 20/40/60 ns, zero Doppler."""
     if not 1 <= n_paths <= len(REF_DELAYS):
         raise ConfigError(f"n_paths must be in 1..{len(REF_DELAYS)}")
-    amp = amp_for_snr(10.0 ** (snr_db / 10.0), REF_T_F, REF_SIGMA2)
+    amp = amp_for_snr_db(snr_db, REF_T_F, REF_SIGMA2)
     if dopplers is None:
         dopplers = (0.0,) * n_paths
     if len(dopplers) != n_paths:
@@ -74,7 +73,7 @@ def reference_scenario(n_f: int = 8, n_paths: int = 3, snr_db: float = 0.0,
 
 def with_snr(scenario: ScenarioConfig, snr_db: float) -> ScenarioConfig:
     """Same scenario with every path amplitude set to the given per-pulse SNR."""
-    amp = amp_for_snr(10.0 ** (snr_db / 10.0), scenario.t_f, scenario.sigma2)
+    amp = amp_for_snr_db(snr_db, scenario.t_f, scenario.sigma2)
     paths = tuple(dataclasses.replace(p, amp=amp) for p in scenario.paths)
     return dataclasses.replace(scenario, paths=paths)
 
@@ -91,11 +90,11 @@ def with_frame(scenario: ScenarioConfig, n_f: int) -> ScenarioConfig:
 def data_rate(scenario: ScenarioConfig, modulation: ModulationConfig) -> float:
     """Raw data rate in bit/s: one bit per data PRI over the frame span.
 
-    rate = D / (n_f * t_f), D the data PRIs that :func:`validate_modulation`
-    returns: none when sensing-only, all when differential or undecoupled.
-    Raises ConfigError unless the pair is valid.
+    rate = D / (n_f * t_f), D the data PRIs of the frame: none when
+    sensing-only, all when differential or undecoupled.  Raises ConfigError
+    unless the pair is valid.
     """
-    data = validate_modulation(scenario, modulation)
+    data = Frame(scenario, modulation).data
     return (data.stop - data.start) / (scenario.n_f * scenario.t_f)
 
 
@@ -227,9 +226,9 @@ def _configure_point(spec: SweepSpec, value: float) -> tuple[ScenarioConfig, Mod
     if modulation.decoupling != Decoupling.PILOT:
         raise ConfigError("pilot_ratio sweep needs pilot decoupling")
     n = scenario.n_f
-    p = int(round(float(value) * n))
-    if not 0 <= p <= n:
+    if not 0.0 <= float(value) <= 1.0:  # refused before value * n can overflow
         raise ConfigError(f"pilot_ratio {value} leaves no valid split of {n} PRIs")
+    p = int(round(float(value) * n))
     modulation = dataclasses.replace(modulation, p_pilots=p, d_data=n - p)
     return scenario, modulation
 
@@ -269,7 +268,7 @@ def _sweep_row(spec: SweepSpec, value: float) -> tuple:
     cells = _blank_cells(spec.outputs)
     try:
         _evaluate(*_configure_point(spec, value), cells)
-    except Exception as exc:  # keep sweeping, report per row
+    except (ConfigError, CoupledParametersError) as exc:  # a refused row; a defect raises
         cells["error"] = cells["error"] or f"{type(exc).__name__}: {exc}"
     return (value, *cells.values())
 
@@ -277,8 +276,9 @@ def _sweep_row(spec: SweepSpec, value: float) -> tuple:
 def run_sweep(spec: SweepSpec) -> ResultTable:
     """Evaluate the sweep, one row per axis value, in axis order.
 
-    Rows that fail (singular configurations, leakage, ...) carry NaN outputs
-    and the error message in the last column; the sweep always completes.
+    Rows refused by a configuration check (ConfigError: leakage, an
+    undersampled pulse, ...) or a CoupledParametersError carry NaN outputs
+    and the error message in the last column; any other exception propagates.
     """
     rows = [_sweep_row(spec, v) for v in spec.values]
     return ResultTable(columns=(spec.axis, *spec.outputs, "error"), rows=rows,
@@ -422,7 +422,7 @@ def validate_suite(rtol: float = 0.02) -> list[CheckResult]:
                               abs(got / target - 1.0) < 1e-6,
                               f"sum w'^2 / f_s = {got:.6e} vs (2 pi B)^2 = {target:.6e}"))
 
-    lam_tau, lam_phi, _ = per_pri_information(sc)
+    _, lam_phi, _ = sc.per_pri_information
     snr = received_snr(sc, sc.paths[0])
     checks.append(CheckResult("per-pri-phase-information",
                               abs(lam_phi[0] / (sc.t_f * sc.f_s * snr) - 1.0) < 1e-9,
@@ -454,7 +454,7 @@ def validate_suite(rtol: float = 0.02) -> list[CheckResult]:
     for scenario, modulation in probes:
         name = f"assembly-consistency-{modulation.scheme.value}-{modulation.decoupling.value}"
         try:
-            assemble_theta_fim(scenario, modulation)
+            assemble_theta_fim(Frame(scenario, modulation))
             checks.append(CheckResult(name, True, "product == closed form @1e-10"))
         except Exception as exc:
             checks.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))

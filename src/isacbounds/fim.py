@@ -17,7 +17,9 @@ pulse of path l adds one pulse's worth per (slot, path) value
 to the eta entry that the per-slot map of :mod:`isacbounds.signals` names for
 it, so an entry touched by M pulses carries M lambda: each kind's per-path
 lambda goes straight into the map's rows, times the pulse count.  B is the
-effective bandwidth and SNR_l the per-pulse received SNR of the path.  The
+effective bandwidth and SNR_l the per-pulse received SNR of the path; the
+three per-path values are the scenario record's memo
+:attr:`~isacbounds.model.ScenarioConfig.per_pri_information`.  The
 symmetric pulse makes the arrival-time / amplitude cross information exactly
 zero, so :func:`observation_fim_analytic` returns I_eta as its diagonal, a
 :class:`DiagonalMatrix` whose dense form is built only on request.
@@ -32,22 +34,19 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .model import (
     ConfigError,
+    Frame,
     ModulationConfig,
     ParamLayout,
     ScenarioConfig,
-    UndersampledPulseError,
-    _pulse_window,
     _window_starts,
-    effective_bandwidth,
-    eta_layout_for,
 )
-from .signals import _AMP, _PHI, _TAU, _slot_model, eta_point, mean_from_eta, n_slots
+from .signals import _AMP, _PHI, _TAU, _slot_model, eta_point, mean_from_eta
 
 # numeric-probe guard rails: beyond this the finite-difference sweep is too
 # slow to be useful and the closed forms are the intended path
@@ -194,69 +193,6 @@ def coeff_a_range(t_f: float, start: int, count: int) -> float:
 
 
 # =========================================================================
-# Closed-form per-path information
-# =========================================================================
-
-
-#: largest relative error of the sampled pulse energy sum(w**2)/f_s (against
-#: 1) and derivative energy sum(w'**2)/f_s (against (2 pi B)**2) at which the
-#: closed forms are used
-SAMPLING_RTOL = 1e-2
-
-
-def per_pri_information(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda_tau, lambda_phi, lambda_alpha) of a single PRI, per path.
-
-    Raises UndersampledPulseError when, for any path, the sampled pulse
-    energy or derivative energy misses its closed form by more than
-    ``SAMPLING_RTOL``: the closed forms then overstate the information.
-    Raises ConfigError unless every value is finite and at least the
-    smallest normal float: an amplitude whose square over- or underflows has
-    no usable information.
-
-    The arrays are read-only: the last scenario's values are kept, so the
-    product and closed-form sides of one report sample the pulses once.
-    """
-    return _per_pri_information(scenario)
-
-
-@lru_cache(maxsize=1)
-def _per_pri_information(
-        scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pulse, f_s = scenario.pulse, scenario.f_s
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # every path's pulse on its own sample window, t its offset from the
-        # center: the energies sum(w**2) / f_s and alpha**4 sum(w'**2) / f_s
-        _, _, t, w = _pulse_window(pulse, [p.tau_l0 for p in scenario.paths], scenario)
-        energy = (w * w).sum(axis=1) / f_s
-        slope_energy = ((t * w) ** 2).sum(axis=1) / f_s
-        # (2 pi B)**2 = 1 / (2 alpha**2) for the Gaussian pulse
-        error = np.maximum(np.abs(energy - 1.0),
-                           np.abs(2.0 * slope_energy / pulse.alpha ** 2 - 1.0))
-    if not np.all(error <= SAMPLING_RTOL):  # NaN counts as a failure
-        raise UndersampledPulseError(
-            f"the sampled pulse and derivative energies miss their closed forms by "
-            f"up to {np.max(error):.3g} (tolerance {SAMPLING_RTOL:g}) at "
-            f"alpha * f_s = {pulse.alpha * f_s:.3g}; raise f_s or widen the pulse"
-        )
-    bw2 = (2.0 * math.pi * effective_bandwidth(pulse)) ** 2
-    amps = np.array([p.amp for p in scenario.paths])
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        snr = amps * amps * energy / (scenario.t_f * scenario.sigma2)
-        base = scenario.t_f * f_s * snr
-        lams = bw2 * base, base, base / (amps * amps)
-    tiny = np.finfo(float).tiny
-    if not all(np.all(np.isfinite(v) & (v >= tiny)) for v in lams):
-        raise ConfigError(
-            f"per-PRI information is not finite and normal at per-pulse SNR "
-            f"{snr.tolist()}; the path amplitudes are out of range"
-        )
-    for values in lams:
-        values.setflags(write=False)
-    return lams
-
-
-# =========================================================================
 # Analytic observation FIM
 # =========================================================================
 
@@ -265,30 +201,31 @@ def observation_fim_analytic(scenario: ScenarioConfig,
                              modulation: ModulationConfig) -> DiagonalMatrix:
     """Closed-form I_eta for the given scenario/modulation pair, as its diagonal.
 
-    Every (slot, path) pulse gives one pulse's lambda to the eta entry that
-    the per-slot map of :mod:`isacbounds.signals` names for its delay, phase
-    and amplitude; the differential reference pulse counts
+    Every (slot, path) pulse gives one pulse's lambda (the scenario's
+    ``per_pri_information``) to the eta entry that the per-slot map of
+    :mod:`isacbounds.signals` names for its delay, phase and amplitude; the
+    differential reference pulse counts
     ``modulation.sfd_weight`` pulses on its delay.  Slots are disjoint and
     paths are >= 12 alpha apart (a ScenarioConfig invariant), so the matrix is
     exactly diagonal: it is returned as a :class:`DiagonalMatrix`, and its
     dense n_eta x n_eta form is built only when ``.data`` is read.  A weight
     that overflows the reference information raises ConfigError.
     """
-    layout = eta_layout_for(scenario, modulation)
-    size, _, index = _slot_model(scenario, modulation)
-    ref = index.shape[1] - scenario.n_f  # the differential reference slot, if any
+    frame = Frame(scenario, modulation)
+    size, _, index = _slot_model(frame)
+    ref = frame.ref  # the differential reference slot, if any
     diag = np.zeros(size)
     pulses = np.zeros(size, dtype=np.intp)
     # one lambda per row times its pulses, so n_f * lambda is formed exactly as
     # a product; the reference slot's phase and amplitude are known (no row)
     for rows, lam in zip((index[_TAU], index[_PHI, ref:], index[_AMP, ref:]),
-                         per_pri_information(scenario)):
+                         scenario.per_pri_information):
         diag[rows] = lam
         pulses += np.bincount(rows.ravel(), minlength=size)
     with np.errstate(over="ignore"):  # DiagonalMatrix refuses an inf entry
         diag[index[_TAU, :ref]] *= modulation.sfd_weight
         diag *= pulses
-    return DiagonalMatrix(diag, layout)
+    return DiagonalMatrix(diag, frame.eta)
 
 
 # =========================================================================
@@ -347,26 +284,27 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     Guarded to ``MAX_FD_PARAMS`` parameters and ``MAX_FD_SAMPLES`` stacked
     samples.
     """
-    layout = eta_layout_for(scenario, modulation)
+    frame = Frame(scenario, modulation)
+    layout = frame.eta
     if layout.size > MAX_FD_PARAMS:
         raise ConfigError(
             f"numeric probe limited to {MAX_FD_PARAMS} parameters, "
             f"layout has {layout.size}"
         )
-    total = n_slots(scenario, modulation) * scenario.n_s
+    total = frame.slots * scenario.n_s
     if total > MAX_FD_SAMPLES:
         raise ConfigError(
             f"numeric probe limited to {MAX_FD_SAMPLES} samples, frame has {total}"
         )
 
-    size, table, index = _slot_model(scenario, modulation)
+    size, table, index = _slot_model(frame)
     known = index >= 0
     which, slot, _ = np.nonzero(known)
     kind = np.empty(size, dtype=np.intp)
     kind[index[known]] = which
     drives = np.zeros((size, index.shape[1]), dtype=bool)  # entry -> its slots
     drives[index[known], slot] = True
-    eta0 = eta_point(scenario, modulation)
+    eta0 = eta_point(frame)
     h = np.array([steps.delay, steps.phase, steps.amp_rel])[kind]
     h[kind == _AMP] *= np.abs(eta0[kind == _AMP])  # relative amplitude steps
     nonpositive = np.flatnonzero(~(h > 0.0))  # NaN counts as a failure
@@ -384,7 +322,7 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
         points = np.repeat(eta0[None, :], 2 * m, axis=0)
         points[rows, entries] += h[entries]
         points[rows + m, entries] -= h[entries]
-        mu = mean_from_eta(scenario, modulation, points, [s])[:, lo[s]:hi[s]]
+        mu = mean_from_eta(frame, points, [s])[:, lo[s]:hi[s]]
         flat = ((mu[:m] - mu[m:]) / (2.0 * h[entries])[:, None]).view(np.float64)
         M[np.ix_(entries, entries)] += flat @ flat.T
     M /= scenario.sigma2

@@ -29,16 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ConfigError,
-    Decoupling,
-    ModulationConfig,
-    ParamLayout,
-    ScenarioConfig,
-    Scheme,
-    eta_layout_for,
-    theta_layout_for,
-)
+from .model import ConfigError, Decoupling, Frame, ParamLayout, Scheme
 from .signals import _AMP, _PHI, _TAU, _slot_model, bound_bits
 
 
@@ -87,23 +78,20 @@ def ramp_slope(kappa: int | np.ndarray, t_f: float) -> float | np.ndarray:
 # =========================================================================
 
 
-def jacobian_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> StructMatrix:
+def jacobian_for(frame: Frame) -> StructMatrix:
     """d eta / d theta, written through the per-slot map of :mod:`isacbounds.signals`.
 
-    Rows follow :func:`isacbounds.model.eta_layout_for`, columns
-    :func:`isacbounds.model.theta_layout_for`.  Each (slot, path) delay moves
+    Rows follow ``frame.eta``, columns ``frame.theta``.  Each (slot, path) delay moves
     with H (plus the data bit through dtau_q), each phase with the ramp slope
     times H (plus the data bit through phi_bpsk: raw on pilot splits, riding
     the ramp otherwise) and each amplitude with I; those derivatives are
     assigned directly to the eta rows the map names.  For a differential
     frame this is the plain chain rule through the same map.
     """
-    rows = eta_layout_for(scenario, modulation)
-    cols = theta_layout_for(scenario, modulation)
-    size, _, index = _slot_model(scenario, modulation)
+    scenario, modulation, ref, cols = frame.scenario, frame.modulation, frame.ref, frame.theta
+    size, _, index = _slot_model(frame)
     L, n_f = scenario.n_paths, scenario.n_f
-    ref = index.shape[1] - n_f  # the differential reference slot, if any
-    bits = bound_bits(scenario, modulation)[:, None]
+    bits = bound_bits(frame)[:, None]
     slope = ramp_slope(np.arange(n_f), scenario.t_f)[:, None]
     H = h_matrix(L)
     # the reference slot's phase and amplitude are known: only its delay has a
@@ -120,4 +108,4 @@ def jacobian_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> Stru
     elif modulation.scheme == Scheme.BPSK:
         J[phi, cols.block("phi_bpsk")[0]] = (bits if modulation.decoupling == Decoupling.PILOT
                                             else slope * bits)
-    return StructMatrix(J, rows, cols)
+    return StructMatrix(J, frame.eta, cols)

@@ -174,11 +174,13 @@ class ScenarioConfig:
     def __post_init__(self):
         _require_finite("scenario", f_c=self.f_c, t_f=self.t_f, f_s=self.f_s,
                         sigma2=self.sigma2)
-        # a tuple keeps the record hashable (signals caches per scenario)
+        # a tuple keeps the record hashable (signals caches per frame)
         object.__setattr__(self, "paths", tuple(self.paths))
         if not self.t_f > 0.0:
             raise ConfigError(f"t_f must be > 0, got {self.t_f}")
         _store_counts(self, 1, n_f=self.n_f)
+        if self.n_f > sys.float_info.max / 2:  # the closed-form frame sums take 2 n_f
+            raise ConfigError(f"n_f must be <= {sys.float_info.max / 2:.4g} (2 n_f is a float)")
         if not self.f_s > 0.0:
             raise ConfigError(f"f_s must be > 0, got {self.f_s}")
         if not self.sigma2 > 0.0:
@@ -187,6 +189,8 @@ class ScenarioConfig:
             raise ConfigError(f"f_c must be >= 0, got {self.f_c}")
         if len(self.paths) < 1:
             raise ConfigError("at least one path is required")
+        if not math.isfinite(self.t_f * self.f_s):
+            raise ConfigError(f"t_f * f_s = {self.t_f} s * {self.f_s} Hz overflows float64")
         if self.n_s < 2:
             raise ConfigError("t_f * f_s must give at least 2 samples per PRI")
         half = SUPPORT_SIGMAS * self.pulse.alpha
@@ -216,6 +220,22 @@ class ScenarioConfig:
     @property
     def n_paths(self) -> int:
         return len(self.paths)
+
+    @cached_property
+    def per_pri_information(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lambda_tau, lambda_phi, lambda_alpha) of a single PRI, per path.
+
+        Raises UndersampledPulseError when, for any path, the sampled pulse
+        energy or derivative energy misses its closed form by more than
+        ``SAMPLING_RTOL``: the closed forms then overstate the information.
+        Raises ConfigError unless every value is finite and at least the
+        smallest normal float: an amplitude whose square over- or underflows
+        has no usable information.
+
+        Kept on this record once computed (an equal but distinct record
+        samples again); the arrays are read-only.
+        """
+        return _sampled_information(self)
 
 
 class Scheme(str, Enum):
@@ -248,7 +268,7 @@ DECOUPLINGS = {
 class ModulationConfig:
     """Modulation scheme, frame split and decoupling strategy.
 
-    :func:`validate_modulation` checks the split against a scenario's ``n_f``.
+    :class:`Frame` checks the split against a scenario's ``n_f``.
     ``sfd_weight`` is the arrival-time information of the differential
     reference (start-of-frame) pulse in units of one data pulse (1.0 = one
     pulse's worth); only differential frames read it, as only PPM frames read
@@ -287,44 +307,6 @@ class ModulationConfig:
             raise ConfigError(f"xi_ppm must be > 0 for PPM, got {self.xi_ppm}")
         if self.scheme == Scheme.BPSK and self.xi_bpsk == 0.0:
             raise ConfigError("xi_bpsk must be nonzero for BPSK")
-
-
-def validate_modulation(scenario: ScenarioConfig, modulation: ModulationConfig) -> range:
-    """Check the pair against the scenario and return its data PRIs.
-
-    The package's one statement of the frame split: no PRI of a sensing-only
-    frame, ``p_pilots`` .. n_f - 1 on a pilot split, every PRI otherwise.
-    Count it by ``stop - start``, as ``len()`` overflows past 2**63 - 1.
-    Raises ConfigError / LeakageError on inconsistency.
-    """
-    n_f = scenario.n_f
-    if modulation.scheme == Scheme.SENSING:
-        data = range(0)
-    elif modulation.decoupling == Decoupling.PILOT:
-        if modulation.p_pilots + modulation.d_data != n_f:
-            raise ConfigError(
-                f"pilot split {modulation.p_pilots}+{modulation.d_data} "
-                f"does not cover the frame (n_f = {n_f})"
-            )
-        data = range(modulation.p_pilots, n_f)
-    else:  # NONE or DIFFERENTIAL with a data scheme: every PRI carries data
-        if modulation.p_pilots != 0:
-            raise ConfigError("p_pilots must be 0 unless decoupling = pilot")
-        if modulation.d_data not in (0, n_f):
-            raise ConfigError(
-                f"without a pilot split d_data must be 0 or n_f = {n_f}, "
-                f"got {modulation.d_data}"
-            )
-        data = range(n_f)
-    if modulation.scheme == Scheme.PPM:
-        half = SUPPORT_SIGMAS * scenario.pulse.alpha
-        worst = max(p.tau_l0 for p in scenario.paths) + modulation.xi_ppm
-        if worst + half >= scenario.t_f:
-            raise LeakageError(
-                f"PPM shift xi_ppm = {modulation.xi_ppm} s pushes the latest "
-                f"path support past the PRI boundary {scenario.t_f} s"
-            )
-    return data
 
 
 # =========================================================================
@@ -501,13 +483,65 @@ def eta_layout(scheme: Scheme, decoupling: Decoupling, n_paths: int, n_f: int) -
     return ParamLayout(segments)
 
 
-def theta_layout_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> ParamLayout:
-    return theta_layout(modulation.scheme, scenario.n_paths)
+@dataclass(frozen=True)
+class Frame:
+    """A scenario and a modulation checked against each other.
 
+    The package's one statement of the frame split: ``data`` is the range of
+    data PRIs (none on a sensing-only frame, ``p_pilots`` .. n_f - 1 on a
+    pilot split, every PRI otherwise; count it by ``stop - start``, as
+    ``len()`` overflows past 2**63 - 1); ``ref`` is 1 for a differential
+    frame's reference slot, else 0; ``slots`` = ref + n_f pulse slots.  The
+    theta and eta layouts are built on first read.  Equality and hash cover
+    the scenario and modulation only.  Raises ConfigError / LeakageError.
+    """
 
-def eta_layout_for(scenario: ScenarioConfig, modulation: ModulationConfig) -> ParamLayout:
-    validate_modulation(scenario, modulation)
-    return eta_layout(modulation.scheme, modulation.decoupling, scenario.n_paths, scenario.n_f)
+    scenario: ScenarioConfig
+    modulation: ModulationConfig
+    data: range = field(init=False, repr=False, compare=False)
+    ref: int = field(init=False, repr=False, compare=False)
+    slots: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scenario, modulation, n_f = self.scenario, self.modulation, self.scenario.n_f
+        if modulation.scheme == Scheme.SENSING:
+            data = range(0)
+        elif modulation.decoupling == Decoupling.PILOT:
+            if modulation.p_pilots + modulation.d_data != n_f:
+                raise ConfigError(
+                    f"pilot split {modulation.p_pilots}+{modulation.d_data} "
+                    f"does not cover the frame (n_f = {n_f})"
+                )
+            data = range(modulation.p_pilots, n_f)
+        else:  # NONE or DIFFERENTIAL with a data scheme: every PRI carries data
+            if modulation.p_pilots != 0:
+                raise ConfigError("p_pilots must be 0 unless decoupling = pilot")
+            if modulation.d_data not in (0, n_f):
+                raise ConfigError(
+                    f"without a pilot split d_data must be 0 or n_f = {n_f}, "
+                    f"got {modulation.d_data}"
+                )
+            data = range(n_f)
+        if modulation.scheme == Scheme.PPM:
+            half = SUPPORT_SIGMAS * scenario.pulse.alpha
+            worst = max(p.tau_l0 for p in scenario.paths) + modulation.xi_ppm
+            if worst + half >= scenario.t_f:
+                raise LeakageError(
+                    f"PPM shift xi_ppm = {modulation.xi_ppm} s pushes the latest "
+                    f"path support past the PRI boundary {scenario.t_f} s"
+                )
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "ref", int(modulation.decoupling == Decoupling.DIFFERENTIAL))
+        object.__setattr__(self, "slots", self.ref + n_f)
+
+    @cached_property
+    def theta(self) -> ParamLayout:
+        return theta_layout(self.modulation.scheme, self.scenario.n_paths)
+
+    @cached_property
+    def eta(self) -> ParamLayout:
+        return eta_layout(self.modulation.scheme, self.modulation.decoupling,
+                          self.scenario.n_paths, self.scenario.n_f)
 
 
 # =========================================================================
@@ -573,6 +607,47 @@ def _pulse_window(shape: PulseShape, centers: np.ndarray,
     t = (np.array(firsts, dtype=np.intp)[:, None] + np.arange(width)) / scenario.f_s \
         - flat[:, None]
     return firsts, width, t, shape.peak() * np.exp(-(t * t) / (2.0 * shape.alpha ** 2))
+
+
+#: largest relative error of the sampled pulse energy sum(w**2)/f_s (against
+#: 1) and derivative energy sum(w'**2)/f_s (against (2 pi B)**2) at which the
+#: closed forms are used
+SAMPLING_RTOL = 1e-2
+
+
+def _sampled_information(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """See :attr:`ScenarioConfig.per_pri_information`."""
+    pulse, f_s = scenario.pulse, scenario.f_s
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # every path's pulse on its own sample window, t its offset from the
+        # center: the energies sum(w**2) / f_s and alpha**4 sum(w'**2) / f_s
+        _, _, t, w = _pulse_window(pulse, [p.tau_l0 for p in scenario.paths], scenario)
+        energy = (w * w).sum(axis=1) / f_s
+        slope_energy = ((t * w) ** 2).sum(axis=1) / f_s
+        # (2 pi B)**2 = 1 / (2 alpha**2) for the Gaussian pulse
+        error = np.maximum(np.abs(energy - 1.0),
+                           np.abs(2.0 * slope_energy / pulse.alpha ** 2 - 1.0))
+    if not np.all(error <= SAMPLING_RTOL):  # NaN counts as a failure
+        raise UndersampledPulseError(
+            f"the sampled pulse and derivative energies miss their closed forms by "
+            f"up to {np.max(error):.3g} (tolerance {SAMPLING_RTOL:g}) at "
+            f"alpha * f_s = {pulse.alpha * f_s:.3g}; raise f_s or widen the pulse"
+        )
+    bw2 = (2.0 * math.pi * effective_bandwidth(pulse)) ** 2
+    amps = np.array([p.amp for p in scenario.paths])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        snr = amps * amps * energy / (scenario.t_f * scenario.sigma2)
+        base = scenario.t_f * f_s * snr
+        lams = bw2 * base, base, base / (amps * amps)
+    tiny = np.finfo(float).tiny
+    if not all(np.all(np.isfinite(v) & (v >= tiny)) for v in lams):
+        raise ConfigError(
+            f"per-PRI information is not finite and normal at per-pulse SNR "
+            f"{snr.tolist()}; the path amplitudes are out of range"
+        )
+    for values in lams:
+        values.setflags(write=False)
+    return lams
 
 
 def _scatter(centers: np.ndarray, firsts: list[int], width: int,
@@ -641,19 +716,39 @@ def received_snr(scenario: ScenarioConfig, path: PathState) -> float:
 
     SNR_l = amp**2 * (int_0^{t_f} w(t - tau)**2 dt) / (t_f * sigma2); with the
     unit-energy pulse fully inside the PRI this is amp**2 / (t_f * sigma2).
-    The time integral is evaluated on the sample grid so that the value stays
-    faithful if a pulse is placed near (but inside) the PRI edge.
+    The time integral is evaluated on the sample grid, over the path's pulse
+    window (:func:`_pulse_window`), so that the value stays faithful if a
+    pulse is placed near (but inside) the PRI edge.
     """
-    w = sample_pulse(scenario.pulse, path.tau_l0, scenario)
-    energy = float(np.dot(w, w)) / scenario.f_s
+    _, _, _, w = _pulse_window(scenario.pulse, [path.tau_l0], scenario)
+    energy = float(np.dot(w[0], w[0])) / scenario.f_s
     return path.amp * path.amp * energy / (scenario.t_f * scenario.sigma2)
 
 
 def amp_for_snr(snr: float, t_f: float, sigma2: float) -> float:
-    """Amplitude giving a target per-pulse received SNR (unit-energy pulse)."""
-    if not snr > 0.0:
-        raise ConfigError(f"target SNR must be > 0, got {snr}")
+    """Amplitude giving a target per-pulse received SNR (unit-energy pulse).
+
+    ConfigError naming the value unless ``snr``, ``t_f`` and ``sigma2`` are > 0,
+    and naming all three when their product leaves the float range.
+    """
+    for name, value in (("target SNR", snr), ("t_f", t_f), ("sigma2", sigma2)):
+        if not value > 0.0:
+            raise ConfigError(f"{name} must be > 0, got {value}")
+    if not 0.0 < snr * t_f * sigma2 < math.inf:
+        raise ConfigError(f"SNR * t_f * sigma2 = {snr} * {t_f} * {sigma2} leaves the float range")
     return math.sqrt(snr * t_f * sigma2)
+
+
+def amp_for_snr_db(snr_db: float, t_f: float, sigma2: float) -> float:
+    """:func:`amp_for_snr` at an SNR of ``snr_db`` dB; ConfigError naming
+    ``snr_db`` when 10**(snr_db / 10) leaves the float range."""
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not 0.0 < snr < math.inf:
+        raise ConfigError(f"snr_db = {snr_db} dB is beyond the float range of the SNR")
+    return amp_for_snr(snr, t_f, sigma2)
 
 
 # =========================================================================

@@ -6,7 +6,7 @@ The observation model per frame is
 
 where ``mu`` stacks the PRIs of one frame (plus, for differential frames, one
 leading reference slot) and ``eta`` is the observation-domain parameter
-vector laid out by :func:`isacbounds.model.eta_layout_for`: per-path arrival
+vector laid out by :attr:`isacbounds.model.Frame.eta`: per-path arrival
 times, one carrier phase per PRI and path, and per-path amplitudes.
 
 Within a PRI the Doppler of a path only rotates the carrier; the envelope
@@ -17,9 +17,11 @@ the path contribution in PRI ``kappa`` is
     phi_l^kappa = 2 pi (f_dl kappa t_f - f_c tau_l0)   [- xi_bpsk q_kappa].
 
 PPM moves the data-PRI pulse by ``xi_ppm * q_kappa``; BPSK rotates it by
-``xi_bpsk * q_kappa``.  Only the data PRIs that :func:`validate_modulation`
-returns are modulated.  All bound-level computations use the all-ones data
-word, which is also the default here.
+``xi_bpsk * q_kappa``.  Only the data PRIs of the frame are modulated.  All
+bound-level computations use the all-ones data word, which is also the
+default here.  :func:`mean_vector` and :func:`mean_jacobian` take a scenario
+and a modulation and check them as one :class:`~isacbounds.model.Frame`; the
+stages below them take that frame.
 """
 
 from __future__ import annotations
@@ -29,15 +31,13 @@ import functools
 import numpy as np
 
 from .model import (
+    ConfigError,
     Decoupling,
+    Frame,
     ModulationConfig,
-    ParamLayout,
     ScenarioConfig,
     Scheme,
-    ConfigError,
     _pulse_window,
-    eta_layout_for,
-    validate_modulation,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -48,24 +48,21 @@ TWO_PI = 2.0 * np.pi
 # =========================================================================
 
 
-def bound_bits(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.ndarray:
+def bound_bits(frame: Frame) -> np.ndarray:
     """Default data word for bound evaluation: 1 on data PRIs, 0 elsewhere."""
-    data = validate_modulation(scenario, modulation)
-    bits = np.zeros(scenario.n_f, dtype=np.int64)
-    bits[data.start:data.stop] = 1
+    bits = np.zeros(frame.scenario.n_f, dtype=np.int64)
+    bits[frame.data.start:frame.data.stop] = 1
     return bits
 
 
-def _check_bits(scenario: ScenarioConfig, modulation: ModulationConfig,
-                bits: np.ndarray | None) -> np.ndarray:
+def _check_bits(frame: Frame, bits: np.ndarray | None) -> np.ndarray:
     if bits is None:
-        return bound_bits(scenario, modulation)
-    data = validate_modulation(scenario, modulation)
+        return bound_bits(frame)
+    n_f, data = frame.scenario.n_f, frame.data
     bits = np.asarray(bits)
-    if bits.shape != (scenario.n_f,):
+    if bits.shape != (n_f,):
         raise ConfigError(
-            f"bits must have one entry per PRI (n_f = {scenario.n_f}), "
-            f"got shape {bits.shape}"
+            f"bits must have one entry per PRI (n_f = {n_f}), got shape {bits.shape}"
         )
     if np.any((bits != 0) & (bits != 1)):
         raise ConfigError("bits must be binary")
@@ -74,14 +71,14 @@ def _check_bits(scenario: ScenarioConfig, modulation: ModulationConfig,
     return bits.astype(np.int64)
 
 
-def phase_values(scenario: ScenarioConfig, modulation: ModulationConfig,
-                 bits: np.ndarray | None = None) -> np.ndarray:
+def phase_values(frame: Frame, bits: np.ndarray | None = None) -> np.ndarray:
     """Carrier phase phi_l^kappa in radians, shape (n_f, L).
 
     phi_l^kappa = 2 pi (f_dl * kappa * t_f - f_c * tau_l0), with the BPSK data
     rotation -xi_bpsk * q_kappa added on data PRIs.
     """
-    bits = _check_bits(scenario, modulation, bits)
+    scenario, modulation = frame.scenario, frame.modulation
+    bits = _check_bits(frame, bits)
     kappa = np.arange(scenario.n_f)[:, None]
     f_d = np.array([p.f_dl for p in scenario.paths])[None, :]
     tau0 = np.array([p.tau_l0 for p in scenario.paths])[None, :]
@@ -91,25 +88,18 @@ def phase_values(scenario: ScenarioConfig, modulation: ModulationConfig,
     return phi
 
 
-def pri_delays(scenario: ScenarioConfig, modulation: ModulationConfig,
-               bits: np.ndarray | None = None) -> np.ndarray:
+def pri_delays(frame: Frame, bits: np.ndarray | None = None) -> np.ndarray:
     """Pulse position of each path in each PRI, shape (n_f, L).
 
     tau_l^kappa = tau_l0 + xi_ppm * q_kappa for PPM data PRIs, tau_l0 otherwise.
     """
-    bits = _check_bits(scenario, modulation, bits)
+    scenario, modulation = frame.scenario, frame.modulation
+    bits = _check_bits(frame, bits)
     tau0 = np.array([p.tau_l0 for p in scenario.paths])[None, :]
     tau = np.broadcast_to(tau0, (scenario.n_f, scenario.n_paths)).copy()
     if modulation.scheme == Scheme.PPM:
         tau = tau + modulation.xi_ppm * bits[:, None].astype(float)
     return tau
-
-
-def n_slots(scenario: ScenarioConfig, modulation: ModulationConfig) -> int:
-    """PRI slots in the stacked frame (n_f, +1 for the differential reference)."""
-    if modulation.decoupling == Decoupling.DIFFERENTIAL:
-        return scenario.n_f + 1
-    return scenario.n_f
 
 
 # =========================================================================
@@ -125,31 +115,29 @@ def n_slots(scenario: ScenarioConfig, modulation: ModulationConfig) -> int:
 _TAU, _PHI, _AMP = range(3)
 
 
-def _slot_table(scenario: ScenarioConfig, modulation: ModulationConfig,
-                bits: np.ndarray) -> np.ndarray:
+def _slot_table(frame: Frame, bits: np.ndarray) -> np.ndarray:
     """(tau, phi, amp) of every (slot, path) pulse at a data word.
 
     A differential frame's slot 0 is its reference (start-frame) pulse, at
     the path delays and carrier phase -2 pi f_c tau_l0; the last n_f slots
     are the frame's PRIs.
     """
-    ref = n_slots(scenario, modulation) - scenario.n_f
+    scenario, ref = frame.scenario, frame.ref
     tau0 = np.array([p.tau_l0 for p in scenario.paths])
-    table = np.empty((3, ref + scenario.n_f, scenario.n_paths))
+    table = np.empty((3, frame.slots, scenario.n_paths))
     table[_TAU, :ref] = tau0
     table[_PHI, :ref] = -TWO_PI * scenario.f_c * tau0
-    table[_TAU, ref:] = pri_delays(scenario, modulation, bits)
-    table[_PHI, ref:] = phase_values(scenario, modulation, bits)
+    table[_TAU, ref:] = pri_delays(frame, bits)
+    table[_PHI, ref:] = phase_values(frame, bits)
     table[_AMP] = [p.amp for p in scenario.paths]
     return table
 
 
-def _slot_index(scenario: ScenarioConfig, modulation: ModulationConfig,
-                layout: ParamLayout) -> np.ndarray:
+def _slot_index(frame: Frame) -> np.ndarray:
     """eta entry that sets each value of :func:`_slot_table`; -1 where known.
 
     Only the differential reference slot's phase and amplitude are known, so
-    a reader may skip them by taking those two kinds from slot n_slots - n_f on.
+    a reader may skip them by taking those two kinds from slot ``frame.ref`` on.
 
     This is the one place the decoupling strategy decides which unknown
     drives each slot: pilot and data PRIs have their own arrival times and
@@ -157,15 +145,15 @@ def _slot_index(scenario: ScenarioConfig, modulation: ModulationConfig,
     reference pulse's (whose phase and amplitude are known), and unsplit
     frames one arrival time and amplitude per path.
     """
-    n_f, L = scenario.n_f, scenario.n_paths
-    ref = n_slots(scenario, modulation) - n_f
+    n_f, L = frame.scenario.n_f, frame.scenario.n_paths
+    modulation, layout, ref = frame.modulation, frame.eta, frame.ref
     paths = np.arange(L)
     per_pri = np.arange(n_f * L).reshape(n_f, L)
 
     def start(block: str) -> int:
         return layout.block(block)[0]
 
-    index = np.full((3, ref + n_f, L), -1, dtype=np.intp)
+    index = np.full((3, frame.slots, L), -1, dtype=np.intp)
     index[_PHI, ref:] = start("phi") + per_pri
     if modulation.decoupling == Decoupling.PILOT:
         p = modulation.p_pilots
@@ -184,18 +172,16 @@ def _slot_index(scenario: ScenarioConfig, modulation: ModulationConfig,
 
 
 @functools.lru_cache(maxsize=32)
-def _slot_model(scenario: ScenarioConfig,
-                modulation: ModulationConfig) -> tuple[int, np.ndarray, np.ndarray]:
-    """(eta size, table at the all-ones word, index map), built once per pair.
+def _slot_model(frame: Frame) -> tuple[int, np.ndarray, np.ndarray]:
+    """(eta size, table at the all-ones word, index map), built once per frame.
 
     The arrays are shared between calls and therefore read-only.
     """
-    layout = eta_layout_for(scenario, modulation)
-    table = _slot_table(scenario, modulation, bound_bits(scenario, modulation))
-    index = _slot_index(scenario, modulation, layout)
+    table = _slot_table(frame, bound_bits(frame))
+    index = _slot_index(frame)
     table.setflags(write=False)
     index.setflags(write=False)
-    return layout.size, table, index
+    return frame.eta.size, table, index
 
 
 def _windows(scenario: ScenarioConfig, tau: np.ndarray
@@ -247,46 +233,45 @@ def mean_vector(scenario: ScenarioConfig, modulation: ModulationConfig,
     the unmodulated reference pulse) holds the sum over paths of the carrier-
     rotated, amplitude-scaled pulse at that PRI's path positions.
     """
-    bits = _check_bits(scenario, modulation, bits)
-    return _evaluate(scenario, _slot_table(scenario, modulation, bits))
+    frame = Frame(scenario, modulation)
+    return _evaluate(scenario, _slot_table(frame, _check_bits(frame, bits)))
 
 
-def eta_point(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.ndarray:
-    """Operating value of eta at the all-ones data word, matching eta_layout_for.
+def eta_point(frame: Frame) -> np.ndarray:
+    """Operating value of eta at the all-ones data word, laid out by ``frame.eta``.
 
     For the unsplit schemes the per-path arrival time absorbs the (common)
     PPM data shift; for the pilot split the pilot and data arrival times are
     separate entries; for differential frames the reference time and each
     data-PRI arrival time are separate entries.
     """
-    size, table, index = _slot_model(scenario, modulation)
+    size, table, index = _slot_model(frame)
     eta = np.zeros(size)
     unknown = index >= 0
     eta[index[unknown]] = table[unknown]
     return eta
 
 
-def mean_from_eta(scenario: ScenarioConfig, modulation: ModulationConfig,
-                  eta: np.ndarray, slots=None) -> np.ndarray:
+def mean_from_eta(frame: Frame, eta: np.ndarray, slots=None) -> np.ndarray:
     """Mean vector as a function of eta (used by the finite-difference probe).
 
-    ``eta`` follows :func:`isacbounds.model.eta_layout_for`; a stack of
-    points, shape ``(k, n_eta)``, gives one mean per row, shape
-    ``(k, len(slots) * n_s)``, each equal to the call on that row alone.
+    ``eta`` follows ``frame.eta``; a stack of points, shape ``(k, n_eta)``,
+    gives one mean per row, shape ``(k, len(slots) * n_s)``, each equal to
+    the call on that row alone.
     The stack is evaluated with one pulse window per distinct center.
-    ``mean_from_eta(scenario, modulation, eta_point(...))`` equals
-    ``mean_vector(scenario, modulation)`` at the all-ones data word.
+    ``mean_from_eta(frame, eta_point(frame))`` equals
+    ``mean_vector(frame.scenario, frame.modulation)`` at the all-ones data word.
     ``slots`` lists the slots to evaluate (all by default); the result stacks
     them in that order, n_s samples each, and equals the matching rows of the
     whole-frame mean exactly.
     """
-    size, table, index = _slot_model(scenario, modulation)
+    size, table, index = _slot_model(frame)
     eta = np.asarray(eta, dtype=float)
     if eta.ndim not in (1, 2) or eta.shape[-1] != size:
         raise ConfigError(f"eta must have shape ({size},) or (k, {size}), got {eta.shape}")
     slots = _check_slots(slots, index.shape[1])
     index = index[:, slots]
-    return _evaluate(scenario, np.where(index >= 0, eta[..., index], table[:, slots]))
+    return _evaluate(frame.scenario, np.where(index >= 0, eta[..., index], table[:, slots]))
 
 
 def _check_slots(slots, count: int) -> np.ndarray:
@@ -312,13 +297,13 @@ def mean_jacobian(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.
     -------
     ndarray, shape (n_slots * n_s, layout.size), complex
         Column ``i`` is the derivative of the stacked mean with respect to
-        eta entry ``i`` of :func:`isacbounds.model.eta_layout_for`.  Phase
+        eta entry ``i`` of :attr:`isacbounds.model.Frame.eta`.  Phase
         columns are ``j *`` (the slot's path contribution); arrival-time
         columns use the analytic pulse derivative.  Only the rows of each
         pulse's sample window (:func:`isacbounds.model._pulse_window`) are
         written; every other entry is 0.
     """
-    size, (tau, phi, amp), index = _slot_model(scenario, modulation)
+    size, (tau, phi, amp), index = _slot_model(Frame(scenario, modulation))
     ns = scenario.n_s
     rot = np.exp(1j * phi)
     coef = amp * rot

@@ -20,6 +20,7 @@ from isacbounds.model import (
     Block,
     ConfigError,
     Decoupling,
+    Frame,
     ModulationConfig,
     ParamLayout,
     PerPri,
@@ -53,7 +54,7 @@ def differential_maps(
     """
     L, n_f = scenario.n_paths, scenario.n_f
     frame = ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL, d_data=n_f)
-    J = jacobian_for(scenario, frame)
+    J = jacobian_for(Frame(scenario, frame))
     ext = interleaved_layout("ref", L, n_f)
     seq = interleaved_layout("delta", L, n_f)
     paths = np.arange(L)

@@ -17,11 +17,12 @@ import pytest
 
 from isacbounds.model import (
     Decoupling,
+    Frame,
     ModulationConfig,
     Scheme,
     check_regulatory,
 )
-from isacbounds.fim import observation_fim_analytic, observation_fim_numeric, per_pri_information
+from isacbounds.fim import observation_fim_analytic, observation_fim_numeric
 from isacbounds.bounds import (
     assemble_theta_fim,
     closed_form_theta_fim,
@@ -134,8 +135,8 @@ def test_criterion_3_exact_decoupling_identities():
         sc = reference_scenario()
         mod_s = ModulationConfig(Scheme.SENSING)
 
-        fim_b = closed_form_theta_fim(sc, make_modulation("bpsk-pilot", 8))
-        fim_s = closed_form_theta_fim(sc, mod_s)
+        fim_b = closed_form_theta_fim(Frame(sc, make_modulation("bpsk-pilot", 8)))
+        fim_s = closed_form_theta_fim(Frame(sc, mod_s))
         np.testing.assert_allclose(fim_b.block("delay", "delay"),
                                    fim_s.block("delay", "delay"), rtol=1e-10)
 
@@ -224,12 +225,12 @@ def test_criterion_6_data_assistance_orderings():
     with criterion(6, "data assistance orderings"):
         sc = reference_scenario()          # 8 PRIs, L = 3, 0 dB
         sc_half = reference_scenario(n_f=4)
-        lam = per_pri_information(sc)[0][0]
+        lam = sc.per_pri_information[0][0]
         P = 4
 
-        fim_b = assemble_theta_fim(sc, make_modulation("bpsk-pilot", 8))
-        fim_p = assemble_theta_fim(sc, make_modulation("ppm-pilot", 8))
-        fim_0 = assemble_theta_fim(sc_half, ModulationConfig(Scheme.SENSING))
+        fim_b = assemble_theta_fim(Frame(sc, make_modulation("bpsk-pilot", 8)))
+        fim_p = assemble_theta_fim(Frame(sc, make_modulation("ppm-pilot", 8)))
+        fim_0 = assemble_theta_fim(Frame(sc_half, ModulationConfig(Scheme.SENSING)))
         e_b = efim(fim_b, "tau1")[0, 0]
         e_p = efim(fim_p, "tau1")[0, 0]
         e_0 = efim(fim_0, "tau1")[0, 0]
@@ -259,7 +260,7 @@ def test_criterion_7_differential_noise_doubling():
     with criterion(7, "differential noise doubling"):
         sc = reference_scenario(n_f=4, n_paths=2)
         res = differential_chain(sc, observation_fim_analytic(sc, make_modulation("ppm-diff", 4)))
-        lam = per_pri_information(sc)[0]
+        lam = sc.per_pri_information[0]
         for k in range(4):
             dd = np.diag(res.i_diffseq_raw.block(f"delta_{k}", f"delta_{k}"))
             np.testing.assert_allclose(dd, 2.0 * lam, rtol=1e-14)

@@ -179,7 +179,7 @@ for i, name in enumerate(names):
     if name == "signals.mean_from_eta":
         evals[names[root[i]]] = evals.get(names[root[i]], 0) + 1
 print(json.dumps({"roots": [names[i] for i in sorted(set(root))], "evals": evals,
-                  "slots": int(ib.signals.n_slots(sc, mod))}))
+                  "slots": ib.Frame(sc, mod).slots}))
 """
 
 

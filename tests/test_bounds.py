@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from isacbounds.model import (
     ConfigError,
     Decoupling,
+    Frame,
     ModulationConfig,
     ParamLayout,
     SPEED_OF_LIGHT,
@@ -36,7 +37,6 @@ from isacbounds.fim import (
     LabeledMatrix,
     observation_fim_analytic,
     observation_fim_numeric,
-    per_pri_information,
 )
 from isacbounds.jacobians import e_vector, h_matrix, jacobian_for, ramp_slope
 from isacbounds.bounds import (
@@ -60,7 +60,7 @@ from differential_reference import differential_chain
 
 
 def lam_per_pri(sc):
-    lt, _, _ = per_pri_information(sc)
+    lt, _, _ = sc.per_pri_information
     return lt
 
 
@@ -103,7 +103,7 @@ def test_schur_complement_rejects_singular_nuisance():
 
 
 def test_coupled_error_is_diagnosed_on_first_read(ref8, monkeypatch):
-    fim = assemble_theta_fim(ref8, ModulationConfig(Scheme.PPM, d_data=ref8.n_f))
+    fim = assemble_theta_fim(Frame(ref8, ModulationConfig(Scheme.PPM, d_data=ref8.n_f)))
     calls = []
     report = bounds.singularity_report
 
@@ -115,9 +115,7 @@ def test_coupled_error_is_diagnosed_on_first_read(ref8, monkeypatch):
     with pytest.raises(CoupledParametersError) as exc:
         efim(fim, "fd1")
     assert calls == []  # raising costs no SVD
-    assert str(exc.value) == (
-        "nuisance block is singular: coupled columns: tau1~dtau_q; "
-        "choose a decoupling strategy or drop the affected parameters")
+    assert str(exc.value) == "nuisance block is singular: coupled columns: tau1~dtau_q"
     assert exc.value.report.coupled_columns == (("tau1", "dtau_q"),)
     assert len(calls) == 1  # built once, then kept
     # a report catches two such errors (fd1, amp) and diagnoses only I_theta
@@ -125,9 +123,6 @@ def test_coupled_error_is_diagnosed_on_first_read(ref8, monkeypatch):
     rep = crlb_report(ref8, ModulationConfig(Scheme.PPM, d_data=ref8.n_f))
     assert rep.crlb["fd1"] is None and rep.crlb["amp"] is None
     assert len(calls) == 1
-
-
-_REMEDY = "; choose a decoupling strategy or drop the affected parameters"
 
 
 @pytest.mark.parametrize("kind", ["ppm-raw", "bpsk-raw"])
@@ -140,7 +135,7 @@ def test_nuisance_error_is_worded_by_describe(kind, monkeypatch):
                         lambda *a: calls.append(1) or report(*a))
     nuisance = 0
     for sc, mod in frame_shapes(kind, (1, 2, 8, 64)):
-        fim = assemble_theta_fim(sc, mod)
+        fim = assemble_theta_fim(Frame(sc, mod))
         for target in bounds.CRLB_TARGETS:
             if target not in fim.layout.block_bounds:
                 continue
@@ -154,7 +149,7 @@ def test_nuisance_error_is_worded_by_describe(kind, monkeypatch):
                 continue
             nuisance += 1
             assert calls == []
-            assert str(err) == "nuisance block is singular: " + err.report.describe() + _REMEDY
+            assert str(err) == "nuisance block is singular: " + err.report.describe()
             assert err.report.singular
             calls.clear()
     assert nuisance > 0
@@ -169,7 +164,17 @@ def test_nuisance_error_without_a_named_column_gives_the_rank():
     with pytest.raises(CoupledParametersError) as exc:
         schur_complement(M, np.array([0]), np.array([1, 2, 3]))
     assert exc.value.labels == ("elim_1", "elim_2", "elim_3")
-    assert str(exc.value) == "nuisance block is singular: rank 2 of 3" + _REMEDY
+    assert str(exc.value) == "nuisance block is singular: rank 2 of 3"
+
+
+def test_nuisance_error_offers_no_remedy_it_did_not_check(ref8):
+    # an all-pilot PPM frame is cured by a data PRI, not by a decoupling: the
+    # error states the verdict only
+    fim = assemble_theta_fim(Frame(ref8, ModulationConfig(Scheme.PPM, Decoupling.PILOT,
+                                                          p_pilots=8, d_data=0)))
+    with pytest.raises(CoupledParametersError) as exc:
+        efim(fim, "tau1")
+    assert str(exc.value) == "nuisance block is singular: zero columns: dtau_q"
 
 
 def test_efim_floor_error_states_the_floor_not_a_remedy():
@@ -177,7 +182,7 @@ def test_efim_floor_error_states_the_floor_not_a_remedy():
     # information the elimination annihilates; no nuisance block is singular
     n_f = 10 ** 8
     mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=n_f - 1)
-    fim = assemble_theta_fim(reference_scenario(n_f=n_f), mod)
+    fim = assemble_theta_fim(Frame(reference_scenario(n_f=n_f), mod))
     with pytest.raises(CoupledParametersError) as exc:
         efim(fim, "tau1")
     assert exc.value.report is None
@@ -206,7 +211,7 @@ def test_singularity_report_pairs_columns_only_when_rank_deficient(monkeypatch, 
         calls.append(kwargs.get("axis"))
         return real(x, *args, **kwargs)
 
-    fim = assemble_theta_fim(reference_scenario(n_f=8), make_modulation(kind, 8))
+    fim = assemble_theta_fim(Frame(reference_scenario(n_f=8), make_modulation(kind, 8)))
     monkeypatch.setattr(np.linalg, "norm", counting)
     rep = singularity_report(fim)
     assert calls[0] == 0  # the column norms
@@ -343,7 +348,7 @@ def test_singularity_report_describe(coupled, zero, text):
 
 def test_efim_scalar_and_information_reduction(ref8):
     mod = ModulationConfig(Scheme.SENSING)
-    fim = assemble_theta_fim(ref8, mod)
+    fim = assemble_theta_fim(Frame(ref8, mod))
     lam = lam_per_pri(ref8)
     e = efim(fim, "tau1")
     assert e.shape == (1, 1)
@@ -357,7 +362,7 @@ def test_efim_scalar_and_information_reduction(ref8):
 def test_efim_matches_scaled_full_inverse(ref8):
     for kind in ("sensing", "ppm-pilot", "bpsk-pilot", "ppm-diff"):
         mod = make_modulation(kind, ref8.n_f)
-        fim = assemble_theta_fim(ref8, mod)
+        fim = assemble_theta_fim(Frame(ref8, mod))
         M = fim.data
         d = np.sqrt(np.diag(M))
         Mi = np.linalg.inv(M / np.outer(d, d)) / np.outer(d, d)
@@ -370,14 +375,14 @@ def test_efim_matches_scaled_full_inverse(ref8):
 
 
 def test_range_crlb_scaling(ref8):
-    fim = assemble_theta_fim(ref8, ModulationConfig(Scheme.SENSING))
+    fim = assemble_theta_fim(Frame(ref8, ModulationConfig(Scheme.SENSING)))
     assert range_crlb(fim) == pytest.approx(
         SPEED_OF_LIGHT ** 2 * crlb(fim, "tau1"), rel=1e-12)
 
 
 def test_efim_refuses_annihilated_target(ref8):
     mod = ModulationConfig(Scheme.PPM, d_data=ref8.n_f)
-    fim = assemble_theta_fim(ref8, mod)
+    fim = assemble_theta_fim(Frame(ref8, mod))
     with pytest.raises(CoupledParametersError):
         efim(fim, "tau1")
 
@@ -386,7 +391,7 @@ def test_crlb_monotone_in_frame_length():
     mod = ModulationConfig(Scheme.SENSING)
     ranges, dopplers = [], []
     for n_f in (2, 4, 8, 16):
-        fim = assemble_theta_fim(reference_scenario(n_f=n_f), mod)
+        fim = assemble_theta_fim(Frame(reference_scenario(n_f=n_f), mod))
         ranges.append(crlb(fim, "tau1"))
         dopplers.append(crlb(fim, "fd1"))
     assert all(a > b for a, b in zip(ranges, ranges[1:]))
@@ -399,10 +404,11 @@ def test_crlb_monotone_in_frame_length():
 def test_closed_form_theta_fim_consistent_with_product(kind):
     sc = reference_scenario(n_f=4, n_paths=2)
     mod = make_modulation(kind, 4)
+    frame = Frame(sc, mod)
     # assemble_theta_fim cross-checks product vs. closed form at 1e-10 and
     # raises if they disagree; run it for the side effect and sanity-check PSD
-    fim = assemble_theta_fim(sc, mod)
-    closed = closed_form_theta_fim(sc, mod)
+    fim = assemble_theta_fim(frame)
+    closed = closed_form_theta_fim(frame)
     assert fim_deviation(fim.data, closed.data) < 1e-10
     eigs = sym_eigs(fim.data)
     assert eigs.min() >= -1e-8 * eigs.max()
@@ -421,10 +427,11 @@ def test_product_route_equals_dense_triple_product(kind, n_paths):
             mod = ModulationConfig(kind.split("-")[0], Decoupling.PILOT, p_pilots=1, d_data=0)
         else:
             mod = make_modulation(kind, n_f)
+        frame = Frame(sc, mod)
         I = observation_fim_analytic(sc, mod)
         assert np.array_equal(I.data, np.diag(I.diag)), n_f
-        J = jacobian_for(sc, mod).data
-        fim = assemble_theta_fim(sc, mod)
+        J = jacobian_for(frame).data
+        fim = assemble_theta_fim(frame)
         assert equilibrated_deviation(fim.data, J.T @ I.data @ J) <= 1e-13, n_f
 
 
@@ -438,7 +445,7 @@ def test_product_route_never_builds_dense_i_eta(monkeypatch, kind):
 
     monkeypatch.setattr(bounds, "observation_fim_analytic", capture)
     n_f = 499
-    assemble_theta_fim(reference_scenario(n_f=n_f), make_modulation(kind, n_f))
+    assemble_theta_fim(Frame(reference_scenario(n_f=n_f), make_modulation(kind, n_f)))
     assert len(seen) == 1
     assert "data" not in seen[0].__dict__
 
@@ -451,7 +458,7 @@ def test_overflowing_sfd_weight_is_a_config_error():
         for route, entry in ((differential_pipeline, r"\(tau1, tau1\) is nan"),
                              (closed_form_theta_fim, r"\(dtau_q, dtau_q\) is inf")):
             with pytest.raises(ConfigError, match=entry):
-                route(sc, dataclasses.replace(mod, sfd_weight=1e300))
+                route(Frame(sc, dataclasses.replace(mod, sfd_weight=1e300)))
 
 
 @pytest.mark.parametrize("kind", ("sensing", "ppm-pilot"))
@@ -470,14 +477,15 @@ def test_a_frame_past_float64_is_a_config_error_without_warnings(kind):
 def test_numeric_chain_matches_closed_form(kind):
     sc = reference_scenario(n_f=2, n_paths=1)
     mod = make_modulation(kind, 2)
+    frame = Frame(sc, mod)
     num = observation_fim_numeric(sc, mod)
     if kind == "ppm-diff":
         fim = differential_chain(sc, num).i_theta.data
     else:
-        J = jacobian_for(sc, mod)
+        J = jacobian_for(frame)
         assert J.row_layout.names == num.layout.names
         fim = J.data.T @ num.data @ J.data
-    closed = closed_form_theta_fim(sc, mod)
+    closed = closed_form_theta_fim(frame)
     assert fim_deviation(fim, closed.data) < 1e-4
 
 
@@ -498,7 +506,7 @@ def test_crosscheck_sees_every_block(monkeypatch, kind, n_f, block):
 
     monkeypatch.setattr(bounds, "closed_form_theta_fim", skewed)
     with pytest.raises(RuntimeError, match="disagree"):
-        assemble_theta_fim(reference_scenario(n_f=n_f), make_modulation(kind, n_f))
+        assemble_theta_fim(Frame(reference_scenario(n_f=n_f), make_modulation(kind, n_f)))
 
 
 def test_crosscheck_is_exact_where_a_diagonal_entry_is_zero(monkeypatch):
@@ -515,10 +523,11 @@ def test_crosscheck_is_exact_where_a_diagonal_entry_is_zero(monkeypatch):
         return LabeledMatrix(data, out.layout)
 
     sc, mod = reference_scenario(n_f=1), ModulationConfig(Scheme.SENSING)
-    assemble_theta_fim(sc, mod)
+    frame = Frame(sc, mod)
+    assemble_theta_fim(frame)
     monkeypatch.setattr(bounds, "closed_form_theta_fim", skewed)
     with pytest.raises(RuntimeError, match=r"disagree at \((tau1, fd1|fd1, tau1)\)"):
-        assemble_theta_fim(sc, mod)
+        assemble_theta_fim(frame)
 
 
 @pytest.mark.parametrize("n_paths", (1, 2, 3))
@@ -528,7 +537,7 @@ def test_structured_differential_matches_dense_chain(n_paths):
         mod = make_modulation("ppm-diff", n_f)
         for w in (0.5, 1.0, 4.0):
             weighted = dataclasses.replace(mod, sfd_weight=w)
-            fast = differential_pipeline(sc, weighted)
+            fast = differential_pipeline(Frame(sc, weighted))
             i_eta = observation_fim_analytic(sc, weighted)
             dense = differential_chain(sc, i_eta).i_theta
             assert fast.layout.names == dense.layout.names
@@ -547,8 +556,9 @@ def test_differential_pipeline_builds_dense_chain_only_on_request():
     n_f = 100_000
     sc = reference_scenario(n_f=n_f)
     mod = make_modulation("ppm-diff", n_f)
-    fim = differential_pipeline(sc, mod)
-    closed = closed_form_theta_fim(sc, mod)
+    frame = Frame(sc, mod)
+    fim = differential_pipeline(frame)
+    closed = closed_form_theta_fim(frame)
     assert equilibrated_deviation(fim.data, closed.data) < 1e-12
 
 
@@ -571,9 +581,9 @@ def test_differential_ramp_sum_is_one_chunk_up_to_the_chunk_size():
     # a frame of up to RAMP_CHUNK PRIs sums its ramp exactly as one array
     n_f = bounds.RAMP_CHUNK
     sc = reference_scenario(n_f=n_f, n_paths=1)
-    fim = differential_pipeline(sc, make_modulation("ppm-diff", n_f))
+    fim = differential_pipeline(Frame(sc, make_modulation("ppm-diff", n_f)))
     ramp = float(np.sum(ramp_slope(np.arange(n_f), sc.t_f) ** 2))
-    l_phi = per_pri_information(sc)[1]
+    l_phi = sc.per_pri_information[1]
     assert fim.block("fd1")[0, 0] == ramp * l_phi[0]
 
 
@@ -612,12 +622,12 @@ def test_extreme_amplitude_rejected(amp, kind):
     sc = _with_amp(reference_scenario(n_paths=1), amp)
     mod = make_modulation(kind, sc.n_f)
     if amp == 1e-155:
-        assert all(np.all(v >= np.finfo(float).tiny) for v in per_pri_information(sc))
+        assert all(np.all(v >= np.finfo(float).tiny) for v in sc.per_pri_information)
         with pytest.raises(ConfigError, match=r"\[fd1, fd1\] .* subnormal"):
             crlb_report(sc, mod)
         return
     with pytest.raises(ConfigError, match="per-PRI information"):
-        per_pri_information(sc)
+        sc.per_pri_information
     with pytest.raises(ConfigError, match="per-PRI information"):
         crlb_report(sc, mod)
 
@@ -629,10 +639,10 @@ def test_undersampled_pulse_rejected(f_s, accepted):
     # error is 0.2 %
     sc = reference_scenario(f_s=f_s)
     if accepted:
-        per_pri_information(sc)
+        sc.per_pri_information
         return
     with pytest.raises(UndersampledPulseError, match=r"alpha \* f_s = 0\.5"):
-        per_pri_information(sc)
+        sc.per_pri_information
     with pytest.raises(UndersampledPulseError):
         crlb_report(sc, ModulationConfig(Scheme.SENSING))
 
@@ -649,8 +659,8 @@ def test_huge_information_keeps_its_crlb():
 
 def test_bpsk_pilot_delay_block_equals_sensing(ref8):
     mod_b = make_modulation("bpsk-pilot", ref8.n_f)
-    fim_b = closed_form_theta_fim(ref8, mod_b)
-    fim_s = closed_form_theta_fim(ref8, ModulationConfig(Scheme.SENSING))
+    fim_b = closed_form_theta_fim(Frame(ref8, mod_b))
+    fim_s = closed_form_theta_fim(Frame(ref8, ModulationConfig(Scheme.SENSING)))
     np.testing.assert_allclose(fim_b.block("delay", "delay"),
                                fim_s.block("delay", "delay"), rtol=1e-10)
 
@@ -669,7 +679,7 @@ def test_ppm_pilot_doppler_equals_sensing(ref8):
 
 def test_pilot_ppm_ranging_closed_factor(ref8):
     lam = lam_per_pri(ref8)[0]
-    fim = assemble_theta_fim(ref8, make_modulation("ppm-pilot", 8))
+    fim = assemble_theta_fim(Frame(ref8, make_modulation("ppm-pilot", 8)))
     P = D = 4
     want = 3 * (P + D) * P / (3 * P + D) * lam
     assert efim(fim, "tau1")[0, 0] == pytest.approx(want, rel=1e-10)
@@ -839,7 +849,7 @@ def test_zero_reference_cross_touches_only_cross_terms():
 
 def test_differential_theta_blocks_closed_form():
     sc = reference_scenario(n_f=4, n_paths=3)
-    fim = differential_pipeline(sc, make_modulation("ppm-diff", 4))
+    fim = differential_pipeline(Frame(sc, make_modulation("ppm-diff", 4)))
     lam = np.diag(lam_per_pri(sc))
     H, E = h_matrix(3), e_vector(3)
     n_f = 4
@@ -856,7 +866,7 @@ def test_differential_theta_blocks_closed_form():
 @pytest.mark.parametrize("n_paths,factor", [(1, 1.0 / 5.0), (3, 3.0 / 7.0)])
 def test_differential_ranging_closed_factor(n_paths, factor):
     sc = reference_scenario(n_f=8, n_paths=n_paths)
-    fim = assemble_theta_fim(sc, make_modulation("ppm-diff", 8))
+    fim = assemble_theta_fim(Frame(sc, make_modulation("ppm-diff", 8)))
     lam = lam_per_pri(sc)[0]
     assert efim(fim, "tau1")[0, 0] == pytest.approx(factor * 8 * lam, rel=1e-10)
 
@@ -866,7 +876,7 @@ def test_differential_sfd_weight_improves_ranging():
     lam = lam_per_pri(sc)[0]
     mod = make_modulation("ppm-diff", 8)
     for w in (0.5, 1.0, 4.0):
-        fim = assemble_theta_fim(sc, dataclasses.replace(mod, sfd_weight=w))
+        fim = assemble_theta_fim(Frame(sc, dataclasses.replace(mod, sfd_weight=w)))
         want = w / (w + 4.0) * 8 * lam
         assert efim(fim, "tau1")[0, 0] == pytest.approx(want, rel=1e-10)
 
@@ -925,7 +935,7 @@ def test_one_factor_crlbs_equal_per_target_loop(kind, n_f):
     for n_paths in (1, 2, 3):
         sc = reference_scenario(n_f=n_f, n_paths=n_paths)
         mod = make_modulation(kind, n_f)
-        want = per_target_crlbs(assemble_theta_fim(sc, mod))
+        want = per_target_crlbs(assemble_theta_fim(Frame(sc, mod)))
         assert_same_crlbs(crlb_report(sc, mod).crlb, want)
 
 
@@ -937,7 +947,7 @@ def test_near_singular_frame_takes_the_per_target_route(monkeypatch, n_paths):
     n_f = 10 ** 8
     sc = reference_scenario(n_f=n_f, n_paths=n_paths)
     mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=n_f - 1)
-    fim = assemble_theta_fim(sc, mod)
+    fim = assemble_theta_fim(Frame(sc, mod))
     targets = [t for t in bounds.CRLB_TARGETS if t in fim.layout.block_bounds]
     assert bounds._one_factor_crlbs(fim, targets) is None
     want = per_target_crlbs(fim)
@@ -1045,4 +1055,4 @@ def test_decoupling_separates_the_sensing_and_data_domains(n_paths, n_f_p, snr_d
 
     mod = pilot(Scheme.PPM, p, d)
     assert comm_efim_ppm(sc, mod) == pytest.approx(
-        efim(assemble_theta_fim(sc, mod), "dtau_q")[0, 0], rel=1e-12)
+        efim(assemble_theta_fim(Frame(sc, mod)), "dtau_q")[0, 0], rel=1e-12)

@@ -448,6 +448,42 @@ def test_bounds_rejects_undersampled_pulse(alpha, capsys):
     assert "amplitude" not in err
 
 
+@pytest.mark.parametrize("key,value", [("t_f", "-1"), ("t_f", "0"), ("t_f", "1e300"),
+                                       ("sigma2", "-1"), ("sigma2", "0"),
+                                       ("snr_db", "1e6"), ("snr_db", "1e300"),
+                                       ("n_f", "1e308")])
+def test_bounds_refuses_a_value_outside_the_model_by_its_key(key, value, capsys):
+    # the dB -> amplitude step, the samples per PRI and the frame length
+    # refuse these before any arithmetic fails, and blame the key, not the
+    # amplitude it sets
+    assert cli.main(["bounds", "--set", f"scenario.{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err
+    assert "amplitude" not in err
+
+
+def test_sweep_reports_a_refused_row_and_exits_4_on_a_defect(monkeypatch, tmp_path, capsys):
+    argv = ["sweep", "--out", str(tmp_path), "--set", "sweep.values=0,1e6"]
+    assert cli.main(argv) == 0
+    assert "[ConfigError: snr_db = 1000000.0 dB" in capsys.readouterr().out
+    # axis values whose arithmetic would overflow are refused rows too
+    pilot = ["--set", "modulation.scheme=ppm", "--set", "modulation.decoupling=pilot",
+             "--set", "modulation.p_pilots=4", "--set", "modulation.d_data=4"]
+    for axis, values, refusal in (("pilot_ratio", "0.5,1e308", "[ConfigError: pilot_ratio 1e+308"),
+                                  ("n_f", "8,1e308", "[ConfigError: n_f must be <= 8.988e+307")):
+        assert cli.main(["sweep", "--out", str(tmp_path), *pilot, "--set", f"sweep.axis={axis}",
+                         "--set", f"sweep.values={values}"]) == 0
+        assert refusal in capsys.readouterr().out
+
+    def defect(*args):
+        raise RuntimeError("not a configuration error")
+
+    monkeypatch.setattr(experiments, "crlb_report", defect)
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith(
+        "internal error: RuntimeError: not a configuration error")
+
+
 def test_unexpected_exception_exits_4(monkeypatch, capsys):
     real = bounds.closed_form_theta_fim
 

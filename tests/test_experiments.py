@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from isacbounds.model import (
     ConfigError,
     Decoupling,
+    Frame,
     ModulationConfig,
     Scheme,
     received_snr,
@@ -55,6 +57,14 @@ def test_reference_scenario_refuses_a_doppler_count_off_the_path_count(dopplers)
         reference_scenario(n_paths=3, dopplers=dopplers)
 
 
+@pytest.mark.parametrize("snr_db", [1e6, 1e300, -1e6])
+def test_snr_helpers_refuse_an_snr_beyond_the_float_range_by_name(snr_db):
+    for make in (lambda: reference_scenario(snr_db=snr_db),
+                 lambda: with_snr(reference_scenario(), snr_db)):
+        with pytest.raises(ConfigError, match=re.escape(f"snr_db = {snr_db} dB")):
+            make()
+
+
 def test_with_helpers_do_not_mutate():
     sc = reference_scenario()
     sc2 = with_frame(with_snr(sc, 10.0), 16)
@@ -79,7 +89,7 @@ def test_data_rate_counts_the_data_bits(kind):
         mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=6, d_data=0)
     else:
         mod = make_modulation(kind, sc.n_f)
-    assert data_rate(sc, mod) == bound_bits(sc, mod).sum() / (sc.n_f * sc.t_f)
+    assert data_rate(sc, mod) == bound_bits(Frame(sc, mod)).sum() / (sc.n_f * sc.t_f)
 
 
 def _parent_bound_bits(sc, mod):
@@ -107,7 +117,7 @@ def test_bound_bits_and_data_rate_match_the_per_kind_rules(kind):
             sc = reference_scenario(n_f=n_f, n_paths=L)
             for mod in mods:
                 want = _parent_bound_bits(sc, mod)
-                np.testing.assert_array_equal(bound_bits(sc, mod), want)
+                np.testing.assert_array_equal(bound_bits(Frame(sc, mod)), want)
                 assert data_rate(sc, mod) == int(want.sum()) / (sc.n_f * sc.t_f)
 
 

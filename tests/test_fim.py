@@ -18,6 +18,7 @@ from isacbounds.model import (
     Block,
     ConfigError,
     Decoupling,
+    Frame,
     ModulationConfig,
     ParamLayout,
     PathState,
@@ -25,7 +26,6 @@ from isacbounds.model import (
     ScenarioConfig,
     Scheme,
     effective_bandwidth,
-    eta_layout_for,
     received_snr,
     theta_layout,
 )
@@ -39,8 +39,8 @@ from isacbounds.fim import (
     coeff_b_full,
     observation_fim_analytic,
     observation_fim_numeric,
-    per_pri_information,
 )
+from isacbounds.bounds import crlb_report
 from isacbounds.experiments import fim_deviation, reference_scenario, with_snr
 from isacbounds.jacobians import ramp_slope
 from isacbounds.signals import _slot_model, eta_point, mean_from_eta
@@ -77,7 +77,7 @@ def test_coeff_anchor_values():
 
 def test_per_pri_information_anchors():
     sc = reference_scenario(n_f=8, n_paths=1)  # 0 dB per path
-    lam_tau, lam_phi, lam_amp = per_pri_information(sc)
+    lam_tau, lam_phi, lam_amp = sc.per_pri_information
     snr = received_snr(sc, sc.paths[0])
     assert snr == pytest.approx(1.0, rel=1e-9)
     B = effective_bandwidth(sc.pulse)
@@ -106,7 +106,7 @@ def test_per_pri_information_equals_whole_grid_sums(f_s, alpha_fs, n_paths, shif
     lam_phi = sc.t_f * f_s * amps ** 2 * np.sum(w * w, axis=1) / f_s / (sc.t_f * sc.sigma2)
     want = ((2 * np.pi * effective_bandwidth(pulse)) ** 2 * lam_phi, lam_phi,
             lam_phi / amps ** 2)
-    for got, ref in zip(per_pri_information(sc), want):
+    for got, ref in zip(sc.per_pri_information, want):
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
@@ -119,17 +119,32 @@ def test_per_pri_information_samples_all_paths_in_one_window(monkeypatch):
 
     real = model._pulse_window
     monkeypatch.setattr(model, "_pulse_window", counted)
-    monkeypatch.setattr(fim, "_pulse_window", counted, raising=False)
-    fim._per_pri_information.cache_clear()
-    per_pri_information(reference_scenario(n_paths=3))
+    reference_scenario(n_paths=3).per_pri_information
     assert len(calls) == 1
+
+
+def test_per_pri_information_is_sampled_once_per_scenario_record(monkeypatch):
+    # reports alternating between two scenario records sample each record's
+    # pulses once, whatever ran in between
+    calls = []
+    real = model._pulse_window
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "_pulse_window", counted)
+    a, b = reference_scenario(n_f=8), reference_scenario(n_f=16)
+    for sc in (a, b, a, b):
+        crlb_report(sc, make_modulation("ppm-pilot", sc.n_f))
+    assert len(calls) == 2
 
 
 def test_information_scales_with_snr_not_for_amp_rows():
     base = reference_scenario(n_f=2, n_paths=1)
     quiet = with_snr(base, -60.0)  # amplitude scaled by 1e-3
-    lt0, lp0, la0 = per_pri_information(base)
-    lt1, lp1, la1 = per_pri_information(quiet)
+    lt0, lp0, la0 = base.per_pri_information
+    lt1, lp1, la1 = quiet.per_pri_information
     assert lt1[0] == pytest.approx(1e-6 * lt0[0], rel=1e-9)
     assert lp1[0] == pytest.approx(1e-6 * lp0[0], rel=1e-9)
     # amplitude information does not depend on the amplitude itself
@@ -142,7 +157,7 @@ def test_analytic_fim_block_structure_sensing():
     sc = reference_scenario(n_f=2, n_paths=2)
     mod = ModulationConfig(Scheme.SENSING)
     I = observation_fim_analytic(sc, mod)
-    lay = eta_layout_for(sc, mod)
+    lay = Frame(sc, mod).eta
     assert I.data.shape == (lay.size, lay.size)
     # off-diagonal coupling between tau / phi / amp blocks vanishes
     assert np.all(I.block("tau", "phi") == 0.0)
@@ -151,7 +166,7 @@ def test_analytic_fim_block_structure_sensing():
     # per-PRI diagonal blocks repeat
     np.testing.assert_allclose(I.block("phi_0", "phi_0"),
                                I.block("phi_1", "phi_1"), rtol=1e-12)
-    lam_tau, lam_phi, _ = per_pri_information(sc)
+    lam_tau, lam_phi, _ = sc.per_pri_information
     np.testing.assert_allclose(np.diag(I.block("tau", "tau")),
                                sc.n_f * lam_tau, rtol=1e-12)
     np.testing.assert_allclose(np.diag(I.block("phi_0", "phi_0")), lam_phi,
@@ -167,7 +182,7 @@ def test_analytic_fim_diagonal_by_block(kind):
     mod = make_modulation(kind, n_f)
     if "pilot" in kind:
         mod = dataclasses.replace(mod, p_pilots=2, d_data=4)
-    lt, lp, la = per_pri_information(sc)
+    lt, lp, la = sc.per_pri_information
     want = {f"phi_{k}": lp for k in range(n_f)}
     if mod.decoupling == Decoupling.PILOT:
         want.update(tau_p=2 * lt, tau_d=4 * lt, amp_p=2 * la, amp_d=4 * la)
@@ -186,9 +201,9 @@ def _table_and_gather_diagonal(sc, mod):
     # the lambda diagonal built the long way: every (slot, path) value's
     # lambda in a (3, slots, L) table, the reference delay weighted there,
     # then gathered into the eta entries the map names and counted
-    size, _, index = _slot_model(sc, mod)
+    size, _, index = _slot_model(Frame(sc, mod))
     lam = np.empty(index.shape)
-    lam[:] = np.array(per_pri_information(sc))[:, None, :]
+    lam[:] = np.array(sc.per_pri_information)[:, None, :]
     known = index >= 0
     diag = np.zeros(size)
     lam[signals._TAU, :index.shape[1] - sc.n_f] *= mod.sfd_weight
@@ -271,15 +286,16 @@ def _fd_step(name, value, steps=DEFAULT_FD):
 def _whole_frame_probe(sc, mod, steps=DEFAULT_FD):
     # central differences of the whole stacked frame, then one dense Gram
     # over every column
-    lay = eta_layout_for(sc, mod)
-    eta = eta_point(sc, mod)
+    frame = Frame(sc, mod)
+    lay = frame.eta
+    eta = eta_point(frame)
     cols = []
     for i, name in enumerate(lay.names):
         h = _fd_step(name, eta[i], steps)
         up, dn = eta.copy(), eta.copy()
         up[i] += h
         dn[i] -= h
-        cols.append((mean_from_eta(sc, mod, up) - mean_from_eta(sc, mod, dn)) / (2.0 * h))
+        cols.append((mean_from_eta(frame, up) - mean_from_eta(frame, dn)) / (2.0 * h))
     B = np.stack(cols, axis=1)
     return (B.conj().T @ B).real / sc.sigma2
 
@@ -288,9 +304,10 @@ def _per_entry_probe(sc, mod, steps=DEFAULT_FD):
     # the probe one entry at a time: a single-point up and down evaluation of
     # the slots the entry drives, each slot sliced to its probe range, then
     # one Gram block per slot over the entries that drive it, in entry order
-    lay = eta_layout_for(sc, mod)
-    size, table, index = _slot_model(sc, mod)
-    eta0 = eta_point(sc, mod)
+    frame = Frame(sc, mod)
+    lay = frame.eta
+    size, table, index = _slot_model(frame)
+    eta0 = eta_point(frame)
     h = np.array([_fd_step(name, eta0[i], steps) for i, name in enumerate(lay.names)])
     lo, hi = fim._probe_ranges(sc, table, index, eta0, h)
     cols = {}
@@ -299,8 +316,8 @@ def _per_entry_probe(sc, mod, steps=DEFAULT_FD):
         up[i] += h[i]
         dn[i] -= h[i]
         slots = np.flatnonzero(np.any(index == i, axis=(0, 2)))
-        mu_up = mean_from_eta(sc, mod, up, slots).reshape(slots.size, -1)
-        mu_dn = mean_from_eta(sc, mod, dn, slots).reshape(slots.size, -1)
+        mu_up = mean_from_eta(frame, up, slots).reshape(slots.size, -1)
+        mu_dn = mean_from_eta(frame, dn, slots).reshape(slots.size, -1)
         for r, s in enumerate(slots.tolist()):
             cols[i, s] = (mu_up[r, lo[s]:hi[s]] - mu_dn[r, lo[s]:hi[s]]) / (2.0 * h[i])
     M = np.zeros((size, size))
@@ -364,9 +381,10 @@ def test_numeric_fim_evaluates_each_slot_once_for_the_entries_it_drives(monkeypa
     n_f = 8
     sc = reference_scenario(n_f=n_f, n_paths=3)
     mod = make_modulation("bpsk-pilot", n_f)
-    size, _, index = _slot_model(sc, mod)
-    names = eta_layout_for(sc, mod).names
-    eta0 = eta_point(sc, mod)
+    frame = Frame(sc, mod)
+    size, _, index = _slot_model(frame)
+    names = frame.eta.names
+    eta0 = eta_point(frame)
     want = 2 * sum(int(np.any(index == i, axis=(0, 2)).sum()) for i in range(size))
     assert (want, 2 * size * n_f) == (144, 576)
     windows, calls = [], []
@@ -376,9 +394,9 @@ def test_numeric_fim_evaluates_each_slot_once_for_the_entries_it_drives(monkeypa
         windows.append(1)
         return window(*args, **kwargs)
 
-    def recorded(scenario, modulation, eta, slots=None):
+    def recorded(frame, eta, slots=None):
         before = len(windows)
-        out = evaluate(scenario, modulation, eta, slots)
+        out = evaluate(frame, eta, slots)
         calls.append((np.array(eta), list(slots), len(windows) - before))
         return out
 
@@ -430,7 +448,7 @@ def test_numeric_fim_guards():
 
 def test_labeled_matrix_validation():
     sc = reference_scenario(n_f=2, n_paths=1)
-    lay = eta_layout_for(sc, ModulationConfig(Scheme.SENSING))
+    lay = Frame(sc, ModulationConfig(Scheme.SENSING)).eta
     with pytest.raises(ConfigError):
         LabeledMatrix(np.eye(lay.size + 1), lay)
     bad = np.eye(lay.size)
@@ -488,7 +506,7 @@ def test_labeled_matrix_block_accessor():
     sc = reference_scenario(n_f=2, n_paths=2)
     mod = ModulationConfig(Scheme.SENSING)
     I = observation_fim_analytic(sc, mod)
-    lay = eta_layout_for(sc, mod)
+    lay = Frame(sc, mod).eta
     sl = lay.block_slice("tau")
     np.testing.assert_array_equal(I.block("tau", "tau"), I.data[sl, sl])
     assert I.size == lay.size
@@ -496,7 +514,7 @@ def test_labeled_matrix_block_accessor():
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
 def test_labeled_matrices_refuse_non_finite_entries(bad):
-    lay = eta_layout_for(reference_scenario(n_f=2, n_paths=1), ModulationConfig(Scheme.SENSING))
+    lay = Frame(reference_scenario(n_f=2, n_paths=1), ModulationConfig(Scheme.SENSING)).eta
     names = lay.names
     M = np.eye(lay.size)
     M[1, 2] = M[2, 1] = bad  # a NaN skew compares False against any tolerance
@@ -509,7 +527,7 @@ def test_labeled_matrices_refuse_non_finite_entries(bad):
 
 
 def test_diagonal_matrix_validation():
-    lay = eta_layout_for(reference_scenario(n_f=2, n_paths=1), ModulationConfig(Scheme.SENSING))
+    lay = Frame(reference_scenario(n_f=2, n_paths=1), ModulationConfig(Scheme.SENSING)).eta
     for shape in ((lay.size + 1,), (lay.size, lay.size), ()):
         with pytest.raises(ConfigError, match="diagonal shape"):
             DiagonalMatrix(np.ones(shape), lay)

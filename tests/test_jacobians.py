@@ -9,11 +9,10 @@ import pytest
 
 from isacbounds.model import (
     Decoupling,
+    Frame,
     ModulationConfig,
     Scheme,
-    eta_layout_for,
     theta_layout,
-    theta_layout_for,
 )
 from isacbounds.jacobians import (
     e_vector,
@@ -34,7 +33,7 @@ def frame_jacobian(scheme, dec, n_paths, n_f, p_pilots=0, d_data=0):
     """jacobian_for on the reference scenario (PRI T_F) with the given frame."""
     sc = reference_scenario(n_f=n_f, n_paths=n_paths)
     assert sc.t_f == T_F
-    return jacobian_for(sc, ModulationConfig(scheme, dec, p_pilots=p_pilots, d_data=d_data))
+    return jacobian_for(Frame(sc, ModulationConfig(scheme, dec, p_pilots=p_pilots, d_data=d_data)))
 
 
 def test_h_matrix_values():
@@ -128,15 +127,16 @@ def test_jacobian_bpsk_phase_offset_column():
 def test_jacobian_for_matches_plain():
     sc = reference_scenario(n_f=4, n_paths=2)
     mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=2, d_data=2)
-    a = jacobian_for(sc, mod)
-    assert a.row_layout.names == eta_layout_for(sc, mod).names
+    frame = Frame(sc, mod)
+    a = jacobian_for(frame)
+    assert a.row_layout.names == frame.eta.names
 
 
 def test_jacobian_differential_delay_rows():
     # the reference pulse carries no data shift; every data PRI carries it
     L, n_f = 2, 3
     sc = reference_scenario(n_f=n_f, n_paths=L)
-    J = jacobian_for(sc, ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL))
+    J = jacobian_for(Frame(sc, ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL)))
     np.testing.assert_array_equal(J.block("t_ref", "delay"),
                                   np.hstack([h_matrix(L), np.zeros((L, 1))]))
     for k in range(n_f):
@@ -212,12 +212,13 @@ def _table_and_gather_jacobian(sc, mod):
     # J built the long way: every slot value's derivative row in a dense
     # (3, slots, L, n_theta) table, then gathered into the eta rows the map
     # names for it
-    cols = theta_layout_for(sc, mod)
-    size, _, index = _slot_model(sc, mod)
+    frame = Frame(sc, mod)
+    cols = frame.theta
+    size, _, index = _slot_model(frame)
     L, n_f = sc.n_paths, sc.n_f
     ref = index.shape[1] - n_f
     bits = np.zeros(index.shape[1])
-    bits[ref:] = bound_bits(sc, mod)
+    bits[ref:] = bound_bits(frame)
     slope = np.zeros(index.shape[1])
     slope[ref:] = ramp_slope(np.arange(n_f), sc.t_f)
     H = h_matrix(L)
@@ -244,5 +245,5 @@ def test_jacobian_equals_the_table_and_gather_construction(kind, n_f):
     for n_paths in (1, 2, 3):
         sc = reference_scenario(n_f=n_f, n_paths=n_paths)
         mod = make_modulation(kind, n_f)
-        np.testing.assert_array_equal(jacobian_for(sc, mod).data,
+        np.testing.assert_array_equal(jacobian_for(Frame(sc, mod)).data,
                                       _table_and_gather_jacobian(sc, mod))

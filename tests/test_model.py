@@ -6,6 +6,7 @@ scipy.integrate.quad and compare against the closed forms the package uses.
 
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from isacbounds.model import (
     DECOUPLINGS,
     ConfigError,
     Decoupling,
+    Frame,
     LeakageError,
     MAX_WINDOW_SAMPLES,
     ModulationConfig,
@@ -30,13 +32,11 @@ from isacbounds.model import (
     check_regulatory,
     effective_bandwidth,
     eta_layout,
-    eta_layout_for,
     pulse_time_derivative,
     received_snr,
     sample_pulse,
     theta_layout,
     time_grid,
-    validate_modulation,
 )
 from isacbounds.bounds import crlb_report
 from isacbounds.experiments import reference_scenario
@@ -232,11 +232,34 @@ def test_received_snr_reference_value():
     assert received_snr(sc, sc.paths[0]) == pytest.approx(1e7, rel=1e-9)
 
 
+def test_received_snr_sums_only_the_pulse_window():
+    # at f_s = 1e13 a PRI holds 1e6 samples and the window 1.6e5
+    sc = _scenario(f_s=1e13, paths=(PathState(20e-9, amp=1.0),))
+    tracemalloc.start()
+    try:
+        snr = received_snr(sc, sc.paths[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert snr == pytest.approx(1e7, rel=1e-9)
+    assert peak < sc.n_s * 8
+
+
 def test_amp_for_snr_round_trip():
     for snr in (1.0, 10.0, 123.4):
         a = amp_for_snr(snr, 100e-9, 2.0)
         sc = _scenario(sigma2=2.0, paths=(PathState(20e-9, amp=a),))
         assert received_snr(sc, sc.paths[0]) == pytest.approx(snr, rel=1e-9)
+
+
+@pytest.mark.parametrize("snr,t_f,sigma2,named", [(-1.0, 1e-7, 1.0, "target SNR"),
+                                                  (1.0, 0.0, 1.0, "t_f"),
+                                                  (1.0, 1e-7, -1.0, "sigma2"),
+                                                  (1e300, 1e-7, 1e300, "SNR * t_f * sigma2"),
+                                                  (1e-300, 1e-7, 1e-300, "SNR * t_f * sigma2")])
+def test_amp_for_snr_refuses_by_name(snr, t_f, sigma2, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        amp_for_snr(snr, t_f, sigma2)
 
 
 @given(amp=st.floats(1e-4, 1e2), sigma2=st.floats(1e-3, 1e3))
@@ -270,7 +293,7 @@ def test_scenario_rejects_bad_geometry():
 
 @pytest.mark.parametrize("field,value", [
     ("sigma2", 0.0), ("sigma2", -1.0), ("t_f", 0.0), ("f_s", -1.0),
-    ("n_f", 0), ("f_c", -1.0),
+    ("n_f", 0), ("n_f", int(sys.float_info.max / 2) + 1), ("f_c", -1.0),
     ("f_c", math.inf), ("t_f", math.inf), ("f_s", math.inf), ("sigma2", math.inf),
 ])
 def test_scenario_rejects_bad_scalars(field, value):
@@ -325,7 +348,7 @@ def test_modulation_builds_exactly_the_decouplings_its_scheme_admits(scheme, dec
              else dict(p_pilots=1, d_data=1) if decoupling == Decoupling.PILOT
              else dict(d_data=2))
     if decoupling in DECOUPLINGS[scheme]:
-        validate_modulation(_scenario(), ModulationConfig(scheme, decoupling, **split))
+        Frame(_scenario(), ModulationConfig(scheme, decoupling, **split))
     else:
         with pytest.raises(ConfigError, match=f"^{scheme.value} frames take decoupling"):
             ModulationConfig(scheme, decoupling, **split)
@@ -376,37 +399,34 @@ def test_frame_counts_refuse_a_bool_or_a_non_integer(record, kwargs):
 
 def test_validate_modulation_frame_split():
     sc = _scenario(n_f=4)
-    validate_modulation(sc, ModulationConfig(Scheme.PPM, Decoupling.PILOT,
-                                             p_pilots=2, d_data=2))
+    Frame(sc, ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=2, d_data=2))
     with pytest.raises(ConfigError):
-        validate_modulation(sc, ModulationConfig(Scheme.PPM, Decoupling.PILOT,
-                                                 p_pilots=2, d_data=3))
+        Frame(sc, ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=2, d_data=3))
     with pytest.raises(ConfigError):
         # without a pilot split d_data must be 0 or n_f
-        validate_modulation(sc, ModulationConfig(Scheme.PPM, d_data=3))
+        Frame(sc, ModulationConfig(Scheme.PPM, d_data=3))
     with pytest.raises(ConfigError):
         # stale pilot count on an undecoupled frame
-        validate_modulation(sc, ModulationConfig(Scheme.PPM, Decoupling.NONE,
-                                                 p_pilots=1, d_data=3))
+        Frame(sc, ModulationConfig(Scheme.PPM, Decoupling.NONE, p_pilots=1, d_data=3))
 
 
 def test_validate_modulation_returns_the_data_pris():
     sc = _scenario(n_f=4)
-    assert validate_modulation(sc, ModulationConfig(Scheme.SENSING)) == range(0)
-    assert validate_modulation(sc, ModulationConfig(Scheme.PPM, Decoupling.PILOT,
-                                                    p_pilots=1, d_data=3)) == range(1, 4)
-    assert validate_modulation(sc, ModulationConfig(Scheme.BPSK, Decoupling.PILOT,
-                                                    p_pilots=4)) == range(4, 4)
+    assert Frame(sc, ModulationConfig(Scheme.SENSING)).data == range(0)
+    assert Frame(sc, ModulationConfig(Scheme.PPM, Decoupling.PILOT,
+                                      p_pilots=1, d_data=3)).data == range(1, 4)
+    assert Frame(sc, ModulationConfig(Scheme.BPSK, Decoupling.PILOT,
+                                      p_pilots=4)).data == range(4, 4)
     for mod in (ModulationConfig(Scheme.PPM), ModulationConfig(Scheme.BPSK, d_data=4),
                 ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL, d_data=4)):
-        assert validate_modulation(sc, mod) == range(4)
+        assert Frame(sc, mod).data == range(4)
 
 
 def test_validate_modulation_ppm_leakage():
     sc = _scenario(paths=(PathState(97.2e-9),))
-    validate_modulation(sc, ModulationConfig(Scheme.BPSK, d_data=2))
+    Frame(sc, ModulationConfig(Scheme.BPSK, d_data=2))
     with pytest.raises(LeakageError):
-        validate_modulation(sc, ModulationConfig(Scheme.PPM, xi_ppm=2e-9, d_data=2))
+        Frame(sc, ModulationConfig(Scheme.PPM, xi_ppm=2e-9, d_data=2))
 
 
 # --------------------------------------------------------------------- layouts
@@ -455,7 +475,7 @@ def test_eta_size_matches_layout(kind):
     for n_f in (2, 7, 8):
         for n_paths in (1, 3):
             sc = reference_scenario(n_f=n_f, n_paths=n_paths)
-            layout = eta_layout_for(sc, make_modulation(kind, n_f))
+            layout = Frame(sc, make_modulation(kind, n_f)).eta
             assert layout.size == len(layout.names)
 
 

@@ -11,17 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from isacbounds.fim import per_pri_information
 from isacbounds.model import (
     ConfigError,
     Decoupling,
+    Frame,
     LeakageError,
     ModulationConfig,
     PulseShape,
     SUPPORT_SIGMAS,
     Scheme,
     UndersampledPulseError,
-    eta_layout_for,
     pulse_time_derivative,
     sample_pulse,
     time_grid,
@@ -34,7 +33,6 @@ from isacbounds.signals import (
     mean_from_eta,
     mean_jacobian,
     mean_vector,
-    n_slots,
     phase_values,
     pri_delays,
 )
@@ -48,18 +46,18 @@ TWO_PI = 2.0 * np.pi
 def test_bound_bits_pattern():
     sc = reference_scenario(n_f=4, n_paths=1)
     mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=3)
-    np.testing.assert_array_equal(bound_bits(sc, mod), [0, 1, 1, 1])
+    np.testing.assert_array_equal(bound_bits(Frame(sc, mod)), [0, 1, 1, 1])
     np.testing.assert_array_equal(
-        bound_bits(sc, ModulationConfig(Scheme.SENSING)), [0, 0, 0, 0])
+        bound_bits(Frame(sc, ModulationConfig(Scheme.SENSING))), [0, 0, 0, 0])
     np.testing.assert_array_equal(
-        bound_bits(sc, ModulationConfig(Scheme.BPSK, d_data=4)), [1, 1, 1, 1])
+        bound_bits(Frame(sc, ModulationConfig(Scheme.BPSK, d_data=4))), [1, 1, 1, 1])
 
 
 def test_phase_values_closed_form():
     sc = reference_scenario(n_f=3, n_paths=2, dopplers=(100.0, -250.0))
     mod = ModulationConfig(Scheme.BPSK, Decoupling.PILOT, p_pilots=1, d_data=2)
     bits = np.array([0, 1, 0])
-    phi = phase_values(sc, mod, bits=bits)
+    phi = phase_values(Frame(sc, mod), bits=bits)
     assert phi.shape == (3, 2)
     for k in range(3):
         for l, p in enumerate(sc.paths):
@@ -70,8 +68,8 @@ def test_phase_values_closed_form():
 
 def test_phase_values_ppm_does_not_touch_phase():
     sc = reference_scenario(n_f=2, n_paths=1)
-    raw = phase_values(sc, ModulationConfig(Scheme.SENSING))
-    ppm = phase_values(sc, ModulationConfig(Scheme.PPM, d_data=2))
+    raw = phase_values(Frame(sc, ModulationConfig(Scheme.SENSING)))
+    ppm = phase_values(Frame(sc, ModulationConfig(Scheme.PPM, d_data=2)))
     np.testing.assert_allclose(ppm, raw, rtol=0, atol=0)
 
 
@@ -79,15 +77,15 @@ def test_pri_delays_ppm_shift():
     sc = reference_scenario(n_f=4, n_paths=2)
     mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, xi_ppm=2e-9,
                            p_pilots=2, d_data=2)
-    d = pri_delays(sc, mod)
+    d = pri_delays(Frame(sc, mod))
     taus = np.array([p.tau_l0 for p in sc.paths])
     np.testing.assert_allclose(d[0], taus, rtol=1e-15)
     np.testing.assert_allclose(d[1], taus, rtol=1e-15)
     np.testing.assert_allclose(d[2], taus + 2e-9, rtol=1e-15)
     np.testing.assert_allclose(d[3], taus + 2e-9, rtol=1e-15)
     # BPSK never moves the envelope
-    b = pri_delays(sc, ModulationConfig(Scheme.BPSK, Decoupling.PILOT,
-                                        p_pilots=2, d_data=2))
+    b = pri_delays(Frame(sc, ModulationConfig(Scheme.BPSK, Decoupling.PILOT,
+                                              p_pilots=2, d_data=2)))
     np.testing.assert_allclose(b, np.broadcast_to(taus, (4, 2)), rtol=1e-15)
 
 
@@ -106,16 +104,19 @@ def test_bits_validation():
 
 def test_n_slots_counts_reference_pulse():
     sc = reference_scenario(n_f=4, n_paths=1)
-    assert n_slots(sc, ModulationConfig(Scheme.SENSING)) == 4
-    assert n_slots(sc, ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL)) == 5
+    for mod, slots in ((ModulationConfig(Scheme.SENSING), 4),
+                       (ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL), 5)):
+        assert Frame(sc, mod).slots == slots
+        assert mean_vector(sc, mod).size == slots * sc.n_s
 
 
 def test_mean_vector_single_path_structure():
     sc = reference_scenario(n_f=3, n_paths=1, dopplers=(500.0,))
     mod = ModulationConfig(Scheme.PPM, d_data=3)
+    frame = Frame(sc, mod)
     mu = mean_vector(sc, mod).reshape(3, sc.n_s)
-    phi = phase_values(sc, mod)
-    delays = pri_delays(sc, mod)
+    phi = phase_values(frame)
+    delays = pri_delays(frame)
     amp = sc.paths[0].amp
     for k in range(3):
         want = amp * np.exp(1j * phi[k, 0]) * sample_pulse(sc.pulse, delays[k, 0], sc)
@@ -152,7 +153,7 @@ def test_mean_vector_mixed_word_is_explicit_path_sum(kind):
     mod = make_modulation(kind, n_f)
     bits = np.array([0, 1, 0, 1])
     bits[:mod.p_pilots] = 0  # pilot PRIs are unmodulated
-    mu = mean_vector(sc, mod, bits=bits).reshape(n_slots(sc, mod), sc.n_s)
+    mu = mean_vector(sc, mod, bits=bits).reshape(Frame(sc, mod).slots, sc.n_s)
     want = np.zeros_like(mu)
     offset = 1 if mod.decoupling == Decoupling.DIFFERENTIAL else 0
     for l, p in enumerate(sc.paths):
@@ -174,8 +175,9 @@ def test_mean_from_eta_at_operating_point(kind):
     n_f = 2
     sc = reference_scenario(n_f=n_f, n_paths=2, dopplers=(100.0, -50.0))
     mod = make_modulation(kind, n_f)
+    frame = Frame(sc, mod)
     mu_direct = mean_vector(sc, mod)
-    mu_eta = mean_from_eta(sc, mod, eta_point(sc, mod))
+    mu_eta = mean_from_eta(frame, eta_point(frame))
     np.testing.assert_array_equal(mu_eta, mu_direct)
 
 
@@ -184,8 +186,9 @@ def test_mean_jacobian_matches_central_differences(kind):
     n_f = 2
     sc = reference_scenario(n_f=n_f, n_paths=2)
     mod = make_modulation(kind, n_f)
-    lay = eta_layout_for(sc, mod)
-    eta = eta_point(sc, mod)
+    frame = Frame(sc, mod)
+    lay = frame.eta
+    eta = eta_point(frame)
     jac = mean_jacobian(sc, mod)
     assert jac.shape == (mean_vector(sc, mod).size, lay.size)
     steps = {"tau": 1e-13, "t_": 1e-13, "phi": 1e-7, "amp": 1e-7}
@@ -194,7 +197,7 @@ def test_mean_jacobian_matches_central_differences(kind):
         up, dn = eta.copy(), eta.copy()
         up[i] += h
         dn[i] -= h
-        fd = (mean_from_eta(sc, mod, up) - mean_from_eta(sc, mod, dn)) / (2 * h)
+        fd = (mean_from_eta(frame, up) - mean_from_eta(frame, dn)) / (2 * h)
         scale = max(np.max(np.abs(fd)), 1.0)
         np.testing.assert_allclose(jac[:, i], fd, rtol=3e-5, atol=3e-6 * scale,
                                    err_msg=f"column {name}")
@@ -204,8 +207,9 @@ def test_eta_point_contents_pilot_ppm():
     sc = reference_scenario(n_f=2, n_paths=2)
     mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, xi_ppm=2e-9,
                            p_pilots=1, d_data=1)
-    lay = eta_layout_for(sc, mod)
-    eta = eta_point(sc, mod)
+    frame = Frame(sc, mod)
+    lay = frame.eta
+    eta = eta_point(frame)
     taus = np.array([p.tau_l0 for p in sc.paths])
     np.testing.assert_allclose(eta[lay.block_slice("tau_p")], taus, rtol=1e-15)
     np.testing.assert_allclose(eta[lay.block_slice("tau_d")], taus + 2e-9, rtol=1e-15)
@@ -218,13 +222,14 @@ def test_mean_from_eta_rejects_delay_past_the_pri(kind):
     n_f = 2
     sc = reference_scenario(n_f=n_f, n_paths=2)
     mod = make_modulation(kind, n_f)
-    lay = eta_layout_for(sc, mod)
+    frame = Frame(sc, mod)
+    lay = frame.eta
     delay = next(i for i, name in enumerate(lay.names) if name.startswith(("tau", "t_")))
     for value in (sc.t_f - 5 * sc.pulse.alpha, -1e-12):
-        eta = eta_point(sc, mod)
+        eta = eta_point(frame)
         eta[delay] = value
         with pytest.raises(LeakageError):
-            mean_from_eta(sc, mod, eta)
+            mean_from_eta(frame, eta)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -232,25 +237,27 @@ def test_mean_from_eta_slots_are_rows_of_the_whole_frame(kind):
     n_f = 3
     sc = reference_scenario(n_f=n_f, n_paths=2, dopplers=(100.0, -50.0))
     mod = make_modulation(kind, n_f)
-    eta = eta_point(sc, mod)
-    whole = mean_from_eta(sc, mod, eta).reshape(-1, sc.n_s)
+    frame = Frame(sc, mod)
+    eta = eta_point(frame)
+    whole = mean_from_eta(frame, eta).reshape(-1, sc.n_s)
     last = whole.shape[0] - 1
     for slots in ([0], [last, 0], [1, 1], range(last + 1), np.array([last], dtype=np.uint8),
                   np.array([], dtype=int)):
-        got = mean_from_eta(sc, mod, eta, slots)
+        got = mean_from_eta(frame, eta, slots)
         np.testing.assert_array_equal(got, whole[list(slots)].ravel(), err_msg=str(slots))
     for bad in ([last + 1], [-1], [0.0], [True], "0", [[0]], 0):
         with pytest.raises(ConfigError):
-            mean_from_eta(sc, mod, eta, bad)
+            mean_from_eta(frame, eta, bad)
 
 
 def test_any_empty_slot_sequence_is_the_empty_selection():
     sc = reference_scenario(n_f=3, n_paths=2)
     mod = make_modulation("ppm-pilot", 3)
-    eta = eta_point(sc, mod)
+    frame = Frame(sc, mod)
+    eta = eta_point(frame)
     for empty in ([], (), range(0), np.array([], dtype=int), np.array([])):
-        assert mean_from_eta(sc, mod, eta, empty).shape == (0,), repr(empty)
-        assert mean_from_eta(sc, mod, np.stack([eta, eta]), empty).shape == (2, 0), repr(empty)
+        assert mean_from_eta(frame, eta, empty).shape == (0,), repr(empty)
+        assert mean_from_eta(frame, np.stack([eta, eta]), empty).shape == (2, 0), repr(empty)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -260,23 +267,24 @@ def test_stacked_mean_from_eta_rows_are_the_single_point_calls(kind):
     n_f = 3
     sc = reference_scenario(n_f=n_f, n_paths=3, dopplers=(100.0, -50.0, 20.0))
     mod = make_modulation(kind, n_f)
-    eta0 = eta_point(sc, mod)
+    frame = Frame(sc, mod)
+    eta0 = eta_point(frame)
     rng = np.random.default_rng(5)
     points = eta0 * (1.0 + 1e-3 * rng.standard_normal((4, eta0.size)))
     points = np.vstack([eta0, points, eta0, points[:1]])
-    count = n_slots(sc, mod)
+    count = frame.slots
     for slots in (None, [count - 1, 0], [1, 1], np.array([], dtype=int)):
-        got = mean_from_eta(sc, mod, points, slots)
+        got = mean_from_eta(frame, points, slots)
         width = (count if slots is None else len(slots)) * sc.n_s
         assert got.shape == (len(points), width)
         for j, point in enumerate(points):
-            np.testing.assert_array_equal(got[j], mean_from_eta(sc, mod, point, slots),
+            np.testing.assert_array_equal(got[j], mean_from_eta(frame, point, slots),
                                           err_msg=f"row {j}, slots {slots}")
-    assert mean_from_eta(sc, mod, points[:0]).shape == (0, count * sc.n_s)
+    assert mean_from_eta(frame, points[:0]).shape == (0, count * sc.n_s)
     for bad in (points[None], points[:, :-1], np.zeros((2, eta0.size + 1)), eta0[:-1],
                 eta0[0]):
         with pytest.raises(ConfigError, match="eta must have shape"):
-            mean_from_eta(sc, mod, bad)
+            mean_from_eta(frame, bad)
 
 
 @pytest.mark.parametrize("rate", [10e9, 100e9])
@@ -285,7 +293,8 @@ def test_stacked_mean_from_eta_rows_are_the_single_point_calls(kind):
 def test_mean_vector_is_mean_from_eta_at_eta_point_exactly(kind, n_paths, rate):
     sc = dataclasses.replace(reference_scenario(n_f=3, n_paths=n_paths), f_s=rate)
     mod = make_modulation(kind, sc.n_f)
-    np.testing.assert_array_equal(mean_vector(sc, mod), mean_from_eta(sc, mod, eta_point(sc, mod)))
+    frame = Frame(sc, mod)
+    np.testing.assert_array_equal(mean_vector(sc, mod), mean_from_eta(frame, eta_point(frame)))
 
 
 # ------------------------------------------- windows against the whole grid
@@ -317,7 +326,7 @@ def _whole_grid_mean(sc, table):
 def _whole_grid_jacobian(sc, mod):
     # d/dtau, d/dphi and d/damp of every (slot, path) term, written into the
     # column the per-slot map names, on every sample of the slot
-    size, (tau, phi, amp), index = _slot_model(sc, mod)
+    size, (tau, phi, amp), index = _slot_model(Frame(sc, mod))
     w, dw = _whole_grid_pulse(sc, tau)
     rot = np.exp(1j * phi)
     c = (amp * rot)[..., None]
@@ -348,10 +357,10 @@ def _window_scenario(n_paths, rate):
 
 def test_edge_scenario_sits_at_the_sampling_tolerance():
     sc = _window_scenario(3, "edge")
-    per_pri_information(sc)
+    sc.per_pri_information
     narrower = dataclasses.replace(sc, pulse=PulseShape(alpha=0.99 * sc.pulse.alpha))
     with pytest.raises(UndersampledPulseError):
-        per_pri_information(narrower)
+        narrower.per_pri_information
 
 
 @pytest.mark.parametrize("rate", [10e9, 100e9, "edge"])
@@ -360,6 +369,7 @@ def test_edge_scenario_sits_at_the_sampling_tolerance():
 def test_windowed_sampling_is_bit_identical_to_the_whole_grid(kind, n_paths, rate):
     sc = _window_scenario(n_paths, rate)
     mod = make_modulation(kind, sc.n_f)
+    frame = Frame(sc, mod)
     # the samplers, at the paths and at centers whose windows slide at the
     # PRI start and end
     taus = np.array([0.0, *(p.tau_l0 for p in sc.paths), _last_center(sc)])
@@ -367,17 +377,17 @@ def test_windowed_sampling_is_bit_identical_to_the_whole_grid(kind, n_paths, rat
     np.testing.assert_array_equal(sample_pulse(sc.pulse, taus, sc), w)
     np.testing.assert_array_equal(pulse_time_derivative(sc.pulse, taus, sc), dw)
 
-    _, table, index = _slot_model(sc, mod)
+    _, table, index = _slot_model(frame)
     np.testing.assert_array_equal(mean_vector(sc, mod), _whole_grid_mean(sc, table))
     np.testing.assert_array_equal(mean_jacobian(sc, mod), _whole_grid_jacobian(sc, mod))
 
     # mean_from_eta with the delay entries moved alternately to the first and
     # the last center the PRI allows, on a subset of slots in a new order
-    eta = eta_point(sc, mod)
+    eta = eta_point(frame)
     delays = np.unique(index[_TAU][index[_TAU] >= 0])
     eta[delays[0::2]] = 0.0
     eta[delays[1::2]] = _last_center(sc)
     moved = np.where(index >= 0, eta[index], table)
     slots = [index.shape[1] - 1, 0]
     whole = _whole_grid_mean(sc, moved).reshape(-1, sc.n_s)
-    np.testing.assert_array_equal(mean_from_eta(sc, mod, eta, slots), whole[slots].ravel())
+    np.testing.assert_array_equal(mean_from_eta(frame, eta, slots), whole[slots].ravel())
