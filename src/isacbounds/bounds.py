@@ -23,9 +23,9 @@ that block is singular (which is the defining symptom of sensing/data
 coupling in the undecoupled PPM and BPSK frames) a
 :class:`CoupledParametersError` is raised naming the offending columns,
 rather than silently pseudo-inverting.  :func:`crlb_report` runs those
-per-target eliminations only for a frame that one Cholesky factorization of
-the equilibrated I_theta cannot vouch for; every other frame gets all its
-CRLBs from that one factor and its inverse.
+per-target eliminations and the :func:`singularity_report` SVD only for a
+frame that one Cholesky factorization of the equilibrated I_theta cannot vouch
+for; any other frame takes its CRLBs and rank from that factor's matrix.
 
 A differential frame duplicates the reference arrival time per data PRI,
 rotates it to the difference sequence [t^k - t^ref, t^k] by the square
@@ -33,12 +33,13 @@ rotates it to the difference sequence [t^k - t^ref, t^k] by the square
 equal the reference-pulse information) -- the independence approximation
 that makes per-PRI differential demodulation tractable -- and collapses the
 result onto theta.  After the cut every PRI contributes the same
-(delta_k, t_k) block, so :func:`differential_pipeline` sums per-PRI blocks
-plus the Doppler-ramp weights, with no matrix of the dense chain.
+(delta_k, t_k) block, so :func:`differential_pipeline` scales one per-PRI
+block and adds the closed Doppler-ramp sum, with no matrix of the dense chain.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,10 +73,6 @@ RANK_RTOL = 1e-10
 #: sizes and against the numeric probe by the validation suite); differential
 #: frames are checked at every size
 PRODUCT_CHECK_MAX_ETA = 3000
-
-#: PRIs per chunk of the differential ramp sum, so its memory does not grow
-#: with n_f; a frame of up to this many PRIs is summed in one piece
-RAMP_CHUNK = 1 << 17
 
 
 class CoupledParametersError(RuntimeError):
@@ -367,9 +364,9 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
     ``sfd_weight`` of the frame's reference pulse,
     B = [[(w+1) Lam_tau, Lam_tau], [Lam_tau, Lam_tau]] through the delay rows
     J_k = [[0 | E], [H | E]], its phases Lam_phi through the Doppler ramp
-    slope_k H, and the amplitudes n_f Lam_alpha once: O(n_f + L^3) time.
-    The squared slopes are summed ``RAMP_CHUNK`` PRIs at a time, in memory
-    that does not grow with n_f.
+    slope_k H, and the amplitudes n_f Lam_alpha once: O(L^3) time.  The
+    squared slopes sum to slope_1**2 n (n-1) (2n-1) / 6, its integer factor
+    exact, and inf past float64 (LabeledMatrix refuses that entry).
     """
     scenario, modulation, layout = frame.scenario, frame.modulation, frame.theta
     if modulation.decoupling != Decoupling.DIFFERENTIAL:
@@ -379,18 +376,17 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
     lam = np.diag(l_tau)
     H, E = h_matrix(L), e_vector(L)
     J_k = np.block([[np.zeros((L, L)), E], [H, E]])  # the same for every PRI
-    ramp = 0.0
-    for lo in range(0, n_f, RAMP_CHUNK):
-        kappa = np.arange(lo, min(lo + RAMP_CHUNK, n_f))
-        ramp += float(np.sum(ramp_slope(kappa, scenario.t_f) ** 2))
+    squares = n_f * (n_f - 1) * (2 * n_f - 1) // 6  # sum of kappa**2, exactly
 
     M = np.zeros((layout.size, layout.size))
     delay, doppler, amp = (layout.block_slice(b) for b in ("delay", "doppler", "amp"))
     with np.errstate(over="ignore", invalid="ignore"):  # LabeledMatrix refuses inf/NaN
         B = np.block([[(modulation.sfd_weight + 1.0) * lam, lam], [lam, lam]])
         M[delay, delay] = n_f * (J_k.T @ B @ J_k)
-    M[doppler, doppler] = ramp * _congruence(H, l_phi, H)
-    M[amp, amp] = np.diag(n_f * l_alpha)
+        slope = ramp_slope(1, scenario.t_f)
+        ramp = slope * slope * (float(squares) if squares < sys.float_info.max else np.inf)
+        M[doppler, doppler] = ramp * _congruence(H, l_phi, H)
+        M[amp, amp] = np.diag(n_f * l_alpha)
     return LabeledMatrix(M, layout)
 
 
@@ -464,52 +460,56 @@ class CrlbReport(SingularityReport):
 _ONE_FACTOR_MARGIN = 1e3
 
 
-def _one_factor_crlbs(fim: LabeledMatrix, targets: list[str]) -> dict | None:
-    """Every target's CRLB from one Cholesky factorization, or None.
+def _one_factor_crlbs(fim: LabeledMatrix, targets: list[str]) -> tuple[dict, np.ndarray] | None:
+    """Every target's CRLB from one Cholesky factorization, and the
+    eigenvalues of the factored matrix; None on a dead direction or a failed
+    factorization, ``_ONE_FACTOR_MARGIN`` pivot bar or ``EFIM_FLOOR``.
 
-    With I~ = D^-1/2 I D^-1/2 (unit diagonal) and its inverse from the one
-    factor, block b's scaled EFIM is inv((I~^-1)_bb) and its CRLB is
-    sum_{i in b} (I~^-1)_ii / I_ii.  None when the matrix has a dead
-    direction, fails the factorization or the ``_ONE_FACTOR_MARGIN`` pivot
-    bar, or any target fails the ``EFIM_FLOOR`` test of :func:`efim`: the
-    caller then runs the per-target Schur complements, which name the cause.
+    With I~ = D^-1/2 I D^-1/2 (unit diagonal) and its inverse from the
+    factor, block b's scaled EFIM is inv((I~^-1)_bb), its CRLB
+    sum_{i in b} (I~^-1)_ii / I_ii.  The floor test of :func:`efim` takes
+    lambda_max((I~^-1)_bb) <= tr((I~^-1)_bb), less a millionth for roundoff,
+    and an eigvalsh only where that trace cannot settle it.
     """
     diag = np.diag(fim.data)
     if not np.all(diag > 0.0):
         return None
+    scaled = _equilibrated(fim.data, diag)
     try:
-        low = np.linalg.cholesky(_equilibrated(fim.data, diag))
+        low = np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
         return None
     low_inv = np.linalg.inv(low)
     inv = low_inv.T @ low_inv
-    if not np.all(np.diag(inv) * (_ONE_FACTOR_MARGIN * RANK_RTOL) < 1.0):
+    inv_diag = np.diag(inv)
+    if not np.all(inv_diag * (_ONE_FACTOR_MARGIN * RANK_RTOL) < 1.0):
         return None
+    crlbs = inv_diag / diag
     values = {}
     for target in targets:
         b = fim.layout.block_slice(target)
-        block = inv[b, b]
-        # min eigenvalue of the scaled EFIM inv(block)
-        if not 1.0 / np.linalg.eigvalsh(block)[-1] > EFIM_FLOOR:
+        if (not np.sum(inv_diag[b]) * EFIM_FLOOR < 1.0 - 1e-6
+                and not 1.0 / np.linalg.eigvalsh(inv[b, b])[-1] > EFIM_FLOOR):
             return None
-        values[target] = float(np.sum(np.diag(block) / diag[b]))
-    return values
+        values[target] = float(np.sum(crlbs[b]))
+    return values, np.linalg.eigvalsh(scaled)
 
 
 def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig) -> CrlbReport:
     """Assemble I_theta, diagnose its rank and compute the available CRLBs.
 
     A frame that clears the gates of :func:`_one_factor_crlbs` gets every
-    CRLB from one factorization of the equilibrated I_theta.  Any other
-    frame runs :func:`crlb` per target: a block whose elimination raises
-    CoupledParametersError (its nuisance block is singular, or its
-    information is annihilated below ``EFIM_FLOOR``) gets a ``None`` CRLB, and the
-    coupled/zero columns explain which directions are unidentifiable.
+    CRLB from that factor, and from the eigenvalues w of the factored matrix
+    the verdict of :func:`singularity_report` while w_min > RANK_RTOL w_max:
+    full rank, ``min_sv_ratio`` w_min / w_max.  Any other frame gets that
+    report's SVD and runs :func:`crlb` per target, and a block whose
+    elimination raises CoupledParametersError gets a ``None`` CRLB.
     """
     fim = assemble_theta_fim(Frame(scenario, modulation))
-    rep = singularity_report(fim)
     targets = [t for t in CRLB_TARGETS if t in fim.layout.block_bounds]
-    values = _one_factor_crlbs(fim, targets)
+    values, w = _one_factor_crlbs(fim, targets) or (None, None)
+    rep = (singularity_report(fim) if w is None or not w[0] > RANK_RTOL * w[-1]
+           else SingularityReport(fim.size, fim.size, False, float(w[0] / w[-1]), (), ()))
     if values is None:
         values = {}
         for target in targets:

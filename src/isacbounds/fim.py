@@ -46,7 +46,7 @@ from .model import (
     ScenarioConfig,
     _window_starts,
 )
-from .signals import _AMP, _PHI, _TAU, _slot_model, eta_point, mean_from_eta
+from .signals import _AMP, _PHI, _TAU, _slot_index, _slot_model, eta_point, mean_from_eta
 
 # numeric-probe guard rails: beyond this the finite-difference sweep is too
 # slow to be useful and the closed forms are the intended path
@@ -212,7 +212,7 @@ def observation_fim_analytic(scenario: ScenarioConfig,
     that overflows the reference information raises ConfigError.
     """
     frame = Frame(scenario, modulation)
-    size, _, index = _slot_model(frame)
+    size, index = frame.eta.size, _slot_index(frame)
     ref = frame.ref  # the differential reference slot, if any
     diag = np.zeros(size)
     pulses = np.zeros(size, dtype=np.intp)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigError, Decoupling, Frame, ParamLayout, Scheme
-from .signals import _AMP, _PHI, _TAU, _slot_model, bound_bits
+from .signals import _AMP, _PHI, _TAU, _slot_index, bound_bits
 
 
 @dataclass
@@ -89,7 +89,7 @@ def jacobian_for(frame: Frame) -> StructMatrix:
     frame this is the plain chain rule through the same map.
     """
     scenario, modulation, ref, cols = frame.scenario, frame.modulation, frame.ref, frame.theta
-    size, _, index = _slot_model(frame)
+    size, index = frame.eta.size, _slot_index(frame)
     L, n_f = scenario.n_paths, scenario.n_f
     bits = bound_bits(frame)[:, None]
     slope = ramp_slope(np.arange(n_f), scenario.t_f)[:, None]

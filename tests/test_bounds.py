@@ -18,10 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isacbounds.model import (
+    Block,
     ConfigError,
     Decoupling,
     Frame,
@@ -35,6 +36,7 @@ from isacbounds.model import (
 from isacbounds import bounds
 from isacbounds.fim import (
     LabeledMatrix,
+    _equilibrated,
     observation_fim_analytic,
     observation_fim_numeric,
 )
@@ -461,10 +463,10 @@ def test_overflowing_sfd_weight_is_a_config_error():
                 route(Frame(sc, dataclasses.replace(mod, sfd_weight=1e300)))
 
 
-@pytest.mark.parametrize("kind", ("sensing", "ppm-pilot"))
+@pytest.mark.parametrize("kind", ("sensing", "ppm-pilot", "ppm-diff"))
 def test_a_frame_past_float64_is_a_config_error_without_warnings(kind):
     # the closed-form products overflow quietly and LabeledMatrix names the
-    # first inf entry; a differential frame would sum n_f / RAMP_CHUNK chunks
+    # first inf entry
     n_f = 10 ** 300
     mod = make_modulation(kind, n_f)
     with warnings.catch_warnings():
@@ -577,14 +579,18 @@ def test_differential_ramp_sum_runs_in_bounded_memory():
     assert report.crlb["tau1"] is not None
 
 
-def test_differential_ramp_sum_is_one_chunk_up_to_the_chunk_size():
-    # a frame of up to RAMP_CHUNK PRIs sums its ramp exactly as one array
-    n_f = bounds.RAMP_CHUNK
+@pytest.mark.parametrize("n_f", (1, 2, 3, 2 ** 17, 10 ** 7, 10 ** 15))
+def test_differential_ramp_sum_is_exact(n_f):
+    # fd1 carries l_phi times sum_kappa (kappa s_1)**2, s_1 = ramp_slope(1, t_f),
+    # to the few roundings of forming it
     sc = reference_scenario(n_f=n_f, n_paths=1)
     fim = differential_pipeline(Frame(sc, make_modulation("ppm-diff", n_f)))
-    ramp = float(np.sum(ramp_slope(np.arange(n_f), sc.t_f) ** 2))
-    l_phi = sc.per_pri_information[1]
-    assert fim.block("fd1")[0, 0] == ramp * l_phi[0]
+    squares = Fraction(n_f * (n_f - 1) * (2 * n_f - 1), 6)
+    if n_f <= 2 ** 17:
+        assert squares == sum(kappa * kappa for kappa in range(n_f))
+    exact = squares * Fraction(ramp_slope(1, sc.t_f)) ** 2 * Fraction(sc.per_pri_information[1][0])
+    got = Fraction(fim.block("fd1")[0, 0])
+    assert abs(got - exact) <= 4 * Fraction(np.finfo(float).eps) * exact
 
 
 @pytest.mark.parametrize("n_f", (8, 2048))
@@ -966,6 +972,119 @@ def test_one_factor_route_skips_the_schur_complements(monkeypatch, ref8):
     for kind in ("sensing", "ppm-pilot", "bpsk-pilot", "ppm-diff"):
         rep = crlb_report(ref8, make_modulation(kind, 8))
         assert None not in rep.crlb.values(), kind
+
+
+def test_one_factor_route_reads_the_verdict_off_its_eigenvalues(monkeypatch, ref8):
+    calls = []
+    real = bounds.singularity_report
+    monkeypatch.setattr(bounds, "singularity_report",
+                        lambda *args: calls.append(args) or real(*args))
+    for kind in ("sensing", "ppm-pilot", "bpsk-pilot", "ppm-diff"):
+        assert not crlb_report(ref8, make_modulation(kind, 8)).singular, kind
+    assert calls == []
+    for kind in ("ppm-raw", "bpsk-raw"):
+        assert crlb_report(ref8, make_modulation(kind, 8)).singular, kind
+    assert len(calls) == 2
+
+
+def verdict_frames():
+    """Every frame_grid shape, n_f 1 and 2 and the near-singular one-pilot frame."""
+    for kind in ALL_KINDS:
+        yield from frame_shapes(kind, (1, 2, 8, 64, 256, 499, 500, 2048, 10 ** 5))
+    for n_paths in (1, 2, 3):
+        yield (reference_scenario(n_f=10 ** 8, n_paths=n_paths),
+               ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=10 ** 8 - 1))
+
+
+def test_report_verdict_equals_the_svd_verdict():
+    fields = ("size", "rank", "singular", "coupled_columns", "zero_columns")
+    for sc, mod in verdict_frames():
+        rep = crlb_report(sc, mod)
+        svd = singularity_report(assemble_theta_fim(Frame(sc, mod)))
+        assert [getattr(rep, f) for f in fields] == [getattr(svd, f) for f in fields], (sc, mod)
+        assert abs(rep.min_sv_ratio - svd.min_sv_ratio) <= 1e-13, (sc, mod)
+
+
+def one_eigvalsh_per_target(fim, targets):
+    """The one-factor CRLBs with an eigvalsh of every target block."""
+    diag = np.diag(fim.data)
+    if not np.all(diag > 0.0):
+        return None
+    try:
+        low = np.linalg.cholesky(_equilibrated(fim.data, diag))
+    except np.linalg.LinAlgError:
+        return None
+    low_inv = np.linalg.inv(low)
+    inv = low_inv.T @ low_inv
+    if not np.all(np.diag(inv) * (bounds._ONE_FACTOR_MARGIN * bounds.RANK_RTOL) < 1.0):
+        return None
+    values = {}
+    for target in targets:
+        b = fim.layout.block_slice(target)
+        block = inv[b, b]
+        if not 1.0 / np.linalg.eigvalsh(block)[-1] > bounds.EFIM_FLOOR:
+            return None
+        values[target] = float(np.sum(np.diag(block) / diag[b]))
+    return values
+
+
+def planted_fim(n, seed, planted, depth, structured, log_scale, cuts):
+    """An SPD matrix with ``planted`` eigenvalues 10**depth, diagonal 10**log_scale
+    up to a factor of order one, cut into blocks at ``cuts``.
+
+    A structured one has +-1 planted directions spread evenly over every
+    entry and all other eigenvalues 1, so that its inverse's diagonal is
+    flat: a block trace can then pass 1 / EFIM_FLOOR while every entry
+    stays under the one-factor margin.
+    """
+    rng = np.random.default_rng(seed)
+    spread = (-1.0) ** (np.arange(n)[:, None] >> np.arange(planted))
+    lead = spread if structured else rng.standard_normal((n, planted))
+    q, _ = np.linalg.qr(np.column_stack([lead, rng.standard_normal((n, n - planted))]))
+    w = np.concatenate([np.full(planted, 10.0 ** depth),
+                        np.ones(n - planted) if structured else rng.uniform(0.5, 2.0, n - planted)])
+    root = np.sqrt(10.0 ** np.asarray(log_scale[:n]))
+    M = root[:, None] * ((q * w) @ q.T) * root[None, :]
+    edges = [0, *sorted(c for c in cuts if c < n), n]
+    layout = ParamLayout(tuple(Block(f"b{i}", hi - lo)
+                               for i, (lo, hi) in enumerate(zip(edges, edges[1:]))))
+    return LabeledMatrix(0.5 * (M + M.T), layout), [f"b{i}" for i in range(len(edges) - 1)]
+
+
+#: one planted direction at 8.4e-9 fails EFIM_FLOOR only by eigvalsh; two at
+#: 1.5e-8 pass it only by eigvalsh; both blocks' traces exceed 1 / EFIM_FLOOR
+PAST_THE_TRACE = ({"planted": 1, "depth": float(np.log10(8.4e-9))},
+                  {"planted": 2, "depth": float(np.log10(1.5e-8))})
+WIDE_SCALE = [30.0, -30.0, 12.0, -7.0, 0.0, 25.0, -18.0, 3.0, -29.0, 8.0, 17.0, -1.0]
+
+
+@pytest.mark.parametrize("case", PAST_THE_TRACE)
+def test_one_factor_trace_bound_falls_back_to_eigvalsh(case):
+    fim, targets = planted_fim(12, 0, structured=True, log_scale=WIDE_SCALE, cuts=(),
+                               **case)
+    diag = np.diag(fim.data)
+    inv = np.linalg.inv(_equilibrated(fim.data, diag))
+    assert np.max(np.diag(inv)) * bounds._ONE_FACTOR_MARGIN * bounds.RANK_RTOL < 1.0
+    assert np.trace(inv) * bounds.EFIM_FLOOR > 1.0
+    got = bounds._one_factor_crlbs(fim, targets)
+    want = one_eigvalsh_per_target(fim, targets)
+    assert (want is None) == (case["planted"] == 1)
+    assert (got if got is None else got[0]) == want
+
+
+@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1), planted=st.integers(0, 2),
+       depth=st.floats(-10.0, 0.0), structured=st.booleans(),
+       log_scale=st.lists(st.floats(-30.0, 30.0), min_size=12, max_size=12),
+       cuts=st.sets(st.integers(1, 11)))
+@example(n=12, seed=0, structured=True, log_scale=WIDE_SCALE, cuts=set(), **PAST_THE_TRACE[0])
+@example(n=12, seed=0, structured=True, log_scale=WIDE_SCALE, cuts=set(), **PAST_THE_TRACE[1])
+@settings(max_examples=200, deadline=None)
+def test_one_factor_trace_bound_equals_eigvalsh_per_target(n, seed, planted, depth,
+                                                           structured, log_scale, cuts):
+    fim, targets = planted_fim(n, seed, min(planted, n), depth, structured, log_scale, cuts)
+    got = bounds._one_factor_crlbs(fim, targets)
+    want = one_eigvalsh_per_target(fim, targets)
+    assert (got if got is None else got[0]) == want
 
 
 def test_report_builds_no_eta_names(monkeypatch):
