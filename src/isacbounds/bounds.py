@@ -39,7 +39,6 @@ block and adds the closed Doppler-ramp sum, with no matrix of the dense chain.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -366,7 +365,8 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
     J_k = [[0 | E], [H | E]], its phases Lam_phi through the Doppler ramp
     slope_k H, and the amplitudes n_f Lam_alpha once: O(L^3) time.  The
     squared slopes sum to slope_1**2 n (n-1) (2n-1) / 6, its integer factor
-    exact, and inf past float64 (LabeledMatrix refuses that entry).
+    exact and scaled by 2**-shift while it meets slope_1**2: only a sum past
+    float64 is inf (LabeledMatrix refuses that entry).
     """
     scenario, modulation, layout = frame.scenario, frame.modulation, frame.theta
     if modulation.decoupling != Decoupling.DIFFERENTIAL:
@@ -377,6 +377,7 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
     H, E = h_matrix(L), e_vector(L)
     J_k = np.block([[np.zeros((L, L)), E], [H, E]])  # the same for every PRI
     squares = n_f * (n_f - 1) * (2 * n_f - 1) // 6  # sum of kappa**2, exactly
+    shift = max(0, squares.bit_length() - 1000)  # squares / 2**shift is a float
 
     M = np.zeros((layout.size, layout.size))
     delay, doppler, amp = (layout.block_slice(b) for b in ("delay", "doppler", "amp"))
@@ -384,7 +385,7 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
         B = np.block([[(modulation.sfd_weight + 1.0) * lam, lam], [lam, lam]])
         M[delay, delay] = n_f * (J_k.T @ B @ J_k)
         slope = ramp_slope(1, scenario.t_f)
-        ramp = slope * slope * (float(squares) if squares < sys.float_info.max else np.inf)
+        ramp = np.ldexp(slope * slope * (squares / (1 << shift)), shift)
         M[doppler, doppler] = ramp * _congruence(H, l_phi, H)
         M[amp, amp] = np.diag(n_f * l_alpha)
     return LabeledMatrix(M, layout)

@@ -14,8 +14,8 @@ pulse of path l adds one pulse's worth per (slot, path) value
     lambda_phi   =              t_f * f_s * SNR_l       (carrier phase)
     lambda_alpha =              t_f * f_s * SNR_l / amp**2   (amplitude)
 
-to the eta entry that the per-slot map of :mod:`isacbounds.signals` names for
-it, so an entry touched by M pulses carries M lambda: each kind's per-path
+to the eta entry that :attr:`isacbounds.model.Frame.slot_map` names for it,
+so an entry touched by M pulses carries M lambda: each kind's per-path
 lambda goes straight into the map's rows, times the pulse count.  B is the
 effective bandwidth and SNR_l the per-pulse received SNR of the path; the
 three per-path values are the scenario record's memo
@@ -39,6 +39,9 @@ from functools import cached_property
 import numpy as np
 
 from .model import (
+    AMP,
+    PHI,
+    TAU,
     ConfigError,
     Frame,
     ModulationConfig,
@@ -46,7 +49,7 @@ from .model import (
     ScenarioConfig,
     _window_starts,
 )
-from .signals import _AMP, _PHI, _TAU, _slot_index, _slot_model, eta_point, mean_from_eta
+from .signals import eta_point, mean_from_eta
 
 # numeric-probe guard rails: beyond this the finite-difference sweep is too
 # slow to be useful and the closed forms are the intended path
@@ -202,9 +205,8 @@ def observation_fim_analytic(scenario: ScenarioConfig,
     """Closed-form I_eta for the given scenario/modulation pair, as its diagonal.
 
     Every (slot, path) pulse gives one pulse's lambda (the scenario's
-    ``per_pri_information``) to the eta entry that the per-slot map of
-    :mod:`isacbounds.signals` names for its delay, phase and amplitude; the
-    differential reference pulse counts
+    ``per_pri_information``) to the eta entry that the frame's slot map names
+    for its delay, phase and amplitude; the differential reference pulse counts
     ``modulation.sfd_weight`` pulses on its delay.  Slots are disjoint and
     paths are >= 12 alpha apart (a ScenarioConfig invariant), so the matrix is
     exactly diagonal: it is returned as a :class:`DiagonalMatrix`, and its
@@ -212,18 +214,18 @@ def observation_fim_analytic(scenario: ScenarioConfig,
     that overflows the reference information raises ConfigError.
     """
     frame = Frame(scenario, modulation)
-    size, index = frame.eta.size, _slot_index(frame)
+    size, index = frame.eta.size, frame.slot_map
     ref = frame.ref  # the differential reference slot, if any
     diag = np.zeros(size)
     pulses = np.zeros(size, dtype=np.intp)
     # one lambda per row times its pulses, so n_f * lambda is formed exactly as
     # a product; the reference slot's phase and amplitude are known (no row)
-    for rows, lam in zip((index[_TAU], index[_PHI, ref:], index[_AMP, ref:]),
+    for rows, lam in zip((index[TAU], index[PHI, ref:], index[AMP, ref:]),
                          scenario.per_pri_information):
         diag[rows] = lam
         pulses += np.bincount(rows.ravel(), minlength=size)
     with np.errstate(over="ignore"):  # DiagonalMatrix refuses an inf entry
-        diag[index[_TAU, :ref]] *= modulation.sfd_weight
+        diag[index[TAU, :ref]] *= modulation.sfd_weight
         diag *= pulses
     return DiagonalMatrix(diag, frame.eta)
 
@@ -245,19 +247,18 @@ class FdSteps:
 DEFAULT_FD = FdSteps()
 
 
-def _probe_ranges(scenario: ScenarioConfig, table: np.ndarray, index: np.ndarray,
+def _probe_ranges(scenario: ScenarioConfig, index: np.ndarray,
                   eta0: np.ndarray, h: np.ndarray) -> tuple[list[int], list[int]]:
     """Per slot, the sample range [lo, hi) outside which every evaluation of
     the probe is an exact zero.
 
-    The probe places each pulse at its eta0 arrival time, or that time +- h
-    on the delay entry it perturbs; the range is the union of the pulse
-    windows of :func:`isacbounds.model._pulse_window` at all of those
-    centers, which covers each evaluation's own windows.
+    The probe places each pulse at its eta0 arrival time (each one an entry
+    of the slot map ``index``), or that time +- h on the delay entry it
+    perturbs; the range is the union of the pulse windows of
+    :func:`isacbounds.model._pulse_window` at all of those centers.
     """
-    tau = index[_TAU]
-    center = np.where(tau >= 0, eta0[tau], table[_TAU])
-    step = np.where(tau >= 0, h[tau], 0.0)
+    tau = index[TAU]
+    center, step = eta0[tau], h[tau]
     centers = np.stack([center, center + step, center - step], axis=-1)
     firsts, width = _window_starts(scenario.pulse, centers, scenario)
     firsts = np.reshape(firsts, (tau.shape[0], -1))
@@ -269,9 +270,9 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     """I_eta via central differences of the mean vector.
 
     Independent of the closed forms (the mean is re-evaluated at shifted
-    parameter values); used to cross-check the analytic path.  The per-slot
-    map of :mod:`isacbounds.signals` gives each entry's step (by its kind:
-    delay, phase or amplitude) and the slots it drives.  Only those slots are
+    parameter values); used to cross-check the analytic path.  The frame's
+    slot map gives each entry's step (by its kind: delay, phase or
+    amplitude) and the slots it drives.  Only those slots are
     re-evaluated: the others cancel exactly in the difference.  Slots occupy
     disjoint samples, so I_eta is the sum over slots of the Gram block
     Re(B_s^H B_s) / sigma2 of the columns B_s of the entries slot s touches.
@@ -297,7 +298,7 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
             f"numeric probe limited to {MAX_FD_SAMPLES} samples, frame has {total}"
         )
 
-    size, table, index = _slot_model(frame)
+    size, index = layout.size, frame.slot_map
     known = index >= 0
     which, slot, _ = np.nonzero(known)
     kind = np.empty(size, dtype=np.intp)
@@ -306,12 +307,12 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     drives[index[known], slot] = True
     eta0 = eta_point(frame)
     h = np.array([steps.delay, steps.phase, steps.amp_rel])[kind]
-    h[kind == _AMP] *= np.abs(eta0[kind == _AMP])  # relative amplitude steps
+    h[kind == AMP] *= np.abs(eta0[kind == AMP])  # relative amplitude steps
     nonpositive = np.flatnonzero(~(h > 0.0))  # NaN counts as a failure
     if nonpositive.size:
         raise ConfigError(
             f"finite-difference step for {layout.names[nonpositive[0]]!r} is not positive")
-    lo, hi = _probe_ranges(scenario, table, index, eta0, h)
+    lo, hi = _probe_ranges(scenario, index, eta0, h)
 
     # Re(B_s^H B_s) as one real product over the interleaved (re, im) samples
     M = np.zeros((size, size))
@@ -330,7 +331,7 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     if np.any(np.diag(M) <= 0.0):
         bad = [layout.names[i] for i in np.flatnonzero(np.diag(M) <= 0.0)]
         raise ConfigError(
-            f"finite-difference step wiped out the diagonal for {bad}; "
-            "reduce the step sizes"
+            f"finite-difference step wiped out the diagonal for {bad}: a step below "
+            "the float spacing of its entry moves nothing; raise the step sizes"
         )
     return LabeledMatrix(M, layout)

@@ -7,11 +7,12 @@ matrix is the congruence
 
     I_theta = J^T I_eta J,        J = d eta / d theta.
 
-:func:`jacobian_for` writes J straight through the per-slot map of
-:mod:`isacbounds.signals`, which names the eta entry behind every pulse's
-delay, phase and amplitude; the pilot/differential/unsplit split is decided
-there, not here.  Each kind's derivative rows are built from two primitives
-and assigned to the rows the map names, with no intermediate table:
+:func:`jacobian_for` writes J straight through the frame's slot map
+(:attr:`isacbounds.model.Frame.slot_map`), which names the eta entry behind
+every pulse's delay, phase and amplitude; the pilot/differential/unsplit
+split is decided there, not here.  Each kind's derivative rows are built
+from two primitives and assigned to the rows the map names, with no
+intermediate table:
 
   * ``H`` (L x L): first column all ones, remaining columns the unit vectors
     of paths 2..L -- it maps [tau1, dtau_2..L] to the absolute per-path values;
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, Decoupling, Frame, ParamLayout, Scheme
-from .signals import _AMP, _PHI, _TAU, _slot_index, bound_bits
+from .model import AMP, PHI, TAU, ConfigError, Decoupling, Frame, ParamLayout, Scheme
 
 
 @dataclass
@@ -79,33 +79,32 @@ def ramp_slope(kappa: int | np.ndarray, t_f: float) -> float | np.ndarray:
 
 
 def jacobian_for(frame: Frame) -> StructMatrix:
-    """d eta / d theta, written through the per-slot map of :mod:`isacbounds.signals`.
+    """d eta / d theta, written through the frame's slot map.
 
     Rows follow ``frame.eta``, columns ``frame.theta``.  Each (slot, path) delay moves
-    with H (plus the data bit through dtau_q), each phase with the ramp slope
-    times H (plus the data bit through phi_bpsk: raw on pilot splits, riding
-    the ramp otherwise) and each amplitude with I; those derivatives are
-    assigned directly to the eta rows the map names.  For a differential
-    frame this is the plain chain rule through the same map.
+    with H, each phase with the ramp slope times H and each amplitude with I;
+    on the data PRIs ``frame.data`` the delay also moves with dtau_q and the
+    phase with phi_bpsk (raw on pilot splits, riding the ramp otherwise).
+    Those derivatives are assigned directly to the eta rows the map names.
+    For a differential frame this is the plain chain rule through the same map.
     """
     scenario, modulation, ref, cols = frame.scenario, frame.modulation, frame.ref, frame.theta
-    size, index = frame.eta.size, _slot_index(frame)
+    index, data = frame.slot_map, slice(frame.data.start, frame.data.stop)
     L, n_f = scenario.n_paths, scenario.n_f
-    bits = bound_bits(frame)[:, None]
     slope = ramp_slope(np.arange(n_f), scenario.t_f)[:, None]
     H = h_matrix(L)
     # the reference slot's phase and amplitude are known: only its delay has a
     # row.  Path l of a slot moves with row l of the primitive; rows shared by
     # several slots (unsplit delays and amplitudes) get the same values
-    tau, phi, amp = index[_TAU], index[_PHI, ref:], index[_AMP, ref:]
+    tau, phi, amp = index[TAU], index[PHI, ref:], index[AMP, ref:]
     lo = cols.block("delay")[0]
-    J = np.zeros((size, cols.size))
+    J = np.zeros((frame.eta.size, cols.size))
     J[tau, lo:lo + L] = H
     J[phi, cols.block_slice("doppler")] = slope[..., None] * H
     J[amp, cols.block_slice("amp")] = np.eye(L)
     if modulation.scheme == Scheme.PPM:
-        J[tau[ref:], cols.block("dtau_q")[0]] = bits
+        J[tau[ref:][data], cols.block("dtau_q")[0]] = 1.0
     elif modulation.scheme == Scheme.BPSK:
-        J[phi, cols.block("phi_bpsk")[0]] = (bits if modulation.decoupling == Decoupling.PILOT
-                                            else slope * bits)
+        J[phi[data], cols.block("phi_bpsk")[0]] = (1.0 if modulation.decoupling == Decoupling.PILOT
+                                                  else slope[data])
     return StructMatrix(J, frame.eta, cols)

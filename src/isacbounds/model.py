@@ -353,9 +353,10 @@ class ParamLayout:
     aggregate blocks (e.g. ``"phi"``) and per-PRI sub-blocks (e.g.
     ``"phi_3"``) are addressable.
 
-    ``size`` and the bounds of every :class:`Block`, run aggregate and span
-    are computed at construction, by arithmetic over the segments.  The
-    per-entry ``names`` and the per-PRI sub-blocks, O(n_f) of each, are built
+    ``size`` and ``block_bounds`` (every :class:`Block`, run aggregate and
+    span) are computed at construction, by arithmetic over the segments;
+    :meth:`block` finds a run's per-PRI sub-block from its index the same
+    way, so no lookup is O(n_f).  The per-entry ``names``, O(n_f), are built
     on first read only and then kept: the information-matrix pipeline reads
     names only to word an error.
     """
@@ -363,23 +364,27 @@ class ParamLayout:
     segments: tuple[Block | PerPri, ...]
     spans: tuple[tuple[str, str, str], ...] = ()
     size: int = field(init=False, repr=False, compare=False)
-    _bounds: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    block_bounds: Mapping[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _runs: dict[str, tuple[int, PerPri]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bounds: dict[str, tuple[int, int]] = {}
+        runs: dict[str, tuple[int, PerPri]] = {}
         lo = 0
         for seg in self.segments:
             if isinstance(seg, Block):
                 bounds[seg.name] = (lo, lo + seg.width)
                 lo += seg.width
             else:
+                runs[seg.prefix] = (lo, seg)
                 if seg.aggregate is not None:
                     bounds[seg.aggregate] = (lo, lo + seg.size)
                 lo += seg.size
         for name, first, last in self.spans:
             bounds[name] = (bounds[first][0], bounds[last][1])
         object.__setattr__(self, "size", lo)
-        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "block_bounds", MappingProxyType(bounds))
+        object.__setattr__(self, "_runs", runs)
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -395,31 +400,21 @@ class ParamLayout:
                           for l in range(1, seg.width + 1)]
         return tuple(names)
 
-    @cached_property
-    def block_bounds(self) -> Mapping[str, tuple[int, int]]:
-        """Every block name -> (start, stop), per-PRI sub-blocks included."""
-        bounds: dict[str, tuple[int, int]] = {}
-        lo = 0
-        for seg in self.segments:
-            if isinstance(seg, Block):
-                bounds[seg.name] = (lo, lo + seg.width)
-                lo += seg.width
-                continue
-            for k in range(seg.count):
-                bounds[f"{seg.prefix}_{k}"] = (lo, lo + seg.width)
-                lo += seg.width
-        bounds.update(self._bounds)  # aggregates last
-        return MappingProxyType(bounds)
-
     def block(self, name: str) -> tuple[int, int]:
-        bounds = self._bounds.get(name)
-        if bounds is None:
-            bounds = self.block_bounds.get(name)
-        if bounds is None:
-            raise KeyError(
-                f"unknown block {name!r}; available: {sorted(self.block_bounds)}"
-            )
-        return bounds
+        """(start, stop) of a ``block_bounds`` entry or of a run's ``prefix_k``."""
+        bounds = self.block_bounds.get(name)
+        if bounds is not None:
+            return bounds
+        prefix, _, k = name.rpartition("_")
+        if prefix in self._runs:
+            lo, run = self._runs[prefix]
+            # "phi_3", not "phi_03" or "phi_+3"; more digits than the count is out of range
+            canonical = k.isascii() and k.isdigit() and (k == "0" or k[0] != "0")
+            if canonical and len(k) <= len(str(run.count)) and int(k) < run.count:
+                lo += int(k) * run.width
+                return lo, lo + run.width
+        runs = "".join(f", {p}_<k> for k < {run.count}" for p, (_, run) in self._runs.items())
+        raise KeyError(f"unknown block {name!r}; available: {sorted(self.block_bounds)}{runs}")
 
     def block_slice(self, name: str) -> slice:
         lo, hi = self.block(name)
@@ -456,7 +451,7 @@ def theta_layout(scheme: Scheme, n_paths: int) -> ParamLayout:
                        (("delay", "tau1", delay_end), ("doppler", "fd1", "dfd")))
 
 
-def eta_layout(scheme: Scheme, decoupling: Decoupling, n_paths: int, n_f: int) -> ParamLayout:
+def eta_layout(decoupling: Decoupling, n_paths: int, n_f: int) -> ParamLayout:
     """Layout of the observation-domain parameter vector eta.
 
     Order (L = n_paths, per-PRI blocks are PRI-major / path-minor):
@@ -466,21 +461,27 @@ def eta_layout(scheme: Scheme, decoupling: Decoupling, n_paths: int, n_f: int) -
       * differential:  [t_ref (L), t per data PRI (n_f x L),
                         phi per data PRI (n_f x L), amp (L)]
 
-    Every per-PRI group also gets its own sub-block (``phi_k``, ``t_k``); the
+    The decoupling decides it (:data:`DECOUPLINGS` admits splits only on data
+    schemes).  Every per-PRI group is its own block (``phi_k``, ``t_k``); the
     aggregate ``"phi"`` spans the phases and, in a differential frame,
     ``"t_abs"`` the per-PRI arrival times.
     """
     L = n_paths
-    if scheme != Scheme.SENSING and decoupling == Decoupling.PILOT:
+    if decoupling == Decoupling.PILOT:
         segments = (Block("tau_p", L), Block("tau_d", L),
                     PerPri("phi", n_f, L, "phi"),
                     Block("amp_p", L), Block("amp_d", L))
-    elif scheme == Scheme.PPM and decoupling == Decoupling.DIFFERENTIAL:
+    elif decoupling == Decoupling.DIFFERENTIAL:
         segments = (Block("t_ref", L), PerPri("t", n_f, L, "t_abs"),
                     PerPri("phi", n_f, L, "phi"), Block("amp", L))
     else:
         segments = (Block("tau", L), PerPri("phi", n_f, L, "phi"), Block("amp", L))
     return ParamLayout(segments)
+
+
+#: the kinds of value each (slot, path) pulse has, in the order of the first
+#: axis of :attr:`Frame.slot_map`: arrival time, carrier phase, amplitude
+TAU, PHI, AMP = range(3)
 
 
 @dataclass(frozen=True)
@@ -492,8 +493,8 @@ class Frame:
     pilot split, every PRI otherwise; count it by ``stop - start``, as
     ``len()`` overflows past 2**63 - 1); ``ref`` is 1 for a differential
     frame's reference slot, else 0; ``slots`` = ref + n_f pulse slots.  The
-    theta and eta layouts are built on first read.  Equality and hash cover
-    the scenario and modulation only.  Raises ConfigError / LeakageError.
+    theta and eta layouts and the eta ``slot_map`` are built on first read.
+    Equality and hash cover the scenario and modulation only.
     """
 
     scenario: ScenarioConfig
@@ -540,8 +541,39 @@ class Frame:
 
     @cached_property
     def eta(self) -> ParamLayout:
-        return eta_layout(self.modulation.scheme, self.modulation.decoupling,
-                          self.scenario.n_paths, self.scenario.n_f)
+        return eta_layout(self.modulation.decoupling, self.scenario.n_paths, self.scenario.n_f)
+
+    @cached_property
+    def slot_map(self) -> np.ndarray:
+        """The eta entry that sets each (slot, path) pulse's ``TAU``, ``PHI``
+        and ``AMP`` value, shape ``(3, slots, L)``, -1 where the value is
+        known (only the differential reference slot's phase and amplitude, so
+        a reader may skip them by taking those two kinds from slot ``ref`` on).
+        Read-only.  The one place the decoupling decides which unknown drives
+        each slot: pilot and data PRIs have their own arrival times and
+        amplitudes, differential frames one arrival time per PRI plus the
+        reference pulse's, unsplit frames one arrival time and amplitude per path.
+        """
+        n_f, L, ref = self.scenario.n_f, self.scenario.n_paths, self.ref
+        p = self.modulation.p_pilots
+        start = {name: lo for name, (lo, _) in self.eta.block_bounds.items()}
+        paths, per_pri = np.arange(L), np.arange(n_f * L).reshape(n_f, L)
+        index = np.full((3, self.slots, L), -1, dtype=np.intp)
+        index[PHI, ref:] = start["phi"] + per_pri
+        if self.modulation.decoupling == Decoupling.PILOT:
+            index[TAU, :p] = start["tau_p"] + paths
+            index[TAU, p:] = start["tau_d"] + paths
+            index[AMP, :p] = start["amp_p"] + paths
+            index[AMP, p:] = start["amp_d"] + paths
+        elif self.modulation.decoupling == Decoupling.DIFFERENTIAL:
+            index[TAU, 0] = start["t_ref"] + paths
+            index[TAU, 1:] = start["t_abs"] + per_pri
+            index[AMP, 1:] = start["amp"] + paths
+        else:
+            index[TAU] = start["tau"] + paths
+            index[AMP] = start["amp"] + paths
+        index.setflags(write=False)
+        return index
 
 
 # =========================================================================

@@ -6,8 +6,10 @@ The observation model per frame is
 
 where ``mu`` stacks the PRIs of one frame (plus, for differential frames, one
 leading reference slot) and ``eta`` is the observation-domain parameter
-vector laid out by :attr:`isacbounds.model.Frame.eta`: per-path arrival
-times, one carrier phase per PRI and path, and per-path amplitudes.
+vector of the frame: per-path arrival times, one carrier phase per PRI and
+path, and per-path amplitudes, laid out by :attr:`~isacbounds.model.Frame.eta`
+and tied to the pulses by :attr:`~isacbounds.model.Frame.slot_map`.  This
+module is the sampled model and its oracle; the bounds never call it.
 
 Within a PRI the Doppler of a path only rotates the carrier; the envelope
 distortion over a single PRI is negligible at the bandwidths considered, so
@@ -31,8 +33,10 @@ import functools
 import numpy as np
 
 from .model import (
+    AMP,
+    PHI,
+    TAU,
     ConfigError,
-    Decoupling,
     Frame,
     ModulationConfig,
     ScenarioConfig,
@@ -107,12 +111,8 @@ def pri_delays(frame: Frame, bits: np.ndarray | None = None) -> np.ndarray:
 # =========================================================================
 
 # Every term of the stacked mean is amp * exp(j phi) * w(t - tau) for one
-# (slot, path) pair.  The model is a (3, n_slots, L) table of those values
-# plus an index map of the same shape naming the eta entry that sets each one.
-# The closed-form I_eta, the Jacobian d eta / d theta and the numeric probe
-# (:mod:`isacbounds.fim`, :mod:`isacbounds.jacobians`) read the map: the probe
-# takes each entry's step size from it and the slots that entry drives.
-_TAU, _PHI, _AMP = range(3)
+# (slot, path) pair.  The model is a (3, n_slots, L) table of those values,
+# beside the frame's slot map of the same shape, naming the eta entry of each.
 
 
 def _slot_table(frame: Frame, bits: np.ndarray) -> np.ndarray:
@@ -125,63 +125,23 @@ def _slot_table(frame: Frame, bits: np.ndarray) -> np.ndarray:
     scenario, ref = frame.scenario, frame.ref
     tau0 = np.array([p.tau_l0 for p in scenario.paths])
     table = np.empty((3, frame.slots, scenario.n_paths))
-    table[_TAU, :ref] = tau0
-    table[_PHI, :ref] = -TWO_PI * scenario.f_c * tau0
-    table[_TAU, ref:] = pri_delays(frame, bits)
-    table[_PHI, ref:] = phase_values(frame, bits)
-    table[_AMP] = [p.amp for p in scenario.paths]
+    table[TAU, :ref] = tau0
+    table[PHI, :ref] = -TWO_PI * scenario.f_c * tau0
+    table[TAU, ref:] = pri_delays(frame, bits)
+    table[PHI, ref:] = phase_values(frame, bits)
+    table[AMP] = [p.amp for p in scenario.paths]
     return table
-
-
-def _slot_index(frame: Frame) -> np.ndarray:
-    """eta entry that sets each value of :func:`_slot_table`; -1 where known.
-
-    Only the differential reference slot's phase and amplitude are known, so
-    a reader may skip them by taking those two kinds from slot ``frame.ref`` on.
-
-    This is the one place the decoupling strategy decides which unknown
-    drives each slot: pilot and data PRIs have their own arrival times and
-    amplitudes, differential frames one arrival time per PRI plus the
-    reference pulse's (whose phase and amplitude are known), and unsplit
-    frames one arrival time and amplitude per path.
-    """
-    n_f, L = frame.scenario.n_f, frame.scenario.n_paths
-    modulation, layout, ref = frame.modulation, frame.eta, frame.ref
-    paths = np.arange(L)
-    per_pri = np.arange(n_f * L).reshape(n_f, L)
-
-    def start(block: str) -> int:
-        return layout.block(block)[0]
-
-    index = np.full((3, frame.slots, L), -1, dtype=np.intp)
-    index[_PHI, ref:] = start("phi") + per_pri
-    if modulation.decoupling == Decoupling.PILOT:
-        p = modulation.p_pilots
-        index[_TAU, :p] = start("tau_p") + paths
-        index[_TAU, p:] = start("tau_d") + paths
-        index[_AMP, :p] = start("amp_p") + paths
-        index[_AMP, p:] = start("amp_d") + paths
-    elif modulation.decoupling == Decoupling.DIFFERENTIAL:
-        index[_TAU, 0] = start("t_ref") + paths
-        index[_TAU, 1:] = start("t_abs") + per_pri
-        index[_AMP, 1:] = start("amp") + paths
-    else:
-        index[_TAU] = start("tau") + paths
-        index[_AMP] = start("amp") + paths
-    return index
 
 
 @functools.lru_cache(maxsize=32)
 def _slot_model(frame: Frame) -> tuple[int, np.ndarray, np.ndarray]:
-    """(eta size, table at the all-ones word, index map), built once per frame.
+    """(eta size, table at the all-ones word, slot map), built once per frame.
 
     The arrays are shared between calls and therefore read-only.
     """
     table = _slot_table(frame, bound_bits(frame))
-    index = _slot_index(frame)
     table.setflags(write=False)
-    index.setflags(write=False)
-    return frame.eta.size, table, index
+    return frame.eta.size, table, frame.slot_map
 
 
 def _windows(scenario: ScenarioConfig, tau: np.ndarray
@@ -312,7 +272,7 @@ def mean_jacobian(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.
     J = np.zeros((tau.shape[0] * ns, size), dtype=complex)
     for slot, us in enumerate(which.tolist()):
         c = coef[slot][:, None]
-        # d/dtau, d/dphi, d/damp of each path's term, in _slot_table order
+        # d/dtau, d/dphi, d/damp of each path's term, in TAU, PHI, AMP order
         terms = (c * dw[us], 1j * c * w[us], rot[slot][:, None] * w[us])
         for cols, term in zip(index[:, slot], terms):
             for col, u, values in zip(cols.tolist(), us, term):

@@ -11,7 +11,9 @@ information of one path):
 """
 
 import dataclasses
+import inspect
 import re
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -33,7 +35,7 @@ from isacbounds.model import (
     UndersampledPulseError,
     theta_layout,
 )
-from isacbounds import bounds
+from isacbounds import bounds, jacobians, signals
 from isacbounds.fim import (
     LabeledMatrix,
     _equilibrated,
@@ -389,6 +391,19 @@ def test_efim_refuses_annihilated_target(ref8):
         efim(fim, "tau1")
 
 
+def test_efim_refuses_an_empty_target(ref8_single):
+    # one path has no delay offsets: the dtau block has no entry
+    fim = assemble_theta_fim(Frame(ref8_single, ModulationConfig(Scheme.SENSING)))
+    assert fim.layout.block_size("dtau") == 0
+    with pytest.raises(ConfigError, match="target block 'dtau' is empty"):
+        efim(fim, "dtau")
+
+
+def test_differential_pipeline_refuses_another_frame(ref8):
+    with pytest.raises(ConfigError, match="differential_pipeline requires differential"):
+        differential_pipeline(Frame(ref8, make_modulation("ppm-pilot", ref8.n_f)))
+
+
 def test_crlb_monotone_in_frame_length():
     mod = ModulationConfig(Scheme.SENSING)
     ranges, dopplers = [], []
@@ -579,7 +594,7 @@ def test_differential_ramp_sum_runs_in_bounded_memory():
     assert report.crlb["tau1"] is not None
 
 
-@pytest.mark.parametrize("n_f", (1, 2, 3, 2 ** 17, 10 ** 7, 10 ** 15))
+@pytest.mark.parametrize("n_f", (1, 2, 3, 2 ** 17, 10 ** 7, 10 ** 15, 10 ** 103))
 def test_differential_ramp_sum_is_exact(n_f):
     # fd1 carries l_phi times sum_kappa (kappa s_1)**2, s_1 = ramp_slope(1, t_f),
     # to the few roundings of forming it
@@ -591,6 +606,16 @@ def test_differential_ramp_sum_is_exact(n_f):
     exact = squares * Fraction(ramp_slope(1, sc.t_f)) ** 2 * Fraction(sc.per_pri_information[1][0])
     got = Fraction(fim.block("fd1")[0, 0])
     assert abs(got - exact) <= 4 * Fraction(np.finfo(float).eps) * exact
+
+
+def test_differential_doppler_past_the_float_range_of_its_ramp_sum():
+    # sum kappa**2 at n_f = 1e103 is past float64, slope_1**2 times it is not:
+    # the differential frame's fd1 stays the sensing frame's, as at every n_f
+    n_f = 10 ** 103
+    sc = reference_scenario(n_f=n_f)
+    diff = crlb_report(sc, make_modulation("ppm-diff", n_f)).crlb["fd1"]
+    sensing = crlb_report(sc, make_modulation("sensing", n_f)).crlb["fd1"]
+    assert diff == pytest.approx(sensing, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_f", (8, 2048))
@@ -1101,6 +1126,29 @@ def test_report_builds_no_eta_names(monkeypatch):
     sc = reference_scenario(n_f=500)
     crlb_report(sc, make_modulation("ppm-pilot", 500))
     assert set(built) <= {theta_layout(Scheme.PPM, 3).size}
+
+
+def test_bound_path_calls_nothing_in_signals(monkeypatch):
+    # the frame owns the eta layout and its slot map: I_eta, the Jacobian and
+    # the assembly of every kind, product route included, never call the sampler
+    shapes = [(kind, n_f) for kind in ALL_KINDS for n_f in (8, 500)]
+    want = [crlb_report(reference_scenario(n_f=n_f), make_modulation(kind, n_f))
+            for kind, n_f in shapes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bound path called into signals")
+
+    # each signals function where it is defined and wherever it was imported by name
+    package = [module for name, module in sys.modules.items() if name.split(".")[0] == "isacbounds"]
+    for module in package:
+        for name, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and obj.__module__ == signals.__name__:
+                monkeypatch.setattr(module, name, refuse)
+    assert not [name for name, obj in vars(jacobians).items()
+                if getattr(obj, "__module__", None) == signals.__name__]
+    got = [crlb_report(reference_scenario(n_f=n_f), make_modulation(kind, n_f))
+           for kind, n_f in shapes]
+    assert got == want
 
 
 @given(kind=st.sampled_from(ALL_KINDS), n_f=st.sampled_from((2, 8)),

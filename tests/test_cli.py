@@ -1,16 +1,23 @@
 """Command line interface: parsing, exit codes, and file outputs."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import math
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacbounds.model import DECOUPLINGS, ConfigError, Decoupling, ModulationConfig, Scheme
 from isacbounds import bounds, cli, experiments
+from isacbounds.cli import CONFIG_KEYS
 from isacbounds.bounds import crlb_report
 from isacbounds.experiments import MAX_SWEEP_POINTS, data_rate, reference_scenario, with_snr
 from isacbounds.fim import LabeledMatrix
@@ -416,6 +423,31 @@ def test_exit_codes_for_config_errors(capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("sets,message", [
+    (["scenario.delays=,"], "scenario.delays: expected a comma-separated list, got ','"),
+    (["scenario.dopplers=1,2"], "dopplers list must match delays list"),
+    (["scenario.amps=1,2"], "amps list must match delays list"),
+])
+def test_bounds_refuses_a_list_that_misses_the_paths(sets, message, capsys):
+    assert cli.main(["bounds", *(arg for item in sets for arg in ("--set", item))]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_zero_step(tmp_path, capsys):
+    assert cli.main(["sweep", "--out", str(tmp_path), "--set", "sweep.step=0"]) == 2
+    assert "bad sweep range start=0.0 stop=30.0 step=0.0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("verb", ["sweep", "pareto"])
+def test_an_out_path_under_a_regular_file_is_an_io_error(verb, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main([verb, "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "Traceback" not in err
+
+
 def test_bounds_rejects_out_of_range_amplitude(capsys):
     code = cli.main(["bounds", "--set", "scenario.delays=20ns",
                      "--set", "scenario.amps=1e200"])
@@ -641,6 +673,18 @@ def test_crossover_verb(tmp_path, capsys):
     assert (tmp_path / "crossover.csv").exists()
 
 
+def test_crossover_says_when_its_range_holds_none(tmp_path, capsys):
+    # the 4-pilot crossover is at d_data = 22, past this scan
+    code = cli.main(["crossover", "--out", str(tmp_path),
+                     "--set", "modulation.scheme=ppm", "--set", "modulation.decoupling=pilot",
+                     "--set", "modulation.p_pilots=4", "--set", "modulation.d_data=4",
+                     "--set", "sweep.start=2", "--set", "sweep.stop=5"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "no crossover for d_data in [2, 5]; extend the range with --set sweep.stop=<d>")
+    assert (tmp_path / "crossover.csv").exists()
+
+
 @pytest.mark.parametrize("start", ["0", "1"])
 def test_crossover_says_when_it_raises_the_start(start, capsys):
     code = cli.main(["crossover", "--set", "modulation.scheme=ppm",
@@ -781,6 +825,15 @@ def test_validate_verb(capsys):
     assert "FAIL" not in out
 
 
+def test_validate_verb_fails_a_tolerance_the_probe_cannot_meet(capsys):
+    # the probe agrees with the closed form to about 1e-7, not to 1e-300
+    assert cli.main(["validate", "--tol", "1e-300"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    failed = [line for line in out if line.startswith("FAIL  ")]
+    assert failed and all("numeric-vs-analytic" in line for line in failed)
+    assert out[-1] == f"{13 - len(failed)}/13 checks passed"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_validate_verb_refuses_a_bad_tolerance(tol, capsys):
     assert cli.main(["validate", "--tol", tol]) == 2
@@ -813,3 +866,72 @@ def test_report_runs_without_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------------- fuzzed verbs
+
+#: the numbers each drawn key takes: zero, a sign, the float range's edges, non-numbers
+FUZZ_NUMBERS = ("0", "-1", "1e-300", "5e-324", "1", "2", "1e6", "1e300", "nan", "inf")
+#: the names a name key takes: its valid ones plus a bogus one
+FUZZ_NAMES = {
+    "modulation.scheme": [s.value for s in Scheme],
+    "modulation.decoupling": [d.value for d in Decoupling],
+    "sweep.axis": list(experiments.SWEEP_AXES),
+    "sweep.outputs": list(experiments.SWEEP_OUTPUTS),
+}
+#: a configuration each verb runs on, the drawn keys set over it
+FUZZ_BASE = {
+    "bounds": [], "sweep": [], "pareto": [],
+    "crossover": ["modulation.scheme=ppm", "modulation.decoupling=pilot", "modulation.p_pilots=1",
+                  "modulation.d_data=1", "sweep.start=2", "sweep.stop=8"],
+}
+#: most memory a refused run may trace (the largest seen is about 0.13 MB)
+FUZZ_PEAK_BYTES = 1_000_000
+
+
+def _fuzz_value(key):
+    section, name = key.split(".")
+    if key in FUZZ_NAMES:
+        return st.sampled_from(FUZZ_NAMES[key] + ["bogus"])
+    if CONFIG_KEYS[section][name][1] in (cli.parse_list, cli._optional_list):
+        return st.lists(st.sampled_from(FUZZ_NUMBERS), min_size=1, max_size=3).map(",".join)
+    return st.sampled_from(FUZZ_NUMBERS)
+
+
+def _fuzz_settings():
+    keys = [f"{section}.{key}" for section, keys in CONFIG_KEYS.items() for key in keys]
+    return st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True).flatmap(
+        lambda drawn: st.tuples(*(_fuzz_value(k).map(lambda v, k=k: f"{k}={v}") for k in drawn)))
+
+
+def _run_quietly(verb, sets, traced=False):
+    """cli.main on ``verb`` with ``sets`` over the verb's base, its output in a
+    fresh directory: the exit code, stderr and the traced memory peak (or 0)."""
+    with tempfile.TemporaryDirectory() as out:
+        argv = [verb, *(arg for item in (*FUZZ_BASE[verb], *sets) for arg in ("--set", item))]
+        if verb != "bounds":
+            argv += ["--out", out]
+        stderr = io.StringIO()
+        if traced:
+            tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, stderr.getvalue(), peak
+
+
+@given(verb=st.sampled_from(sorted(FUZZ_BASE)), sets=_fuzz_settings())
+@settings(max_examples=150, deadline=None)
+def test_every_verb_answers_any_drawn_config_with_an_exit_code(verb, sets):
+    # 150 examples in about 4 s: any value of one or two keys ends in a report
+    # (0, or 3 from bounds on a singular frame) or a named refusal (2), never
+    # a traceback, and a refusal, run again under tracemalloc, stays small
+    code, err, _ = _run_quietly(verb, sets)
+    assert code in ((0, 2, 3) if verb == "bounds" else (0, 2)), (sets, err)
+    assert "Traceback" not in err, sets
+    if code == 2:
+        assert err.startswith(("configuration error: ", "i/o error: ")), (sets, err)
+        assert _run_quietly(verb, sets, traced=True)[2] < FUZZ_PEAK_BYTES, sets

@@ -57,6 +57,16 @@ def test_reference_scenario_refuses_a_doppler_count_off_the_path_count(dopplers)
         reference_scenario(n_paths=3, dopplers=dopplers)
 
 
+def test_reference_scenario_refuses_a_path_it_has_no_delay_for():
+    with pytest.raises(ConfigError, match=r"n_paths must be in 1\.\.3"):
+        reference_scenario(n_paths=4)
+
+
+def test_pareto_refuses_a_frame_without_a_split():
+    with pytest.raises(ConfigError, match="the frontier needs at least 2 PRIs"):
+        pareto_table(reference_scenario(n_f=1), n_total=1)
+
+
 @pytest.mark.parametrize("snr_db", [1e6, 1e300, -1e6])
 def test_snr_helpers_refuse_an_snr_beyond_the_float_range_by_name(snr_db):
     for make in (lambda: reference_scenario(snr_db=snr_db),

@@ -7,6 +7,8 @@ The frozen anchors here were computed once from the closed forms and pinned:
 """
 
 import dataclasses
+import math
+import re
 import warnings
 
 import numpy as np
@@ -43,7 +45,7 @@ from isacbounds.fim import (
 from isacbounds.bounds import crlb_report
 from isacbounds.experiments import fim_deviation, reference_scenario, with_snr
 from isacbounds.jacobians import ramp_slope
-from isacbounds.signals import _slot_model, eta_point, mean_from_eta
+from isacbounds.signals import eta_point, mean_from_eta
 
 from conftest import ALL_KINDS, EDGE_ALPHA_FS, make_modulation, sym_eigs
 
@@ -201,12 +203,13 @@ def _table_and_gather_diagonal(sc, mod):
     # the lambda diagonal built the long way: every (slot, path) value's
     # lambda in a (3, slots, L) table, the reference delay weighted there,
     # then gathered into the eta entries the map names and counted
-    size, _, index = _slot_model(Frame(sc, mod))
+    frame = Frame(sc, mod)
+    size, index = frame.eta.size, frame.slot_map
     lam = np.empty(index.shape)
     lam[:] = np.array(sc.per_pri_information)[:, None, :]
     known = index >= 0
     diag = np.zeros(size)
-    lam[signals._TAU, :index.shape[1] - sc.n_f] *= mod.sfd_weight
+    lam[model.TAU, :index.shape[1] - sc.n_f] *= mod.sfd_weight
     diag[index[known]] = lam[known]
     diag *= np.bincount(index[known], minlength=size)
     return diag
@@ -306,10 +309,10 @@ def _per_entry_probe(sc, mod, steps=DEFAULT_FD):
     # one Gram block per slot over the entries that drive it, in entry order
     frame = Frame(sc, mod)
     lay = frame.eta
-    size, table, index = _slot_model(frame)
+    size, index = lay.size, frame.slot_map
     eta0 = eta_point(frame)
     h = np.array([_fd_step(name, eta0[i], steps) for i, name in enumerate(lay.names)])
-    lo, hi = fim._probe_ranges(sc, table, index, eta0, h)
+    lo, hi = fim._probe_ranges(sc, index, eta0, h)
     cols = {}
     for i in range(size):
         up, dn = eta0.copy(), eta0.copy()
@@ -382,7 +385,7 @@ def test_numeric_fim_evaluates_each_slot_once_for_the_entries_it_drives(monkeypa
     sc = reference_scenario(n_f=n_f, n_paths=3)
     mod = make_modulation("bpsk-pilot", n_f)
     frame = Frame(sc, mod)
-    size, _, index = _slot_model(frame)
+    size, index = frame.eta.size, frame.slot_map
     names = frame.eta.names
     eta0 = eta_point(frame)
     want = 2 * sum(int(np.any(index == i, axis=(0, 2)).sum()) for i in range(size))
@@ -430,6 +433,31 @@ def test_numeric_fim_custom_steps():
     b = observation_fim_numeric(sc, mod, steps=FdSteps(delay=2e-13, phase=2e-7,
                                                        amp_rel=2e-7))
     assert fim_deviation(a.data, b.data) < 1e-5
+
+
+@pytest.mark.parametrize("steps,entry", [(FdSteps(delay=0.0), "tau_1"),
+                                         (FdSteps(phase=-1e-7), "phi_0_1"),
+                                         (FdSteps(amp_rel=math.nan), "amp_1")])
+def test_numeric_fim_refuses_a_step_that_is_not_positive(steps, entry):
+    sc = reference_scenario(n_f=2, n_paths=1)
+    with pytest.raises(ConfigError, match=f"step for '{entry}' is not positive"):
+        observation_fim_numeric(sc, ModulationConfig(Scheme.SENSING), steps)
+
+
+@pytest.mark.parametrize("f_c,steps,entries", [
+    (3993.6e6, FdSteps(delay=1e-30), "['tau_1']"),
+    (3993.6e6, FdSteps(phase=1e-30), "['phi_0_1', 'phi_1_1']"),
+    (3993.6e6, FdSteps(amp_rel=1e-30), "['amp_1']"),
+    (1e18, DEFAULT_FD, "['phi_0_1', 'phi_1_1']"),  # phases near 1e11 rad
+])
+def test_numeric_fim_refuses_a_step_lost_against_its_entry(f_c, steps, entries):
+    # eta0 + h == eta0 in float64: the difference and its diagonal are 0, and
+    # the remedy is a larger step
+    sc = dataclasses.replace(reference_scenario(n_f=2, n_paths=1), f_c=f_c)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"wiped out the diagonal for {entries}: a step below the float spacing")) as err:
+        observation_fim_numeric(sc, ModulationConfig(Scheme.SENSING), steps)
+    assert str(err.value).endswith("raise the step sizes")
 
 
 def test_numeric_fim_guards():
@@ -542,7 +570,10 @@ def test_diagonal_matrix_blocks_and_dense_form(kind):
     dense = I.data
     assert I.data is dense  # and is then built once
     np.testing.assert_array_equal(dense, np.diag(I.diag))
-    for a in I.layout.block_bounds:
-        for b in I.layout.block_bounds:
+    # the table's blocks, then the per-PRI blocks of each run
+    runs = ("t", "phi") if kind == "ppm-diff" else ("phi",)
+    names = [*I.layout.block_bounds, *(f"{run}_{k}" for run in runs for k in range(4))]
+    for a in names:
+        for b in names:
             ra, rb = I.layout.block_slice(a), I.layout.block_slice(b)
             np.testing.assert_array_equal(I.block(a, b), dense[ra, rb], err_msg=f"{a}, {b}")

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from isacbounds.model import (
+    AMP,
+    PHI,
+    TAU,
     Decoupling,
     Frame,
     ModulationConfig,
@@ -21,7 +24,7 @@ from isacbounds.jacobians import (
     ramp_slope,
 )
 from isacbounds.experiments import reference_scenario
-from isacbounds.signals import _AMP, _PHI, _TAU, _slot_model, bound_bits
+from isacbounds.signals import bound_bits
 
 from conftest import ALL_KINDS, make_modulation
 from differential_reference import differential_maps
@@ -214,7 +217,7 @@ def _table_and_gather_jacobian(sc, mod):
     # names for it
     frame = Frame(sc, mod)
     cols = frame.theta
-    size, _, index = _slot_model(frame)
+    size, index = frame.eta.size, frame.slot_map
     L, n_f = sc.n_paths, sc.n_f
     ref = index.shape[1] - n_f
     bits = np.zeros(index.shape[1])
@@ -224,14 +227,14 @@ def _table_and_gather_jacobian(sc, mod):
     H = h_matrix(L)
     D = np.zeros(index.shape + (cols.size,))
     lo = cols.block("delay")[0]
-    D[_TAU, :, :, lo:lo + L] = H
-    D[_PHI, :, :, cols.block_slice("doppler")] = slope[:, None, None] * H
-    D[_AMP, :, :, cols.block_slice("amp")] = np.eye(L)
+    D[TAU, :, :, lo:lo + L] = H
+    D[PHI, :, :, cols.block_slice("doppler")] = slope[:, None, None] * H
+    D[AMP, :, :, cols.block_slice("amp")] = np.eye(L)
     if mod.scheme == Scheme.PPM:
-        D[_TAU, :, :, cols.block_slice("dtau_q")] = bits[:, None, None]
+        D[TAU, :, :, cols.block_slice("dtau_q")] = bits[:, None, None]
     elif mod.scheme == Scheme.BPSK:
         data_phase = bits if mod.p_pilots else slope * bits
-        D[_PHI, :, :, cols.block_slice("phi_bpsk")] = data_phase[:, None, None]
+        D[PHI, :, :, cols.block_slice("phi_bpsk")] = data_phase[:, None, None]
     known = index >= 0
     J = np.zeros((size, cols.size))
     J[index[known]] = D[known]

@@ -314,6 +314,25 @@ def test_records_reject_non_finite_inputs(record, kwargs):
         record(**kwargs)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: PulseShape(alpha=0.0), "pulse alpha must be > 0, got 0.0"),
+    (lambda: PulseShape(alpha=-2e-10), "pulse alpha must be > 0, got -2e-10"),
+    (lambda: PulseShape(e_tb=0.0), "pulse energy e_tb must be > 0, got 0.0"),
+    (lambda: PathState(20e-9, amp=0.0), "path amplitude must be > 0, got 0.0"),
+    (lambda: PathState(20e-9, amp=-1.0), "path amplitude must be > 0, got -1.0"),
+    (lambda: PathState(-1e-9), "path delay must be >= 0, got -1e-09"),
+    (lambda: _scenario(paths=()), "at least one path is required"),
+    (lambda: _scenario(f_s=1.4e7), "t_f * f_s must give at least 2 samples per PRI"),
+    (lambda: ModulationConfig(scheme="qam"), "'qam' is not a valid Scheme"),
+    (lambda: ModulationConfig(decoupling="interleaved"), "'interleaved' is not a valid Decoupling"),
+    (lambda: ModulationConfig(Scheme.SENSING, p_pilots=1), "sensing-only frames have no pilot"),
+    (lambda: ModulationConfig(Scheme.SENSING, d_data=2), "sensing-only frames have no pilot"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_records_refuse_a_value_outside_the_model(build, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
+
+
 def test_scenario_reports_sizes():
     sc = _scenario()
     assert sc.n_s == 1000
@@ -452,19 +471,19 @@ def test_theta_layout_structures():
 
 
 def test_eta_layout_structures():
-    lay = eta_layout(Scheme.SENSING, Decoupling.NONE, 2, 3)
+    lay = eta_layout(Decoupling.NONE, 2, 3)
     # tau block, one phase block per PRI, amp block
     assert lay.size == 2 + 3 * 2 + 2
     assert lay.block_bounds["tau"] == (0, 2)
     assert lay.block_bounds["phi"] == (2, 8)          # aggregate over all PRIs
-    assert lay.block_bounds["phi_1"] == (4, 6)
+    assert lay.block("phi_1") == (4, 6)
 
-    lay = eta_layout(Scheme.BPSK, Decoupling.PILOT, 2, 4)
+    lay = eta_layout(Decoupling.PILOT, 2, 4)
     assert lay.block_bounds["tau_p"] == (0, 2)
     assert lay.block_bounds["tau_d"] == (2, 4)
     assert lay.block_size("amp_p") == 2 and lay.block_size("amp_d") == 2
 
-    lay = eta_layout(Scheme.PPM, Decoupling.DIFFERENTIAL, 2, 3)
+    lay = eta_layout(Decoupling.DIFFERENTIAL, 2, 3)
     assert lay.block_bounds["t_ref"] == (0, 2)
     assert lay.block_size("t_abs") == 2 * 3
     assert lay.size == 2 + 6 + 6 + 2
@@ -480,47 +499,51 @@ def test_eta_size_matches_layout(kind):
 
 
 # Eager reference layouts: every name and every block bound built entry by
-# entry, as lists; the package's layouts compute them arithmetically.
+# entry, as lists; the package's layouts compute them arithmetically.  A
+# run's per-PRI blocks are found by ParamLayout.block, not listed in
+# block_bounds.
 
 def _eager(blocks, spans=()):
-    names, bounds = [], {}
-    for block, entries in blocks:
+    names, bounds, table = [], {}, {}
+    for block, entries, per_pri in blocks:
         lo = len(names)
         names.extend(entries)
         bounds[block] = (lo, len(names))
+        if not per_pri:
+            table[block] = bounds[block]
     for name, first, last in spans:
-        bounds[name] = (bounds[first][0], bounds[last][1])
-    return tuple(names), bounds
+        bounds[name] = table[name] = (bounds[first][0], bounds[last][1])
+    return tuple(names), bounds, table
 
 
-def _entries(block, paths):
-    return block, [f"{block}_{l}" for l in paths]
+def _entries(block, paths, per_pri=False):
+    return block, [f"{block}_{l}" for l in paths], per_pri
 
 
 def _eager_theta(scheme, L):
-    blocks = [("tau1", ["tau1"]), _entries("dtau", range(2, L + 1))]
+    blocks = [("tau1", ["tau1"], False), _entries("dtau", range(2, L + 1))]
     if scheme == Scheme.PPM:
-        blocks.append(("dtau_q", ["dtau_q"]))
-    blocks += [("fd1", ["fd1"]), _entries("dfd", range(2, L + 1))]
+        blocks.append(("dtau_q", ["dtau_q"], False))
+    blocks += [("fd1", ["fd1"], False), _entries("dfd", range(2, L + 1))]
     if scheme == Scheme.BPSK:
-        blocks.append(("phi_bpsk", ["phi_bpsk"]))
+        blocks.append(("phi_bpsk", ["phi_bpsk"], False))
     blocks.append(_entries("amp", range(1, L + 1)))
     delay_end = "dtau_q" if scheme == Scheme.PPM else "dtau"
     return _eager(blocks, [("delay", "tau1", delay_end), ("doppler", "fd1", "dfd")])
 
 
-def _eager_eta(scheme, decoupling, L, n_f, p, d):
+def _eager_eta(decoupling, L, n_f, p, d):
     paths = range(1, L + 1)
 
     def per_pri(prefix, count):
-        return [_entries(f"{prefix}_{k}", paths) for k in range(count)]
+        return [_entries(f"{prefix}_{k}", paths, per_pri=True) for k in range(count)]
 
-    if scheme != Scheme.SENSING and decoupling == Decoupling.PILOT:
+    if decoupling == Decoupling.PILOT:
         n_pri = p + d
         blocks = [_entries("tau_p", paths), _entries("tau_d", paths), *per_pri("phi", n_pri),
                   _entries("amp_p", paths), _entries("amp_d", paths)]
         spans = []
-    elif scheme == Scheme.PPM and decoupling == Decoupling.DIFFERENTIAL:
+    elif decoupling == Decoupling.DIFFERENTIAL:
         n_pri = n_f
         blocks = [_entries("t_ref", paths), *per_pri("t", n_f), *per_pri("phi", n_f),
                   _entries("amp", paths)]
@@ -535,16 +558,16 @@ def _eager_eta(scheme, decoupling, L, n_f, p, d):
 def _eager_interleaved(first, L, n_f):
     paths = range(1, L + 1)
     blocks = [_entries(f"{prefix}_{k}", paths) for k in range(n_f) for prefix in (first, "t")]
-    blocks += [_entries(f"phi_{k}", paths) for k in range(n_f)]
+    blocks += [_entries(f"phi_{k}", paths, per_pri=True) for k in range(n_f)]
     blocks.append(_entries("amp", paths))
     return _eager(blocks, [("phi", "phi_0", f"phi_{n_f - 1}")])
 
 
 def _assert_matches(layout, reference):
-    names, bounds = reference
+    names, bounds, table = reference
     assert layout.size == len(names)
     assert layout.names == names
-    assert dict(layout.block_bounds) == bounds
+    assert dict(layout.block_bounds) == table
     for name, want in bounds.items():
         assert layout.block(name) == want, name
 
@@ -562,7 +585,7 @@ def test_layouts_match_eager_reference(kind):
             if mod.decoupling == Decoupling.PILOT:
                 splits += [(n_f // 2, n_f - n_f // 2), (n_f, 0)]
             for p, d in splits:
-                args = (mod.scheme, mod.decoupling, L, n_f)
+                args = (mod.decoupling, L, n_f)
                 _assert_matches(eta_layout(*args), _eager_eta(*args, p, d))
 
 
@@ -575,18 +598,35 @@ def test_interleaved_layouts_match_eager_reference():
 
 
 def test_layout_is_immutable_and_names_are_lazy():
-    lay = eta_layout(Scheme.PPM, Decoupling.PILOT, 3, 500)
-    assert "names" not in vars(lay) and "block_bounds" not in vars(lay)
+    lay = eta_layout(Decoupling.PILOT, 3, 500)
+    assert "names" not in vars(lay)
     assert lay.block("phi") == (6, 1506) and lay.size == 1512
-    assert "names" not in vars(lay) and "block_bounds" not in vars(lay)
     assert lay.block("phi_17") == (57, 60)
-    assert "block_bounds" in vars(lay) and "names" not in vars(lay)
+    assert "names" not in vars(lay)
     with pytest.raises(AttributeError):
         lay.size = 3
     with pytest.raises(TypeError):
         lay.block_bounds["phi"] = (0, 1)
     with pytest.raises(KeyError, match="unknown block 'phi_500'"):
         lay.block("phi_500")
+
+
+@pytest.mark.parametrize("n_f", (500, 10 ** 20))
+def test_per_pri_blocks_are_found_by_arithmetic(n_f):
+    # no lookup builds anything O(n_f): at 1e20 PRIs a per-PRI table would
+    # never finish, and an unknown name is told the table and the run pattern
+    lay = eta_layout(Decoupling.PILOT, 3, n_f)
+    assert sorted(lay.block_bounds) == ["amp_d", "amp_p", "phi", "tau_d", "tau_p"]
+    assert lay.block("phi_17") == (57, 60)
+    assert lay.block(f"phi_{n_f - 1}") == (6 + 3 * (n_f - 1), 6 + 3 * n_f)
+    for name in ("bogus", f"phi_{n_f}", "phi_017", "phi_+17", "phi_-1", "phi_ 17",
+                 "phi_\u0661", "phi_17_1", "phi_", "tau_p_0", "t_0", "phi_" + "9" * 5000):
+        with pytest.raises(KeyError) as err:
+            lay.block(name)
+        message = str(err.value)
+        assert message.startswith(f"\"unknown block {name!r}"), name
+        assert f"['amp_d', 'amp_p', 'phi', 'tau_d', 'tau_p'], phi_<k> for k < {n_f}" in message
+    assert "names" not in vars(lay)
 
 
 # ------------------------------------------------------------------ regulatory

@@ -19,6 +19,7 @@ from isacbounds.model import (
     ModulationConfig,
     PulseShape,
     SUPPORT_SIGMAS,
+    TAU,
     Scheme,
     UndersampledPulseError,
     pulse_time_derivative,
@@ -26,7 +27,6 @@ from isacbounds.model import (
     time_grid,
 )
 from isacbounds.signals import (
-    _TAU,
     _slot_model,
     bound_bits,
     eta_point,
@@ -325,7 +325,7 @@ def _whole_grid_mean(sc, table):
 
 def _whole_grid_jacobian(sc, mod):
     # d/dtau, d/dphi and d/damp of every (slot, path) term, written into the
-    # column the per-slot map names, on every sample of the slot
+    # column the slot map names, on every sample of the slot
     size, (tau, phi, amp), index = _slot_model(Frame(sc, mod))
     w, dw = _whole_grid_pulse(sc, tau)
     rot = np.exp(1j * phi)
@@ -384,7 +384,7 @@ def test_windowed_sampling_is_bit_identical_to_the_whole_grid(kind, n_paths, rat
     # mean_from_eta with the delay entries moved alternately to the first and
     # the last center the PRI allows, on a subset of slots in a new order
     eta = eta_point(frame)
-    delays = np.unique(index[_TAU][index[_TAU] >= 0])
+    delays = np.unique(index[TAU][index[TAU] >= 0])
     eta[delays[0::2]] = 0.0
     eta[delays[1::2]] = _last_center(sc)
     moved = np.where(index >= 0, eta[index], table)
