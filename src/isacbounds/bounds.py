@@ -157,7 +157,7 @@ def singularity_report(mat: LabeledMatrix | np.ndarray,
             labels = tuple(f"col_{i}" for i in range(data.shape[1]))
     _require_finite(data, labels)
     n = data.shape[1]
-    scaled = _equilibrated(data, np.diag(data))
+    scaled = _equilibrated(data, data.diagonal())
     s = np.linalg.svd(scaled, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
     if smax == 0.0:
@@ -173,13 +173,15 @@ def singularity_report(mat: LabeledMatrix | np.ndarray,
         live = np.flatnonzero(norms > tol)
         cols = scaled[:, live]
         gram = cols.T @ cols
-        sq = np.diag(gram)
+        sq = gram.diagonal()
         # |s_i - s_j|^2 read off the Gram matrix is off by at most about
         # 2 (n + 2) eps max(|s_i|^2, |s_j|^2); twice that slack lets no pair
         # of the exact test below slip through
         slack = RANK_RTOL ** 2 + 4 * (n + 3) * np.finfo(float).eps
         near = sq[:, None] + sq[None, :] - 2.0 * gram <= slack * np.maximum.outer(sq, sq)
-        i, j = np.nonzero(np.triu(near, 1))
+        i, j = np.nonzero(near)
+        upper = i < j
+        i, j = i[upper], j[upper]
         gap = np.linalg.norm(cols[:, i] - cols[:, j], axis=0)
         hit = gap <= RANK_RTOL * np.maximum(norms[live[i]], norms[live[j]])
         coupled = tuple((labels[a], labels[b]) for a, b in zip(live[i[hit]], live[j[hit]]))
@@ -198,17 +200,17 @@ def schur_complement(M: np.ndarray, keep: np.ndarray, elim: np.ndarray,
     Raises CoupledParametersError when C is not positive definite; the error
     keeps C, its columns named by ``elim_labels`` (default ``elim_<i>``).
     """
-    A = M[np.ix_(keep, keep)]
+    A = M.take(keep, 0).take(keep, 1)
     if elim.size == 0:
-        return A.copy()
-    B = M[np.ix_(elim, keep)]
-    C = M[np.ix_(elim, elim)]
+        return A
+    rows = M.take(elim, 0)
+    B, C = rows.take(keep, 1), rows.take(elim, 1)
     try:
         low = np.linalg.cholesky(C)
         # an exactly dependent direction can survive the factorization on a
         # roundoff-sized pivot; the squared pivot over the diagonal entry is
         # the scale-free leftover of that direction, so gate it explicitly
-        dependent = np.any(np.diag(low) ** 2 / np.diag(C) <= RANK_RTOL)
+        dependent = (low.diagonal() ** 2 / C.diagonal() <= RANK_RTOL).any()
     except np.linalg.LinAlgError:
         dependent = True
     if dependent:
@@ -234,13 +236,12 @@ def efim(fim: LabeledMatrix, target: str) -> np.ndarray:
     lo, hi = fim.layout.block(target)
     if hi == lo:
         raise ConfigError(f"target block {target!r} is empty")
-    keep = np.arange(lo, hi)
-    elim = np.array([i for i in range(fim.size) if not lo <= i < hi], dtype=int)
-    names = fim.layout.names
-    E = schur_complement(fim.data, keep, elim, [names[i] for i in elim])
+    at, names = np.arange(fim.size), fim.layout.names
+    E = schur_complement(fim.data, at[lo:hi], np.concatenate((at[:lo], at[hi:])),
+                         names[:lo] + names[hi:])
 
-    diag = np.diag(fim.data)[lo:hi]
-    if np.any(diag <= 0.0):
+    diag = fim.data.diagonal()[lo:hi]
+    if (diag <= 0.0).any():
         raise CoupledParametersError(f"block {target!r} carries no information")
     scaled = _equilibrated(E, diag)
     min_eig = float(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0])
@@ -322,7 +323,7 @@ def closed_form_theta_fim(frame: Frame) -> LabeledMatrix:
             put(b, b, own * _congruence(E, l_phi1, E))
     # exact zeros are structurally dead columns (Doppler at n_f = 1); a
     # subnormal diagonal has lost its precision and would break the checks
-    diag = np.diag(M)
+    diag = M.diagonal()
     subnormal = np.flatnonzero((diag > 0.0) & (diag < np.finfo(float).tiny))
     if subnormal.size:
         name = layout.names[subnormal[0]]
@@ -375,14 +376,18 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
     l_tau, l_phi, l_alpha = scenario.per_pri_information
     lam = np.diag(l_tau)
     H, E = h_matrix(L), e_vector(L)
-    J_k = np.block([[np.zeros((L, L)), E], [H, E]])  # the same for every PRI
+    J_k = np.zeros((2 * L, L + 1))  # [[0 | E], [H | E]], the same for every PRI
+    J_k[L:, :L] = H
+    J_k[:L, L:] = J_k[L:, L:] = E
     squares = n_f * (n_f - 1) * (2 * n_f - 1) // 6  # sum of kappa**2, exactly
     shift = max(0, squares.bit_length() - 1000)  # squares / 2**shift is a float
 
     M = np.zeros((layout.size, layout.size))
     delay, doppler, amp = (layout.block_slice(b) for b in ("delay", "doppler", "amp"))
     with np.errstate(over="ignore", invalid="ignore"):  # LabeledMatrix refuses inf/NaN
-        B = np.block([[(modulation.sfd_weight + 1.0) * lam, lam], [lam, lam]])
+        B = np.empty((2 * L, 2 * L))  # [[(w+1) lam, lam], [lam, lam]]
+        B[:L, :L] = (modulation.sfd_weight + 1.0) * lam
+        B[:L, L:] = B[L:, :L] = B[L:, L:] = lam
         M[delay, delay] = n_f * (J_k.T @ B @ J_k)
         slope = ramp_slope(1, scenario.t_f)
         ramp = np.ldexp(slope * slope * (squares / (1 << shift)), shift)
@@ -400,7 +405,7 @@ def _check_agreement(product: LabeledMatrix, closed: LabeledMatrix) -> None:
     """Raise unless |P_ij - C_ij| <= AGREE_RTOL sqrt(C_ii C_jj) everywhere,
     exactly where C_ii or C_jj is 0: on this equilibrated scale every block
     counts alike, though delay entries are ~23 orders above Doppler ones."""
-    if apart := _first_apart(product.data, closed.data, np.diag(closed.data)):
+    if apart := _first_apart(product.data, closed.data, closed.data.diagonal()):
         i, j, diff, scale = apart
         names = closed.layout.names
         raise RuntimeError(
@@ -472,8 +477,8 @@ def _one_factor_crlbs(fim: LabeledMatrix, targets: list[str]) -> tuple[dict, np.
     lambda_max((I~^-1)_bb) <= tr((I~^-1)_bb), less a millionth for roundoff,
     and an eigvalsh only where that trace cannot settle it.
     """
-    diag = np.diag(fim.data)
-    if not np.all(diag > 0.0):
+    diag = fim.data.diagonal()
+    if not (diag > 0.0).all():
         return None
     scaled = _equilibrated(fim.data, diag)
     try:
@@ -482,17 +487,17 @@ def _one_factor_crlbs(fim: LabeledMatrix, targets: list[str]) -> tuple[dict, np.
         return None
     low_inv = np.linalg.inv(low)
     inv = low_inv.T @ low_inv
-    inv_diag = np.diag(inv)
-    if not np.all(inv_diag * (_ONE_FACTOR_MARGIN * RANK_RTOL) < 1.0):
+    inv_diag = inv.diagonal()
+    if not (inv_diag * (_ONE_FACTOR_MARGIN * RANK_RTOL) < 1.0).all():
         return None
     crlbs = inv_diag / diag
     values = {}
     for target in targets:
         b = fim.layout.block_slice(target)
-        if (not np.sum(inv_diag[b]) * EFIM_FLOOR < 1.0 - 1e-6
+        if (not inv_diag[b].sum() * EFIM_FLOOR < 1.0 - 1e-6
                 and not 1.0 / np.linalg.eigvalsh(inv[b, b])[-1] > EFIM_FLOOR):
             return None
-        values[target] = float(np.sum(crlbs[b]))
+        values[target] = float(crlbs[b].sum())
     return values, np.linalg.eigvalsh(scaled)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import decimal
+import functools
 import math
 import re
 import sys
@@ -415,6 +416,7 @@ def cmd_validate(args) -> int:
 # =========================================================================
 
 
+@functools.cache  # a constant tree: built once per process, not per call
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isacbounds",

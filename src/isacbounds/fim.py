@@ -93,7 +93,7 @@ def _require_finite(values: np.ndarray, labels: ParamLayout | Sequence[str]) -> 
     A layout's names are read only to word the error.
     """
     bad = ~np.isfinite(values)
-    if np.any(bad):
+    if bad.any():
         at = tuple(np.argwhere(bad)[0])
         i, j = at if len(at) == 2 else at * 2
         names = labels.names if isinstance(labels, ParamLayout) else labels
@@ -123,7 +123,7 @@ class LabeledMatrix:
                 f"matrix shape {self.data.shape} does not match layout size {n}"
             )
         _require_finite(self.data, self.layout)
-        if apart := _first_apart(self.data, self.data.T, np.diag(self.data)):
+        if apart := _first_apart(self.data, self.data.T, self.data.diagonal()):
             i, j, skew, scale = apart
             names = self.layout.names
             raise ConfigError(
@@ -217,13 +217,12 @@ def observation_fim_analytic(scenario: ScenarioConfig,
     size, index = frame.eta.size, frame.slot_map
     ref = frame.ref  # the differential reference slot, if any
     diag = np.zeros(size)
-    pulses = np.zeros(size, dtype=np.intp)
     # one lambda per row times its pulses, so n_f * lambda is formed exactly as
     # a product; the reference slot's phase and amplitude are known (no row)
     for rows, lam in zip((index[TAU], index[PHI, ref:], index[AMP, ref:]),
                          scenario.per_pri_information):
         diag[rows] = lam
-        pulses += np.bincount(rows.ravel(), minlength=size)
+    pulses = np.bincount(index[index >= 0], minlength=size)
     with np.errstate(over="ignore"):  # DiagonalMatrix refuses an inf entry
         diag[index[TAU, :ref]] *= modulation.sfd_weight
         diag *= pulses

@@ -96,6 +96,24 @@ def test_schur_complement_matches_inverse_block():
     np.testing.assert_allclose(out, want, rtol=1e-10)
 
 
+def test_schur_complement_keeps_the_callers_index_order():
+    # unsorted, non-contiguous blocks: the result and the error follow keep and elim as given
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(6, 6))
+    M = A @ A.T + 6 * np.eye(6)
+    keep, elim = np.array([4, 1]), np.array([5, 0, 3, 2])
+    want = np.linalg.inv(np.linalg.inv(M)[np.ix_(keep, keep)])
+    np.testing.assert_allclose(schur_complement(M, keep, elim), want, rtol=1e-10)
+
+    M[:, 3] = M[:, 0]  # columns 0 and 3 coincide, so the nuisance block is rank-deficient
+    M[3, :] = M[0, :]
+    with pytest.raises(CoupledParametersError) as exc:
+        schur_complement(M, keep, elim, [f"e{i}" for i in elim])
+    assert np.array_equal(exc.value.block, M[np.ix_(elim, elim)])
+    assert exc.value.labels == ("e5", "e0", "e3", "e2")
+    assert exc.value.report.coupled_columns == (("e0", "e3"),)
+
+
 def test_schur_complement_rejects_singular_nuisance():
     M = np.array([[2.0, 1.0, 1.0],
                   [1.0, 1.0, 1.0],

@@ -1,5 +1,6 @@
 """Command line interface: parsing, exit codes, and file outputs."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -542,6 +543,30 @@ def test_verbs_refuse_options_they_do_not_read(argv, tmp_path, monkeypatch, caps
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    runs = (["validate"], ["bounds", "--set", "scenario.n_f=64"])
+    fresh = []
+    for argv in runs:
+        cli.make_parser.cache_clear()
+        fresh.append((cli.main(argv), capsys.readouterr().out))
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.make_parser.cache_clear()
+    again, counts = [], []
+    for argv in runs:
+        again.append((cli.main(argv), capsys.readouterr().out))
+        counts.append(len(built))
+    assert again == fresh
+    assert [code for code, _ in fresh] == [0, 0]
+    assert counts[0] > 1 and counts[1] == counts[0]
 
 
 # --------------------------------------------------------------- sweep verb
