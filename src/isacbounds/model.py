@@ -174,7 +174,7 @@ class ScenarioConfig:
     def __post_init__(self):
         _require_finite("scenario", f_c=self.f_c, t_f=self.t_f, f_s=self.f_s,
                         sigma2=self.sigma2)
-        # a tuple keeps the record hashable (signals caches per frame)
+        # a tuple keeps the record hashable
         object.__setattr__(self, "paths", tuple(self.paths))
         if not self.t_f > 0.0:
             raise ConfigError(f"t_f must be > 0, got {self.t_f}")
@@ -493,7 +493,8 @@ class Frame:
     pilot split, every PRI otherwise; count it by ``stop - start``, as
     ``len()`` overflows past 2**63 - 1); ``ref`` is 1 for a differential
     frame's reference slot, else 0; ``slots`` = ref + n_f pulse slots.  The
-    theta and eta layouts and the eta ``slot_map`` are built on first read.
+    theta and eta layouts, the eta ``slot_map`` and the ``pulses`` at the
+    default data word are built on first read and live as long as the frame.
     Equality and hash cover the scenario and modulation only.
     """
 
@@ -574,6 +575,47 @@ class Frame:
             index[AMP] = start["amp"] + paths
         index.setflags(write=False)
         return index
+
+    @cached_property
+    def pulses(self) -> np.ndarray:
+        """The ``TAU``, ``PHI`` and ``AMP`` value of each (slot, path) pulse
+        at the default data word (ones on ``data``, zeros elsewhere), shape
+        ``(3, slots, L)`` and indexed like :attr:`slot_map`.  Read-only: the
+        operating point of the sampled model, where every bound is evaluated.
+        """
+        word = np.zeros(self.scenario.n_f, dtype=np.int64)
+        word[self.data.start:self.data.stop] = 1
+        table = _pulse_values(self, word)
+        table.setflags(write=False)
+        return table
+
+
+def _pulse_values(frame: Frame, word: np.ndarray) -> np.ndarray:
+    """(tau, phi, amp) of every (slot, path) pulse of ``frame`` at the data
+    word ``word`` (one checked 0 or 1 per PRI), shape ``(3, slots, L)``.
+
+    The one statement of the pulse law.  In PRI kappa path l sits at
+    tau_l0 + xi_ppm q_kappa (PPM) or tau_l0, with carrier phase
+    2 pi (f_dl kappa t_f - f_c tau_l0) - xi_bpsk q_kappa (BPSK) or without
+    the data rotation; a differential frame's slot 0 is its reference
+    (start-frame) pulse, at tau_l0 and phase -2 pi f_c tau_l0.
+    """
+    scenario, modulation, ref = frame.scenario, frame.modulation, frame.ref
+    paths, two_pi = scenario.paths, 2.0 * math.pi
+    tau0 = np.array([p.tau_l0 for p in paths])
+    f_d = np.array([p.f_dl for p in paths])
+    table = np.empty((3, frame.slots, len(paths)))
+    tau, phi, amp = table
+    tau[:] = tau0
+    phi[:ref] = -two_pi * scenario.f_c * tau0
+    phi[ref:] = two_pi * (f_d * np.arange(scenario.n_f)[:, None] * scenario.t_f
+                          - scenario.f_c * tau0)
+    amp[:] = [p.amp for p in paths]
+    if modulation.scheme == Scheme.PPM:
+        tau[ref:] += modulation.xi_ppm * word[:, None]
+    elif modulation.scheme == Scheme.BPSK:
+        phi[ref:] -= modulation.xi_bpsk * word[:, None]
+    return table
 
 
 # =========================================================================

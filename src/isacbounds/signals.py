@@ -21,89 +21,25 @@ the path contribution in PRI ``kappa`` is
 PPM moves the data-PRI pulse by ``xi_ppm * q_kappa``; BPSK rotates it by
 ``xi_bpsk * q_kappa``.  Only the data PRIs of the frame are modulated.  All
 bound-level computations use the all-ones data word, which is also the
-default here.  :func:`mean_vector` and :func:`mean_jacobian` take a scenario
-and a modulation and check them as one :class:`~isacbounds.model.Frame`; the
-stages below them take that frame.
+default here: the (tau, phi, amp) of every pulse at that word is
+:attr:`~isacbounds.model.Frame.pulses`, kept on the frame beside its slot map;
+this module holds no state of its own.  :func:`mean_vector` and
+:func:`mean_jacobian` take a scenario and a modulation and check them as one
+:class:`~isacbounds.model.Frame`; the stages below them take that frame.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .model import (
-    AMP,
-    PHI,
-    TAU,
     ConfigError,
     Frame,
     ModulationConfig,
     ScenarioConfig,
-    Scheme,
+    _pulse_values,
     _pulse_window,
 )
-
-TWO_PI = 2.0 * np.pi
-
-
-# =========================================================================
-# Bits and phases
-# =========================================================================
-
-
-def bound_bits(frame: Frame) -> np.ndarray:
-    """Default data word for bound evaluation: 1 on data PRIs, 0 elsewhere."""
-    bits = np.zeros(frame.scenario.n_f, dtype=np.int64)
-    bits[frame.data.start:frame.data.stop] = 1
-    return bits
-
-
-def _check_bits(frame: Frame, bits: np.ndarray | None) -> np.ndarray:
-    if bits is None:
-        return bound_bits(frame)
-    n_f, data = frame.scenario.n_f, frame.data
-    bits = np.asarray(bits)
-    if bits.shape != (n_f,):
-        raise ConfigError(
-            f"bits must have one entry per PRI (n_f = {n_f}), got shape {bits.shape}"
-        )
-    if np.any((bits != 0) & (bits != 1)):
-        raise ConfigError("bits must be binary")
-    if np.any(bits[:data.start] != 0) or np.any(bits[data.stop:] != 0):
-        raise ConfigError(f"bits outside the data PRIs {data} must be 0")
-    return bits.astype(np.int64)
-
-
-def phase_values(frame: Frame, bits: np.ndarray | None = None) -> np.ndarray:
-    """Carrier phase phi_l^kappa in radians, shape (n_f, L).
-
-    phi_l^kappa = 2 pi (f_dl * kappa * t_f - f_c * tau_l0), with the BPSK data
-    rotation -xi_bpsk * q_kappa added on data PRIs.
-    """
-    scenario, modulation = frame.scenario, frame.modulation
-    bits = _check_bits(frame, bits)
-    kappa = np.arange(scenario.n_f)[:, None]
-    f_d = np.array([p.f_dl for p in scenario.paths])[None, :]
-    tau0 = np.array([p.tau_l0 for p in scenario.paths])[None, :]
-    phi = TWO_PI * (f_d * kappa * scenario.t_f - scenario.f_c * tau0)
-    if modulation.scheme == Scheme.BPSK:
-        phi = phi - modulation.xi_bpsk * bits[:, None]
-    return phi
-
-
-def pri_delays(frame: Frame, bits: np.ndarray | None = None) -> np.ndarray:
-    """Pulse position of each path in each PRI, shape (n_f, L).
-
-    tau_l^kappa = tau_l0 + xi_ppm * q_kappa for PPM data PRIs, tau_l0 otherwise.
-    """
-    scenario, modulation = frame.scenario, frame.modulation
-    bits = _check_bits(frame, bits)
-    tau0 = np.array([p.tau_l0 for p in scenario.paths])[None, :]
-    tau = np.broadcast_to(tau0, (scenario.n_f, scenario.n_paths)).copy()
-    if modulation.scheme == Scheme.PPM:
-        tau = tau + modulation.xi_ppm * bits[:, None].astype(float)
-    return tau
 
 
 # =========================================================================
@@ -112,36 +48,8 @@ def pri_delays(frame: Frame, bits: np.ndarray | None = None) -> np.ndarray:
 
 # Every term of the stacked mean is amp * exp(j phi) * w(t - tau) for one
 # (slot, path) pair.  The model is a (3, n_slots, L) table of those values,
-# beside the frame's slot map of the same shape, naming the eta entry of each.
-
-
-def _slot_table(frame: Frame, bits: np.ndarray) -> np.ndarray:
-    """(tau, phi, amp) of every (slot, path) pulse at a data word.
-
-    A differential frame's slot 0 is its reference (start-frame) pulse, at
-    the path delays and carrier phase -2 pi f_c tau_l0; the last n_f slots
-    are the frame's PRIs.
-    """
-    scenario, ref = frame.scenario, frame.ref
-    tau0 = np.array([p.tau_l0 for p in scenario.paths])
-    table = np.empty((3, frame.slots, scenario.n_paths))
-    table[TAU, :ref] = tau0
-    table[PHI, :ref] = -TWO_PI * scenario.f_c * tau0
-    table[TAU, ref:] = pri_delays(frame, bits)
-    table[PHI, ref:] = phase_values(frame, bits)
-    table[AMP] = [p.amp for p in scenario.paths]
-    return table
-
-
-@functools.lru_cache(maxsize=32)
-def _slot_model(frame: Frame) -> tuple[int, np.ndarray, np.ndarray]:
-    """(eta size, table at the all-ones word, slot map), built once per frame.
-
-    The arrays are shared between calls and therefore read-only.
-    """
-    table = _slot_table(frame, bound_bits(frame))
-    table.setflags(write=False)
-    return frame.eta.size, table, frame.slot_map
+# ``frame.pulses`` at the default word, beside the frame's slot map of the
+# same shape, naming the eta entry of each.
 
 
 def _windows(scenario: ScenarioConfig, tau: np.ndarray
@@ -185,16 +93,34 @@ def _evaluate(scenario: ScenarioConfig, table: np.ndarray) -> np.ndarray:
 # =========================================================================
 
 
+def _check_bits(frame: Frame, bits: np.ndarray) -> np.ndarray:
+    """An explicit data word as int64, one 0 or 1 per PRI and 0 off the data PRIs."""
+    n_f, data = frame.scenario.n_f, frame.data
+    bits = np.asarray(bits)
+    if bits.shape != (n_f,):
+        raise ConfigError(
+            f"bits must have one entry per PRI (n_f = {n_f}), got shape {bits.shape}"
+        )
+    if bits.dtype.kind not in "biuf" or np.any((bits != 0) & (bits != 1)):
+        raise ConfigError("bits must be binary")
+    if np.any(bits[:data.start] != 0) or np.any(bits[data.stop:] != 0):
+        raise ConfigError(f"bits outside the data PRIs {data} must be 0")
+    return bits.astype(np.int64)
+
+
 def mean_vector(scenario: ScenarioConfig, modulation: ModulationConfig,
                 bits: np.ndarray | None = None) -> np.ndarray:
     """Noise-free stacked frame mean, complex ndarray of length n_slots * n_s.
 
     Slot ``kappa`` (or ``kappa + 1`` for differential frames, whose slot 0 is
     the unmodulated reference pulse) holds the sum over paths of the carrier-
-    rotated, amplitude-scaled pulse at that PRI's path positions.
+    rotated, amplitude-scaled pulse at that PRI's path positions.  ``bits``,
+    one bool, integer or real 0 or 1 per PRI and 0 off the data PRIs,
+    replaces the default all-ones data word.
     """
     frame = Frame(scenario, modulation)
-    return _evaluate(scenario, _slot_table(frame, _check_bits(frame, bits)))
+    table = frame.pulses if bits is None else _pulse_values(frame, _check_bits(frame, bits))
+    return _evaluate(scenario, table)
 
 
 def eta_point(frame: Frame) -> np.ndarray:
@@ -205,10 +131,10 @@ def eta_point(frame: Frame) -> np.ndarray:
     separate entries; for differential frames the reference time and each
     data-PRI arrival time are separate entries.
     """
-    size, table, index = _slot_model(frame)
-    eta = np.zeros(size)
+    index = frame.slot_map
+    eta = np.zeros(frame.eta.size)
     unknown = index >= 0
-    eta[index[unknown]] = table[unknown]
+    eta[index[unknown]] = frame.pulses[unknown]
     return eta
 
 
@@ -225,7 +151,7 @@ def mean_from_eta(frame: Frame, eta: np.ndarray, slots=None) -> np.ndarray:
     them in that order, n_s samples each, and equals the matching rows of the
     whole-frame mean exactly.
     """
-    size, table, index = _slot_model(frame)
+    size, table, index = frame.eta.size, frame.pulses, frame.slot_map
     eta = np.asarray(eta, dtype=float)
     if eta.ndim not in (1, 2) or eta.shape[-1] != size:
         raise ConfigError(f"eta must have shape ({size},) or (k, {size}), got {eta.shape}")
@@ -263,7 +189,8 @@ def mean_jacobian(scenario: ScenarioConfig, modulation: ModulationConfig) -> np.
         pulse's sample window (:func:`isacbounds.model._pulse_window`) are
         written; every other entry is 0.
     """
-    size, (tau, phi, amp), index = _slot_model(Frame(scenario, modulation))
+    frame = Frame(scenario, modulation)
+    size, (tau, phi, amp), index = frame.eta.size, frame.pulses, frame.slot_map
     ns = scenario.n_s
     rot = np.exp(1j * phi)
     coef = amp * rot

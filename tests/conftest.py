@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from isacbounds.model import Decoupling, ModulationConfig, Scheme
+from isacbounds.model import Decoupling, ModulationConfig, Scheme, _pulse_values
 from isacbounds.experiments import reference_scenario
 
 
@@ -53,6 +53,14 @@ def frame_shapes(kind: str, n_fs, n_paths=(1, 2, 3)):
         for L in n_paths:
             for mod in mods:
                 yield reference_scenario(n_f=n_f, n_paths=L), mod
+
+
+def default_word(frame) -> np.ndarray:
+    """The data word of ``frame.pulses``, read back: 1 on each PRI whose
+    pulse differs from the pulse law at the all-zeros word."""
+    zero = _pulse_values(frame, np.zeros(frame.scenario.n_f, dtype=np.int64))
+    return np.any(frame.pulses != zero, axis=(0, 2))[frame.ref:].astype(np.int64)
+
 
 #: alpha * f_s just above the sampling edge: per_pri_information accepts the
 #: pulse, one percent narrower it does not

@@ -19,7 +19,6 @@ from isacbounds.model import (
     received_snr,
 )
 from isacbounds.bounds import comm_efim_ppm, crlb_report
-from isacbounds.signals import bound_bits
 from isacbounds.experiments import (
     SWEEP_AXES,
     CrossoverResult,
@@ -35,7 +34,7 @@ from isacbounds.experiments import (
     with_snr,
 )
 
-from conftest import ALL_KINDS, frame_shapes, make_modulation
+from conftest import ALL_KINDS, default_word, frame_shapes, make_modulation
 
 
 def test_reference_scenario_values():
@@ -99,7 +98,7 @@ def test_data_rate_counts_the_data_bits(kind):
         mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=6, d_data=0)
     else:
         mod = make_modulation(kind, sc.n_f)
-    assert data_rate(sc, mod) == bound_bits(Frame(sc, mod)).sum() / (sc.n_f * sc.t_f)
+    assert data_rate(sc, mod) == default_word(Frame(sc, mod)).sum() / (sc.n_f * sc.t_f)
 
 
 def _parent_bound_bits(sc, mod):
@@ -127,7 +126,7 @@ def test_bound_bits_and_data_rate_match_the_per_kind_rules(kind):
             sc = reference_scenario(n_f=n_f, n_paths=L)
             for mod in mods:
                 want = _parent_bound_bits(sc, mod)
-                np.testing.assert_array_equal(bound_bits(Frame(sc, mod)), want)
+                np.testing.assert_array_equal(default_word(Frame(sc, mod)), want)
                 assert data_rate(sc, mod) == int(want.sum()) / (sc.n_f * sc.t_f)
 
 

@@ -24,9 +24,8 @@ from isacbounds.jacobians import (
     ramp_slope,
 )
 from isacbounds.experiments import reference_scenario
-from isacbounds.signals import bound_bits
 
-from conftest import ALL_KINDS, make_modulation
+from conftest import ALL_KINDS, default_word, make_modulation
 from differential_reference import differential_maps
 
 T_F = 1e-7
@@ -221,7 +220,7 @@ def _table_and_gather_jacobian(sc, mod):
     L, n_f = sc.n_paths, sc.n_f
     ref = index.shape[1] - n_f
     bits = np.zeros(index.shape[1])
-    bits[ref:] = bound_bits(frame)
+    bits[ref:] = default_word(frame)
     slope = np.zeros(index.shape[1])
     slope[ref:] = ramp_slope(np.arange(n_f), sc.t_f)
     H = h_matrix(L)

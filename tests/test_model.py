@@ -498,6 +498,19 @@ def test_eta_size_matches_layout(kind):
             assert layout.size == len(layout.names)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_frame_pulses_are_read_only_and_live_with_their_frame(kind):
+    frame = Frame(reference_scenario(n_f=3), make_modulation(kind, 3))
+    pulses = frame.pulses
+    assert pulses.shape == frame.slot_map.shape == (3, frame.slots, 3)
+    assert pulses.dtype == np.float64 and not pulses.flags.writeable
+    assert frame.pulses is pulses
+    # an equal frame builds its own, equal table
+    twin = Frame(frame.scenario, frame.modulation).pulses
+    assert twin is not pulses
+    np.testing.assert_array_equal(twin, pulses)
+
+
 # Eager reference layouts: every name and every block bound built entry by
 # entry, as lists; the package's layouts compute them arithmetically.  A
 # run's per-PRI blocks are found by ParamLayout.block, not listed in

@@ -1,4 +1,4 @@
-"""Mean-vector construction: phases, PRI delays, eta parameterization.
+"""Mean-vector construction: the frame's pulses, eta parameterization.
 
 The analytic mean Jacobian is checked column-by-column against central
 differences of mean_from_eta; that finite-difference oracle is what the
@@ -6,10 +6,15 @@ information-matrix layer ultimately rests on.
 """
 
 import dataclasses
+import gc
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacbounds.model import (
     ConfigError,
@@ -17,59 +22,65 @@ from isacbounds.model import (
     Frame,
     LeakageError,
     ModulationConfig,
+    PathState,
     PulseShape,
+    PHI,
+    ScenarioConfig,
     SUPPORT_SIGMAS,
     TAU,
     Scheme,
     UndersampledPulseError,
+    _pulse_values,
     pulse_time_derivative,
     sample_pulse,
     time_grid,
 )
 from isacbounds.signals import (
-    _slot_model,
-    bound_bits,
     eta_point,
     mean_from_eta,
     mean_jacobian,
     mean_vector,
-    phase_values,
-    pri_delays,
 )
 from isacbounds.experiments import reference_scenario
+from isacbounds.fim import observation_fim_numeric
 
-from conftest import ALL_KINDS, EDGE_ALPHA_FS, make_modulation
+from conftest import ALL_KINDS, EDGE_ALPHA_FS, default_word, make_modulation
 
 TWO_PI = 2.0 * np.pi
 
 
 def test_bound_bits_pattern():
+    # the pulses, and the mean, are those of the word that is 1 on every data PRI
     sc = reference_scenario(n_f=4, n_paths=1)
-    mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=3)
-    np.testing.assert_array_equal(bound_bits(Frame(sc, mod)), [0, 1, 1, 1])
-    np.testing.assert_array_equal(
-        bound_bits(Frame(sc, ModulationConfig(Scheme.SENSING))), [0, 0, 0, 0])
-    np.testing.assert_array_equal(
-        bound_bits(Frame(sc, ModulationConfig(Scheme.BPSK, d_data=4))), [1, 1, 1, 1])
+    for mod, word in ((ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=3),
+                       [0, 1, 1, 1]),
+                      (ModulationConfig(Scheme.SENSING), [0, 0, 0, 0]),
+                      (ModulationConfig(Scheme.BPSK, d_data=4), [1, 1, 1, 1])):
+        frame = Frame(sc, mod)
+        np.testing.assert_array_equal(default_word(frame), word)
+        np.testing.assert_array_equal(frame.pulses, _pulse_values(frame, np.array(word)))
+        np.testing.assert_array_equal(mean_vector(sc, mod), mean_vector(sc, mod, bits=word))
 
 
 def test_phase_values_closed_form():
     sc = reference_scenario(n_f=3, n_paths=2, dopplers=(100.0, -250.0))
     mod = ModulationConfig(Scheme.BPSK, Decoupling.PILOT, p_pilots=1, d_data=2)
-    bits = np.array([0, 1, 0])
-    phi = phase_values(Frame(sc, mod), bits=bits)
-    assert phi.shape == (3, 2)
-    for k in range(3):
-        for l, p in enumerate(sc.paths):
-            want = TWO_PI * (p.f_dl * k * sc.t_f - sc.f_c * p.tau_l0) \
-                - mod.xi_bpsk * bits[k]
-            assert phi[k, l] == pytest.approx(want, rel=1e-12)
+    frame = Frame(sc, mod)
+    for bits, table in ((np.array([0, 1, 0]), _pulse_values(frame, np.array([0, 1, 0]))),
+                        (np.array([0, 1, 1]), frame.pulses)):
+        phi = table[PHI]
+        assert phi.shape == (3, 2)
+        for k in range(3):
+            for l, p in enumerate(sc.paths):
+                want = TWO_PI * (p.f_dl * k * sc.t_f - sc.f_c * p.tau_l0) \
+                    - mod.xi_bpsk * bits[k]
+                assert phi[k, l] == pytest.approx(want, rel=1e-12)
 
 
 def test_phase_values_ppm_does_not_touch_phase():
     sc = reference_scenario(n_f=2, n_paths=1)
-    raw = phase_values(Frame(sc, ModulationConfig(Scheme.SENSING)))
-    ppm = phase_values(Frame(sc, ModulationConfig(Scheme.PPM, d_data=2)))
+    raw = Frame(sc, ModulationConfig(Scheme.SENSING)).pulses[PHI]
+    ppm = Frame(sc, ModulationConfig(Scheme.PPM, d_data=2)).pulses[PHI]
     np.testing.assert_allclose(ppm, raw, rtol=0, atol=0)
 
 
@@ -77,15 +88,15 @@ def test_pri_delays_ppm_shift():
     sc = reference_scenario(n_f=4, n_paths=2)
     mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, xi_ppm=2e-9,
                            p_pilots=2, d_data=2)
-    d = pri_delays(Frame(sc, mod))
+    d = Frame(sc, mod).pulses[TAU]
     taus = np.array([p.tau_l0 for p in sc.paths])
     np.testing.assert_allclose(d[0], taus, rtol=1e-15)
     np.testing.assert_allclose(d[1], taus, rtol=1e-15)
     np.testing.assert_allclose(d[2], taus + 2e-9, rtol=1e-15)
     np.testing.assert_allclose(d[3], taus + 2e-9, rtol=1e-15)
     # BPSK never moves the envelope
-    b = pri_delays(Frame(sc, ModulationConfig(Scheme.BPSK, Decoupling.PILOT,
-                                              p_pilots=2, d_data=2)))
+    b = Frame(sc, ModulationConfig(Scheme.BPSK, Decoupling.PILOT,
+                                   p_pilots=2, d_data=2)).pulses[TAU]
     np.testing.assert_allclose(b, np.broadcast_to(taus, (4, 2)), rtol=1e-15)
 
 
@@ -100,6 +111,14 @@ def test_bits_validation():
         mean_vector(sc, mod, bits=np.array([1, 1]))  # pilot PRI must be 0
     with pytest.raises(ConfigError):
         mean_vector(sc, ModulationConfig(Scheme.SENSING), bits=np.array([0, 1]))
+    # a word that is not bool, integer or real is refused whatever its values
+    raw = ModulationConfig(Scheme.BPSK, d_data=2)
+    for bits in (np.array([1 + 0j, 1]), np.array([0j, 1]), np.array(["1", "1"]),
+                 np.array([1, 1], dtype=object)):
+        with pytest.raises(ConfigError, match="bits must be binary"):
+            mean_vector(sc, raw, bits=bits)
+    for bits in (np.array([True, True]), np.array([1.0, 1.0]), np.array([1, 1], dtype=np.uint8)):
+        np.testing.assert_array_equal(mean_vector(sc, raw, bits=bits), mean_vector(sc, raw))
 
 
 def test_n_slots_counts_reference_pulse():
@@ -115,8 +134,7 @@ def test_mean_vector_single_path_structure():
     mod = ModulationConfig(Scheme.PPM, d_data=3)
     frame = Frame(sc, mod)
     mu = mean_vector(sc, mod).reshape(3, sc.n_s)
-    phi = phase_values(frame)
-    delays = pri_delays(frame)
+    delays, phi, _ = frame.pulses
     amp = sc.paths[0].amp
     for k in range(3):
         want = amp * np.exp(1j * phi[k, 0]) * sample_pulse(sc.pulse, delays[k, 0], sc)
@@ -297,6 +315,79 @@ def test_mean_vector_is_mean_from_eta_at_eta_point_exactly(kind, n_paths, rate):
     np.testing.assert_array_equal(mean_vector(sc, mod), mean_from_eta(frame, eta_point(frame)))
 
 
+#: SNRs in dB that no other record of the run has, so that no equal record
+#: made earlier can stand in for the one a test drops
+_UNSEEN_SNR_DB = (0.5 + k / 1024 for k in itertools.count())
+
+
+def _collected_after(make, call) -> bool:
+    # True when nothing keeps the record ``make`` gives once ``call`` on it
+    # returns and the test drops it
+    record = make()
+    call(record)
+    ref = weakref.ref(record)
+    del record
+    gc.collect()
+    return ref() is None
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("call", ["eta_point", "mean_from_eta", "mean_jacobian",
+                                  "observation_fim_numeric"])
+def test_a_dropped_frame_is_collected(call, kind):
+    # the sampled model keeps nothing past its call: a frame and its pulses
+    # live and die with the caller's reference
+    n_f = 2
+    mod = make_modulation(kind, n_f)
+    scenario = lambda: reference_scenario(n_f=n_f, snr_db=next(_UNSEEN_SNR_DB))
+    if call == "eta_point":
+        assert _collected_after(lambda: Frame(scenario(), mod), eta_point)
+    elif call == "mean_from_eta":
+        assert _collected_after(lambda: Frame(scenario(), mod),
+                                lambda frame: mean_from_eta(frame, eta_point(frame)))
+    else:
+        # the call makes its own frame, which holds the scenario
+        fn = mean_jacobian if call == "mean_jacobian" else observation_fim_numeric
+        assert _collected_after(scenario, lambda sc: fn(sc, mod))
+
+
+_ALPHA = 0.2e-9
+
+
+@st.composite
+def _sampled_frames(draw):
+    # any kind on 1-3 paths and 1-8 PRIs, delays >= 12 alpha apart with
+    # every (PPM-shifted) support inside the PRI, Dopplers and a carrier
+    kind = draw(st.sampled_from(ALL_KINDS))
+    n_paths, n_f = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    taus = [draw(st.floats(6.5 * _ALPHA, 30e-9))]
+    for _ in range(n_paths - 1):
+        taus.append(taus[-1] + draw(st.floats(12.5 * _ALPHA, 25e-9)))
+    paths = tuple(PathState(t, f_dl=draw(st.floats(-5e4, 5e4)), amp=draw(st.floats(0.1, 10.0)))
+                  for t in taus)
+    sc = ScenarioConfig(f_c=draw(st.floats(0.0, 10e9)), t_f=100e-9, n_f=n_f,
+                        f_s=draw(st.sampled_from([10e9, 100e9])), sigma2=1.0, paths=paths,
+                        pulse=PulseShape(alpha=_ALPHA))
+    if kind.endswith("pilot"):
+        p = draw(st.integers(1, n_f))
+        return sc, dataclasses.replace(make_modulation(kind, 2), p_pilots=p, d_data=n_f - p)
+    return sc, make_modulation(kind, n_f)
+
+
+@given(_sampled_frames())
+@settings(max_examples=60, deadline=None)
+def test_mean_at_the_frame_pulses_is_the_default_mean_byte_for_byte(case):
+    # the mean at eta_point, and at the word that is 1 on every data PRI,
+    # is the default mean
+    sc, mod = case
+    frame = Frame(sc, mod)
+    mu = mean_vector(sc, mod).tobytes()
+    assert mean_from_eta(frame, eta_point(frame)).tobytes() == mu
+    word = np.zeros(sc.n_f, dtype=np.int64)
+    word[frame.data.start:frame.data.stop] = 1
+    assert mean_vector(sc, mod, bits=word).tobytes() == mu
+
+
 # ------------------------------------------- windows against the whole grid
 #
 # The samplers evaluate each pulse on its sample window only.  These
@@ -326,7 +417,8 @@ def _whole_grid_mean(sc, table):
 def _whole_grid_jacobian(sc, mod):
     # d/dtau, d/dphi and d/damp of every (slot, path) term, written into the
     # column the slot map names, on every sample of the slot
-    size, (tau, phi, amp), index = _slot_model(Frame(sc, mod))
+    frame = Frame(sc, mod)
+    size, (tau, phi, amp), index = frame.eta.size, frame.pulses, frame.slot_map
     w, dw = _whole_grid_pulse(sc, tau)
     rot = np.exp(1j * phi)
     c = (amp * rot)[..., None]
@@ -377,7 +469,7 @@ def test_windowed_sampling_is_bit_identical_to_the_whole_grid(kind, n_paths, rat
     np.testing.assert_array_equal(sample_pulse(sc.pulse, taus, sc), w)
     np.testing.assert_array_equal(pulse_time_derivative(sc.pulse, taus, sc), dw)
 
-    _, table, index = _slot_model(frame)
+    table, index = frame.pulses, frame.slot_map
     np.testing.assert_array_equal(mean_vector(sc, mod), _whole_grid_mean(sc, table))
     np.testing.assert_array_equal(mean_jacobian(sc, mod), _whole_grid_jacobian(sc, mod))
 
