@@ -39,6 +39,8 @@ block and adds the closed Doppler-ramp sum, with no matrix of the dense chain.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -243,8 +245,12 @@ def efim(fim: LabeledMatrix, target: str) -> np.ndarray:
     diag = fim.data.diagonal()[lo:hi]
     if (diag <= 0.0).any():
         raise CoupledParametersError(f"block {target!r} carries no information")
-    scaled = _equilibrated(E, diag)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0])
+    if hi - lo == 1:  # a 1 x 1 scaled EFIM is its own eigenvalue
+        root = math.sqrt(diag[0])
+        min_eig = float(E[0, 0]) / root / root
+    else:
+        scaled = _equilibrated(E, diag)
+        min_eig = float(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0])
     if min_eig <= EFIM_FLOOR:
         raise CoupledParametersError(
             f"information on block {target!r} is annihilated by the nuisance "
@@ -280,58 +286,78 @@ def closed_form_theta_fim(frame: Frame) -> LabeledMatrix:
     reference in a differential frame); BPSK adds the data phase phi_bpsk.
     The symmetric pulse zeroes every delay/phase/amplitude cross block, so
     those are simply absent.
+
+    With H and E the primitives of :mod:`isacbounds.jacobians` and lambda
+    one kind's per-path information, every block is an arrow read off
+    lambda: c H^T diag(lambda) H has c sum(lambda) at its corner,
+    c lambda_2 .. c lambda_L along its first row and column and on the rest
+    of its diagonal, and zeros elsewhere; c H^T diag(lambda) E is the column
+    c [sum(lambda), lambda_2, .., lambda_L] and c E^T diag(lambda) E the
+    scalar c sum(lambda).  The amplitudes are n_f lambda_alpha on the
+    diagonal.  Each entry is written once, summed left to right as the
+    matrix products sum it, so no product is formed.
     """
     scenario, modulation, layout = frame.scenario, frame.modulation, frame.theta
-    L, n_f, t_f = scenario.n_paths, scenario.n_f, scenario.t_f
-    H = h_matrix(L)
-    E = e_vector(L)
-    l_tau1, l_phi1, l_alpha1 = scenario.per_pri_information
-    M = np.zeros((layout.size, layout.size))
+    n_f, t_f = scenario.n_f, scenario.t_f
+    l_tau, l_phi, l_alpha = (lam.tolist() for lam in scenario.per_pri_information)
+    sum_tau, sum_phi = l_tau[0], l_phi[0]
+    for x_tau, x_phi in zip(l_tau[1:], l_phi[1:]):
+        sum_tau += x_tau
+        sum_phi += x_phi
+    n, at = layout.size, layout.block_bounds
+    flat = [0.0] * (n * n)  # row-major; a float product past float64 is a quiet inf
 
-    def put(rows: slice, cols: slice, block: np.ndarray) -> None:
-        M[rows, cols] = block
-        if rows != cols:
-            M[cols, rows] = block.T
+    def line(i: int, j: int, step: int, values: list) -> None:
+        """Write ``values`` from entry (i, j) on, every ``step``-th flat entry:
+        along row i (1), down column j (n) or down the diagonal (n + 1)."""
+        first = i * n + j
+        flat[first:first + step * len(values):step] = values
 
-    lo = layout.block("delay")[0]
-    tau = slice(lo, lo + L)  # tau1 and dtau: the delay block without dtau_q
-    doppler, amp = layout.block_slice("doppler"), layout.block_slice("amp")
-    with np.errstate(over="ignore", invalid="ignore"):  # LabeledMatrix refuses inf/NaN
-        put(tau, tau, n_f * _congruence(H, l_tau1, H))
-        put(doppler, doppler, coeff_b_full(t_f, n_f) * _congruence(H, l_phi1, H))
-        put(amp, amp, np.diag(n_f * l_alpha1))
+    def arrow(c, total: float, lam: list) -> list:
+        """c [sum(lambda), lambda_2, .., lambda_L]"""
+        return [c * total] + [c * x for x in lam[1:]]
 
-        scheme, dec = modulation.scheme, modulation.decoupling
-        if scheme == Scheme.PPM:
-            if dec == Decoupling.DIFFERENTIAL:
-                cross, own = 2.0 * n_f, (modulation.sfd_weight + 4.0) * n_f
-            else:
-                cross = own = modulation.d_data if dec == Decoupling.PILOT else n_f
-            q = layout.block_slice("dtau_q")
-            put(tau, q, cross * _congruence(H, l_tau1, E))
-            put(q, q, own * _congruence(E, l_tau1, E))
-        elif scheme == Scheme.BPSK:
-            if dec == Decoupling.PILOT:
-                # raw data phase: unit ramp on the D data PRIs
-                p, d = modulation.p_pilots, modulation.d_data
-                cross, own = coeff_a_range(t_f, p, d), d
-            else:
-                # Doppler-equivalent data phase: shares the quadratic ramp sum
-                cross = own = coeff_b_full(t_f, n_f)
-            b = layout.block_slice("phi_bpsk")
-            put(doppler, b, cross * _congruence(H, l_phi1, E))
-            put(b, b, own * _congruence(E, l_phi1, E))
+    # c H^T diag(lambda) H on (tau1, dtau) and on the Doppler block
+    for lo, column in ((at["tau1"][0], arrow(n_f, sum_tau, l_tau)),
+                       (at["doppler"][0], arrow(coeff_b_full(t_f, n_f), sum_phi, l_phi))):
+        for step in (1, n, n + 1):
+            line(lo, lo, step, column)
+    amp = at["amp"][0]
+    line(amp, amp, n + 1, [n_f * x for x in l_alpha])
+
+    scheme, dec = modulation.scheme, modulation.decoupling
+    if scheme == Scheme.PPM:
+        if dec == Decoupling.DIFFERENTIAL:
+            cross, own = 2.0 * n_f, (modulation.sfd_weight + 4.0) * n_f
+        else:
+            cross = own = modulation.d_data if dec == Decoupling.PILOT else n_f
+        lo, q = at["tau1"][0], at["dtau_q"][0]
+        column, corner = arrow(cross, sum_tau, l_tau), own * sum_tau
+    elif scheme == Scheme.BPSK:
+        if dec == Decoupling.PILOT:
+            # raw data phase: unit ramp on the D data PRIs
+            p, d = modulation.p_pilots, modulation.d_data
+            cross, own = coeff_a_range(t_f, p, d), d
+        else:
+            # Doppler-equivalent data phase: shares the quadratic ramp sum
+            cross = own = coeff_b_full(t_f, n_f)
+        lo, q = at["doppler"][0], at["phi_bpsk"][0]
+        column, corner = arrow(cross, sum_phi, l_phi), own * sum_phi
+    if scheme != Scheme.SENSING:
+        # c H^T diag(lambda) E down column q, its transpose along row q
+        line(lo, q, n, column)
+        line(q, lo, 1, column)
+        flat[q * (n + 1)] = corner
     # exact zeros are structurally dead columns (Doppler at n_f = 1); a
     # subnormal diagonal has lost its precision and would break the checks
-    diag = M.diagonal()
-    subnormal = np.flatnonzero((diag > 0.0) & (diag < np.finfo(float).tiny))
-    if subnormal.size:
-        name = layout.names[subnormal[0]]
-        raise ConfigError(
-            f"I_theta[{name}, {name}] = {diag[subnormal[0]]:.3e} is subnormal; "
-            "the information is too small to represent (raise the path amplitudes)"
-        )
-    return LabeledMatrix(M, layout)
+    for k, v in enumerate(flat[::n + 1]):
+        if 0.0 < v < sys.float_info.min:
+            name = layout.names[k]
+            raise ConfigError(
+                f"I_theta[{name}, {name}] = {v:.3e} is subnormal; "
+                "the information is too small to represent (raise the path amplitudes)"
+            )
+    return LabeledMatrix(np.array(flat).reshape(n, n), layout)
 
 
 # =========================================================================
@@ -491,13 +517,19 @@ def _one_factor_crlbs(fim: LabeledMatrix, targets: list[str]) -> tuple[dict, np.
     if not (inv_diag * (_ONE_FACTOR_MARGIN * RANK_RTOL) < 1.0).all():
         return None
     crlbs = inv_diag / diag
+    traces, entries = inv_diag.tolist(), crlbs.tolist()
     values = {}
     for target in targets:
-        b = fim.layout.block_slice(target)
-        if (not inv_diag[b].sum() * EFIM_FLOOR < 1.0 - 1e-6
-                and not 1.0 / np.linalg.eigvalsh(inv[b, b])[-1] > EFIM_FLOOR):
-            return None
-        values[target] = float(crlbs[b].sum())
+        lo, hi = fim.layout.block_bounds[target]
+        if hi - lo == 1:  # a one-entry (I~^-1)_bb is its own trace and eigenvalue
+            trace, value = traces[lo], entries[lo]
+        else:
+            trace, value = inv_diag[lo:hi].sum(), float(crlbs[lo:hi].sum())
+        if not trace * EFIM_FLOOR < 1.0 - 1e-6:
+            top = trace if hi - lo == 1 else np.linalg.eigvalsh(inv[lo:hi, lo:hi])[-1]
+            if not 1.0 / top > EFIM_FLOOR:
+                return None
+        values[target] = value
     return values, np.linalg.eigvalsh(scaled)
 
 
@@ -514,8 +546,12 @@ def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig) -> CrlbR
     fim = assemble_theta_fim(Frame(scenario, modulation))
     targets = [t for t in CRLB_TARGETS if t in fim.layout.block_bounds]
     values, w = _one_factor_crlbs(fim, targets) or (None, None)
-    rep = (singularity_report(fim) if w is None or not w[0] > RANK_RTOL * w[-1]
-           else SingularityReport(fim.size, fim.size, False, float(w[0] / w[-1]), (), ()))
+    if w is None or not w[0] > RANK_RTOL * w[-1]:
+        rep = singularity_report(fim)
+        verdict = (rep.size, rep.rank, rep.singular, rep.min_sv_ratio,
+                   rep.coupled_columns, rep.zero_columns)
+    else:
+        verdict = (fim.size, fim.size, False, float(w[0] / w[-1]), (), ())
     if values is None:
         values = {}
         for target in targets:
@@ -524,13 +560,8 @@ def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig) -> CrlbR
             except CoupledParametersError:
                 values[target] = None
     rng = None if values.get("tau1") is None else SPEED_OF_LIGHT ** 2 * values["tau1"]
-    return CrlbReport(
-        **vars(rep),
-        scheme=modulation.scheme.value,
-        decoupling=modulation.decoupling.value,
-        crlb=values,
-        range_crlb_m2=rng,
-    )
+    return CrlbReport(*verdict, modulation.scheme.value, modulation.decoupling.value,
+                      values, rng)
 
 
 # =========================================================================

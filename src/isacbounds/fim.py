@@ -281,6 +281,10 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     over one sample range, the union of the pulse windows at every center
     the probe evaluates there (:func:`_probe_ranges`); outside it both
     evaluations are exact zeros.
+    An entry that no slot names (the data arrival times and amplitudes of
+    an all-pilot split) gets no step and carries a zero row and column, as
+    in :func:`observation_fim_analytic`; the wiped-diagonal check covers
+    only the named entries.
     Guarded to ``MAX_FD_PARAMS`` parameters and ``MAX_FD_SAMPLES`` stacked
     samples.
     """
@@ -300,14 +304,18 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     size, index = layout.size, frame.slot_map
     known = index >= 0
     which, slot, _ = np.nonzero(known)
-    kind = np.empty(size, dtype=np.intp)
+    # an entry that no slot names (tau_d, amp_d of an all-pilot split) keeps
+    # kind -1: no step, no slot, and a zero row and column
+    kind = np.full(size, -1, dtype=np.intp)
     kind[index[known]] = which
+    named = kind >= 0
     drives = np.zeros((size, index.shape[1]), dtype=bool)  # entry -> its slots
     drives[index[known], slot] = True
     eta0 = eta_point(frame)
-    h = np.array([steps.delay, steps.phase, steps.amp_rel])[kind]
+    h = np.zeros(size)
+    h[named] = np.array([steps.delay, steps.phase, steps.amp_rel])[kind[named]]
     h[kind == AMP] *= np.abs(eta0[kind == AMP])  # relative amplitude steps
-    nonpositive = np.flatnonzero(~(h > 0.0))  # NaN counts as a failure
+    nonpositive = np.flatnonzero(named & ~(h > 0.0))  # NaN counts as a failure
     if nonpositive.size:
         raise ConfigError(
             f"finite-difference step for {layout.names[nonpositive[0]]!r} is not positive")
@@ -327,8 +335,9 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
         M[np.ix_(entries, entries)] += flat @ flat.T
     M /= scenario.sigma2
     M = 0.5 * (M + M.T)
-    if np.any(np.diag(M) <= 0.0):
-        bad = [layout.names[i] for i in np.flatnonzero(np.diag(M) <= 0.0)]
+    wiped = np.flatnonzero(named & (M.diagonal() <= 0.0))
+    if wiped.size:
+        bad = [layout.names[i] for i in wiped]
         raise ConfigError(
             f"finite-difference step wiped out the diagonal for {bad}: a step below "
             "the float spacing of its entry moves nothing; raise the step sizes"

@@ -425,6 +425,11 @@ class ParamLayout:
         return hi - lo
 
 
+#: the one-entry theta blocks, the same in every layout
+_TAU1, _DTAU_Q, _FD1, _PHI_BPSK = (Block(name, 1, None)
+                                   for name in ("tau1", "dtau_q", "fd1", "phi_bpsk"))
+
+
 def theta_layout(scheme: Scheme, n_paths: int) -> ParamLayout:
     """Layout of the physical parameter vector theta.
 
@@ -439,12 +444,12 @@ def theta_layout(scheme: Scheme, n_paths: int) -> ParamLayout:
     dtau_q for PPM), the block ``"doppler"`` spans fd1 + dfd.
     """
     offsets = n_paths - 1
-    segments = [Block("tau1", 1, None), Block("dtau", offsets, 2)]
+    segments = [_TAU1, Block("dtau", offsets, 2)]
     if scheme == Scheme.PPM:
-        segments.append(Block("dtau_q", 1, None))
-    segments += [Block("fd1", 1, None), Block("dfd", offsets, 2)]
+        segments.append(_DTAU_Q)
+    segments += [_FD1, Block("dfd", offsets, 2)]
     if scheme == Scheme.BPSK:
-        segments.append(Block("phi_bpsk", 1, None))
+        segments.append(_PHI_BPSK)
     segments.append(Block("amp", n_paths))
     delay_end = "dtau_q" if scheme == Scheme.PPM else "dtau"
     return ParamLayout(tuple(segments),
@@ -556,23 +561,22 @@ class Frame:
         reference pulse's, unsplit frames one arrival time and amplitude per path.
         """
         n_f, L, ref = self.scenario.n_f, self.scenario.n_paths, self.ref
-        p = self.modulation.p_pilots
-        start = {name: lo for name, (lo, _) in self.eta.block_bounds.items()}
-        paths, per_pri = np.arange(L), np.arange(n_f * L).reshape(n_f, L)
+        p, at = self.modulation.p_pilots, self.eta.block_bounds
         index = np.full((3, self.slots, L), -1, dtype=np.intp)
-        index[PHI, ref:] = start["phi"] + per_pri
+        # every block below holds one entry per path, or per (PRI, path)
+        index[PHI, ref:] = np.arange(*at["phi"]).reshape(n_f, L)
         if self.modulation.decoupling == Decoupling.PILOT:
-            index[TAU, :p] = start["tau_p"] + paths
-            index[TAU, p:] = start["tau_d"] + paths
-            index[AMP, :p] = start["amp_p"] + paths
-            index[AMP, p:] = start["amp_d"] + paths
+            index[TAU, :p] = np.arange(*at["tau_p"])
+            index[TAU, p:] = np.arange(*at["tau_d"])
+            index[AMP, :p] = np.arange(*at["amp_p"])
+            index[AMP, p:] = np.arange(*at["amp_d"])
         elif self.modulation.decoupling == Decoupling.DIFFERENTIAL:
-            index[TAU, 0] = start["t_ref"] + paths
-            index[TAU, 1:] = start["t_abs"] + per_pri
-            index[AMP, 1:] = start["amp"] + paths
+            index[TAU, 0] = np.arange(*at["t_ref"])
+            index[TAU, 1:] = np.arange(*at["t_abs"]).reshape(n_f, L)
+            index[AMP, 1:] = np.arange(*at["amp"])
         else:
-            index[TAU] = start["tau"] + paths
-            index[AMP] = start["amp"] + paths
+            index[TAU] = np.arange(*at["tau"])
+            index[AMP] = np.arange(*at["amp"])
         index.setflags(write=False)
         return index
 

@@ -60,6 +60,7 @@ from isacbounds.bounds import (
 from isacbounds.experiments import fim_deviation, reference_scenario, with_frame
 
 from conftest import ALL_KINDS, frame_shapes, make_modulation, sym_eigs
+from closed_form_reference import closed_form_by_products
 from differential_reference import differential_chain
 
 
@@ -422,6 +423,62 @@ def test_differential_pipeline_refuses_another_frame(ref8):
         differential_pipeline(Frame(ref8, make_modulation("ppm-pilot", ref8.n_f)))
 
 
+def one_pilot_frames():
+    """One pilot against 1e8 - 1 data PRIs, L = 1..3: full rank, but the
+    elimination annihilates some blocks."""
+    n_f = 10 ** 8
+    for n_paths in (1, 2, 3):
+        yield (reference_scenario(n_f=n_f, n_paths=n_paths),
+               ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=n_f - 1))
+
+
+def outcome(call, *args):
+    """The bytes of ``call(*args)``'s matrix, or its error type and text."""
+    try:
+        out = call(*args)
+    except (ConfigError, CoupledParametersError) as exc:
+        return type(exc).__name__, str(exc)
+    return getattr(out, "data", out).tobytes()
+
+
+def efim_by_eigvalsh(fim, target):
+    """:func:`efim` with the floor tested by eigvalsh on every block."""
+    lo, hi = fim.layout.block(target)
+    at, names = np.arange(fim.size), fim.layout.names
+    E = schur_complement(fim.data, at[lo:hi], np.concatenate((at[:lo], at[hi:])),
+                         names[:lo] + names[hi:])
+    diag = fim.data.diagonal()[lo:hi]
+    if (diag <= 0.0).any():
+        raise CoupledParametersError(f"block {target!r} carries no information")
+    scaled = _equilibrated(E, diag)
+    min_eig = float(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0])
+    if min_eig <= bounds.EFIM_FLOOR:
+        raise CoupledParametersError(
+            f"information on block {target!r} is annihilated by the nuisance "
+            f"parameters: scaled EFIM eigenvalue {min_eig:.2e} <= EFIM_FLOOR = "
+            f"{bounds.EFIM_FLOOR:g}")
+    return E
+
+
+def test_efim_equals_the_eigvalsh_floor_on_every_target():
+    # every target of every singular frame_grid shape, and of the full-rank
+    # one-pilot frames whose elimination annihilates tau1 and dtau_q
+    frames = [(sc, mod) for kind in ALL_KINDS
+              for sc, mod in frame_shapes(kind, (8, 64, 256, 499, 500, 2048, 10 ** 5))]
+    singular = [(sc, mod) for sc, mod in frames if crlb_report(sc, mod).singular]
+    assert len(singular) >= 2 * 7 * 3
+    seen = set()
+    for sc, mod in [*singular, *one_pilot_frames()]:
+        fim = assemble_theta_fim(Frame(sc, mod))
+        for target in bounds.CRLB_TARGETS:
+            if target in fim.layout.block_bounds:
+                want = outcome(efim_by_eigvalsh, fim, target)
+                assert outcome(efim, fim, target) == want, (sc, mod, target)
+                seen.add((target, isinstance(want, tuple)))
+    # one-entry and wider blocks, kept and annihilated, all occur
+    assert {("tau1", True), ("tau1", False), ("amp", False)} <= seen
+
+
 def test_crlb_monotone_in_frame_length():
     mod = ModulationConfig(Scheme.SENSING)
     ranges, dopplers = [], []
@@ -447,6 +504,35 @@ def test_closed_form_theta_fim_consistent_with_product(kind):
     assert fim_deviation(fim.data, closed.data) < 1e-10
     eigs = sym_eigs(fim.data)
     assert eigs.min() >= -1e-8 * eigs.max()
+
+
+def closed_form_frames():
+    for kind in ALL_KINDS:
+        yield from frame_shapes(kind, (1, 2, 3, 8, 64, 499, 500, 2048, 10 ** 5))
+    yield from one_pilot_frames()
+
+
+def test_closed_form_fill_equals_the_block_products():
+    # the arrow-block fill sums each entry as the congruences sum it
+    for sc, mod in closed_form_frames():
+        frame = Frame(sc, mod)
+        got = closed_form_theta_fim(frame).data
+        assert got.tobytes() == closed_form_by_products(frame).data.tobytes(), (sc, mod)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n_paths", (1, 3))
+def test_closed_form_fill_refuses_as_the_block_products_do(kind, n_paths):
+    # at n_f = 1e120 the ramp sum alone is past float64; at amp = 1e-155 every
+    # lambda is normal but the Doppler diagonal is subnormal
+    sc = reference_scenario(n_f=8, n_paths=n_paths)
+    frames = [(dataclasses.replace(sc, n_f=10 ** 120), make_modulation(kind, 10 ** 120)),
+              (_with_amp(sc, 1e-155), make_modulation(kind, 8))]
+    for sc, mod in frames:
+        frame = Frame(sc, mod)
+        want = outcome(closed_form_by_products, frame)
+        assert isinstance(want, tuple) and want[0] == "ConfigError", (sc, mod)
+        assert outcome(closed_form_theta_fim, frame) == want
 
 
 NON_DIFFERENTIAL = ("sensing", "ppm-pilot", "bpsk-pilot", "ppm-raw", "bpsk-raw")
@@ -1034,9 +1120,7 @@ def verdict_frames():
     """Every frame_grid shape, n_f 1 and 2 and the near-singular one-pilot frame."""
     for kind in ALL_KINDS:
         yield from frame_shapes(kind, (1, 2, 8, 64, 256, 499, 500, 2048, 10 ** 5))
-    for n_paths in (1, 2, 3):
-        yield (reference_scenario(n_f=10 ** 8, n_paths=n_paths),
-               ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=10 ** 8 - 1))
+    yield from one_pilot_frames()
 
 
 def test_report_verdict_equals_the_svd_verdict():

@@ -277,6 +277,28 @@ def test_numeric_fim_matches_analytic(kind):
     assert fim_deviation(num.data, ana.data) < 1e-4
 
 
+#: the criterion-1 tolerance on the probe (validate_suite's default rtol)
+CRITERION_1_TOL = 2e-2
+
+
+@pytest.mark.parametrize("scheme", (Scheme.PPM, Scheme.BPSK))
+@pytest.mark.parametrize("n_f", range(1, 9))
+@pytest.mark.parametrize("n_paths", (1, 2, 3))
+def test_numeric_fim_of_an_all_pilot_split(scheme, n_f, n_paths):
+    # no slot names tau_d or amp_d: the probe gives them no step and zero
+    # rows and columns, as the closed form does, and reads no uninitialised
+    # memory, so a second call gives the same bytes
+    sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+    mod = ModulationConfig(scheme, Decoupling.PILOT, p_pilots=n_f, d_data=0)
+    num = observation_fim_numeric(sc, mod)
+    ana = observation_fim_analytic(sc, mod)
+    assert fim_deviation(num.data, ana.data) < CRITERION_1_TOL
+    lo, hi = num.layout.block("tau_d")[0], num.layout.block("amp_d")[0]
+    unnamed = np.r_[lo:lo + n_paths, hi:hi + n_paths]
+    assert not num.data[unnamed].any() and not num.data[:, unnamed].any()
+    assert observation_fim_numeric(sc, mod).data.tobytes() == num.data.tobytes()
+
+
 def _fd_step(name, value, steps=DEFAULT_FD):
     # the probe's step for an entry, chosen by its name
     if name.startswith(("tau", "t_")):
