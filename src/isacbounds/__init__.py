@@ -40,7 +40,7 @@ from .fim import (
     observation_fim_analytic,
     observation_fim_numeric,
 )
-from .jacobians import StructMatrix, e_vector, h_matrix
+from .jacobians import e_vector, h_matrix
 from .bounds import (
     CoupledParametersError,
     CrlbReport,
@@ -51,7 +51,6 @@ from .bounds import (
     crlb_report,
     differential_pipeline,
     efim,
-    range_crlb,
     singularity_report,
 )
 from .experiments import (
@@ -78,10 +77,10 @@ __all__ = [
     "mean_jacobian", "mean_vector",
     "DiagonalMatrix", "FdSteps", "LabeledMatrix",
     "observation_fim_analytic", "observation_fim_numeric",
-    "StructMatrix", "e_vector", "h_matrix",
+    "e_vector", "h_matrix",
     "CoupledParametersError", "CrlbReport", "SingularityReport",
     "assemble_theta_fim", "comm_efim_ppm", "crlb", "crlb_report",
-    "differential_pipeline", "efim", "range_crlb", "singularity_report",
+    "differential_pipeline", "efim", "singularity_report",
     "CrossoverResult", "ResultTable", "SweepSpec", "data_rate", "find_crossover",
     "pareto_table", "reference_scenario", "run_sweep", "validate_suite",
     "with_frame", "with_snr",

@@ -263,11 +263,6 @@ def crlb(fim: LabeledMatrix, target: str) -> float:
     return float(np.trace(np.linalg.inv(efim(fim, target))))
 
 
-def range_crlb(fim: LabeledMatrix) -> float:
-    """Ranging CRLB in m**2: c**2 times the delay CRLB of the first path."""
-    return SPEED_OF_LIGHT ** 2 * crlb(fim, "tau1")
-
-
 # =========================================================================
 # Closed-form theta assembly
 # =========================================================================
@@ -455,7 +450,7 @@ def assemble_theta_fim(frame: Frame) -> LabeledMatrix:
     elif frame.eta.size <= PRODUCT_CHECK_MAX_ETA:
         i_eta = observation_fim_analytic(frame.scenario, frame.modulation)
         J = jacobian_for(frame)
-        product = LabeledMatrix(_congruence(J.data, i_eta.diag, J.data), J.col_layout)
+        product = LabeledMatrix(_congruence(J, i_eta.diag, J), frame.theta)
     else:
         return closed_form_theta_fim(frame)
     _check_agreement(product, closed_form_theta_fim(frame))

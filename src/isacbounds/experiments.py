@@ -36,7 +36,7 @@ from .model import (
     sample_pulse,
 )
 from .fim import _equilibrated, observation_fim_analytic, observation_fim_numeric
-from .bounds import CoupledParametersError, assemble_theta_fim, comm_efim_ppm, crlb_report
+from .bounds import assemble_theta_fim, comm_efim_ppm, crlb_report
 from . import __version__ as _pkg_version
 
 # =========================================================================
@@ -268,7 +268,7 @@ def _sweep_row(spec: SweepSpec, value: float) -> tuple:
     cells = _blank_cells(spec.outputs)
     try:
         _evaluate(*_configure_point(spec, value), cells)
-    except (ConfigError, CoupledParametersError) as exc:  # a refused row; a defect raises
+    except ConfigError as exc:  # a refused row; a defect raises
         cells["error"] = cells["error"] or f"{type(exc).__name__}: {exc}"
     return (value, *cells.values())
 
@@ -277,8 +277,8 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     """Evaluate the sweep, one row per axis value, in axis order.
 
     Rows refused by a configuration check (ConfigError: leakage, an
-    undersampled pulse, ...) or a CoupledParametersError carry NaN outputs
-    and the error message in the last column; any other exception propagates.
+    undersampled pulse, ...) carry NaN outputs and the error message in the
+    last column; any other exception propagates.
     """
     rows = [_sweep_row(spec, v) for v in spec.values]
     return ResultTable(columns=(spec.axis, *spec.outputs, "error"), rows=rows,

@@ -315,10 +315,10 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     h = np.zeros(size)
     h[named] = np.array([steps.delay, steps.phase, steps.amp_rel])[kind[named]]
     h[kind == AMP] *= np.abs(eta0[kind == AMP])  # relative amplitude steps
-    nonpositive = np.flatnonzero(named & ~(h > 0.0))  # NaN counts as a failure
-    if nonpositive.size:
-        raise ConfigError(
-            f"finite-difference step for {layout.names[nonpositive[0]]!r} is not positive")
+    bad = np.flatnonzero(named & ~(np.isfinite(h) & (h > 0.0)))
+    if bad.size:
+        raise ConfigError(f"finite-difference step for {layout.names[bad[0]]!r} is "
+                          f"{float(h[bad[0]])}; it must be finite and > 0")
     lo, hi = _probe_ranges(scenario, index, eta0, h)
 
     # Re(B_s^H B_s) as one real product over the interleaved (re, im) samples

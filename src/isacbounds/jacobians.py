@@ -26,29 +26,10 @@ through that factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AMP, PHI, TAU, ConfigError, Decoupling, Frame, ParamLayout, Scheme
-
-
-@dataclass
-class StructMatrix:
-    """Dense matrix with row/column ParamLayouts for named-block access."""
-
-    data: np.ndarray
-    row_layout: ParamLayout
-    col_layout: ParamLayout
-
-    def __post_init__(self):
-        expect = (self.row_layout.size, self.col_layout.size)
-        if self.data.shape != expect:
-            raise ConfigError(f"matrix shape {self.data.shape} != layouts {expect}")
-
-    def block(self, row_name: str, col_name: str) -> np.ndarray:
-        return self.data[self.row_layout.block_slice(row_name),
-                         self.col_layout.block_slice(col_name)]
+from .model import AMP, PHI, TAU, Decoupling, Frame, Scheme
 
 
 # =========================================================================
@@ -78,10 +59,11 @@ def ramp_slope(kappa: int | np.ndarray, t_f: float) -> float | np.ndarray:
 # =========================================================================
 
 
-def jacobian_for(frame: Frame) -> StructMatrix:
+def jacobian_for(frame: Frame) -> np.ndarray:
     """d eta / d theta, written through the frame's slot map.
 
-    Rows follow ``frame.eta``, columns ``frame.theta``.  Each (slot, path) delay moves
+    A ``(frame.eta.size, frame.theta.size)`` array: rows follow
+    ``frame.eta``, columns ``frame.theta``.  Each (slot, path) delay moves
     with H, each phase with the ramp slope times H and each amplitude with I;
     on the data PRIs ``frame.data`` the delay also moves with dtau_q and the
     phase with phi_bpsk (raw on pilot splits, riding the ramp otherwise).
@@ -107,4 +89,4 @@ def jacobian_for(frame: Frame) -> StructMatrix:
     elif modulation.scheme == Scheme.BPSK:
         J[phi[data], cols.block("phi_bpsk")[0]] = (1.0 if modulation.decoupling == Decoupling.PILOT
                                                   else slope[data])
-    return StructMatrix(J, frame.eta, cols)
+    return J

@@ -77,12 +77,21 @@ def _require_finite(record: str, **values: float) -> None:
             raise ConfigError(f"{record} {name} must be finite, got {value}")
 
 
+def _check_count(name: str, value, least: int, segment: str | None = None) -> None:
+    """ConfigError unless ``value`` is an integer (``operator.index``; no bool)
+    of at least ``least``; ``segment`` names the layout segment holding it."""
+    if type(value) is int and value >= least:  # every layout checks a handful: keep it cheap
+        return
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+        where = "" if segment is None else f"layout segment {segment!r}: "
+        raise ConfigError(f"{where}{name} must be an integer >= {least}, got {value!r}")
+
+
 def _store_counts(record, least: int, **values) -> None:
     """Store each value on the frozen ``record`` as a Python int, refusing any
-    value below ``least`` and all but integers (``operator.index``; no bool)."""
+    value that :func:`_check_count` refuses."""
     for name, value in values.items():
-        if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
-            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        _check_count(name, value, least)
         object.__setattr__(record, name, operator.index(value))
 
 
@@ -271,7 +280,8 @@ class ModulationConfig:
     :class:`Frame` checks the split against a scenario's ``n_f``.
     ``sfd_weight`` is the arrival-time information of the differential
     reference (start-of-frame) pulse in units of one data pulse (1.0 = one
-    pulse's worth); only differential frames read it, as only PPM frames read
+    pulse's worth; the sampled reference pulse carries that many pulses'
+    energy); only differential frames read it, as only PPM frames read
     ``xi_ppm``.
     """
 
@@ -373,9 +383,12 @@ class ParamLayout:
         lo = 0
         for seg in self.segments:
             if isinstance(seg, Block):
+                _check_count("width", seg.width, 0, seg.name)
                 bounds[seg.name] = (lo, lo + seg.width)
                 lo += seg.width
             else:
+                _check_count("count", seg.count, 0, seg.prefix)
+                _check_count("width", seg.width, 0, seg.prefix)
                 runs[seg.prefix] = (lo, seg)
                 if seg.aggregate is not None:
                     bounds[seg.aggregate] = (lo, lo + seg.size)
@@ -420,10 +433,6 @@ class ParamLayout:
         lo, hi = self.block(name)
         return slice(lo, hi)
 
-    def block_size(self, name: str) -> int:
-        lo, hi = self.block(name)
-        return hi - lo
-
 
 #: the one-entry theta blocks, the same in every layout
 _TAU1, _DTAU_Q, _FD1, _PHI_BPSK = (Block(name, 1, None)
@@ -441,8 +450,10 @@ def theta_layout(scheme: Scheme, n_paths: int) -> ParamLayout:
     ``dtau``/``dfd`` are the delay/Doppler offsets of paths 2..L relative to
     path 1; ``dtau_q`` is the common PPM data shift; ``phi_bpsk`` the common
     BPSK data phase.  The aggregate block ``"delay"`` spans tau1 + dtau (+
-    dtau_q for PPM), the block ``"doppler"`` spans fd1 + dfd.
+    dtau_q for PPM), the block ``"doppler"`` spans fd1 + dfd.  ConfigError
+    unless ``n_paths`` is an integer >= 1.
     """
+    _check_count("n_paths", n_paths, 1)
     offsets = n_paths - 1
     segments = [_TAU1, Block("dtau", offsets, 2)]
     if scheme == Scheme.PPM:
@@ -469,8 +480,11 @@ def eta_layout(decoupling: Decoupling, n_paths: int, n_f: int) -> ParamLayout:
     The decoupling decides it (:data:`DECOUPLINGS` admits splits only on data
     schemes).  Every per-PRI group is its own block (``phi_k``, ``t_k``); the
     aggregate ``"phi"`` spans the phases and, in a differential frame,
-    ``"t_abs"`` the per-PRI arrival times.
+    ``"t_abs"`` the per-PRI arrival times.  ConfigError unless ``n_paths``
+    and ``n_f`` are integers >= 1.
     """
+    _check_count("n_paths", n_paths, 1)
+    _check_count("n_f", n_f, 1)
     L = n_paths
     if decoupling == Decoupling.PILOT:
         segments = (Block("tau_p", L), Block("tau_d", L),
@@ -602,7 +616,9 @@ def _pulse_values(frame: Frame, word: np.ndarray) -> np.ndarray:
     tau_l0 + xi_ppm q_kappa (PPM) or tau_l0, with carrier phase
     2 pi (f_dl kappa t_f - f_c tau_l0) - xi_bpsk q_kappa (BPSK) or without
     the data rotation; a differential frame's slot 0 is its reference
-    (start-frame) pulse, at tau_l0 and phase -2 pi f_c tau_l0.
+    (start-frame) pulse, at tau_l0 and phase -2 pi f_c tau_l0, its amplitude
+    sqrt(sfd_weight) times the path's so that it carries ``sfd_weight``
+    pulses' energy.
     """
     scenario, modulation, ref = frame.scenario, frame.modulation, frame.ref
     paths, two_pi = scenario.paths, 2.0 * math.pi
@@ -615,6 +631,7 @@ def _pulse_values(frame: Frame, word: np.ndarray) -> np.ndarray:
     phi[ref:] = two_pi * (f_d * np.arange(scenario.n_f)[:, None] * scenario.t_f
                           - scenario.f_c * tau0)
     amp[:] = [p.amp for p in paths]
+    amp[:ref] *= math.sqrt(modulation.sfd_weight)
     if modulation.scheme == Scheme.PPM:
         tau[ref:] += modulation.xi_ppm * word[:, None]
     elif modulation.scheme == Scheme.BPSK:
@@ -625,11 +642,6 @@ def _pulse_values(frame: Frame, word: np.ndarray) -> np.ndarray:
 # =========================================================================
 # Pulse-level operations
 # =========================================================================
-
-
-def time_grid(scenario: ScenarioConfig) -> np.ndarray:
-    """Sample instants t_k = k / f_s of one PRI, length n_s."""
-    return np.arange(scenario.n_s) / scenario.f_s
 
 
 def _window_starts(shape: PulseShape, centers: np.ndarray,

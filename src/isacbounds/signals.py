@@ -141,9 +141,9 @@ def eta_point(frame: Frame) -> np.ndarray:
 def mean_from_eta(frame: Frame, eta: np.ndarray, slots=None) -> np.ndarray:
     """Mean vector as a function of eta (used by the finite-difference probe).
 
-    ``eta`` follows ``frame.eta``; a stack of points, shape ``(k, n_eta)``,
-    gives one mean per row, shape ``(k, len(slots) * n_s)``, each equal to
-    the call on that row alone.
+    ``eta`` follows ``frame.eta`` and is bool, integer or real; a stack of
+    points, shape ``(k, n_eta)``, gives one mean per row, shape
+    ``(k, len(slots) * n_s)``, each equal to the call on that row alone.
     The stack is evaluated with one pulse window per distinct center.
     ``mean_from_eta(frame, eta_point(frame))`` equals
     ``mean_vector(frame.scenario, frame.modulation)`` at the all-ones data word.
@@ -152,7 +152,10 @@ def mean_from_eta(frame: Frame, eta: np.ndarray, slots=None) -> np.ndarray:
     whole-frame mean exactly.
     """
     size, table, index = frame.eta.size, frame.pulses, frame.slot_map
-    eta = np.asarray(eta, dtype=float)
+    eta = np.asarray(eta)
+    if eta.dtype.kind not in "biuf":  # a complex part would be dropped by the cast
+        raise ConfigError(f"eta must be bool, integer or real, got dtype {eta.dtype}")
+    eta = eta.astype(float, copy=False)
     if eta.ndim not in (1, 2) or eta.shape[-1] != size:
         raise ConfigError(f"eta must have shape ({size},) or (k, {size}), got {eta.shape}")
     slots = _check_slots(slots, index.shape[1])

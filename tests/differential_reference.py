@@ -15,7 +15,7 @@ import numpy as np
 
 from isacbounds.bounds import zero_reference_cross
 from isacbounds.fim import DiagonalMatrix, LabeledMatrix
-from isacbounds.jacobians import StructMatrix, jacobian_for
+from isacbounds.jacobians import jacobian_for
 from isacbounds.model import (
     Block,
     ConfigError,
@@ -35,9 +35,13 @@ def interleaved_layout(first: str, n_paths: int, n_f: int) -> ParamLayout:
     return ParamLayout(pairs + (PerPri("phi", n_f, n_paths, "phi"), Block("amp", n_paths)))
 
 
-def differential_maps(
-        scenario: ScenarioConfig) -> tuple[StructMatrix, StructMatrix, StructMatrix]:
-    """(G, P, J_diff): the three dense maps of the differential chain.
+#: a dense map with the layouts of its rows and of its columns
+Map = tuple[np.ndarray, ParamLayout, ParamLayout]
+
+
+def differential_maps(scenario: ScenarioConfig) -> tuple[Map, Map, Map]:
+    """(G, P, J_diff): the three dense maps of the differential chain, each
+    an ``(array, rows, cols)`` triple.
 
     ``G`` duplicates the reference: every ``ref_k`` row of the expanded
     observation list [ref_0, t_0, ref_1, t_1, ..., phases, amplitudes] reads
@@ -53,21 +57,20 @@ def differential_maps(
     default ``xi_ppm``, on which J does not depend).
     """
     L, n_f = scenario.n_paths, scenario.n_f
-    frame = ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL, d_data=n_f)
-    J = jacobian_for(Frame(scenario, frame))
+    frame = Frame(scenario, ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL, d_data=n_f))
+    J, eta = jacobian_for(frame), frame.eta
     ext = interleaved_layout("ref", L, n_f)
     seq = interleaved_layout("delta", L, n_f)
     paths = np.arange(L)
     ref = 2 * L * np.arange(n_f)[:, None] + paths  # ref_k rows; t_k sits L further
 
-    G = np.zeros((ext.size, J.row_layout.size))
+    G = np.zeros((ext.size, eta.size))
     G[ref, paths] = 1.0
-    G[np.delete(np.arange(ext.size), ref.ravel()), np.arange(L, J.row_layout.size)] = 1.0
+    G[np.delete(np.arange(ext.size), ref.ravel()), np.arange(L, eta.size)] = 1.0
     P = np.eye(ext.size)
     P[ref, ref] = -1.0
     P[ref + L, ref] = 1.0
-    return (StructMatrix(G, ext, J.row_layout), StructMatrix(P, ext, seq),
-            StructMatrix(P.T @ G @ J.data, seq, J.col_layout))
+    return (G, ext, eta), (P, ext, seq), (P.T @ G @ J, seq, frame.theta)
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,10 @@ def differential_chain(scenario: ScenarioConfig,
     A scenario whose paths leave no room for the default ``xi_ppm`` raises
     LeakageError from ``jacobian_for``.
     """
-    G, P, J = differential_maps(scenario)
-    if G.col_layout != i_eta.layout:
+    (G, ext, eta), (P, _, seq), (J, _, theta) = differential_maps(scenario)
+    if eta != i_eta.layout:
         raise ConfigError("observation FIM layout does not match the differential maps")
-    i_ext = LabeledMatrix(G.data @ i_eta.data @ G.data.T, G.row_layout)
-    raw = LabeledMatrix(P.data.T @ i_ext.data @ P.data, P.col_layout)
+    i_ext = LabeledMatrix(G @ i_eta.data @ G.T, ext)
+    raw = LabeledMatrix(P.T @ i_ext.data @ P, seq)
     cut = zero_reference_cross(raw)
-    return DifferentialChain(i_ext, raw, cut,
-                             LabeledMatrix(J.data.T @ cut.data @ J.data, J.col_layout))
+    return DifferentialChain(i_ext, raw, cut, LabeledMatrix(J.T @ cut.data @ J, theta))

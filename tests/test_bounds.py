@@ -52,7 +52,6 @@ from isacbounds.bounds import (
     crlb_report,
     differential_pipeline,
     efim,
-    range_crlb,
     schur_complement,
     singularity_report,
     zero_reference_cross,
@@ -397,12 +396,6 @@ def test_efim_matches_scaled_full_inverse(ref8):
                 (kind, target)
 
 
-def test_range_crlb_scaling(ref8):
-    fim = assemble_theta_fim(Frame(ref8, ModulationConfig(Scheme.SENSING)))
-    assert range_crlb(fim) == pytest.approx(
-        SPEED_OF_LIGHT ** 2 * crlb(fim, "tau1"), rel=1e-12)
-
-
 def test_efim_refuses_annihilated_target(ref8):
     mod = ModulationConfig(Scheme.PPM, d_data=ref8.n_f)
     fim = assemble_theta_fim(Frame(ref8, mod))
@@ -413,7 +406,8 @@ def test_efim_refuses_annihilated_target(ref8):
 def test_efim_refuses_an_empty_target(ref8_single):
     # one path has no delay offsets: the dtau block has no entry
     fim = assemble_theta_fim(Frame(ref8_single, ModulationConfig(Scheme.SENSING)))
-    assert fim.layout.block_size("dtau") == 0
+    lo, hi = fim.layout.block("dtau")
+    assert hi - lo == 0
     with pytest.raises(ConfigError, match="target block 'dtau' is empty"):
         efim(fim, "dtau")
 
@@ -551,7 +545,7 @@ def test_product_route_equals_dense_triple_product(kind, n_paths):
         frame = Frame(sc, mod)
         I = observation_fim_analytic(sc, mod)
         assert np.array_equal(I.data, np.diag(I.diag)), n_f
-        J = jacobian_for(frame).data
+        J = jacobian_for(frame)
         fim = assemble_theta_fim(frame)
         assert equilibrated_deviation(fim.data, J.T @ I.data @ J) <= 1e-13, n_f
 
@@ -604,8 +598,8 @@ def test_numeric_chain_matches_closed_form(kind):
         fim = differential_chain(sc, num).i_theta.data
     else:
         J = jacobian_for(frame)
-        assert J.row_layout.names == num.layout.names
-        fim = J.data.T @ num.data @ J.data
+        assert frame.eta.names == num.layout.names
+        fim = J.T @ num.data @ J
     closed = closed_form_theta_fim(frame)
     assert fim_deviation(fim, closed.data) < 1e-4
 

@@ -45,7 +45,7 @@ from isacbounds.fim import (
 from isacbounds.bounds import crlb_report
 from isacbounds.experiments import fim_deviation, reference_scenario, with_snr
 from isacbounds.jacobians import ramp_slope
-from isacbounds.signals import eta_point, mean_from_eta
+from isacbounds.signals import eta_point, mean_from_eta, mean_jacobian
 
 from conftest import ALL_KINDS, EDGE_ALPHA_FS, make_modulation, sym_eigs
 
@@ -193,7 +193,7 @@ def test_analytic_fim_diagonal_by_block(kind):
     else:
         want.update(tau=n_f * lt, amp=n_f * la)
     I = observation_fim_analytic(sc, dataclasses.replace(mod, sfd_weight=w))
-    assert sum(I.layout.block_size(name) for name in want) == I.size
+    assert sum(hi - lo for lo, hi in map(I.layout.block, want)) == I.size
     for name, values in want.items():
         np.testing.assert_array_equal(np.diag(I.block(name, name)), values, err_msg=name)
     np.testing.assert_array_equal(I.data, np.diag(np.diag(I.data)))
@@ -297,6 +297,21 @@ def test_numeric_fim_of_an_all_pilot_split(scheme, n_f, n_paths):
     unnamed = np.r_[lo:lo + n_paths, hi:hi + n_paths]
     assert not num.data[unnamed].any() and not num.data[:, unnamed].any()
     assert observation_fim_numeric(sc, mod).data.tobytes() == num.data.tobytes()
+
+
+@pytest.mark.parametrize("f_s", (10e9, 100e9))
+@pytest.mark.parametrize("n_paths", (1, 2, 3))
+@pytest.mark.parametrize("weight", (0.25, 1.0, 2.5, 4.0))
+def test_sampled_reference_pulse_carries_the_sfd_weight(weight, n_paths, f_s):
+    # the closed form counts sfd_weight pulses on t_ref; the sampled model
+    # places the reference pulse at sqrt(sfd_weight) times the path amplitude,
+    # so the probe and Re(J^H J) / sigma2 of its Jacobian carry as much
+    sc = dataclasses.replace(reference_scenario(n_f=3, n_paths=n_paths), f_s=f_s)
+    mod = dataclasses.replace(make_modulation("ppm-diff", 3), sfd_weight=weight)
+    ana = observation_fim_analytic(sc, mod).data
+    assert fim_deviation(observation_fim_numeric(sc, mod).data, ana) < 1e-4
+    jac = mean_jacobian(sc, mod)
+    assert fim_deviation((jac.conj().T @ jac).real / sc.sigma2, ana) < 1e-12
 
 
 def _fd_step(name, value, steps=DEFAULT_FD):
@@ -459,10 +474,15 @@ def test_numeric_fim_custom_steps():
 
 @pytest.mark.parametrize("steps,entry", [(FdSteps(delay=0.0), "tau_1"),
                                          (FdSteps(phase=-1e-7), "phi_0_1"),
-                                         (FdSteps(amp_rel=math.nan), "amp_1")])
+                                         (FdSteps(amp_rel=math.nan), "amp_1"),
+                                         (FdSteps(delay=math.inf), "tau_1"),
+                                         (FdSteps(phase=math.inf), "phi_0_1"),
+                                         (FdSteps(amp_rel=math.inf), "amp_1")])
 def test_numeric_fim_refuses_a_step_that_is_not_positive(steps, entry):
+    # an infinite step is refused by name too, before it can leak a pulse or
+    # turn the differences into NaN
     sc = reference_scenario(n_f=2, n_paths=1)
-    with pytest.raises(ConfigError, match=f"step for '{entry}' is not positive"):
+    with pytest.raises(ConfigError, match=f"step for '{entry}' is .*; it must be finite and > 0"):
         observation_fim_numeric(sc, ModulationConfig(Scheme.SENSING), steps)
 
 

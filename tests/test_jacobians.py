@@ -32,10 +32,18 @@ T_F = 1e-7
 
 
 def frame_jacobian(scheme, dec, n_paths, n_f, p_pilots=0, d_data=0):
-    """jacobian_for on the reference scenario (PRI T_F) with the given frame."""
+    """jacobian_for on the reference scenario (PRI T_F) with the given frame,
+    as an ``(array, rows, cols)`` triple with the frame's eta and theta layouts."""
     sc = reference_scenario(n_f=n_f, n_paths=n_paths)
     assert sc.t_f == T_F
-    return jacobian_for(Frame(sc, ModulationConfig(scheme, dec, p_pilots=p_pilots, d_data=d_data)))
+    frame = Frame(sc, ModulationConfig(scheme, dec, p_pilots=p_pilots, d_data=d_data))
+    return jacobian_for(frame), frame.eta, frame.theta
+
+
+def block(matrix, row_name, col_name):
+    """The (row_name, col_name) block of an ``(array, rows, cols)`` triple."""
+    data, rows, cols = matrix
+    return data[rows.block_slice(row_name), cols.block_slice(col_name)]
 
 
 def test_h_matrix_values():
@@ -73,36 +81,37 @@ def _entry_alphabet(data, n_f, t_f):
     (Scheme.BPSK, Decoupling.PILOT, 2, 2),
 ])
 def test_jacobian_entry_alphabet(scheme, dec, p, d):
-    J = frame_jacobian(scheme, dec, 2, 4, p_pilots=p, d_data=d)
-    assert _entry_alphabet(J.data, 4, T_F)
+    J, _, _ = frame_jacobian(scheme, dec, 2, 4, p_pilots=p, d_data=d)
+    assert _entry_alphabet(J, 4, T_F)
 
 
 def test_jacobian_sensing_blocks():
     L, n_f = 3, 2
     J = frame_jacobian(Scheme.SENSING, Decoupling.NONE, L, n_f)
-    assert J.row_layout.size == L + n_f * L + L
-    assert J.col_layout.names == theta_layout(Scheme.SENSING, L).names
-    np.testing.assert_array_equal(J.block("tau", "delay"), h_matrix(L))
+    data, _, cols = J
+    assert data.shape == (L + n_f * L + L, cols.size)
+    assert cols.names == theta_layout(Scheme.SENSING, L).names
+    np.testing.assert_array_equal(block(J, "tau", "delay"), h_matrix(L))
     for k in range(n_f):
-        np.testing.assert_allclose(J.block(f"phi_{k}", "doppler"),
+        np.testing.assert_allclose(block(J, f"phi_{k}", "doppler"),
                                    ramp_slope(k, T_F) * h_matrix(L), rtol=1e-15)
-    np.testing.assert_array_equal(J.block("amp", "amp"), np.eye(L))
+    np.testing.assert_array_equal(block(J, "amp", "amp"), np.eye(L))
     # nothing else is populated
-    assert np.all(J.block("tau", "doppler") == 0)
-    assert np.all(J.block("phi_0", "delay") == 0)
+    assert np.all(block(J, "tau", "doppler") == 0)
+    assert np.all(block(J, "phi_0", "delay") == 0)
 
 
 def test_jacobian_ppm_delay_columns():
     L, n_f = 2, 4
     J = frame_jacobian(Scheme.PPM, Decoupling.NONE, L, n_f, d_data=n_f)
     want = np.hstack([h_matrix(L), e_vector(L)])
-    np.testing.assert_array_equal(J.block("tau", "delay"), want)
+    np.testing.assert_array_equal(block(J, "tau", "delay"), want)
     Jp = frame_jacobian(Scheme.PPM, Decoupling.PILOT, L, n_f, p_pilots=2, d_data=2)
     # pilot PRIs see no PPM shift: separate arrival rows per segment
     np.testing.assert_array_equal(
-        Jp.block("tau_p", "delay"),
+        block(Jp, "tau_p", "delay"),
         np.hstack([h_matrix(L), np.zeros((L, 1))]))
-    np.testing.assert_array_equal(Jp.block("tau_d", "delay"), want)
+    np.testing.assert_array_equal(block(Jp, "tau_d", "delay"), want)
 
 
 def test_jacobian_bpsk_phase_offset_column():
@@ -111,18 +120,18 @@ def test_jacobian_bpsk_phase_offset_column():
     J = frame_jacobian(Scheme.BPSK, Decoupling.NONE, L, n_f, d_data=n_f)
     for k in range(n_f):
         np.testing.assert_allclose(
-            J.block(f"phi_{k}", "phi_bpsk"),
+            block(J, f"phi_{k}", "phi_bpsk"),
             ramp_slope(k, T_F) * e_vector(L), rtol=1e-15)
     # pilot-decoupled: data PRIs carry unit sensitivity, pilots none
     Jp = frame_jacobian(Scheme.BPSK, Decoupling.PILOT, L, n_f, p_pilots=2, d_data=2)
     for k in range(2):
-        assert np.all(Jp.block(f"phi_{k}", "phi_bpsk") == 0.0)
+        assert np.all(block(Jp, f"phi_{k}", "phi_bpsk") == 0.0)
     for k in range(2, 4):
-        np.testing.assert_array_equal(Jp.block(f"phi_{k}", "phi_bpsk"),
+        np.testing.assert_array_equal(block(Jp, f"phi_{k}", "phi_bpsk"),
                                       e_vector(L))
     # the Doppler sub-block is untouched by the data modulation
     for k in range(n_f):
-        np.testing.assert_allclose(Jp.block(f"phi_{k}", "doppler"),
+        np.testing.assert_allclose(block(Jp, f"phi_{k}", "doppler"),
                                    ramp_slope(k, T_F) * h_matrix(L), rtol=1e-15)
 
 
@@ -130,31 +139,29 @@ def test_jacobian_for_matches_plain():
     sc = reference_scenario(n_f=4, n_paths=2)
     mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=2, d_data=2)
     frame = Frame(sc, mod)
-    a = jacobian_for(frame)
-    assert a.row_layout.names == frame.eta.names
+    assert jacobian_for(frame).shape == (frame.eta.size, frame.theta.size)
 
 
 def test_jacobian_differential_delay_rows():
     # the reference pulse carries no data shift; every data PRI carries it
     L, n_f = 2, 3
-    sc = reference_scenario(n_f=n_f, n_paths=L)
-    J = jacobian_for(Frame(sc, ModulationConfig(Scheme.PPM, Decoupling.DIFFERENTIAL)))
-    np.testing.assert_array_equal(J.block("t_ref", "delay"),
+    J = frame_jacobian(Scheme.PPM, Decoupling.DIFFERENTIAL, L, n_f)
+    np.testing.assert_array_equal(block(J, "t_ref", "delay"),
                                   np.hstack([h_matrix(L), np.zeros((L, 1))]))
     for k in range(n_f):
-        np.testing.assert_array_equal(J.block(f"t_{k}", "delay"),
+        np.testing.assert_array_equal(block(J, f"t_{k}", "delay"),
                                       np.hstack([h_matrix(L), e_vector(L)]))
-        np.testing.assert_allclose(J.block(f"phi_{k}", "doppler"),
+        np.testing.assert_allclose(block(J, f"phi_{k}", "doppler"),
                                    ramp_slope(k, T_F) * h_matrix(L), rtol=1e-15)
-    np.testing.assert_array_equal(J.block("amp", "amp"), np.eye(L))
-    assert _entry_alphabet(J.data, n_f, T_F)
+    np.testing.assert_array_equal(block(J, "amp", "amp"), np.eye(L))
+    assert _entry_alphabet(J[0], n_f, T_F)
 
 
 # ------------------------------------------------------------- differential
 
 def test_sfd_expansion_duplicates_reference():
     L, n_f = 2, 3
-    G, _, _ = differential_maps(reference_scenario(n_f=n_f, n_paths=L))
+    (G, lay, _), _, _ = differential_maps(reference_scenario(n_f=n_f, n_paths=L))
     eta_names = (
         [f"tref{l}" for l in range(L)]
         + [f"t{k}{l}" for k in range(n_f) for l in range(L)]
@@ -162,8 +169,7 @@ def test_sfd_expansion_duplicates_reference():
         + [f"amp{l}" for l in range(L)]
     )
     vec = np.arange(len(eta_names), dtype=float)
-    ext = G.data @ vec
-    lay = G.row_layout
+    ext = G @ vec
     assert ext.shape == (lay.size,)
     # each ref_k block is a copy of the t_ref entries
     for k in range(n_f):
@@ -175,37 +181,37 @@ def test_sfd_expansion_duplicates_reference():
 def test_differential_maps_structure():
     L, n_f = 2, 3
     _, P, J = differential_maps(reference_scenario(n_f=n_f, n_paths=L))
-    ext, seq = P.row_layout, P.col_layout
-    assert P.data.shape == (ext.size, seq.size)
+    data, ext, seq = P
+    assert data.shape == (ext.size, seq.size)
     assert ext.size == seq.size
     # unimodular: the reparameterization loses nothing
-    assert abs(np.linalg.det(P.data)) == pytest.approx(1.0, rel=1e-12)
+    assert abs(np.linalg.det(data)) == pytest.approx(1.0, rel=1e-12)
     for k in range(n_f):
-        np.testing.assert_array_equal(P.block(f"ref_{k}", f"delta_{k}"),
+        np.testing.assert_array_equal(block(P, f"ref_{k}", f"delta_{k}"),
                                       -np.eye(L))
-        np.testing.assert_array_equal(P.block(f"t_{k}", f"delta_{k}"), np.eye(L))
-        np.testing.assert_array_equal(P.block(f"t_{k}", f"t_{k}"), np.eye(L))
-        np.testing.assert_array_equal(P.block(f"ref_{k}", f"t_{k}"),
+        np.testing.assert_array_equal(block(P, f"t_{k}", f"delta_{k}"), np.eye(L))
+        np.testing.assert_array_equal(block(P, f"t_{k}", f"t_{k}"), np.eye(L))
+        np.testing.assert_array_equal(block(P, f"ref_{k}", f"t_{k}"),
                                       np.zeros((L, L)))
     # theta-side rows of the differential-sequence Jacobian
     lay_t = theta_layout(Scheme.PPM, L)
-    assert J.col_layout.names == lay_t.names
+    assert J[2].names == lay_t.names
     for k in range(n_f):
-        np.testing.assert_array_equal(J.block(f"delta_{k}", "dtau_q"),
+        np.testing.assert_array_equal(block(J, f"delta_{k}", "dtau_q"),
                                       e_vector(L))
-        assert np.all(J.block(f"delta_{k}", "tau1") == 0.0)
+        assert np.all(block(J, f"delta_{k}", "tau1") == 0.0)
         np.testing.assert_array_equal(
-            J.block(f"t_{k}", "delay"),
+            block(J, f"t_{k}", "delay"),
             np.hstack([h_matrix(L), e_vector(L)]))
-        np.testing.assert_allclose(J.block(f"phi_{k}", "doppler"),
+        np.testing.assert_allclose(block(J, f"phi_{k}", "doppler"),
                                    ramp_slope(k, T_F) * h_matrix(L), rtol=1e-15)
-    np.testing.assert_array_equal(J.block("amp", "amp"), np.eye(L))
+    np.testing.assert_array_equal(block(J, "amp", "amp"), np.eye(L))
 
 
 def test_differential_entry_alphabet():
     _, P, J = differential_maps(reference_scenario(n_f=4, n_paths=2))
-    assert _entry_alphabet(P.data, 4, T_F)
-    assert _entry_alphabet(J.data, 4, T_F)
+    assert _entry_alphabet(P[0], 4, T_F)
+    assert _entry_alphabet(J[0], 4, T_F)
 
 
 # ------------------------------------------------------------- slot-map writes
@@ -247,5 +253,5 @@ def test_jacobian_equals_the_table_and_gather_construction(kind, n_f):
     for n_paths in (1, 2, 3):
         sc = reference_scenario(n_f=n_f, n_paths=n_paths)
         mod = make_modulation(kind, n_f)
-        np.testing.assert_array_equal(jacobian_for(Frame(sc, mod)).data,
+        np.testing.assert_array_equal(jacobian_for(Frame(sc, mod)),
                                       _table_and_gather_jacobian(sc, mod))

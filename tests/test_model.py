@@ -17,13 +17,16 @@ from scipy.integrate import quad
 
 from isacbounds.model import (
     DECOUPLINGS,
+    Block,
     ConfigError,
     Decoupling,
     Frame,
     LeakageError,
     MAX_WINDOW_SAMPLES,
     ModulationConfig,
+    ParamLayout,
     PathState,
+    PerPri,
     PulseShape,
     SUPPORT_SIGMAS,
     ScenarioConfig,
@@ -36,7 +39,6 @@ from isacbounds.model import (
     received_snr,
     sample_pulse,
     theta_layout,
-    time_grid,
 )
 from isacbounds.bounds import crlb_report
 from isacbounds.experiments import reference_scenario
@@ -99,7 +101,7 @@ def test_pulse_peak_value():
 def test_sampled_pulse_matches_analytic_and_normalizes():
     sc = _scenario()
     w = sample_pulse(sc.pulse, 20e-9, sc)
-    t = time_grid(sc)
+    t = np.arange(sc.n_s) / sc.f_s
     assert w.shape == (sc.n_s,)
     np.testing.assert_allclose(w, _gauss(t - 20e-9), rtol=0, atol=1e-9 * sc.pulse.peak())
     assert np.sum(w ** 2) / sc.f_s == pytest.approx(1.0, rel=1e-12)
@@ -143,7 +145,7 @@ def test_pulse_samplers_take_an_array_of_centers():
 
 def _full_grid_pulse(shape, tau, sc):
     # the pulse formula evaluated on every sample of the PRI grid
-    t = time_grid(sc) - np.asarray(tau, dtype=float)[..., None]
+    t = np.arange(sc.n_s) / sc.f_s - np.asarray(tau, dtype=float)[..., None]
     c = (shape.alpha * math.sqrt(math.pi)) ** -0.5
     return c * np.exp(-(t * t) / (2.0 * shape.alpha ** 2))
 
@@ -337,7 +339,7 @@ def test_scenario_reports_sizes():
     sc = _scenario()
     assert sc.n_s == 1000
     assert sc.n_paths == 1
-    grid = time_grid(sc)
+    grid = np.arange(sc.n_s) / sc.f_s
     assert grid.shape == (1000,)
     assert grid[0] == 0.0
     assert grid[1] == pytest.approx(1e-10)
@@ -466,8 +468,15 @@ def test_theta_layout_structures():
     assert "phi_bpsk" in lay.names
     i = lay.names.index("phi_bpsk")
     assert lay.block_bounds["phi_bpsk"] == (i, i + 1)
-    assert lay.block_size("amp") == 2
+    lo, hi = lay.block("amp")
+    assert hi - lo == 2
     assert lay.block_slice("amp") == slice(lay.size - 2, lay.size)
+
+    # no path, a negative count or a fraction would lay out an impossible size
+    for scheme, n_paths in ((Scheme.PPM, 0), (Scheme.SENSING, -2), (Scheme.BPSK, 2.5),
+                            (Scheme.SENSING, True)):
+        with pytest.raises(ConfigError, match="n_paths must be an integer >= 1"):
+            theta_layout(scheme, n_paths)
 
 
 def test_eta_layout_structures():
@@ -481,12 +490,28 @@ def test_eta_layout_structures():
     lay = eta_layout(Decoupling.PILOT, 2, 4)
     assert lay.block_bounds["tau_p"] == (0, 2)
     assert lay.block_bounds["tau_d"] == (2, 4)
-    assert lay.block_size("amp_p") == 2 and lay.block_size("amp_d") == 2
+    for name in ("amp_p", "amp_d"):
+        lo, hi = lay.block(name)
+        assert hi - lo == 2
 
     lay = eta_layout(Decoupling.DIFFERENTIAL, 2, 3)
     assert lay.block_bounds["t_ref"] == (0, 2)
-    assert lay.block_size("t_abs") == 2 * 3
+    lo, hi = lay.block("t_abs")
+    assert hi - lo == 2 * 3
     assert lay.size == 2 + 6 + 6 + 2
+
+    for args, name in (((Decoupling.PILOT, 2, -5), "n_f"), ((Decoupling.NONE, 2, 2.5), "n_f"),
+                       ((Decoupling.NONE, 2, 0), "n_f"), ((Decoupling.DIFFERENTIAL, 0, 3), "n_paths"),
+                       ((Decoupling.PILOT, -1, 4), "n_paths")):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1"):
+            eta_layout(*args)
+    # the layout itself refuses a segment whose width or count is not an integer >= 0
+    for segment, what in ((Block("a", -1), "'a': width"), (Block("a", 2.0), "'a': width"),
+                          (Block("a", False), "'a': width"), (PerPri("p", -1, 2), "'p': count"),
+                          (PerPri("p", 2, 1.5), "'p': width")):
+        with pytest.raises(ConfigError, match=f"layout segment {what} must be an integer >= 0"):
+            ParamLayout((Block("tau", 2), segment))
+    assert ParamLayout((Block("a", 0), PerPri("p", 0, 3))).size == 0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

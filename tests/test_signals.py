@@ -33,7 +33,6 @@ from isacbounds.model import (
     _pulse_values,
     pulse_time_derivative,
     sample_pulse,
-    time_grid,
 )
 from isacbounds.signals import (
     eta_point,
@@ -303,6 +302,10 @@ def test_stacked_mean_from_eta_rows_are_the_single_point_calls(kind):
                 eta0[0]):
         with pytest.raises(ConfigError, match="eta must have shape"):
             mean_from_eta(frame, bad)
+    # a complex or object eta is refused, not cast (the cast drops an imaginary part)
+    for bad in (eta0 + 1e-3j, points.astype(complex), eta0.astype(object)):
+        with pytest.raises(ConfigError, match="eta must be bool, integer or real"):
+            mean_from_eta(frame, bad)
 
 
 @pytest.mark.parametrize("rate", [10e9, 100e9])
@@ -397,7 +400,7 @@ def test_mean_at_the_frame_pulses_is_the_default_mean_byte_for_byte(case):
 
 def _whole_grid_pulse(sc, tau):
     # w(t - tau) and d/dtau w(t - tau) on every sample of the PRI grid
-    t = time_grid(sc) - np.asarray(tau, dtype=float)[..., None]
+    t = np.arange(sc.n_s) / sc.f_s - np.asarray(tau, dtype=float)[..., None]
     alpha = sc.pulse.alpha
     w = (alpha * math.sqrt(math.pi)) ** -0.5 * np.exp(-(t * t) / (2.0 * alpha ** 2))
     return w, (t / alpha ** 2) * w
