@@ -14,9 +14,9 @@ pulse of path l adds one pulse's worth per (slot, path) value
     lambda_phi   =              t_f * f_s * SNR_l       (carrier phase)
     lambda_alpha =              t_f * f_s * SNR_l / amp**2   (amplitude)
 
-to the eta entry that :attr:`isacbounds.model.Frame.slot_map` names for it,
-so an entry touched by M pulses carries M lambda: each kind's per-path
-lambda goes straight into the map's rows, times the pulse count.  B is the
+to the eta entry that drives it, so an entry touched by M pulses carries
+M lambda: each block of :data:`isacbounds.model.ETA_BLOCKS` is filled with
+its kind's per-path lambda times the pulses of one slot it drives.  B is the
 effective bandwidth and SNR_l the per-pulse received SNR of the path; the
 three per-path values are the scenario record's memo
 :attr:`~isacbounds.model.ScenarioConfig.per_pri_information`.  The
@@ -40,7 +40,7 @@ import numpy as np
 
 from .model import (
     AMP,
-    PHI,
+    ETA_BLOCKS,
     TAU,
     ConfigError,
     Frame,
@@ -205,27 +205,30 @@ def observation_fim_analytic(scenario: ScenarioConfig,
     """Closed-form I_eta for the given scenario/modulation pair, as its diagonal.
 
     Every (slot, path) pulse gives one pulse's lambda (the scenario's
-    ``per_pri_information``) to the eta entry that the frame's slot map names
-    for its delay, phase and amplitude; the differential reference pulse counts
-    ``modulation.sfd_weight`` pulses on its delay.  Slots are disjoint and
-    paths are >= 12 alpha apart (a ScenarioConfig invariant), so the matrix is
-    exactly diagonal: it is returned as a :class:`DiagonalMatrix`, and its
-    dense n_eta x n_eta form is built only when ``.data`` is read.  A weight
-    that overflows the reference information raises ConfigError.
+    ``per_pri_information``) to the eta entry that drives its delay, phase or
+    amplitude, so each block of :data:`~isacbounds.model.ETA_BLOCKS` is filled
+    with its kind's lambda times the pulses of one slot it drives:
+    ``p_pilots`` before the split, or ``modulation.sfd_weight`` for the
+    differential reference; the slots from the split on after it; 1 in each
+    per-PRI block.  Slots are disjoint and paths are >= 12 alpha apart (a
+    ScenarioConfig invariant), so the matrix is exactly diagonal: it is
+    returned as a :class:`DiagonalMatrix`, and its dense n_eta x n_eta form
+    is built only when ``.data`` is read.  A weight that overflows the
+    reference information raises ConfigError.
     """
     frame = Frame(scenario, modulation)
-    size, index = frame.eta.size, frame.slot_map
-    ref = frame.ref  # the differential reference slot, if any
-    diag = np.zeros(size)
-    # one lambda per row times its pulses, so n_f * lambda is formed exactly as
-    # a product; the reference slot's phase and amplitude are known (no row)
-    for rows, lam in zip((index[TAU], index[PHI, ref:], index[AMP, ref:]),
-                         scenario.per_pri_information):
-        diag[rows] = lam
-    pulses = np.bincount(index[index >= 0], minlength=size)
+    lam = scenario.per_pri_information
+    # per kind of slot set: the pulses one entry counts, and the rows of L
+    # entries a block holds (the same sets as Frame.slot_map)
+    sets = ((modulation.p_pilots + frame.ref * modulation.sfd_weight, 1),
+            (frame.slots - frame.split, 1), (1, scenario.n_f))
+    diag = np.empty(frame.eta.size)
+    grid, row = diag.reshape(-1, scenario.n_paths), 0
     with np.errstate(over="ignore"):  # DiagonalMatrix refuses an inf entry
-        diag[index[TAU, :ref]] *= modulation.sfd_weight
-        diag *= pulses
+        for _, kind, drives, _ in ETA_BLOCKS[modulation.decoupling]:
+            pulses, rows = sets[drives]
+            grid[row:row + rows] = lam[kind] * pulses
+            row += rows
     return DiagonalMatrix(diag, frame.eta)
 
 
@@ -303,18 +306,16 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
 
     size, index = layout.size, frame.slot_map
     known = index >= 0
-    which, slot, _ = np.nonzero(known)
-    # an entry that no slot names (tau_d, amp_d of an all-pilot split) keeps
-    # kind -1: no step, no slot, and a zero row and column
-    kind = np.full(size, -1, dtype=np.intp)
-    kind[index[known]] = which
-    named = kind >= 0
-    drives = np.zeros((size, index.shape[1]), dtype=bool)  # entry -> its slots
-    drives[index[known], slot] = True
+    # an entry that no slot names (tau_d, amp_d of an all-pilot split) gets no
+    # step, no slot, and a zero row and column
+    named = np.zeros(size, dtype=bool)
+    named[index[known]] = True
     eta0 = eta_point(frame)
     h = np.zeros(size)
-    h[named] = np.array([steps.delay, steps.phase, steps.amp_rel])[kind[named]]
-    h[kind == AMP] *= np.abs(eta0[kind == AMP])  # relative amplitude steps
+    for rows, step in zip(index, (steps.delay, steps.phase, steps.amp_rel)):
+        h[rows[rows >= 0]] = step
+    amp = index[AMP][known[AMP]]
+    h[amp] *= np.abs(eta0[amp])  # relative amplitude steps
     bad = np.flatnonzero(named & ~(np.isfinite(h) & (h > 0.0)))
     if bad.size:
         raise ConfigError(f"finite-difference step for {layout.names[bad[0]]!r} is "
@@ -323,8 +324,8 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
 
     # Re(B_s^H B_s) as one real product over the interleaved (re, im) samples
     M = np.zeros((size, size))
-    for s in range(index.shape[1]):
-        entries = np.flatnonzero(drives[:, s])
+    for s in range(frame.slots):
+        entries = index[:, s][known[:, s]]  # ascending: delays, phases, amplitudes
         m, rows = entries.size, np.arange(entries.size)
         # eta0 + h_i e_i, then eta0 - h_i e_i, for every entry i slot s drives
         points = np.repeat(eta0[None, :], 2 * m, axis=0)

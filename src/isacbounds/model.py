@@ -272,6 +272,27 @@ DECOUPLINGS = {
     Scheme.BPSK: {Decoupling.NONE: None, Decoupling.PILOT: 3},
 }
 
+#: the kinds of value each (slot, path) pulse has, in the order of the first
+#: axis of :attr:`Frame.slot_map`: arrival time, carrier phase, amplitude
+TAU, PHI, AMP = range(3)
+
+#: the slots an eta block drives, with one entry per path: the slots before the
+#: frame's ``split`` (its pilots, or the differential reference slot), the slots
+#: from the split on, or each PRI slot its own block, as a run of n_f blocks
+HEAD, TAIL, RUN = range(3)
+
+#: the one statement of eta: each decoupling's blocks in layout order, as
+#: (name, the pulse value it sets, the slots it drives, a run's aggregate name)
+ETA_BLOCKS = {
+    Decoupling.NONE: (("tau", TAU, TAIL, None), ("phi", PHI, RUN, "phi"),
+                      ("amp", AMP, TAIL, None)),
+    Decoupling.PILOT: (("tau_p", TAU, HEAD, None), ("tau_d", TAU, TAIL, None),
+                       ("phi", PHI, RUN, "phi"),
+                       ("amp_p", AMP, HEAD, None), ("amp_d", AMP, TAIL, None)),
+    Decoupling.DIFFERENTIAL: (("t_ref", TAU, HEAD, None), ("t", TAU, RUN, "t_abs"),
+                              ("phi", PHI, RUN, "phi"), ("amp", AMP, TAIL, None)),
+}
+
 
 @dataclass(frozen=True)
 class ModulationConfig:
@@ -468,39 +489,17 @@ def theta_layout(scheme: Scheme, n_paths: int) -> ParamLayout:
 
 
 def eta_layout(decoupling: Decoupling, n_paths: int, n_f: int) -> ParamLayout:
-    """Layout of the observation-domain parameter vector eta.
-
-    Order (L = n_paths, per-PRI blocks are PRI-major / path-minor):
-      * no split:      [tau (L), phi per PRI (n_f x L), amp (L)]
-      * pilot split:   [tau_p (L), tau_d (L), phi per PRI (n_f x L),
-                        amp_p (L), amp_d (L)]
-      * differential:  [t_ref (L), t per data PRI (n_f x L),
-                        phi per data PRI (n_f x L), amp (L)]
-
-    The decoupling decides it (:data:`DECOUPLINGS` admits splits only on data
-    schemes).  Every per-PRI group is its own block (``phi_k``, ``t_k``); the
-    aggregate ``"phi"`` spans the phases and, in a differential frame,
-    ``"t_abs"`` the per-PRI arrival times.  ConfigError unless ``n_paths``
-    and ``n_f`` are integers >= 1.
+    """Layout of the observation-domain parameter vector eta: the blocks
+    :data:`ETA_BLOCKS` gives ``decoupling``, in its order, of one entry per
+    path (L = n_paths); a run is n_f per-PRI blocks ``<name>_k`` (PRI-major,
+    path-minor) under its aggregate name.  ConfigError unless ``n_paths`` and
+    ``n_f`` are integers >= 1.
     """
     _check_count("n_paths", n_paths, 1)
     _check_count("n_f", n_f, 1)
-    L = n_paths
-    if decoupling == Decoupling.PILOT:
-        segments = (Block("tau_p", L), Block("tau_d", L),
-                    PerPri("phi", n_f, L, "phi"),
-                    Block("amp_p", L), Block("amp_d", L))
-    elif decoupling == Decoupling.DIFFERENTIAL:
-        segments = (Block("t_ref", L), PerPri("t", n_f, L, "t_abs"),
-                    PerPri("phi", n_f, L, "phi"), Block("amp", L))
-    else:
-        segments = (Block("tau", L), PerPri("phi", n_f, L, "phi"), Block("amp", L))
-    return ParamLayout(segments)
-
-
-#: the kinds of value each (slot, path) pulse has, in the order of the first
-#: axis of :attr:`Frame.slot_map`: arrival time, carrier phase, amplitude
-TAU, PHI, AMP = range(3)
+    return ParamLayout(tuple(Block(name, n_paths) if aggregate is None
+                             else PerPri(name, n_f, n_paths, aggregate)
+                             for name, _, _, aggregate in ETA_BLOCKS[decoupling]))
 
 
 @dataclass(frozen=True)
@@ -511,7 +510,8 @@ class Frame:
     data PRIs (none on a sensing-only frame, ``p_pilots`` .. n_f - 1 on a
     pilot split, every PRI otherwise; count it by ``stop - start``, as
     ``len()`` overflows past 2**63 - 1); ``ref`` is 1 for a differential
-    frame's reference slot, else 0; ``slots`` = ref + n_f pulse slots.  The
+    frame's reference slot, else 0; ``slots`` = ref + n_f pulse slots, of
+    which the first ``split`` = ref + p_pilots come before the split.  The
     theta and eta layouts, the eta ``slot_map`` and the ``pulses`` at the
     default data word are built on first read and live as long as the frame.
     Equality and hash cover the scenario and modulation only.
@@ -522,6 +522,7 @@ class Frame:
     data: range = field(init=False, repr=False, compare=False)
     ref: int = field(init=False, repr=False, compare=False)
     slots: int = field(init=False, repr=False, compare=False)
+    split: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scenario, modulation, n_f = self.scenario, self.modulation, self.scenario.n_f
@@ -554,6 +555,7 @@ class Frame:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "ref", int(modulation.decoupling == Decoupling.DIFFERENTIAL))
         object.__setattr__(self, "slots", self.ref + n_f)
+        object.__setattr__(self, "split", self.ref + modulation.p_pilots)
 
     @cached_property
     def theta(self) -> ParamLayout:
@@ -566,31 +568,22 @@ class Frame:
     @cached_property
     def slot_map(self) -> np.ndarray:
         """The eta entry that sets each (slot, path) pulse's ``TAU``, ``PHI``
-        and ``AMP`` value, shape ``(3, slots, L)``, -1 where the value is
-        known (only the differential reference slot's phase and amplitude, so
-        a reader may skip them by taking those two kinds from slot ``ref`` on).
-        Read-only.  The one place the decoupling decides which unknown drives
-        each slot: pilot and data PRIs have their own arrival times and
-        amplitudes, differential frames one arrival time per PRI plus the
-        reference pulse's, unsplit frames one arrival time and amplitude per path.
+        and ``AMP`` value, shape ``(3, slots, L)``, as :data:`ETA_BLOCKS`
+        states it; -1 where the value is known (only the differential
+        reference slot's phase and amplitude, so a reader may skip them by
+        taking those two kinds from slot ``ref`` on).  Read-only.
         """
-        n_f, L, ref = self.scenario.n_f, self.scenario.n_paths, self.ref
-        p, at = self.modulation.p_pilots, self.eta.block_bounds
+        L, split = self.scenario.n_paths, self.split
+        # per kind of slot set: its slots, and the rows of L entries a block holds
+        sets = ((slice(split), 1), (slice(split, None), 1),
+                (slice(self.ref, None), self.scenario.n_f))
+        entries = np.arange(self.eta.size).reshape(-1, L)
         index = np.full((3, self.slots, L), -1, dtype=np.intp)
-        # every block below holds one entry per path, or per (PRI, path)
-        index[PHI, ref:] = np.arange(*at["phi"]).reshape(n_f, L)
-        if self.modulation.decoupling == Decoupling.PILOT:
-            index[TAU, :p] = np.arange(*at["tau_p"])
-            index[TAU, p:] = np.arange(*at["tau_d"])
-            index[AMP, :p] = np.arange(*at["amp_p"])
-            index[AMP, p:] = np.arange(*at["amp_d"])
-        elif self.modulation.decoupling == Decoupling.DIFFERENTIAL:
-            index[TAU, 0] = np.arange(*at["t_ref"])
-            index[TAU, 1:] = np.arange(*at["t_abs"]).reshape(n_f, L)
-            index[AMP, 1:] = np.arange(*at["amp"])
-        else:
-            index[TAU] = np.arange(*at["tau"])
-            index[AMP] = np.arange(*at["amp"])
+        row = 0
+        for _, kind, drives, _ in ETA_BLOCKS[self.modulation.decoupling]:
+            slots, rows = sets[drives]
+            index[kind, slots] = entries[row:row + rows]
+            row += rows
         index.setflags(write=False)
         return index
 

@@ -86,6 +86,13 @@ def test_schur_complement_two_by_two():
     assert out[0, 0] == pytest.approx(1.5, rel=1e-15)
 
 
+def test_schur_complement_with_nothing_to_eliminate_is_the_kept_block():
+    M = np.arange(9.0).reshape(3, 3)
+    keep = np.array([2, 0])
+    np.testing.assert_array_equal(schur_complement(M, keep, np.array([], dtype=np.intp)),
+                                  M[np.ix_(keep, keep)])
+
+
 def test_schur_complement_matches_inverse_block():
     rng = np.random.default_rng(7)
     A = rng.normal(size=(6, 6))

@@ -19,9 +19,11 @@ from isacbounds.model import (
     received_snr,
 )
 from isacbounds.bounds import comm_efim_ppm, crlb_report
+from isacbounds import experiments
 from isacbounds.experiments import (
     SWEEP_AXES,
     CrossoverResult,
+    ResultTable,
     SweepSpec,
     data_rate,
     fim_deviation,
@@ -546,6 +548,12 @@ def test_pareto_rows_equal_their_single_point_reports():
         assert error == ""
 
 
+def test_result_table_values_turn_a_non_numeric_cell_into_nan():
+    tab = ResultTable(columns=("x", "error"),
+                      rows=[(1.5, ""), (None, "singular"), ("n/a", "singular"), (2, "")])
+    np.testing.assert_array_equal(tab.values("x"), [1.5, math.nan, math.nan, 2.0])
+
+
 # ----------------------------------------------------------- validation suite
 
 def test_validate_suite_all_green():
@@ -555,3 +563,24 @@ def test_validate_suite_all_green():
     assert failed == []
     names = [r.name for r in results]
     assert len(set(names)) == len(names)
+
+
+def test_validate_suite_records_a_check_that_raises_as_failed(monkeypatch):
+    # a probe or an assembly that raises fails its own check, worded by the
+    # exception's type, and every other check still runs
+    def raises_on_differential(call):
+        def patched(*args):
+            frame = args[0] if len(args) == 1 else Frame(*args)
+            if frame.modulation.decoupling == Decoupling.DIFFERENTIAL:
+                raise ZeroDivisionError("patched")
+            return call(*args)
+        return patched
+
+    for name in ("observation_fim_numeric", "assemble_theta_fim"):
+        monkeypatch.setattr(experiments, name,
+                            raises_on_differential(getattr(experiments, name)))
+    results = validate_suite()
+    assert len(results) == 13
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert failed == {"numeric-vs-analytic-ppm-differential": "ZeroDivisionError: patched",
+                      "assembly-consistency-ppm-differential": "ZeroDivisionError: patched"}

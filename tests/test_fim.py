@@ -7,6 +7,7 @@ The frozen anchors here were computed once from the closed forms and pinned:
 """
 
 import dataclasses
+import itertools
 import math
 import re
 import warnings
@@ -178,31 +179,37 @@ def test_analytic_fim_block_structure_sensing():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_analytic_fim_diagonal_by_block(kind):
     # per block: the number of pulses that carry the entry times one pulse's
-    # lambda (the differential reference counts sfd_weight pulses)
+    # lambda (the differential reference counts sfd_weight pulses), written
+    # from the rule and not read off model.ETA_BLOCKS; a pilot kind also at
+    # p = 1, n_f - 1 and n_f (at n_f no pulse carries tau_d or amp_d)
     n_f, w = 6, 2.5
-    sc = reference_scenario(n_f=n_f, n_paths=3)
-    mod = make_modulation(kind, n_f)
-    if "pilot" in kind:
-        mod = dataclasses.replace(mod, p_pilots=2, d_data=4)
-    lt, lp, la = sc.per_pri_information
-    want = {f"phi_{k}": lp for k in range(n_f)}
-    if mod.decoupling == Decoupling.PILOT:
-        want.update(tau_p=2 * lt, tau_d=4 * lt, amp_p=2 * la, amp_d=4 * la)
-    elif mod.decoupling == Decoupling.DIFFERENTIAL:
-        want.update({f"t_{k}": lt for k in range(n_f)}, t_ref=w * lt, amp=n_f * la)
-    else:
-        want.update(tau=n_f * lt, amp=n_f * la)
-    I = observation_fim_analytic(sc, dataclasses.replace(mod, sfd_weight=w))
-    assert sum(hi - lo for lo, hi in map(I.layout.block, want)) == I.size
-    for name, values in want.items():
-        np.testing.assert_array_equal(np.diag(I.block(name, name)), values, err_msg=name)
-    np.testing.assert_array_equal(I.data, np.diag(np.diag(I.data)))
+    splits = (2, 1, n_f - 1, n_f) if kind.endswith("pilot") else (None,)
+    for n_paths, p in itertools.product((1, 2, 3), splits):
+        sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+        mod = make_modulation(kind, n_f)
+        if p is not None:
+            mod = dataclasses.replace(mod, p_pilots=p, d_data=n_f - p)
+        lt, lp, la = sc.per_pri_information
+        want = {f"phi_{k}": lp for k in range(n_f)}
+        if mod.decoupling == Decoupling.PILOT:
+            want.update(tau_p=p * lt, tau_d=(n_f - p) * lt, amp_p=p * la, amp_d=(n_f - p) * la)
+        elif mod.decoupling == Decoupling.DIFFERENTIAL:
+            want.update({f"t_{k}": lt for k in range(n_f)}, t_ref=w * lt, amp=n_f * la)
+        else:
+            want.update(tau=n_f * lt, amp=n_f * la)
+        I = observation_fim_analytic(sc, dataclasses.replace(mod, sfd_weight=w))
+        assert sum(hi - lo for lo, hi in map(I.layout.block, want)) == I.size
+        for name, values in want.items():
+            np.testing.assert_array_equal(np.diag(I.block(name, name)), values,
+                                          err_msg=f"{name}, L = {n_paths}, p = {p}")
+        np.testing.assert_array_equal(I.data, np.diag(np.diag(I.data)))
 
 
 def _table_and_gather_diagonal(sc, mod):
-    # the lambda diagonal built the long way: every (slot, path) value's
-    # lambda in a (3, slots, L) table, the reference delay weighted there,
-    # then gathered into the eta entries the map names and counted
+    # the lambda diagonal built the long way, from the slot map and not from
+    # the model.ETA_BLOCKS fill: every (slot, path) value's lambda in a
+    # (3, slots, L) table, the reference delay weighted there, then gathered
+    # into the eta entries the map names and counted
     frame = Frame(sc, mod)
     size, index = frame.eta.size, frame.slot_map
     lam = np.empty(index.shape)
