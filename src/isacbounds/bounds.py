@@ -65,7 +65,7 @@ from .fim import (
     coeff_b_full,
     observation_fim_analytic,
 )
-from .jacobians import e_vector, h_matrix, jacobian_for, ramp_slope
+from .jacobians import e_vector, h_matrix, jacobian_for
 
 RANK_RTOL = 1e-10
 
@@ -325,13 +325,13 @@ def closed_form_theta_fim(frame: Frame) -> LabeledMatrix:
         if dec == Decoupling.DIFFERENTIAL:
             cross, own = 2.0 * n_f, (modulation.sfd_weight + 4.0) * n_f
         else:
-            cross = own = modulation.d_data if dec == Decoupling.PILOT else n_f
+            cross = own = frame.data.stop - frame.data.start
         lo, q = at["tau1"][0], at["dtau_q"][0]
         column, corner = arrow(cross, sum_tau, l_tau), own * sum_tau
     elif scheme == Scheme.BPSK:
         if dec == Decoupling.PILOT:
             # raw data phase: unit ramp on the D data PRIs
-            p, d = modulation.p_pilots, modulation.d_data
+            p, d = frame.data.start, frame.data.stop - frame.data.start
             cross, own = coeff_a_range(t_f, p, d), d
         else:
             # Doppler-equivalent data phase: shares the quadratic ramp sum
@@ -386,9 +386,8 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
     B = [[(w+1) Lam_tau, Lam_tau], [Lam_tau, Lam_tau]] through the delay rows
     J_k = [[0 | E], [H | E]], its phases Lam_phi through the Doppler ramp
     slope_k H, and the amplitudes n_f Lam_alpha once: O(L^3) time.  The
-    squared slopes sum to slope_1**2 n (n-1) (2n-1) / 6, its integer factor
-    exact and scaled by 2**-shift while it meets slope_1**2: only a sum past
-    float64 is inf (LabeledMatrix refuses that entry).
+    squared slopes sum to :func:`~isacbounds.fim.coeff_b_full`, inf only past
+    float64 (LabeledMatrix refuses that entry).
     """
     scenario, modulation, layout = frame.scenario, frame.modulation, frame.theta
     if modulation.decoupling != Decoupling.DIFFERENTIAL:
@@ -400,8 +399,6 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
     J_k = np.zeros((2 * L, L + 1))  # [[0 | E], [H | E]], the same for every PRI
     J_k[L:, :L] = H
     J_k[:L, L:] = J_k[L:, L:] = E
-    squares = n_f * (n_f - 1) * (2 * n_f - 1) // 6  # sum of kappa**2, exactly
-    shift = max(0, squares.bit_length() - 1000)  # squares / 2**shift is a float
 
     M = np.zeros((layout.size, layout.size))
     delay, doppler, amp = (layout.block_slice(b) for b in ("delay", "doppler", "amp"))
@@ -410,9 +407,7 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
         B[:L, :L] = (modulation.sfd_weight + 1.0) * lam
         B[:L, L:] = B[L:, :L] = B[L:, L:] = lam
         M[delay, delay] = n_f * (J_k.T @ B @ J_k)
-        slope = ramp_slope(1, scenario.t_f)
-        ramp = np.ldexp(slope * slope * (squares / (1 << shift)), shift)
-        M[doppler, doppler] = ramp * _congruence(H, l_phi, H)
+        M[doppler, doppler] = coeff_b_full(scenario.t_f, n_f) * _congruence(H, l_phi, H)
         M[amp, amp] = np.diag(n_f * l_alpha)
     return LabeledMatrix(M, layout)
 

@@ -13,9 +13,11 @@ for all three tables: sweep rows, both crossover arms (run on the sweep's
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,12 +90,8 @@ def with_frame(scenario: ScenarioConfig, n_f: int) -> ScenarioConfig:
 
 
 def data_rate(scenario: ScenarioConfig, modulation: ModulationConfig) -> float:
-    """Raw data rate in bit/s: one bit per data PRI over the frame span.
-
-    rate = D / (n_f * t_f), D the data PRIs of the frame: none when
-    sensing-only, all when differential or undecoupled.  Raises ConfigError
-    unless the pair is valid.
-    """
+    """Raw data rate in bit/s, D / (n_f t_f) for the D data PRIs of the
+    :class:`Frame`; ConfigError unless the pair is valid."""
     data = Frame(scenario, modulation).data
     return (data.stop - data.start) / (scenario.n_f * scenario.t_f)
 
@@ -175,9 +173,17 @@ class ResultTable:
                 writer.writerow(row)
 
 
+def _real(axis: str, value) -> float:
+    """``value`` as a float; ConfigError naming it unless it is a real number in the float range."""
+    with contextlib.suppress(OverflowError):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+    raise ConfigError(f"{axis} value {value!r} is not a real number in the float range")
+
+
 def _count(axis: str, value) -> int:
-    """``value`` as an int; ConfigError naming it unless it is integral."""
-    if not (isinstance(value, int) or float(value).is_integer()):  # NaN, inf are not
+    """``value`` as an int; ConfigError naming it unless it is an integral :func:`_real`."""
+    if not _real(axis, value).is_integer():  # NaN, inf are not
         raise ConfigError(f"{axis} value {value!r} is not an integer")
     return int(value)
 
@@ -205,30 +211,30 @@ def _provenance(scenario: ScenarioConfig, modulation: ModulationConfig | None = 
 
 def _configure_point(spec: SweepSpec, value: float) -> tuple[ScenarioConfig, ModulationConfig]:
     scenario, modulation = spec.scenario, spec.modulation
+    value = (_count if spec.axis in ("n_f", "d_data") else _real)(spec.axis, value)
     if spec.axis == "snr_db":
-        return with_snr(scenario, float(value)), modulation
+        return with_snr(scenario, value), modulation
     if spec.axis == "n_f":
-        n = _count("n_f", value)
         if modulation.decoupling == Decoupling.PILOT:
             ratio = modulation.p_pilots / (modulation.p_pilots + modulation.d_data)
-            p = int(round(ratio * n))
-            modulation = dataclasses.replace(modulation, p_pilots=p, d_data=n - p)
+            p = int(round(ratio * value))
+            modulation = dataclasses.replace(modulation, p_pilots=p, d_data=value - p)
         elif modulation.scheme != Scheme.SENSING:
-            modulation = dataclasses.replace(modulation, d_data=n)
-        return with_frame(scenario, n), modulation
+            modulation = dataclasses.replace(modulation, d_data=value)
+        return with_frame(scenario, value), modulation
     if spec.axis == "d_data":
         if modulation.scheme == Scheme.SENSING:
             raise ConfigError("d_data sweep needs a data-bearing scheme")
         # the frame is its pilots (none off a pilot split) plus the data PRIs
-        modulation = dataclasses.replace(modulation, d_data=_count("d_data", value))
+        modulation = dataclasses.replace(modulation, d_data=value)
         return with_frame(scenario, modulation.p_pilots + modulation.d_data), modulation
     # pilot_ratio
     if modulation.decoupling != Decoupling.PILOT:
         raise ConfigError("pilot_ratio sweep needs pilot decoupling")
     n = scenario.n_f
-    if not 0.0 <= float(value) <= 1.0:  # refused before value * n can overflow
+    if not 0.0 <= value <= 1.0:  # refused before value * n can overflow
         raise ConfigError(f"pilot_ratio {value} leaves no valid split of {n} PRIs")
-    p = int(round(float(value) * n))
+    p = int(round(value * n))
     modulation = dataclasses.replace(modulation, p_pilots=p, d_data=n - p)
     return scenario, modulation
 

@@ -24,9 +24,9 @@ symmetric pulse makes the arrival-time / amplitude cross information exactly
 zero, so :func:`observation_fim_analytic` returns I_eta as its diagonal, a
 :class:`DiagonalMatrix` whose dense form is built only on request.
 
-The closed-form ramp sums of the assembly (:mod:`isacbounds.bounds`) also
-live here: :func:`coeff_b_full` sums ``(2 pi kappa t_f)**2`` over the frame
-and :func:`coeff_a_range` sums ``2 pi kappa t_f`` over a PRI range.
+The ramp sums of the assembly (:mod:`isacbounds.bounds`) also live here: the
+one statement of the sum of ``(2 pi kappa t_f)**2`` over the frame,
+:func:`coeff_b_full`, and :func:`coeff_a_range`, ``2 pi kappa t_f`` over a PRI range.
 """
 
 from __future__ import annotations
@@ -186,8 +186,16 @@ class DiagonalMatrix:
 
 
 def coeff_b_full(t_f: float, n_f: int) -> float:
-    """Sum of (2 pi kappa t_f)**2 over kappa < n_f: (2 pi t_f)**2 n (n-1) (2n-1) / 6."""
-    return (2.0 * math.pi * t_f) ** 2 * n_f * (n_f - 1) * (2 * n_f - 1) / 6.0
+    """Sum of (2 pi kappa t_f)**2 over kappa < n_f, for the closed form and the
+    differential product: (2 pi t_f)**2 n (n-1) (2n-1) / 6, its integer factor
+    exact and scaled by 2**-shift while it meets (2 pi t_f)**2; inf past float64."""
+    squares = n_f * (n_f - 1) * (2 * n_f - 1) // 6  # sum of kappa**2, exactly
+    shift = max(0, squares.bit_length() - 1000)  # squares / 2**shift is a float
+    slope = 2.0 * math.pi * t_f
+    try:
+        return math.ldexp(slope * slope * (squares / (1 << shift)), shift)
+    except OverflowError:
+        return math.inf
 
 
 def coeff_a_range(t_f: float, start: int, count: int) -> float:

@@ -71,6 +71,16 @@ class UndersampledPulseError(ConfigError):
     """The sample grid is too coarse for the pulse; the closed forms do not hold."""
 
 
+def _check_support(scenario: ScenarioConfig, taus: list[float], what: str) -> None:
+    """LeakageError unless each pulse delay of ``taus`` (``what`` names them)
+    keeps its +-6 alpha support inside the PRI [0, t_f)."""
+    half = SUPPORT_SIGMAS * scenario.pulse.alpha
+    for t in taus:
+        if t - half < 0.0 or t + half >= scenario.t_f:
+            raise LeakageError(f"{what} {t} s places the +-{SUPPORT_SIGMAS} alpha pulse "
+                               f"support outside the PRI [0, {scenario.t_f}) s")
+
+
 def _require_finite(record: str, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
@@ -212,12 +222,7 @@ class ScenarioConfig:
                     f"paths at {t1} s and {t2} s are closer than the "
                     f"{2 * half} s resolvability separation (2 x {SUPPORT_SIGMAS} alpha)"
                 )
-        for t in taus:
-            if t - half < 0.0 or t + half >= self.t_f:
-                raise LeakageError(
-                    f"path delay {t} s places the +-{SUPPORT_SIGMAS} alpha pulse "
-                    f"support outside the PRI [0, {self.t_f}) s"
-                )
+        _check_support(self, taus, "path delay")
 
     # -- derived sizes -----------------------------------------------------
 
@@ -507,11 +512,12 @@ class Frame:
     """A scenario and a modulation checked against each other.
 
     The package's one statement of the frame split: ``data`` is the range of
-    data PRIs (none on a sensing-only frame, ``p_pilots`` .. n_f - 1 on a
-    pilot split, every PRI otherwise; count it by ``stop - start``, as
-    ``len()`` overflows past 2**63 - 1); ``ref`` is 1 for a differential
-    frame's reference slot, else 0; ``slots`` = ref + n_f pulse slots, of
-    which the first ``split`` = ref + p_pilots come before the split.  The
+    data PRIs, none on a sensing-only frame, else ``p_pilots`` .. n_f - 1
+    (every PRI off a pilot split; count it by ``stop - start``, as ``len()``
+    overflows past 2**63 - 1); ``ref`` is 1 for a differential frame's
+    reference slot, else 0; ``slots`` = ref + n_f pulse slots, the first
+    ``split`` = ref + p_pilots before the split.  PPM data pulses, at
+    tau_l0 + xi_ppm, keep their support inside the PRI (LeakageError).  The
     theta and eta layouts, the eta ``slot_map`` and the ``pulses`` at the
     default data word are built on first read and live as long as the frame.
     Equality and hash cover the scenario and modulation only.
@@ -526,36 +532,22 @@ class Frame:
 
     def __post_init__(self):
         scenario, modulation, n_f = self.scenario, self.modulation, self.scenario.n_f
-        if modulation.scheme == Scheme.SENSING:
-            data = range(0)
-        elif modulation.decoupling == Decoupling.PILOT:
-            if modulation.p_pilots + modulation.d_data != n_f:
-                raise ConfigError(
-                    f"pilot split {modulation.p_pilots}+{modulation.d_data} "
-                    f"does not cover the frame (n_f = {n_f})"
-                )
-            data = range(modulation.p_pilots, n_f)
-        else:  # NONE or DIFFERENTIAL with a data scheme: every PRI carries data
-            if modulation.p_pilots != 0:
-                raise ConfigError("p_pilots must be 0 unless decoupling = pilot")
-            if modulation.d_data not in (0, n_f):
-                raise ConfigError(
-                    f"without a pilot split d_data must be 0 or n_f = {n_f}, "
-                    f"got {modulation.d_data}"
-                )
-            data = range(n_f)
-        if modulation.scheme == Scheme.PPM:
-            half = SUPPORT_SIGMAS * scenario.pulse.alpha
-            worst = max(p.tau_l0 for p in scenario.paths) + modulation.xi_ppm
-            if worst + half >= scenario.t_f:
-                raise LeakageError(
-                    f"PPM shift xi_ppm = {modulation.xi_ppm} s pushes the latest "
-                    f"path support past the PRI boundary {scenario.t_f} s"
-                )
+        p, d = modulation.p_pilots, modulation.d_data
+        if modulation.decoupling == Decoupling.PILOT:
+            if p + d != n_f:
+                raise ConfigError(f"pilot split {p}+{d} does not cover the frame (n_f = {n_f})")
+        elif p != 0:
+            raise ConfigError("p_pilots must be 0 unless decoupling = pilot")
+        elif d not in (0, n_f):
+            raise ConfigError(f"without a pilot split d_data must be 0 or n_f = {n_f}, got {d}")
+        data = range(0) if modulation.scheme == Scheme.SENSING else range(p, n_f)
+        if modulation.scheme == Scheme.PPM and data.stop > data.start:
+            _check_support(scenario, [path.tau_l0 + modulation.xi_ppm for path in scenario.paths],
+                           "path delay + xi_ppm =")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "ref", int(modulation.decoupling == Decoupling.DIFFERENTIAL))
         object.__setattr__(self, "slots", self.ref + n_f)
-        object.__setattr__(self, "split", self.ref + modulation.p_pilots)
+        object.__setattr__(self, "split", self.ref + p)
 
     @cached_property
     def theta(self) -> ParamLayout:
@@ -750,9 +742,8 @@ def sample_pulse(shape: PulseShape, tau: float | np.ndarray,
     ----------
     shape : PulseShape
     tau : float or array_like
-        Pulse center(s) inside the PRI, seconds.  Each must satisfy
-        ``0 <= tau`` and ``tau + 6 alpha < t_f`` so that no energy bleeds into
-        the next PRI.
+        Pulse center(s) inside the PRI, seconds, each with ``0 <= tau`` and
+        ``tau + 6 alpha < t_f`` so that no energy bleeds into the next PRI.
 
     Returns
     -------

@@ -56,7 +56,7 @@ from isacbounds.bounds import (
     singularity_report,
     zero_reference_cross,
 )
-from isacbounds.experiments import fim_deviation, reference_scenario, with_frame
+from isacbounds.experiments import fim_deviation, reference_scenario, with_frame, with_snr
 
 from conftest import ALL_KINDS, frame_shapes, make_modulation, sym_eigs
 from closed_form_reference import closed_form_by_products
@@ -721,6 +721,16 @@ def test_differential_doppler_past_the_float_range_of_its_ramp_sum():
     diff = crlb_report(sc, make_modulation("ppm-diff", n_f)).crlb["fd1"]
     sensing = crlb_report(sc, make_modulation("sensing", n_f)).crlb["fd1"]
     assert diff == pytest.approx(sensing, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ("sensing", "ppm-diff"))
+def test_doppler_crlb_where_only_the_integer_ramp_factor_is_past_float64(kind):
+    # n (n-1) (2n-1) / 6 at n_f = 8e106 is past float64, the fd1 information is
+    # not: both routes report the CRLB, which falls as n_f**-3 from 6e106 on
+    crlbs = [crlb_report(with_snr(reference_scenario(n_f=n_f), -40.0),
+                         make_modulation(kind, n_f)).crlb["fd1"]
+             for n_f in (6 * 10 ** 106, 8 * 10 ** 106)]
+    assert crlbs[1] == pytest.approx(crlbs[0] * (6 / 8) ** 3, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_f", (8, 2048))

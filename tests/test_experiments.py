@@ -435,6 +435,31 @@ def test_integer_axes_name_a_fractional_value(axis, kind, bad, good):
     assert rows[1][1:] == whole[1:] and rows[1][-1] == ""
 
 
+#: a value each axis takes on an even ppm pilot split of 8 PRIs
+_GOOD_AXIS_VALUE = {"snr_db": 10.0, "n_f": 8, "d_data": 4, "pilot_ratio": 0.5}
+
+
+@pytest.mark.parametrize("axis,kind,bad,refusal", [
+    *(pytest.param(axis, "ppm-pilot", bad,
+                   f"{axis} value {bad!r} is not a real number in the float range",
+                   id=f"{axis}-{name}")
+      for axis in SWEEP_AXES for name, bad in (("1e400", 10 ** 400), ("str", "x"),
+                                               ("bool", True))),
+    pytest.param("d_data", "sensing", 4, "d_data sweep needs a data-bearing scheme",
+                 id="d_data-sensing"),
+])
+def test_sweep_refuses_a_value_it_cannot_take_as_a_row(axis, kind, bad, refusal):
+    # a value that is no real number in the float range (a bool is none) is a
+    # refused row naming the axis and the value; the next value still runs
+    good = _GOOD_AXIS_VALUE[axis]
+    spec = SweepSpec(axis=axis, values=(bad, good), outputs=("root_range_crlb_m",),
+                     scenario=reference_scenario(n_f=8), modulation=make_modulation(kind, 8))
+    rows = run_sweep(spec).rows
+    assert rows[0][0] is bad and math.isnan(rows[0][1])
+    assert rows[0][-1] == f"ConfigError: {refusal}"
+    assert (rows[1][-1] == "") == (kind != "sensing")
+
+
 # ----------------------------------------------------------------- crossover
 
 @pytest.mark.parametrize("n_paths,expected", [(1, 21), (3, 22)])
@@ -507,6 +532,12 @@ def test_crossover_refuses_a_fractional_d():
     # integral floats scan the same frames as ints
     assert (find_crossover(sc, 4, [2.0, 3.0]).table.rows
             == find_crossover(sc, 4, [2, 3]).table.rows)
+
+
+@pytest.mark.parametrize("bad", ("x", True))
+def test_crossover_refuses_a_d_that_is_not_a_real_number(bad):
+    with pytest.raises(ConfigError, match=f"d_data value {bad!r} is not a real number"):
+        find_crossover(reference_scenario(), 4, [bad])
 
 
 def test_crossover_of_an_empty_range_finds_nothing():

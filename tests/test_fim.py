@@ -10,11 +10,13 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isacbounds.model import (
@@ -68,6 +70,22 @@ def test_coeff_range_closed_forms(start, count):
     ks = np.arange(start, start + count)
     assert coeff_a_range(t_f, start, count) == pytest.approx(
         np.sum(ramp_slope(ks, t_f)), rel=1e-12, abs=1e-30)
+
+
+@given(n=st.integers(1, 10 ** 107), t_f=st.floats(1e-9, 1e-3))
+@example(n=8 * 10 ** 106, t_f=1e-7)  # n (n-1) (2n-1) / 6 is past float64, the sum is not
+@example(n=2 * 10 ** 107, t_f=1e-7)  # the sum is past float64 too
+@settings(max_examples=200, deadline=None)
+def test_coeff_full_is_the_exact_ramp_sum(n, t_f):
+    # (2 pi t_f)**2 n (n-1) (2n-1) / 6 with pi as math.pi, to a few roundings,
+    # and inf only where that sum is past float64
+    exact = (2 * Fraction(math.pi) * Fraction(t_f)) ** 2 * Fraction(n * (n - 1) * (2 * n - 1), 6)
+    got = coeff_b_full(t_f, n)
+    eps = Fraction(np.finfo(float).eps)
+    if got == math.inf:
+        assert exact > Fraction(sys.float_info.max) * (1 - 4 * eps)
+    else:
+        assert abs(Fraction(got) - exact) <= 4 * eps * exact
 
 
 def test_coeff_anchor_values():

@@ -31,6 +31,7 @@ from isacbounds.model import (
     SUPPORT_SIGMAS,
     ScenarioConfig,
     Scheme,
+    TAU,
     amp_for_snr,
     check_regulatory,
     effective_bandwidth,
@@ -448,6 +449,62 @@ def test_validate_modulation_ppm_leakage():
     Frame(sc, ModulationConfig(Scheme.BPSK, d_data=2))
     with pytest.raises(LeakageError):
         Frame(sc, ModulationConfig(Scheme.PPM, xi_ppm=2e-9, d_data=2))
+    # the shift moves only data pulses: a shift that would push the 60 ns
+    # path's support past the PRI leaks on one data PRI, and the all-pilot
+    # split holds every pulse at its tau_l0
+    sc = reference_scenario(n_f=8)
+    frame = Frame(sc, ModulationConfig(Scheme.PPM, Decoupling.PILOT, xi_ppm=39e-9, p_pilots=8))
+    assert (frame.pulses[TAU] == [p.tau_l0 for p in sc.paths]).all()
+    with pytest.raises(LeakageError, match="xi_ppm"):
+        Frame(reference_scenario(n_f=9), ModulationConfig(
+            Scheme.PPM, Decoupling.PILOT, xi_ppm=39e-9, p_pilots=8, d_data=1))
+
+
+@st.composite
+def _frame_pairs(draw, max_xi):
+    """A scenario of 1..3 reference paths and a modulation whose split fits its
+    n_f in 1..64, at a PPM shift in (0, max_xi]."""
+    scheme = draw(st.sampled_from(list(Scheme)))
+    decoupling = draw(st.sampled_from(list(DECOUPLINGS[scheme])))
+    n_f = draw(st.integers(1, 64))
+    if decoupling == Decoupling.PILOT:
+        p = draw(st.integers(1, n_f))
+        d = n_f - p
+    else:
+        p, d = 0, 0 if scheme == Scheme.SENSING else draw(st.sampled_from((0, n_f)))
+    mod = ModulationConfig(scheme, decoupling, xi_ppm=draw(st.floats(1e-12, max_xi)),
+                           p_pilots=p, d_data=d)
+    return reference_scenario(n_f=n_f, n_paths=draw(st.integers(1, 3))), mod
+
+
+@given(_frame_pairs(max_xi=30e-9))
+@settings(max_examples=150, deadline=None)
+def test_frame_data_is_the_tail_after_the_pilots(pair):
+    sc, mod = pair
+    data = Frame(sc, mod).data
+    assert data == (range(0) if mod.scheme == Scheme.SENSING else range(mod.p_pilots, sc.n_f))
+
+
+@given(_frame_pairs(max_xi=90e-9))
+@settings(max_examples=150, deadline=None)
+def test_frame_builds_exactly_when_every_pulse_keeps_its_support(pair):
+    # the delays a frame's pulses take: each path's tau_l0, and tau_l0 + xi_ppm
+    # on the data PRIs of a PPM frame
+    sc, mod = pair
+    half = SUPPORT_SIGMAS * sc.pulse.alpha
+    tau0 = [p.tau_l0 for p in sc.paths]
+    moved = mod.scheme == Scheme.PPM and (mod.decoupling != Decoupling.PILOT or mod.d_data > 0)
+    delays = tau0 + ([t + mod.xi_ppm for t in tau0] if moved else [])
+    inside = all(t - half >= 0.0 and t + half < sc.t_f for t in delays)
+    try:
+        frame = Frame(sc, mod)
+    except LeakageError:
+        assert not inside
+        return
+    assert inside
+    table = frame.pulses[TAU]
+    assert set(table.ravel().tolist()) <= set(delays)
+    assert ((table - half >= 0.0) & (table + half < sc.t_f)).all()
 
 
 # --------------------------------------------------------------------- layouts
