@@ -55,6 +55,7 @@ from .model import (
     ScenarioConfig,
     Scheme,
     SPEED_OF_LIGHT,
+    eta_size,
 )
 from .fim import (
     LabeledMatrix,
@@ -442,7 +443,7 @@ def assemble_theta_fim(frame: Frame) -> LabeledMatrix:
     """
     if frame.modulation.decoupling == Decoupling.DIFFERENTIAL:
         product = differential_pipeline(frame)
-    elif frame.eta.size <= PRODUCT_CHECK_MAX_ETA:
+    elif eta_size(frame) <= PRODUCT_CHECK_MAX_ETA:
         i_eta = observation_fim_analytic(frame.scenario, frame.modulation)
         J = jacobian_for(frame)
         product = LabeledMatrix(_congruence(J, i_eta.diag, J), frame.theta)

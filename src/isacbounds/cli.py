@@ -35,6 +35,7 @@ from .model import (
     DECOUPLINGS,
     ConfigError,
     Decoupling,
+    Frame,
     ModulationConfig,
     PathState,
     PulseShape,
@@ -277,10 +278,11 @@ def cmd_bounds(args) -> int:
     modulation = build_modulation(cfg)
     report = crlb_report(scenario, modulation)
     reg = check_regulatory(scenario)
+    data = Frame(scenario, modulation).data  # the split the frame holds, not the one given
 
     print(f"scheme={report.scheme} decoupling={report.decoupling} "
           f"n_f={scenario.n_f} L={scenario.n_paths} "
-          f"p={modulation.p_pilots} d={modulation.d_data}")
+          f"p={data.start} d={data.stop - data.start}")
     print(f"effective bandwidth: {effective_bandwidth(scenario.pulse) / 1e6:.1f} MHz")
     print(f"regulatory: {reg.energy_per_window_j * 1e9:.3f} nJ per 1 ms "
           f"(limit {reg.limit_j * 1e9:.0f} nJ, per-pulse ceiling "

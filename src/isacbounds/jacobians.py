@@ -7,12 +7,9 @@ matrix is the congruence
 
     I_theta = J^T I_eta J,        J = d eta / d theta.
 
-:func:`jacobian_for` writes J straight through the frame's slot map
-(:attr:`isacbounds.model.Frame.slot_map`), which names the eta entry behind
-every pulse's delay, phase and amplitude; the pilot/differential/unsplit
-split is decided there, not here.  Each kind's derivative rows are built
-from two primitives and assigned to the rows the map names, with no
-intermediate table:
+:func:`jacobian_for` fills J block by block from :data:`isacbounds.model.ETA_BLOCKS`,
+as :mod:`isacbounds.fim` fills I_eta (the slot map serves the sampled model
+only), from two primitives:
 
   * ``H`` (L x L): first column all ones, remaining columns the unit vectors
     of paths 2..L -- it maps [tau1, dtau_2..L] to the absolute per-path values;
@@ -29,7 +26,7 @@ import math
 
 import numpy as np
 
-from .model import AMP, PHI, TAU, Decoupling, Frame, Scheme
+from .model import ETA_BLOCKS, PHI, RUN, TAU, Decoupling, Frame, Scheme, eta_size
 
 
 # =========================================================================
@@ -60,33 +57,36 @@ def ramp_slope(kappa: int | np.ndarray, t_f: float) -> float | np.ndarray:
 
 
 def jacobian_for(frame: Frame) -> np.ndarray:
-    """d eta / d theta, written through the frame's slot map.
+    """d eta / d theta, filled block by block from :data:`~isacbounds.model.ETA_BLOCKS`.
 
-    A ``(frame.eta.size, frame.theta.size)`` array: rows follow
-    ``frame.eta``, columns ``frame.theta``.  Each (slot, path) delay moves
-    with H, each phase with the ramp slope times H and each amplitude with I;
-    on the data PRIs ``frame.data`` the delay also moves with dtau_q and the
-    phase with phi_bpsk (raw on pilot splits, riding the ramp otherwise).
-    Those derivatives are assigned directly to the eta rows the map names.
-    For a differential frame this is the plain chain rule through the same map.
+    Rows follow ``frame.eta``, columns ``frame.theta``.  A block's rows of L
+    entries are whole slices: delay rows get H, a phase run each PRI's ramp
+    slope times H, amplitude rows I; a block that drives no slot (an
+    all-pilot split's tail) keeps zero rows.  Rows on ``frame.data``'s slots
+    (a tail block, or the run rows kappa in ``frame.data``) also move the
+    delay with dtau_q and the phase with phi_bpsk (raw on pilot splits,
+    riding the ramp otherwise).  On a differential frame: the chain rule.
     """
-    scenario, modulation, ref, cols = frame.scenario, frame.modulation, frame.ref, frame.theta
-    index, data = frame.slot_map, slice(frame.data.start, frame.data.stop)
-    L, n_f = scenario.n_paths, scenario.n_f
-    slope = ramp_slope(np.arange(n_f), scenario.t_f)[:, None]
-    H = h_matrix(L)
-    # the reference slot's phase and amplitude are known: only its delay has a
-    # row.  Path l of a slot moves with row l of the primitive; rows shared by
-    # several slots (unsplit delays and amplitudes) get the same values
-    tau, phi, amp = index[TAU], index[PHI, ref:], index[AMP, ref:]
-    lo = cols.block("delay")[0]
-    J = np.zeros((frame.eta.size, cols.size))
-    J[tau, lo:lo + L] = H
-    J[phi, cols.block_slice("doppler")] = slope[..., None] * H
-    J[amp, cols.block_slice("amp")] = np.eye(L)
-    if modulation.scheme == Scheme.PPM:
-        J[tau[ref:][data], cols.block("dtau_q")[0]] = 1.0
-    elif modulation.scheme == Scheme.BPSK:
-        J[phi[data], cols.block("phi_bpsk")[0]] = (1.0 if modulation.decoupling == Decoupling.PILOT
-                                                  else slope[data])
-    return J
+    scenario, modulation, cols, data = frame.scenario, frame.modulation, frame.theta, frame.data
+    L, n_f, pilot = scenario.n_paths, scenario.n_f, modulation.decoupling == Decoupling.PILOT
+    slope, H, lo = ramp_slope(np.arange(n_f), scenario.t_f), h_matrix(L), cols.block("delay")[0]
+    # per kind: the theta columns its rows move and their derivative
+    moves = ((slice(lo, lo + L), H), (cols.block_slice("doppler"), slope[:, None, None] * H),
+             (cols.block_slice("amp"), np.eye(L)))
+    # the kind of row the data move, their theta entry and its derivative
+    data_kind, data_col, data_value = {
+        Scheme.PPM: (TAU, "dtau_q", 1.0),
+        Scheme.BPSK: (PHI, "phi_bpsk", 1.0 if pilot else slope[data.start:data.stop, None]),
+    }.get(modulation.scheme, (None, None, None))
+    # per HEAD, TAIL and RUN: a block's rows that drive a slot, and those on data slots
+    driving = (slice(int(frame.split > 0)), slice(int(frame.slots > frame.split)), slice(n_f))
+    on_data = (slice(0), slice(int(data.stop > data.start)), slice(data.start, data.stop))
+    grid, row = np.zeros((eta_size(frame) // L, L, cols.size)), 0
+    for _, kind, drives, _ in ETA_BLOCKS[modulation.decoupling]:
+        block = grid[row:row + (n_f if drives == RUN else 1)]
+        row += len(block)
+        columns, value = moves[kind]
+        block[driving[drives], :, columns] = value
+        if kind == data_kind:
+            block[on_data[drives], :, cols.block(data_col)[0]] = data_value
+    return grid.reshape(-1, cols.size)

@@ -299,6 +299,13 @@ ETA_BLOCKS = {
 }
 
 
+def eta_size(frame: Frame) -> int:
+    """Entries of ``frame.eta``, without its layout: L x the rows of :data:`ETA_BLOCKS`."""
+    n_f = frame.scenario.n_f
+    return frame.scenario.n_paths * sum(n_f if drives == RUN else 1 for _, _, drives, _
+                                        in ETA_BLOCKS[frame.modulation.decoupling])
+
+
 @dataclass(frozen=True)
 class ModulationConfig:
     """Modulation scheme, frame split and decoupling strategy.

@@ -106,7 +106,7 @@ def test_traced_frame_grid_contract():
             # the product route reads the diagonal I_eta from the function
             # whose span the frame_grid contract requires
             assert "fim.observation_fim_analytic" in children, (n_f, kind)
-    # the Jacobian is read off the per-slot map, not built PRI by PRI
+    # the Jacobian is filled block by block from ETA_BLOCKS, not built PRI by PRI
     jacobian_spans = dict(zip(TRACED_CALLS, out["jacobians"]))
     for kind in NON_DIFFERENTIAL:
         assert jacobian_spans[(64, kind)] == jacobian_spans[(8, kind)] > 0, kind

@@ -1264,6 +1264,23 @@ def test_bound_path_calls_nothing_in_signals(monkeypatch):
     assert got == want
 
 
+def test_report_builds_no_slot_map(monkeypatch):
+    # J is filled from ETA_BLOCKS and I_eta from the per-path lambda: the slot
+    # map serves the sampled model only, and no report, product route
+    # included, builds it
+    shapes = [shape for kind in ALL_KINDS
+              for shape in frame_shapes(kind, (1, 2, 8, 64, 499, 500, 2048))]
+    want = [crlb_report(sc, mod) for sc, mod in shapes]
+
+    def refuse(frame):
+        raise AssertionError("a report built the slot map")
+
+    monkeypatch.setattr(Frame, "slot_map", property(refuse))
+    with pytest.raises(AssertionError, match="slot map"):
+        Frame(*shapes[0]).slot_map
+    assert [crlb_report(sc, mod) for sc, mod in shapes] == want
+
+
 @given(kind=st.sampled_from(ALL_KINDS), n_f=st.sampled_from((2, 8)),
        snr_db=st.floats(-10.0, 20.0), shift=st.floats(-18e-9, 30e-9),
        f_c=st.floats(1e9, 10e9),

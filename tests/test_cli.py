@@ -115,6 +115,22 @@ def test_bounds_keeps_the_given_pilot_split(capsys):
     assert "p=50000000000000000001 d=49999999999999999999" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sets, header, code", [
+    ([], "scheme=sensing decoupling=none n_f=8 L=3 p=0 d=0", 0),
+    (["modulation.scheme=ppm"], "scheme=ppm decoupling=none n_f=8 L=3 p=0 d=8", 3),
+    (["modulation.scheme=bpsk"], "scheme=bpsk decoupling=none n_f=8 L=3 p=0 d=8", 3),
+    (["modulation.scheme=ppm", "modulation.decoupling=differential"],
+     "scheme=ppm decoupling=differential n_f=8 L=3 p=0 d=8", 0)],
+    ids=["sensing", "ppm-raw", "bpsk-raw", "ppm-diff"])
+def test_bounds_header_prints_the_split_the_frame_holds(capsys, sets, header, code):
+    # d_data = 0 and d_data = n_f make the same unsplit frame: the header
+    # prints its data PRIs, which the data rate counts, not the given d_data
+    for d_data in ("0", "8") if sets else ("0",):
+        args = [arg for key in [*sets, f"modulation.d_data={d_data}"] for arg in ("--set", key)]
+        assert cli.main(["bounds", *args]) == code
+        assert capsys.readouterr().out.splitlines()[0] == header
+
+
 def test_bounds_names_a_non_integer_key(capsys):
     assert cli.main(["bounds", "--set", "modulation.d_data=8.0000000001"]) == 2
     assert "modulation.d_data: expected an integer" in capsys.readouterr().err

@@ -4,6 +4,8 @@ Every entry of these matrices is 0, +-1, or a PRI ramp slope 2 pi kappa T_f;
 the tests pin that alphabet and the exact placement of each block.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -214,7 +216,7 @@ def test_differential_entry_alphabet():
     assert _entry_alphabet(J[0], 4, T_F)
 
 
-# ------------------------------------------------------------- slot-map writes
+# ------------------------------------------------ the slot-map reference
 
 def _table_and_gather_jacobian(sc, mod):
     # J built the long way: every slot value's derivative row in a dense
@@ -247,11 +249,17 @@ def _table_and_gather_jacobian(sc, mod):
 
 
 @pytest.mark.parametrize("kind, n_f", [
-    (kind, n_f) for kind in ALL_KINDS for n_f in (1, 2, 8, 64, 499)
-    if n_f >= 2 or not kind.endswith("pilot")])  # a pilot split needs two PRIs
+    (kind, n_f) for kind in ALL_KINDS for n_f in (1, 2, 8, 64, 499, 500, 2048)])
 def test_jacobian_equals_the_table_and_gather_construction(kind, n_f):
+    mods = [make_modulation(kind, n_f)] if n_f >= 2 or not kind.endswith("pilot") else []
+    if kind.endswith("pilot"):
+        # beside the even split: the all-pilot split (its tail blocks drive no
+        # slot), one pilot and one data PRI
+        pilot = make_modulation(kind, 2)
+        mods += [dataclasses.replace(pilot, p_pilots=p, d_data=n_f - p)
+                 for p in sorted({n_f, 1, n_f - 1} - {0})]
     for n_paths in (1, 2, 3):
         sc = reference_scenario(n_f=n_f, n_paths=n_paths)
-        mod = make_modulation(kind, n_f)
-        np.testing.assert_array_equal(jacobian_for(Frame(sc, mod)),
-                                      _table_and_gather_jacobian(sc, mod))
+        for mod in mods:
+            np.testing.assert_array_equal(jacobian_for(Frame(sc, mod)),
+                                          _table_and_gather_jacobian(sc, mod))

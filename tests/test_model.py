@@ -36,6 +36,7 @@ from isacbounds.model import (
     check_regulatory,
     effective_bandwidth,
     eta_layout,
+    eta_size,
     pulse_time_derivative,
     received_snr,
     sample_pulse,
@@ -44,7 +45,7 @@ from isacbounds.model import (
 from isacbounds.bounds import crlb_report
 from isacbounds.experiments import reference_scenario
 
-from conftest import ALL_KINDS, make_modulation
+from conftest import ALL_KINDS, frame_shapes, make_modulation
 from differential_reference import interleaved_layout
 
 ALPHA = 0.2e-9
@@ -573,10 +574,11 @@ def test_eta_layout_structures():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_eta_size_matches_layout(kind):
-    for n_f in (2, 7, 8):
-        for n_paths in (1, 3):
-            sc = reference_scenario(n_f=n_f, n_paths=n_paths)
-            layout = Frame(sc, make_modulation(kind, n_f)).eta
+    for sc, mod in frame_shapes(kind, (1, 2, 7, 8, 2048, 10 ** 5), n_paths=(1, 3)):
+        frame = Frame(sc, mod)
+        layout = frame.eta
+        assert eta_size(frame) == layout.size
+        if sc.n_f <= 8:
             assert layout.size == len(layout.names)
 
 
