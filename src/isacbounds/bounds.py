@@ -18,14 +18,16 @@ directly from the closed-form block expressions, entry-wise to 1e-10 of the
 geometric mean of their diagonal entries.  Larger non-differential frames
 return the closed form without a product.
 
-The Schur elimination uses a Cholesky factorization of the nuisance block; if
-that block is singular (which is the defining symptom of sensing/data
-coupling in the undecoupled PPM and BPSK frames) a
-:class:`CoupledParametersError` is raised naming the offending columns,
-rather than silently pseudo-inverting.  :func:`crlb_report` runs those
-per-target eliminations and the :func:`singularity_report` SVD only for a
-frame that one Cholesky factorization of the equilibrated I_theta cannot vouch
-for; any other frame takes its CRLBs and rank from that factor's matrix.
+Each domain of I_theta is an arrow read off lambda (:class:`Arrow`): in
+per-path coordinates a scaled diagonal plus one nuisance column, which one
+Sherman-Morrison step inverts.  :func:`crlb_report` reads the rank off the
+eigenvalues of the equilibrated I_theta and takes a nonsingular frame's
+CRLBs from those formulas, with no factorization.  Only a singular frame gets
+the :func:`singularity_report` SVD and the per-target Schur elimination,
+which uses a Cholesky factorization of the nuisance block; if that block is
+singular (the defining symptom of sensing/data coupling in the undecoupled
+PPM and BPSK frames) a :class:`CoupledParametersError` is raised naming the
+offending columns, rather than silently pseudo-inverting.
 
 A differential frame duplicates the reference arrival time per data PRI,
 rotates it to the difference sequence [t^k - t^ref, t^k] by the square
@@ -44,6 +46,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +68,7 @@ from .fim import (
     coeff_a_range,
     coeff_b_full,
     observation_fim_analytic,
+    squares_below,
 )
 from .jacobians import e_vector, h_matrix, jacobian_for
 
@@ -273,6 +277,47 @@ def _congruence(H_l: np.ndarray, diag: np.ndarray, H_r: np.ndarray) -> np.ndarra
     return H_l.T @ (diag[:, None] * H_r)
 
 
+class Arrow(NamedTuple):
+    """One domain of I_theta in per-path coordinates (tau_l = tau1 + dtau_l,
+    alike for Doppler): c diag(lambda), and where the data moves the domain,
+    the nuisance column cross lambda and its corner own sum(lambda).  ``gap``
+    = own - cross**2 / c, stated exactly: the nuisance's information left
+    once the paths are known, per unit sum(lambda); 0 if none is left."""
+
+    root: str
+    c: float
+    nuisance: str | None = None
+    cross: float = 0.0
+    own: float = 0.0
+    gap: float = 0.0
+
+
+def arrows(frame: Frame) -> tuple[Arrow, Arrow]:
+    """The delay arrow (c = n_f) and the Doppler arrow (c =
+    :func:`~isacbounds.fim.coeff_b_full`) of ``frame``: PPM data adds dtau_q to
+    the first, BPSK data phi_bpsk to the second."""
+    n_f, t_f = frame.scenario.n_f, frame.scenario.t_f
+    scheme, dec = frame.modulation.scheme, frame.modulation.decoupling
+    p, d = frame.data.start, frame.data.stop - frame.data.start
+    ramp = coeff_b_full(t_f, n_f)
+    delay, doppler = Arrow("tau1", n_f), Arrow("fd1", ramp)
+    if scheme == Scheme.PPM and dec == Decoupling.DIFFERENTIAL:
+        w = frame.modulation.sfd_weight
+        delay = Arrow("tau1", n_f, "dtau_q", 2.0 * n_f, (w + 4.0) * n_f, w * n_f)
+    elif scheme == Scheme.PPM:  # d of the n_f PRIs carry data: d - d**2 / n_f = p d / n_f
+        delay = Arrow("tau1", n_f, "dtau_q", d, d, p * d / n_f)
+    elif scheme == Scheme.BPSK and dec == Decoupling.PILOT:
+        # raw data phase, a unit ramp on the d data PRIs: with s their index
+        # sum and Q = squares_below(n_f), d - s**2 / Q, its numerator exact
+        # (Q = 0 on a one-PRI frame, all pilot)
+        s, squares = d * (2 * p + d - 1) // 2, squares_below(n_f)
+        doppler = Arrow("fd1", ramp, "phi_bpsk", coeff_a_range(t_f, p, d), d,
+                        (d * squares - s * s) / max(squares, 1))
+    elif scheme == Scheme.BPSK:  # Doppler-equivalent data phase: the quadratic ramp sum
+        doppler = Arrow("fd1", ramp, "phi_bpsk", ramp, ramp)
+    return delay, doppler
+
+
 def closed_form_theta_fim(frame: Frame) -> LabeledMatrix:
     """I_theta assembled directly from the closed-form block expressions.
 
@@ -283,18 +328,17 @@ def closed_form_theta_fim(frame: Frame) -> LabeledMatrix:
     The symmetric pulse zeroes every delay/phase/amplitude cross block, so
     those are simply absent.
 
-    With H and E the primitives of :mod:`isacbounds.jacobians` and lambda
-    one kind's per-path information, every block is an arrow read off
-    lambda: c H^T diag(lambda) H has c sum(lambda) at its corner,
+    With H and E the primitives of :mod:`isacbounds.jacobians`, lambda one
+    kind's per-path information and c, cross and own the coefficients of its
+    :func:`arrows`, c H^T diag(lambda) H has c sum(lambda) at its corner,
     c lambda_2 .. c lambda_L along its first row and column and on the rest
-    of its diagonal, and zeros elsewhere; c H^T diag(lambda) E is the column
-    c [sum(lambda), lambda_2, .., lambda_L] and c E^T diag(lambda) E the
-    scalar c sum(lambda).  The amplitudes are n_f lambda_alpha on the
-    diagonal.  Each entry is written once, summed left to right as the
-    matrix products sum it, so no product is formed.
+    of its diagonal, and zeros elsewhere; cross H^T diag(lambda) E is the
+    column cross [sum(lambda), lambda_2, .., lambda_L] and own E^T
+    diag(lambda) E the scalar own sum(lambda).  The amplitudes are
+    n_f lambda_alpha on the diagonal.  Each entry is written once, summed
+    left to right as the matrix products sum it, so no product is formed.
     """
-    scenario, modulation, layout = frame.scenario, frame.modulation, frame.theta
-    n_f, t_f = scenario.n_f, scenario.t_f
+    scenario, layout, n_f = frame.scenario, frame.theta, frame.scenario.n_f
     l_tau, l_phi, l_alpha = (lam.tolist() for lam in scenario.per_pri_information)
     sum_tau, sum_phi = l_tau[0], l_phi[0]
     for x_tau, x_phi in zip(l_tau[1:], l_phi[1:]):
@@ -313,37 +357,20 @@ def closed_form_theta_fim(frame: Frame) -> LabeledMatrix:
         """c [sum(lambda), lambda_2, .., lambda_L]"""
         return [c * total] + [c * x for x in lam[1:]]
 
-    # c H^T diag(lambda) H on (tau1, dtau) and on the Doppler block
-    for lo, column in ((at["tau1"][0], arrow(n_f, sum_tau, l_tau)),
-                       (at["doppler"][0], arrow(coeff_b_full(t_f, n_f), sum_phi, l_phi))):
+    # c H^T diag(lambda) H on (tau1, dtau) and on the Doppler block, then
+    # c H^T diag(lambda) E down the nuisance column q and along its row
+    for a, total, lam in zip(arrows(frame), (sum_tau, sum_phi), (l_tau, l_phi)):
+        lo = at[a.root][0]
+        column = arrow(a.c, total, lam)
         for step in (1, n, n + 1):
             line(lo, lo, step, column)
+        if a.nuisance is not None:
+            q, column = at[a.nuisance][0], arrow(a.cross, total, lam)
+            line(lo, q, n, column)
+            line(q, lo, 1, column)
+            flat[q * (n + 1)] = a.own * total
     amp = at["amp"][0]
     line(amp, amp, n + 1, [n_f * x for x in l_alpha])
-
-    scheme, dec = modulation.scheme, modulation.decoupling
-    if scheme == Scheme.PPM:
-        if dec == Decoupling.DIFFERENTIAL:
-            cross, own = 2.0 * n_f, (modulation.sfd_weight + 4.0) * n_f
-        else:
-            cross = own = frame.data.stop - frame.data.start
-        lo, q = at["tau1"][0], at["dtau_q"][0]
-        column, corner = arrow(cross, sum_tau, l_tau), own * sum_tau
-    elif scheme == Scheme.BPSK:
-        if dec == Decoupling.PILOT:
-            # raw data phase: unit ramp on the D data PRIs
-            p, d = frame.data.start, frame.data.stop - frame.data.start
-            cross, own = coeff_a_range(t_f, p, d), d
-        else:
-            # Doppler-equivalent data phase: shares the quadratic ramp sum
-            cross = own = coeff_b_full(t_f, n_f)
-        lo, q = at["doppler"][0], at["phi_bpsk"][0]
-        column, corner = arrow(cross, sum_phi, l_phi), own * sum_phi
-    if scheme != Scheme.SENSING:
-        # c H^T diag(lambda) E down column q, its transpose along row q
-        line(lo, q, n, column)
-        line(q, lo, 1, column)
-        flat[q * (n + 1)] = corner
     # exact zeros are structurally dead columns (Doppler at n_f = 1); a
     # subnormal diagonal has lost its precision and would break the checks
     for k, v in enumerate(flat[::n + 1]):
@@ -471,81 +498,48 @@ class CrlbReport(SingularityReport):
     range_crlb_m2: float | None
 
 
-#: the one-factorization route of :func:`crlb_report` is taken only when
-#: every 1 / (I~^-1)_kk exceeds RANK_RTOL by this factor (I~ the
-#: equilibrated I_theta).  For a positive-definite I~ the squared Cholesky
-#: pivot of entry k in any principal submatrix is at least 1 / (I~^-1)_kk,
-#: so each per-target nuisance factorization would then clear its RANK_RTOL
-#: pivot gate; the factor covers the roundoff between those factorizations
-#: and this one.  It also keeps out every frame whose equilibrated smallest
-#: singular value is within RANK_RTOL of the largest, for n_theta <= 31:
-#: there min_k 1 / (I~^-1)_kk <= n_theta**2 RANK_RTOL.
-_ONE_FACTOR_MARGIN = 1e3
-
-
-def _one_factor_crlbs(fim: LabeledMatrix, targets: list[str]) -> tuple[dict, np.ndarray] | None:
-    """Every target's CRLB from one Cholesky factorization, and the
-    eigenvalues of the factored matrix; None on a dead direction or a failed
-    factorization, ``_ONE_FACTOR_MARGIN`` pivot bar or ``EFIM_FLOOR``.
-
-    With I~ = D^-1/2 I D^-1/2 (unit diagonal) and its inverse from the
-    factor, block b's scaled EFIM is inv((I~^-1)_bb), its CRLB
-    sum_{i in b} (I~^-1)_ii / I_ii.  The floor test of :func:`efim` takes
-    lambda_max((I~^-1)_bb) <= tr((I~^-1)_bb), less a millionth for roundoff,
-    and an eigvalsh only where that trace cannot settle it.
-    """
-    diag = fim.data.diagonal()
-    if not (diag > 0.0).all():
-        return None
-    scaled = _equilibrated(fim.data, diag)
-    try:
-        low = np.linalg.cholesky(scaled)
-    except np.linalg.LinAlgError:
-        return None
-    low_inv = np.linalg.inv(low)
-    inv = low_inv.T @ low_inv
-    inv_diag = inv.diagonal()
-    if not (inv_diag * (_ONE_FACTOR_MARGIN * RANK_RTOL) < 1.0).all():
-        return None
-    crlbs = inv_diag / diag
-    traces, entries = inv_diag.tolist(), crlbs.tolist()
+def _formula_crlbs(frame: Frame) -> dict:
+    """The CRLB of every target block of a nonsingular frame, in the order of
+    ``CRLB_TARGETS``, from its arrows in Python floats.  One Sherman-Morrison
+    step inverts each domain: with S = sum(lambda), the root's CRLB is
+    1 / (c lambda_1) + (cross / c)**2 / (S gap) and the nuisance's
+    1 / (S gap); the amplitudes' is sum_l 1 / (n_f lambda_alpha,l)."""
+    *lambdas, l_alpha = (lam.tolist() for lam in frame.scenario.per_pri_information)
     values = {}
-    for target in targets:
-        lo, hi = fim.layout.block_bounds[target]
-        if hi - lo == 1:  # a one-entry (I~^-1)_bb is its own trace and eigenvalue
-            trace, value = traces[lo], entries[lo]
-        else:
-            trace, value = inv_diag[lo:hi].sum(), float(crlbs[lo:hi].sum())
-        if not trace * EFIM_FLOOR < 1.0 - 1e-6:
-            top = trace if hi - lo == 1 else np.linalg.eigvalsh(inv[lo:hi, lo:hi])[-1]
-            if not 1.0 / top > EFIM_FLOOR:
-                return None
-        values[target] = value
-    return values, np.linalg.eigvalsh(scaled)
+    for a, lam in zip(arrows(frame), lambdas):
+        values[a.root] = 1.0 / (a.c * lam[0])
+        if a.nuisance is not None:
+            values[a.nuisance] = 1.0 / (sum(lam) * a.gap)
+            values[a.root] += (a.cross / a.c) ** 2 * values[a.nuisance]
+    values["amp"] = sum(1.0 / (frame.scenario.n_f * x) for x in l_alpha)
+    return values
 
 
 def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig) -> CrlbReport:
     """Assemble I_theta, diagnose its rank and compute the available CRLBs.
 
-    A frame that clears the gates of :func:`_one_factor_crlbs` gets every
-    CRLB from that factor, and from the eigenvalues w of the factored matrix
-    the verdict of :func:`singularity_report` while w_min > RANK_RTOL w_max:
-    full rank, ``min_sv_ratio`` w_min / w_max.  Any other frame gets that
-    report's SVD and runs :func:`crlb` per target, and a block whose
-    elimination raises CoupledParametersError gets a ``None`` CRLB.
+    The eigenvalues w of the equilibrated I_theta give the verdict of
+    :func:`singularity_report` while w_min > RANK_RTOL w_max: full rank,
+    ``min_sv_ratio`` w_min / w_max; any other frame gets that report's SVD.
+    A nonsingular frame takes every CRLB from :func:`_formula_crlbs`, with
+    no factorization.  A singular one runs :func:`crlb` per target, and a
+    block whose elimination raises CoupledParametersError gets a ``None``
+    CRLB.
     """
-    fim = assemble_theta_fim(Frame(scenario, modulation))
-    targets = [t for t in CRLB_TARGETS if t in fim.layout.block_bounds]
-    values, w = _one_factor_crlbs(fim, targets) or (None, None)
-    if w is None or not w[0] > RANK_RTOL * w[-1]:
+    frame = Frame(scenario, modulation)
+    fim = assemble_theta_fim(frame)
+    w = np.linalg.eigvalsh(_equilibrated(fim.data, fim.data.diagonal()))
+    if w[0] > RANK_RTOL * w[-1]:
+        verdict = (fim.size, fim.size, False, float(w[0] / w[-1]), (), ())
+    else:
         rep = singularity_report(fim)
         verdict = (rep.size, rep.rank, rep.singular, rep.min_sv_ratio,
                    rep.coupled_columns, rep.zero_columns)
+    if not verdict[2]:
+        values = _formula_crlbs(frame)
     else:
-        verdict = (fim.size, fim.size, False, float(w[0] / w[-1]), (), ())
-    if values is None:
         values = {}
-        for target in targets:
+        for target in (t for t in CRLB_TARGETS if t in fim.layout.block_bounds):
             try:
                 values[target] = crlb(fim, target)
             except CoupledParametersError:

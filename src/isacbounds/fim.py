@@ -185,11 +185,16 @@ class DiagonalMatrix:
 # =========================================================================
 
 
+def squares_below(n_f: int) -> int:
+    """Sum of kappa**2 over kappa < n_f, exactly: n (n-1) (2n-1) / 6."""
+    return n_f * (n_f - 1) * (2 * n_f - 1) // 6
+
+
 def coeff_b_full(t_f: float, n_f: int) -> float:
     """Sum of (2 pi kappa t_f)**2 over kappa < n_f, for the closed form and the
-    differential product: (2 pi t_f)**2 n (n-1) (2n-1) / 6, its integer factor
-    exact and scaled by 2**-shift while it meets (2 pi t_f)**2; inf past float64."""
-    squares = n_f * (n_f - 1) * (2 * n_f - 1) // 6  # sum of kappa**2, exactly
+    differential product: (2 pi t_f)**2 times :func:`squares_below`, that
+    integer scaled by 2**-shift while it meets (2 pi t_f)**2; inf past float64."""
+    squares = squares_below(n_f)
     shift = max(0, squares.bit_length() - 1000)  # squares / 2**shift is a float
     slope = 2.0 * math.pi * t_f
     try:
@@ -340,7 +345,8 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
         points[rows, entries] += h[entries]
         points[rows + m, entries] -= h[entries]
         mu = mean_from_eta(frame, points, [s])[:, lo[s]:hi[s]]
-        flat = ((mu[:m] - mu[m:]) / (2.0 * h[entries])[:, None]).view(np.float64)
+        # times 1 / (2h): the bits numpy's complex-by-real division gives
+        flat = (mu[:m] - mu[m:]).view(np.float64) * (1.0 / (2.0 * h[entries]))[:, None]
         M[np.ix_(entries, entries)] += flat @ flat.T
     M /= scenario.sigma2
     M = 0.5 * (M + M.T)

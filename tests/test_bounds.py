@@ -12,6 +12,7 @@ information of one path):
 
 import dataclasses
 import inspect
+import math
 import re
 import sys
 import tracemalloc
@@ -24,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isacbounds.model import (
-    Block,
+    DECOUPLINGS,
     ConfigError,
     Decoupling,
     Frame,
@@ -33,6 +34,8 @@ from isacbounds.model import (
     SPEED_OF_LIGHT,
     Scheme,
     UndersampledPulseError,
+    amp_for_snr_db,
+    eta_size,
     theta_layout,
 )
 from isacbounds import bounds, jacobians, signals
@@ -61,6 +64,7 @@ from isacbounds.experiments import fim_deviation, reference_scenario, with_frame
 from conftest import ALL_KINDS, frame_shapes, make_modulation, sym_eigs
 from closed_form_reference import closed_form_by_products
 from differential_reference import differential_chain
+from exact_reference import exact_crlbs, exact_theta_fim
 
 
 def lam_per_pri(sc):
@@ -1088,20 +1092,22 @@ def test_one_factor_crlbs_equal_per_target_loop(kind, n_f):
 @pytest.mark.parametrize("n_paths", (1, 3))
 def test_near_singular_frame_takes_the_per_target_route(monkeypatch, n_paths):
     # one pilot among 1e8 PRIs: the equilibrated I_theta is within 1e-8 of
-    # singular, so the one-factor bar refuses it; the Schur route then finds
-    # some blocks and loses others
+    # singular, and the per-target route, the oracle, finds some blocks and
+    # loses others to EFIM_FLOOR; the report runs no per-target elimination
+    # and takes every CRLB from the formulas, exact to a few ulps
     n_f = 10 ** 8
     sc = reference_scenario(n_f=n_f, n_paths=n_paths)
     mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=n_f - 1)
-    fim = assemble_theta_fim(Frame(sc, mod))
-    targets = [t for t in bounds.CRLB_TARGETS if t in fim.layout.block_bounds]
-    assert bounds._one_factor_crlbs(fim, targets) is None
-    want = per_target_crlbs(fim)
+    want = per_target_crlbs(assemble_theta_fim(Frame(sc, mod)))
     assert None in want.values() and any(v is not None for v in want.values())
-    calls = []
-    monkeypatch.setattr(bounds, "crlb", lambda *a: calls.append(a[1]) or crlb(*a))
-    assert_same_crlbs(crlb_report(sc, mod).crlb, want)
-    assert calls == targets
+
+    def refuse(*args):
+        raise AssertionError("per-target Schur complement on a nonsingular frame")
+
+    monkeypatch.setattr(bounds, "crlb", refuse)
+    rep = crlb_report(sc, mod)
+    assert not rep.singular and rep.crlb.keys() == want.keys()
+    assert_crlbs_are_exact(rep, Frame(sc, mod))
 
 
 def test_one_factor_route_skips_the_schur_complements(monkeypatch, ref8):
@@ -1143,86 +1149,151 @@ def test_report_verdict_equals_the_svd_verdict():
         assert abs(rep.min_sv_ratio - svd.min_sv_ratio) <= 1e-13, (sc, mod)
 
 
-def one_eigvalsh_per_target(fim, targets):
-    """The one-factor CRLBs with an eigvalsh of every target block."""
-    diag = np.diag(fim.data)
-    if not np.all(diag > 0.0):
-        return None
-    try:
-        low = np.linalg.cholesky(_equilibrated(fim.data, diag))
-    except np.linalg.LinAlgError:
-        return None
-    low_inv = np.linalg.inv(low)
-    inv = low_inv.T @ low_inv
-    if not np.all(np.diag(inv) * (bounds._ONE_FACTOR_MARGIN * bounds.RANK_RTOL) < 1.0):
-        return None
-    values = {}
-    for target in targets:
-        b = fim.layout.block_slice(target)
-        block = inv[b, b]
-        if not 1.0 / np.linalg.eigvalsh(block)[-1] > bounds.EFIM_FLOOR:
-            return None
-        values[target] = float(np.sum(np.diag(block) / diag[b]))
-    return values
+# ------------------------------------------------- the formulas against exact
+
+EPS = float(np.finfo(float).eps)
+#: the frame kinds a decoupling makes nonsingular, as frame_grid runs them
+NONSINGULAR_KINDS = ("sensing", "ppm-pilot", "bpsk-pilot", "ppm-diff")
+#: the formulas' own rounding, in ulps of the exact inverse of the exact
+#: I_theta: a few roundings of positive terms, whatever the conditioning
+FORMULA_ULPS = 8
 
 
-def planted_fim(n, seed, planted, depth, structured, log_scale, cuts):
-    """An SPD matrix with ``planted`` eigenvalues 10**depth, diagonal 10**log_scale
-    up to a factor of order one, cut into blocks at ``cuts``.
+def assembly_ulps(frame) -> int:
+    """Bound on the assembled I_theta's entry error on the equilibrated scale,
+    in ulps: the closed form and the differential product round each entry a
+    few times; J^T diag(lambda) J sums one term per eta entry into an entry,
+    and by Cauchy-Schwarz their magnitudes add up to at most sqrt(I_ii I_jj)."""
+    size = eta_size(frame)
+    product = (frame.modulation.decoupling != Decoupling.DIFFERENTIAL
+               and size <= bounds.PRODUCT_CHECK_MAX_ETA)
+    return 8 + (size if product else 0)
 
-    A structured one has +-1 planted directions spread evenly over every
-    entry and all other eigenvalues 1, so that its inverse's diagonal is
-    flat: a block trace can then pass 1 / EFIM_FLOOR while every entry
-    stays under the one-factor margin.
+
+def assert_crlbs_are_exact(report, frame):
+    """The report's CRLBs against both exact references.
+
+    Against the exact inverse of the exact I_theta, within FORMULA_ULPS.
+    Against the exact inverse of the float I_theta the report assembled,
+    within that plus what its assembly error E does to an inverse: with x =
+    ||E||_2 ||I~^-1||_2 on the equilibrated scale, each (I~^-1)_ii moves by at
+    most x / (1 - x) of itself, and ||E||_2 <= n max|E_ij|, which
+    :func:`assembly_ulps` bounds in turn.
     """
-    rng = np.random.default_rng(seed)
-    spread = (-1.0) ** (np.arange(n)[:, None] >> np.arange(planted))
-    lead = spread if structured else rng.standard_normal((n, planted))
-    q, _ = np.linalg.qr(np.column_stack([lead, rng.standard_normal((n, n - planted))]))
-    w = np.concatenate([np.full(planted, 10.0 ** depth),
-                        np.ones(n - planted) if structured else rng.uniform(0.5, 2.0, n - planted)])
-    root = np.sqrt(10.0 ** np.asarray(log_scale[:n]))
-    M = root[:, None] * ((q * w) @ q.T) * root[None, :]
-    edges = [0, *sorted(c for c in cuts if c < n), n]
-    layout = ParamLayout(tuple(Block(f"b{i}", hi - lo)
-                               for i, (lo, hi) in enumerate(zip(edges, edges[1:]))))
-    return LabeledMatrix(0.5 * (M + M.T), layout), [f"b{i}" for i in range(len(edges) - 1)]
+    fim = assemble_theta_fim(frame)
+    exact_fim = exact_theta_fim(frame)
+    root = np.sqrt(fim.data.diagonal())
+    error = max(float(abs(Fraction(x) - exact_fim[i][j])) / root[i] / root[j]
+                for (i, j), x in np.ndenumerate(fim.data))
+    assert error <= assembly_ulps(frame) * EPS
+    x = fim.size * error / np.linalg.eigvalsh(_equilibrated(fim.data, fim.data.diagonal()))[0]
+    assert x < 0.5
+    for exact, rel in ((exact_crlbs(exact_fim, fim.layout, report.crlb), FORMULA_ULPS * EPS),
+                       (exact_crlbs(fim.data, fim.layout, report.crlb),
+                        FORMULA_ULPS * EPS + x / (1.0 - x))):
+        for name, value in report.crlb.items():
+            assert abs(Fraction(value) - exact[name]) <= Fraction(rel) * exact[name], name
 
 
-#: one planted direction at 8.4e-9 fails EFIM_FLOOR only by eigvalsh; two at
-#: 1.5e-8 pass it only by eigvalsh; both blocks' traces exceed 1 / EFIM_FLOOR
-PAST_THE_TRACE = ({"planted": 1, "depth": float(np.log10(8.4e-9))},
-                  {"planted": 2, "depth": float(np.log10(1.5e-8))})
-WIDE_SCALE = [30.0, -30.0, 12.0, -7.0, 0.0, 25.0, -18.0, 3.0, -29.0, 8.0, 17.0, -1.0]
+@pytest.mark.parametrize("kind", NONSINGULAR_KINDS)
+def test_report_crlbs_are_exact_on_every_frame_grid_shape(kind):
+    for n_f in (8, 64, 256, 499, 500, 2048, 10 ** 5):
+        sc, mod = reference_scenario(n_f=n_f), make_modulation(kind, n_f)
+        rep = crlb_report(sc, mod)
+        assert not rep.singular
+        assert_crlbs_are_exact(rep, Frame(sc, mod))
 
 
-@pytest.mark.parametrize("case", PAST_THE_TRACE)
-def test_one_factor_trace_bound_falls_back_to_eigvalsh(case):
-    fim, targets = planted_fim(12, 0, structured=True, log_scale=WIDE_SCALE, cuts=(),
-                               **case)
-    diag = np.diag(fim.data)
-    inv = np.linalg.inv(_equilibrated(fim.data, diag))
-    assert np.max(np.diag(inv)) * bounds._ONE_FACTOR_MARGIN * bounds.RANK_RTOL < 1.0
-    assert np.trace(inv) * bounds.EFIM_FLOOR > 1.0
-    got = bounds._one_factor_crlbs(fim, targets)
-    want = one_eigvalsh_per_target(fim, targets)
-    assert (want is None) == (case["planted"] == 1)
-    assert (got if got is None else got[0]) == want
+@pytest.mark.parametrize("kind", NONSINGULAR_KINDS)
+def test_report_crlbs_are_exact_past_the_index_range(kind):
+    # counts past 2**63, and a BPSK pilot gap (2 pi t_f)**2 G past float64
+    # (n_f > 1e80) while I_theta stays finite: the gap is kept over c
+    for n_f in (10 ** 20, 10 ** 85, 10 ** 100):
+        sc, mod = reference_scenario(n_f=n_f), make_modulation(kind, n_f)
+        rep = crlb_report(sc, mod)
+        assert not rep.singular
+        assert_crlbs_are_exact(rep, Frame(sc, mod))
 
 
-@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1), planted=st.integers(0, 2),
-       depth=st.floats(-10.0, 0.0), structured=st.booleans(),
-       log_scale=st.lists(st.floats(-30.0, 30.0), min_size=12, max_size=12),
-       cuts=st.sets(st.integers(1, 11)))
-@example(n=12, seed=0, structured=True, log_scale=WIDE_SCALE, cuts=set(), **PAST_THE_TRACE[0])
-@example(n=12, seed=0, structured=True, log_scale=WIDE_SCALE, cuts=set(), **PAST_THE_TRACE[1])
-@settings(max_examples=200, deadline=None)
-def test_one_factor_trace_bound_equals_eigvalsh_per_target(n, seed, planted, depth,
-                                                           structured, log_scale, cuts):
-    fim, targets = planted_fim(n, seed, min(planted, n), depth, structured, log_scale, cuts)
-    got = bounds._one_factor_crlbs(fim, targets)
-    want = one_eigvalsh_per_target(fim, targets)
-    assert (got if got is None else got[0]) == want
+def drawn_frame(kind, n_f_p, sfd_weight, snr_db):
+    """A ``kind`` frame of n_f PRIs, p of them pilots, one path per SNR."""
+    n_f, p = n_f_p
+    sc = reference_scenario(n_f=n_f, n_paths=len(snr_db))
+    sc = dataclasses.replace(sc, paths=tuple(
+        dataclasses.replace(path, amp=amp_for_snr_db(snr, sc.t_f, sc.sigma2))
+        for path, snr in zip(sc.paths, snr_db)))
+    mod = make_modulation(kind, n_f)
+    if kind.endswith("pilot"):
+        mod = dataclasses.replace(mod, p_pilots=p, d_data=n_f - p)
+    return sc, dataclasses.replace(mod, sfd_weight=sfd_weight) if kind == "ppm-diff" else mod
+
+
+#: n_f from 3 (bpsk-pilot's least) to 1e6, with a pilot count p of one, of
+#: all but one PRI, or anything between
+FRAME_SPLITS = st.one_of(st.integers(3, 1000), st.integers(3, 10 ** 6)).flatmap(
+    lambda n: st.tuples(st.just(n), st.sampled_from((1, n - 1)) | st.integers(1, n - 1)))
+#: one SNR per path over 60 dB: amplitudes over three decades
+PATH_SNRS = st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=3)
+
+
+@given(kind=st.sampled_from(NONSINGULAR_KINDS), n_f_p=FRAME_SPLITS,
+       sfd_weight=st.floats(0.1, 10.0), snr_db=PATH_SNRS)
+@example(kind="ppm-pilot", n_f_p=(10 ** 6, 1), sfd_weight=1.0, snr_db=[-30.0, 30.0, 0.0])
+@example(kind="ppm-diff", n_f_p=(2048, 1), sfd_weight=0.1, snr_db=[-30.0, 0.0, 30.0])
+@settings(max_examples=60, deadline=None)
+def test_report_crlbs_are_exact(kind, n_f_p, sfd_weight, snr_db):
+    sc, mod = drawn_frame(kind, n_f_p, sfd_weight, snr_db)
+    rep = crlb_report(sc, mod)
+    assert not rep.singular
+    assert_crlbs_are_exact(rep, Frame(sc, mod))
+
+
+@given(kind=st.sampled_from(ALL_KINDS), n_f_p=FRAME_SPLITS, all_pilot=st.booleans(),
+       sfd_weight=st.floats(0.1, 10.0), snr_db=PATH_SNRS)
+@settings(max_examples=60, deadline=None)
+def test_a_crlb_is_missing_only_from_a_singular_report(kind, n_f_p, all_pilot, sfd_weight,
+                                                       snr_db):
+    n_f, p = n_f_p
+    sc, mod = drawn_frame(kind, (n_f, n_f if all_pilot else p), sfd_weight, snr_db)
+    rep = crlb_report(sc, mod)
+    if not rep.singular:
+        assert None not in rep.crlb.values(), rep.crlb
+        assert all(math.isfinite(v) and v > 0.0 for v in rep.crlb.values()), rep.crlb
+
+
+def test_nonsingular_report_factors_nothing(monkeypatch):
+    # the verdict's eigvalsh is the report's one LAPACK call: no Cholesky, no
+    # inverse, no per-target elimination and no SVD
+    frames = [(reference_scenario(n_f=n_f, n_paths=L), make_modulation(kind, n_f))
+              for kind in NONSINGULAR_KINDS for n_f in (2, 8, 500, 2048, 10 ** 5)
+              for L in (1, 2, 3)]
+    frames = [(sc, mod) for sc, mod in frames
+              if sc.n_f >= DECOUPLINGS[mod.scheme][mod.decoupling]]
+    assert len(frames) == 4 * 5 * 3 - 3  # no two-PRI BPSK split is nonsingular
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a nonsingular report factored its information matrix")
+
+    for module, name in ((np.linalg, "cholesky"), (np.linalg, "inv"),
+                         (bounds, "crlb"), (bounds, "singularity_report")):
+        monkeypatch.setattr(module, name, refuse)
+    for sc, mod in frames:
+        rep = crlb_report(sc, mod)
+        assert not rep.singular and None not in rep.crlb.values(), (sc.n_f, mod)
+
+
+def test_product_routes_read_no_arrow(monkeypatch, ref8):
+    # the cross-check is worth something only while J and the differential
+    # product state the data terms apart from the closed form's arrows
+    def refuse(*args):
+        raise AssertionError("a product route read the arrow record")
+
+    monkeypatch.setattr(bounds, "arrows", refuse)
+    for kind in ALL_KINDS:
+        jacobian_for(Frame(ref8, make_modulation(kind, 8)))
+    differential_pipeline(Frame(ref8, make_modulation("ppm-diff", 8)))
+    with pytest.raises(AssertionError, match="arrow record"):
+        closed_form_theta_fim(Frame(ref8, make_modulation("ppm-diff", 8)))
 
 
 def test_report_builds_no_eta_names(monkeypatch):
@@ -1353,3 +1424,16 @@ def test_decoupling_separates_the_sensing_and_data_domains(n_paths, n_f_p, snr_d
     mod = pilot(Scheme.PPM, p, d)
     assert comm_efim_ppm(sc, mod) == pytest.approx(
         efim(assemble_theta_fim(Frame(sc, mod)), "dtau_q")[0, 0], rel=1e-12)
+
+    # what the data costs, in closed form: the tau1 (PPM) or fd1 (BPSK) bound
+    # over its sensing value, with s the data PRIs' index sum and
+    # G = d sum_{k < n_f} k**2 - s**2 their exact Cauchy-Schwarz gap
+    l_tau, l_phi, _ = (lam.tolist() for lam in sc.per_pri_information)
+    s = d * (2 * p + d - 1) // 2
+    G = d * (n_f * (n_f - 1) * (2 * n_f - 1) // 6) - s * s
+    for got, want in ((ppm["tau1"] / sensing["tau1"], 1 + d * l_tau[0] / (p * sum(l_tau))),
+                      (diff["tau1"] / sensing["tau1"],
+                       1 + 4 * l_tau[0] / (sfd_weight * sum(l_tau))),
+                      (bpsk["fd1"] / sensing["fd1"], 1 + l_phi[0] * s * s / (G * sum(l_phi))),
+                      (ppm["dtau_q"] * comm_efim_ppm(sc, mod), 1.0)):
+        assert got == pytest.approx(want, rel=1e-12)

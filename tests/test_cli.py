@@ -16,12 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacbounds.model import DECOUPLINGS, ConfigError, Decoupling, ModulationConfig, Scheme
+from isacbounds.model import (DECOUPLINGS, ConfigError, Decoupling, Frame, ModulationConfig,
+                              Scheme)
 from isacbounds import bounds, cli, experiments
 from isacbounds.cli import CONFIG_KEYS
 from isacbounds.bounds import crlb_report
 from isacbounds.experiments import MAX_SWEEP_POINTS, data_rate, reference_scenario, with_snr
 from isacbounds.fim import LabeledMatrix
+
+from exact_reference import exact_crlbs, exact_theta_fim
 
 
 # ------------------------------------------------------------------ parsing
@@ -346,23 +349,33 @@ def test_bounds_singular_line_is_the_verdict_and_what_lifts_it(capsys, settings,
     assert ", min sv ratio 0.00e+00\n" in out
 
 
+#: one pilot against 1e8 - 1 data PRIs: within 1e-8 of singular, yet every
+#: CRLB is had, in closed form
+ONE_PILOT = ("scenario.n_f=1e8", "modulation.scheme=ppm", "modulation.decoupling=pilot",
+             "modulation.p_pilots=1", "modulation.d_data=99999999")
+
+
 @pytest.mark.parametrize("settings", [
     ("modulation.scheme=ppm", "modulation.d_data=8"),
     ("modulation.scheme=bpsk", "modulation.d_data=8"),
     ("scenario.n_f=1",),
-    ("scenario.n_f=1e8", "modulation.scheme=ppm", "modulation.decoupling=pilot",
-     "modulation.p_pilots=1", "modulation.d_data=99999999"),
+    ONE_PILOT,
 ])
 def test_bounds_prints_an_unavailable_crlb_without_a_cause(capsys, settings):
     cfg = cli.load_config(None, list(settings))
-    report = crlb_report(cli.build_scenario(cfg), cli.build_modulation(cfg))
+    scenario, modulation = cli.build_scenario(cfg), cli.build_modulation(cfg)
+    report = crlb_report(scenario, modulation)
     missing = [name for name, value in report.crlb.items() if value is None]
-    assert missing
+    assert bool(missing) == (settings != ONE_PILOT)
     cli.main(_bounds_args(settings))
     lines = capsys.readouterr().out.splitlines()
     for name in missing:
         assert f"crlb[{name}]: unavailable" in lines
     assert sum(ln.startswith("crlb[") and "unavailable" in ln for ln in lines) == len(missing)
+    if not missing:  # the exact tau1, to the seven digits printed
+        frame = Frame(scenario, modulation)
+        exact = exact_crlbs(exact_theta_fim(frame), frame.theta, ["tau1"])["tau1"]
+        assert f"crlb[tau1]: {float(exact):.6e}" in lines
 
 
 @pytest.mark.parametrize("delays", ["20ns", "20ns,40ns,60ns"])

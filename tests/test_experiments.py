@@ -337,12 +337,17 @@ def test_singular_row_error_is_the_verdict_whatever_the_outputs(kind):
     assert singular > 0
 
 
-def test_nonsingular_row_says_which_crlb_is_unavailable():
-    # one pilot against 1e8 - 1 data PRIs: I_theta has full rank, but its
-    # tau1 block fails the elimination
-    n_f = 10 ** 8
-    mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=1, d_data=n_f - 1)
-    spec = _pilot_spec(values=(0.0,), scenario=reference_scenario(n_f=n_f), modulation=mod)
+def test_nonsingular_row_says_which_crlb_is_unavailable(monkeypatch):
+    # a nonsingular report whose tau1 is missing: the row names the ranging
+    # CRLB, with no cause, and keeps the Doppler one
+    report = crlb_report
+
+    def without_tau1(*args):
+        rep = report(*args)
+        return dataclasses.replace(rep, crlb={**rep.crlb, "tau1": None}, range_crlb_m2=None)
+
+    monkeypatch.setattr(experiments, "crlb_report", without_tau1)
+    spec = _pilot_spec(values=(0.0,))
     (row,) = run_sweep(spec).rows
     assert math.isnan(row[1]) and math.isfinite(row[2])
     assert row[-1] == "ranging CRLB unavailable"
