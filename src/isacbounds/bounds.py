@@ -9,14 +9,14 @@ The pipeline is
 
 The stages take a :class:`~isacbounds.model.Frame`, which :func:`crlb_report`
 builds once from its scenario and modulation.  :func:`assemble_theta_fim` has
-one route per frame kind.  Differential frames run through
-:func:`differential_pipeline`; other frames form the product J^T diag(lambda) J
-from the diagonal of I_eta, in O(n_eta n_theta^2) and with no n_eta x n_eta
-matrix, while eta has at most ``PRODUCT_CHECK_MAX_ETA`` entries.  Either
-product is required to agree with :func:`closed_form_theta_fim`, built
-directly from the closed-form block expressions, entry-wise to 1e-10 of the
-geometric mean of their diagonal entries.  Larger non-differential frames
-return the closed form without a product.
+returns :func:`closed_form_theta_fim`, built directly from the closed-form
+block expressions, for every frame, and forms a product only to check it.
+Differential frames run through :func:`differential_pipeline`; other frames
+form J^T diag(lambda) J from the diagonal of I_eta, in O(n_eta n_theta^2) and
+with no n_eta x n_eta matrix, while eta has at most ``PRODUCT_CHECK_MAX_ETA``
+entries.  The product must agree with the closed form entry-wise to 1e-10 of
+the geometric mean of their diagonal entries; it is never returned.  Larger
+non-differential frames are not checked.
 
 Each domain of I_theta is an arrow read off lambda (:class:`Arrow`): in
 per-path coordinates a scaled diagonal plus one nuisance column, which one
@@ -74,8 +74,8 @@ from .jacobians import e_vector, h_matrix, jacobian_for
 
 RANK_RTOL = 1e-10
 
-#: above this eta size a non-differential frame skips the dense product and
-#: returns the closed-form assembly (verified against the product at smaller
+#: above this eta size a non-differential frame forms no product to check its
+#: closed-form assembly against (it is checked against the product at smaller
 #: sizes and against the numeric probe by the validation suite); differential
 #: frames are checked at every size
 PRODUCT_CHECK_MAX_ETA = 3000
@@ -445,11 +445,13 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
 # =========================================================================
 
 
-def _check_agreement(product: LabeledMatrix, closed: LabeledMatrix) -> None:
-    """Raise unless |P_ij - C_ij| <= AGREE_RTOL sqrt(C_ii C_jj) everywhere,
-    exactly where C_ii or C_jj is 0: on this equilibrated scale every block
-    counts alike, though delay entries are ~23 orders above Doppler ones."""
-    if apart := _first_apart(product.data, closed.data, closed.data.diagonal()):
+def _check_agreement(product: np.ndarray, closed: LabeledMatrix) -> None:
+    """Raise unless the product I_theta agrees with the closed form:
+    |P_ij - C_ij| <= AGREE_RTOL sqrt(C_ii C_jj) everywhere, exactly where C_ii
+    or C_jj is 0.  On this equilibrated scale every block counts alike, though
+    delay entries are ~23 orders above Doppler ones, and an asymmetric product
+    is seen as it departs from the symmetric closed form."""
+    if apart := _first_apart(product, closed.data, closed.data.diagonal()):
         i, j, diff, scale = apart
         names = closed.layout.names
         raise RuntimeError(
@@ -459,25 +461,30 @@ def _check_agreement(product: LabeledMatrix, closed: LabeledMatrix) -> None:
 
 
 def assemble_theta_fim(frame: Frame) -> LabeledMatrix:
-    """I_theta of a frame.
+    """I_theta of a frame: :func:`closed_form_theta_fim`, checked against a
+    product where one is formed.
 
-    Differential frames take :func:`differential_pipeline`; other frames
-    with at most ``PRODUCT_CHECK_MAX_ETA`` eta entries take J^T diag(lambda) J,
-    with lambda the diagonal of I_eta (its dense form is never built).
-    That product is returned after an entry-wise comparison with
-    :func:`closed_form_theta_fim` on the equilibrated scale at 1e-10, and a
-    mismatch raises.  Larger non-differential frames return the closed form.
+    Differential frames form :func:`differential_pipeline`; other frames
+    with at most ``PRODUCT_CHECK_MAX_ETA`` eta entries form J^T diag(lambda) J,
+    with lambda the diagonal of I_eta (its dense form is never built), and
+    refuse a NaN or +-inf entry of it with ConfigError.  The product is formed
+    first and compared entry-wise with the closed form on the equilibrated
+    scale at 1e-10; a mismatch raises.  Larger non-differential frames form no
+    product.  The closed form is returned on every route: it sums each entry
+    directly, so it is the nearer of the two to the exact I_theta.
     """
     if frame.modulation.decoupling == Decoupling.DIFFERENTIAL:
-        product = differential_pipeline(frame)
+        product = differential_pipeline(frame).data
     elif eta_size(frame) <= PRODUCT_CHECK_MAX_ETA:
         i_eta = observation_fim_analytic(frame.scenario, frame.modulation)
         J = jacobian_for(frame)
-        product = LabeledMatrix(_congruence(J, i_eta.diag, J), frame.theta)
+        product = _congruence(J, i_eta.diag, J)
+        _require_finite(product, frame.theta)
     else:
         return closed_form_theta_fim(frame)
-    _check_agreement(product, closed_form_theta_fim(frame))
-    return product
+    closed = closed_form_theta_fim(frame)
+    _check_agreement(product, closed)
+    return closed
 
 
 # =========================================================================

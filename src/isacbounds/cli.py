@@ -43,7 +43,6 @@ from .model import (
     Scheme,
     amp_for_snr_db,
     check_regulatory,
-    effective_bandwidth,
 )
 from .bounds import crlb_report
 from .experiments import (
@@ -283,7 +282,8 @@ def cmd_bounds(args) -> int:
     print(f"scheme={report.scheme} decoupling={report.decoupling} "
           f"n_f={scenario.n_f} L={scenario.n_paths} "
           f"p={data.start} d={data.stop - data.start}")
-    print(f"effective bandwidth: {effective_bandwidth(scenario.pulse) / 1e6:.1f} MHz")
+    print(f"effective bandwidth: {reg.bandwidth_hz / 1e6:.1f} MHz "
+          f"(-10 dB bandwidth {reg.bandwidth_10db_hz / 1e6:.1f} MHz)")
     print(f"regulatory: {reg.energy_per_window_j * 1e9:.3f} nJ per 1 ms "
           f"(limit {reg.limit_j * 1e9:.0f} nJ, per-pulse ceiling "
           f"{reg.e_tb_ceiling_j * 1e12:.2f} pJ) -> {'pass' if reg.passed else 'FAIL'}")

@@ -27,7 +27,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -55,7 +55,8 @@ MAX_WINDOW_SAMPLES = 1 << 24
 REG_ENERGY_LIMIT_J = 37e-9
 REG_WINDOW_S = 1e-3
 
-#: Minimum -10 dB bandwidth for a signal to count as UWB (informational).
+#: Minimum -10 dB bandwidth for a signal to count as UWB (47 CFR 15.503;
+#: informational).
 UWB_MIN_BANDWIDTH_HZ = 500e6
 
 
@@ -484,9 +485,15 @@ def theta_layout(scheme: Scheme, n_paths: int) -> ParamLayout:
     path 1; ``dtau_q`` is the common PPM data shift; ``phi_bpsk`` the common
     BPSK data phase.  The aggregate block ``"delay"`` spans tau1 + dtau (+
     dtau_q for PPM), the block ``"doppler"`` spans fd1 + dfd.  ConfigError
-    unless ``n_paths`` is an integer >= 1.
+    unless ``n_paths`` is an integer >= 1.  Each (scheme, n_paths) layout is
+    built once and shared, as every frame of that shape reads the same one.
     """
     _check_count("n_paths", n_paths, 1)
+    return _theta_layout(scheme, operator.index(n_paths))
+
+
+@lru_cache(maxsize=64, typed=True)
+def _theta_layout(scheme: Scheme, n_paths: int) -> ParamLayout:
     offsets = n_paths - 1
     segments = [_TAU1, Block("dtau", offsets, 2)]
     if scheme == Scheme.PPM:
@@ -525,8 +532,10 @@ class Frame:
     reference slot, else 0; ``slots`` = ref + n_f pulse slots, the first
     ``split`` = ref + p_pilots before the split.  PPM data pulses, at
     tau_l0 + xi_ppm, keep their support inside the PRI (LeakageError).  The
-    theta and eta layouts, the eta ``slot_map`` and the ``pulses`` at the
-    default data word are built on first read and live as long as the frame.
+    theta layout is the one :func:`theta_layout` shares among frames of its
+    scheme and path count; the eta layout, the eta ``slot_map`` and the
+    ``pulses`` at the default data word are built on first read and live as
+    long as the frame.
     Equality and hash cover the scenario and modulation only.
     """
 
@@ -839,7 +848,14 @@ def amp_for_snr_db(snr_db: float, t_f: float, sigma2: float) -> float:
 
 @dataclass(frozen=True)
 class RegulatoryReport:
-    """Energy-budget report for the 37 nJ / 1 ms UWB limit."""
+    """Energy-budget report for the 37 nJ / 1 ms UWB limit.
+
+    ``bandwidth_hz`` is the effective (RMS) bandwidth, which
+    ``meets_uwb_floor`` compares with the 500 MHz floor.  47 CFR 15.503 states
+    that floor in the -10 dB bandwidth, ``bandwidth_10db_hz``: the band where
+    the energy spectrum |W(f)|**2 ~ exp(-4 pi**2 alpha**2 f**2) is within
+    10 dB of its peak, sqrt(ln 10) / (pi alpha) (2.415 GHz at alpha = 0.2 ns).
+    """
 
     pulses_per_window: float
     energy_per_window_j: float
@@ -849,6 +865,7 @@ class RegulatoryReport:
     passed: bool
     bandwidth_hz: float
     meets_uwb_floor: bool
+    bandwidth_10db_hz: float
 
 
 def check_regulatory(scenario: ScenarioConfig) -> RegulatoryReport:
@@ -871,4 +888,5 @@ def check_regulatory(scenario: ScenarioConfig) -> RegulatoryReport:
         passed=bool(energy <= REG_ENERGY_LIMIT_J * (1.0 + 1e-12)),
         bandwidth_hz=bw,
         meets_uwb_floor=bool(bw >= UWB_MIN_BANDWIDTH_HZ),
+        bandwidth_10db_hz=math.sqrt(math.log(10.0)) / (math.pi * scenario.pulse.alpha),
     )

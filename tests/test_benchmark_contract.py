@@ -104,8 +104,10 @@ def test_traced_frame_grid_contract():
             assert {"bounds.differential_pipeline", "bounds.closed_form_theta_fim"} <= set(children), n_f
         elif n_f <= 64:
             # the product route reads the diagonal I_eta from the function
-            # whose span the frame_grid contract requires
-            assert "fim.observation_fim_analytic" in children, (n_f, kind)
+            # whose span the frame_grid contract requires, and its product
+            # stays a checked child beside the closed form it checks
+            assert {"fim.observation_fim_analytic", "jacobians.jacobian_for",
+                    "bounds.closed_form_theta_fim"} <= set(children), (n_f, kind)
     # the Jacobian is filled block by block from ETA_BLOCKS, not built PRI by PRI
     jacobian_spans = dict(zip(TRACED_CALLS, out["jacobians"]))
     for kind in NON_DIFFERENTIAL:

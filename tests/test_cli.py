@@ -275,6 +275,7 @@ def test_bounds_default_run(capsys):
     assert "scheme=sensing" in out
     assert "root range crlb: 9.480270e-04 m" in out
     assert "regulatory" in out and "-> pass" in out
+    assert "effective bandwidth: 562.7 MHz (-10 dB bandwidth 2415.1 MHz)" in out
     assert "rank 9" in out
 
 

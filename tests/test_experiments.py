@@ -15,6 +15,7 @@ from isacbounds.model import (
     Decoupling,
     Frame,
     ModulationConfig,
+    SPEED_OF_LIGHT,
     Scheme,
     received_snr,
 )
@@ -582,6 +583,25 @@ def test_pareto_rows_equal_their_single_point_reports():
         assert rate == data_rate(frame, mod)
         assert rng == math.sqrt(crlb_report(frame, mod).range_crlb_m2)
         assert error == ""
+
+
+@pytest.mark.parametrize("n_total", (16, 64))
+@pytest.mark.parametrize("n_paths", (1, 3))
+def test_pareto_rows_lie_on_the_closed_form_frontier(n_total, n_paths):
+    # rate = d / (n t_f), range CRLB = c**2 (1 / lambda_tau1 + d / (p S)) / n
+    # with S = sum_l lambda_tau,l and p = n - d; the all-pilot row (d = 0) is
+    # the sensing frame's c**2 / (n lambda_tau1)
+    sc = reference_scenario(n_paths=n_paths)
+    tab = pareto_table(sc, n_total=n_total, snr_db=3.0)
+    l_tau = with_snr(with_frame(sc, n_total), 3.0).per_pri_information[0].tolist()
+    assert [row[:2] for row in tab.rows] == [(p, n_total - p) for p in range(1, n_total + 1)]
+    for p, d, rate, rng, error in tab.rows:
+        assert rate == pytest.approx(d / (n_total * sc.t_f), rel=1e-12)
+        want = SPEED_OF_LIGHT * math.sqrt((1.0 / l_tau[0] + d / (p * sum(l_tau))) / n_total)
+        assert rng == pytest.approx(want, rel=1e-12), (p, d)
+        assert error == ""
+    sensing = crlb_report(with_snr(with_frame(sc, n_total), 3.0), ModulationConfig(Scheme.SENSING))
+    assert tab.rows[-1][3] == pytest.approx(math.sqrt(sensing.range_crlb_m2), rel=1e-12)
 
 
 def test_result_table_values_turn_a_non_numeric_cell_into_nan():

@@ -537,6 +537,30 @@ def test_theta_layout_structures():
             theta_layout(scheme, n_paths)
 
 
+def test_theta_layout_is_built_once_per_scheme_and_path_count(monkeypatch):
+    shapes = [shape for kind in ALL_KINDS for shape in frame_shapes(kind, (2, 8, 500))]
+    for sc, mod in shapes:
+        layout = theta_layout(mod.scheme, sc.n_paths)
+        assert Frame(sc, mod).theta is layout
+        assert Frame(sc, mod).theta is layout, "a second frame of the shape"
+    assert theta_layout(Scheme.PPM, np.int64(3)) is theta_layout(Scheme.PPM, 3)
+
+    # a report of a shape seen before lays out only its eta
+    built = []
+    post_init = ParamLayout.__post_init__
+    monkeypatch.setattr(ParamLayout, "__post_init__",
+                        lambda self: (built.append(self.segments[0]), post_init(self)))
+    for sc, mod in shapes:
+        crlb_report(sc, mod)
+    assert built and not [first for first in built if first.name == "tau1"]
+
+    # the memo sees only checked counts: a bool, a non-integer or an
+    # unhashable value is refused as before, not keyed or hashed
+    for n_paths in (True, 0, 2.5, [3]):
+        with pytest.raises(ConfigError, match="n_paths must be an integer >= 1"):
+            theta_layout(Scheme.SENSING, n_paths)
+
+
 def test_eta_layout_structures():
     lay = eta_layout(Decoupling.NONE, 2, 3)
     # tau block, one phase block per PRI, amp block
@@ -737,6 +761,22 @@ def test_regulatory_boundary_passes_exactly():
     assert abs(rep.margin_j) <= 1e-9 * rep.limit_j
     assert rep.meets_uwb_floor
     assert rep.bandwidth_hz == pytest.approx(562.7e6, rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha", (0.2e-9, 0.3e-9))
+def test_regulatory_reports_the_minus_10_db_bandwidth(alpha):
+    # 47 CFR 15.503's bandwidth: the band where the energy spectrum, here
+    # the Fourier integral of the pulse by quadrature, is 10 dB below its
+    # peak; the floor itself keeps its RMS reading
+    rep = check_regulatory(_scenario(pulse=PulseShape(alpha=alpha)))
+    spectrum = lambda f: quad(lambda t: _gauss(t, alpha) * math.cos(2 * math.pi * f * t),
+                              -10 * alpha, 10 * alpha, epsabs=0.0)[0] ** 2
+    assert spectrum(rep.bandwidth_10db_hz / 2) / spectrum(0.0) == pytest.approx(0.1, rel=1e-9)
+    assert rep.bandwidth_10db_hz == pytest.approx(
+        math.sqrt(math.log(10.0)) / (math.pi * alpha), rel=1e-12)
+    if alpha == 0.2e-9:
+        assert rep.bandwidth_10db_hz == pytest.approx(2.4151e9, rel=1e-4)
+    assert rep.meets_uwb_floor == (rep.bandwidth_hz >= 500e6)
 
 
 def test_regulatory_fails_above_limit():
