@@ -8,15 +8,15 @@ The pipeline is
       -> CRLB(block) = tr(EFIM^{-1})    (and c**2 * CRLB(tau1) for ranging).
 
 The stages take a :class:`~isacbounds.model.Frame`, which :func:`crlb_report`
-builds once from its scenario and modulation.  :func:`assemble_theta_fim` has
+builds once from its scenario and modulation.  :func:`assemble_theta_fim`
 returns :func:`closed_form_theta_fim`, built directly from the closed-form
 block expressions, for every frame, and forms a product only to check it.
-Differential frames run through :func:`differential_pipeline`; other frames
-form J^T diag(lambda) J from the diagonal of I_eta, in O(n_eta n_theta^2) and
-with no n_eta x n_eta matrix, while eta has at most ``PRODUCT_CHECK_MAX_ETA``
-entries.  The product must agree with the closed form entry-wise to 1e-10 of
-the geometric mean of their diagonal entries; it is never returned.  Larger
-non-differential frames are not checked.
+Differential frames run through :func:`differential_pipeline` at every size;
+other frames form J^T diag(lambda) J from the diagonal of I_eta, in
+O(n_eta n_theta^2) and with no n_eta x n_eta matrix, up to
+``PRODUCT_CHECK_MAX_ETA`` eta entries.  Either product, a bare array refused
+where formed if not finite, must agree with the closed form entry-wise to
+1e-10 of the geometric mean of their diagonal entries; it is never returned.
 
 Each domain of I_theta is an arrow read off lambda (:class:`Arrow`): in
 per-path coordinates a scaled diagonal plus one nuisance column, which one
@@ -406,7 +406,7 @@ def zero_reference_cross(i_diffseq: LabeledMatrix) -> LabeledMatrix:
     return LabeledMatrix(data, layout)
 
 
-def differential_pipeline(frame: Frame) -> LabeledMatrix:
+def differential_pipeline(frame: Frame) -> np.ndarray:
     """I_theta of a differential frame, J^T I_diffseq J summed per PRI.
 
     After the cut, PRI k contributes the (delta_k, t_k) block, with w the
@@ -415,7 +415,8 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
     J_k = [[0 | E], [H | E]], its phases Lam_phi through the Doppler ramp
     slope_k H, and the amplitudes n_f Lam_alpha once: O(L^3) time.  The
     squared slopes sum to :func:`~isacbounds.fim.coeff_b_full`, inf only past
-    float64 (LabeledMatrix refuses that entry).
+    float64.  Returns the plain array that ``frame.theta`` names; a NaN or
+    +-inf entry raises ConfigError naming it.
     """
     scenario, modulation, layout = frame.scenario, frame.modulation, frame.theta
     if modulation.decoupling != Decoupling.DIFFERENTIAL:
@@ -430,14 +431,15 @@ def differential_pipeline(frame: Frame) -> LabeledMatrix:
 
     M = np.zeros((layout.size, layout.size))
     delay, doppler, amp = (layout.block_slice(b) for b in ("delay", "doppler", "amp"))
-    with np.errstate(over="ignore", invalid="ignore"):  # LabeledMatrix refuses inf/NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
         B = np.empty((2 * L, 2 * L))  # [[(w+1) lam, lam], [lam, lam]]
         B[:L, :L] = (modulation.sfd_weight + 1.0) * lam
         B[:L, L:] = B[L:, :L] = B[L:, L:] = lam
         M[delay, delay] = n_f * (J_k.T @ B @ J_k)
         M[doppler, doppler] = coeff_b_full(scenario.t_f, n_f) * _congruence(H, l_phi, H)
         M[amp, amp] = np.diag(n_f * l_alpha)
-    return LabeledMatrix(M, layout)
+    _require_finite(M, layout)
+    return M
 
 
 # =========================================================================
@@ -466,15 +468,16 @@ def assemble_theta_fim(frame: Frame) -> LabeledMatrix:
 
     Differential frames form :func:`differential_pipeline`; other frames
     with at most ``PRODUCT_CHECK_MAX_ETA`` eta entries form J^T diag(lambda) J,
-    with lambda the diagonal of I_eta (its dense form is never built), and
-    refuse a NaN or +-inf entry of it with ConfigError.  The product is formed
-    first and compared entry-wise with the closed form on the equilibrated
-    scale at 1e-10; a mismatch raises.  Larger non-differential frames form no
-    product.  The closed form is returned on every route: it sums each entry
-    directly, so it is the nearer of the two to the exact I_theta.
+    with lambda the diagonal of I_eta (its dense form is never built).  Either
+    product is a bare array, refused with ConfigError where it is formed if an
+    entry is NaN or +-inf, and compared once, entry-wise, with the closed form
+    on the equilibrated scale at 1e-10; a mismatch raises.  Larger
+    non-differential frames form no product.  The closed form is returned on
+    every route: it sums each entry directly, so it is the nearer of the two
+    to the exact I_theta.
     """
     if frame.modulation.decoupling == Decoupling.DIFFERENTIAL:
-        product = differential_pipeline(frame).data
+        product = differential_pipeline(frame)
     elif eta_size(frame) <= PRODUCT_CHECK_MAX_ETA:
         i_eta = observation_fim_analytic(frame.scenario, frame.modulation)
         J = jacobian_for(frame)
@@ -567,16 +570,15 @@ def comm_efim_ppm(scenario: ScenarioConfig, modulation: ModulationConfig) -> flo
     Defined for the pilot split with at least one pilot and one data PRI
     (without pilots the shift is inseparable from the delays).  Eliminating
     the delays from the frame's p pilot and d data PRIs leaves
-    sum_l lambda_tau,l * p d / (p + d), in closed form: it scales linearly
-    with SNR and stays below the data PRIs' own d * sum_l lambda_tau,l, the
-    cost of the sensing nuisance.  ConfigError past float64.
+    sum_l lambda_tau,l * p d / n_f, the gap of its delay :func:`arrows`: it scales
+    linearly with SNR and stays below the data PRIs' own d * sum_l lambda_tau,l,
+    the cost of the sensing nuisance.  ConfigError past float64.
     """
     if modulation.scheme != Scheme.PPM or modulation.decoupling != Decoupling.PILOT:
         raise ConfigError("comm_efim_ppm is defined for pilot-decoupled PPM")
-    data = Frame(scenario, modulation).data
-    p, d = data.start, data.stop - data.start
-    if d < 1:
+    frame = Frame(scenario, modulation)
+    if not frame.data:
         raise ConfigError("comm_efim_ppm needs at least one data PRI")
-    value = sum(scenario.per_pri_information[0].tolist()) * (p * d / (p + d))
+    value = sum(scenario.per_pri_information[0].tolist()) * arrows(frame)[0].gap
     _require_finite(np.array([value]), ("dtau_q",))
     return value

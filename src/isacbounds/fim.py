@@ -107,23 +107,21 @@ def _require_finite(values: np.ndarray, labels: ParamLayout | Sequence[str]) -> 
 class LabeledMatrix:
     """Square matrix addressed by the named blocks of a ParamLayout.
 
-    Symmetry is checked pair by pair against the diagonal:
-    |M_ij - M_ji| <= AGREE_RTOL sqrt(|M_ii M_jj|), exactly where a diagonal
-    entry is 0, so a skew block of small units is seen next to a block some
-    orders of magnitude larger.
+    Unless M is exactly its transpose, symmetry is checked pair by pair against
+    the diagonal: |M_ij - M_ji| <= AGREE_RTOL sqrt(|M_ii M_jj|), exactly where a
+    diagonal entry is 0, so a skew block of small units is seen next to a block
+    some orders of magnitude larger.
     """
 
     data: np.ndarray
     layout: ParamLayout
 
     def __post_init__(self):
-        n = self.layout.size
-        if self.data.shape != (n, n):
-            raise ConfigError(
-                f"matrix shape {self.data.shape} does not match layout size {n}"
-            )
-        _require_finite(self.data, self.layout)
-        if apart := _first_apart(self.data, self.data.T, self.data.diagonal()):
+        M, n = self.data, self.layout.size
+        if M.shape != (n, n):
+            raise ConfigError(f"matrix shape {M.shape} does not match layout size {n}")
+        _require_finite(M, self.layout)
+        if not (M == M.T).all() and (apart := _first_apart(M, M.T, M.diagonal())):
             i, j, skew, scale = apart
             names = self.layout.names
             raise ConfigError(

@@ -516,9 +516,9 @@ def eta_layout(decoupling: Decoupling, n_paths: int, n_f: int) -> ParamLayout:
     """
     _check_count("n_paths", n_paths, 1)
     _check_count("n_f", n_f, 1)
-    return ParamLayout(tuple(Block(name, n_paths) if aggregate is None
-                             else PerPri(name, n_f, n_paths, aggregate)
-                             for name, _, _, aggregate in ETA_BLOCKS[decoupling]))
+    return ParamLayout(tuple(PerPri(name, n_f, n_paths, aggregate) if drives == RUN
+                             else Block(name, n_paths)
+                             for name, _, drives, aggregate in ETA_BLOCKS[decoupling]))
 
 
 @dataclass(frozen=True)

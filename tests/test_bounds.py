@@ -523,7 +523,7 @@ def test_assembly_returns_the_closed_form():
 
 def test_assembly_checks_each_product_once(monkeypatch):
     # the product is formed first, compared once as a bare array and never
-    # wrapped: the only LabeledMatrix the J route builds is the closed form
+    # wrapped: the only LabeledMatrix either route builds is the closed form
     calls, wrapped = [], []
 
     def spy(name):
@@ -562,7 +562,7 @@ def test_assembly_checks_each_product_once(monkeypatch):
             assert names == [route, "closed_form_theta_fim", "_check_agreement"], (sc, mod)
             product, closed = calls[-1][1]
             assert type(product) is np.ndarray and isinstance(closed, LabeledMatrix)
-            assert len(wrapped) == (2 if route == "differential_pipeline" else 1)
+            assert len(wrapped) == 1
     assert routes == {"differential_pipeline", "jacobian_for", None}
 
 
@@ -661,8 +661,8 @@ def test_overflowing_sfd_weight_is_a_config_error():
 
 @pytest.mark.parametrize("kind", ("sensing", "ppm-pilot", "ppm-diff"))
 def test_a_frame_past_float64_is_a_config_error_without_warnings(kind):
-    # the closed-form products overflow quietly and LabeledMatrix names the
-    # first inf entry
+    # the products overflow quietly and the first finite check to see an inf
+    # entry names it
     n_f = 10 ** 300
     mod = make_modulation(kind, n_f)
     with warnings.catch_warnings():
@@ -735,11 +735,12 @@ def test_structured_differential_matches_dense_chain(n_paths):
         mod = make_modulation("ppm-diff", n_f)
         for w in (0.5, 1.0, 4.0):
             weighted = dataclasses.replace(mod, sfd_weight=w)
-            fast = differential_pipeline(Frame(sc, weighted))
+            frame = Frame(sc, weighted)
+            fast = differential_pipeline(frame)
             i_eta = observation_fim_analytic(sc, weighted)
             dense = differential_chain(sc, i_eta).i_theta
-            assert fast.layout.names == dense.layout.names
-            assert equilibrated_deviation(fast.data, dense.data) < 1e-12, (n_f, w)
+            assert frame.theta.names == dense.layout.names
+            assert equilibrated_deviation(fast, dense.data) < 1e-12, (n_f, w)
 
 
 def test_differential_chain_rejects_a_foreign_layout():
@@ -757,7 +758,8 @@ def test_differential_pipeline_builds_dense_chain_only_on_request():
     frame = Frame(sc, mod)
     fim = differential_pipeline(frame)
     closed = closed_form_theta_fim(frame)
-    assert equilibrated_deviation(fim.data, closed.data) < 1e-12
+    assert type(fim) is np.ndarray
+    assert equilibrated_deviation(fim, closed.data) < 1e-12
 
 
 def test_differential_ramp_sum_runs_in_bounded_memory():
@@ -780,12 +782,14 @@ def test_differential_ramp_sum_is_exact(n_f):
     # fd1 carries l_phi times sum_kappa (kappa s_1)**2, s_1 = ramp_slope(1, t_f),
     # to the few roundings of forming it
     sc = reference_scenario(n_f=n_f, n_paths=1)
-    fim = differential_pipeline(Frame(sc, make_modulation("ppm-diff", n_f)))
+    frame = Frame(sc, make_modulation("ppm-diff", n_f))
+    fim = differential_pipeline(frame)
     squares = Fraction(n_f * (n_f - 1) * (2 * n_f - 1), 6)
     if n_f <= 2 ** 17:
         assert squares == sum(kappa * kappa for kappa in range(n_f))
     exact = squares * Fraction(ramp_slope(1, sc.t_f)) ** 2 * Fraction(sc.per_pri_information[1][0])
-    got = Fraction(fim.block("fd1")[0, 0])
+    fd1 = frame.theta.block("fd1")[0]
+    got = Fraction(fim[fd1, fd1])
     assert abs(got - exact) <= 4 * Fraction(np.finfo(float).eps) * exact
 
 
@@ -952,6 +956,20 @@ def test_comm_efim_matches_exact_arithmetic(n_f, n_paths):
     assert abs(Fraction(comm_efim_ppm(sc, mod)) - exact) <= Fraction(1, 10 ** 14) * exact
 
 
+@pytest.mark.parametrize("n_f", [2, 8, 997, 10 ** 8, 10 ** 20])
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+def test_comm_efim_is_the_exact_pilot_gap(n_f, n_paths):
+    # sum_l lambda_tau,l * p d / n_f in Fraction arithmetic, for one and two
+    # pilots and for one data PRI
+    sc = reference_scenario(n_f=n_f, n_paths=n_paths)
+    total = sum(Fraction(x) for x in sc.per_pri_information[0].tolist())
+    for p in sorted({1, 2, n_f - 1} - {n_f}):
+        mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=p, d_data=n_f - p)
+        exact = total * p * (n_f - p) / n_f
+        got = Fraction(comm_efim_ppm(sc, mod))
+        assert abs(got - exact) <= 4 * Fraction(math.ulp(float(exact))), (n_f, p)
+
+
 def test_comm_efim_past_float64_is_a_config_error():
     n_f = 10 ** 300
     mod = ModulationConfig(Scheme.PPM, Decoupling.PILOT, p_pilots=n_f // 2, d_data=n_f // 2)
@@ -1071,17 +1089,19 @@ def test_zero_reference_cross_touches_only_cross_terms():
 
 def test_differential_theta_blocks_closed_form():
     sc = reference_scenario(n_f=4, n_paths=3)
-    fim = differential_pipeline(Frame(sc, make_modulation("ppm-diff", 4)))
+    frame = Frame(sc, make_modulation("ppm-diff", 4))
+    fim = differential_pipeline(frame)
+    tau1, dtau_q = (frame.theta.block_slice(name) for name in ("tau1", "dtau_q"))
     lam = np.diag(lam_per_pri(sc))
     H, E = h_matrix(3), e_vector(3)
     n_f = 4
-    np.testing.assert_allclose(fim.block("tau1", "tau1"),
+    np.testing.assert_allclose(fim[tau1, tau1],
                                (n_f * H.T @ lam @ H)[:1, :1], rtol=1e-12)
-    tt = fim.data[:3, :3]
+    tt = fim[:3, :3]
     np.testing.assert_allclose(tt, n_f * H.T @ lam @ H, rtol=1e-12)
-    np.testing.assert_allclose(fim.block("dtau_q", "dtau_q"),
+    np.testing.assert_allclose(fim[dtau_q, dtau_q],
                                5.0 * n_f * E.T @ lam @ E, rtol=1e-12)
-    tq = fim.data[:3, 3:4]
+    tq = fim[:3, 3:4]
     np.testing.assert_allclose(tq, 2.0 * n_f * H.T @ lam @ E, rtol=1e-12)
 
 

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from isacbounds.model import (
     DECOUPLINGS,
+    ETA_BLOCKS,
     Block,
     ConfigError,
     Decoupling,
@@ -604,6 +605,18 @@ def test_eta_size_matches_layout(kind):
         assert eta_size(frame) == layout.size
         if sc.n_f <= 8:
             assert layout.size == len(layout.names)
+
+
+def test_eta_layout_lays_out_a_run_by_the_slots_it_drives(monkeypatch):
+    # the last field of an ETA_BLOCKS entry only names a run's aggregate: a
+    # run without one still holds n_f blocks, as eta_size counts it
+    for decoupling, blocks in ETA_BLOCKS.items():
+        monkeypatch.setitem(ETA_BLOCKS, decoupling,
+                            tuple((name, kind, drives, None) for name, kind, drives, _ in blocks))
+    for kind in ALL_KINDS:
+        for sc, mod in frame_shapes(kind, (1, 2, 8), n_paths=(1, 3)):
+            frame = Frame(sc, mod)
+            assert eta_size(frame) == frame.eta.size == len(frame.eta.names), (sc.n_f, kind)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
