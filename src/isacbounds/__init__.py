@@ -35,7 +35,6 @@ from .model import (
 from .signals import mean_jacobian, mean_vector
 from .fim import (
     DiagonalMatrix,
-    FdSteps,
     LabeledMatrix,
     observation_fim_analytic,
     observation_fim_numeric,
@@ -75,7 +74,7 @@ __all__ = [
     "amp_for_snr", "check_regulatory", "effective_bandwidth", "received_snr",
     "sample_pulse",
     "mean_jacobian", "mean_vector",
-    "DiagonalMatrix", "FdSteps", "LabeledMatrix",
+    "DiagonalMatrix", "LabeledMatrix",
     "observation_fim_analytic", "observation_fim_numeric",
     "e_vector", "h_matrix",
     "CoupledParametersError", "CrlbReport", "SingularityReport",

@@ -24,6 +24,10 @@ symmetric pulse makes the arrival-time / amplitude cross information exactly
 zero, so :func:`observation_fim_analytic` returns I_eta as its diagonal, a
 :class:`DiagonalMatrix` whose dense form is built only on request.
 
+The probe :func:`observation_fim_numeric` steps phases by ``PHASE_STEP`` rad,
+amplitudes by ``AMP_STEP`` of their value and arrival times by ``DELAY_STEP``
+pulse widths, so its truncation error, (h / alpha)**2, is the same at any width.
+
 The ramp sums of the assembly (:mod:`isacbounds.bounds`) also live here: the
 one statement of the sum of ``(2 pi kappa t_f)**2`` over the frame,
 :func:`coeff_b_full`, and :func:`coeff_a_range`, ``2 pi kappa t_f`` over a PRI range.
@@ -248,16 +252,9 @@ def observation_fim_analytic(scenario: ScenarioConfig,
 # =========================================================================
 
 
-@dataclass(frozen=True)
-class FdSteps:
-    """Central-difference step sizes for the numeric probe."""
-
-    delay: float = 1e-13    # seconds, for arrival-time entries
-    phase: float = 1e-7     # radians
-    amp_rel: float = 1e-7   # relative, for amplitude entries
-
-
-DEFAULT_FD = FdSteps()
+DELAY_STEP = 5e-4  # pulse widths
+PHASE_STEP = 1e-7  # rad
+AMP_STEP = 1e-7    # of the amplitude
 
 
 def _probe_ranges(scenario: ScenarioConfig, index: np.ndarray,
@@ -278,14 +275,16 @@ def _probe_ranges(scenario: ScenarioConfig, index: np.ndarray,
     return firsts.min(axis=1).tolist(), (firsts.max(axis=1) + width).tolist()
 
 
-def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConfig,
-                            steps: FdSteps = DEFAULT_FD) -> LabeledMatrix:
+def observation_fim_numeric(scenario: ScenarioConfig,
+                            modulation: ModulationConfig) -> LabeledMatrix:
     """I_eta via central differences of the mean vector.
 
     Independent of the closed forms (the mean is re-evaluated at shifted
     parameter values); used to cross-check the analytic path.  The frame's
-    slot map gives each entry's step (by its kind: delay, phase or
-    amplitude) and the slots it drives.  Only those slots are
+    slot map gives each entry's step by its kind: ``DELAY_STEP`` pulse widths,
+    for a truncation error (h / alpha)**2 that is the same at every width,
+    ``PHASE_STEP`` rad or ``AMP_STEP`` of the amplitude; a step that is not
+    finite and > 0 is refused by name.  Only the slots an entry drives are
     re-evaluated: the others cancel exactly in the difference.  Slots occupy
     disjoint samples, so I_eta is the sum over slots of the Gram block
     Re(B_s^H B_s) / sigma2 of the columns B_s of the entries slot s touches.
@@ -323,7 +322,7 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     named[index[known]] = True
     eta0 = eta_point(frame)
     h = np.zeros(size)
-    for rows, step in zip(index, (steps.delay, steps.phase, steps.amp_rel)):
+    for rows, step in zip(index, (DELAY_STEP * scenario.pulse.alpha, PHASE_STEP, AMP_STEP)):
         h[rows[rows >= 0]] = step
     amp = index[AMP][known[AMP]]
     h[amp] *= np.abs(eta0[amp])  # relative amplitude steps
@@ -352,7 +351,8 @@ def observation_fim_numeric(scenario: ScenarioConfig, modulation: ModulationConf
     if wiped.size:
         bad = [layout.names[i] for i in wiped]
         raise ConfigError(
-            f"finite-difference step wiped out the diagonal for {bad}: a step below "
-            "the float spacing of its entry moves nothing; raise the step sizes"
+            f"finite-difference probe wiped out the diagonal for {bad}: a step below the "
+            "float spacing of its entry moves nothing, and the squared difference of a "
+            "signal too weak for float64 underflows"
         )
     return LabeledMatrix(M, layout)

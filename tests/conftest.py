@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from isacbounds import fim
 from isacbounds.model import Decoupling, ModulationConfig, Scheme, _pulse_values
 from isacbounds.experiments import reference_scenario
 
@@ -53,6 +54,16 @@ def frame_shapes(kind: str, n_fs, n_paths=(1, 2, 3)):
         for L in n_paths:
             for mod in mods:
                 yield reference_scenario(n_f=n_f, n_paths=L), mod
+
+
+def fd_step(sc, name: str, value: float) -> float:
+    """The numeric probe's central-difference step for an eta entry, chosen by
+    its name, read from the ``fim`` constants at call time."""
+    if name.startswith(("tau", "t_")):
+        return fim.DELAY_STEP * sc.pulse.alpha
+    if name.startswith("phi"):
+        return fim.PHASE_STEP
+    return fim.AMP_STEP * abs(value)
 
 
 def default_word(frame) -> np.ndarray:

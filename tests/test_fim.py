@@ -36,9 +36,7 @@ from isacbounds.model import (
 )
 from isacbounds import fim, model, signals
 from isacbounds.fim import (
-    DEFAULT_FD,
     DiagonalMatrix,
-    FdSteps,
     LabeledMatrix,
     coeff_a_range,
     coeff_b_full,
@@ -50,7 +48,8 @@ from isacbounds.experiments import fim_deviation, reference_scenario, with_snr
 from isacbounds.jacobians import ramp_slope
 from isacbounds.signals import eta_point, mean_from_eta, mean_jacobian
 
-from conftest import ALL_KINDS, EDGE_ALPHA_FS, frame_shapes, make_modulation, sym_eigs
+from conftest import (ALL_KINDS, EDGE_ALPHA_FS, fd_step, frame_shapes, make_modulation,
+                      sym_eigs)
 
 
 # ------------------------------------------------------------- ramp coefficients
@@ -339,16 +338,7 @@ def test_sampled_reference_pulse_carries_the_sfd_weight(weight, n_paths, f_s):
     assert fim_deviation((jac.conj().T @ jac).real / sc.sigma2, ana) < 1e-12
 
 
-def _fd_step(name, value, steps=DEFAULT_FD):
-    # the probe's step for an entry, chosen by its name
-    if name.startswith(("tau", "t_")):
-        return steps.delay
-    if name.startswith("phi"):
-        return steps.phase
-    return steps.amp_rel * abs(value)
-
-
-def _whole_frame_probe(sc, mod, steps=DEFAULT_FD):
+def _whole_frame_probe(sc, mod):
     # central differences of the whole stacked frame, then one dense Gram
     # over every column
     frame = Frame(sc, mod)
@@ -356,7 +346,7 @@ def _whole_frame_probe(sc, mod, steps=DEFAULT_FD):
     eta = eta_point(frame)
     cols = []
     for i, name in enumerate(lay.names):
-        h = _fd_step(name, eta[i], steps)
+        h = fd_step(sc, name, eta[i])
         up, dn = eta.copy(), eta.copy()
         up[i] += h
         dn[i] -= h
@@ -365,7 +355,7 @@ def _whole_frame_probe(sc, mod, steps=DEFAULT_FD):
     return (B.conj().T @ B).real / sc.sigma2
 
 
-def _per_entry_probe(sc, mod, steps=DEFAULT_FD):
+def _per_entry_probe(sc, mod):
     # the probe one entry at a time: a single-point up and down evaluation of
     # the slots the entry drives, each slot sliced to its probe range, then
     # one Gram block per slot over the entries that drive it, in entry order
@@ -373,7 +363,7 @@ def _per_entry_probe(sc, mod, steps=DEFAULT_FD):
     lay = frame.eta
     size, index = lay.size, frame.slot_map
     eta0 = eta_point(frame)
-    h = np.array([_fd_step(name, eta0[i], steps) for i, name in enumerate(lay.names)])
+    h = np.array([fd_step(sc, name, eta0[i]) for i, name in enumerate(lay.names)])
     lo, hi = fim._probe_ranges(sc, index, eta0, h)
     cols = {}
     for i in range(size):
@@ -424,16 +414,16 @@ def test_numeric_fim_equals_whole_frame_probe(kind, n_paths, f_s):
 
 @pytest.mark.parametrize("f_s", [10e9, 100e9])
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_numeric_fim_sample_range_covers_wide_delay_steps(kind, f_s):
+def test_numeric_fim_sample_range_covers_wide_delay_steps(kind, f_s, monkeypatch):
     # a 50 alpha delay step moves a pulse clear of its +-40 alpha window at
     # eta0: the probe's per-slot sample range must take in the shifted
     # pulses too, or their differences are cut off
     n_f = 3
     sc = dataclasses.replace(reference_scenario(n_f=n_f, n_paths=2), f_s=f_s)
     mod = make_modulation(kind, n_f)
-    steps = FdSteps(delay=50 * sc.pulse.alpha)
-    got = observation_fim_numeric(sc, mod, steps).data
-    want = _whole_frame_probe(sc, mod, steps)
+    monkeypatch.setattr(fim, "DELAY_STEP", 50.0)
+    got = observation_fim_numeric(sc, mod).data
+    want = _whole_frame_probe(sc, mod)
     d = np.sqrt(np.diag(want))
     assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-13
 
@@ -475,7 +465,7 @@ def test_numeric_fim_evaluates_each_slot_once_for_the_entries_it_drives(monkeypa
         for row in eta:
             (i,) = np.flatnonzero(row != eta0)
             assert np.any(index[:, s] == i), (names[i], s)
-            h = _fd_step(names[i], eta0[i])
+            h = fd_step(sc, names[i], eta0[i])
             assert row[i] in (eta0[i] + h, eta0[i] - h), names[i]
             evaluations.append((i, s, row[i] > eta0[i]))
     assert len(evaluations) == len(set(evaluations)) == want
@@ -488,43 +478,60 @@ def test_numeric_fim_positive_semidefinite():
     assert eigs.min() >= -1e-8 * eigs.max()
 
 
-def test_numeric_fim_custom_steps():
+def test_numeric_fim_custom_steps(monkeypatch):
     sc = reference_scenario(n_f=2, n_paths=1)
     mod = ModulationConfig(Scheme.SENSING)
     a = observation_fim_numeric(sc, mod)
-    b = observation_fim_numeric(sc, mod, steps=FdSteps(delay=2e-13, phase=2e-7,
-                                                       amp_rel=2e-7))
+    for name in ("DELAY_STEP", "PHASE_STEP", "AMP_STEP"):
+        monkeypatch.setattr(fim, name, 2.0 * getattr(fim, name))
+    b = observation_fim_numeric(sc, mod)
     assert fim_deviation(a.data, b.data) < 1e-5
 
 
-@pytest.mark.parametrize("steps,entry", [(FdSteps(delay=0.0), "tau_1"),
-                                         (FdSteps(phase=-1e-7), "phi_0_1"),
-                                         (FdSteps(amp_rel=math.nan), "amp_1"),
-                                         (FdSteps(delay=math.inf), "tau_1"),
-                                         (FdSteps(phase=math.inf), "phi_0_1"),
-                                         (FdSteps(amp_rel=math.inf), "amp_1")])
-def test_numeric_fim_refuses_a_step_that_is_not_positive(steps, entry):
-    # an infinite step is refused by name too, before it can leak a pulse or
-    # turn the differences into NaN
+@pytest.mark.parametrize("alpha", [0.2e-9, 20e-12, 2e-12])
+@pytest.mark.parametrize("kind", ["sensing", "ppm-raw"])
+def test_numeric_fim_is_as_accurate_at_every_pulse_width(kind, alpha):
+    # the delay step is a fixed share of the pulse width, so the probe's
+    # truncation error, (h / alpha)**2, is the same at 0.2 ns, 20 ps and 2 ps
+    # (with f_s = 2 / alpha); a fixed 1e-13 s step gives 1.25e-3 at 2 ps
+    base = reference_scenario(n_f=2, n_paths=1)
+    pulse = dataclasses.replace(base.pulse, alpha=alpha)
+    sc = dataclasses.replace(base, f_s=2.0 / alpha, pulse=pulse)
+    mod = make_modulation(kind, 2)
+    num = observation_fim_numeric(sc, mod).data
+    assert fim_deviation(num, observation_fim_analytic(sc, mod).data) < 1e-6
+
+
+@pytest.mark.parametrize("field,value,entry", [("alpha", 1e-321, "tau_1"),
+                                               ("amp", 1e-318, "amp_1")])
+def test_numeric_fim_refuses_a_step_that_is_not_positive(field, value, entry):
+    # a pulse width or an amplitude near the bottom of the float range makes
+    # its entry's step 0.0: refused by name, before the difference divides by it
     sc = reference_scenario(n_f=2, n_paths=1)
-    with pytest.raises(ConfigError, match=f"step for '{entry}' is .*; it must be finite and > 0"):
-        observation_fim_numeric(sc, ModulationConfig(Scheme.SENSING), steps)
+    if field == "alpha":
+        sc = dataclasses.replace(sc, pulse=dataclasses.replace(sc.pulse, alpha=value))
+    else:
+        sc = dataclasses.replace(sc, paths=(dataclasses.replace(sc.paths[0], amp=value),))
+    with pytest.raises(ConfigError, match=f"step for '{entry}' is 0.0; it must be finite and > 0"):
+        observation_fim_numeric(sc, ModulationConfig(Scheme.SENSING))
 
 
 @pytest.mark.parametrize("f_c,steps,entries", [
-    (3993.6e6, FdSteps(delay=1e-30), "['tau_1']"),
-    (3993.6e6, FdSteps(phase=1e-30), "['phi_0_1', 'phi_1_1']"),
-    (3993.6e6, FdSteps(amp_rel=1e-30), "['amp_1']"),
-    (1e18, DEFAULT_FD, "['phi_0_1', 'phi_1_1']"),  # phases near 1e11 rad
+    (3993.6e6, {"DELAY_STEP": 1e-30}, "['tau_1']"),
+    (3993.6e6, {"PHASE_STEP": 1e-30}, "['phi_0_1', 'phi_1_1']"),
+    (3993.6e6, {"AMP_STEP": 1e-30}, "['amp_1']"),
+    (1e18, {}, "['phi_0_1', 'phi_1_1']"),  # phases near 1e11 rad
 ])
-def test_numeric_fim_refuses_a_step_lost_against_its_entry(f_c, steps, entries):
-    # eta0 + h == eta0 in float64: the difference and its diagonal are 0, and
-    # the remedy is a larger step
+def test_numeric_fim_refuses_a_step_lost_against_its_entry(f_c, steps, entries, monkeypatch):
+    # eta0 + h == eta0 in float64: the difference and its diagonal are 0
+    for name, value in steps.items():
+        monkeypatch.setattr(fim, name, value)
     sc = dataclasses.replace(reference_scenario(n_f=2, n_paths=1), f_c=f_c)
     with pytest.raises(ConfigError, match=re.escape(
             f"wiped out the diagonal for {entries}: a step below the float spacing")) as err:
-        observation_fim_numeric(sc, ModulationConfig(Scheme.SENSING), steps)
-    assert str(err.value).endswith("raise the step sizes")
+        observation_fim_numeric(sc, ModulationConfig(Scheme.SENSING))
+    assert str(err.value).endswith("the squared difference of a signal too weak for "
+                                   "float64 underflows")
 
 
 def test_numeric_fim_guards():

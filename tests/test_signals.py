@@ -43,7 +43,7 @@ from isacbounds.signals import (
 from isacbounds.experiments import reference_scenario
 from isacbounds.fim import observation_fim_numeric
 
-from conftest import ALL_KINDS, EDGE_ALPHA_FS, default_word, make_modulation
+from conftest import ALL_KINDS, EDGE_ALPHA_FS, default_word, fd_step, make_modulation
 
 TWO_PI = 2.0 * np.pi
 
@@ -208,9 +208,8 @@ def test_mean_jacobian_matches_central_differences(kind):
     eta = eta_point(frame)
     jac = mean_jacobian(sc, mod)
     assert jac.shape == (mean_vector(sc, mod).size, lay.size)
-    steps = {"tau": 1e-13, "t_": 1e-13, "phi": 1e-7, "amp": 1e-7}
     for i, name in enumerate(lay.names):
-        h = next(v for k, v in steps.items() if name.startswith(k))
+        h = fd_step(sc, name, eta[i])
         up, dn = eta.copy(), eta.copy()
         up[i] += h
         dn[i] -= h
