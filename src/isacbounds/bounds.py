@@ -20,14 +20,15 @@ where formed if not finite, must agree with the closed form entry-wise to
 
 Each domain of I_theta is an arrow read off lambda (:class:`Arrow`): in
 per-path coordinates a scaled diagonal plus one nuisance column, which one
-Sherman-Morrison step inverts.  :func:`crlb_report` reads the rank off the
-eigenvalues of the equilibrated I_theta and takes a nonsingular frame's
-CRLBs from those formulas, with no factorization.  Only a singular frame gets
-the :func:`singularity_report` SVD and the per-target Schur elimination,
-which uses a Cholesky factorization of the nuisance block; if that block is
-singular (the defining symptom of sensing/data coupling in the undecoupled
-PPM and BPSK frames) a :class:`CoupledParametersError` is raised naming the
-offending columns, rather than silently pseudo-inverting.
+Sherman-Morrison step inverts.  :func:`crlb_report` takes its verdict from
+:func:`singularity_report`, which reads the rank off one eigendecomposition
+of the equilibrated I_theta, and a nonsingular frame's CRLBs from those
+formulas, with no factorization.  Only a singular frame gets the per-target
+Schur elimination, which uses a Cholesky factorization of the nuisance
+block; if that block is singular (the defining symptom of sensing/data
+coupling in the undecoupled PPM and BPSK frames) a
+:class:`CoupledParametersError` is raised naming the offending columns,
+rather than silently pseudo-inverting.
 
 A differential frame duplicates the reference arrival time per data PRI,
 rotates it to the difference sequence [t^k - t^ref, t^k] by the square
@@ -65,6 +66,7 @@ from .fim import (
     _equilibrated,
     _first_apart,
     _require_finite,
+    _require_symmetric,
     coeff_a_range,
     coeff_b_full,
     observation_fim_analytic,
@@ -88,8 +90,8 @@ class CoupledParametersError(RuntimeError):
     An error raised where the nuisance block is singular keeps that ``block``
     and its column ``labels``; its ``report`` (the block's
     :class:`SingularityReport`) and its message are built on first read, so
-    a caller that only catches the error pays for no SVD.  Any other error
-    has its message and no report.
+    a caller that only catches the error pays for no eigendecomposition.  Any
+    other error has its message and no report.
     """
 
     def __init__(self, message: str = "", block: np.ndarray | None = None,
@@ -137,20 +139,25 @@ class SingularityReport:
 
 def singularity_report(mat: LabeledMatrix | np.ndarray,
                        labels: tuple[str, ...] | None = None) -> SingularityReport:
-    """SVD-based rank report with duplicate/zero column identification.
+    """Rank report of a symmetric information matrix, with duplicate/zero
+    column identification: the package's one rank verdict.
 
     The matrix is equilibrated first (information matrices mix units, so a
-    raw threshold would count every small-unit block as deficient), then
-    rank counts singular values above ``RANK_RTOL`` times the largest one.
-    Column pairs of the scaled matrix whose difference is below ``RANK_RTOL``
-    relative to their size are reported as coupled (the structurally
-    indistinguishable parameter directions); all-zero columns are listed
-    separately.  A coupled pair (i, j) leaves |S (e_i - e_j)| / sqrt(2) <=
-    RANK_RTOL smax / sqrt(2), far above the SVD's roundoff, so only a
-    rank-deficient matrix is searched for pairs, at every size: the Gram
-    matrix of the live columns proposes the candidates, and each is confirmed
-    by that column-difference test.  A NaN or +-inf entry, or an array that
-    is not square and 2-D, raises ConfigError.
+    raw threshold would count every small-unit block as deficient); the
+    absolute eigenvalues s of the scaled symmetric matrix, from one
+    ``eigvalsh``, are its singular values.  While s_min > ``RANK_RTOL`` s_max
+    it is full rank, ``min_sv_ratio`` s_min / s_max, and nothing more is
+    computed: a zero column i or a coupled pair (i, j) would leave |S e_i| or
+    |S (e_i - e_j)| / sqrt(2) at or below RANK_RTOL s_max, and neither is
+    below s_min.  Otherwise rank counts the s above ``RANK_RTOL`` s_max,
+    all-zero columns of the scaled matrix are listed, and column pairs whose
+    difference is below ``RANK_RTOL`` relative to their size are reported as
+    coupled (the structurally indistinguishable parameter directions), at
+    every size: the Gram matrix of the live columns proposes the candidates,
+    and each is confirmed by that column-difference test.  A
+    :class:`~isacbounds.fim.LabeledMatrix` was checked where it was formed;
+    an array with a NaN or +-inf entry, one that is not symmetric (``eigvalsh``
+    reads one triangle), or one that is not square and 2-D raises ConfigError.
     """
     if isinstance(mat, LabeledMatrix):
         data = mat.data
@@ -162,37 +169,37 @@ def singularity_report(mat: LabeledMatrix | np.ndarray,
                               f"got shape {data.shape}")
         if labels is None:
             labels = tuple(f"col_{i}" for i in range(data.shape[1]))
-    _require_finite(data, labels)
+        _require_finite(data, labels)
+        _require_symmetric(data, labels)
     n = data.shape[1]
     scaled = _equilibrated(data, data.diagonal())
-    s = np.linalg.svd(scaled, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
+    s = np.abs(np.linalg.eigvalsh(scaled)).tolist()
+    smax = max(s, default=0.0)
     if smax == 0.0:
         return SingularityReport(n, 0, True, 0.0, (), tuple(labels))
     tol = RANK_RTOL * smax
-    rank = int(np.sum(s > tol))
-    ratio = float(s[-1] / smax) if rank == n else 0.0
+    if (smin := min(s)) > tol:
+        return SingularityReport(n, n, False, smin / smax, (), ())
+    rank = sum(x > tol for x in s)
 
     norms = np.linalg.norm(scaled, axis=0)
     zero_cols = tuple(labels[i] for i in np.flatnonzero(norms <= tol))
-    coupled: tuple[tuple[str, str], ...] = ()
-    if rank < n:
-        live = np.flatnonzero(norms > tol)
-        cols = scaled[:, live]
-        gram = cols.T @ cols
-        sq = gram.diagonal()
-        # |s_i - s_j|^2 read off the Gram matrix is off by at most about
-        # 2 (n + 2) eps max(|s_i|^2, |s_j|^2); twice that slack lets no pair
-        # of the exact test below slip through
-        slack = RANK_RTOL ** 2 + 4 * (n + 3) * np.finfo(float).eps
-        near = sq[:, None] + sq[None, :] - 2.0 * gram <= slack * np.maximum.outer(sq, sq)
-        i, j = np.nonzero(near)
-        upper = i < j
-        i, j = i[upper], j[upper]
-        gap = np.linalg.norm(cols[:, i] - cols[:, j], axis=0)
-        hit = gap <= RANK_RTOL * np.maximum(norms[live[i]], norms[live[j]])
-        coupled = tuple((labels[a], labels[b]) for a, b in zip(live[i[hit]], live[j[hit]]))
-    return SingularityReport(n, rank, rank < n, ratio, coupled, zero_cols)
+    live = np.flatnonzero(norms > tol)
+    cols = scaled[:, live]
+    gram = cols.T @ cols
+    sq = gram.diagonal()
+    # |s_i - s_j|^2 read off the Gram matrix is off by at most about
+    # 2 (n + 2) eps max(|s_i|^2, |s_j|^2); twice that slack lets no pair
+    # of the exact test below slip through
+    slack = RANK_RTOL ** 2 + 4 * (n + 3) * np.finfo(float).eps
+    near = sq[:, None] + sq[None, :] - 2.0 * gram <= slack * np.maximum.outer(sq, sq)
+    i, j = np.nonzero(near)
+    upper = i < j
+    i, j = i[upper], j[upper]
+    gap = np.linalg.norm(cols[:, i] - cols[:, j], axis=0)
+    hit = gap <= RANK_RTOL * np.maximum(norms[live[i]], norms[live[j]])
+    coupled = tuple((labels[a], labels[b]) for a, b in zip(live[i[hit]], live[j[hit]]))
+    return SingularityReport(n, rank, True, 0.0, coupled, zero_cols)
 
 
 # =========================================================================
@@ -292,30 +299,41 @@ class Arrow(NamedTuple):
     gap: float = 0.0
 
 
-def arrows(frame: Frame) -> tuple[Arrow, Arrow]:
-    """The delay arrow (c = n_f) and the Doppler arrow (c =
-    :func:`~isacbounds.fim.coeff_b_full`) of ``frame``: PPM data adds dtau_q to
-    the first, BPSK data phi_bpsk to the second."""
-    n_f, t_f = frame.scenario.n_f, frame.scenario.t_f
-    scheme, dec = frame.modulation.scheme, frame.modulation.decoupling
+def _delay_arrow(frame: Frame) -> Arrow:
+    """The delay arrow of ``frame``, c = n_f: PPM data adds dtau_q."""
+    n_f, mod = frame.scenario.n_f, frame.modulation
+    if mod.scheme != Scheme.PPM:
+        return Arrow("tau1", n_f)
+    if mod.decoupling == Decoupling.DIFFERENTIAL:
+        w = mod.sfd_weight
+        return Arrow("tau1", n_f, "dtau_q", 2.0 * n_f, (w + 4.0) * n_f, w * n_f)
+    # d of the n_f PRIs carry data: d - d**2 / n_f = p d / n_f
     p, d = frame.data.start, frame.data.stop - frame.data.start
+    return Arrow("tau1", n_f, "dtau_q", d, d, p * d / n_f)
+
+
+def _doppler_arrow(frame: Frame) -> Arrow:
+    """The Doppler arrow of ``frame``, c = :func:`~isacbounds.fim.coeff_b_full`:
+    BPSK data adds phi_bpsk."""
+    n_f, t_f, mod = frame.scenario.n_f, frame.scenario.t_f, frame.modulation
     ramp = coeff_b_full(t_f, n_f)
-    delay, doppler = Arrow("tau1", n_f), Arrow("fd1", ramp)
-    if scheme == Scheme.PPM and dec == Decoupling.DIFFERENTIAL:
-        w = frame.modulation.sfd_weight
-        delay = Arrow("tau1", n_f, "dtau_q", 2.0 * n_f, (w + 4.0) * n_f, w * n_f)
-    elif scheme == Scheme.PPM:  # d of the n_f PRIs carry data: d - d**2 / n_f = p d / n_f
-        delay = Arrow("tau1", n_f, "dtau_q", d, d, p * d / n_f)
-    elif scheme == Scheme.BPSK and dec == Decoupling.PILOT:
-        # raw data phase, a unit ramp on the d data PRIs: with s their index
-        # sum and Q = squares_below(n_f), d - s**2 / Q, its numerator exact
-        # (Q = 0 on a one-PRI frame, all pilot)
-        s, squares = d * (2 * p + d - 1) // 2, squares_below(n_f)
-        doppler = Arrow("fd1", ramp, "phi_bpsk", coeff_a_range(t_f, p, d), d,
-                        (d * squares - s * s) / max(squares, 1))
-    elif scheme == Scheme.BPSK:  # Doppler-equivalent data phase: the quadratic ramp sum
-        doppler = Arrow("fd1", ramp, "phi_bpsk", ramp, ramp)
-    return delay, doppler
+    if mod.scheme != Scheme.BPSK:
+        return Arrow("fd1", ramp)
+    if mod.decoupling != Decoupling.PILOT:
+        # Doppler-equivalent data phase: the quadratic ramp sum
+        return Arrow("fd1", ramp, "phi_bpsk", ramp, ramp)
+    # raw data phase, a unit ramp on the d data PRIs: with s their index sum
+    # and Q = squares_below(n_f), d - s**2 / Q, its numerator exact (Q = 0 on
+    # a one-PRI frame, all pilot)
+    p, d = frame.data.start, frame.data.stop - frame.data.start
+    s, squares = d * (2 * p + d - 1) // 2, squares_below(n_f)
+    return Arrow("fd1", ramp, "phi_bpsk", coeff_a_range(t_f, p, d), d,
+                 (d * squares - s * s) / max(squares, 1))
+
+
+def arrows(frame: Frame) -> tuple[Arrow, Arrow]:
+    """The delay arrow and the Doppler arrow of ``frame``."""
+    return _delay_arrow(frame), _doppler_arrow(frame)
 
 
 def closed_form_theta_fim(frame: Frame) -> LabeledMatrix:
@@ -528,24 +546,16 @@ def _formula_crlbs(frame: Frame) -> dict:
 def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig) -> CrlbReport:
     """Assemble I_theta, diagnose its rank and compute the available CRLBs.
 
-    The eigenvalues w of the equilibrated I_theta give the verdict of
-    :func:`singularity_report` while w_min > RANK_RTOL w_max: full rank,
-    ``min_sv_ratio`` w_min / w_max; any other frame gets that report's SVD.
-    A nonsingular frame takes every CRLB from :func:`_formula_crlbs`, with
-    no factorization.  A singular one runs :func:`crlb` per target, and a
-    block whose elimination raises CoupledParametersError gets a ``None``
-    CRLB.
+    The verdict is :func:`singularity_report` of I_theta, one eigendecomposition
+    of the equilibrated matrix, and the report carries its fields.  A
+    nonsingular frame takes every CRLB from :func:`_formula_crlbs`, with no
+    factorization.  A singular one runs :func:`crlb` per target, and a block
+    whose elimination raises CoupledParametersError gets a ``None`` CRLB.
     """
     frame = Frame(scenario, modulation)
     fim = assemble_theta_fim(frame)
-    w = np.linalg.eigvalsh(_equilibrated(fim.data, fim.data.diagonal()))
-    if w[0] > RANK_RTOL * w[-1]:
-        verdict = (fim.size, fim.size, False, float(w[0] / w[-1]), (), ())
-    else:
-        rep = singularity_report(fim)
-        verdict = (rep.size, rep.rank, rep.singular, rep.min_sv_ratio,
-                   rep.coupled_columns, rep.zero_columns)
-    if not verdict[2]:
+    verdict = singularity_report(fim)
+    if not verdict.singular:
         values = _formula_crlbs(frame)
     else:
         values = {}
@@ -555,8 +565,8 @@ def crlb_report(scenario: ScenarioConfig, modulation: ModulationConfig) -> CrlbR
             except CoupledParametersError:
                 values[target] = None
     rng = None if values.get("tau1") is None else SPEED_OF_LIGHT ** 2 * values["tau1"]
-    return CrlbReport(*verdict, modulation.scheme.value, modulation.decoupling.value,
-                      values, rng)
+    return CrlbReport(**vars(verdict), scheme=modulation.scheme.value,
+                      decoupling=modulation.decoupling.value, crlb=values, range_crlb_m2=rng)
 
 
 # =========================================================================
@@ -570,7 +580,7 @@ def comm_efim_ppm(scenario: ScenarioConfig, modulation: ModulationConfig) -> flo
     Defined for the pilot split with at least one pilot and one data PRI
     (without pilots the shift is inseparable from the delays).  Eliminating
     the delays from the frame's p pilot and d data PRIs leaves
-    sum_l lambda_tau,l * p d / n_f, the gap of its delay :func:`arrows`: it scales
+    sum_l lambda_tau,l * p d / n_f, the gap of its delay arrow: it scales
     linearly with SNR and stays below the data PRIs' own d * sum_l lambda_tau,l,
     the cost of the sensing nuisance.  ConfigError past float64.
     """
@@ -579,6 +589,6 @@ def comm_efim_ppm(scenario: ScenarioConfig, modulation: ModulationConfig) -> flo
     frame = Frame(scenario, modulation)
     if not frame.data:
         raise ConfigError("comm_efim_ppm needs at least one data PRI")
-    value = sum(scenario.per_pri_information[0].tolist()) * arrows(frame)[0].gap
+    value = sum(scenario.per_pri_information[0].tolist()) * _delay_arrow(frame).gap
     _require_finite(np.array([value]), ("dtau_q",))
     return value

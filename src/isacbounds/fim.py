@@ -107,14 +107,25 @@ def _require_finite(values: np.ndarray, labels: ParamLayout | Sequence[str]) -> 
         )
 
 
+def _require_symmetric(M: np.ndarray, labels: ParamLayout | Sequence[str]) -> None:
+    """Raise ConfigError unless M is its own transpose up to |M_ij - M_ji| <=
+    AGREE_RTOL sqrt(|M_ii M_jj|), exactly where a diagonal entry is 0, so a
+    skew block of small units is seen next to a block some orders of
+    magnitude larger.  An exact transpose is not scanned pair by pair."""
+    if not (M == M.T).all() and (apart := _first_apart(M, M.T, M.diagonal())):
+        i, j, skew, scale = apart
+        names = labels.names if isinstance(labels, ParamLayout) else labels
+        raise ConfigError(
+            f"matrix is not symmetric at ({names[i]}, {names[j]}): "
+            f"|M_ij - M_ji| = {skew:.3e} vs sqrt(|M_ii M_jj|) = {scale:.3e}"
+        )
+
+
 @dataclass
 class LabeledMatrix:
-    """Square matrix addressed by the named blocks of a ParamLayout.
-
-    Unless M is exactly its transpose, symmetry is checked pair by pair against
-    the diagonal: |M_ij - M_ji| <= AGREE_RTOL sqrt(|M_ii M_jj|), exactly where a
-    diagonal entry is 0, so a skew block of small units is seen next to a block
-    some orders of magnitude larger.
+    """Square matrix addressed by the named blocks of a ParamLayout, refused
+    where it is formed if an entry is not finite or it is not symmetric
+    (:func:`_require_symmetric`).
     """
 
     data: np.ndarray
@@ -125,13 +136,7 @@ class LabeledMatrix:
         if M.shape != (n, n):
             raise ConfigError(f"matrix shape {M.shape} does not match layout size {n}")
         _require_finite(M, self.layout)
-        if not (M == M.T).all() and (apart := _first_apart(M, M.T, M.diagonal())):
-            i, j, skew, scale = apart
-            names = self.layout.names
-            raise ConfigError(
-                f"matrix is not symmetric at ({names[i]}, {names[j]}): "
-                f"|M_ij - M_ji| = {skew:.3e} vs sqrt(|M_ii M_jj|) = {scale:.3e}"
-            )
+        _require_symmetric(M, self.layout)
 
     @property
     def size(self) -> int:

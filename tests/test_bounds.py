@@ -236,8 +236,9 @@ def test_singularity_report_healthy():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_singularity_report_pairs_columns_only_when_rank_deficient(monkeypatch, kind):
-    # a coupled pair (i, j) has |S (e_i - e_j)| <= RANK_RTOL smax, which
-    # already drops the rank: a full-rank report compares no column pair
+    # a zero column i or a coupled pair (i, j) has |S e_i| or |S (e_i - e_j)|
+    # <= RANK_RTOL smax, which already drops the rank: a full-rank report
+    # computes no column norm and compares no column pair
     real, calls = np.linalg.norm, []
 
     def counting(x, *args, **kwargs):
@@ -247,11 +248,11 @@ def test_singularity_report_pairs_columns_only_when_rank_deficient(monkeypatch, 
     fim = assemble_theta_fim(Frame(reference_scenario(n_f=8), make_modulation(kind, 8)))
     monkeypatch.setattr(np.linalg, "norm", counting)
     rep = singularity_report(fim)
-    assert calls[0] == 0  # the column norms
     if rep.singular:
+        assert calls[0] == 0  # the column norms
         assert len(calls) > 1
     else:
-        assert calls == [0]
+        assert calls == []
 
 
 def test_singularity_report_coupled_pair():
@@ -287,6 +288,20 @@ def test_singularity_report_refuses_non_finite_entries(bad):
     M[2, 1] = bad
     with pytest.raises(ConfigError, match=rf"\(w, v\) is {bad}"):
         singularity_report(M, labels=("u", "v", "w"))
+
+
+def test_singularity_report_refuses_a_skew_array():
+    # eigvalsh reads one triangle: an array off its transpose is refused with
+    # the wording of a LabeledMatrix formed from it
+    lay = theta_layout(Scheme.SENSING, 1)
+    M = np.eye(lay.size)
+    M[0, 1] = 1e-3
+    with pytest.raises(ConfigError) as formed:
+        LabeledMatrix(M, lay)
+    with pytest.raises(ConfigError) as exc:
+        singularity_report(M, lay.names)
+    assert str(exc.value) == str(formed.value)
+    assert str(exc.value).startswith("matrix is not symmetric at (tau1, fd1): ")
 
 
 def test_singularity_report_survives_mixed_scales():
@@ -325,12 +340,17 @@ def test_singularity_report_pairs_columns_past_512():
     assert rep.zero_columns == ()
 
 
+def reference_scaled(M: np.ndarray) -> np.ndarray:
+    """M equilibrated by its own diagonal, rows and columns with d <= 0 unscaled."""
+    d = np.diag(M)
+    s = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 1.0)
+    return M * s[:, None] * s[None, :]
+
+
 def all_pairs(M: np.ndarray, labels: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     """Reference search: every pair of live columns of the equilibrated
     matrix, one column-difference test each."""
-    d = np.diag(M)
-    s = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 1.0)
-    S = M * s[:, None] * s[None, :]
+    S = reference_scaled(M)
     tol = bounds.RANK_RTOL * np.linalg.svd(S, compute_uv=False)[0]
     norms = [np.linalg.norm(S[:, i]) for i in range(len(labels))]
     pairs = []
@@ -340,6 +360,19 @@ def all_pairs(M: np.ndarray, labels: tuple[str, ...]) -> tuple[tuple[str, str], 
                     <= bounds.RANK_RTOL * max(norms[i], norms[j])):
                 pairs.append((labels[i], labels[j]))
     return tuple(pairs)
+
+
+def svd_verdict(M: np.ndarray, labels: tuple[str, ...]) -> bounds.SingularityReport:
+    """Reference verdict: the singular values of the equilibrated matrix by
+    ``np.linalg.svd``, their count above RANK_RTOL s_max, :func:`all_pairs`
+    and the columns whose norm is at or below that cut."""
+    S = reference_scaled(M)
+    s = np.linalg.svd(S, compute_uv=False)
+    tol = bounds.RANK_RTOL * s[0]
+    n, rank = len(labels), int(np.sum(s > tol))
+    zero = tuple(labels[i] for i in range(n) if np.linalg.norm(S[:, i]) <= tol)
+    return bounds.SingularityReport(n, rank, rank < n, float(s[-1] / s[0]) if rank == n else 0.0,
+                                    all_pairs(M, labels), zero)
 
 
 @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
@@ -360,6 +393,7 @@ def test_singularity_report_finds_the_planted_pairs(n, seed):
     labels = tuple(f"c{i}" for i in range(n))
     rep = singularity_report(M, labels)
     assert rep.coupled_columns == all_pairs(M, labels)
+    assert rep.rank == svd_verdict(M, labels).rank
     planted = {(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
                if source[i] == source[j] and not dead[i] and not dead[j]}
     assert planted <= set(rep.coupled_columns)
@@ -1213,16 +1247,22 @@ def test_one_factor_route_skips_the_schur_complements(monkeypatch, ref8):
 
 
 def test_one_factor_route_reads_the_verdict_off_its_eigenvalues(monkeypatch, ref8):
+    # every report takes its verdict from one singularity_report, whose one
+    # eigvalsh decides the rank: no SVD on either route
     calls = []
     real = bounds.singularity_report
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report ran an SVD")
+
     monkeypatch.setattr(bounds, "singularity_report",
                         lambda *args: calls.append(args) or real(*args))
-    for kind in ("sensing", "ppm-pilot", "bpsk-pilot", "ppm-diff"):
-        assert not crlb_report(ref8, make_modulation(kind, 8)).singular, kind
-    assert calls == []
-    for kind in ("ppm-raw", "bpsk-raw"):
-        assert crlb_report(ref8, make_modulation(kind, 8)).singular, kind
-    assert len(calls) == 2
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for kind in ALL_KINDS:
+        calls.clear()
+        rep = crlb_report(ref8, make_modulation(kind, 8))
+        assert rep.singular == (kind in ("ppm-raw", "bpsk-raw")), kind
+        assert len(calls) == 1, kind
 
 
 def verdict_frames():
@@ -1236,7 +1276,8 @@ def test_report_verdict_equals_the_svd_verdict():
     fields = ("size", "rank", "singular", "coupled_columns", "zero_columns")
     for sc, mod in verdict_frames():
         rep = crlb_report(sc, mod)
-        svd = singularity_report(assemble_theta_fim(Frame(sc, mod)))
+        fim = assemble_theta_fim(Frame(sc, mod))
+        svd = svd_verdict(fim.data, fim.layout.names)
         assert [getattr(rep, f) for f in fields] == [getattr(svd, f) for f in fields], (sc, mod)
         assert abs(rep.min_sv_ratio - svd.min_sv_ratio) <= 1e-13, (sc, mod)
 
@@ -1387,7 +1428,7 @@ def test_nonsingular_report_factors_nothing(monkeypatch):
         raise AssertionError("a nonsingular report factored its information matrix")
 
     for module, name in ((np.linalg, "cholesky"), (np.linalg, "inv"),
-                         (bounds, "crlb"), (bounds, "singularity_report")):
+                         (bounds, "crlb"), (np.linalg, "svd")):
         monkeypatch.setattr(module, name, refuse)
     for sc, mod in frames:
         rep = crlb_report(sc, mod)
@@ -1400,7 +1441,8 @@ def test_product_routes_read_no_arrow(monkeypatch, ref8):
     def refuse(*args):
         raise AssertionError("a product route read the arrow record")
 
-    monkeypatch.setattr(bounds, "arrows", refuse)
+    for name in ("arrows", "_delay_arrow", "_doppler_arrow"):
+        monkeypatch.setattr(bounds, name, refuse)
     for kind in ALL_KINDS:
         jacobian_for(Frame(ref8, make_modulation(kind, 8)))
     differential_pipeline(Frame(ref8, make_modulation("ppm-diff", 8)))
